@@ -1,0 +1,297 @@
+//! One-shot graph cost, phase by phase: what it takes to build, freeze,
+//! run and drop a fresh 10 000-node graph, per node, in allocations, bytes
+//! and nanoseconds.
+//!
+//! The graph is the paper's graph-traversal micro-benchmark (the seeded
+//! `randdag`, degrees bounded at 4) on **one worker**, the regime of the
+//! pinned benchmark's `traversal_oneshot` workload and of `tf-timer`'s v2
+//! engine, where nothing is re-armed and per-task creation cost is the
+//! whole story. The four phases:
+//!
+//! * **build** — `emplace` every task, `precede` every edge;
+//! * **freeze** — `Taskflow::dispatch` up to its return: the freeze sweep
+//!   (sources, sanitizer verdict), the topology, the first publish;
+//! * **run** — from there until the run's future resolves;
+//! * **drop** — dropping the taskflow (nodes, closures, chunks).
+//!
+//! Allocation counts come from a counting allocator local to this binary.
+//! Build, freeze and drop happen on the calling thread and are counted
+//! there (thread-local counters), so they are exact; run is every thread's
+//! allocations from dispatch to resolution less the calling thread's
+//! freeze. Times are the median over the repetitions, counts the maximum
+//! (they do not vary). The freeze/run time split is only as good as the
+//! OS scheduler: in a repetition where the woken worker preempts the
+//! caller inside `dispatch`, the whole run is charged to freeze (the first
+//! few repetitions after start-up tend to go that way). The median over
+//! the default 15 repetitions shrugs those off; the sum of the two phases
+//! is steady either way.
+//!
+//! Writes `<out>/oneshot.json`. With `--check` the freshly measured
+//! allocation counts are first compared against the committed
+//! `<out>/oneshot.json`: any phase allocating more often per node than the
+//! committed file says fails the binary (and leaves the file alone). Every
+//! repetition asserts exactly-once execution by task count and checksum.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+use tf_bench::json;
+use tf_workloads::kernels::nominal_work;
+use tf_workloads::randdag::{generate_edges, RandDagSpec};
+
+/// Allocations and bytes requested by every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALL_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations and bytes requested by this thread. `const`-initialized
+    /// `Cell`s of `u64` need no lazy set-up and no destructor, so touching
+    /// them from inside the allocator cannot recurse into it.
+    static MY_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static MY_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn on_alloc(size: usize) {
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    // `try_with`: a thread that is being torn down still allocates.
+    let _ = MY_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = MY_BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// atomics and destructor-free thread-local cells and never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller's contract is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller's contract is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_alloc(new_size);
+        // SAFETY: the caller's contract is passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Counter readings at one instant.
+#[derive(Clone, Copy)]
+struct Stamp {
+    at: Instant,
+    my_allocs: u64,
+    my_bytes: u64,
+    all_allocs: u64,
+    all_bytes: u64,
+}
+
+impl Stamp {
+    fn now() -> Stamp {
+        Stamp {
+            at: Instant::now(),
+            my_allocs: MY_ALLOCS.with(Cell::get),
+            my_bytes: MY_BYTES.with(Cell::get),
+            all_allocs: ALL_ALLOCS.load(Ordering::Relaxed),
+            all_bytes: ALL_BYTES.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// One phase of one repetition.
+#[derive(Clone, Copy)]
+struct Phase {
+    allocs: u64,
+    bytes: u64,
+    ns: f64,
+}
+
+impl Phase {
+    /// What the calling thread did between two stamps.
+    fn mine(from: Stamp, to: Stamp) -> Phase {
+        Phase {
+            allocs: to.my_allocs - from.my_allocs,
+            bytes: to.my_bytes - from.my_bytes,
+            ns: (to.at - from.at).as_nanos() as f64,
+        }
+    }
+}
+
+const PHASES: [&str; 4] = ["build", "freeze", "run", "drop"];
+
+/// Builds, dispatches, awaits and drops one fresh graph; returns the four
+/// phases in [`PHASES`] order.
+fn one_shot(
+    spec: RandDagSpec,
+    edges: &[(u32, u32)],
+    executor: &Arc<rustflow::Executor>,
+) -> [Phase; 4] {
+    let count = Arc::new(AtomicU64::new(0));
+    let sum = Arc::new(AtomicU64::new(0));
+    let t0 = Stamp::now();
+    let tf = rustflow::Taskflow::with_executor(Arc::clone(executor));
+    {
+        let tasks: Vec<rustflow::Task<'_>> = (0..spec.nodes)
+            .map(|v| {
+                let (count, sum) = (Arc::clone(&count), Arc::clone(&sum));
+                tf.emplace(move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    sum.fetch_add(
+                        nominal_work(v as u64 + 1, spec.work_iters),
+                        Ordering::Relaxed,
+                    );
+                })
+            })
+            .collect();
+        for &(u, v) in edges {
+            tasks[u as usize].precede(tasks[v as usize]);
+        }
+    }
+    let t1 = Stamp::now();
+    let run = tf.dispatch();
+    let t2 = Stamp::now();
+    run.get().expect("one-shot run failed");
+    let t3 = Stamp::now();
+    drop(run);
+    drop(tf);
+    let t4 = Stamp::now();
+
+    let expected = (0..spec.nodes).fold(0u64, |acc, v| {
+        acc.wrapping_add(nominal_work(v as u64 + 1, spec.work_iters))
+    });
+    assert_eq!(
+        count.load(Ordering::Relaxed),
+        spec.nodes as u64,
+        "every task must run exactly once"
+    );
+    assert_eq!(sum.load(Ordering::Relaxed), expected, "checksum mismatch");
+    [
+        Phase::mine(t0, t1),
+        Phase::mine(t1, t2),
+        // Everything any thread allocated from dispatch to resolution,
+        // less the calling thread's freeze: the worker starts on the first
+        // published source, while `dispatch` is still returning.
+        Phase {
+            allocs: (t3.all_allocs - t1.all_allocs) - (t2.my_allocs - t1.my_allocs),
+            bytes: (t3.all_bytes - t1.all_bytes) - (t2.my_bytes - t1.my_bytes),
+            ns: (t3.at - t2.at).as_nanos() as f64,
+        },
+        Phase::mine(t3, t4),
+    ]
+}
+
+fn main() {
+    // Own flags, like the other gate binaries: `--check` compares against
+    // the committed file before overwriting it.
+    let mut check = false;
+    let mut out = std::path::PathBuf::from("results");
+    let mut reps = 15usize;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--out" => out = args.next().expect("--out needs a directory").into(),
+            "--reps" => {
+                reps = args
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .filter(|&n| n > 0)
+                    .expect("--reps needs a positive number")
+            }
+            other => panic!("unknown flag {other} (flags: --check | --out <dir> | --reps n)"),
+        }
+    }
+
+    let spec = RandDagSpec::new(10_000);
+    let edges = generate_edges(spec);
+    let executor = rustflow::Executor::new(1);
+    println!(
+        "One-shot graph: {} tasks / {} edges, 1 worker, {reps} repetitions",
+        spec.nodes,
+        edges.len()
+    );
+    // Warm-up: fault in the executor, the allocator's bins and the code.
+    for _ in 0..3 {
+        one_shot(spec, &edges, &executor);
+    }
+    let runs: Vec<[Phase; 4]> = (0..reps)
+        .map(|_| one_shot(spec, &edges, &executor))
+        .collect();
+
+    let per_node = |x: f64| x / spec.nodes as f64;
+    let mut report = String::from("{\n  \"benchmark\": \"oneshot\",\n");
+    report.push_str(&format!(
+        "  \"nodes\": {},\n  \"edges\": {},\n  \"workers\": 1,\n  \"repetitions\": {reps},\n  \"phases\": {{\n",
+        spec.nodes,
+        edges.len()
+    ));
+    let mut measured = Vec::new();
+    for (p, name) in PHASES.iter().enumerate() {
+        let allocs = runs.iter().map(|r| r[p].allocs).max().expect("reps > 0");
+        let bytes = runs.iter().map(|r| r[p].bytes).max().expect("reps > 0");
+        let mut ns: Vec<f64> = runs.iter().map(|r| r[p].ns).collect();
+        ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let ns = ns[ns.len() / 2];
+        println!(
+            "  {name:<6} {:>8.4} allocs/node  {:>8.1} bytes/node  {:>7.1} ns/node",
+            per_node(allocs as f64),
+            per_node(bytes as f64),
+            per_node(ns)
+        );
+        report.push_str(&format!(
+            "    \"{name}\": {{ \"allocs\": {allocs}, \"allocs_per_node\": {:.4}, \"bytes_per_node\": {:.1}, \"ns_per_node\": {:.1} }}{}\n",
+            per_node(allocs as f64),
+            per_node(bytes as f64),
+            per_node(ns),
+            if p + 1 < PHASES.len() { "," } else { "" }
+        ));
+        measured.push((*name, allocs));
+    }
+    report.push_str("  }\n}\n");
+
+    let path = out.join("oneshot.json");
+    if check {
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()));
+        let committed = json::parse(&committed).expect("committed oneshot.json is not JSON");
+        let mut failed = false;
+        for (name, allocs) in &measured {
+            let limit = committed
+                .get("phases")
+                .and_then(|p| p.get(name))
+                .and_then(|p| p.get("allocs"))
+                .and_then(json::Value::as_u64)
+                .unwrap_or_else(|| panic!("committed oneshot.json has no phases.{name}.allocs"));
+            if *allocs > limit {
+                eprintln!(
+                    "oneshot gate: {name} allocates {allocs} times per graph, committed {limit}"
+                );
+                failed = true;
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        println!("oneshot gate: OK (no phase allocates more than the committed file)");
+    }
+    std::fs::create_dir_all(&out).expect("cannot create output directory");
+    std::fs::write(&path, report).expect("cannot write oneshot.json");
+    println!("  -> {}", path.display());
+}

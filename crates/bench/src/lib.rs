@@ -13,7 +13,7 @@
 //! | `table3` | Table III — software costs of the DNN implementations |
 //! | `fig11` | Figure 11 — the DNN task decomposition (DOT) |
 //! | `fig12` | Figure 12 — DNN training runtimes (epoch & thread sweeps) |
-//! | `reuse` | rebuild-vs-reuse cost of iterative graphs (beyond the paper) |
+//! | `oneshot` | per-phase allocations and ns per node of a one-shot graph + CI allocation gate (beyond the paper) |
 //! | `profile` | causal work/span profile + CI perf-regression gate (beyond the paper) |
 //! | `chaos` | deterministic fault-injection gate (beyond the paper) |
 //! | `introspect` | live-introspection overhead + endpoint smoke gate (beyond the paper) |

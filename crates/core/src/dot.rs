@@ -6,8 +6,8 @@
 //! nested `subgraph cluster_*` blocks, reproducing Figure 5 of the paper.
 //!
 //! [`graph_to_dot_annotated`] additionally paints nodes flagged by the
-//! pre-dispatch sanitizer ([`crate::validate`]): members of a cycle red,
-//! orphans orange, so `dump_with_diagnostics` output can be pasted straight
+//! pre-dispatch sanitizer ([`crate::validate`]): members of a cycle and
+//! sources of self- or foreign edges red, orphans orange, so `dump_with_diagnostics` output can be pasted straight
 //! into GraphViz to *see* why a dispatch was rejected.
 
 use crate::graph::{Graph, Node, RawNode};
@@ -25,7 +25,8 @@ pub(crate) unsafe fn graph_to_dot(graph: &Graph, name: &str) -> String {
 }
 
 /// Renders `graph` to DOT with sanitizer findings highlighted: nodes on a
-/// cycle are filled red, orphans orange, and self-edges drawn bold red.
+/// cycle and nodes with a self-edge or an edge into another graph are
+/// filled red, orphans orange, and self-edges drawn bold red.
 ///
 /// # Safety
 /// Same contract as [`graph_to_dot`].
@@ -35,24 +36,26 @@ pub(crate) unsafe fn graph_to_dot_annotated(
     diagnostics: &[GraphDiagnostic],
 ) -> String {
     let mut hl: HashMap<RawNode, &'static str> = HashMap::new();
+    let key = |i: usize| graph.get(i).map(|n| n as *const Node as RawNode);
     for d in diagnostics {
         match d {
             GraphDiagnostic::Cycle { nodes, .. } => {
-                for &i in nodes {
-                    if let Some(n) = graph.nodes.get(i) {
-                        hl.insert(&**n as *const Node as RawNode, "red");
-                    }
+                for n in nodes.iter().filter_map(|&i| key(i)) {
+                    hl.insert(n, "red");
                 }
             }
-            GraphDiagnostic::SelfEdge { node, .. } => {
-                if let Some(n) = graph.nodes.get(*node) {
-                    hl.insert(&**n as *const Node as RawNode, "red");
+            GraphDiagnostic::SelfEdge { node, .. }
+            | GraphDiagnostic::ForeignEdge {
+                from_node: node, ..
+            } => {
+                if let Some(n) = key(*node) {
+                    hl.insert(n, "red");
                 }
             }
             GraphDiagnostic::Orphan { node, .. } => {
-                if let Some(n) = graph.nodes.get(*node) {
-                    // A cycle finding wins over an orphan finding.
-                    hl.entry(&**n as *const Node as RawNode).or_insert("orange");
+                if let Some(n) = key(*node) {
+                    // A fatal finding wins over an orphan finding.
+                    hl.entry(n).or_insert("orange");
                 }
             }
             GraphDiagnostic::DuplicateEdge { .. } => {}
@@ -131,8 +134,7 @@ unsafe fn emit_graph_profiled(
     emitted: &mut std::collections::HashSet<(u64, u64)>,
 ) {
     let pad = "  ".repeat(depth);
-    for node in &graph.nodes {
-        let n: &Node = node;
+    for n in graph.iter() {
         let key = n as *const Node as RawNode;
         let id = key as u64;
         // SAFETY: quiescent phase per the caller's contract.
@@ -149,7 +151,7 @@ unsafe fn emit_graph_profiled(
             "{pad}{} [label=\"{label}{timing}\", fillcolor=\"0.0 {heat:.3} 1.0\"];\n",
             node_id(n)
         ));
-        // SAFETY: quiescent phase; successor pointers target live boxed nodes.
+        // SAFETY: quiescent phase; successor pointers target live nodes.
         for &succ in unsafe { n.structure.successors.get() }.iter() {
             let edge = (id, succ as u64);
             emitted.insert(edge);
@@ -158,7 +160,7 @@ unsafe fn emit_graph_profiled(
             } else {
                 ""
             };
-            // SAFETY: `succ` is a stable boxed-node address (see Graph).
+            // SAFETY: `succ` is a stable node address (see Graph).
             let succ_id = node_id(unsafe { &*succ });
             out.push_str(&format!("{pad}{} -> {succ_id}{attrs};\n", node_id(n)));
         }
@@ -196,8 +198,7 @@ unsafe fn emit_graph(
     hl: &HashMap<RawNode, &'static str>,
 ) {
     let pad = "  ".repeat(depth);
-    for node in &graph.nodes {
-        let n: &Node = node;
+    for n in graph.iter() {
         let key = n as *const Node as RawNode;
         // SAFETY: quiescent phase per the caller's contract.
         let label = unsafe { node_label(n) };
@@ -208,7 +209,7 @@ unsafe fn emit_graph(
             )),
             None => out.push_str(&format!("{pad}{} [label=\"{label}\"];\n", node_id(n))),
         }
-        // SAFETY: quiescent phase; successor pointers target live boxed nodes.
+        // SAFETY: quiescent phase; successor pointers target live nodes.
         for &succ in unsafe { n.structure.successors.get() }.iter() {
             if succ == key {
                 out.push_str(&format!(
@@ -217,7 +218,7 @@ unsafe fn emit_graph(
                     node_id(n)
                 ));
             } else {
-                // SAFETY: `succ` is a stable boxed-node address (see Graph).
+                // SAFETY: `succ` is a stable node address (see Graph).
                 let succ_id = node_id(unsafe { &*succ });
                 out.push_str(&format!("{pad}{} -> {succ_id};\n", node_id(n)));
             }
@@ -231,7 +232,7 @@ unsafe fn emit_graph(
                 "{pad}  label=\"Subflow_{label}\";\n{pad}  style=dashed;\n"
             ));
             // Anchor edge from the parent into its subflow for readability.
-            if let Some(first) = sub.nodes.first() {
+            if let Some(first) = sub.get(0) {
                 out.push_str(&format!(
                     "{pad}  {} -> {} [style=dotted];\n",
                     node_id(n),
@@ -293,8 +294,7 @@ mod tests {
         let b = g.emplace(Work::Empty);
         unsafe {
             *(*a).structure.name.get_mut() = crate::TaskLabel::new("A");
-            (*a).structure.successors.get_mut().push(b);
-            *(*b).structure.in_degree.get_mut() += 1;
+            Node::connect(a, b);
             let dot = graph_to_dot(&g, "demo");
             assert!(dot.starts_with("digraph demo {"));
             assert!(dot.contains("label=\"A\""));
@@ -325,10 +325,8 @@ mod tests {
         unsafe {
             *(*a).structure.name.get_mut() = crate::TaskLabel::new("A");
             *(*b).structure.name.get_mut() = crate::TaskLabel::new("B");
-            (*a).structure.successors.get_mut().push(b);
-            *(*b).structure.in_degree.get_mut() += 1;
-            (*b).structure.successors.get_mut().push(a);
-            *(*a).structure.in_degree.get_mut() += 1;
+            Node::connect(a, b);
+            Node::connect(b, a);
             let diags = vec![
                 GraphDiagnostic::Cycle {
                     path: vec!["A".into(), "B".into(), "A".into()],
@@ -350,8 +348,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.emplace(Work::Empty);
         unsafe {
-            (*a).structure.successors.get_mut().push(a);
-            *(*a).structure.in_degree.get_mut() += 1;
+            Node::connect(a, a);
             let dot = graph_to_dot(&g, "demo");
             assert!(dot.contains("color=red, penwidth=2"));
         }

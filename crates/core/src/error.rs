@@ -192,8 +192,9 @@ pub enum RunError {
     Panic(TaskPanic),
     /// The graph was rejected by the pre-dispatch sanitizer
     /// ([`crate::Taskflow::validate`]): it contains at least one fatal
-    /// finding (a dependency cycle or a self-edge), so running it could
-    /// never make progress. Carries *every* finding, warnings included.
+    /// finding (a dependency cycle, a self-edge, an edge into another
+    /// graph) or waits on a task outside itself, so running it could
+    /// never complete. Carries *every* finding, warnings included.
     InvalidGraph(Vec<GraphDiagnostic>),
     /// The run was cancelled — by [`RunHandle::cancel`](crate::RunHandle),
     /// by a deadline expiring

@@ -1462,8 +1462,10 @@ unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detac
     // spawn nothing (the parent completes as an empty subflow).
     //
     // SAFETY: no child has been spawned, so the subgraph is quiescent.
-    let diagnostics = unsafe { crate::validate::validate_graph(sub) };
-    if diagnostics.iter().any(|d| d.is_fatal()) {
+    let swept = unsafe { crate::validate::sweep(sub) };
+    if swept.is_fatal() {
+        // SAFETY: as above.
+        let diagnostics = unsafe { crate::validate::validate_graph(sub) };
         // SAFETY: the topology pointer was armed at dispatch and its
         // storage is kept alive by the executor's `running` registry.
         let topo_ptr = unsafe { *(*node).state.topology.get() };
@@ -1488,19 +1490,15 @@ unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detac
         unsafe { (*node).state.nested.store(sub.len() + 1, Ordering::Relaxed) };
     }
     let parent: RawNode = if detached { std::ptr::null_mut() } else { node };
-    for child in sub.nodes.iter_mut() {
-        // SAFETY: `child` is a boxed node owned by the subgraph; it has
-        // not been scheduled yet, so we have exclusive access.
+    for child in sub.iter_mut() {
+        // SAFETY: `child` is a node owned by the subgraph; it has not
+        // been scheduled yet, so we have exclusive access.
         unsafe { child.rearm(topo_ptr, parent) };
     }
-    for i in 0..sub.nodes.len() {
-        let c: RawNode = &mut *sub.nodes[i];
-        // SAFETY: in-degree is frozen once the subflow closure returned.
-        if unsafe { *(*c).structure.in_degree.get() } == 0 {
-            // SAFETY: `c` is armed (join counter = in-degree = 0) and its
-            // topology alive.
-            unsafe { schedule(inner, ctx, c) };
-        }
+    for &source in &swept.sources {
+        // SAFETY: a source is armed (join counter = in-degree = 0) and
+        // its topology alive.
+        unsafe { schedule(inner, ctx, source as RawNode) };
     }
     !detached
 }
@@ -1527,7 +1525,7 @@ unsafe fn complete(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
             // ORDERING: AcqRel — each predecessor Releases its task's
             // effects; the zero-crossing Acquires them all, so `s` runs
             // after every dependency in the happens-before order.
-            // SAFETY: `s` targets a live boxed node of the same topology;
+            // SAFETY: `s` targets a live node of the same topology;
             // `join_counter` is atomic.
             if unsafe { (*s).state.join_counter.fetch_sub(1, Ordering::AcqRel) } == 1 {
                 // SAFETY: the zero-crossing arms `s`; it happened exactly

@@ -46,7 +46,7 @@ pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 5;
 ///
 /// `node` is the address of the executed graph node: stable across
 /// iterations for static nodes (the structure/state split re-arms the same
-/// boxed nodes), fresh per iteration for dynamically spawned subflow
+/// nodes in place), fresh per iteration for dynamically spawned subflow
 /// children (their subgraph is rebuilt every iteration).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskSpanInfo {

@@ -92,8 +92,7 @@ impl GraphSnapshot {
 /// # Safety
 /// Quiescent graph per [`GraphSnapshot::from_graph`].
 unsafe fn collect_nodes(graph: &Graph, top_level: bool, out: &mut Vec<SnapshotNode>) {
-    for (i, node) in graph.nodes.iter().enumerate() {
-        let n: &Node = node;
+    for (i, n) in graph.iter().enumerate() {
         // SAFETY: quiescent phase per the caller's contract.
         let label = unsafe { n.label() }.to_string();
         // SAFETY: successors are frozen after the build/spawn phase.

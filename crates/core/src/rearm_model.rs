@@ -27,7 +27,7 @@
 
 use crate::error::{FailurePolicy, RunResult};
 use crate::future::{promise_pair, SharedFuture};
-use crate::graph::{Graph, RawNode, Work};
+use crate::graph::{Graph, Node, RawNode, Work};
 use crate::sync::{AtomicUsize, Condvar, Mutex};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use std::collections::VecDeque;
@@ -77,9 +77,8 @@ impl RearmHarness {
         let c = g.emplace(count(&counters[2]));
         // SAFETY: single-threaded build phase.
         unsafe {
-            (*a).structure.successors.get_mut().push(c);
-            (*b).structure.successors.get_mut().push(c);
-            *(*c).structure.in_degree.get_mut() = 2;
+            Node::connect(a, c);
+            Node::connect(b, c);
         }
         let topo = Topology::new(g, FailurePolicy::ContinueAll);
         assert!(topo.fatal().is_none(), "fan-in graph must be valid");

@@ -104,13 +104,13 @@ impl<'s> Subflow<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Node;
+    use crate::graph::Graph;
 
     #[test]
     fn emplace_builds_children_in_parent_subgraph() {
-        let mut parent = Node::new(Work::Empty);
-        let raw: RawNode = &mut *parent;
-        let sf = Subflow::new(raw);
+        let mut g = Graph::new();
+        let parent = g.emplace(Work::Empty);
+        let sf = Subflow::new(parent);
         let a = sf.emplace(|| {}).name("a");
         let b = sf.emplace(|| {});
         let c = sf.placeholder();
@@ -120,14 +120,14 @@ mod tests {
         assert_eq!(c.num_dependents(), 1);
         assert!(c.is_placeholder());
         unsafe {
-            assert_eq!(parent.state.subgraph.get().len(), 3);
+            assert_eq!((*parent).state.subgraph.get().len(), 3);
         }
     }
 
     #[test]
     fn detach_and_join_toggle() {
-        let mut parent = Node::new(Work::Empty);
-        let sf = Subflow::new(&mut *parent);
+        let mut g = Graph::new();
+        let sf = Subflow::new(g.emplace(Work::Empty));
         assert!(!sf.is_detached());
         sf.detach();
         assert!(sf.is_detached());

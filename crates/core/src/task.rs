@@ -11,7 +11,7 @@
 //! logic error; every mutating method asserts the node has not yet been
 //! handed to the executor.
 
-use crate::graph::{RawNode, Work};
+use crate::graph::{Node, RawNode, Work};
 use crate::subflow::Subflow;
 use std::marker::PhantomData;
 
@@ -66,12 +66,10 @@ impl<'g> Task<'g> {
     pub fn precede<T: TaskSet<'g>>(self, targets: T) -> Self {
         self.assert_mutable();
         targets.for_each(&mut |t| {
-            // SAFETY: build phase, single thread; both nodes belong to
-            // graphs owned by the same (not yet dispatched) taskflow.
-            unsafe {
-                (*self.node).structure.successors.get_mut().push(t.node);
-                *(*t.node).structure.in_degree.get_mut() += 1;
-            }
+            // SAFETY: build phase, single thread; both handles target
+            // live nodes (`'g` keeps their owners borrowed). An edge into
+            // another graph is recorded here and rejected at freeze.
+            unsafe { Node::connect(self.node, t.node) };
         });
         self
     }
@@ -81,12 +79,10 @@ impl<'g> Task<'g> {
     pub fn succeed<T: TaskSet<'g>>(self, sources: T) -> Self {
         self.assert_mutable();
         sources.for_each(&mut |t| {
-            // SAFETY: build phase, single thread; both nodes belong to
-            // graphs owned by the same (not yet dispatched) taskflow.
-            unsafe {
-                (*t.node).structure.successors.get_mut().push(self.node);
-                *(*self.node).structure.in_degree.get_mut() += 1;
-            }
+            // SAFETY: build phase, single thread; both handles target
+            // live nodes (`'g` keeps their owners borrowed). An edge into
+            // another graph is recorded here and rejected at freeze.
+            unsafe { Node::connect(t.node, self.node) };
         });
         self
     }
@@ -151,10 +147,7 @@ impl<'g> Task<'g> {
         self.assert_mutable();
         // SAFETY: build phase, single thread.
         unsafe {
-            *(*self.node).structure.retry.get_mut() = crate::graph::RetryPolicy {
-                limit: n,
-                base_backoff: base,
-            };
+            *(*self.node).structure.retry.get_mut() = crate::graph::RetryPolicy::new(n, base);
         }
         self
     }
@@ -168,7 +161,7 @@ impl<'g> Task<'g> {
     /// Number of incoming edges.
     pub fn num_dependents(self) -> usize {
         // SAFETY: edges mutate only during the single-threaded build phase.
-        unsafe { *(*self.node).structure.in_degree.get() }
+        unsafe { *(*self.node).structure.in_degree.get() as usize }
     }
 
     /// `true` when the task has no callable assigned yet.

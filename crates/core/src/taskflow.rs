@@ -176,8 +176,8 @@ impl Taskflow {
     }
 
     fn emplace_work(&self, work: Work) -> Task<'_> {
-        // SAFETY: !Sync — the build phase is single-threaded; node boxes
-        // give stable addresses for the returned handle.
+        // SAFETY: !Sync — the build phase is single-threaded; the graph's
+        // arena gives the returned handle a stable address.
         let node = unsafe { self.graph.get_mut().emplace(work) };
         Task::new(node)
     }
@@ -246,22 +246,27 @@ impl Taskflow {
     }
 
     /// Runs the pre-dispatch sanitizer on the present graph and returns
-    /// every finding: dependency cycles (with their label path),
-    /// self-edges, duplicate `precede` edges, and orphan tasks.
+    /// every finding, in a fixed order (see [`GraphDiagnostic`]):
+    /// dependency cycles (with their label path), self-edges, edges into
+    /// another taskflow's graph, duplicate `precede` edges, and orphan
+    /// tasks.
     ///
     /// An empty result means [`Taskflow::dispatch`] (and the first
     /// [`Taskflow::run`]) will hand the graph to the executor; fatal
     /// findings ([`GraphDiagnostic::is_fatal`]) make them resolve the
-    /// future with [`RunError::InvalidGraph`] instead. Once a graph is
-    /// frozen into a topology the verdict is cached — re-running a
-    /// reusable topology never re-walks the graph.
+    /// future with [`RunError::InvalidGraph`] instead. Dispatch itself does
+    /// not build these findings unless it has to reject the graph: its
+    /// verdict comes from one allocation-light sweep over the edges. Once
+    /// a graph is frozen into a topology the verdict is cached —
+    /// re-running a reusable topology never re-walks the graph.
     pub fn validate(&self) -> Vec<GraphDiagnostic> {
         // SAFETY: !Sync — the present graph is quiescent.
         unsafe { validate::validate_graph(self.graph.get()) }
     }
 
     /// Dumps the present graph to DOT with sanitizer findings highlighted
-    /// (cycle members red, orphans orange), and returns the findings.
+    /// (cycle members and sources of self- or foreign edges red, orphans
+    /// orange), and returns the findings.
     pub fn dump_with_diagnostics(&self) -> (String, Vec<GraphDiagnostic>) {
         let diagnostics = self.validate();
         // SAFETY: !Sync — the present graph is quiescent.
@@ -521,8 +526,9 @@ impl Taskflow {
     /// [`Taskflow::run`] to execute a graph repeatedly).
     ///
     /// The graph is sanitized first ([`Taskflow::validate`]); a graph that
-    /// could never complete — a dependency cycle or a self-edge — is *not*
-    /// handed to the executor: the returned future resolves immediately
+    /// could never complete (a dependency cycle, a self-edge) or that
+    /// reaches into another taskflow's graph is *not* handed to the
+    /// executor: the returned future resolves immediately
     /// with [`RunError::InvalidGraph`] carrying the findings, instead of
     /// deadlocking the worker pool as in Cpp-Taskflow ("a cyclic graph
     /// results in undefined behavior"). Dispatching an empty graph

@@ -7,8 +7,10 @@
 //! `Taskflow::run` / `run_n` / `run_until`. The split works like this:
 //!
 //! * The graph **structure** (nodes, edges, callables, static in-degrees)
-//!   is frozen when the topology is created and validated exactly once;
-//!   the sanitizer's verdict is cached in [`Topology::fatal`].
+//!   is frozen when the topology is created and swept exactly once
+//!   ([`validate::sweep`]): the sweep yields the source set and the
+//!   sanitizer's verdict, cached in [`Topology::fatal`]. The findings
+//!   behind a fatal verdict are built only then.
 //! * The per-run **state** (join counters, subflow subgraphs, the `alive`
 //!   countdown) is reset by [`Topology::begin_iteration`] before every
 //!   iteration.
@@ -168,7 +170,7 @@ pub(crate) struct Topology {
     /// Total iterations completed across all batches.
     iterations: AtomicU64,
     /// The graph being executed. Workers navigate it through raw pointers;
-    /// the box-per-node layout keeps addresses stable.
+    /// the graph's chunked arena keeps addresses stable.
     pub(crate) graph: SyncCell<Graph>,
     /// Source nodes (static in-degree zero), cached once at construction —
     /// the structure never changes, so neither do the sources.
@@ -217,31 +219,23 @@ unsafe impl Send for Topology {}
 unsafe impl Sync for Topology {}
 
 impl Topology {
-    /// Freezes `graph` into a reusable topology: runs the sanitizer once,
-    /// caches its verdict, and caches the source set. The failure policy
-    /// is frozen alongside the structure.
-    pub(crate) fn new(mut graph: Graph, policy: FailurePolicy) -> std::sync::Arc<Topology> {
+    /// Freezes `graph` into a reusable topology: one sweep yields the
+    /// source set and the sanitizer's verdict, both cached. The findings
+    /// are built only behind a fatal verdict; that verdict also covers a
+    /// graph whose nodes wait on a predecessor outside it (no finding
+    /// names those, but publishing sources that can never drain `alive`
+    /// would wedge every waiter). The failure policy is frozen alongside
+    /// the structure.
+    pub(crate) fn new(graph: Graph, policy: FailurePolicy) -> std::sync::Arc<Topology> {
         // SAFETY: the graph was just moved here; no other thread sees it.
-        let diagnostics = unsafe { validate::validate_graph(&graph) };
-        let mut fatal = diagnostics
-            .iter()
-            .any(crate::GraphDiagnostic::is_fatal)
-            .then(|| RunError::InvalidGraph(diagnostics.clone()));
-        let mut sources = Vec::new();
-        for node in graph.nodes.iter_mut() {
-            // SAFETY: exclusive access (see above); in-degree is frozen.
-            if unsafe { *node.structure.in_degree.get() } == 0 {
-                let p: *mut crate::graph::Node = &mut **node;
-                sources.push(p as usize);
-            }
-        }
-        if sources.is_empty() && !graph.is_empty() && fatal.is_none() {
-            // Every node has a predecessor, so the graph is cyclic and
-            // could never make progress. The cycle detector above flags
-            // this, but stay defensive: publishing no sources while
-            // arming `alive` would wedge every waiter forever.
-            fatal = Some(RunError::InvalidGraph(diagnostics));
-        }
+        let swept = unsafe { validate::sweep(&graph) };
+        let fatal = swept.is_fatal().then(|| {
+            // SAFETY: as above.
+            RunError::InvalidGraph(unsafe { validate::validate_graph(&graph) })
+        });
+        // Kept for the topology's whole life: give back the queue's slack.
+        let mut sources = swept.sources;
+        sources.shrink_to_fit();
         std::sync::Arc::new(Topology {
             uid: NEXT_TOPOLOGY_UID.fetch_add(1, Ordering::Relaxed),
             run_id: AtomicU64::new(0),
@@ -612,9 +606,8 @@ impl Topology {
         unsafe {
             let g = self.graph.get_mut();
             self.alive.store(g.len(), Ordering::Relaxed);
-            for node in g.nodes.iter_mut() {
-                node.rearm(tp, std::ptr::null_mut());
-            }
+            g.iter_mut()
+                .for_each(|node| node.rearm(tp, std::ptr::null_mut()));
         }
         #[cfg(not(rustflow_weaken = "rearm_publish"))]
         publish(&self.sources);
@@ -636,7 +629,7 @@ impl Topology {
     /// Number of top-level nodes (excludes dynamically spawned subflows);
     /// reported to observers when an iteration starts.
     pub(crate) fn num_static_nodes(&self) -> usize {
-        // SAFETY: the node Vec's length is frozen at construction.
+        // SAFETY: the node count is frozen at construction.
         unsafe { self.graph.get().len() }
     }
 }
@@ -685,10 +678,8 @@ mod tests {
         let a = g.emplace(Work::Empty);
         let b = g.emplace(Work::Empty);
         unsafe {
-            (*a).structure.successors.get_mut().push(b);
-            *(*b).structure.in_degree.get_mut() += 1;
-            (*b).structure.successors.get_mut().push(a);
-            *(*a).structure.in_degree.get_mut() += 1;
+            crate::graph::Node::connect(a, b);
+            crate::graph::Node::connect(b, a);
         }
         let topo = topo_of(g);
         assert!(matches!(topo.fatal(), Some(RunError::InvalidGraph(_))));

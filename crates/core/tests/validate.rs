@@ -228,3 +228,57 @@ fn annotated_dump_highlights_cycle_nodes() {
     // The plain dump stays unannotated.
     assert!(!tf.dump().contains("fillcolor"));
 }
+
+#[test]
+fn edge_into_another_taskflow_is_rejected_on_both_sides() {
+    let ex = Executor::new(2);
+    let ours = Taskflow::with_executor(Arc::clone(&ex));
+    let theirs = Taskflow::with_executor(ex);
+    ours.set_name("ours");
+    let ran = Arc::new(AtomicUsize::new(0));
+    let count = |ran: &Arc<AtomicUsize>| {
+        let ran = Arc::clone(ran);
+        move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    let a = ours.emplace(count(&ran)).name("A");
+    let b = ours.emplace(count(&ran)).name("B");
+    let outside = theirs.emplace(count(&ran)).name("outside");
+    a.precede(b);
+    a.precede(outside);
+
+    let expected = vec![GraphDiagnostic::ForeignEdge {
+        from: "A".into(),
+        from_node: 0,
+    }];
+    assert_eq!(ours.validate(), expected);
+    assert!(expected[0].is_fatal());
+    let (dot, diags) = ours.dump_with_diagnostics();
+    assert_eq!(diags, expected);
+    assert_eq!(dot.matches("fillcolor=red").count(), 1, "{dot}");
+
+    // Before the sanitizer knew foreign edges, `A` ran and counted down
+    // `outside`'s join counter, in a graph this run does not own.
+    let result = ours
+        .dispatch()
+        .future()
+        .get_timeout(Duration::from_secs(10))
+        .expect("rejected dispatch must resolve, not hang");
+    match result {
+        Err(RunError::InvalidGraph(diags)) => assert_eq!(diags, expected),
+        other => panic!("expected InvalidGraph, got {other:?}"),
+    }
+    // The receiving graph waits on a predecessor that will never run in
+    // it; it is rejected as well instead of wedging its waiters.
+    let result = theirs
+        .dispatch()
+        .future()
+        .get_timeout(Duration::from_secs(10))
+        .expect("a graph waiting on an outside predecessor must not hang");
+    assert!(
+        matches!(result, Err(RunError::InvalidGraph(_))),
+        "{result:?}"
+    );
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "nothing may have run");
+}
