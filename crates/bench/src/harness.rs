@@ -7,7 +7,8 @@
 //! * `--out <dir>` — where CSV results land (default `results/`);
 //! * `--part <name>` — sub-experiment selector where a figure has several
 //!   panels;
-//! * `--threads a,b,c` — override the thread sweep.
+//! * `--threads a,b,c` — override the thread sweep;
+//! * `--check` — gate mode, where a binary has one (`fig9`).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -25,6 +26,8 @@ pub struct Cli {
     pub threads: Option<Vec<usize>>,
     /// Repetitions per measurement (median is reported).
     pub reps: usize,
+    /// Gate mode: assert against a committed file instead of timing.
+    pub check: bool,
 }
 
 impl Cli {
@@ -36,11 +39,13 @@ impl Cli {
             out: PathBuf::from("results"),
             threads: None,
             reps: 3,
+            check: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--full" => cli.full = true,
+                "--check" => cli.check = true,
                 "--part" => cli.part = args.next(),
                 "--out" => cli.out = PathBuf::from(args.next().expect("--out needs a directory")),
                 "--threads" => {
@@ -60,7 +65,7 @@ impl Cli {
                 }
                 "--help" | "-h" => {
                     eprintln!(
-                        "flags: --full | --part <name> | --out <dir> | --threads a,b,c | --reps n"
+                        "flags: --full | --part <name> | --out <dir> | --threads a,b,c | --reps n | --check"
                     );
                     std::process::exit(0);
                 }

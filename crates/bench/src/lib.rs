@@ -8,7 +8,7 @@
 //! | `fig7` | Figure 7 — micro-benchmark runtimes (size & thread sweeps) |
 //! | `table2` | Table II — OpenTimer v1/v2 software costs + COCOMO |
 //! | `fig8` | Figure 8 — a timing-update task graph (DOT) |
-//! | `fig9` | Figure 9 — incremental timing, v1 vs v2 |
+//! | `fig9` | Figure 9 — incremental timing, v1 vs v2 vs sequential + CI slack-and-task-count gate (`--check`) |
 //! | `fig10` | Figure 10 — full-timing scalability + CPU utilization |
 //! | `table3` | Table III — software costs of the DNN implementations |
 //! | `fig11` | Figure 11 — the DNN task decomposition (DOT) |

@@ -2,11 +2,12 @@
 //!
 //! Arrival times and slews live in atomic `f64`-bit cells so that many
 //! worker threads can compute different gates of one update concurrently:
-//! a gate's task writes only its own cells and reads only its fanins',
-//! whose tasks are ordered before it by the scheduler (taskflow edges,
-//! level barriers, or sequential order). The Release/Acquire pairs below
-//! belt-and-suspenders that ordering; the real happens-before edges come
-//! from the schedulers' join counters and barriers.
+//! computing a gate writes only its own cells and reads only its fanins',
+//! which the scheduler has ordered before it (earlier in the same task or
+//! behind a taskflow edge, a level barrier, or sequential order). The
+//! Release/Acquire pairs below belt-and-suspenders that ordering; the
+//! real happens-before edges come from the schedulers' join counters and
+//! barriers.
 
 use crate::circuit::{Circuit, GateId, GateKind};
 use crate::delay::{gate_delay, gate_slew, DFF_SETUP, PRIMARY_INPUT_SLEW};
@@ -19,8 +20,18 @@ const CLOCK_SLEW: f64 = 5.0;
 /// Shared timing analyzer state (see [`crate::Timer`] for the public
 /// wrapper).
 pub struct TimerInner {
-    /// The design under analysis.
-    pub circuit: Circuit,
+    /// The design under analysis. Its structure is fixed for the timer's
+    /// lifetime (`level` below is computed from it once); only
+    /// [`crate::Timer::resize_gate`] writes to it, and only a `drive`.
+    pub(crate) circuit: Circuit,
+    /// Longest-path level of each gate in the timing graph: 0 for timing
+    /// sources, one above the deepest fanin otherwise. Every timing edge
+    /// goes from a lower level to a higher one, so sorting any region by
+    /// level is a topological order of it (what the v2 engine cuts its
+    /// blocks from).
+    level: Vec<u32>,
+    /// Number of levels (`max(level) + 1`).
+    num_levels: usize,
     /// Arrival time at each gate's output (f64 bits).
     arrival: Vec<AtomicU64>,
     /// Transition time (slew) at each gate's output (f64 bits).
@@ -38,10 +49,16 @@ pub struct TimerInner {
 }
 
 impl TimerInner {
+    /// Panics on a combinational loop.
     pub(crate) fn new(circuit: Circuit) -> Arc<TimerInner> {
         let n = circuit.num_gates();
+        let (_, level) = circuit
+            .timing_order_and_levels()
+            .expect("circuit has a combinational loop");
         Arc::new(TimerInner {
             circuit,
+            num_levels: level.iter().max().map_or(1, |&l| l as usize + 1),
+            level,
             arrival: (0..n).map(|_| AtomicU64::new(0)).collect(),
             slew: (0..n).map(|_| AtomicU64::new(0)).collect(),
             required: (0..n)
@@ -269,10 +286,40 @@ impl TimerInner {
     }
 
     /// Index of `g` within the current region (only meaningful when
-    /// `is_stamped(g, epoch)` holds).
+    /// `is_stamped(g, epoch)` holds): its BFS position after
+    /// [`TimerInner::forward_region`], until an engine that reorders the
+    /// region records its own with [`TimerInner::set_region_index`].
     #[inline]
     pub(crate) fn region_index(&self, g: GateId) -> usize {
         self.region_pos[g as usize].load(Ordering::Relaxed) as usize
+    }
+
+    #[inline]
+    pub(crate) fn set_region_index(&self, g: GateId, index: usize) {
+        self.region_pos[g as usize].store(index as u32, Ordering::Relaxed);
+    }
+
+    /// Longest-path level of `g` in the timing graph (fixed at
+    /// construction).
+    #[inline]
+    pub(crate) fn level(&self, g: GateId) -> usize {
+        self.level[g as usize] as usize
+    }
+
+    /// Number of levels of the timing graph.
+    pub(crate) fn num_levels(&self) -> usize {
+        self.num_levels
+    }
+
+    /// Every gate of the design as one region (in id order), stamped with
+    /// the returned epoch: what a whole-design pass hands to an engine.
+    pub(crate) fn whole_design(&self) -> (Vec<GateId>, u32) {
+        let epoch = self.new_epoch();
+        let region: Vec<GateId> = (0..self.circuit.num_gates() as GateId).collect();
+        for &g in &region {
+            self.stamp_gate(g, epoch);
+        }
+        (region, epoch)
     }
 
     /// The affected region of a set of modified gates: the forward closure
@@ -290,7 +337,7 @@ impl TimerInner {
             }
         }
         while let Some(v) = queue.pop_front() {
-            self.region_pos[v as usize].store(region.len() as u32, Ordering::Relaxed);
+            self.set_region_index(v, region.len());
             region.push(v);
             for &f in &self.circuit.gates[v as usize].fanouts {
                 if self.circuit.gates[f as usize].kind.is_source() {

@@ -163,10 +163,13 @@ impl Circuit {
             .map(|(i, _)| i as GateId)
     }
 
-    /// Topological order of the *timing graph*: edges into a source gate
-    /// (DFF) are cut, so the order exists even with sequential feedback.
-    /// Returns `None` if a combinational loop exists.
-    pub fn timing_topological_order(&self) -> Option<Vec<GateId>> {
+    /// Topological order of the *timing graph* and every gate's
+    /// longest-path level in it (levelization, §II-D), from one Kahn pass.
+    /// Edges into a source gate (DFF) are cut, so both exist even with
+    /// sequential feedback; sources sit at level 0 and every other gate one
+    /// above its deepest fanin. Returns `None` if a combinational loop
+    /// exists.
+    pub fn timing_order_and_levels(&self) -> Option<(Vec<GateId>, Vec<u32>)> {
         let n = self.num_gates();
         let mut degree = vec![0u32; n];
         for (i, g) in self.gates.iter().enumerate() {
@@ -174,48 +177,45 @@ impl Circuit {
                 degree[i] = g.fanins.len() as u32;
             }
         }
+        let mut level = vec![0u32; n];
         let mut order = Vec::with_capacity(n);
         let mut frontier: Vec<GateId> = (0..n as GateId)
             .filter(|&v| degree[v as usize] == 0)
             .collect();
         while let Some(v) = frontier.pop() {
+            // Every fanin of `v` was popped before it: its level is final.
             order.push(v);
+            let below = level[v as usize] + 1;
             for &s in &self.gates[v as usize].fanouts {
                 // Edges into timing sources are cut in the timing graph.
                 if self.gates[s as usize].kind.is_source() {
                     continue;
                 }
+                level[s as usize] = level[s as usize].max(below);
                 degree[s as usize] -= 1;
                 if degree[s as usize] == 0 {
                     frontier.push(s);
                 }
             }
         }
-        (order.len() == n).then_some(order)
+        (order.len() == n).then_some((order, level))
     }
 
-    /// Longest-path levels of the timing graph (levelization, §II-D).
-    /// Returns `None` on a combinational loop.
+    /// Topological order of the timing graph (see
+    /// [`Circuit::timing_order_and_levels`]). Returns `None` if a
+    /// combinational loop exists.
+    pub fn timing_topological_order(&self) -> Option<Vec<GateId>> {
+        self.timing_order_and_levels().map(|(order, _)| order)
+    }
+
+    /// The gates of each longest-path level of the timing graph, level 0
+    /// first. Returns `None` on a combinational loop.
     pub fn levelize(&self) -> Option<Vec<Vec<GateId>>> {
-        let order = self.timing_topological_order()?;
-        let n = self.num_gates();
-        let mut level = vec![0u32; n];
-        let mut max_level = 0;
-        for &v in &order {
-            let lv = level[v as usize];
-            for &s in &self.gates[v as usize].fanouts {
-                if self.gates[s as usize].kind.is_source() {
-                    continue;
-                }
-                if level[s as usize] < lv + 1 {
-                    level[s as usize] = lv + 1;
-                    max_level = max_level.max(lv + 1);
-                }
-            }
-        }
-        let mut levels = vec![Vec::new(); max_level as usize + 1];
-        for v in 0..n as GateId {
-            levels[level[v as usize] as usize].push(v);
+        let (_, level) = self.timing_order_and_levels()?;
+        let depth = level.iter().max().map_or(1, |&l| l as usize + 1);
+        let mut levels = vec![Vec::new(); depth];
+        for (v, &l) in level.iter().enumerate() {
+            levels[l as usize].push(v as GateId);
         }
         Some(levels)
     }

@@ -10,13 +10,14 @@
 //!   reconstruction OpenTimer v1 pays, §IV-B) and runs one
 //!   barrier-synchronized `parallel_for` per level;
 //! * **v2** builds a rustflow task dependency graph over the region (one
-//!   task per gate, one `precede` per in-region edge) and lets
+//!   task per block of level-sorted gates, one `precede` per pair of
+//!   blocks a timing edge crosses; see [`crate::engine_v2`]) and lets
 //!   computations "flow naturally with the timing graph".
 
 use crate::analysis::TimerInner;
 use crate::circuit::{Circuit, GateId};
 use crate::engine_v1::run_levelized;
-use crate::engine_v2::{add_region_edges, run_rustflow};
+use crate::engine_v2::{build_block_graph, run_rustflow, Pass};
 use rustflow::{Executor, Taskflow};
 use std::sync::Arc;
 use tf_baselines::Pool;
@@ -45,12 +46,9 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// Wraps a circuit for timing analysis. Panics on combinational loops.
+    /// Wraps a circuit for timing analysis, levelizing its timing graph
+    /// once. Panics on combinational loops.
     pub fn new(circuit: Circuit) -> Timer {
-        assert!(
-            circuit.timing_topological_order().is_some(),
-            "circuit has a combinational loop"
-        );
         Timer {
             inner: TimerInner::new(circuit),
         }
@@ -62,7 +60,7 @@ impl Timer {
     }
 
     /// Recomputes timing for the whole design. Returns the number of
-    /// propagation tasks executed.
+    /// gates propagated.
     pub fn full_update(&self, engine: &Engine<'_>) -> usize {
         let seeds: Vec<GateId> = self.inner.circuit.sources().collect();
         self.incremental_update(&seeds, engine)
@@ -70,7 +68,9 @@ impl Timer {
 
     /// Recomputes timing for the affected region of `seeds` (modified
     /// gates plus any gate whose load they changed). Returns the number of
-    /// propagation tasks executed — the paper's per-iteration task count.
+    /// gates propagated: the paper's per-iteration task count, whatever
+    /// the engine groups them into (v2 runs one rustflow task per block of
+    /// gates).
     pub fn incremental_update(&self, seeds: &[GateId], engine: &Engine<'_>) -> usize {
         let (region, epoch) = self.inner.forward_region(seeds);
         if region.is_empty() {
@@ -79,7 +79,9 @@ impl Timer {
         match engine {
             Engine::Sequential => run_sequential(&self.inner, &region, epoch),
             Engine::V1Levelized(pool) => run_levelized(&self.inner, &region, epoch, pool),
-            Engine::V2Rustflow(executor) => run_rustflow(&self.inner, &region, epoch, executor),
+            Engine::V2Rustflow(executor) => {
+                run_rustflow(&self.inner, &region, epoch, Pass::Arrival, executor)
+            }
         }
         region.len()
     }
@@ -126,12 +128,13 @@ impl Timer {
     /// Runs the backward (required-arrival-time) pass over the whole
     /// design, filling per-gate required times so [`Timer::gate_slack`]
     /// becomes meaningful. Requires arrivals to be up to date (run a
-    /// forward update first). Returns the number of propagation tasks.
+    /// forward update first). Returns the number of gates propagated.
     ///
-    /// The backward pass is the reverse of the timing graph: a gate's
-    /// task runs after all its fanouts' tasks. Under `V1Levelized` the
-    /// forward levels are executed in reverse order; under `V2Rustflow` a
-    /// task graph with reversed edges is dispatched.
+    /// The backward pass is the reverse of the timing graph: a gate is
+    /// computed after all its fanouts. Under `V1Levelized` the forward
+    /// levels are executed in reverse order; under `V2Rustflow` the
+    /// forward pass's block graph is built with levels descending and
+    /// edges reversed.
     pub fn update_required(&self, engine: &Engine<'_>) -> usize {
         let inner = &*self.inner;
         let n = inner.circuit.num_gates();
@@ -152,7 +155,8 @@ impl Timer {
                 }
             }
             Engine::V2Rustflow(executor) => {
-                crate::engine_v2::run_required_rustflow(inner, executor);
+                let (region, epoch) = inner.whole_design();
+                run_rustflow(inner, &region, epoch, Pass::Required, executor);
             }
         }
         n
@@ -173,6 +177,10 @@ impl Timer {
     /// became stale (the gate and its fanins, whose loads changed).
     ///
     /// `&mut self` — design modification is exclusive, like OpenTimer's.
+    /// This is the only design modification there is, and it may change
+    /// `drive` only: the gate levels computed at [`Timer::new`], which the
+    /// v2 engine orders every update by, depend on the netlist's structure
+    /// staying what it was.
     pub fn resize_gate(&mut self, g: GateId, drive: f32) -> Vec<GateId> {
         let inner = Arc::get_mut(&mut self.inner)
             .expect("resize_gate: updates in flight while modifying the design");
@@ -182,17 +190,21 @@ impl Timer {
         seeds
     }
 
-    /// Renders the task dependency graph of one incremental update as
-    /// GraphViz DOT (the paper's Figure 8), without executing it.
+    /// Renders the task dependency graph the v2 engine dispatches for one
+    /// incremental update as GraphViz DOT (the paper's Figure 8), without
+    /// executing it. A node is one block of gates, named
+    /// `L<level> g<first>..g<last>` after its first gate's level and its
+    /// first and last gate.
     pub fn update_task_graph_dot(&self, seeds: &[GateId]) -> String {
-        let (region, epoch) = self.inner.forward_region(seeds);
+        let inner = &*self.inner;
+        let (region, epoch) = inner.forward_region(seeds);
         let tf = Taskflow::new();
         tf.set_name("timing_update");
-        let tasks: Vec<rustflow::Task<'_>> = region
-            .iter()
-            .map(|&g| tf.placeholder().name(format!("g{g}")))
-            .collect();
-        add_region_edges(&self.inner, &region, epoch, &tasks);
+        build_block_graph(inner, &region, epoch, Pass::Arrival, |order, block| {
+            let (first, last) = (order[block.start], order[block.end - 1]);
+            tf.placeholder()
+                .name(format!("L{} g{first}..g{last}", inner.level(first)))
+        });
         tf.dump()
     }
 }
@@ -343,7 +355,8 @@ mod tests {
         let seeds: Vec<GateId> = timer.circuit().sources().take(2).collect();
         let dot = timer.update_task_graph_dot(&seeds);
         assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("g"));
+        // The first block starts at the first seed, a level-0 source.
+        assert!(dot.contains(&format!("L0 g{}..g", seeds[0])), "{dot}");
     }
 
     #[test]

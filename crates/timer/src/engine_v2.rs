@@ -1,30 +1,144 @@
 //! OpenTimer v2: the rustflow (Cpp-Taskflow-style) timing engine.
 //!
-//! The v2 row of Table II. Note how little there is: one task per region
-//! gate, one `precede` per in-region edge, `wait_for_all` — the tasking
-//! library absorbs all scheduling concerns that v1 had to hand-build
-//! ("a large amount of exhaustive OpenMP dependency clauses ... are now
-//! replaced with only a few lines of flexible Cpp-Taskflow code").
+//! The v2 row of Table II. One function builds every timing graph this
+//! crate dispatches or draws: the region's gates are sorted by their
+//! static longest-path level (a topological order that costs one counting
+//! sort, because the levels were computed once at `Timer::new`), the
+//! sorted order is cut into blocks of `BLOCK` gates, each block becomes
+//! one rustflow task that propagates its gates in order, and one `precede`
+//! joins every pair of blocks that a timing edge crosses. It is a true
+//! dependency graph with no level barriers, and the tasking library still
+//! absorbs every scheduling concern that v1 had to hand-build ("a large
+//! amount of exhaustive OpenMP dependency clauses ... are now replaced
+//! with only a few lines of flexible Cpp-Taskflow code"); what the blocks
+//! change is that graph construction, a per-node cost paid serially on
+//! the caller, is spread over `BLOCK` gates of ≈100 ns each instead of
+//! one (EXPERIMENTS.md, "tf-timer v2 granularity"). The one thing done
+//! here that is the library's to do is how the caller waits: it polls for
+//! up to `POLL` before it blocks (ROADMAP 3(b) moves that into
+//! `RunHandle::get`).
 
 use crate::analysis::TimerInner;
 use crate::circuit::GateId;
 use crate::engine_v1::SharedTimer;
-use rustflow::{Executor, Taskflow};
+use rustflow::{Executor, Task, Taskflow};
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-pub(crate) fn add_region_edges(
+/// Gates per task, chosen by the sweep in EXPERIMENTS.md ("tf-timer v2
+/// granularity"): on the 35k-gate design with two workers 16 is the
+/// fastest, 8 to 32 are within 7 % of it, and both ends lose. Smaller
+/// blocks pay the per-node build, submit and drop cost too often (one
+/// task per gate costs 1.8x); larger ones leave too few tasks in flight,
+/// so the second worker parks and is woken again several times per
+/// update (64 and above cost 1.15x).
+pub(crate) const BLOCK: usize = 16;
+
+/// How long the caller polls for the end of a dispatched update before it
+/// blocks (EXPERIMENTS.md, "tf-timer v2 granularity", "Steadiness"). On the
+/// 35k-gate design the median update is over 40 to 55 us after dispatch,
+/// so 100 us keeps it clear of the cut-off in a slow phase of the host
+/// too; 50 us put the median on the cut-off, and 200 us and more lose
+/// throughput, because for that long the caller competes with a worker
+/// for a core.
+const POLL: Duration = Duration::from_micros(100);
+
+/// Which propagation a timing graph performs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Pass {
+    /// Forward: arrival and slew, sources first.
+    Arrival,
+    /// Backward: required time, endpoints first, edges reversed.
+    Required,
+}
+
+impl Pass {
+    fn propagate(self, inner: &TimerInner, g: GateId) {
+        match self {
+            Pass::Arrival => inner.compute_gate(g),
+            Pass::Required => inner.compute_required(g),
+        }
+    }
+
+    /// The gates whose values `g`'s propagation reads: its fanins going
+    /// forward (none for a timing source), its fanouts going backward
+    /// (edges into a timing source are cut in both directions).
+    fn reads(self, inner: &TimerInner, g: GateId) -> impl Iterator<Item = GateId> + '_ {
+        let gates = &inner.circuit.gates;
+        let gate = &gates[g as usize];
+        let reads = match self {
+            Pass::Arrival if gate.kind.is_source() => &[][..],
+            Pass::Arrival => &gate.fanins[..],
+            Pass::Required => &gate.fanouts[..],
+        };
+        reads
+            .iter()
+            .copied()
+            .filter(move |&r| self == Pass::Arrival || !gates[r as usize].kind.is_source())
+    }
+}
+
+/// The region sorted by level (ascending for arrivals, descending for
+/// required times), gates of one level in the order the region lists
+/// them; records each gate's position as its region index.
+fn level_order(inner: &TimerInner, region: &[GateId], pass: Pass) -> Vec<GateId> {
+    let levels = inner.num_levels();
+    let key = |g: GateId| match pass {
+        Pass::Arrival => inner.level(g),
+        Pass::Required => levels - 1 - inner.level(g),
+    };
+    // Counting sort: `next[k]` is where the next gate of key `k` goes.
+    let mut next = vec![0u32; levels + 1];
+    for &g in region {
+        next[key(g) + 1] += 1;
+    }
+    for k in 0..levels {
+        next[k + 1] += next[k];
+    }
+    let mut order = vec![0; region.len()];
+    for &g in region {
+        let at = &mut next[key(g)];
+        order[*at as usize] = g;
+        inner.set_region_index(g, *at as usize);
+        *at += 1;
+    }
+    order
+}
+
+/// Builds the timing graph of one pass over a stamped region: `task`
+/// makes the node of one block (it receives the level order and the
+/// block's range in it), this function orders the blocks.
+///
+/// Level order puts everything a gate reads at a lower position, so a
+/// read either stays inside a block (the block runs its gates in order)
+/// or comes from an earlier block, which gets one deduplicated edge.
+pub(crate) fn build_block_graph<'t>(
     inner: &TimerInner,
     region: &[GateId],
     epoch: u32,
-    tasks: &[rustflow::Task<'_>],
+    pass: Pass,
+    mut task: impl FnMut(&Arc<Vec<GateId>>, Range<usize>) -> Task<'t>,
 ) {
-    for (i, &g) in region.iter().enumerate() {
-        for &f in &inner.circuit.gates[g as usize].fanouts {
-            if inner.circuit.gates[f as usize].kind.is_source() {
-                continue;
-            }
-            if inner.is_stamped(f, epoch) {
-                tasks[i].precede(tasks[inner.region_index(f)]);
+    let order = Arc::new(level_order(inner, region, pass));
+    let tasks: Vec<Task<'t>> = (0..order.len())
+        .step_by(BLOCK)
+        .map(|start| task(&order, start..order.len().min(start + BLOCK)))
+        .collect();
+    // `joined[a] == b`: the edge a -> b is already there. Blocks are
+    // visited in ascending `b`, so one word per source block is enough.
+    let mut joined = vec![usize::MAX; tasks.len()];
+    for (b, gates) in order.chunks(BLOCK).enumerate() {
+        for &g in gates {
+            for read in pass.reads(inner, g) {
+                if !inner.is_stamped(read, epoch) {
+                    continue;
+                }
+                let a = inner.region_index(read) / BLOCK;
+                if a != b && joined[a] != b {
+                    joined[a] = b;
+                    tasks[a].precede(tasks[b]);
+                }
             }
         }
     }
@@ -37,48 +151,126 @@ pub(crate) fn run_rustflow(
     inner: &TimerInner,
     region: &[GateId],
     epoch: u32,
+    pass: Pass,
     executor: &Arc<Executor>,
 ) {
     let tf = Taskflow::with_executor(Arc::clone(executor));
     let shared = SharedTimer(inner as *const TimerInner);
-    let tasks: Vec<rustflow::Task<'_>> = region
-        .iter()
-        .map(|&g| {
-            tf.emplace(move || {
-                // SAFETY: wait_for_all below keeps `inner` borrowed until
-                // every task completed.
-                let timer = unsafe { shared.get() };
-                timer.compute_gate(g);
-            })
+    build_block_graph(inner, region, epoch, pass, |order, block| {
+        let order = Arc::clone(order);
+        tf.emplace(move || {
+            // SAFETY: wait_for_all below keeps `inner` borrowed until
+            // every task completed.
+            let timer = unsafe { shared.get() };
+            for &g in &order[block.clone()] {
+                pass.propagate(timer, g);
+            }
         })
-        .collect();
-    add_region_edges(inner, region, epoch, &tasks);
+    });
+    // Half of all incremental updates are done within tens of microseconds
+    // of being dispatched, less than a blocked caller takes to be woken
+    // again, and that wake-up is the part of such an update that differs
+    // most from one run to the next. So poll for the end first, yielding so
+    // that a worker sharing this core runs instead, and block only when the
+    // update outlasts the poll.
+    let run = tf.dispatch();
+    let dispatched = Instant::now();
+    while !run.is_ready() && dispatched.elapsed() < POLL {
+        std::thread::yield_now();
+    }
     tf.wait_for_all();
 }
 
-/// The v2 required-time pass: one task per gate, edges reversed (a gate
-/// waits for all its non-cut fanouts), dispatched as a rustflow graph.
-pub(crate) fn run_required_rustflow(inner: &TimerInner, executor: &Arc<Executor>) {
-    let n = inner.circuit.num_gates();
-    let tf = Taskflow::with_executor(Arc::clone(executor));
-    let shared = SharedTimer(inner as *const TimerInner);
-    let tasks: Vec<rustflow::Task<'_>> = (0..n as GateId)
-        .map(|g| {
-            tf.emplace(move || {
-                // SAFETY: wait_for_all below outlives every task.
-                let timer = unsafe { shared.get() };
-                timer.compute_required(g);
-            })
-        })
-        .collect();
-    for g in 0..n {
-        for &f in &inner.circuit.gates[g].fanouts {
-            if inner.circuit.gates[f as usize].kind.is_source() {
-                continue; // cut edge, as in the forward timing graph
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generate::CircuitSpec;
+    use crate::{Engine, Timer};
+    use rustflow::GraphDiagnostic;
+    use std::collections::{BTreeSet, HashMap};
+
+    /// Builds `pass`'s graph over a region out of placeholders and checks
+    /// it against the timing edges: ⌈n/BLOCK⌉ blocks, every read at a
+    /// lower position, the block edges exactly the block pairs a read
+    /// crosses, none of them twice.
+    fn check_graph(inner: &TimerInner, region: &[GateId], epoch: u32, pass: Pass) {
+        let tf = Taskflow::new();
+        build_block_graph(inner, region, epoch, pass, |_, _| tf.placeholder());
+        assert_eq!(tf.num_nodes(), region.len().div_ceil(BLOCK));
+
+        let snapshot = tf.profile_snapshot();
+        let block_of: HashMap<u64, usize> = snapshot
+            .nodes
+            .iter()
+            .map(|n| (n.id, n.static_index.expect("top-level node")))
+            .collect();
+        let built: BTreeSet<(usize, usize)> = snapshot
+            .nodes
+            .iter()
+            .flat_map(|n| n.successors.iter().map(|s| (block_of[&n.id], block_of[s])))
+            .collect();
+
+        let mut crossed = BTreeSet::new();
+        for &g in region {
+            for read in pass.reads(inner, g) {
+                if !inner.is_stamped(read, epoch) {
+                    continue;
+                }
+                let (from, to) = (inner.region_index(read), inner.region_index(g));
+                assert!(from < to, "{pass:?}: gate {g} runs before gate {read}");
+                if from / BLOCK != to / BLOCK {
+                    crossed.insert((from / BLOCK, to / BLOCK));
+                }
             }
-            // Reverse dependency: fanout's required before ours.
-            tasks[f as usize].precede(tasks[g]);
+        }
+        assert_eq!(built, crossed, "{pass:?} over {} gates", region.len());
+        assert!(
+            !tf.validate()
+                .iter()
+                .any(|d| matches!(d, GraphDiagnostic::DuplicateEdge { .. })),
+            "{pass:?}: an edge was added twice"
+        );
+    }
+
+    #[test]
+    fn block_graph_is_the_timing_graph_of_its_blocks() {
+        let circuit = CircuitSpec::small_test(1_500, 5).generate();
+        let inner = TimerInner::new(circuit);
+        let sources: Vec<GateId> = inner.circuit.sources().collect();
+        let (region, epoch) = inner.forward_region(&sources);
+        assert!(region.len() > 20 * BLOCK);
+        check_graph(&inner, &region, epoch, Pass::Arrival);
+        let (region, epoch) = inner.whole_design();
+        check_graph(&inner, &region, epoch, Pass::Required);
+        // Cones of single gates: regions from one gate to a few blocks.
+        let mut sizes = BTreeSet::new();
+        for g in (0..inner.circuit.num_gates() as GateId).step_by(7) {
+            let (region, epoch) = inner.forward_region(&[g]);
+            sizes.insert(region.len().div_ceil(BLOCK));
+            check_graph(&inner, &region, epoch, Pass::Arrival);
+        }
+        assert!(sizes.contains(&1) && sizes.len() > 3, "{sizes:?}");
+    }
+
+    #[test]
+    fn an_update_executes_one_task_per_block() {
+        let circuit = CircuitSpec::small_test(1_000, 9).generate();
+        let ex = Executor::new(2);
+        let engine = Engine::V2Rustflow(&ex);
+        let mut timer = Timer::new(circuit);
+        let executed = || ex.stats().total().executed as usize;
+        let mut before = executed();
+        let mut expect_blocks = |gates: usize| {
+            let now = executed();
+            assert_eq!(now - before, gates.div_ceil(BLOCK), "{gates} gates");
+            before = now;
+        };
+        expect_blocks(timer.full_update(&engine));
+        expect_blocks(timer.update_required(&engine));
+        let mut modifier = crate::DesignModifier::new(timer.circuit(), 3);
+        for _ in 0..20 {
+            let seeds = modifier.apply(&mut timer);
+            expect_blocks(timer.incremental_update(&seeds, &engine));
         }
     }
-    tf.wait_for_all();
 }

@@ -35,7 +35,7 @@ fn main() {
     let start = Instant::now();
     let tasks = timer.full_update(&engine);
     println!(
-        "full update: {tasks} tasks in {:.2} ms, worst slack {:.2} ps",
+        "full update: {tasks} gates in {:.2} ms, worst slack {:.2} ps",
         start.elapsed().as_secs_f64() * 1e3,
         timer.worst_slack()
     );
@@ -67,11 +67,11 @@ fn main() {
             "engine diverged from oracle at iteration {i}"
         );
         if i < 5 || i + 1 == iterations {
-            println!("iteration {i}: {n} tasks, worst slack {slack:.2} ps");
+            println!("iteration {i}: {n} gates, worst slack {slack:.2} ps");
         }
     }
     println!(
-        "{iterations} incremental iterations, {total_tasks} total tasks in {:.2} ms (all slacks verified against the sequential oracle)",
+        "{iterations} incremental iterations, {total_tasks} gates propagated in {:.2} ms (all slacks verified against the sequential oracle)",
         loop_start.elapsed().as_secs_f64() * 1e3
     );
 }

@@ -136,6 +136,94 @@ proptest! {
     }
 }
 
+/// Arrival and slew of every gate, bit for bit: every engine evaluates the
+/// same arcs from the same inputs, so not even the last bit may differ.
+fn same_timing_bits(a: &Timer, b: &Timer) -> Result<(), String> {
+    for g in 0..a.circuit().num_gates() as GateId {
+        let (x, y) = (
+            (a.arrival(g).to_bits(), a.slew(g).to_bits()),
+            (b.arrival(g).to_bits(), b.slew(g).to_bits()),
+        );
+        if x != y {
+            return Err(format!("gate {g}: {x:x?} != {y:x?}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn v2_equals_sequential_twin_bit_for_bit_after_every_update(
+        gates in 50usize..2000,
+        seed in 0u64..1000,
+        mod_seed in 0u64..1000,
+        workers in 0usize..3,
+        updates in 1usize..16,
+    ) {
+        let circuit = CircuitSpec::small_test(gates, seed).generate();
+        let ex = Executor::new([1, 2, 4][workers]);
+        let engine = Engine::V2Rustflow(&ex);
+        let mut v2 = Timer::new(circuit.clone());
+        let mut twin = Timer::new(circuit);
+        prop_assert_eq!(v2.full_update(&engine), twin.full_update(&Engine::Sequential));
+        prop_assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
+        let mut m_v2 = DesignModifier::new(v2.circuit(), mod_seed);
+        let mut m_twin = DesignModifier::new(twin.circuit(), mod_seed);
+        for _ in 0..updates {
+            let seeds = m_v2.apply(&mut v2);
+            prop_assert_eq!(&seeds, &m_twin.apply(&mut twin));
+            prop_assert_eq!(
+                v2.incremental_update(&seeds, &engine),
+                twin.incremental_update(&seeds, &Engine::Sequential)
+            );
+            prop_assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
+        }
+    }
+}
+
+#[test]
+fn v2_equals_sequential_twin_on_every_small_region_size() {
+    use tf_timer::{Circuit, GateKind};
+    // inp -> 100 buffers -> out: resizing buffer `g` re-times the chain
+    // from its fanin to the output, so every region size from 3 to 102
+    // comes up, and with it one gate short of a v2 block, exactly one
+    // block, one gate over, and two blocks and a gate, for any block size
+    // from 4 to 50.
+    const BUFFERS: u32 = 100;
+    let mut c = Circuit::new(5000.0);
+    let mut prev = c.add_gate(GateKind::Input, 1.0);
+    for _ in 0..BUFFERS {
+        let buf = c.add_gate(GateKind::Buf, 1.0);
+        c.connect(prev, buf);
+        prev = buf;
+    }
+    let out = c.add_gate(GateKind::Output, 1.0);
+    c.connect(prev, out);
+
+    for workers in [1, 2, 4] {
+        let ex = Executor::new(workers);
+        let engine = Engine::V2Rustflow(&ex);
+        let mut v2 = Timer::new(c.clone());
+        let mut twin = Timer::new(c.clone());
+        v2.full_update(&engine);
+        twin.full_update(&Engine::Sequential);
+        for g in (1..=BUFFERS).rev() {
+            let drive = if g % 2 == 0 { 2.0 } else { 4.0 };
+            let seeds = v2.resize_gate(g, drive);
+            assert_eq!(seeds, twin.resize_gate(g, drive));
+            let region = (out - g + 2) as usize; // fanin, g, ..., out
+            assert_eq!(v2.incremental_update(&seeds, &engine), region);
+            assert_eq!(twin.incremental_update(&seeds, &Engine::Sequential), region);
+            assert_eq!(same_timing_bits(&v2, &twin), Ok(()), "region of {region}");
+        }
+        // A region of one gate: the output port alone.
+        assert_eq!(v2.incremental_update(&[out], &engine), 1);
+        assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
+    }
+}
+
 #[test]
 fn backward_pass_slacks_consistent_across_engines() {
     let circuit = CircuitSpec::small_test(600, 77).generate();
