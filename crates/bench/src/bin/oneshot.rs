@@ -14,7 +14,7 @@
 //! * **run** — from there until the run's future resolves;
 //! * **drop** — dropping the taskflow (nodes, closures, chunks).
 //!
-//! Allocation counts come from a counting allocator local to this binary.
+//! Allocation counts come from `tf_bench::count_alloc`, installed here.
 //! Build, freeze and drop happen on the calling thread and are counted
 //! there (thread-local counters), so they are exact; run is every thread's
 //! allocations from dispatch to resolution less the calling thread's
@@ -32,88 +32,14 @@
 //! committed file says fails the binary (and leaves the file alone). Every
 //! repetition asserts exactly-once execution by task count and checksum.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use tf_bench::json;
+use tf_bench::count_alloc::{self, CountingAlloc, Stamp};
 use tf_workloads::kernels::nominal_work;
 use tf_workloads::randdag::{generate_edges, RandDagSpec};
 
-/// Allocations and bytes requested by every thread.
-static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALL_BYTES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Allocations and bytes requested by this thread. `const`-initialized
-    /// `Cell`s of `u64` need no lazy set-up and no destructor, so touching
-    /// them from inside the allocator cannot recurse into it.
-    static MY_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static MY_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn on_alloc(size: usize) {
-    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    // `try_with`: a thread that is being torn down still allocates.
-    let _ = MY_ALLOCS.try_with(|c| c.set(c.get() + 1));
-    let _ = MY_BYTES.try_with(|c| c.set(c.get() + size as u64));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters are
-// atomics and destructor-free thread-local cells and never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_alloc(new_size);
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Counter readings at one instant.
-#[derive(Clone, Copy)]
-struct Stamp {
-    at: Instant,
-    my_allocs: u64,
-    my_bytes: u64,
-    all_allocs: u64,
-    all_bytes: u64,
-}
-
-impl Stamp {
-    fn now() -> Stamp {
-        Stamp {
-            at: Instant::now(),
-            my_allocs: MY_ALLOCS.with(Cell::get),
-            my_bytes: MY_BYTES.with(Cell::get),
-            all_allocs: ALL_ALLOCS.load(Ordering::Relaxed),
-            all_bytes: ALL_BYTES.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// One phase of one repetition.
 #[derive(Clone, Copy)]
@@ -268,27 +194,7 @@ fn main() {
 
     let path = out.join("oneshot.json");
     if check {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()));
-        let committed = json::parse(&committed).expect("committed oneshot.json is not JSON");
-        let mut failed = false;
-        for (name, allocs) in &measured {
-            let limit = committed
-                .get("phases")
-                .and_then(|p| p.get(name))
-                .and_then(|p| p.get("allocs"))
-                .and_then(json::Value::as_u64)
-                .unwrap_or_else(|| panic!("committed oneshot.json has no phases.{name}.allocs"));
-            if *allocs > limit {
-                eprintln!(
-                    "oneshot gate: {name} allocates {allocs} times per graph, committed {limit}"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        count_alloc::check_against_committed("oneshot", &path, "phases", &measured);
         println!("oneshot gate: OK (no phase allocates more than the committed file)");
     }
     std::fs::create_dir_all(&out).expect("cannot create output directory");

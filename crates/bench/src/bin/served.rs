@@ -1,0 +1,180 @@
+//! Allocations per served run, counted exactly: what one trip through the
+//! front door costs the heap once everything is warm.
+//!
+//! Two closed loops on **one worker**, 10 000 single-task runs each:
+//!
+//! * **tenant** — a window of 16 runs kept in flight over 16 pre-built
+//!   flows through one tenant (`Taskflow::run_on`), the regime of the
+//!   pinned benchmark's `serve_closed`;
+//! * **untenanted** — `Taskflow::run().get()` on one pre-built flow.
+//!
+//! Allocation counts come from `tf_bench::count_alloc`, installed here,
+//! and cover every thread from the first timed submission to the last
+//! resolution. Each flow first runs as often as it will when timed and is
+//! `gc`'d, and a burst of 64 concurrent runs sizes the executor's registry,
+//! so neither a flow's list of futures nor the registry grows while
+//! counting: what remains is what a run itself allocates (the
+//! promise/future pair), and it repeats exactly.
+//!
+//! Writes `<out>/served.json`. With `--check` the freshly measured counts
+//! are first compared against the committed `<out>/served.json`: either
+//! loop allocating more often than the committed file says fails the
+//! binary (and leaves the file alone). Every run must resolve `Ok` and
+//! every body must have run exactly once per run.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use tf_bench::count_alloc::{self, CountingAlloc, Stamp};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const RUNS: usize = 10_000;
+const WINDOW: usize = 16;
+
+/// One counted loop: allocations, bytes and wall time over `RUNS` runs.
+struct Counted {
+    allocs: u64,
+    bytes: u64,
+    ns: f64,
+}
+
+impl Counted {
+    fn between(from: Stamp, to: Stamp) -> Counted {
+        Counted {
+            allocs: to.all_allocs - from.all_allocs,
+            bytes: to.all_bytes - from.all_bytes,
+            ns: (to.at - from.at).as_nanos() as f64,
+        }
+    }
+}
+
+fn flow(executor: &Arc<rustflow::Executor>, served: &Arc<AtomicU64>) -> rustflow::Taskflow {
+    let tf = rustflow::Taskflow::with_executor(Arc::clone(executor));
+    let served = Arc::clone(served);
+    tf.emplace(move || {
+        served.fetch_add(1, Ordering::Relaxed);
+    });
+    tf
+}
+
+/// `RUNS` runs through `tenant`, `WINDOW` in flight, flow `i % WINDOW` for
+/// run `i` (so a flow is resubmitted only after its last run resolved).
+/// `window` is the caller's (empty, `WINDOW` slots) so that it is not
+/// counted.
+fn tenant_loop(
+    flows: &[rustflow::Taskflow],
+    tenant: &rustflow::Tenant,
+    window: &mut VecDeque<rustflow::RunHandle>,
+) {
+    for i in 0..RUNS {
+        if window.len() == WINDOW {
+            let oldest = window.pop_front().expect("window is full");
+            oldest.get().expect("served run failed");
+        }
+        window.push_back(flows[i % WINDOW].run_on(tenant).expect("admitted"));
+    }
+    for handle in window.drain(..) {
+        handle.get().expect("served run failed");
+    }
+}
+
+fn untenanted_loop(flow: &rustflow::Taskflow) {
+    for _ in 0..RUNS {
+        flow.run().get().expect("run failed");
+    }
+}
+
+fn main() {
+    // Own flags, like the other gate binaries: `--check` compares against
+    // the committed file before overwriting it.
+    let mut check = false;
+    let mut out = std::path::PathBuf::from("results");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--out" => out = args.next().expect("--out needs a directory").into(),
+            other => panic!("unknown flag {other} (flags: --check | --out <dir>)"),
+        }
+    }
+
+    let executor = rustflow::Executor::new(1);
+    let tenant = executor.tenant("served");
+    let served = Arc::new(AtomicU64::new(0));
+    let mut flows: Vec<rustflow::Taskflow> =
+        (0..WINDOW).map(|_| flow(&executor, &served)).collect();
+    let mut lone = flow(&executor, &served);
+    println!("Served runs: {RUNS} single-task runs per loop, 1 worker, window {WINDOW}");
+
+    // Warm-up: the same loops, then `gc`, which keeps each list's capacity.
+    // First a burst of 4 x WINDOW runs in flight at once, which sizes the
+    // executor's registry past anything the loops reach (they hold at most
+    // WINDOW + 1 registrations: a resolved run keeps its slot until the
+    // worker gets round to vacating it).
+    let burst: Vec<rustflow::Taskflow> =
+        (0..4 * WINDOW).map(|_| flow(&executor, &served)).collect();
+    let handles: Vec<_> = burst
+        .iter()
+        .map(|tf| tf.run_on(&tenant).expect("admitted"))
+        .collect();
+    for handle in handles {
+        handle.get().expect("warm-up run failed");
+    }
+    drop(burst);
+    let warmed = served.load(Ordering::Relaxed);
+    let mut window = VecDeque::with_capacity(WINDOW);
+    tenant_loop(&flows, &tenant, &mut window);
+    untenanted_loop(&lone);
+    for tf in flows.iter_mut().chain(std::iter::once(&mut lone)) {
+        tf.gc();
+    }
+
+    let t0 = Stamp::now();
+    tenant_loop(&flows, &tenant, &mut window);
+    let t1 = Stamp::now();
+    untenanted_loop(&lone);
+    let t2 = Stamp::now();
+    assert_eq!(
+        served.load(Ordering::Relaxed) - warmed,
+        4 * RUNS as u64,
+        "every body must run exactly once per run"
+    );
+
+    let measured = [
+        ("tenant", Counted::between(t0, t1)),
+        ("untenanted", Counted::between(t1, t2)),
+    ];
+    let per_run = |x: f64| x / RUNS as f64;
+    let mut report = format!(
+        "{{\n  \"benchmark\": \"served\",\n  \"runs\": {RUNS},\n  \"window\": {WINDOW},\n  \"workers\": 1,\n  \"loops\": {{\n"
+    );
+    for (i, (name, c)) in measured.iter().enumerate() {
+        println!(
+            "  {name:<10} {:>7.4} allocs/run  {:>7.1} bytes/run  {:>7.1} ns/run",
+            per_run(c.allocs as f64),
+            per_run(c.bytes as f64),
+            per_run(c.ns)
+        );
+        report.push_str(&format!(
+            "    \"{name}\": {{ \"allocs\": {}, \"allocs_per_run\": {:.4}, \"bytes_per_run\": {:.1}, \"ns_per_run\": {:.1} }}{}\n",
+            c.allocs,
+            per_run(c.allocs as f64),
+            per_run(c.bytes as f64),
+            per_run(c.ns),
+            if i + 1 < measured.len() { "," } else { "" }
+        ));
+    }
+    report.push_str("  }\n}\n");
+
+    let path = out.join("served.json");
+    if check {
+        let counts: Vec<(&str, u64)> = measured.iter().map(|(n, c)| (*n, c.allocs)).collect();
+        count_alloc::check_against_committed("served", &path, "loops", &counts);
+        println!("served gate: OK (neither loop allocates more than the committed file)");
+    }
+    std::fs::create_dir_all(&out).expect("cannot create output directory");
+    std::fs::write(&path, report).expect("cannot write served.json");
+    println!("  -> {}", path.display());
+}

@@ -14,6 +14,7 @@
 //! | `fig11` | Figure 11 — the DNN task decomposition (DOT) |
 //! | `fig12` | Figure 12 — DNN training runtimes (epoch & thread sweeps) |
 //! | `oneshot` | per-phase allocations and ns per node of a one-shot graph + CI allocation gate (beyond the paper) |
+//! | `served` | allocations per served run, tenanted and untenanted + CI allocation gate (beyond the paper) |
 //! | `profile` | causal work/span profile + CI perf-regression gate (beyond the paper) |
 //! | `chaos` | deterministic fault-injection gate (beyond the paper) |
 //! | `introspect` | live-introspection overhead + endpoint smoke gate (beyond the paper) |
@@ -23,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod count_alloc;
 pub mod harness;
 pub mod impls;
 pub mod json;

@@ -2,7 +2,7 @@
 //!
 //! Each test explores the schedule space of a small instance of one
 //! protocol (the Chase–Lev deque, the Vyukov event ring, the notifier's
-//! Dekker handshake) under the rustflow-check engine and asserts a
+//! Dekker handshake, the front door's backlog/in-flight pair) under the rustflow-check engine and asserts a
 //! protocol invariant in every interleaving.
 //!
 //! Every model doubles as a *mutation test*: building the workspace with
@@ -13,10 +13,11 @@
 //! a replayable schedule. A model that cannot detect its own weakening
 //! would be vacuous.
 
-use rustflow::check_internals::{EventRing, Injector, Notifier, RearmHarness};
+use rustflow::check_internals::{EventRing, FrontDoorBudget, Injector, Notifier, RearmHarness};
 use rustflow::wsq::{deque_with_capacity, Steal};
 use rustflow::{SchedEvent, SchedEventKind, TaskLabel};
-use rustflow_check::atomic::{fence, AtomicBool};
+use rustflow_check::atomic::{fence, AtomicBool, AtomicUsize};
+use rustflow_check::sync::Mutex;
 use rustflow_check::{thread, Checker};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -419,5 +420,85 @@ fn cancel_handshake_fan_in() {
                 }
             }
         });
+    assert!(stats.dfs_complete, "schedule space must be fully explored");
+}
+
+/// The front door's Dekker pair ([`FrontDoorBudget`], the production
+/// words): a submitter arrives at a full in-flight budget just as the one
+/// stint in flight finalizes. The submitter queues its run, bumps
+/// `backlog` (SeqCst), *then* loads `inflight`; the finalizer drops
+/// `inflight` (SeqCst), *then* loads `backlog`, and pumps only if it reads
+/// non-zero — which is what keeps a finalizing worker off the `qos` and
+/// tenant queue locks when nothing is queued. The SC total order
+/// guarantees one side sees the other; the queue lock arbitrates when both
+/// do. Queue, `qos` lock and pump mirror `run_topology_on` /
+/// `next_dispatch` / the finalize path of `advance_topology`.
+///
+/// Weakened by `rustflow_weaken = "frontdoor_backlog"` (the pair drops to
+/// Relaxed): the submitter can read the budget still full *and* the
+/// finalizer can read the backlog still empty — the run stays queued with
+/// a free slot and nobody left to pump: stranded.
+#[test]
+#[cfg_attr(
+    rustflow_weaken = "frontdoor_backlog",
+    should_panic(expected = "failing interleaving")
+)]
+fn frontdoor_backlog_no_stranded_run() {
+    /// `pump_tenants` for one tenant: under `qos`, if the budget has
+    /// room, pop one queued run under the queue lock and charge it.
+    fn pump(
+        budget: &FrontDoorBudget,
+        qos: &Mutex<()>,
+        queue: &Mutex<usize>,
+        dispatched: &AtomicUsize,
+    ) {
+        let _qos = qos.lock();
+        if !budget.has_room() {
+            return;
+        }
+        let mut queued = queue.lock();
+        if *queued == 0 {
+            return;
+        }
+        *queued -= 1;
+        budget.unqueued(1);
+        budget.charge();
+        dispatched.fetch_add(1, Ordering::Relaxed);
+    }
+
+    let stats =
+        Checker::new()
+            .max_schedules(60_000)
+            .check("frontdoor_backlog_no_stranded_run", || {
+                // A budget of one, held by the stint about to finalize.
+                let budget = Arc::new(FrontDoorBudget::new(1));
+                budget.charge();
+                let qos = Arc::new(Mutex::new(()));
+                let queue = Arc::new(Mutex::new(0usize));
+                let dispatched = Arc::new(AtomicUsize::new(0));
+                let (b, q, t, d) = (
+                    Arc::clone(&budget),
+                    Arc::clone(&qos),
+                    Arc::clone(&queue),
+                    Arc::clone(&dispatched),
+                );
+                let finalizer = thread::spawn(move || {
+                    if b.release() {
+                        pump(&b, &q, &t, &d);
+                    }
+                });
+                {
+                    let mut queued = queue.lock();
+                    *queued += 1;
+                    budget.queued();
+                }
+                pump(&budget, &qos, &queue, &dispatched);
+                finalizer.join().unwrap();
+                assert_eq!(
+                    (dispatched.load(Ordering::Relaxed), *queue.lock()),
+                    (1, 0),
+                    "the queued run is dispatched exactly once, never stranded"
+                );
+            });
     assert!(stats.dfs_complete, "schedule space must be fully explored");
 }

@@ -18,6 +18,7 @@ const KNOWN_MUTATIONS: &[&str] = &[
     "notifier_dekker",
     "rearm_publish",
     "cancel_publish",
+    "frontdoor_backlog",
     "seed_plain_race",
     "seed_lock_cycle",
 ];

@@ -21,12 +21,16 @@ use crate::injector::Injector;
 use crate::introspect::{CurrentTask, IntrospectConfig, IntrospectHandle, IntrospectState};
 use crate::notifier::Notifier;
 use crate::observer::{ExecutorObserver, DISPATCH_LANE};
+use crate::qos::{
+    BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos, BREAKER_CLOSED, BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
+};
 use crate::stats::{AtomicHistogram, ExecutorStats, TenantStats, WorkerStats};
 use crate::subflow::Subflow;
 use crate::sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, RwLock};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use crate::wsq;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -238,42 +242,33 @@ impl WorkerCtx {
     }
 }
 
+/// Zero-sized, line-aligned marker. In a `#[repr(C)]` struct the field
+/// declared after it starts on a fresh cache line, so fields can be grouped
+/// by *who writes them* without touching a single access path. 128 bytes,
+/// not 64: x86-64's adjacent-line prefetcher pulls lines in pairs.
+#[derive(Debug, Default, Clone, Copy)]
+#[repr(align(128))]
+struct LineBreak;
+
+/// Field order is layout (`repr(C)`): grouped by who writes, one group per
+/// cache-line pair (see [`LineBreak`]).
+#[repr(C)]
 pub(crate) struct Inner {
+    // ---- set at construction or rarely; read by every thread ----
     pub(crate) shareds: Box<[WorkerShared]>,
-    /// External submission queue (dispatch pushes source tasks here):
-    /// a lock-free MPMC ring with a mutexed overflow spill.
-    pub(crate) injector: Injector,
-    /// Workers currently inside a steal round. While any thief is active
-    /// there is no need to wake another worker for a freshly pushed task —
-    /// the spinning thief will find it (Cpp-Taskflow's notifier applies
-    /// the same guard). Safe against lost wake-ups because a thief that
-    /// gives up re-checks every queue under the notifier's Dekker
-    /// protocol before parking.
-    num_spinning: AtomicUsize,
-    pub(crate) notifier: Notifier,
-    stop: AtomicBool,
-    /// Keep-alive registry: topologies currently executing, keyed by
-    /// stable uid, plus the authoritative shutdown flag (see
-    /// [`RunningRegistry`]).
-    pub(crate) running: Mutex<RunningRegistry>,
-    /// Signalled (under the `running` mutex) whenever the registry
-    /// empties; `Executor::drop` sleeps on it instead of busy-yielding.
-    all_done: Condvar,
-    /// Fast-path mirror of [`RunningRegistry::closing`]: lets submission
-    /// paths reject without the registry lock. The registry bool (set
-    /// first, under its lock) is the authoritative race-free check.
-    closing: AtomicBool,
-    /// Tenant control plane: the tenant list and the weighted-fair-queue
-    /// dispatch state (virtual time, in-flight budget).
-    qos: Mutex<QosState>,
-    observers: RwLock<Vec<Arc<dyn ExecutorObserver>>>,
-    has_observers: AtomicBool,
     cfg: Config,
     /// The shared monotonic clock origin ([`crate::clock::origin`]),
     /// latched here so every timestamp this executor emits — ring events,
     /// flight-recorder windows, `/trace` output, profile spans — lives in
     /// one time domain (`Executor::now_us`).
     pub(crate) epoch: Instant,
+    stop: AtomicBool,
+    /// Fast-path mirror of [`RunningRegistry::closing`]: lets submission
+    /// paths reject without the registry lock. The registry bool (set
+    /// first, under its lock) is the authoritative race-free check.
+    closing: AtomicBool,
+    has_observers: AtomicBool,
+    observers: RwLock<Vec<Arc<dyn ExecutorObserver>>>,
     /// `true` while live introspection is on; gates the current-task
     /// publication in `execute` (one relaxed load when off).
     pub(crate) introspect_live: AtomicBool,
@@ -286,6 +281,41 @@ pub(crate) struct Inner {
     /// data race the happens-before detector must flag.
     #[cfg(rustflow_weaken = "seed_plain_race")]
     race_scratch: crate::sync_cell::SyncCell<u64>,
+    // ---- the hand-over queue: clients push, workers pop ----
+    _injector: LineBreak,
+    /// External submission queue (dispatch pushes source tasks here):
+    /// a lock-free MPMC ring with a mutexed overflow spill.
+    pub(crate) injector: Injector,
+    // ---- written by workers around every steal round and park ----
+    _workers: LineBreak,
+    /// Workers currently inside a steal round. While any thief is active
+    /// there is no need to wake another worker for a freshly pushed task —
+    /// the spinning thief will find it (Cpp-Taskflow's notifier applies
+    /// the same guard). Safe against lost wake-ups because a thief that
+    /// gives up re-checks every queue under the notifier's Dekker
+    /// protocol before parking.
+    num_spinning: AtomicUsize,
+    pub(crate) notifier: Notifier,
+    // ---- taken by the claiming client and the finalizing worker ----
+    _registry: LineBreak,
+    /// Keep-alive registry: one slot per driver claim currently
+    /// outstanding, plus the authoritative shutdown flag (see
+    /// [`RunningRegistry`]).
+    pub(crate) running: Mutex<RunningRegistry>,
+    /// Signalled (under the `running` mutex) whenever the registry
+    /// empties; `Executor::drop` sleeps on it instead of busy-yielding.
+    all_done: Condvar,
+    // ---- taken by whoever pumps: the submitting client, in steady state ----
+    _door: LineBreak,
+    /// Tenant control plane: the tenant list and the weighted-fair-queue
+    /// clock. Taken by whoever pumps — in steady state the submitting
+    /// client only (see [`FrontDoorBudget`]).
+    qos: Mutex<QosState>,
+    // ---- the two words submitter and finalizer share ----
+    _budget: LineBreak,
+    /// The in-flight budget and the count of queued runs: the two words a
+    /// finalizing worker and a submitter share instead of `qos`.
+    budget: FrontDoorBudget,
 }
 
 impl Inner {
@@ -389,6 +419,11 @@ impl Executor {
             });
         }
         let inner = Arc::new(Inner {
+            _injector: LineBreak,
+            _workers: LineBreak,
+            _registry: LineBreak,
+            _door: LineBreak,
+            _budget: LineBreak,
             shareds: shareds.into_boxed_slice(),
             injector: Injector::new(cfg.injector_capacity, cfg.mutexed_injector),
             num_spinning: AtomicUsize::new(0),
@@ -398,6 +433,7 @@ impl Executor {
             all_done: Condvar::new(),
             closing: AtomicBool::new(false),
             qos: Mutex::new(QosState::default()),
+            budget: FrontDoorBudget::new(cfg.max_inflight),
             observers: RwLock::new(Vec::new()),
             has_observers: AtomicBool::new(false),
             cfg,
@@ -500,6 +536,7 @@ impl Executor {
             let drained: Vec<QueuedRun> = {
                 let mut q = tenant.queue.lock();
                 let runs: Vec<QueuedRun> = q.drain(..).collect();
+                tenant.note_unqueued(&self.inner.budget, runs.len());
                 // Counted under the queue lock, atomically with the
                 // drain, so the ledger stays balanced for scrapers.
                 tenant
@@ -655,12 +692,11 @@ impl Executor {
             if reg.closing {
                 return SharedFuture::ready(Err(RunError::Rejected(AdmissionError::ShuttingDown)));
             }
-            if topo.enqueue(PendingRun { cond, promise }) {
-                reg.register(topo, None);
-                true
-            } else {
-                false
+            let claimed = topo.enqueue(PendingRun { cond, promise });
+            if claimed {
+                topo.set_registration(reg.register(topo, None));
             }
+            claimed
         };
         if claimed {
             // Untenanted claim: reset the tenant tag and lifecycle stamps
@@ -741,6 +777,7 @@ impl Executor {
                             .unwrap_or(0),
                         probe,
                     });
+                    state.note_queued(&self.inner.budget);
                 })
         };
         // Emit outside the queue lock: diagnostic subscribers run
@@ -778,7 +815,7 @@ impl Executor {
         // more actionable) rejection. Checked once per submission — the
         // space wait below does not re-run it, so a probe admitted here
         // is never re-judged by its own claim.
-        let probe = match state.breaker_admit(crate::clock::now_us().max(1), transition) {
+        let probe = match state.breaker_admit(transition) {
             Ok(probe) => probe,
             Err(retry_after) => {
                 state.rejected_breaker.fetch_add(1, Ordering::Relaxed);
@@ -858,17 +895,20 @@ pub(crate) enum Block {
 /// claimed it at submission, or the worker whose final `alive` decrement
 /// ended an iteration): steps the batch state machine, then re-arms and
 /// publishes the next iteration — or, when every batch is done, drops the
-/// keep-alive registration.
+/// keep-alive registration, which the driver finds in O(1) through the slot
+/// index the claim left in the topology.
 fn advance_topology(inner: &Inner, topo: &Topology, iteration_finished: bool) {
-    // Lifecycle stamps must be copied out *before* `advance` can
-    // transition the topology to idle: the instant it is idle, a
-    // concurrent resubmission may claim it and overwrite the stamps with
-    // its own stint's. The end stamp is taken here too — before `advance`
-    // resolves the promises — so the recorded e2e interval is bracketed
-    // by any client timing its own submit→resolve round trip (promise
-    // resolution and finalize bookkeeping can be descheduled for a long
-    // time on a loaded box, and that wait belongs to neither view). Four
-    // relaxed loads and a clock read, skipped when the pipeline is off.
+    // The stint's registry slot and lifecycle stamps must be copied out
+    // *before* `advance` can transition the topology to idle: the instant
+    // it is idle, a concurrent resubmission may claim it and overwrite
+    // both with its own stint's. The end stamp is taken here too — before
+    // `advance` resolves the promises — so the recorded e2e interval is
+    // bracketed by any client timing its own submit→resolve round trip
+    // (promise resolution and finalize bookkeeping can be descheduled for
+    // a long time on a loaded box, and that wait belongs to neither view).
+    // Four relaxed loads and a clock read, skipped when the pipeline is
+    // off.
+    let slot = topo.registration();
     let stamps = inner
         .cfg
         .latency_histograms
@@ -910,13 +950,12 @@ fn advance_topology(inner: &Inner, topo: &Topology, iteration_finished: bool) {
         }
         Advance::Idle => {
             // Every promise is resolved and the topology is settled: drop
-            // the keep-alive. A concurrent resubmission may already have
-            // pushed its own registration under the same uid; removing the
-            // *oldest* registration keeps the count balanced either way
-            // (O(1) in the slab, no linear scan).
+            // this stint's keep-alive. A concurrent resubmission may
+            // already hold a registration of its own for the same
+            // topology; it sits in another slot and is untouched.
             let (keep_alive, tenant) = {
                 let mut running = inner.running.lock();
-                let removed = running.remove_one(topo.uid());
+                let removed = running.remove(slot);
                 if running.is_empty() {
                     // Wake a destructor waiting for quiescence
                     // (Executor::drop).
@@ -933,19 +972,20 @@ fn advance_topology(inner: &Inner, topo: &Topology, iteration_finished: bool) {
                 if let Some((stamps, end_us)) = stamps {
                     record_latency(&tenant, stamps, end_us);
                 }
-                // Credit the tenant and return its admission slot to the
-                // budget, then let the fair-queue pump dispatch whatever
-                // the freed slot admits.
                 tenant.completed.fetch_add(1, Ordering::Relaxed);
                 tenant.inflight.fetch_sub(1, Ordering::Relaxed);
                 // Feed the circuit breaker; no locks held, so the
                 // transition (if any) can be emitted inline.
-                if let Some((from, to)) = tenant.note_outcome(failed, crate::clock::now_us().max(1))
-                {
+                if let Some((from, to)) = tenant.note_outcome(failed) {
                     emit_breaker_transition(inner, &tenant, from, to);
                 }
-                inner.qos.lock().inflight -= 1;
-                pump_tenants(inner);
+                // Return the admission slot. With nothing queued that is
+                // all: no `qos`, no tenant queue lock. A run that arrived
+                // at a full budget is either seen here or its submitter
+                // sees the freed slot (see `FrontDoorBudget`).
+                if inner.budget.release() {
+                    pump_tenants(inner);
+                }
             }
         }
     }
@@ -1017,6 +1057,7 @@ pub(crate) fn shed_overburn(inner: &Inner, tenant: &str) -> (u64, u64) {
             // Counted under the queue lock, like the dispatcher's
             // deadline sheds, so the ledger never transiently leaks.
             let run = q.pop_back().expect("len > keep >= 0");
+            state.note_unqueued(&inner.budget, 1);
             state.shed.fetch_add(1, Ordering::Relaxed);
             state.space.notify_one();
             dropped.push(run);
@@ -1572,73 +1613,146 @@ fn finalize(inner: &Inner, topo_ptr: *const Topology) {
 // Keep-alive registry
 // ---------------------------------------------------------------------------
 
-/// One topology's keep-alives: the `Arc` pinning its storage plus one
-/// registration per driver claim currently outstanding (a resubmission
-/// racing finalize can briefly hold two).
-struct RunningEntry {
-    topo: Arc<Topology>,
-    /// Oldest first; each slot remembers which tenant (if any) gets the
-    /// completion credit and the admission slot back when that stint
-    /// finalizes.
-    regs: VecDeque<Option<Arc<TenantState>>>,
-}
+/// One driver claim's keep-alive: the `Arc` pinning the topology's
+/// storage, and the tenant (if any) that gets the completion credit and
+/// the admission slot back when that stint finalizes.
+type Registration = (Arc<Topology>, Option<Arc<TenantState>>);
 
-/// Topologies currently executing, keyed by stable topology uid — O(1)
-/// register and finalize, replacing the seed's linear-scan `Vec`. The
-/// `closing` flag lives inside so shutdown and registration serialize on
-/// one lock: a submission either registers before `Executor::drop` starts
-/// waiting for emptiness or observes the flag and is rejected.
+/// Stints currently executing: a slab with one slot per *registration*
+/// (a resubmission racing finalize briefly gives one topology two), the
+/// slot index remembered by the topology itself, so register and remove
+/// are O(1) with no hashing and, once the slab is warm, no allocation.
+/// The `closing` flag lives inside so shutdown and registration serialize
+/// on one lock: a submission either registers before `Executor::drop`
+/// starts waiting for emptiness or observes the flag and is rejected.
 #[derive(Default)]
 pub(crate) struct RunningRegistry {
     /// Authoritative shutdown flag (mirrored by `Inner::closing` for
     /// lock-free fast paths).
     pub(crate) closing: bool,
-    entries: HashMap<u64, RunningEntry>,
+    slots: Vec<Option<Registration>>,
+    /// Indices of the vacant `slots`.
+    free: Vec<usize>,
 }
 
 impl RunningRegistry {
     /// Adds a keep-alive registration for `topo`, crediting `tenant` (if
-    /// any) when the corresponding stint finalizes.
-    fn register(&mut self, topo: &Arc<Topology>, tenant: Option<Arc<TenantState>>) {
-        self.entries
-            .entry(topo.uid())
-            .or_insert_with(|| RunningEntry {
-                topo: Arc::clone(topo),
-                regs: VecDeque::with_capacity(1),
-            })
-            .regs
-            .push_back(tenant);
+    /// any) when the stint finalizes; returns its slot.
+    fn register(&mut self, topo: &Arc<Topology>, tenant: Option<Arc<TenantState>>) -> usize {
+        let registration = Some((Arc::clone(topo), tenant));
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = registration;
+                slot
+            }
+            None => {
+                self.slots.push(registration);
+                self.slots.len() - 1
+            }
+        }
     }
 
-    /// Removes the oldest registration for `uid` (the stint now
-    /// finalizing), returning the keep-alive `Arc` once the last
-    /// registration goes and the tenant owed the completion credit.
-    fn remove_one(&mut self, uid: u64) -> (Option<Arc<Topology>>, Option<Arc<TenantState>>) {
-        let Some(entry) = self.entries.get_mut(&uid) else {
-            return (None, None);
-        };
-        let tenant = entry.regs.pop_front().flatten();
-        if entry.regs.is_empty() {
-            let entry = self.entries.remove(&uid).expect("entry present");
-            (Some(entry.topo), tenant)
-        } else {
-            (None, tenant)
-        }
+    /// Vacates `slot` (the stint now finalizing) and hands back what it
+    /// held, for the caller to drop outside the registry lock.
+    fn remove(&mut self, slot: usize) -> Registration {
+        let registration = self.slots[slot].take().expect("stint is registered");
+        self.free.push(slot);
+        registration
+    }
+
+    /// True when nothing is registered (executor quiescent).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
     }
 
     /// Number of distinct topologies currently registered.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.distinct().len()
     }
 
-    /// True when no topology is registered (executor quiescent).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Snapshot of the registered topologies (for introspection).
+    /// Snapshot of the registered topologies (for introspection), each
+    /// once however many registrations it holds.
     pub(crate) fn topologies(&self) -> Vec<Arc<Topology>> {
-        self.entries.values().map(|e| Arc::clone(&e.topo)).collect()
+        self.distinct().into_iter().cloned().collect()
+    }
+
+    fn distinct(&self) -> Vec<&Arc<Topology>> {
+        let mut live: Vec<&Arc<Topology>> = self.slots.iter().flatten().map(|r| &r.0).collect();
+        live.sort_unstable_by_key(|t| t.uid());
+        live.dedup_by_key(|t| t.uid());
+        live
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The front door's shared words
+// ---------------------------------------------------------------------------
+
+/// ORDERING: SeqCst on the front door's Dekker pair — the submitter's
+/// `backlog` increment then `inflight` load, the finalizer's `inflight`
+/// decrement then `backlog` load — puts all four in one total order, so
+/// when a run arrives at a full budget while a slot is being freed,
+/// either the submitter sees the slot or the finalizer sees the run. The
+/// `rustflow_weaken` cfg relaxes the pair so the model checker can show
+/// the stranded run it permits (see crates/check).
+const FRONTDOOR_DEKKER: Ordering = if cfg!(rustflow_weaken = "frontdoor_backlog") {
+    Ordering::Relaxed
+} else {
+    Ordering::SeqCst
+};
+
+/// What a submitter and a finalizing worker share in place of the `qos`
+/// lock: the in-flight budget and the number of runs queued across all
+/// tenants. A finalizer frees its slot and pumps only if something is
+/// queued; a submitter queues its run and dispatches only if a slot is
+/// free. (Public only for the model-checker tests via `check_internals`.)
+pub struct FrontDoorBudget {
+    max: usize,
+    /// Tenant stints dispatched but not yet finalized, at most `max`.
+    /// Charged under the `qos` lock, released without it.
+    inflight: AtomicUsize,
+    /// Runs sitting in tenant queues; moved only under a queue lock.
+    backlog: AtomicUsize,
+}
+
+impl FrontDoorBudget {
+    /// A budget of `max` in-flight stints, none in flight, none queued.
+    pub fn new(max: usize) -> FrontDoorBudget {
+        FrontDoorBudget {
+            max,
+            inflight: AtomicUsize::new(0),
+            backlog: AtomicUsize::new(0),
+        }
+    }
+
+    /// Submitter, with the push: one more run is queued.
+    pub fn queued(&self) {
+        self.backlog.fetch_add(1, FRONTDOOR_DEKKER);
+    }
+
+    /// With the pop, shed or drain: `n` runs left the queues. Relaxed: a
+    /// finalizer that still reads the larger count pumps once for nothing.
+    pub fn unqueued(&self, n: usize) {
+        self.backlog.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Pumper, under the `qos` lock: may one more stint be dispatched?
+    pub fn has_room(&self) -> bool {
+        self.inflight.load(FRONTDOOR_DEKKER) < self.max
+    }
+
+    /// Pumper, under the `qos` lock and after [`has_room`](Self::has_room):
+    /// takes the slot. Only pumpers add and they are serialized, so the
+    /// check cannot be overtaken.
+    pub fn charge(&self) {
+        self.inflight.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Finalizer: frees a slot; `true` when runs are queued, i.e. the
+    /// caller must pump.
+    pub fn release(&self) -> bool {
+        self.inflight.fetch_sub(1, FRONTDOOR_DEKKER);
+        self.backlog.load(FRONTDOOR_DEKKER) != 0
     }
 }
 
@@ -1650,185 +1764,6 @@ impl RunningRegistry {
 /// `VT_SCALE` per dispatched topology, a weight-w tenant by `VT_SCALE/w`,
 /// so over any busy interval tenants dispatch in proportion to weight.
 const VT_SCALE: u64 = 1 << 20;
-
-/// Quality-of-service parameters for a tenant, fixed at tenant creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantQos {
-    /// Weighted-fair-queueing share: a weight-4 tenant dispatches 4
-    /// topologies for each one of a weight-1 tenant while both have work
-    /// queued. Clamped to at least 1.
-    pub weight: u32,
-    /// Admission bound: submissions beyond this many queued (not yet
-    /// dispatched) topologies block (`submit`) or are rejected with
-    /// [`AdmissionError::Saturated`] (`try_submit`). Clamped to at
-    /// least 1.
-    pub max_queued: usize,
-    /// Optional latency objective. When set, the stall watchdog runs a
-    /// multi-window burn-rate check over this tenant's end-to-end latency
-    /// histogram and emits
-    /// [`WatchdogDiagnostic::SloBurn`](crate::WatchdogDiagnostic) when
-    /// the error budget burns too fast (see [`SloSpec`]).
-    pub slo: Option<SloSpec>,
-    /// Default deadline applied to every run submitted on this tenant
-    /// (overridable per run via
-    /// [`Taskflow::run_on_deadline`](crate::Taskflow::run_on_deadline)).
-    /// A deadlined run is cheap-rejected at submit time when the
-    /// expected queue wait already exceeds it
-    /// ([`AdmissionError::DeadlineInfeasible`]) and shed from the queue
-    /// ([`RunError::Shed`](crate::RunError)) if it expires before the
-    /// fair-queue pump dispatches it. The deadline does **not** cancel a
-    /// run once dispatched — pair it with
-    /// [`RunHandle::wait_timeout`](crate::RunHandle::wait_timeout) for
-    /// execution-side expiry.
-    pub deadline: Option<Duration>,
-    /// Retry budget consulted by [`Task::retry`](crate::Task::retry):
-    /// when set, retries beyond `floor + per_mille/1000 ×
-    /// completions` degrade to ordinary failures instead of amplifying
-    /// load exactly when capacity is scarcest. `None` (the default)
-    /// leaves retries unbudgeted.
-    pub retry_budget: Option<RetryBudget>,
-    /// Per-tenant circuit breaker: after `failures` consecutive failed
-    /// runs the tenant's submissions are fast-rejected with
-    /// [`AdmissionError::BreakerOpen`] for `open_for`, then a single
-    /// half-open probe is admitted whose success closes the breaker.
-    /// `None` (the default) disables the breaker.
-    pub breaker: Option<BreakerSpec>,
-}
-
-impl Default for TenantQos {
-    fn default() -> Self {
-        TenantQos {
-            weight: 1,
-            max_queued: 1024,
-            slo: None,
-            deadline: None,
-            retry_budget: None,
-            breaker: None,
-        }
-    }
-}
-
-/// Retry-budget parameters ([`TenantQos::retry_budget`]): the tenant may
-/// spend `floor` retries unconditionally plus `per_mille` additional
-/// retries per 1000 successful completions. The budget is cumulative —
-/// healthy periods bank allowance that overload then draws down, so a
-/// retry storm under sustained failure degrades to plain failures once
-/// the bank is empty ([`rustflow_retry_budget_exhausted_total`]).
-///
-/// [`rustflow_retry_budget_exhausted_total`]: crate::TenantStats::retry_budget_exhausted
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryBudget {
-    /// Retries always available, regardless of completion history.
-    pub floor: u64,
-    /// Extra retries granted per 1000 successful completions (100 =
-    /// the canonical "10% of completions").
-    pub per_mille: u32,
-}
-
-impl Default for RetryBudget {
-    fn default() -> Self {
-        RetryBudget {
-            floor: 8,
-            per_mille: 100,
-        }
-    }
-}
-
-/// Circuit-breaker parameters ([`TenantQos::breaker`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerSpec {
-    /// Consecutive failed runs (task panics / invalid graphs — not
-    /// cancellations) that open the breaker. Clamped to at least 1.
-    pub failures: u32,
-    /// How long an open breaker fast-rejects submissions before
-    /// admitting one half-open probe.
-    pub open_for: Duration,
-}
-
-impl Default for BreakerSpec {
-    fn default() -> Self {
-        BreakerSpec {
-            failures: 5,
-            open_for: Duration::from_secs(1),
-        }
-    }
-}
-
-/// State of a tenant's circuit breaker (closed → open → half-open →
-/// closed). Exposed as the `rustflow_breaker_state` gauge (0, 1, 2 in
-/// declaration order) and in [`WatchdogDiagnostic::BreakerTransition`](crate::WatchdogDiagnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal admission; consecutive failures are being counted.
-    Closed,
-    /// Fast-rejecting all submissions until the open window elapses.
-    Open,
-    /// One probe run has been admitted; its outcome decides the next
-    /// state (success → closed, failure → open again).
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Gauge encoding used by `rustflow_breaker_state` and the tenant
-    /// state word: 0 = closed, 1 = open, 2 = half-open.
-    pub(crate) fn from_word(w: u64) -> BreakerState {
-        match w {
-            BREAKER_OPEN => BreakerState::Open,
-            BREAKER_HALF_OPEN => BreakerState::HalfOpen,
-            _ => BreakerState::Closed,
-        }
-    }
-
-    /// The state's name as rendered in `/status` and diagnostics.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// [`TenantState::breaker_word`] encodings (the atomic state word of the
-/// breaker state machine).
-const BREAKER_CLOSED: u64 = 0;
-const BREAKER_OPEN: u64 = 1;
-const BREAKER_HALF_OPEN: u64 = 2;
-
-/// A per-tenant latency service-level objective: "99% of runs finish
-/// end-to-end (submit → finalize) within `p99_us`, judged over `window`".
-///
-/// The error budget is the 1% of runs allowed past the target. The
-/// watchdog alerts SRE-style on *burn rate* — budget consumed per unit
-/// budget allotted — over two windows at once (`window` and `window/12`),
-/// so a sustained breach fires quickly while a long-gone spike does not
-/// page ([`WatchdogDiagnostic::SloBurn`](crate::WatchdogDiagnostic)).
-///
-/// ```
-/// use std::time::Duration;
-/// let qos = rustflow::TenantQos {
-///     slo: Some(rustflow::SloSpec {
-///         p99_us: 50_000,
-///         window: Duration::from_secs(60),
-///     }),
-///     ..rustflow::TenantQos::default()
-/// };
-/// assert_eq!(qos.slo.unwrap().p99_us, 50_000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloSpec {
-    /// Target 99th-percentile end-to-end latency, in microseconds.
-    pub p99_us: u64,
-    /// The long burn-rate window; the fast window is `window/12`
-    /// (clamped to one watchdog pass). Clamped to at least one second.
-    pub window: Duration,
-}
 
 /// A run waiting in a tenant queue for a dispatch slot.
 pub(crate) struct QueuedRun {
@@ -1856,23 +1791,43 @@ pub(crate) struct QueuedRun {
 
 /// Shared per-tenant state: the bounded submission queue plus the fair
 /// queueing clock and the counters exported as [`TenantStats`].
+///
+/// Field order is layout (`repr(C)`): grouped by which side of a served
+/// run writes them, each group on its own cache lines, so the submitting
+/// client and the finalizing worker stop invalidating each other's lines
+/// on every run.
+#[repr(C)]
 pub(crate) struct TenantState {
+    // ---- fixed at creation; read by both sides ----
     /// Stable 1-based id; `0` in trace output means "untenanted".
     pub(crate) id: u64,
     pub(crate) name: String,
     weight: u32,
     max_queue: usize,
+    /// The tenant's latency objective, if any ([`TenantQos::slo`]).
+    slo: Option<SloSpec>,
+    /// Default per-run deadline, if any ([`TenantQos::deadline`]).
+    deadline: Option<Duration>,
+    /// Retry budget, if any ([`TenantQos::retry_budget`]).
+    retry_budget: Option<RetryBudget>,
+    /// Circuit-breaker parameters, if any ([`TenantQos::breaker`]).
+    breaker: Option<BreakerSpec>,
+
+    // ---- written on the way in: submit, admission, dispatch ----
+    _door: LineBreak,
     queue: Mutex<VecDeque<QueuedRun>>,
     /// Signalled when queue space frees up (dispatch) or admission closes
     /// (shutdown); blocking submitters wait on it.
     space: Condvar,
+    /// `queue.len()`, moved under the queue lock with every push and pop,
+    /// so the fair-queue scan can skip an empty tenant without locking it.
+    queued: AtomicUsize,
     /// Weighted-fair-queueing virtual finish time. Only mutated under the
     /// executor's `qos` lock; atomic so snapshots read it lock-free.
     vtime: AtomicU64,
     submitted: AtomicU64,
     dispatched: AtomicU64,
     coalesced: AtomicU64,
-    completed: AtomicU64,
     rejected_saturated: AtomicU64,
     rejected_shutdown: AtomicU64,
     /// Runs rejected at submit time because the expected queue wait
@@ -1885,6 +1840,14 @@ pub(crate) struct TenantState {
     /// queue, or the overload controller shed them
     /// ([`RunError::Shed`](crate::RunError)).
     shed: AtomicU64,
+
+    // ---- written by both: up at dispatch, down at finalize ----
+    _both: LineBreak,
+    inflight: AtomicU64,
+
+    // ---- written on the way out: finalize, breaker, retries ----
+    _done: LineBreak,
+    completed: AtomicU64,
     /// Retries that the retry budget refused (the task failed instead).
     retry_budget_exhausted: AtomicU64,
     /// Retries charged against the budget so far (monotone; allowance is
@@ -1901,20 +1864,11 @@ pub(crate) struct TenantState {
     breaker_open_until_us: AtomicU64,
     /// A half-open probe has been admitted and not yet resolved.
     probe_inflight: AtomicBool,
-    inflight: AtomicU64,
     /// Lock-free latency shards, one per [`LATENCY_PHASES`] entry.
     /// Recorded by the finalizing driver (a few relaxed `fetch_add`s per
     /// run), merged only at scrape time. ~4.2 KiB per tenant
     /// (5 phases × 105 buckets × 8 B).
     latency: [AtomicHistogram; LATENCY_PHASES.len()],
-    /// The tenant's latency objective, if any ([`TenantQos::slo`]).
-    slo: Option<SloSpec>,
-    /// Default per-run deadline, if any ([`TenantQos::deadline`]).
-    deadline: Option<Duration>,
-    /// Retry budget, if any ([`TenantQos::retry_budget`]).
-    retry_budget: Option<RetryBudget>,
-    /// Circuit-breaker parameters, if any ([`TenantQos::breaker`]).
-    breaker: Option<BreakerSpec>,
 }
 
 /// Phase labels of the per-tenant latency decomposition, in the order of
@@ -1933,31 +1887,50 @@ impl TenantState {
             name,
             weight: qos.weight.max(1),
             max_queue: qos.max_queued.max(1),
+            slo: qos.slo,
+            deadline: qos.deadline,
+            retry_budget: qos.retry_budget,
+            breaker: qos.breaker,
+            _door: LineBreak,
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
+            queued: AtomicUsize::new(0),
             vtime: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             rejected_saturated: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
             rejected_infeasible: AtomicU64::new(0),
             rejected_breaker: AtomicU64::new(0),
             shed: AtomicU64::new(0),
+            _both: LineBreak,
+            inflight: AtomicU64::new(0),
+            _done: LineBreak,
+            completed: AtomicU64::new(0),
             retry_budget_exhausted: AtomicU64::new(0),
             retry_spent: AtomicU64::new(0),
             consecutive_failures: AtomicU64::new(0),
             breaker_word: AtomicU64::new(BREAKER_CLOSED),
             breaker_open_until_us: AtomicU64::new(0),
             probe_inflight: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicHistogram::new()),
-            slo: qos.slo,
-            deadline: qos.deadline,
-            retry_budget: qos.retry_budget,
-            breaker: qos.breaker,
         }
+    }
+
+    /// One run entered the queue; call under the queue lock, after the
+    /// push. `queued` first: a finalizer that sees the backlog through the
+    /// budget's SeqCst pair then also sees which tenant holds it.
+    fn note_queued(&self, budget: &FrontDoorBudget) {
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        budget.queued();
+    }
+
+    /// `n` runs left the queue (dispatch, shed, shutdown drain); call
+    /// under the queue lock, with the pops.
+    fn note_unqueued(&self, budget: &FrontDoorBudget, n: usize) {
+        self.queued.fetch_sub(n, Ordering::Relaxed);
+        budget.unqueued(n);
     }
 
     /// Point-in-time snapshot of this tenant's counters and gauges.
@@ -2010,7 +1983,6 @@ impl TenantState {
     /// `transition` for the caller to emit *after* dropping its locks.
     fn breaker_admit(
         &self,
-        now_us: u64,
         transition: &mut Option<(BreakerState, BreakerState)>,
     ) -> Result<bool, Duration> {
         let Some(spec) = self.breaker else {
@@ -2023,6 +1995,7 @@ impl TenantState {
             match self.breaker_word.load(Ordering::Acquire) {
                 BREAKER_OPEN => {
                     let until = self.breaker_open_until_us.load(Ordering::Relaxed);
+                    let now_us = crate::clock::now_us().max(1);
                     if now_us < until {
                         return Err(Duration::from_micros(until - now_us));
                     }
@@ -2074,10 +2047,11 @@ impl TenantState {
     /// Folds a finished run's outcome into the breaker state machine.
     /// Returns the transition this outcome caused, if any, for the
     /// caller to emit (no locks are held here).
-    fn note_outcome(&self, failed: bool, now_us: u64) -> Option<(BreakerState, BreakerState)> {
+    fn note_outcome(&self, failed: bool) -> Option<(BreakerState, BreakerState)> {
         let spec = self.breaker?;
         if failed {
             let fails = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
+            let now_us = crate::clock::now_us().max(1);
             // Arm the open window *before* any CAS can expose the open
             // state; a stale overwrite by a concurrent failure only
             // nudges the window, never unleashes admission early.
@@ -2173,9 +2147,6 @@ const ESTIMATE_MIN_SAMPLES: u64 = 8;
 #[derive(Default)]
 pub(crate) struct QosState {
     pub(crate) tenants: Vec<Arc<TenantState>>,
-    /// Tenant topologies dispatched but not yet finalized, bounded by
-    /// `Config::max_inflight`.
-    inflight: usize,
     /// The fair queue's notion of "now": the virtual time of the last
     /// dispatch. A tenant idle for a while resumes from here rather than
     /// from its stale clock, so sleeping never banks credit.
@@ -2258,9 +2229,10 @@ impl std::fmt::Debug for Tenant {
 /// repeatedly picks the nonempty tenant with the smallest virtual time
 /// (weighted fair queueing) and starts its oldest queued run.
 ///
-/// Called after every tenant submission and after every tenant topology
-/// finalizes, so the budget is always refilled promptly. Runs on client
-/// and worker threads alike; all steps are non-blocking.
+/// Called after every tenant submission, and after a tenant topology
+/// finalizes *if anything is queued* ([`FrontDoorBudget::release`]), so
+/// the budget is always refilled promptly. Runs on client and worker
+/// threads alike; all steps are non-blocking.
 fn pump_tenants(inner: &Inner) {
     let mut shed: Vec<(Arc<TenantState>, QueuedRun, u64)> = Vec::new();
     loop {
@@ -2292,7 +2264,7 @@ fn resolve_shed(tenant: &TenantState, run: QueuedRun, queued_for_us: u64) {
 
 /// Picks the next run to dispatch under weighted fair queueing, or `None`
 /// when the budget is exhausted or every tenant queue is empty. On
-/// success the admission slot is already charged (`qos.inflight`) and the
+/// success the admission slot is already charged (`Inner::budget`) and the
 /// tenant's `dispatched` counter bumped (under the queue lock, atomically
 /// with the pop, so snapshots never see the run in neither bucket).
 ///
@@ -2305,7 +2277,7 @@ fn next_dispatch(
 ) -> Option<(Arc<TenantState>, QueuedRun)> {
     let mut qos = inner.qos.lock();
     'scan: loop {
-        if qos.inflight >= inner.cfg.max_inflight {
+        if !inner.budget.has_room() {
             return None;
         }
         // Min-virtual-time scan. Tenant counts are small (a handful of
@@ -2314,9 +2286,10 @@ fn next_dispatch(
         let vnow = qos.vnow;
         let mut best: Option<(usize, u64)> = None;
         for (i, t) in qos.tenants.iter().enumerate() {
-            // Lock order: qos → tenant.queue (established here and in
-            // `Executor::close`; never the inverse).
-            if t.queue.lock().is_empty() {
+            // The queue's length word, not its lock. A pumping submitter
+            // reads its own push; a pumping finalizer got here through
+            // the budget's SeqCst pair, which the count was bumped before.
+            if t.queued.load(Ordering::Relaxed) == 0 {
                 continue;
             }
             // An idle tenant's stale clock fast-forwards to `vnow`:
@@ -2330,14 +2303,18 @@ fn next_dispatch(
         let (idx, vt) = best?;
         let tenant = Arc::clone(&qos.tenants[idx]);
         let run = {
+            // Lock order: qos → tenant.queue (here only; never the
+            // inverse).
             let mut q = tenant.queue.lock();
             let now = crate::clock::now_us().max(1);
             loop {
                 let Some(mut run) = q.pop_front() else {
-                    // The whole queue was doomed work; rescan — another
-                    // tenant may still have dispatchable runs.
+                    // The whole queue was doomed work (or a shed or a
+                    // shutdown drain emptied it since the scan); rescan —
+                    // another tenant may still have dispatchable runs.
                     continue 'scan;
                 };
+                tenant.note_unqueued(&inner.budget, 1);
                 if run.deadline_us != 0 && now >= run.deadline_us {
                     // Shed: the run could not be dispatched before its
                     // deadline; dispatching it now would burn worker
@@ -2368,7 +2345,7 @@ fn next_dispatch(
         tenant
             .vtime
             .store(vt + VT_SCALE / u64::from(tenant.weight), Ordering::Relaxed);
-        qos.inflight += 1;
+        inner.budget.charge();
         return Some((tenant, run));
     }
 }
@@ -2391,7 +2368,9 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
         let mut reg = inner.running.lock();
         if reg.closing {
             drop(reg);
-            inner.qos.lock().inflight -= 1;
+            // Hands the slot back; the pump loop that called us looks at
+            // the queues again itself, so the answer is not needed.
+            let _ = inner.budget.release();
             // `next_dispatch` already counted this run dispatched (under
             // the queue lock); move it to the rejected bucket. The two
             // steps are not under one lock, so a scraper racing this
@@ -2403,13 +2382,12 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
             promise.set(Err(RunError::Rejected(AdmissionError::ShuttingDown)));
             return;
         }
-        if topo.enqueue(PendingRun { cond, promise }) {
+        let claimed = topo.enqueue(PendingRun { cond, promise });
+        if claimed {
             topo.set_tenant(tenant.id);
-            reg.register(&topo, Some(Arc::clone(&tenant)));
-            true
-        } else {
-            false
+            topo.set_registration(reg.register(&topo, Some(Arc::clone(&tenant))));
         }
+        claimed
     };
     if claimed {
         // Stamp the stint's lifecycle and arm the first-task latch before
@@ -2436,6 +2414,9 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
         // of our own to clear it would wedge the breaker half-open.
         tenant.release_probe(probe);
         tenant.coalesced.fetch_add(1, Ordering::Relaxed);
-        inner.qos.lock().inflight -= 1;
+        let _ = inner.budget.release();
     }
 }
+
+#[cfg(test)]
+mod tests;

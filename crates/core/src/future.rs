@@ -9,14 +9,28 @@
 //! [`SharedFuture`] is cloneable; every clone observes the same value. The
 //! producing side is a single-use [`Promise`].
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{AtomicBool, Condvar, Mutex};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 #[derive(Debug)]
 struct Shared<T> {
+    /// `true` once `value` is set: lets pollers and late waiters skip the
+    /// mutex the fulfilling thread is still inside.
+    ready: AtomicBool,
     value: Mutex<Option<T>>,
     cv: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn new(value: Option<T>) -> Arc<Shared<T>> {
+        Arc::new(Shared {
+            ready: AtomicBool::new(value.is_some()),
+            value: Mutex::new(value),
+            cv: Condvar::new(),
+        })
+    }
 }
 
 /// The producing half: fulfil it once with [`Promise::set`].
@@ -41,10 +55,7 @@ impl<T> Clone for SharedFuture<T> {
 
 /// Creates a connected promise / shared-future pair.
 pub fn promise_pair<T>() -> (Promise<T>, SharedFuture<T>) {
-    let shared = Arc::new(Shared {
-        value: Mutex::new(None),
-        cv: Condvar::new(),
-    });
+    let shared = Shared::new(None);
     (
         Promise {
             shared: Arc::clone(&shared),
@@ -62,6 +73,11 @@ impl<T> Promise<T> {
         let mut guard = self.shared.value.lock();
         assert!(guard.is_none(), "promise fulfilled twice");
         *guard = Some(value);
+        // ORDERING: Release pairs with `is_ready`'s Acquire load — a poller
+        // that reads `true` sees the value and everything the run wrote
+        // before resolving, without touching the mutex. Stored before the
+        // unlock so nobody can hold the value and still read `false`.
+        self.shared.ready.store(true, Ordering::Release);
         drop(guard);
         self.shared.cv.notify_all();
     }
@@ -103,15 +119,15 @@ impl<T> SharedFuture<T> {
     /// cached sanitizer verdict is fatal.
     pub fn ready(value: T) -> SharedFuture<T> {
         SharedFuture {
-            shared: Arc::new(Shared {
-                value: Mutex::new(Some(value)),
-                cv: Condvar::new(),
-            }),
+            shared: Shared::new(Some(value)),
         }
     }
 
     /// Blocks until the value is available, discarding it.
     pub fn wait(&self) {
+        if self.is_ready() {
+            return;
+        }
         let mut guard = self.shared.value.lock();
         while guard.is_none() {
             self.shared.cv.wait(&mut guard);
@@ -120,7 +136,8 @@ impl<T> SharedFuture<T> {
 
     /// `true` once the promise has been fulfilled.
     pub fn is_ready(&self) -> bool {
-        self.shared.value.lock().is_some()
+        // ORDERING: Acquire pairs with `Promise::set`'s Release store.
+        self.shared.ready.load(Ordering::Acquire)
     }
 }
 
@@ -194,11 +211,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "promise fulfilled twice")]
     fn double_set_panics() {
-        let shared = Arc::new(Shared {
-            value: Mutex::new(Some(1)),
-            cv: Condvar::new(),
-        });
-        let p = Promise { shared };
+        let p = Promise {
+            shared: Shared::new(Some(1)),
+        };
         p.set(2);
     }
 }

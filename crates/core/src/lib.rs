@@ -68,6 +68,7 @@ mod label;
 mod notifier;
 mod observer;
 pub mod profile;
+mod qos;
 #[cfg(feature = "rustflow_check")]
 mod rearm_model;
 mod ring;
@@ -87,6 +88,7 @@ pub mod wsq;
 #[cfg(feature = "rustflow_check")]
 #[doc(hidden)]
 pub mod check_internals {
+    pub use crate::executor::FrontDoorBudget;
     pub use crate::injector::Injector;
     pub use crate::notifier::Notifier;
     pub use crate::rearm_model::RearmHarness;
@@ -94,9 +96,7 @@ pub mod check_internals {
 }
 
 pub use error::{AdmissionError, FailurePolicy, RunError, RunResult, TaskPanic};
-pub use executor::{
-    BreakerSpec, BreakerState, Executor, ExecutorBuilder, RetryBudget, SloSpec, Tenant, TenantQos,
-};
+pub use executor::{Executor, ExecutorBuilder, Tenant};
 pub use future::{Promise, SharedFuture};
 pub use handle::RunHandle;
 pub use introspect::{IntrospectConfig, IntrospectHandle, WatchdogCounts, WatchdogDiagnostic};
@@ -107,6 +107,7 @@ pub use observer::{
     SCHED_EVENT_SCHEMA_VERSION,
 };
 pub use profile::{GraphSnapshot, ProfileReport, PROFILE_SCHEMA_VERSION};
+pub use qos::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};
 pub use shared_vec::SharedVec;
 pub use stats::{
     escape_label_value, percentile, AtomicHistogram, ExecutorStats, Histogram, TenantStats,

@@ -43,7 +43,7 @@
 compile_error!(
     "rustflow_weaken needs a value; known mutations: wsq_pop_fence, wsq_grow_swap, \
      ring_publish, injector_publish, notifier_dekker, rearm_publish, cancel_publish, \
-     seed_plain_race, seed_lock_cycle"
+     frontdoor_backlog, seed_plain_race, seed_lock_cycle"
 );
 
 #[cfg(feature = "rustflow_check")]

@@ -632,6 +632,12 @@ impl Drop for Taskflow {
         // Present (undispatched) graphs are discarded, but running
         // topologies must finish before their node storage is freed. The
         // resolved prefix below the watermark needs no re-wait.
+        if crate::sync::model_teardown() {
+            // A model execution is being torn down (see `Executor::drop`):
+            // a run the schedule left unresolved will never resolve, and
+            // the shimmed wait returns at once, so the loop would spin.
+            return;
+        }
         let w = self.waits.get_mut();
         for f in &w.futures[w.watermark..] {
             f.wait();

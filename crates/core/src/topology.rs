@@ -68,6 +68,25 @@ pub(crate) struct PendingRun {
     pub(crate) promise: Promise<RunResult>,
 }
 
+/// Batches ended by one [`Topology::advance`] call, in resolution order.
+/// Nearly every call ends exactly one, so the first lives inline and the
+/// common case allocates nothing.
+#[derive(Default)]
+struct Resolved {
+    first: Option<(PendingRun, RunResult)>,
+    rest: Vec<(PendingRun, RunResult)>,
+}
+
+impl Resolved {
+    fn push(&mut self, ended: (PendingRun, RunResult)) {
+        if self.first.is_none() {
+            self.first = Some(ended);
+        } else {
+            self.rest.push(ended);
+        }
+    }
+}
+
 /// What the driver must do after [`Topology::advance`] returns.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Advance {
@@ -210,6 +229,12 @@ pub(crate) struct Topology {
     /// per-tenant latency histograms and the schema-v5 `submit_us` field
     /// of [`crate::observer::IterationInfo`].
     pub(crate) stamps: RunStamps,
+    /// Slot of the current stint's keep-alive registration in the
+    /// executor's registry. Driver-exclusive like the stamps, and copied
+    /// out by the finalizing driver before `advance` for the same reason:
+    /// once the topology is idle a resubmission may claim it and store
+    /// its own slot here.
+    registration: AtomicUsize,
 }
 
 // SAFETY: interior fields follow the sync_cell phase discipline (the
@@ -252,6 +277,7 @@ impl Topology {
             fatal,
             tenant: AtomicU64::new(0),
             stamps: RunStamps::new(),
+            registration: AtomicUsize::new(0),
         })
     }
 
@@ -367,6 +393,17 @@ impl Topology {
         self.tenant.load(Ordering::Relaxed)
     }
 
+    /// Records where the stint being claimed is registered; see the
+    /// `registration` field. Driver-exclusive.
+    pub(crate) fn set_registration(&self, slot: usize) {
+        self.registration.store(slot, Ordering::Relaxed);
+    }
+
+    /// The current stint's registry slot; see [`Topology::set_registration`].
+    pub(crate) fn registration(&self) -> usize {
+        self.registration.load(Ordering::Relaxed)
+    }
+
     /// Total iterations completed so far.
     pub(crate) fn iterations(&self) -> u64 {
         self.iterations.load(Ordering::Relaxed)
@@ -448,10 +485,10 @@ impl Topology {
         // waiter that observes a resolved future may immediately check
         // `is_settled` (gc, dumps) or resubmit, so the idle transition
         // must never lag behind the resolution it caused.
-        let mut resolved: Vec<(PendingRun, RunResult)> = Vec::new();
+        let mut resolved = Resolved::default();
         // SAFETY: forwarded driver-role contract.
         let action = unsafe { self.advance_inner(iteration_finished, &mut resolved) };
-        for (batch, result) in resolved {
+        for (batch, result) in resolved.first.into_iter().chain(resolved.rest) {
             batch.promise.set(result);
         }
         action
@@ -462,11 +499,7 @@ impl Topology {
     ///
     /// # Safety
     /// Same contract as [`Topology::advance`].
-    unsafe fn advance_inner(
-        &self,
-        iteration_finished: bool,
-        resolved: &mut Vec<(PendingRun, RunResult)>,
-    ) -> Advance {
+    unsafe fn advance_inner(&self, iteration_finished: bool, resolved: &mut Resolved) -> Advance {
         if iteration_finished {
             self.iterations.fetch_add(1, Ordering::Relaxed);
             let err = self.error.lock().take();

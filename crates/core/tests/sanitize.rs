@@ -42,6 +42,8 @@ const ACTIVE_WEAKEN: Option<&str> = {
         Some("rearm_publish")
     } else if cfg!(rustflow_weaken = "cancel_publish") {
         Some("cancel_publish")
+    } else if cfg!(rustflow_weaken = "frontdoor_backlog") {
+        Some("frontdoor_backlog")
     } else if cfg!(rustflow_weaken = "seed_plain_race") {
         Some("seed_plain_race")
     } else if cfg!(rustflow_weaken = "seed_lock_cycle") {
@@ -399,38 +401,46 @@ fn injector_handoff() {
 }
 
 /// Repeated run→drain→park cycles on a single worker with the
-/// probabilistic wake heuristic off. Sound-only coverage of the park path:
-/// at whole-executor scope the `notifier_dekker` mutation is masked,
-/// because `Notifier::wait` evaluates its `all_empty` predicate under the
-/// injector mutex, whose next acquisition by the dispatcher carries a
-/// happens-before edge covering the idler registration. The unmasked
-/// protocol is cornered by [`notifier_lost_wake`] below.
+/// probabilistic wake heuristic off: the park path at whole-executor
+/// scope. The dispatcher publishes into the lock-free injector, issues the
+/// SeqCst Dekker fence and calls `wake_one`, whose fast path reads the
+/// idler count without the idlers mutex; the parking worker counts itself
+/// and re-scans the injector. The injector takes no lock on either side,
+/// so nothing but the Dekker pair orders the two and `notifier_dekker` is
+/// visible here too: a stale zero idler count after the worker parked is a
+/// lost wake-up, reported as a deadlock (worker in `cv.wait`, client in
+/// `get`) within a handful of schedules. [`notifier_lost_wake`] below
+/// corners the same protocol with no executor around it.
 #[test]
 fn park_submit_cycles() {
-    sanitize(None, Sanitizer::new("park_submit").iters(24), || {
-        let ex = ExecutorBuilder::new().workers(1).wake_ratio(0).build();
-        let tf = Taskflow::with_executor(ex);
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = Arc::clone(&done);
-        tf.emplace(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        });
-        for round in 1..=3 {
-            tf.run().get().unwrap();
-            assert_eq!(done.load(Ordering::Relaxed), round);
-        }
-    });
+    sanitize(
+        Some("notifier_dekker"),
+        Sanitizer::new("park_submit").iters(24),
+        || {
+            let ex = ExecutorBuilder::new().workers(1).wake_ratio(0).build();
+            let tf = Taskflow::with_executor(ex);
+            let done = Arc::new(AtomicUsize::new(0));
+            let d = Arc::clone(&done);
+            tf.emplace(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+            });
+            for round in 1..=3 {
+                tf.run().get().unwrap();
+                assert_eq!(done.load(Ordering::Relaxed), round);
+            }
+        },
+    );
 }
 
 /// The notifier's Dekker protocol itself (`notifier_dekker`), replaying
-/// the executor's submit path without the injector-mutex masking: the
-/// idler registers (`num_idlers.fetch_add`) and re-checks a work flag
-/// before parking, while the waker publishes work, issues the SeqCst
-/// Dekker fence, and calls `wake_one` — whose fast path reads the idler
-/// count and skips the (synchronizing) mutex when it sees zero. Relaxing
-/// the count ordering lets the waker read a stale zero after the idler
-/// has parked: a lost wakeup, reported by the model as a deadlock (idler
-/// in `cv.wait`, main in `join`).
+/// the executor's submit path with one model atomic standing in for the
+/// lock-free injector: the idler registers (`num_idlers.fetch_add`) and
+/// re-checks the work word before parking, while the waker publishes
+/// work, issues the SeqCst Dekker fence, and calls `wake_one` — whose
+/// fast path reads the idler count and skips the (synchronizing) mutex
+/// when it sees zero. Relaxing the count ordering lets the waker read a
+/// stale zero after the idler has parked: a lost wakeup, reported by the
+/// model as a deadlock (idler in `cv.wait`, main in `join`).
 #[test]
 fn notifier_lost_wake() {
     use rustflow::check_internals::Notifier;
@@ -456,6 +466,51 @@ fn notifier_lost_wake() {
             // returned false and the join resolves immediately; if it
             // parked, the wake above must land — a lost wake deadlocks.
             let _ = idler.join().unwrap();
+        },
+    );
+}
+
+/// The front door's backlog/in-flight pair (`frontdoor_backlog`): with an
+/// in-flight budget of one, the second submission finds the budget full
+/// and stays queued; the worker then finalizes the first run, frees the
+/// slot and reads the backlog, pumping only if it is non-zero (which is
+/// what keeps it off the `qos` and queue locks otherwise). The first
+/// task waits on a Relaxed flag the client raises after its second
+/// submit, and the client then blocks on the *second* handle, so nothing
+/// but the SeqCst pair orders the client's backlog increment before the
+/// finalizer's load. Relaxing the pair lets that load read a stale zero:
+/// the run stays queued beside a free slot with nobody left to pump,
+/// which the model reports as a deadlock (client in `get`, worker
+/// parked).
+#[test]
+fn frontdoor_full_budget_handoff() {
+    sanitize(
+        Some("frontdoor_backlog"),
+        Sanitizer::new("frontdoor").iters(96),
+        || {
+            let ex = ExecutorBuilder::new().workers(1).max_inflight(1).build();
+            let tenant = ex.tenant("t");
+            let go = Arc::new(rustflow_check::atomic::AtomicBool::new(false));
+            let done = Arc::new(AtomicUsize::new(0));
+            let first = Taskflow::with_executor(ex.clone());
+            let (g, d) = (Arc::clone(&go), Arc::clone(&done));
+            first.emplace(move || {
+                while !g.load(Ordering::Relaxed) {
+                    rustflow_check::thread::yield_now();
+                }
+                d.fetch_add(1, Ordering::Relaxed);
+            });
+            let second = Taskflow::with_executor(ex);
+            let d = Arc::clone(&done);
+            second.emplace(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+            });
+            let first_run = first.run_on(&tenant).unwrap();
+            let second_run = second.run_on(&tenant).unwrap();
+            go.store(true, Ordering::Relaxed);
+            second_run.get().unwrap();
+            first_run.get().unwrap();
+            assert_eq!(done.load(Ordering::Relaxed), 2);
         },
     );
 }

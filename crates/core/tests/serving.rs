@@ -361,6 +361,174 @@ fn close_rejects_queued_and_late_submissions() {
     assert_eq!(s.completed, s.dispatched, "admitted work completed: {s:?}");
 }
 
+/// A one-task flow whose body bumps `done`.
+fn counting_flow(ex: &Arc<rustflow::Executor>, done: &Arc<AtomicUsize>) -> Taskflow {
+    let tf = Taskflow::with_executor(Arc::clone(ex));
+    let d = Arc::clone(done);
+    tf.emplace(move || {
+        d.fetch_add(1, Ordering::Relaxed);
+    });
+    tf
+}
+
+/// `handle.get()` with a bound, so a stranded run fails loudly instead of
+/// hanging. It ends the process rather than panic: unwinding would drop
+/// the run's taskflow, whose destructor waits for the very same run.
+fn get_within(handle: &rustflow::RunHandle, what: &str) -> rustflow::RunResult {
+    handle
+        .future()
+        .get_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|| {
+            eprintln!("FAILED: {what} did not resolve within 30 s");
+            std::process::exit(101)
+        })
+}
+
+/// A handle resolves before the finalizing worker has dropped the stint's
+/// keep-alive, so resubmitting at once gives one topology two
+/// registrations for a moment. The registry must still count it once,
+/// each stint must credit the tenant that dispatched it (alternating, so
+/// a finalizer reading the newer stint's slot would credit the wrong one
+/// or find the slot vacant), and the registry must end empty.
+#[test]
+fn resubmission_racing_finalize_keeps_registrations_apart() {
+    const ROUNDS: u64 = 400;
+    let ex = ExecutorBuilder::new().workers(1).build();
+    let tenants = [ex.tenant("even"), ex.tenant("odd")];
+    let done = Arc::new(AtomicUsize::new(0));
+    let tf = counting_flow(&ex, &done);
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let (ex, stop) = (ex.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut most = 0;
+            while !stop.load(Ordering::Acquire) {
+                most = most.max(ex.num_running_topologies());
+                std::thread::yield_now();
+            }
+            most
+        })
+    };
+    for round in 0..ROUNDS {
+        let handle = tf.run_on(&tenants[(round % 2) as usize]).unwrap();
+        get_within(&handle, "resubmitted run").unwrap();
+    }
+    stop.store(true, Ordering::Release);
+    let most = sampler.join().unwrap();
+    assert!(most <= 1, "one topology was counted {most} times");
+    assert_eq!(done.load(Ordering::Relaxed) as u64, ROUNDS);
+    for tenant in &tenants {
+        let s = settled(tenant);
+        assert_eq!(
+            (s.dispatched, s.completed, s.coalesced, s.in_flight),
+            (ROUNDS / 2, ROUNDS / 2, 0, 0),
+            "every stint credits the tenant that dispatched it: {s:?}"
+        );
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while ex.num_running_topologies() != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "registry never emptied"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// An in-flight budget of one, two clients, two tenants: almost every
+/// submission arrives at a full budget and is dispatched either by the
+/// finalizer that frees the slot or by a submitter that sees it free. A
+/// run seen by neither would sit in its queue forever, so every wait
+/// here is bounded.
+#[test]
+fn full_budget_never_strands_a_run() {
+    const RUNS_PER_CLIENT: usize = 5_000;
+    const WINDOW: usize = 4;
+    let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
+    let done = Arc::new(AtomicUsize::new(0));
+    let tenants = [ex.tenant("a"), ex.tenant("b")];
+    let clients: Vec<_> = tenants
+        .iter()
+        .cloned()
+        .map(|tenant| {
+            let (ex, done) = (ex.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let flows: Vec<Taskflow> = (0..WINDOW).map(|_| counting_flow(&ex, &done)).collect();
+                let mut window = std::collections::VecDeque::new();
+                for i in 0..RUNS_PER_CLIENT {
+                    if window.len() == WINDOW {
+                        let oldest: rustflow::RunHandle = window.pop_front().unwrap();
+                        get_within(&oldest, "served run").unwrap();
+                    }
+                    // Flow `i % WINDOW` is the one whose run was just
+                    // retired, so it is idle and never coalesces.
+                    window.push_back(flows[i % WINDOW].run_on(&tenant).unwrap());
+                }
+                for handle in window {
+                    get_within(&handle, "served run").unwrap();
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    assert_eq!(done.load(Ordering::Relaxed), 2 * RUNS_PER_CLIENT);
+    for tenant in &tenants {
+        let s = settled(tenant);
+        let rejected =
+            s.rejected_saturated + s.rejected_shutdown + s.rejected_infeasible + s.rejected_breaker;
+        assert_eq!(
+            s.submitted,
+            s.dispatched + s.coalesced + s.shed + rejected,
+            "ledger: {s:?}"
+        );
+        assert_eq!(
+            (s.submitted, s.completed, s.in_flight, s.queued),
+            (RUNS_PER_CLIENT as u64, RUNS_PER_CLIENT as u64, 0, 0),
+            "quiescence: {s:?}"
+        );
+    }
+}
+
+/// Dropping the executor's last handle while a full window of served runs
+/// is still in flight: `Executor::drop` waits out every registration and
+/// returns, and every run has resolved `Ok` exactly once (a second
+/// resolution panics the finalizing worker, which the count below would
+/// miss a run for).
+#[test]
+fn drop_with_a_full_window_in_flight_terminates() {
+    const WINDOW: usize = 16;
+    let (finished, done_rx) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        for _ in 0..50 {
+            let ex = ExecutorBuilder::new().workers(1).build();
+            let tenant = ex.tenant("t");
+            let done = Arc::new(AtomicUsize::new(0));
+            let flows: Vec<Taskflow> = (0..WINDOW).map(|_| counting_flow(&ex, &done)).collect();
+            let handles: Vec<_> = flows.iter().map(|tf| tf.run_on(&tenant).unwrap()).collect();
+            // Each taskflow's drop waits for its run's promise, not for
+            // the finalizer's bookkeeping behind it; the executor's drop
+            // (the last `Arc` goes with `flows`) has to wait for that.
+            drop((tenant, ex, flows));
+            for handle in &handles {
+                assert_eq!(handle.try_get(), Some(Ok(())), "run resolved once, Ok");
+            }
+            assert_eq!(done.load(Ordering::Relaxed), WINDOW);
+        }
+        finished.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => {}
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("Executor::drop hung with served runs in flight")
+        }
+        // The rounds panicked before reporting: surface that panic.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+    }
+    rounds.join().unwrap();
+}
+
 /// Cancel and panic/retry interleavings through the tenant path: every
 /// handle resolves to a definite outcome and the per-tenant ledger still
 /// balances afterwards.
