@@ -2,14 +2,10 @@
 //!
 //! Models a task-graph *service*: C client threads each keep a bounded
 //! pipeline of small topologies in flight through the multi-tenant
-//! front door (`Taskflow::run_on`), one tenant per client. Every
-//! configuration is measured twice — once with the lock-free MPMC
-//! injector (the default) and once with `mutexed_injector(true)`, the
-//! ablation that reproduces the seed's `Mutex<VecDeque>` submission
-//! path on the identical code — so the report is a direct A/B of the
-//! injector under increasing client parallelism.
+//! front door (`Taskflow::run_on`), one tenant per client, swept over
+//! client counts 1–16.
 //!
-//! Reported per configuration (best of `--repeats` runs by throughput):
+//! Reported per client count (best of `--repeats` runs by throughput):
 //!
 //! * submission throughput (resolved submissions / second);
 //! * submit-to-resolve latency percentiles (p50 / p99 / p999, µs),
@@ -18,16 +14,11 @@
 //! Modes:
 //!
 //! * default — run and write `<out>/serving_report.json`;
-//! * `--write-baseline` — additionally write the committed gate baseline
-//!   (`<out>/serving_baseline.json`);
-//! * `--check` — the CI gate: (1) the lock-free injector must beat the
-//!   mutexed ablation's throughput outright at at least one client
-//!   count >= 4 and stay within 15% of it at the most contended one,
-//!   (2) no configuration may regress past the baseline's tolerance
-//!   band (one-sided: faster/lower-latency runs always pass), and
-//!   (3) the executor's own `/metrics` latency histograms must agree
-//!   with the client-measured percentiles (see below). Exit non-zero on
-//!   violation.
+//! * `--check` — the CI gate: the executor's own `/metrics` latency
+//!   histograms must agree with the client-measured percentiles (see
+//!   below). Exit non-zero on violation. Absolute speed is the pinned
+//!   benchmark's business (`benchmark/`, `serve_closed`/`serve_open`),
+//!   not this gate's.
 //!
 //! Every invocation also closes the observability loop: one extra
 //! configuration runs with the introspection server attached and an
@@ -45,7 +36,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tf_bench::{json, prom};
+use tf_bench::prom;
 
 /// Per-client pipeline depth: how many submissions a client keeps in
 /// flight before waiting out the oldest. Deep enough to keep the
@@ -58,8 +49,6 @@ struct Flags {
     per_client: usize,
     repeats: usize,
     check: bool,
-    write_baseline: bool,
-    baseline: Option<std::path::PathBuf>,
 }
 
 fn parse_flags() -> Flags {
@@ -69,8 +58,6 @@ fn parse_flags() -> Flags {
         per_client: 1500,
         repeats: 3,
         check: false,
-        write_baseline: false,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -98,11 +85,9 @@ fn parse_flags() -> Flags {
                     .expect("bad repeat count");
             }
             "--check" => f.check = true,
-            "--write-baseline" => f.write_baseline = true,
-            "--baseline" => f.baseline = Some(args.next().expect("--baseline needs a path").into()),
             "--help" | "-h" => {
                 eprintln!(
-                    "flags: --out <dir> | --workers n | --per-client n | --repeats n | --check | --write-baseline | --baseline <path>"
+                    "flags: --out <dir> | --workers n | --per-client n | --repeats n | --check"
                 );
                 std::process::exit(0);
             }
@@ -114,9 +99,7 @@ fn parse_flags() -> Flags {
 
 /// One measured configuration.
 struct Measured {
-    name: String,
     clients: usize,
-    mutexed: bool,
     submissions: usize,
     wall_ms: f64,
     throughput_per_s: f64,
@@ -182,53 +165,30 @@ fn run_clients(ex: &Arc<Executor>, clients: usize, per_client: usize) -> Vec<f64
 
 /// One run of `clients` pipelined client threads against a fresh
 /// executor; returns (wall_ms, sorted per-submission latencies in µs).
-fn run_once(clients: usize, mutexed: bool, workers: usize, per_client: usize) -> (f64, Vec<f64>) {
-    let ex = ExecutorBuilder::new()
-        .workers(workers)
-        .injector_capacity(256)
-        .mutexed_injector(mutexed)
-        .build();
+fn run_once(clients: usize, workers: usize, per_client: usize) -> (f64, Vec<f64>) {
+    let ex = ExecutorBuilder::new().workers(workers).build();
     let start = Instant::now();
     let lat_us = run_clients(&ex, clients, per_client);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     (wall_ms, lat_us)
 }
 
-/// Measures both injector variants at one client count with the A/B
-/// repeats *interleaved* (lockfree, mutexed, lockfree, …) so slow drift
-/// in the container's load hits both sides equally, keeping the best
-/// run per side. Returns (lockfree, mutexed).
-fn measure_pair(clients: usize, flags: &Flags) -> (Measured, Measured) {
+/// Measures one client count, keeping the best of `--repeats` runs.
+fn measure(clients: usize, flags: &Flags) -> Measured {
     let submissions = clients * flags.per_client;
-    let mut best: [Option<(f64, Vec<f64>)>; 2] = [None, None];
-    for _ in 0..flags.repeats.max(1) {
-        for (side, mutexed) in [(0, false), (1, true)] {
-            let (wall_ms, lat) = run_once(clients, mutexed, flags.workers, flags.per_client);
-            if best[side].as_ref().is_none_or(|(b, _)| wall_ms < *b) {
-                best[side] = Some((wall_ms, lat));
-            }
-        }
+    let (wall_ms, lat) = (0..flags.repeats.max(1))
+        .map(|_| run_once(clients, flags.workers, flags.per_client))
+        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("wall times are finite"))
+        .expect("at least one repeat ran");
+    Measured {
+        clients,
+        submissions,
+        wall_ms,
+        throughput_per_s: submissions as f64 / (wall_ms / 1e3),
+        p50_us: rustflow::percentile(&lat, 0.50),
+        p99_us: rustflow::percentile(&lat, 0.99),
+        p999_us: rustflow::percentile(&lat, 0.999),
     }
-    let mut out = best.into_iter().zip([false, true]).map(|(b, mutexed)| {
-        let (wall_ms, lat) = b.expect("at least one repeat ran");
-        Measured {
-            name: format!(
-                "{}_c{clients}",
-                if mutexed { "mutexed" } else { "lockfree" }
-            ),
-            clients,
-            mutexed,
-            submissions,
-            wall_ms,
-            throughput_per_s: submissions as f64 / (wall_ms / 1e3),
-            p50_us: rustflow::percentile(&lat, 0.50),
-            p99_us: rustflow::percentile(&lat, 0.99),
-            p999_us: rustflow::percentile(&lat, 0.999),
-        }
-    });
-    let lockfree = out.next().expect("two sides");
-    let mutexed = out.next().expect("two sides");
-    (lockfree, mutexed)
 }
 
 /// Client count for the server-agreement configuration: contended enough
@@ -435,14 +395,12 @@ fn main() {
     let client_counts = [1usize, 2, 4, 8, 16];
     let mut measured = Vec::new();
     for &clients in &client_counts {
-        let (lockfree, mutexed) = measure_pair(clients, &flags);
-        for m in [lockfree, mutexed] {
-            println!(
-                "{:>12}: {:>7} submissions in {:>8.1} ms  ({:>9.0}/s)  p50 {:>7.1} us  p99 {:>8.1} us  p999 {:>8.1} us",
-                m.name, m.submissions, m.wall_ms, m.throughput_per_s, m.p50_us, m.p99_us, m.p999_us
-            );
-            measured.push(m);
-        }
+        let m = measure(clients, &flags);
+        println!(
+            "c{:<3}: {:>7} submissions in {:>8.1} ms  ({:>9.0}/s)  p50 {:>7.1} us  p99 {:>8.1} us  p999 {:>8.1} us",
+            m.clients, m.submissions, m.wall_ms, m.throughput_per_s, m.p50_us, m.p99_us, m.p999_us
+        );
+        measured.push(m);
     }
 
     // --- Server-side histogram agreement. --------------------------------
@@ -463,10 +421,9 @@ fn main() {
     );
     for (i, m) in measured.iter().enumerate() {
         report.push_str(&format!(
-            "    {{\"name\": \"{}\", \"clients\": {}, \"mutexed\": {}, \"submissions\": {}, \"wall_ms\": {:.3}, \"throughput_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}}}{}\n",
-            m.name,
+            "    {{\"name\": \"c{}\", \"clients\": {}, \"submissions\": {}, \"wall_ms\": {:.3}, \"throughput_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}}}{}\n",
             m.clients,
-            m.mutexed,
+            m.clients,
             m.submissions,
             m.wall_ms,
             m.throughput_per_s,
@@ -481,149 +438,14 @@ fn main() {
     std::fs::write(&path, &report).expect("cannot write serving_report.json");
     println!("  -> {}", path.display());
 
-    let baseline_path = flags
-        .baseline
-        .clone()
-        .unwrap_or_else(|| flags.out.join("serving_baseline.json"));
-
-    if flags.write_baseline {
-        let mut b = String::from(
-            "{\n  \"schema_version\": 1,\n  \"tolerance_ratio\": 8.0,\n  \"configs\": [\n",
-        );
-        for (i, m) in measured.iter().enumerate() {
-            b.push_str(&format!(
-                "    {{\"name\": \"{}\", \"throughput_per_s\": {:.1}, \"p99_us\": {:.1}}}{}\n",
-                m.name,
-                m.throughput_per_s,
-                m.p99_us,
-                if i + 1 < measured.len() { "," } else { "" }
-            ));
-        }
-        b.push_str("  ]\n}\n");
-        std::fs::write(&baseline_path, b).expect("cannot write baseline");
-        println!("  -> {}", baseline_path.display());
-    }
-
     if flags.check {
-        let mut failures = gate(&measured, &baseline_path);
-        failures.extend(agreement_failures);
-        if failures.is_empty() {
+        if agreement_failures.is_empty() {
             println!("serving gate: OK ({} configs)", measured.len());
         } else {
-            for f in &failures {
+            for f in &agreement_failures {
                 eprintln!("serving gate FAIL: {f}");
             }
             std::process::exit(1);
         }
     }
-}
-
-/// The gate: the lock-free injector holds its ground at every contended
-/// client count and wins at least one outright, and no config regresses
-/// past the committed baseline's tolerance band.
-fn gate(measured: &[Measured], baseline_path: &std::path::Path) -> Vec<String> {
-    let mut failures = Vec::new();
-
-    // A/B: the whole point of the MPMC injector is multi-client
-    // submission throughput. Two-part check shaped for noisy runners —
-    // on a single-core container the two paths time-slice one CPU, and
-    // at clients == workers the lock-free path can *genuinely* lose a
-    // run there (a failed CAS retry burns the rest of a timeslice where
-    // a mutex waiter yields immediately), while at high thread counts
-    // the holder-preemption convoy dominates and lock-free reliably
-    // wins. So: the lock-free path must win outright at at least one
-    // contended (>= 4 clients) count, and at the *most* contended count
-    // it must stay within 15% of the ablation (a real implementation
-    // regression loses by far more than scheduling jitter).
-    let mut contended = 0usize;
-    let mut outright_wins = 0usize;
-    let max_clients = measured.iter().map(|m| m.clients).max().unwrap_or(0);
-    for m in measured.iter().filter(|m| !m.mutexed && m.clients >= 4) {
-        let Some(ablation) = measured
-            .iter()
-            .find(|a| a.mutexed && a.clients == m.clients)
-        else {
-            continue;
-        };
-        contended += 1;
-        if m.throughput_per_s > ablation.throughput_per_s {
-            outright_wins += 1;
-        }
-        if m.clients == max_clients && m.throughput_per_s < 0.85 * ablation.throughput_per_s {
-            failures.push(format!(
-                "lock-free injector lost to the mutexed ablation by >15% at {} clients: {:.0}/s vs {:.0}/s",
-                m.clients, m.throughput_per_s, ablation.throughput_per_s
-            ));
-        }
-    }
-    if contended > 0 && outright_wins == 0 {
-        failures.push(format!(
-            "lock-free injector beat the mutexed ablation at none of the {contended} contended client counts"
-        ));
-    }
-
-    // Baseline tolerance band.
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            failures.push(format!(
-                "cannot read baseline {}: {e}",
-                baseline_path.display()
-            ));
-            return failures;
-        }
-    };
-    let base = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            failures.push(format!("baseline is not valid JSON: {e}"));
-            return failures;
-        }
-    };
-    let tol = base
-        .get("tolerance_ratio")
-        .and_then(json::Value::as_f64)
-        .unwrap_or(8.0);
-    let Some(configs) = base.get("configs").and_then(json::Value::as_arr) else {
-        failures.push("baseline has no configs array".into());
-        return failures;
-    };
-    for m in measured {
-        let Some(b) = configs
-            .iter()
-            .find(|c| c.get("name").and_then(json::Value::as_str) == Some(m.name.as_str()))
-        else {
-            failures.push(format!("{}: missing from baseline", m.name));
-            continue;
-        };
-        // One-sided: only *regressions* (slower throughput, higher p99)
-        // can fail the gate — a faster machine must never trip it.
-        let band = |what: &str, ratio: f64, now: f64, then: f64| -> Option<String> {
-            if then <= 0.0 || now <= 0.0 {
-                return None;
-            }
-            (ratio > tol).then(|| {
-                format!(
-                    "{}: {what} regressed: {now:.1} vs baseline {then:.1} (x{ratio:.2}, band x{tol})",
-                    m.name
-                )
-            })
-        };
-        let get_f = |k: &str| b.get(k).and_then(json::Value::as_f64).unwrap_or(0.0);
-        let base_tp = get_f("throughput_per_s");
-        failures.extend(band(
-            "throughput (/s)",
-            base_tp / m.throughput_per_s.max(f64::MIN_POSITIVE),
-            m.throughput_per_s,
-            base_tp,
-        ));
-        let base_p99 = get_f("p99_us");
-        failures.extend(band(
-            "p99 latency (us)",
-            m.p99_us / base_p99.max(f64::MIN_POSITIVE),
-            m.p99_us,
-            base_p99,
-        ));
-    }
-    failures
 }

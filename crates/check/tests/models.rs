@@ -242,7 +242,7 @@ fn injector_two_producers_one_consumer() {
         .max_steps(120)
         .max_schedules(60_000)
         .check("injector_two_producers_one_consumer", || {
-            let inj = Arc::new(Injector::new(2, false));
+            let inj = Arc::new(Injector::new(2));
             let producers: Vec<_> = [1usize, 2]
                 .into_iter()
                 .map(|v| {
@@ -288,7 +288,7 @@ fn injector_wraparound_and_spill() {
         .preemption_bound(Some(2))
         .max_schedules(60_000)
         .check("injector_wraparound_and_spill", || {
-            let inj = Arc::new(Injector::new(2, false));
+            let inj = Arc::new(Injector::new(2));
             let i = Arc::clone(&inj);
             let producer = thread::spawn(move || i.push_batch([1, 2, 3]));
             let mut got = Vec::new();

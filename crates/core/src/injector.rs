@@ -2,22 +2,22 @@
 //!
 //! Topology dispatch publishes source-task indices here and the
 //! work-stealing loop pops them when a worker's own deque and every
-//! victim are empty. The seed serialized every cross-thread handoff on a
-//! `Mutex<VecDeque<usize>>`; under a serving load with many client
-//! threads submitting topologies concurrently that one lock is the
-//! bottleneck of the whole submission path. This replaces it with
-//! Vyukov's bounded MPMC queue (the same slot protocol as
-//! [`crate::ring::EventRing`]): producers claim a slot with a CAS on
-//! `head` and publish it by storing `seq = pos + 1`; consumers claim
-//! with a CAS on `tail` and recycle the slot for the next lap.
+//! victim are empty. It is Vyukov's bounded MPMC queue (the same slot
+//! protocol as [`crate::ring::EventRing`]): producers claim a slot with a
+//! CAS on `head` and publish it by storing `seq = pos + 1`; consumers
+//! claim with a CAS on `tail` and recycle the slot for the next lap. Many
+//! client threads submitting at once therefore meet on no lock.
 //!
 //! Two departures from the event ring, both driven by the injector's
 //! job of *never losing a task*:
 //!
 //! - **Overflow spills, it does not drop.** A full ring diverts the
-//!   push into a mutex-protected side queue. Spilling only happens when
-//!   a dispatch burst outruns the ring capacity, so the common path
-//!   stays lock-free while publication stays loss-free. Consumers drain
+//!   push into a mutex-protected side queue. What the ring carries is
+//!   the steady traffic: served single-source runs and the few sources
+//!   of a re-armed mesh. What spills is a wide one-shot graph: about a
+//!   third of `traversal_oneshot`'s 10 000 nodes are sources, pushed in
+//!   one burst against [`RING_SLOTS`] slots, so the spill is production
+//!   traffic on that workload, not an emergency path. Consumers drain
 //!   the ring first (ring items are older than any spill made while
 //!   they were queued), then the spill.
 //! - **Emptiness participates in the sleep protocol.** A parking worker
@@ -26,10 +26,6 @@
 //!   after pushing. That Dekker handshake needs the emptiness check and
 //!   the slot claim in the single SeqCst total order — see the ORDERING
 //!   comments on `head`/`tail`/`spilled`.
-//!
-//! The `mutexed` constructor flag routes every push and pop through the
-//! side queue, reproducing the seed's mutexed injector on the identical
-//! code path — the ablation baseline for `tf-bench --bin serving`.
 
 use crate::sync::{AtomicU64, AtomicUsize, CheckedCell, Mutex};
 use std::collections::VecDeque;
@@ -46,6 +42,11 @@ const INJECTOR_PUBLISH: Ordering = if cfg!(rustflow_weaken = "injector_publish")
 } else {
     Ordering::Release
 };
+
+/// Ring slots of an executor's injector. One value serves every workload
+/// we run: a served run pushes one source, a 32×32 wavefront one, and a
+/// burst past it spills (module docs).
+pub(crate) const RING_SLOTS: usize = 1024;
 
 struct Slot {
     /// Vyukov sequence number: `pos` when free, `pos + 1` when occupied.
@@ -66,9 +67,6 @@ pub struct Injector {
     spilled: AtomicUsize,
     /// Lifetime count of pushes that overflowed into the side queue.
     spilled_total: AtomicU64,
-    /// Ablation switch: route everything through `overflow`, reproducing
-    /// the seed's `Mutex<VecDeque>` injector for A/B benchmarking.
-    mutexed: bool,
     overflow: Mutex<VecDeque<usize>>,
 }
 
@@ -79,9 +77,10 @@ unsafe impl Sync for Injector {}
 
 impl Injector {
     /// An injector with a ring of `capacity` slots (rounded up to a
-    /// power of two, minimum 2). With `mutexed` set the ring is unused
-    /// and every operation takes the overflow lock.
-    pub fn new(capacity: usize, mutexed: bool) -> Injector {
+    /// power of two, minimum 2). The executor always passes
+    /// [`RING_SLOTS`]; unit tests and the model checker pass tiny rings to
+    /// reach the wrap-around and the spill.
+    pub fn new(capacity: usize) -> Injector {
         let cap = capacity.max(2).next_power_of_two();
         Injector {
             head: AtomicUsize::new(0),
@@ -95,25 +94,11 @@ impl Injector {
                 .collect(),
             spilled: AtomicUsize::new(0),
             spilled_total: AtomicU64::new(0),
-            mutexed,
             overflow: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Ring capacity in slots.
-    #[cfg_attr(not(any(test, feature = "rustflow_check")), allow(dead_code))]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when this injector runs in the mutexed ablation mode.
-    #[cfg_attr(not(any(test, feature = "rustflow_check")), allow(dead_code))]
-    pub fn is_mutexed(&self) -> bool {
-        self.mutexed
-    }
-
-    /// Lifetime count of pushes that overflowed into the side queue
-    /// (always equals the push count in mutexed mode).
+    /// Lifetime count of pushes that overflowed into the side queue.
     pub fn spilled_total(&self) -> u64 {
         self.spilled_total.load(Ordering::Relaxed)
     }
@@ -122,7 +107,7 @@ impl Injector {
     /// the item spills into the mutexed side queue — publication never
     /// drops a task.
     pub fn push(&self, item: usize) {
-        if self.mutexed || !self.ring_push(item) {
+        if !self.ring_push(item) {
             self.spill(item);
         }
     }
@@ -188,10 +173,8 @@ impl Injector {
 
     /// Pops the oldest available task index, ring first, then the spill.
     pub fn pop(&self) -> Option<usize> {
-        if !self.mutexed {
-            if let Some(item) = self.ring_pop() {
-                return Some(item);
-            }
+        if let Some(item) = self.ring_pop() {
+            return Some(item);
         }
         // ORDERING: SeqCst keeps the spill probe in the same total order
         // as the park-path `is_empty` check; Relaxed would be enough for
@@ -278,8 +261,7 @@ mod tests {
 
     #[test]
     fn fifo_within_ring() {
-        let inj = Injector::new(8, false);
-        assert_eq!(inj.capacity(), 8);
+        let inj = Injector::new(8);
         assert!(inj.is_empty());
         for i in 1..=5 {
             inj.push(i);
@@ -294,7 +276,7 @@ mod tests {
 
     #[test]
     fn overflow_spills_and_drains() {
-        let inj = Injector::new(2, false);
+        let inj = Injector::new(2);
         inj.push_batch([1, 2, 3, 4, 5]);
         assert_eq!(inj.len(), 5);
         assert_eq!(inj.spilled_total(), 3, "three pushes past a 2-slot ring");
@@ -306,7 +288,7 @@ mod tests {
 
     #[test]
     fn wraps_many_times() {
-        let inj = Injector::new(4, false);
+        let inj = Injector::new(4);
         for round in 0..100 {
             for i in 0..3 {
                 inj.push(round * 10 + i + 1);
@@ -319,26 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn mutexed_mode_matches_semantics() {
-        let inj = Injector::new(8, true);
-        assert!(inj.is_mutexed());
-        inj.push_batch([7, 8, 9]);
-        assert_eq!(inj.len(), 3);
-        assert_eq!(inj.pop(), Some(7));
-        assert_eq!(inj.pop(), Some(8));
-        assert_eq!(inj.pop(), Some(9));
-        assert_eq!(inj.pop(), None);
-        assert!(inj.is_empty());
-    }
-
-    #[test]
     #[cfg_attr(miri, ignore = "hundreds of thousands of spins; too slow under miri")]
     fn concurrent_producers_and_consumers_conserve_items() {
         use std::collections::HashSet;
         use std::sync::Arc;
         const PRODUCERS: usize = 4;
         const PER: usize = 10_000;
-        let inj = Arc::new(Injector::new(64, false));
+        let inj = Arc::new(Injector::new(64));
         let writers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let inj = Arc::clone(&inj);

@@ -211,7 +211,7 @@ impl IntrospectState {
             ),
             (
                 "rustflow_injector_spills_total",
-                "Dispatch bursts that overflowed the injector ring into its mutexed side queue.",
+                "Pushes that overflowed the injector ring into its mutexed spill queue.",
                 "counter",
                 inner.injector.spilled_total(),
             ),

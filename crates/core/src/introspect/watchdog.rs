@@ -35,7 +35,8 @@
 //! beyond the public counters.
 
 use super::CurrentTask;
-use crate::executor::{Inner, PHASE_E2E};
+use crate::executor::Inner;
+use crate::frontdoor::PHASE_E2E;
 use crate::observer::Tracer;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -496,7 +497,7 @@ pub(crate) fn check(
                 // already closest to dispatch can still meet its
                 // deadlines. One intervention per burn episode (the
                 // episode re-arms below once the fast window cools).
-                let (shed, queued) = crate::executor::shed_overburn(inner, &t.name);
+                let (shed, queued) = crate::resilience::shed_overburn(inner, &t.name);
                 if shed > 0 {
                     wd.emit(&WatchdogDiagnostic::OverloadShed {
                         tenant: t.name.clone(),

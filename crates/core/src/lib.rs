@@ -59,6 +59,7 @@ mod clock;
 mod dot;
 mod error;
 mod executor;
+mod frontdoor;
 mod future;
 mod graph;
 mod handle;
@@ -68,10 +69,11 @@ mod label;
 mod notifier;
 mod observer;
 pub mod profile;
-mod qos;
 #[cfg(feature = "rustflow_check")]
 mod rearm_model;
+mod resilience;
 mod ring;
+mod scheduler;
 mod shared_vec;
 mod stats;
 mod subflow;
@@ -88,7 +90,7 @@ pub mod wsq;
 #[cfg(feature = "rustflow_check")]
 #[doc(hidden)]
 pub mod check_internals {
-    pub use crate::executor::FrontDoorBudget;
+    pub use crate::frontdoor::FrontDoorBudget;
     pub use crate::injector::Injector;
     pub use crate::notifier::Notifier;
     pub use crate::rearm_model::RearmHarness;
@@ -96,7 +98,8 @@ pub mod check_internals {
 }
 
 pub use error::{AdmissionError, FailurePolicy, RunError, RunResult, TaskPanic};
-pub use executor::{Executor, ExecutorBuilder, Tenant};
+pub use executor::{Executor, ExecutorBuilder};
+pub use frontdoor::Tenant;
 pub use future::{Promise, SharedFuture};
 pub use handle::RunHandle;
 pub use introspect::{IntrospectConfig, IntrospectHandle, WatchdogCounts, WatchdogDiagnostic};
@@ -107,7 +110,7 @@ pub use observer::{
     SCHED_EVENT_SCHEMA_VERSION,
 };
 pub use profile::{GraphSnapshot, ProfileReport, PROFILE_SCHEMA_VERSION};
-pub use qos::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};
+pub use resilience::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};
 pub use shared_vec::SharedVec;
 pub use stats::{
     escape_label_value, percentile, AtomicHistogram, ExecutorStats, Histogram, TenantStats,

@@ -174,17 +174,22 @@ pub struct TenantStats {
     pub weight: u32,
     /// Submissions waiting in the tenant queue right now (gauge).
     pub queued: u64,
-    /// Topologies dispatched for this tenant and not yet finalized
-    /// (gauge; counts driver claims, not coalesced piggybacks).
+    /// Runs popped from the tenant queue whose fate is not final yet
+    /// (gauge): a dispatched run until its stint finalizes, any other for
+    /// the instant before its outcome is counted.
     pub in_flight: u64,
-    /// Admission attempts, accepted or not: always equals
-    /// `queued + in-flight-or-done dispatches + coalesced + rejected_*`
-    /// at quiescence.
+    /// Admission attempts, accepted or not. Every one ends in exactly one
+    /// outcome, so `submitted == dispatched + coalesced + shed +
+    /// rejected_*` whenever `queued` and `in_flight` are both zero.
     pub submitted: u64,
-    /// Submissions handed to the executor by the fair-queue pump.
+    /// Submissions that claimed their topology's driver role: one stint
+    /// each, so `completed` catches up with it at quiescence. A popped run
+    /// that found its topology already running counts as `coalesced`
+    /// instead, never as both.
     pub dispatched: u64,
-    /// Dispatches that joined an already-running topology's batch queue
-    /// instead of claiming a driver role of their own.
+    /// Submissions that joined an already-running topology's batch queue
+    /// instead of claiming a driver role of their own; they resolve with
+    /// that stint and have no completion of their own.
     pub coalesced: u64,
     /// Driver-claimed dispatches that ran to finalization.
     pub completed: u64,
@@ -255,19 +260,19 @@ type TenantAccessor = fn(&TenantStats) -> u64;
 const TENANT_METRICS: &[(&str, &str, &str, TenantAccessor)] = &[
     (
         "rustflow_tenant_submissions_total",
-        "Submissions accepted into the tenant queue.",
+        "Admission attempts through the tenant, accepted or not.",
         "counter",
         |t| t.submitted,
     ),
     (
         "rustflow_tenant_dispatches_total",
-        "Submissions dispatched by the fair-queue pump.",
+        "Submissions that claimed a topology's driver role (one stint each).",
         "counter",
         |t| t.dispatched,
     ),
     (
         "rustflow_tenant_coalesced_total",
-        "Dispatches that joined an already-running topology.",
+        "Submissions that joined an already-running topology's stint.",
         "counter",
         |t| t.coalesced,
     ),

@@ -26,7 +26,8 @@
 
 use crate::dot;
 use crate::error::{AdmissionError, FailurePolicy, RunError, RunResult};
-use crate::executor::{Block, Executor, Tenant};
+use crate::executor::Executor;
+use crate::frontdoor::{Block, Tenant};
 use crate::future::SharedFuture;
 use crate::graph::{Graph, Work};
 use crate::handle::RunHandle;

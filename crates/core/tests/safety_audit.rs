@@ -11,6 +11,10 @@
 //!   vector-clock evidence (`crates/check/src/sanitize.rs`): a reviewer
 //!   weakening an ordering must now contradict a written claim, not just
 //!   delete an argument that was never recorded.
+//! * The scheduler module (`src/scheduler.rs`, Algorithm 1) must name
+//!   nothing of the serving layers beside it: no `use` of and no path into
+//!   `frontdoor` or `resilience`, and none of their types. It reaches them
+//!   through two calls on the executor core only (see the module's docs).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -182,6 +186,38 @@ fn every_nonrelaxed_atomic_op_documents_its_ordering() {
     assert!(
         violations.is_empty(),
         "non-Relaxed atomic ops missing a // ORDERING: comment:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Names the scheduler's code may not contain (comments may): the serving
+/// modules and the types a path into them would need.
+const SERVING_NAMES: [&str; 7] = [
+    "frontdoor",
+    "resilience",
+    "Tenant",
+    "TenantState",
+    "QosState",
+    "Breaker",
+    "RetryBudget",
+];
+
+#[test]
+fn the_scheduler_names_nothing_of_the_serving_layers() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
+    let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let mut violations = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        for name in SERVING_NAMES {
+            if code.contains(name) {
+                violations.push(format!("{}:{}: `{name}`", path.display(), i + 1));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "the scheduler reaches into the serving layers:\n{}",
         violations.join("\n")
     );
 }

@@ -372,7 +372,7 @@ fn injector_handoff() {
         Some("injector_publish"),
         Sanitizer::new("injector").iters(96),
         || {
-            let inj = Arc::new(Injector::new(2, false));
+            let inj = Arc::new(Injector::new(2));
             let producers: Vec<_> = [1usize, 2, 3]
                 .chunks(2)
                 .map(|chunk| {

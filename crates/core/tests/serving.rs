@@ -11,6 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+mod common;
+use common::{assert_ledger_balances, settled};
+
 /// Builds a taskflow of one of three shapes (chain, diamond, fan-out),
 /// each task bumping `done` — mixed-size submissions, as a real serving
 /// mix would produce.
@@ -54,27 +57,9 @@ fn mixed_flow(
     (tf, tasks)
 }
 
-/// Waits until the tenant's ledger has settled (`in_flight == 0` with
-/// nothing queued) and returns the final snapshot. A resolved handle
-/// proves the run's promise was set, but the finalizing worker updates
-/// the tenant counters just after — a benign snapshot race the tests
-/// must not trip on.
-fn settled(tenant: &Tenant) -> rustflow::TenantStats {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let s = tenant.stats();
-        if (s.in_flight == 0 && s.queued == 0) || std::time::Instant::now() > deadline {
-            return s;
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// N client threads per tenant, each submitting a stream of mixed-size
 /// topologies and waiting each one out. Every submission must complete,
-/// and every tenant's counters must conserve:
-/// `submitted == dispatched + coalesced + rejected` and
-/// `completed == dispatched`.
+/// and every tenant's ledger must balance.
 #[test]
 fn concurrent_clients_conserve_submissions() {
     const CLIENTS: usize = 3;
@@ -134,19 +119,7 @@ fn concurrent_clients_conserve_submissions() {
             "tenant {} admission count",
             s.name
         );
-        assert_eq!(
-            s.submitted,
-            s.dispatched + s.coalesced + s.rejected_saturated + s.rejected_shutdown,
-            "tenant {} conservation: {s:?}",
-            s.name
-        );
-        assert_eq!(
-            s.completed, s.dispatched,
-            "tenant {} completion: {s:?}",
-            s.name
-        );
-        assert_eq!(s.queued, 0, "tenant {} queue drained", s.name);
-        assert_eq!(s.in_flight, 0, "tenant {} nothing left in flight", s.name);
+        assert_ledger_balances(&s);
     }
     let stats = ex.stats();
     assert_eq!(stats.tenants.len(), 2, "both tenants appear in stats");
@@ -352,13 +325,7 @@ fn close_rejects_queued_and_late_submissions() {
         Err(ref e) if e.as_rejected() == Some(&AdmissionError::ShuttingDown) => {}
         other => panic!("expected rejected run, got {other:?}"),
     }
-    let s = settled(&tenant);
-    assert_eq!(
-        s.submitted,
-        s.dispatched + s.coalesced + s.rejected_saturated + s.rejected_shutdown,
-        "conservation across shutdown: {s:?}"
-    );
-    assert_eq!(s.completed, s.dispatched, "admitted work completed: {s:?}");
+    assert_ledger_balances(&settled(&tenant));
 }
 
 /// A one-task flow whose body bumps `done`.
@@ -476,17 +443,11 @@ fn full_budget_never_strands_a_run() {
     assert_eq!(done.load(Ordering::Relaxed), 2 * RUNS_PER_CLIENT);
     for tenant in &tenants {
         let s = settled(tenant);
-        let rejected =
-            s.rejected_saturated + s.rejected_shutdown + s.rejected_infeasible + s.rejected_breaker;
+        assert_ledger_balances(&s);
         assert_eq!(
-            s.submitted,
-            s.dispatched + s.coalesced + s.shed + rejected,
-            "ledger: {s:?}"
-        );
-        assert_eq!(
-            (s.submitted, s.completed, s.in_flight, s.queued),
-            (RUNS_PER_CLIENT as u64, RUNS_PER_CLIENT as u64, 0, 0),
-            "quiescence: {s:?}"
+            (s.submitted, s.completed),
+            (RUNS_PER_CLIENT as u64, RUNS_PER_CLIENT as u64),
+            "every run was served: {s:?}"
         );
     }
 }
@@ -604,38 +565,195 @@ fn cancel_and_chaos_interleavings_conserve() {
     assert_eq!(resolved.load(Ordering::Relaxed), CLIENTS * PER_CLIENT);
     let s = settled(&tenant);
     assert_eq!(s.submitted, (CLIENTS * PER_CLIENT) as u64);
-    assert_eq!(
-        s.submitted,
-        s.dispatched + s.coalesced + s.rejected_saturated + s.rejected_shutdown,
-        "conservation under chaos: {s:?}"
-    );
-    assert_eq!(s.completed, s.dispatched, "every dispatch finalized: {s:?}");
-    assert_eq!(s.queued, 0);
-    assert_eq!(s.in_flight, 0);
+    assert_ledger_balances(&s);
 }
 
-/// The ablation switch: the mutexed injector must behave identically
-/// (it reproduces the seed's submission path), so the same client storm
-/// conserves submissions with `mutexed_injector(true)`.
+/// Two submissions of one flow while its first run is still executing: the
+/// second rides the first's stint. It is one driver claim and one
+/// coalesced rider, not two dispatches.
 #[test]
-fn mutexed_injector_ablation_behaves_identically() {
-    let ex = ExecutorBuilder::new()
-        .workers(2)
-        .mutexed_injector(true)
-        .injector_capacity(8)
-        .build();
-    let tenant = ex.tenant("ablation");
-    let done = Arc::new(AtomicUsize::new(0));
-    let mut expected = 0usize;
-    for i in 0..10 {
-        let (tf, n) = mixed_flow(ex.clone(), i, &done);
-        expected += n;
-        tf.run_on(&tenant).unwrap().get().unwrap();
-    }
-    assert_eq!(done.load(Ordering::Relaxed), expected);
+fn a_coalesced_run_is_counted_once() {
+    let ex = ExecutorBuilder::new().workers(1).build();
+    let tenant = ex.tenant("t");
+    let gate = Arc::new(AtomicBool::new(false));
+    let tf = gate_flow(ex.clone(), &gate);
+    let first = tf.run_on(&tenant).unwrap();
+    let second = tf.run_on(&tenant).unwrap();
+    gate.store(true, Ordering::Release);
+    assert_eq!(get_within(&first, "driver run"), Ok(()));
+    assert_eq!(get_within(&second, "coalesced run"), Ok(()));
     let s = settled(&tenant);
-    assert_eq!(s.submitted, 10);
-    assert_eq!(s.completed, s.dispatched);
+    assert_ledger_balances(&s);
+    assert_eq!(
+        (s.submitted, s.dispatched, s.coalesced, s.completed),
+        (2, 1, 1, 1),
+        "{s:?}"
+    );
+}
+
+/// A flow with more independent sources than the injector ring has slots
+/// (1 024): the dispatch burst overflows into the spill queue, which is
+/// what a wide one-shot graph does in production. Every task still runs
+/// exactly once, on either path.
+#[test]
+fn a_dispatch_burst_wider_than_the_ring_spills_and_loses_nothing() {
+    const SOURCES: usize = 3_000;
+    let ex = ExecutorBuilder::new().workers(2).build();
+    let handle = ex
+        .start_introspection(rustflow::IntrospectConfig::default())
+        .expect("introspection starts once");
+    let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..SOURCES).map(|_| AtomicUsize::new(0)).collect());
+    let tf = Taskflow::with_executor(ex.clone());
+    for i in 0..SOURCES {
+        let runs = Arc::clone(&runs);
+        tf.emplace(move || {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    assert_eq!(get_within(&tf.run(), "wide flow"), Ok(()));
+    let ran_once = runs.iter().all(|r| r.load(Ordering::Relaxed) == 1);
+    assert!(ran_once, "a task ran zero or several times");
+    let metrics = handle.metrics_text();
+    let spills: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("rustflow_injector_spills_total "))
+        .expect("spill counter exported")
+        .parse()
+        .expect("a count");
+    assert!(spills > 0, "3 000 sources fit a 1 024-slot ring?");
+}
+
+/// Opens a gate when dropped, so a failing assertion cannot leave a gated
+/// task spinning under the taskflow destructors that wait for it.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// What the ledger property expects of one tenant, counted on the client
+/// side from what each call returned and each handle resolved to.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Expected {
+    submitted: u64,
+    /// Handles that resolved `Ok` or `Cancelled`: a driver claim or a rider.
+    ran: u64,
+    shed: u64,
+    rejected_saturated: u64,
+    rejected_shutdown: u64,
+    rejected_infeasible: u64,
+}
+
+/// The quiescent point of the ledger property: with the gate open, every
+/// handle resolves (bounded), is folded into its tenant's expectation
+/// exactly once, and each tenant's settled ledger balances and agrees with
+/// what the client saw.
+fn check_quiescent(
+    tenants: &[Tenant; 2],
+    expected: &mut [Expected; 2],
+    handles: &mut Vec<(usize, rustflow::RunHandle)>,
+    ops: &[(u8, usize, usize)],
+) {
+    for (t, handle) in handles.drain(..) {
+        match get_within(&handle, "a run of the ledger property") {
+            Ok(()) => expected[t].ran += 1,
+            Err(e) if e.is_cancelled() => expected[t].ran += 1,
+            Err(e) if e.is_shed() => expected[t].shed += 1,
+            Err(e) if e.as_rejected() == Some(&AdmissionError::ShuttingDown) => {
+                expected[t].rejected_shutdown += 1
+            }
+            Err(e) => panic!("unexpected outcome {e} in {ops:?}"),
+        }
+    }
+    for (tenant, want) in tenants.iter().zip(expected.iter()) {
+        let s = settled(tenant);
+        assert_ledger_balances(&s);
+        let got = Expected {
+            submitted: s.submitted,
+            ran: s.dispatched + s.coalesced,
+            shed: s.shed,
+            rejected_saturated: s.rejected_saturated,
+            rejected_shutdown: s.rejected_shutdown,
+            rejected_infeasible: s.rejected_infeasible,
+        };
+        assert_eq!(&got, want, "tenant {} after {ops:?}: {s:?}", s.name);
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+    /// Random sequences of submissions (blocking, non-blocking against
+    /// two-deep queues, with a zero and with a generous deadline), cancels,
+    /// resubmissions of a flow that is still running, gate flips and a
+    /// `close`, over two tenants and an in-flight budget of 1–3: at every
+    /// quiescent point each tenant's ledger balances and matches what the
+    /// client was told, call by call and handle by handle.
+    #[test]
+    fn the_ledger_balances_at_every_quiescent_point(
+        max_inflight in 1usize..4,
+        ops in proptest::collection::vec((0u8..12, 0usize..2, 0usize..3), 1..40),
+    ) {
+        let ex = ExecutorBuilder::new().workers(2).max_inflight(max_inflight).build();
+        let qos = TenantQos { max_queued: 2, ..TenantQos::default() };
+        let tenants = [ex.tenant_with("a", qos), ex.tenant_with("b", qos)];
+        let gate = Arc::new(AtomicBool::new(false));
+        // Three flows shared by both tenants, so a resubmission finds its
+        // flow still running (and coalesces) whenever the budget lets it
+        // be popped.
+        let flows: Vec<Taskflow> = (0..3).map(|_| gate_flow(ex.clone(), &gate)).collect();
+        let _open = OpenOnDrop(Arc::clone(&gate));
+        let mut expected = [Expected::default(), Expected::default()];
+        let mut handles: Vec<(usize, rustflow::RunHandle)> = Vec::new();
+        for (i, &(op, t, f)) in ops.iter().enumerate() {
+            let (tenant, flow) = (&tenants[t], &flows[f]);
+            let submission = match op {
+                // Blocking: only with the gate open, or a full queue
+                // behind a held budget would block this thread for good.
+                0 if gate.load(Ordering::Acquire) => Some(flow.run_on(tenant)),
+                0..=3 => Some(flow.try_run_on(tenant)),
+                4 | 5 => Some(flow.try_run_on_deadline(tenant, Duration::ZERO)),
+                6 => Some(flow.try_run_on_deadline(tenant, Duration::from_secs(60))),
+                7 | 8 => {
+                    if let Some((_, handle)) = handles.get(i % handles.len().max(1)) {
+                        handle.cancel();
+                    }
+                    None
+                }
+                9 | 10 => {
+                    // Flip the gate; opening it is a quiescent point.
+                    if gate.fetch_xor(true, Ordering::AcqRel) {
+                        None
+                    } else {
+                        check_quiescent(&tenants, &mut expected, &mut handles, &ops[..=i]);
+                        None
+                    }
+                }
+                _ => {
+                    // One op in twelve shuts the door for the rest of
+                    // the sequence (idempotent).
+                    ex.close();
+                    None
+                }
+            };
+            if let Some(result) = submission {
+                expected[t].submitted += 1;
+                match result {
+                    Ok(handle) => handles.push((t, handle)),
+                    Err(AdmissionError::Saturated { .. }) => expected[t].rejected_saturated += 1,
+                    Err(AdmissionError::ShuttingDown) => expected[t].rejected_shutdown += 1,
+                    Err(AdmissionError::DeadlineInfeasible { .. }) => {
+                        expected[t].rejected_infeasible += 1
+                    }
+                    Err(e) => panic!("unexpected refusal {e} in {:?}", &ops[..=i]),
+                }
+            }
+        }
+        gate.store(true, Ordering::Release);
+        check_quiescent(&tenants, &mut expected, &mut handles, &ops);
+    }
 }
 
 /// `Tenant` accessors and find-or-create semantics: asking for the same
