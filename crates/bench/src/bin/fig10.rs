@@ -111,7 +111,7 @@ fn utilization(cli: &Cli) {
         let counter = Arc::new(BusyCounter::new());
         executor.observe(Arc::clone(&counter) as Arc<dyn rustflow::ExecutorObserver>);
         // Sized so one full update fits in each lane between collects.
-        let tracer = Arc::new(Tracer::with_capacity(workers, 1 << 16));
+        let tracer = Arc::new(Tracer::with_capacity(executor.num_lanes(), 1 << 16));
         executor.observe(Arc::clone(&tracer) as Arc<dyn rustflow::ExecutorObserver>);
 
         // Sample in a side thread while v2 runs repeated full updates

@@ -313,20 +313,29 @@ fn smoke(result: &mut GateResult) {
                     String::new(),
                 );
             }
+            // One sample per lane: the worker threads, then the guest seats,
+            // told apart by the `lane` label.
             let executed = exp.family("rustflow_tasks_executed_total");
+            let lanes_of = |kind: &str| {
+                executed.map_or(0, |f| {
+                    let of_kind = |s: &&prom::Sample| s.label("lane") == Some(kind);
+                    f.samples.iter().filter(of_kind).count()
+                })
+            };
+            let (workers, guests) = (lanes_of("worker"), lanes_of("guest"));
             check(
-                "metrics_per_worker_samples",
-                executed.is_some_and(|f| f.samples.len() == threads),
+                "metrics_per_lane_samples",
+                workers == threads && workers + guests == ex.num_lanes(),
                 format!(
-                    "{}/{threads} worker samples",
-                    executed.map_or(0, |f| f.samples.len())
+                    "{workers}/{threads} worker + {guests}/{} guest samples",
+                    ex.num_lanes() - threads
                 ),
             );
         }
         Err(e) => check("metrics_parse", false, e),
     }
 
-    // /status through the strict JSON parser, one worker entry per thread.
+    // /status through the strict JSON parser, one worker entry per lane.
     let status = http_get(addr, "/status");
     let mut status_now_us = 0u64;
     match json::parse(&status) {
@@ -340,8 +349,8 @@ fn smoke(result: &mut GateResult) {
                 .map_or(0, <[_]>::len);
             check(
                 "status_workers",
-                workers == threads,
-                format!("{workers}/{threads} workers"),
+                workers == ex.num_lanes(),
+                format!("{workers}/{} lanes", ex.num_lanes()),
             );
             let topos = v
                 .get("topologies")

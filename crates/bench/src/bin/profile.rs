@@ -95,18 +95,14 @@ fn profile_reusable(
     name: &'static str,
     rf: &ReusableRustflow,
     tracer: &Arc<rustflow::Tracer>,
-    threads: usize,
+    lanes: usize,
     iterations: u64,
     want_dot: bool,
 ) -> Profiled {
     let wall_ms = time_ms(|| rf.run_n(iterations).expect("profiled batch failed"));
     let snapshot = rf.taskflow().profile_snapshot();
-    let report = rustflow::ProfileReport::build(
-        &snapshot,
-        &tracer.sched_events(),
-        threads,
-        tracer.dropped(),
-    );
+    let report =
+        rustflow::ProfileReport::build(&snapshot, &tracer.sched_events(), lanes, tracer.dropped());
     let dot = want_dot.then(|| rf.taskflow().dump_profiled(&report));
     Profiled {
         name,
@@ -125,11 +121,11 @@ fn main() {
     let spec = WavefrontSpec::new(if flags.full { 32 } else { 16 });
     let (dag, _sink) = wavefront::build(spec);
     let ex = rustflow::Executor::new(threads);
-    let tracer = Arc::new(rustflow::Tracer::new(threads));
+    let tracer = Arc::new(rustflow::Tracer::new(ex.num_lanes()));
     let rf = ReusableRustflow::new(&dag, &ex);
     rf.run_n(1).expect("warm-up failed"); // warm-up, untraced
     ex.observe(Arc::clone(&tracer) as Arc<dyn rustflow::ExecutorObserver>);
-    let wave = profile_reusable("wavefront", &rf, &tracer, threads, iterations, true);
+    let wave = profile_reusable("wavefront", &rf, &tracer, ex.num_lanes(), iterations, true);
 
     // --- Workload 2: DNN training epoch (Fig. 12 pipeline). -------------
     let data = Arc::new(tf_dnn::synthetic_mnist(
@@ -146,11 +142,11 @@ fn main() {
     };
     let (dnn_dag, _state) = tf_dnn::pipeline::build_epoch_dag(&net, data, train);
     let ex = rustflow::Executor::new(threads);
-    let tracer = Arc::new(rustflow::Tracer::new(threads));
+    let tracer = Arc::new(rustflow::Tracer::new(ex.num_lanes()));
     let rf = ReusableRustflow::new(&dnn_dag, &ex);
     rf.run_n(1).expect("warm-up failed"); // warm-up epoch, untraced
     ex.observe(Arc::clone(&tracer) as Arc<dyn rustflow::ExecutorObserver>);
-    let dnn = profile_reusable("dnn_epoch", &rf, &tracer, threads, iterations, false);
+    let dnn = profile_reusable("dnn_epoch", &rf, &tracer, ex.num_lanes(), iterations, false);
 
     let profiled = [wave, dnn];
     for p in &profiled {

@@ -17,12 +17,13 @@
 use crate::error::{AdmissionError, RunError, RunResult};
 use crate::frontdoor::{self, FrontDoorBudget, QosState, Tenant, TenantState};
 use crate::future::SharedFuture;
+use crate::graph::RawNode;
 use crate::injector::{self, Injector};
 use crate::introspect::{IntrospectConfig, IntrospectHandle, IntrospectState};
 use crate::notifier::Notifier;
 use crate::observer::{ExecutorObserver, DISPATCH_LANE};
 use crate::resilience::TenantQos;
-use crate::scheduler::{worker_loop, WorkerCtx, WorkerShared};
+use crate::scheduler::{guest_loop, schedule, worker_loop, WorkerCtx, WorkerShared};
 use crate::stats::{ExecutorStats, WorkerStats};
 use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, RwLock};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
@@ -141,6 +142,12 @@ impl ExecutorBuilder {
     }
 }
 
+/// Guest seats per executor: how many threads at once may run a graph they
+/// wait on ([`Executor::run_topology`]). One serves a client in
+/// `wait_for_all`, the second a task that itself waits on a nested
+/// taskflow; a waiter that finds none free blocks instead.
+const GUEST_SEATS: usize = 2;
+
 fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -160,7 +167,11 @@ pub(crate) struct LineBreak;
 #[repr(C)]
 pub(crate) struct Inner {
     // ---- set at construction or rarely; read by every thread ----
+    /// One entry per lane: the worker threads', then the guest seats'.
+    /// Steal rounds and the park re-check scan all of them alike.
     pub(crate) shareds: Box<[WorkerShared]>,
+    /// How many of `shareds` belong to worker threads (the leading ones).
+    pub(crate) num_workers: usize,
     pub(crate) cfg: Config,
     /// The shared monotonic clock origin ([`crate::clock::origin`]),
     /// latched here so every timestamp this executor emits — ring events,
@@ -211,6 +222,11 @@ pub(crate) struct Inner {
     /// Signalled (under the `running` mutex) whenever the registry
     /// empties; `Executor::drop` sleeps on it instead of busy-yielding.
     all_done: Condvar,
+    /// The free guest seats. A helping waiter pops one when it dispatches
+    /// and pushes it back when it stops helping; the lock is the
+    /// happens-before edge between two successive guests of one seat's
+    /// deque owner half and cache slot.
+    seats: Mutex<Vec<WorkerCtx>>,
     // ---- taken by whoever pumps: the submitting client, in steady state ----
     _door: LineBreak,
     /// Tenant control plane: the tenant list and the weighted-fair-queue
@@ -225,8 +241,9 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Snapshot of every worker's counters, with ring-drop counts folded
-    /// in from the introspection tracer when one is installed.
+    /// Snapshot of every lane's counters (workers, then guest seats), with
+    /// ring-drop counts folded in from the introspection tracer when one
+    /// is installed.
     pub(crate) fn worker_stats(&self) -> Vec<WorkerStats> {
         let mut stats: Vec<WorkerStats> = self.shareds.iter().map(|s| s.snapshot()).collect();
         if let Some(state) = self.introspect.read().as_ref() {
@@ -316,13 +333,15 @@ impl Executor {
     }
 
     fn with_config(workers: usize, cfg: Config) -> Arc<Executor> {
-        let mut owners = Vec::with_capacity(workers);
-        let mut shareds = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        let lanes = workers + GUEST_SEATS;
+        let mut ctxs = Vec::with_capacity(lanes);
+        let mut shareds = Vec::with_capacity(lanes);
+        for id in 0..lanes {
             let (owner, stealer) = wsq::deque_with_capacity(cfg.queue_capacity);
-            owners.push(owner);
-            shareds.push(WorkerShared::new(stealer));
+            ctxs.push(WorkerCtx::new(id, owner, lanes));
+            shareds.push(WorkerShared::new(stealer, id >= workers));
         }
+        let seats = ctxs.split_off(workers);
         let inner = Arc::new(Inner {
             _injector: LineBreak,
             _workers: LineBreak,
@@ -330,6 +349,8 @@ impl Executor {
             _door: LineBreak,
             _budget: LineBreak,
             shareds: shareds.into_boxed_slice(),
+            num_workers: workers,
+            seats: Mutex::new(seats),
             injector: Injector::new(injector::RING_SLOTS),
             num_spinning: AtomicUsize::new(0),
             notifier: Notifier::new(workers),
@@ -349,9 +370,8 @@ impl Executor {
             race_scratch: crate::sync_cell::SyncCell::new(0),
         });
         let mut threads = Vec::with_capacity(workers);
-        for (id, owner) in owners.into_iter().enumerate() {
+        for (id, ctx) in ctxs.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
-            let ctx = WorkerCtx::new(id, owner, workers);
             threads.push(crate::sync::thread::spawn_named(
                 format!("rustflow-worker-{id}"),
                 move || worker_loop(&inner, ctx),
@@ -366,6 +386,16 @@ impl Executor {
 
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
+        self.inner.num_workers
+    }
+
+    /// Number of lanes: the worker threads plus the guest seats a waiting
+    /// caller executes on ([`Taskflow::wait_for_all`](crate::Taskflow::wait_for_all)).
+    /// Every lane id an observer hook, [`Executor::worker_stats`] or a
+    /// trace names is below it (workers first), so it is what sizes a
+    /// [`Tracer`](crate::Tracer) or a
+    /// [`ProfileReport`](crate::ProfileReport).
+    pub fn num_lanes(&self) -> usize {
         self.inner.shareds.len()
     }
 
@@ -418,7 +448,7 @@ impl Executor {
 
     /// Installs an observer whose hooks run around every task execution.
     pub fn observe(&self, observer: Arc<dyn ExecutorObserver>) {
-        observer.on_observe(self.num_workers());
+        observer.on_observe(self.num_lanes());
         let mut obs = self.inner.observers.write();
         obs.push(observer);
         // ORDERING: Release publishes the list write above to
@@ -435,15 +465,15 @@ impl Executor {
         self.inner.has_observers.store(false, Ordering::Release);
     }
 
-    /// Per-worker diagnostic counters. When live introspection is on
+    /// Per-lane diagnostic counters: one entry per worker, then one per
+    /// guest seat ([`WorkerStats::guest`]). When live introspection is on
     /// ([`Executor::serve_introspection`]) each entry also carries its
-    /// worker's telemetry-ring drop count
-    /// ([`WorkerStats::ring_dropped`]).
+    /// lane's telemetry-ring drop count ([`WorkerStats::ring_dropped`]).
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.inner.worker_stats()
     }
 
-    /// A point-in-time snapshot of every worker's counters, ready for
+    /// A point-in-time snapshot of every lane's counters, ready for
     /// diffing ([`ExecutorStats::delta`]) or Prometheus-style export
     /// ([`ExecutorStats::prometheus_text`]).
     pub fn stats(&self) -> ExecutorStats {
@@ -532,10 +562,20 @@ impl Executor {
     /// A submission racing shutdown resolves with
     /// [`RunError::Rejected`]`(`[`AdmissionError::ShuttingDown`]`)`
     /// ([`Inner::claim`]).
+    ///
+    /// `caller_waits` says the caller blocks on the returned future next
+    /// (`wait_for_all`). If the submission then claims the topology and a
+    /// guest seat is free, the caller **helps**: the first iteration's
+    /// sources go to the seat instead of the injector, and the caller runs
+    /// [`guest_loop`] on it before this returns. The thread that would
+    /// sleep through the run executes it, in whole or in part, and a run
+    /// one thread can finish wakes nobody. Without a free seat (or as a
+    /// rider, or during shutdown) the call is the plain one.
     pub(crate) fn run_topology(
         &self,
         topo: &Arc<Topology>,
         cond: RunCondition,
+        caller_waits: bool,
     ) -> SharedFuture<RunResult> {
         if let Some(fatal) = topo.fatal() {
             return SharedFuture::ready(Err(fatal.clone()));
@@ -555,7 +595,17 @@ impl Executor {
                 // left on this (reusable) topology too, so the latency
                 // pipeline stays disarmed.
                 topo.stamps.clear();
-                advance_topology(&self.inner, topo, false);
+                let seat = caller_waits
+                    .then(|| self.inner.seats.lock().pop())
+                    .flatten();
+                match seat {
+                    Some(mut guest) => {
+                        advance_topology(&self.inner, topo, false, Some(&mut guest));
+                        guest_loop(&self.inner, &mut guest, || future.is_ready());
+                        self.inner.seats.lock().push(guest);
+                    }
+                    None => advance_topology(&self.inner, topo, false, None),
+                }
             }
             Claim::Rider => {}
         }
@@ -569,7 +619,18 @@ impl Executor {
 /// publishes the next iteration — or, when every batch is done, drops the
 /// keep-alive registration, which the driver finds in O(1) through the slot
 /// index the claim left in the topology.
-pub(crate) fn advance_topology(inner: &Inner, topo: &Topology, iteration_finished: bool) {
+///
+/// The next iteration's sources go through the injector, with one wake-up
+/// each, unless the driver is a helping waiter and passes its `guest`
+/// seat: then [`schedule`] puts the first in the seat's cache slot and
+/// the rest on its deque, waking a worker only as a completing task
+/// would.
+pub(crate) fn advance_topology(
+    inner: &Inner,
+    topo: &Topology,
+    iteration_finished: bool,
+    guest: Option<&mut WorkerCtx>,
+) {
     // The stint's registry slot and lifecycle stamps must be copied out
     // *before* `advance` can transition the topology to idle: the instant
     // it is idle, a concurrent resubmission may claim it and overwrite
@@ -602,6 +663,15 @@ pub(crate) fn advance_topology(inner: &Inner, topo: &Topology, iteration_finishe
                     notify_observers(inner, |ob| {
                         ob.on_topology_start(topo.iteration_info(), topo.num_static_nodes())
                     });
+                    if let Some(guest) = guest {
+                        for &source in sources {
+                            // SAFETY: a source is armed (join counter =
+                            // in-degree = 0) by the re-arm above and its
+                            // topology is held by the keep-alive registry.
+                            schedule(inner, guest, source as RawNode);
+                        }
+                        return;
+                    }
                     let k = sources.len();
                     inner.injector.push_batch(sources.iter().copied());
                     // ORDERING: Dekker fence — the pushes above must

@@ -821,7 +821,7 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
             } else {
                 run.topo.stamps.clear();
             }
-            advance_topology(inner, &run.topo, false);
+            advance_topology(inner, &run.topo, false, None);
         }
         Claim::Rider => {
             // The topology is already running under another registration; the

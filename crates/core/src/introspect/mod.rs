@@ -33,7 +33,7 @@ pub use watchdog::{WatchdogCounts, WatchdogDiagnostic};
 use crate::executor::{Executor, Inner};
 use crate::label::TaskLabel;
 use crate::observer::{chrome_trace_json_from, escape_json, ExecutorObserver, Tracer};
-use crate::stats::ExecutorStats;
+use crate::stats::{lane_labels, ExecutorStats};
 use parking_lot::Mutex;
 use recorder::FlightRecorder;
 use std::net::{SocketAddr, TcpListener};
@@ -104,6 +104,8 @@ impl Default for IntrospectConfig {
 pub(crate) struct IntrospectState {
     inner: Weak<Inner>,
     num_workers: usize,
+    /// Workers plus guest seats: what sizes every per-lane array here.
+    num_lanes: usize,
     tracer: Arc<Tracer>,
     recorder: FlightRecorder,
     watchdog: Watchdog,
@@ -174,31 +176,33 @@ impl IntrospectState {
             tenants: inner.tenant_stats(),
         };
         let mut out = stats.prometheus_text();
-        let depths: Vec<(Option<usize>, u64)> = inner
+        // Lanes from `num_workers` up are guest seats.
+        let lane = |w: usize| lane_labels(w, w >= self.num_workers);
+        let depths: Vec<(String, u64)> = inner
             .shareds
             .iter()
             .enumerate()
-            .map(|(w, s)| (Some(w), s.stealer.len() as u64))
+            .map(|(w, s)| (lane(w), s.stealer.len() as u64))
             .collect();
         family(
             &mut out,
             "rustflow_queue_depth",
-            "Tasks currently queued in each worker's deque.",
+            "Tasks currently queued in each lane's deque.",
             "gauge",
             &depths,
         );
-        let fills: Vec<(Option<usize>, u64)> = self
+        let fills: Vec<(String, u64)> = self
             .tracer
             .lane_fill()
             .into_iter()
-            .take(self.num_workers)
+            .take(self.num_lanes)
             .enumerate()
-            .map(|(w, n)| (Some(w), n as u64))
+            .map(|(w, n)| (lane(w), n as u64))
             .collect();
         family(
             &mut out,
             "rustflow_ring_fill",
-            "Telemetry events waiting in each worker's ring.",
+            "Telemetry events waiting in each lane's ring.",
             "gauge",
             &fills,
         );
@@ -277,7 +281,7 @@ impl IntrospectState {
             ),
         ];
         for (name, help, kind, value) in singles {
-            family(&mut out, name, help, kind, &[(None, *value)]);
+            family(&mut out, name, help, kind, &[(String::new(), *value)]);
         }
         // Per-tenant × per-phase latency histograms, merged from the
         // lock-free shards at scrape time. One header covers every
@@ -328,9 +332,10 @@ impl IntrospectState {
         let ring_dropped_total: u64 = self.tracer.dropped_per_lane().iter().sum();
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
-            "{{\"schema\":1,\"now_us\":{now},\"num_workers\":{},\
+            "{{\"schema\":1,\"now_us\":{now},\"num_workers\":{},\"num_lanes\":{},\
              \"parked_workers\":{},\"injector_depth\":{},\"inflight_topologies\":{},",
             self.num_workers,
+            self.num_lanes,
             inner.notifier.num_idlers(),
             inner.injector.len(),
             inner.running.lock().len(),
@@ -359,7 +364,8 @@ impl IntrospectState {
             }
             let current = shared.current.lock().clone();
             out.push_str(&format!(
-                "{{\"id\":{w},\"queue_depth\":{},",
+                "{{\"id\":{w},\"guest\":{},\"queue_depth\":{},",
+                w >= self.num_workers,
                 shared.stealer.len()
             ));
             match current {
@@ -477,18 +483,19 @@ impl IntrospectState {
         let now = crate::clock::now_us();
         let last_us = u64::try_from(last.as_micros()).unwrap_or(u64::MAX);
         let events = self.recorder.window(last_us, now);
-        chrome_trace_json_from(&events, self.num_workers)
+        chrome_trace_json_from(&events, self.num_lanes)
     }
 }
 
-/// Appends one Prometheus family: HELP + TYPE, then each sample, with a
-/// `worker` label when present.
-fn family(out: &mut String, name: &str, help: &str, kind: &str, samples: &[(Option<usize>, u64)]) {
+/// Appends one Prometheus family: HELP + TYPE, then each sample under its
+/// label set (empty for an unlabelled single).
+fn family(out: &mut String, name: &str, help: &str, kind: &str, samples: &[(String, u64)]) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    for (worker, value) in samples {
-        match worker {
-            Some(w) => out.push_str(&format!("{name}{{worker=\"{w}\"}} {value}\n")),
-            None => out.push_str(&format!("{name} {value}\n")),
+    for (labels, value) in samples {
+        if labels.is_empty() {
+            out.push_str(&format!("{name} {value}\n"));
+        } else {
+            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
         }
     }
 }
@@ -604,7 +611,7 @@ pub(crate) fn start(
     config: IntrospectConfig,
     listener: Option<TcpListener>,
 ) -> std::io::Result<IntrospectHandle> {
-    let num_workers = inner.shareds.len();
+    let num_lanes = inner.shareds.len();
     let state = {
         let mut slot = inner.introspect.write();
         if slot.is_some() {
@@ -616,11 +623,12 @@ pub(crate) fn start(
         let window_us = u64::try_from(config.window.as_micros()).unwrap_or(u64::MAX);
         let state = Arc::new(IntrospectState {
             inner: Arc::downgrade(inner),
-            num_workers,
-            tracer: Arc::new(Tracer::with_capacity(num_workers, config.ring_capacity).lossy()),
+            num_workers: inner.num_workers,
+            num_lanes,
+            tracer: Arc::new(Tracer::with_capacity(num_lanes, config.ring_capacity).lossy()),
             recorder: FlightRecorder::new(window_us, config.max_events),
             watchdog: Watchdog::new(),
-            pass: Mutex::new(WatchdogPass::new(num_workers)),
+            pass: Mutex::new(WatchdogPass::new(num_lanes)),
             last_scrape: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             local_addr: listener.as_ref().and_then(|l| l.local_addr().ok()),

@@ -350,7 +350,8 @@ fn burn_over(history: &VecDeque<(u64, u64, u64)>, now_us: u64, win_us: u64) -> O
 
 /// Detection bookkeeping owned by the collection-pass mutex.
 pub(crate) struct WatchdogPass {
-    /// Per worker: `since_us` of the last invocation reported as stalled.
+    /// Per lane (workers, then guest seats): `since_us` of the last
+    /// invocation reported as stalled.
     reported_stall: Vec<Option<u64>>,
     topologies: HashMap<u64, TopoObservation>,
     last_dropped: u64,
@@ -359,9 +360,9 @@ pub(crate) struct WatchdogPass {
 }
 
 impl WatchdogPass {
-    pub(crate) fn new(num_workers: usize) -> WatchdogPass {
+    pub(crate) fn new(num_lanes: usize) -> WatchdogPass {
         WatchdogPass {
-            reported_stall: vec![None; num_workers],
+            reported_stall: vec![None; num_lanes],
             topologies: HashMap::new(),
             last_dropped: 0,
             slo: HashMap::new(),

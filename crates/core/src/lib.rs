@@ -91,6 +91,7 @@ pub mod wsq;
 #[doc(hidden)]
 pub mod check_internals {
     pub use crate::frontdoor::FrontDoorBudget;
+    pub use crate::future::promise_pair;
     pub use crate::injector::Injector;
     pub use crate::notifier::Notifier;
     pub use crate::rearm_model::RearmHarness;

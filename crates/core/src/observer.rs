@@ -15,8 +15,13 @@ use crate::ring::EventRing;
 use crate::sync::{AtomicUsize, Mutex};
 use std::sync::atomic::Ordering;
 
-/// Pseudo worker id used for events recorded off the worker threads
-/// (topology dispatch runs on the caller's thread).
+/// Pseudo lane id used for events recorded off every lane (topology
+/// dispatch runs on the caller's thread).
+///
+/// Real lane ids are `0..`[`Executor::num_lanes`](crate::Executor::num_lanes):
+/// the worker threads first, then the guest seats, on which a thread waiting
+/// in [`Taskflow::wait_for_all`](crate::Taskflow::wait_for_all) executes
+/// tasks. Every `worker` argument of the hooks below is such an id.
 pub const DISPATCH_LANE: usize = usize::MAX;
 
 /// Version of the ring event schema ([`SchedEventKind`] and its payloads).
@@ -179,8 +184,10 @@ pub struct SchedEvent {
 /// only what it cares about. They run on the hot path behind a single
 /// `has_observers` check; implementations must be cheap and thread-safe.
 pub trait ExecutorObserver: Send + Sync {
-    /// Called once when the observer is installed.
-    fn on_observe(&self, _num_workers: usize) {}
+    /// Called once when the observer is installed, with the executor's
+    /// lane count ([`Executor::num_lanes`](crate::Executor::num_lanes)):
+    /// every lane id a later hook passes is below it.
+    fn on_observe(&self, _num_lanes: usize) {}
     /// Called by worker `worker` immediately before invoking a task.
     fn on_entry(&self, _worker: usize, _label: &TaskLabel) {}
     /// Called by worker `worker` immediately after a task returns (also
@@ -370,7 +377,8 @@ const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 /// in [`Tracer::dropped`] and discarded until [`Tracer::collect`] (or any
 /// exporter, which collects implicitly) drains them into the archive.
 pub struct Tracer {
-    /// One ring per worker plus a final lane for non-worker threads.
+    /// One ring per lane plus a final one for the dispatch lane (and for
+    /// any lane id past `max_lanes`).
     lanes: Box<[EventRing]>,
     /// Drained events, ordered by timestamp after `collect`.
     archive: Mutex<Vec<SchedEvent>>,
@@ -380,17 +388,20 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer for up to `max_workers` workers with the default
-    /// per-lane capacity (32768 events).
-    pub fn new(max_workers: usize) -> Self {
-        Tracer::with_capacity(max_workers, DEFAULT_LANE_CAPACITY)
+    /// Creates a tracer for up to `max_lanes` lanes
+    /// ([`Executor::num_lanes`](crate::Executor::num_lanes): workers plus
+    /// guest seats) with the default per-lane capacity (32768 events). A
+    /// lane past `max_lanes` records into the dispatch lane's ring, still
+    /// under its own id.
+    pub fn new(max_lanes: usize) -> Self {
+        Tracer::with_capacity(max_lanes, DEFAULT_LANE_CAPACITY)
     }
 
-    /// Creates a tracer whose per-worker rings hold `lane_capacity`
+    /// Creates a tracer whose per-lane rings hold `lane_capacity`
     /// events (rounded up to a power of two).
-    pub fn with_capacity(max_workers: usize, lane_capacity: usize) -> Self {
+    pub fn with_capacity(max_lanes: usize, lane_capacity: usize) -> Self {
         Tracer {
-            lanes: (0..=max_workers)
+            lanes: (0..=max_lanes)
                 .map(|_| EventRing::new(lane_capacity))
                 .collect(),
             archive: Mutex::new(Vec::new()),
@@ -418,7 +429,7 @@ impl Tracer {
         crate::clock::now_us()
     }
 
-    /// Number of worker lanes (excluding the dispatch lane).
+    /// Number of executing lanes (excluding the dispatch lane).
     pub fn num_lanes(&self) -> usize {
         self.lanes.len() - 1
     }
@@ -569,15 +580,15 @@ impl Tracer {
 /// Renders a slice of scheduler events as a Chrome trace (same format as
 /// [`Tracer::chrome_trace_json`]): task executions become complete
 /// (`"X"`) events, parks last until the lane's next event, everything
-/// else becomes an instant. `num_workers` assigns the dispatch lane its
-/// `tid`. `events` must be ordered by timestamp (exporters sort before
+/// else becomes an instant. `num_lanes` (workers plus guest seats) assigns
+/// the dispatch lane its `tid`, one past the last executing lane. `events`
+/// must be ordered by timestamp (exporters sort before
 /// calling). This is the shared back-end of the tracer export and the
 /// flight recorder's live `/trace` window.
-pub fn chrome_trace_json_from(events: &[SchedEvent], num_workers: usize) -> String {
+pub fn chrome_trace_json_from(events: &[SchedEvent], num_lanes: usize) -> String {
     {
         let archive = events;
-        let nworkers = num_workers;
-        let tid = |w: usize| if w == DISPATCH_LANE { nworkers } else { w };
+        let tid = |w: usize| if w == DISPATCH_LANE { num_lanes } else { w };
 
         // For park durations: index of the next event on the same lane.
         let mut next_on_lane: Vec<Option<u64>> = vec![None; archive.len()];
@@ -688,10 +699,10 @@ pub fn chrome_trace_json_from(events: &[SchedEvent], num_workers: usize) -> Stri
                 }
                 SchedEventKind::TopologyDispatch { info, tasks } => {
                     // Tenanted dispatches get their own lane past the
-                    // dispatch lane (tid = nworkers + tenant id), so each
+                    // dispatch lane (tid = num_lanes + tenant id), so each
                     // tenant's submission stream reads as one track.
                     let t = if info.tenant != 0 {
-                        nworkers + info.tenant as usize
+                        num_lanes + info.tenant as usize
                     } else {
                         t
                     };
@@ -702,7 +713,7 @@ pub fn chrome_trace_json_from(events: &[SchedEvent], num_workers: usize) -> Stri
                 }
                 SchedEventKind::TopologyFinalize { info } => {
                     let t = if info.tenant != 0 {
-                        nworkers + info.tenant as usize
+                        num_lanes + info.tenant as usize
                     } else {
                         t
                     };

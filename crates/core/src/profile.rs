@@ -206,7 +206,10 @@ pub struct WorkerTimeline {
 pub struct ProfileReport {
     /// JSON schema version ([`PROFILE_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Worker count the capture ran with (the `P` of Brent's bound).
+    /// Lane count the report was built with
+    /// ([`Executor::num_lanes`](crate::Executor::num_lanes): workers plus
+    /// guest seats, every thread that can execute a task at once); the
+    /// `P` of Brent's bound. The name is the JSON schema's.
     pub num_workers: usize,
     /// First span begin, µs since the process-wide monotonic clock origin ([`crate::Executor::now_us`]'s domain, shared with ring events and `/trace`).
     pub begin_us: u64,
@@ -245,7 +248,9 @@ impl ProfileReport {
     /// Reconstructs the executed schedule from `events` and joins it to
     /// `snapshot`.
     ///
-    /// Span pairing is per worker (a worker's executions never nest).
+    /// Span pairing is per lane (a lane's executions never nest).
+    /// `num_lanes` sizes the utilization timelines, one per lane, guest
+    /// seats included: pass [`Executor::num_lanes`](crate::Executor::num_lanes).
     /// Spans are grouped into iterations by run id; dependency edges come
     /// from three sources: the frozen structure (for ids present in the
     /// snapshot), spawn edges (`parent → child` for subflow children), and
@@ -265,7 +270,7 @@ impl ProfileReport {
     pub fn build(
         snapshot: &GraphSnapshot,
         events: &[SchedEvent],
-        num_workers: usize,
+        num_lanes: usize,
         dropped: u64,
     ) -> ProfileReport {
         let by_id: HashMap<u64, &SnapshotNode> = snapshot.nodes.iter().map(|n| (n.id, n)).collect();
@@ -335,7 +340,7 @@ impl ProfileReport {
         let mut critical_count: HashMap<u64, u64> = HashMap::new();
         for run in run_ids {
             let members = &runs[&run];
-            let analysis = analyze_iteration(&spans, members, &by_id, &preds, num_workers);
+            let analysis = analyze_iteration(&spans, members, &by_id, &preds, num_lanes);
             for &id in &analysis.critical_nodes {
                 *critical_count.entry(id).or_insert(0) += 1;
             }
@@ -420,9 +425,9 @@ impl ProfileReport {
         const BINS: usize = 64;
         let bin_us = (wall_us / BINS as u64).max(1);
         let nbins = (wall_us as usize).div_ceil(bin_us as usize).max(1);
-        let mut busy = vec![vec![0u64; nbins]; num_workers];
+        let mut busy = vec![vec![0u64; nbins]; num_lanes];
         for s in &spans {
-            if s.worker >= num_workers {
+            if s.worker >= num_lanes {
                 continue;
             }
             // Spread the span's duration across the bins it overlaps.
@@ -456,7 +461,7 @@ impl ProfileReport {
 
         ProfileReport {
             schema_version: PROFILE_SCHEMA_VERSION,
-            num_workers,
+            num_workers: num_lanes,
             begin_us,
             end_us,
             bin_us,
@@ -650,7 +655,7 @@ fn analyze_iteration(
     members: &[usize],
     by_id: &HashMap<u64, &SnapshotNode>,
     preds: &HashMap<u64, Vec<u64>>,
-    num_workers: usize,
+    num_lanes: usize,
 ) -> IterationProfile {
     // Topological order for the DP: sort by begin time. In any valid
     // schedule a dependency's source ended (hence began) before its target
@@ -801,7 +806,7 @@ fn analyze_iteration(
         wall_us,
         parallelism,
         achieved_speedup,
-        brent_speedup: parallelism.min(num_workers as f64),
+        brent_speedup: parallelism.min(num_lanes as f64),
         critical_path,
         critical_nodes,
     }

@@ -11,6 +11,14 @@
 //! a chain, a worker wakes one idler with a small probability to rebalance
 //! load (lines 26–28).
 //!
+//! Beside the workers' lanes sit a few **guest seats**: the same deque,
+//! cache slot and counters, owned for the length of one call by a thread
+//! that waits on a run it has just dispatched ([`guest_loop`]). A guest
+//! runs the inner loop above (cache, own deque, one steal round) and never
+//! parks here: when the run has resolved, or a round finds every queue
+//! empty, it leaves and its caller blocks on the run's promise. Thieves
+//! and the park re-check scan a seat exactly like a peer's deque.
+//!
 //! Serving policy (tenants, admission, fair queueing, breakers, retry
 //! budgets) lives beside this module, not in it: the scheduler names no
 //! serving type and leaves through two calls on the executor core,
@@ -30,9 +38,12 @@ use crate::wsq;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
-/// Per-worker state visible to other threads.
+/// Per-lane state visible to other threads: one per worker, then one per
+/// guest seat.
 pub(crate) struct WorkerShared {
     pub(crate) stealer: wsq::Stealer,
+    /// `true` for a guest seat's lane.
+    guest: bool,
     /// The task this worker is executing right now, published only while
     /// live introspection is on (`Inner::introspect_live`). Uncontended
     /// in steady state: the worker writes twice per task, the collector
@@ -53,9 +64,10 @@ pub(crate) struct WorkerShared {
 }
 
 impl WorkerShared {
-    pub(crate) fn new(stealer: wsq::Stealer) -> WorkerShared {
+    pub(crate) fn new(stealer: wsq::Stealer, guest: bool) -> WorkerShared {
         WorkerShared {
             stealer,
+            guest,
             current: Mutex::new(None),
             executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -72,6 +84,7 @@ impl WorkerShared {
 
     pub(crate) fn snapshot(&self) -> WorkerStats {
         WorkerStats {
+            guest: self.guest,
             executed: self.executed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
@@ -87,7 +100,8 @@ impl WorkerShared {
     }
 }
 
-/// Per-worker private state.
+/// Per-lane private state: a worker thread's for its whole life, a guest
+/// seat's for whoever holds the seat.
 pub(crate) struct WorkerCtx {
     id: usize,
     owner: wsq::Owner,
@@ -99,14 +113,23 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    /// Worker `id` of `workers`, owning `owner`.
-    pub(crate) fn new(id: usize, owner: wsq::Owner, workers: usize) -> WorkerCtx {
+    /// Lane `id` of `lanes`, owning `owner`.
+    pub(crate) fn new(id: usize, owner: wsq::Owner, lanes: usize) -> WorkerCtx {
         WorkerCtx {
             id,
             owner,
             cache: 0,
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((id as u64 + 1) << 17),
-            last_victim: (id + 1) % workers,
+            last_victim: (id + 1) % lanes,
+        }
+    }
+
+    /// Line 2: the cache slot, then the lane's own deque; 0 = neither.
+    #[inline]
+    fn next_local(&mut self) -> usize {
+        match std::mem::take(&mut self.cache) {
+            0 => self.owner.pop().unwrap_or(0),
+            t => t,
         }
     }
 
@@ -131,20 +154,10 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
             break;
         }
         // Line 2: own queue first (the cache was drained last round).
-        let mut t = std::mem::take(&mut ctx.cache);
+        let mut t = ctx.next_local();
+        // Line 3: steal.
         if t == 0 {
-            t = ctx.owner.pop().unwrap_or(0);
-        }
-        // Line 3: steal. The spinning counter gates redundant wake-ups
-        // from concurrent pushes (see Inner::num_spinning).
-        if t == 0 {
-            // ORDERING: SeqCst bracket around the steal attempt — the
-            // spinner count shares the Dekker total order with
-            // `schedule`'s fence, so a submitter either sees a spinner
-            // (and skips the wake) or the spinner's scan sees its push.
-            inner.num_spinning.fetch_add(1, Ordering::SeqCst);
-            t = try_steal(inner, &mut ctx);
-            inner.num_spinning.fetch_sub(1, Ordering::SeqCst); // ORDERING: closes the bracket above.
+            t = steal_round(inner, &mut ctx);
         }
         // Lines 5–13: park when everything is empty.
         if t == 0 {
@@ -155,41 +168,12 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
             let _ = unsafe { *inner.race_scratch.get() };
             inner.shareds[ctx.id].parks.fetch_add(1, Ordering::Relaxed);
             notify_observers(inner, |ob| ob.on_park(ctx.id));
-            inner.notifier.wait(
-                ctx.id,
-                || inner.shareds.iter().all(|s| s.stealer.is_empty()) && inner.injector.is_empty(),
-                &inner.stop,
-            );
+            inner
+                .notifier
+                .wait(ctx.id, || all_queues_empty(inner), &inner.stop);
             continue;
         }
-        // Lines 16–25: run the task, then speculatively drain the cache —
-        // a linear chain executes here without touching any queue. Every
-        // non-empty take after the first task is a cache hit.
-        // The counter bumps *before* `execute`: execution of the last task
-        // finalizes its topology and releases `wait_for_all`, so counting
-        // afterwards would let a freshly released reader miss the final
-        // increments.
-        inner.shareds[ctx.id]
-            .executed
-            .fetch_add(1, Ordering::Relaxed);
-        execute(inner, &mut ctx, t as RawNode);
-        loop {
-            t = std::mem::take(&mut ctx.cache);
-            if t == 0 {
-                break;
-            }
-            inner.shareds[ctx.id]
-                .cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-            // SAFETY: the node is armed and its topology alive (same
-            // contract as `execute` below, which runs it next).
-            let label = unsafe { (*(t as RawNode)).label() };
-            notify_observers(inner, |ob| ob.on_cache_hit(ctx.id, label));
-            inner.shareds[ctx.id]
-                .executed
-                .fetch_add(1, Ordering::Relaxed);
-            execute(inner, &mut ctx, t as RawNode);
-        }
+        run_chain(inner, &mut ctx, t);
         // Lines 26–28: probabilistic wake-up for load balancing.
         if inner.cfg.wake_ratio != 0 && ctx.next_rand().is_multiple_of(inner.cfg.wake_ratio) {
             if let Some(woken) = inner.notifier.wake_one() {
@@ -202,7 +186,93 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
     }
 }
 
-/// One round of stealing: last victim first, then the other workers, then
+/// The same loop on a guest seat, for a thread that waits on a run it has
+/// just handed to `ctx` (see `Executor::run_topology`): cache, own deque,
+/// then `done`, then one steal round. It returns when `done()` holds or
+/// when a round found nothing and every queue is empty, which is where a
+/// worker would park; either way the seat's cache and deque are empty, so
+/// the next guest inherits no task. It neither parks on the idler list
+/// nor flips the load-balancing coin: its caller blocks on the run's
+/// promise, and the workers rebalance among themselves.
+pub(crate) fn guest_loop(inner: &Inner, ctx: &mut WorkerCtx, done: impl Fn() -> bool) {
+    loop {
+        let mut t = ctx.next_local();
+        if t == 0 {
+            if done() {
+                return;
+            }
+            t = steal_round(inner, ctx);
+        }
+        if t == 0 {
+            // A push that saw this guest spinning skipped its wake-up
+            // (`schedule`). A worker in that position re-checks every
+            // queue on its way to parking; so does a guest on its way out.
+            // ORDERING: SeqCst fence — orders the spinner-count decrement
+            // in `steal_round` before the scan, the second half of the
+            // Dekker pair with `schedule`'s fence: the pusher saw no
+            // spinner and woke a worker, or this scan sees its push.
+            fence(Ordering::SeqCst);
+            if all_queues_empty(inner) {
+                return;
+            }
+            continue;
+        }
+        run_chain(inner, ctx, t);
+    }
+}
+
+/// `true` when no deque (workers' and seats') and no injector slot holds a
+/// task: the re-check a thief makes before it stops looking.
+fn all_queues_empty(inner: &Inner) -> bool {
+    inner.shareds.iter().all(|s| s.stealer.is_empty()) && inner.injector.is_empty()
+}
+
+/// Line 3: one steal round, counted as spinning while it lasts. The
+/// spinning counter gates redundant wake-ups from concurrent pushes (see
+/// `Inner::num_spinning`).
+fn steal_round(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
+    // ORDERING: SeqCst bracket around the steal attempt — the spinner
+    // count shares the Dekker total order with `schedule`'s fence, so a
+    // submitter either sees a spinner (and skips the wake) or the
+    // spinner's scan sees its push.
+    inner.num_spinning.fetch_add(1, Ordering::SeqCst);
+    let t = try_steal(inner, ctx);
+    inner.num_spinning.fetch_sub(1, Ordering::SeqCst); // ORDERING: closes the bracket above.
+    t
+}
+
+/// Lines 16–25: run the task, then speculatively drain the cache — a
+/// linear chain executes here without touching any queue. Every non-empty
+/// take after the first task is a cache hit.
+fn run_chain(inner: &Inner, ctx: &mut WorkerCtx, first: usize) {
+    // The counter bumps *before* `execute`: execution of the last task
+    // finalizes its topology and releases `wait_for_all`, so counting
+    // afterwards would let a freshly released reader miss the final
+    // increments.
+    inner.shareds[ctx.id]
+        .executed
+        .fetch_add(1, Ordering::Relaxed);
+    execute(inner, ctx, first as RawNode);
+    loop {
+        let t = std::mem::take(&mut ctx.cache);
+        if t == 0 {
+            break;
+        }
+        inner.shareds[ctx.id]
+            .cache_hits
+            .fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the node is armed and its topology alive (same
+        // contract as `execute` below, which runs it next).
+        let label = unsafe { (*(t as RawNode)).label() };
+        notify_observers(inner, |ob| ob.on_cache_hit(ctx.id, label));
+        inner.shareds[ctx.id]
+            .executed
+            .fetch_add(1, Ordering::Relaxed);
+        execute(inner, ctx, t as RawNode);
+    }
+}
+
+/// One round of stealing: last victim first, then the other lanes, then
 /// the external injector. `Retry` results re-attempt the same victim.
 fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
     let n = inner.shareds.len();
@@ -246,12 +316,14 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
     }
 }
 
-/// Schedules a node that just became ready, from worker context.
+/// Schedules a node that just became ready, on the lane that made it so:
+/// a worker or guest completing a predecessor, or a guest handed a run's
+/// sources at dispatch.
 ///
 /// # Safety
 /// `node` must be armed (join counter reached zero exactly once) and its
 /// topology alive.
-unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
+pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
     let item = node as usize;
     if inner.cfg.cache_slot && ctx.cache == 0 {
         // First ready successor: speculative execution, no queue traffic.
@@ -574,5 +646,5 @@ fn finalize(inner: &Inner, topo_ptr: *const Topology) {
     // pointer is live for this whole call.
     let topo = unsafe { &*topo_ptr };
     notify_observers(inner, |ob| ob.on_topology_stop(topo.iteration_info()));
-    advance_topology(inner, topo, true);
+    advance_topology(inner, topo, true, None);
 }

@@ -26,13 +26,18 @@
 use crate::sync::AtomicU64;
 use std::sync::atomic::Ordering;
 
-/// Snapshot of one worker's diagnostic counters.
+/// Snapshot of one lane's diagnostic counters: a worker thread's, or a
+/// guest seat's (the threads that executed tasks while waiting in
+/// [`Taskflow::wait_for_all`](crate::Taskflow::wait_for_all)).
 ///
-/// All counters are maintained with relaxed atomics on the worker's own
+/// All counters are maintained with relaxed atomics on the lane's own
 /// cache line; they are advisory (monotonic, but a snapshot is not an
-/// atomic cut across workers).
+/// atomic cut across lanes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
+    /// `true` for a guest seat's lane, `false` for a worker thread's. A
+    /// guest never parks, so its `parks` stays 0.
+    pub guest: bool,
     /// Tasks this worker executed.
     pub executed: u64,
     /// Tasks pulled from the exclusive cache slot (linear-chain steps
@@ -70,6 +75,7 @@ impl WorkerStats {
     /// Counter-wise `self - earlier`, saturating at zero.
     pub fn delta(&self, earlier: &WorkerStats) -> WorkerStats {
         WorkerStats {
+            guest: self.guest,
             executed: self.executed.saturating_sub(earlier.executed),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             steals: self.steals.saturating_sub(earlier.steals),
@@ -338,10 +344,18 @@ const TENANT_METRICS: &[(&str, &str, &str, TenantAccessor)] = &[
     ),
 ];
 
-/// A point-in-time snapshot of every worker's counters.
+/// The label pair of one lane's sample: its id, and whether it is a worker
+/// thread's or a guest seat's (`worker="2",lane="guest"`).
+pub(crate) fn lane_labels(id: usize, guest: bool) -> String {
+    let lane = if guest { "guest" } else { "worker" };
+    format!("worker=\"{id}\",lane=\"{lane}\"")
+}
+
+/// A point-in-time snapshot of every lane's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// One entry per worker, indexed by worker id.
+    /// One entry per lane, indexed by lane id: the worker threads, then
+    /// the guest seats ([`WorkerStats::guest`]).
     pub workers: Vec<WorkerStats>,
     /// One entry per tenant, in tenant creation order; empty when the
     /// executor's multi-tenant front door is unused.
@@ -349,7 +363,8 @@ pub struct ExecutorStats {
 }
 
 impl ExecutorStats {
-    /// Sum of all workers' counters.
+    /// Sum of all lanes' counters, guests' included: `total().executed`
+    /// is every task the executor ran, on whichever thread.
     pub fn total(&self) -> WorkerStats {
         let mut total = WorkerStats::default();
         for w in &self.workers {
@@ -387,13 +402,14 @@ impl ExecutorStats {
 
     /// Renders the snapshot in the Prometheus text exposition format:
     /// one counter family per metric with `# HELP`/`# TYPE` headers and
-    /// one `{worker="N"}`-labelled sample per worker.
+    /// one `{worker="N",lane="worker"|"guest"}`-labelled sample per lane.
     ///
     /// ```
     /// let ex = rustflow::Executor::new(2);
     /// let text = ex.stats().prometheus_text();
     /// assert!(text.contains("# TYPE rustflow_tasks_executed_total counter"));
-    /// assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\"}"));
+    /// assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\",lane=\"worker\"}"));
+    /// assert!(text.contains("rustflow_tasks_executed_total{worker=\"2\",lane=\"guest\"}"));
     /// ```
     pub fn prometheus_text(&self) -> String {
         let mut out = String::with_capacity(METRICS.len() * (96 + self.workers.len() * 48));
@@ -407,7 +423,8 @@ impl ExecutorStats {
             out.push_str(name);
             out.push_str(" counter\n");
             for (id, w) in self.workers.iter().enumerate() {
-                out.push_str(&format!("{name}{{worker=\"{id}\"}} {}\n", get(w)));
+                let labels = lane_labels(id, w.guest);
+                out.push_str(&format!("{name}{{{labels}}} {}\n", get(w)));
             }
         }
         // Tenant families render only when the multi-tenant front door is
@@ -847,8 +864,12 @@ mod tests {
 
     #[test]
     fn prometheus_text_is_valid_exposition_format() {
+        let guest = WorkerStats {
+            guest: true,
+            ..stats(5, 0)
+        };
         let s = ExecutorStats {
-            workers: vec![stats(3, 1), stats(4, 2)],
+            workers: vec![stats(3, 1), stats(4, 2), guest],
             tenants: vec![],
         };
         let text = s.prometheus_text();
@@ -865,7 +886,7 @@ mod tests {
                 }
                 continue;
             }
-            // Sample line: name{worker="N"} value
+            // Sample line: name{worker="N",lane="worker"|"guest"} value
             let open = line.find('{').expect("label set");
             let close = line.find('}').expect("label set closed");
             let name = &line[..open];
@@ -876,10 +897,11 @@ mod tests {
             value.parse::<u64>().expect("integer sample value");
             samples += 1;
         }
-        // 11 metrics × 2 workers.
-        assert_eq!(samples, 22);
-        assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\"} 3"));
-        assert!(text.contains("rustflow_steals_total{worker=\"1\"} 2"));
+        // 11 metrics × 3 lanes.
+        assert_eq!(samples, 33);
+        assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\",lane=\"worker\"} 3"));
+        assert!(text.contains("rustflow_steals_total{worker=\"1\",lane=\"worker\"} 2"));
+        assert!(text.contains("rustflow_tasks_executed_total{worker=\"2\",lane=\"guest\"} 5"));
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl Taskflow {
             // Nothing was ever built: an empty run completes immediately.
             return RunHandle::ready(Ok(()));
         };
-        let future = self.executor.run_topology(&topo, cond);
+        let future = self.executor.run_topology(&topo, cond, false);
         self.waits.lock().futures.push(future.clone());
         RunHandle::new(future, Arc::downgrade(&topo))
     }
@@ -538,6 +538,12 @@ impl Taskflow {
     /// In dispatch loops, call [`Taskflow::gc`] periodically — every
     /// dispatched topology is retained until collected.
     pub fn dispatch(&self) -> RunHandle {
+        self.dispatch_present(false)
+    }
+
+    /// [`Taskflow::dispatch`]; `caller_waits` when the caller blocks on the
+    /// run next and so may execute it ([`Executor::run_topology`]).
+    fn dispatch_present(&self, caller_waits: bool) -> RunHandle {
         if self.is_empty() {
             return RunHandle::ready(Ok(()));
         }
@@ -548,7 +554,9 @@ impl Taskflow {
         // the `run*` target.
         let topo = Topology::new(graph, self.policy.get());
         self.topologies.lock().push(Arc::clone(&topo));
-        let future = self.executor.run_topology(&topo, RunCondition::Count(1));
+        let future = self
+            .executor
+            .run_topology(&topo, RunCondition::Count(1), caller_waits);
         self.waits.lock().futures.push(future.clone());
         RunHandle::new(future, Arc::downgrade(&topo))
     }
@@ -561,6 +569,19 @@ impl Taskflow {
     /// Dispatches the present graph (if non-empty) and blocks until **all**
     /// submitted work — dispatches and runs alike — finishes. Panics if
     /// any task panicked, propagating the first recorded panic message.
+    ///
+    /// **The caller helps.** When the call itself dispatches the present
+    /// graph, the calling thread executes tasks of it (and whatever else
+    /// it steals meanwhile) instead of sleeping through the run, as
+    /// Taskflow's `corun` does; a graph one thread can finish is then run
+    /// entirely by the caller and costs no wake-up. Two consequences for
+    /// the caller: task bodies may run **on the calling thread**, so do
+    /// not hold a lock across this call that a task takes; and an
+    /// unrelated task the caller stole can delay the return past the end
+    /// of this taskflow's own work. Calling it from inside a task (on a
+    /// second taskflow) is supported and does not idle the worker. With
+    /// nothing to dispatch, or when every guest seat of the executor is
+    /// taken, the call only blocks. [`RunHandle::get`] never helps.
     pub fn wait_for_all(&self) {
         if let Err(e) = self.try_wait_for_all() {
             panic!("{e}");
@@ -568,16 +589,19 @@ impl Taskflow {
     }
 
     /// Like [`Taskflow::wait_for_all`] but reports a task panic as an error
-    /// instead of panicking.
+    /// instead of panicking. The caller helps in the same way, under the
+    /// same contract.
     ///
     /// Completed waits are remembered: repeated calls only wait on work
     /// submitted since the last call, so waiting in a loop costs O(new
     /// submissions). The first error ever observed stays sticky and is
     /// re-reported by every later call.
     pub fn try_wait_for_all(&self) -> RunResult {
-        if !self.is_empty() {
-            self.silent_dispatch();
-        }
+        // Dispatching here is the one point at which the executor knows
+        // the caller is about to wait, so this dispatch may run the graph
+        // on the calling thread; the loop below then usually finds it
+        // resolved.
+        let _ = self.dispatch_present(true);
         loop {
             // Clone the future out so the lock is not held while blocking;
             // `&self` is !Sync, so no one else advances the watermark.

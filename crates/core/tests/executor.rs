@@ -3,8 +3,9 @@
 //! behaviour, panic handling, observers, and executor sharing.
 
 use rustflow::{BusyCounter, Executor, ExecutorBuilder, ExecutorObserver, Taskflow, Tracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// A shared logical clock for stamping execution order.
@@ -335,10 +336,14 @@ fn worker_stats_accumulate() {
         tf.emplace(|| {});
     }
     tf.wait_for_all();
+    // One entry per lane: the two workers, then the guest seats, on one of
+    // which the caller of `wait_for_all` executed its share of the 200.
     let stats = ex.worker_stats();
-    assert_eq!(stats.len(), 2);
+    assert_eq!(stats.len(), ex.num_lanes());
+    assert!(stats.iter().map(|s| s.guest).eq([false, false, true, true]));
     let executed: u64 = stats.iter().map(|s| s.executed).sum();
     assert_eq!(executed, 200);
+    assert_eq!(ex.stats().total().executed, 200);
 }
 
 #[test]
@@ -426,4 +431,263 @@ fn many_concurrent_topologies() {
         assert!(f.get().is_ok());
     }
     assert_eq!(counter.load(Ordering::SeqCst), 1_000);
+}
+
+// ---------------------------------------------------------------------------
+// The caller helps: `wait_for_all` runs the graph it dispatches
+// ---------------------------------------------------------------------------
+
+/// Runs `scenario` on a helper thread and fails loudly if it has not
+/// returned within 30 s. It ends the process rather than panic: a wedged
+/// scenario holds taskflows whose destructors wait for the very runs that
+/// wedged.
+fn within_30s<T: Send + 'static>(what: &str, scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = done.send(scenario());
+    });
+    match finished.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => {
+            helper.join().unwrap();
+            value
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            eprintln!("FAILED: {what} did not finish within 30 s");
+            std::process::exit(101)
+        }
+        // The scenario panicked before reporting: surface that panic.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().unwrap_err())
+        }
+    }
+}
+
+/// Spins until every worker of `ex` is parked, so counter deltas taken
+/// afterwards see no start-up parks.
+fn wait_until_parked(ex: &Executor) {
+    while ex.num_idlers() < ex.num_workers() {
+        std::thread::yield_now();
+    }
+}
+
+/// A chain of `n` tasks in `tf`, each recording the thread it ran on.
+fn chain_recording_threads(tf: &Taskflow, n: usize) -> Arc<Mutex<Vec<ThreadId>>> {
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let mut prev: Option<rustflow::Task<'_>> = None;
+    for _ in 0..n {
+        let ran_on = Arc::clone(&ran_on);
+        let task = tf.emplace(move || ran_on.lock().unwrap().push(std::thread::current().id()));
+        if let Some(prev) = prev {
+            prev.precede(task);
+        }
+        prev = Some(task);
+    }
+    ran_on
+}
+
+/// A task that calls `wait_for_all` on a second taskflow of the same
+/// one-worker executor: the worker runs the nested graph itself instead
+/// of parking behind it (which wedged: nobody was left to run it).
+#[test]
+fn a_task_waits_on_a_second_taskflow_of_a_one_worker_executor() {
+    let ex = Executor::new(1);
+    let ran = Arc::new(AtomicUsize::new(0));
+    let outer = Taskflow::with_executor(Arc::clone(&ex));
+    let (nested_ex, nested_ran) = (Arc::clone(&ex), Arc::clone(&ran));
+    outer.emplace(move || {
+        let nested = Taskflow::with_executor(Arc::clone(&nested_ex));
+        for _ in 0..8 {
+            let ran = Arc::clone(&nested_ran);
+            nested.emplace(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        nested.wait_for_all();
+        nested_ran.fetch_add(100, Ordering::SeqCst);
+    });
+    // `run`, not `wait_for_all`: the outer task must land on the worker.
+    let outcome = outer.run().future().get_timeout(Duration::from_secs(30));
+    let Some(outcome) = outcome else {
+        eprintln!("FAILED: a nested wait_for_all wedged the one-worker executor");
+        std::process::exit(101)
+    };
+    assert_eq!(outcome, Ok(()));
+    assert_eq!(ran.load(Ordering::SeqCst), 108);
+}
+
+/// A graph one thread can finish is run entirely by the thread that waits
+/// on it: no task goes through the injector, nobody is woken, nobody parks.
+#[test]
+fn a_chain_through_wait_for_all_runs_on_the_caller_and_wakes_nobody() {
+    within_30s("a 100-node chain through wait_for_all", || {
+        let ex = Executor::new(2);
+        wait_until_parked(&ex);
+        let before = ex.stats();
+        let tf = Taskflow::with_executor(Arc::clone(&ex));
+        let ran_on = chain_recording_threads(&tf, 100);
+        tf.wait_for_all();
+        let me = std::thread::current().id();
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 100);
+        assert!(ran_on.iter().all(|&t| t == me), "a body left the caller");
+        let delta = ex.stats().delta(&before);
+        let total = delta.total();
+        assert_eq!(
+            (total.wakes_sent, total.parks, total.injector_pops),
+            (0, 0, 0),
+            "{delta:?}"
+        );
+        assert_eq!(total.executed, 100);
+        // All of it on one guest lane, 99 steps through its cache slot.
+        let guests = &delta.workers[ex.num_workers()..];
+        assert_eq!(guests.iter().map(|g| g.executed).sum::<u64>(), 100);
+        assert_eq!(guests.iter().map(|g| g.cache_hits).sum::<u64>(), 99);
+    });
+}
+
+/// A wide graph is shared: the caller keeps one source and offers the rest
+/// on its seat's deque, where the workers it wakes steal them.
+#[test]
+fn a_wide_graph_through_wait_for_all_is_run_by_guest_and_workers() {
+    within_30s("a 1000-source graph through wait_for_all", || {
+        let ex = Executor::new(2);
+        let before = ex.stats();
+        let tf = Taskflow::with_executor(Arc::clone(&ex));
+        for _ in 0..1_000 {
+            tf.emplace(|| {
+                let start = std::time::Instant::now();
+                while start.elapsed() < Duration::from_micros(50) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        tf.wait_for_all();
+        let delta = ex.stats().delta(&before);
+        let (workers, guests) = delta.workers.split_at(ex.num_workers());
+        assert!(workers.iter().all(|w| w.executed > 0), "{delta:?}");
+        assert!(guests.iter().any(|g| g.executed > 0), "{delta:?}");
+        assert_eq!(delta.total().executed, 1_000);
+    });
+}
+
+/// A panic inside a helped run is the run's error, not the caller's, and
+/// the seat comes back: after more panicking runs than there are seats the
+/// caller still helps.
+#[test]
+fn a_panicking_task_in_a_helped_run_resolves_the_error_and_frees_the_seat() {
+    within_30s("helped runs with panicking tasks", || {
+        let ex = Executor::new(1);
+        for _ in 0..4 {
+            let tf = Taskflow::with_executor(Arc::clone(&ex));
+            tf.emplace(|| panic!("boom")).name("bomb");
+            match tf.try_wait_for_all() {
+                Err(rustflow::RunError::Panic(p)) => assert_eq!(p.task, "bomb"),
+                other => panic!("expected the task's panic, got {other:?}"),
+            }
+        }
+        let tf = Taskflow::with_executor(Arc::clone(&ex));
+        let ran_on = chain_recording_threads(&tf, 5);
+        tf.wait_for_all();
+        let me = std::thread::current().id();
+        assert_eq!(*ran_on.lock().unwrap(), vec![me; 5], "no seat was free");
+    });
+}
+
+/// Both seats held by one thread through nested waits (a helped task that
+/// itself waits, on a task that blocks): a third `wait_for_all` finds no
+/// seat, takes the blocking path and is run by the worker.
+#[test]
+fn wait_for_all_without_a_free_seat_blocks_and_completes() {
+    within_30s("wait_for_all with every seat taken", || {
+        let ex = Executor::new(1);
+        let gate = Arc::new(AtomicBool::new(false));
+        let entered = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let (ex, gate, entered) = (Arc::clone(&ex), Arc::clone(&gate), Arc::clone(&entered));
+            std::thread::spawn(move || {
+                let me = std::thread::current().id();
+                let outer = Taskflow::with_executor(Arc::clone(&ex));
+                outer.emplace(move || {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        me,
+                        "outer task left its waiter"
+                    );
+                    let nested = Taskflow::with_executor(Arc::clone(&ex));
+                    let (gate, entered) = (Arc::clone(&gate), Arc::clone(&entered));
+                    nested.emplace(move || {
+                        assert_eq!(
+                            std::thread::current().id(),
+                            me,
+                            "nested task left its waiter"
+                        );
+                        entered.store(true, Ordering::SeqCst);
+                        while !gate.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    });
+                    nested.wait_for_all();
+                });
+                outer.wait_for_all();
+            })
+        };
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let tf = Taskflow::with_executor(Arc::clone(&ex));
+        let ran_on = chain_recording_threads(&tf, 5);
+        tf.wait_for_all();
+        let me = std::thread::current().id();
+        let ran_on = ran_on.lock().unwrap().clone();
+        assert_eq!(ran_on.len(), 5);
+        assert!(ran_on.iter().all(|&t| t != me), "helped without a seat");
+        gate.store(true, Ordering::SeqCst);
+        holder.join().unwrap();
+    });
+}
+
+/// `close()` racing helped dispatches: every `wait_for_all` returns, with
+/// `Ok` or with `Rejected(ShuttingDown)`, and after the close only the
+/// latter.
+#[test]
+fn close_racing_a_helped_dispatch_rejects_and_returns() {
+    within_30s("close() racing helped dispatches", || {
+        let ex = Executor::new(2);
+        let closed = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (ex, closed) = (Arc::clone(&ex), Arc::clone(&closed));
+            std::thread::spawn(move || {
+                let me = std::thread::current().id();
+                let (mut helped, mut rejected) = (0, 0);
+                while rejected < 10 {
+                    let was_closed = closed.load(Ordering::SeqCst);
+                    let tf = Taskflow::with_executor(Arc::clone(&ex));
+                    let ran_on = chain_recording_threads(&tf, 3);
+                    match tf.try_wait_for_all() {
+                        Ok(()) => {
+                            assert!(!was_closed, "a run was admitted after close()");
+                            let ran_on = ran_on.lock().unwrap();
+                            assert_eq!(ran_on.len(), 3);
+                            helped += usize::from(ran_on.iter().all(|&t| t == me));
+                        }
+                        Err(rustflow::RunError::Rejected(
+                            rustflow::AdmissionError::ShuttingDown,
+                        )) => {
+                            assert!(ran_on.lock().unwrap().is_empty());
+                            rejected += 1;
+                        }
+                        Err(other) => panic!("unexpected outcome {other:?}"),
+                    }
+                }
+                helped
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        ex.close();
+        closed.store(true, Ordering::SeqCst);
+        assert!(
+            waiter.join().unwrap() > 0,
+            "no run was helped before close()"
+        );
+    });
 }

@@ -712,7 +712,10 @@ fn ring_drops_surface_per_worker_and_in_endpoints() {
 
     let metrics = handle.metrics_text();
     check_prometheus(&metrics);
-    assert!(metrics.contains("rustflow_ring_dropped_events_total{worker=\"0\"}"));
+    assert!(metrics.contains("rustflow_ring_dropped_events_total{worker=\"0\",lane=\"worker\"}"));
+    // Guest seats are lanes too: listed after the workers, told apart.
+    assert!(metrics.contains("rustflow_ring_dropped_events_total{worker=\"2\",lane=\"guest\"}"));
+    assert!(metrics.contains("rustflow_queue_depth{worker=\"3\",lane=\"guest\"}"));
 
     let status = handle.status_json();
     assert_json(&status);

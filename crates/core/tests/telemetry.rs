@@ -225,10 +225,11 @@ fn concurrent_observe_and_remove_does_not_deadlock() {
 #[test]
 fn lifecycle_events_cover_algorithm_one() {
     let ex = ExecutorBuilder::new().workers(4).build();
-    let tracer = Arc::new(Tracer::new(4));
+    let tracer = Arc::new(Tracer::new(ex.num_lanes()));
     ex.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
     let tf = Taskflow::with_executor(Arc::clone(&ex));
-    // A fan-out of chains: sources come from the injector, chains hit the
+    // A fan-out of chains: sources come from the injector (`run`, unlike
+    // `wait_for_all`, leaves the graph to the workers), chains hit the
     // cache slot, and the uneven shape provokes steals and parks.
     for c in 0..32 {
         let mut prev = tf.emplace(|| {}).name(format!("head{c}"));
@@ -240,7 +241,7 @@ fn lifecycle_events_cover_algorithm_one() {
             prev = next;
         }
     }
-    tf.wait_for_all();
+    tf.run().get().unwrap();
     let events = tracer.sched_events();
     let has = |f: &dyn Fn(&SchedEventKind) -> bool| events.iter().any(|e| f(&e.kind));
     assert!(has(&|k| matches!(k, SchedEventKind::TaskBegin { .. })));
@@ -281,6 +282,90 @@ fn lifecycle_events_cover_algorithm_one() {
 }
 
 // ---------------------------------------------------------------------------
+// Guest lanes: a helping caller is a lane like any worker
+// ---------------------------------------------------------------------------
+
+/// An observer that records what `on_observe` was told and which lanes
+/// executed tasks.
+#[derive(Default)]
+struct LaneLog {
+    observed_lanes: AtomicUsize,
+    entered: std::sync::Mutex<Vec<usize>>,
+}
+
+impl ExecutorObserver for LaneLog {
+    fn on_observe(&self, num_lanes: usize) {
+        self.observed_lanes.store(num_lanes, Ordering::SeqCst);
+    }
+    fn on_entry(&self, lane: usize, _label: &TaskLabel) {
+        self.entered.lock().unwrap().push(lane);
+    }
+}
+
+/// A chain run by the caller of `wait_for_all` shows up under the
+/// caller's guest lane everywhere a worker would: the observer hooks get
+/// `num_workers + seat`, the Chrome trace has that `tid` (the dispatch
+/// lane moves past the seats), and the profile draws its utilization.
+#[test]
+fn a_guest_lane_reaches_observers_traces_and_profiles() {
+    let ex = Executor::new(2);
+    let (workers, lanes) = (ex.num_workers(), ex.num_lanes());
+    assert!(lanes > workers);
+    let log = Arc::new(LaneLog::default());
+    let tracer = Arc::new(Tracer::new(lanes));
+    ex.observe(Arc::clone(&log) as Arc<dyn ExecutorObserver>);
+    ex.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
+    assert_eq!(log.observed_lanes.load(Ordering::SeqCst), lanes);
+
+    let tf = Taskflow::with_executor(Arc::clone(&ex));
+    let mut prev = tf.emplace(|| {}).name("link0");
+    for i in 1..10 {
+        let next = tf
+            .emplace(|| std::thread::sleep(std::time::Duration::from_micros(50)))
+            .name(format!("link{i}"));
+        prev.precede(next);
+        prev = next;
+    }
+    tf.wait_for_all();
+
+    let entered = log.entered.lock().unwrap().clone();
+    assert_eq!(entered.len(), 10);
+    let guest = entered[0];
+    assert!((workers..lanes).contains(&guest), "lane {guest}");
+    assert!(entered.iter().all(|&l| l == guest), "{entered:?}");
+
+    let trace = tracer.chrome_trace_json();
+    assert_eq!(trace.matches("\"cat\":\"task\",\"ph\":\"X\"").count(), 10);
+    assert_eq!(
+        trace
+            .matches(&format!("\"pid\":0,\"tid\":{guest}}}"))
+            .count(),
+        10
+    );
+    let dispatch = format!("\"pid\":0,\"tid\":{lanes},\"args\":{{\"topology\"");
+    assert_eq!(trace.matches(&dispatch).count(), 2, "dispatch + finalize");
+
+    // No reusable topology was frozen (`wait_for_all` is one-shot), so the
+    // snapshot is empty; the utilization fold needs only the spans.
+    let report = rustflow::ProfileReport::build(
+        &tf.profile_snapshot(),
+        &tracer.sched_events(),
+        lanes,
+        tracer.dropped(),
+    );
+    assert_eq!(report.utilization.len(), lanes);
+    for timeline in &report.utilization {
+        let busy: f64 = timeline.busy.iter().sum();
+        assert_eq!(
+            busy > 0.0,
+            timeline.worker == guest,
+            "lane {}",
+            timeline.worker
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Prometheus export on a live executor
 // ---------------------------------------------------------------------------
 
@@ -296,6 +381,7 @@ fn prometheus_text_from_live_executor_parses() {
     let after = ex.stats();
     let delta = after.delta(&before);
     assert_eq!(delta.total().executed, 600);
+    assert_eq!(after.workers.len(), ex.num_lanes());
 
     let text = after.prometheus_text();
     let mut families: Vec<String> = Vec::new();
@@ -310,18 +396,22 @@ fn prometheus_text_from_live_executor_parses() {
         if line.starts_with("# HELP ") {
             continue;
         }
-        // name{worker="N"} value
+        // name{worker="N",lane="worker"|"guest"} value: the three
+        // workers, then the guest seats (the caller of `wait_for_all`
+        // executed some of the 600 on one).
         let open = line.find('{').expect("labels");
         let close = line.find('}').expect("labels close");
         let name = &line[..open];
-        let labels = &line[open + 1..close];
-        let worker: usize = labels
+        let (worker, lane) = line[open + 1..close].split_once(',').expect("two labels");
+        let worker: usize = worker
             .strip_prefix("worker=\"")
             .and_then(|l| l.strip_suffix('"'))
             .expect("worker label")
             .parse()
-            .expect("worker id");
-        assert!(worker < 3);
+            .expect("lane id");
+        assert!(worker < ex.num_lanes());
+        let expect_lane = if worker < 3 { "worker" } else { "guest" };
+        assert_eq!(lane, format!("lane=\"{expect_lane}\""));
         let value: u64 = line[close + 1..].trim().parse().expect("sample value");
         if name == "rustflow_tasks_executed_total" {
             executed_sum += value;

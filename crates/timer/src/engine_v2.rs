@@ -13,10 +13,10 @@
 //! with only a few lines of flexible Cpp-Taskflow code"); what the blocks
 //! change is that graph construction, a per-node cost paid serially on
 //! the caller, is spread over `BLOCK` gates of ≈100 ns each instead of
-//! one (EXPERIMENTS.md, "tf-timer v2 granularity"). The one thing done
-//! here that is the library's to do is how the caller waits: it polls for
-//! up to `POLL` before it blocks (ROADMAP 3(b) moves that into
-//! `RunHandle::get`).
+//! one (EXPERIMENTS.md, "tf-timer v2 granularity"). The caller waits in
+//! `Taskflow::wait_for_all`, which runs the graph it dispatches on the
+//! calling thread: the median update never leaves the caller and wakes
+//! nobody (EXPERIMENTS.md, "The caller helps").
 
 use crate::analysis::TimerInner;
 use crate::circuit::GateId;
@@ -24,7 +24,6 @@ use crate::engine_v1::SharedTimer;
 use rustflow::{Executor, Task, Taskflow};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Gates per task, chosen by the sweep in EXPERIMENTS.md ("tf-timer v2
 /// granularity"): on the 35k-gate design with two workers 16 is the
@@ -34,15 +33,6 @@ use std::time::{Duration, Instant};
 /// so the second worker parks and is woken again several times per
 /// update (64 and above cost 1.15x).
 pub(crate) const BLOCK: usize = 16;
-
-/// How long the caller polls for the end of a dispatched update before it
-/// blocks (EXPERIMENTS.md, "tf-timer v2 granularity", "Steadiness"). On the
-/// 35k-gate design the median update is over 40 to 55 us after dispatch,
-/// so 100 us keeps it clear of the cut-off in a slow phase of the host
-/// too; 50 us put the median on the cut-off, and 200 us and more lose
-/// throughput, because for that long the caller competes with a worker
-/// for a core.
-const POLL: Duration = Duration::from_micros(100);
 
 /// Which propagation a timing graph performs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,17 +157,6 @@ pub(crate) fn run_rustflow(
             }
         })
     });
-    // Half of all incremental updates are done within tens of microseconds
-    // of being dispatched, less than a blocked caller takes to be woken
-    // again, and that wake-up is the part of such an update that differs
-    // most from one run to the next. So poll for the end first, yielding so
-    // that a worker sharing this core runs instead, and block only when the
-    // update outlasts the poll.
-    let run = tf.dispatch();
-    let dispatched = Instant::now();
-    while !run.is_ready() && dispatched.elapsed() < POLL {
-        std::thread::yield_now();
-    }
     tf.wait_for_all();
 }
 

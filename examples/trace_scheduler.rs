@@ -16,7 +16,7 @@ fn main() {
     let threads: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
 
     let executor = Executor::new(threads);
-    let tracer = Arc::new(Tracer::new(threads));
+    let tracer = Arc::new(Tracer::new(executor.num_lanes()));
     executor.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
 
     let tf = Taskflow::with_executor(Arc::clone(&executor));

@@ -3,12 +3,48 @@
 //! OpenMP-`task depend` runtime, and the sequential oracle — executes the
 //! same randomized DAGs in dependency order, running every task exactly
 //! once.
+//!
+//! No wait here is unbounded: each scheduler's case runs on a helper
+//! thread, and a case that has not finished after 30 s fails the suite
+//! with the scheduler's name and the seed the DAG is rebuilt from
+//! ([`dag_from_seed`]).
 
 use proptest::prelude::*;
 use rustflow::Executor;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 use tf_baselines::{Dag, FlowGraphBuilder, Pool, TaskDepRegion};
+
+/// Runs `case` (one scheduler over one input) on a helper thread and
+/// returns what it returns, or fails loudly after 30 s. It ends the
+/// process rather than panic: the wedged helper still borrows the
+/// scheduler, whose destructor would wait for it.
+fn bounded<T: Send + 'static>(
+    scheduler: &str,
+    input: &str,
+    case: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, finished) = channel();
+    let helper = std::thread::spawn(move || {
+        let _ = done.send(case());
+    });
+    match finished.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => {
+            helper.join().unwrap();
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            eprintln!("FAILED: {scheduler} did not finish {input} within 30 s");
+            std::process::exit(101)
+        }
+        // The case panicked before reporting: surface that panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().unwrap_err())
+        }
+    }
+}
 
 struct Probe {
     clock: Arc<AtomicUsize>,
@@ -58,6 +94,32 @@ impl Probe {
     }
 }
 
+/// The DAG of one seed: node count and forward edges.
+fn dag_from_seed(seed: u64) -> (usize, Vec<(usize, usize)>) {
+    arb_edges().sample(&mut TestRng::new(seed))
+}
+
+/// One scheduler over the DAG of `seed`, bounded: `run` gets the DAG and
+/// its edge list, and the probe it leaves behind is verified.
+fn check_scheduler(
+    scheduler: &str,
+    seed: u64,
+    run: impl FnOnce(&Dag, &[(usize, usize)]) + Send + 'static,
+) -> Result<(), TestCaseError> {
+    let (n, edges) = dag_from_seed(seed);
+    let case_edges = edges.clone();
+    let probe = bounded(
+        scheduler,
+        &format!("the DAG of seed {seed:#x}"),
+        move || {
+            let probe = Probe::new(n);
+            run(&probe.dag(&case_edges), &case_edges);
+            probe
+        },
+    );
+    probe.verify(&edges)
+}
+
 fn arb_edges() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     (2usize..40).prop_flat_map(|n| {
         let edges =
@@ -79,64 +141,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn rustflow_respects_random_dags((n, edges) in arb_edges()) {
-        let probe = Probe::new(n);
-        let dag = probe.dag(&edges);
-        let ex = Executor::new(3);
-        tf_workloads::run::run_rustflow(&dag, &ex);
-        probe.verify(&edges)?;
+    fn rustflow_respects_random_dags(seed in 0u64..u64::MAX) {
+        check_scheduler("rustflow", seed, |dag, _| {
+            let ex = Executor::new(3);
+            tf_workloads::run::run_rustflow(dag, &ex);
+        })?;
     }
 
     #[test]
-    fn flowgraph_respects_random_dags((n, edges) in arb_edges()) {
-        let probe = Probe::new(n);
-        let dag = probe.dag(&edges);
-        let pool = Pool::new(3);
-        let (graph, sources) = FlowGraphBuilder::from_dag(&dag);
-        for s in sources {
-            graph.try_put(s, &pool);
-        }
-        graph.wait_for_all();
-        probe.verify(&edges)?;
-    }
-
-    #[test]
-    fn levelized_respects_random_dags((n, edges) in arb_edges()) {
-        let probe = Probe::new(n);
-        let dag = probe.dag(&edges);
-        let pool = Pool::new(3);
-        tf_baselines::run_levelized(&dag, &pool, 0);
-        probe.verify(&edges)?;
-    }
-
-    #[test]
-    fn taskdep_respects_random_dags((n, edges) in arb_edges()) {
-        let probe = Probe::new(n);
-        let dag = probe.dag(&edges);
-        let pool = Pool::new(3);
-        let region = TaskDepRegion::new(&pool);
-        // Nodes are issued in topological id order; declare depend(in:)
-        // on each predecessor's address and depend(out:) on one's own.
-        for v in 0..dag.len() {
-            let payload = dag.payload_of(v);
-            let mut ins: Vec<u64> = Vec::new();
-            for &(u, w) in &edges {
-                if w == v {
-                    ins.push(u as u64);
-                }
+    fn flowgraph_respects_random_dags(seed in 0u64..u64::MAX) {
+        check_scheduler("flowgraph", seed, |dag, _| {
+            let pool = Pool::new(3);
+            let (graph, sources) = FlowGraphBuilder::from_dag(dag);
+            for s in sources {
+                graph.try_put(s, &pool);
             }
-            region.task(&ins, &[v as u64], move || payload());
-        }
-        region.wait_all();
-        probe.verify(&edges)?;
+            graph.wait_for_all();
+        })?;
     }
 
     #[test]
-    fn sequential_respects_random_dags((n, edges) in arb_edges()) {
-        let probe = Probe::new(n);
-        let dag = probe.dag(&edges);
-        dag.run_sequential();
-        probe.verify(&edges)?;
+    fn levelized_respects_random_dags(seed in 0u64..u64::MAX) {
+        check_scheduler("levelized", seed, |dag, _| {
+            let pool = Pool::new(3);
+            tf_baselines::run_levelized(dag, &pool, 0);
+        })?;
+    }
+
+    #[test]
+    fn taskdep_respects_random_dags(seed in 0u64..u64::MAX) {
+        check_scheduler("taskdep", seed, |dag, edges| {
+            let pool = Pool::new(3);
+            let region = TaskDepRegion::new(&pool);
+            // Nodes are issued in topological id order; declare depend(in:)
+            // on each predecessor's address and depend(out:) on one's own.
+            for v in 0..dag.len() {
+                let payload = dag.payload_of(v);
+                let mut ins: Vec<u64> = Vec::new();
+                for &(u, w) in edges {
+                    if w == v {
+                        ins.push(u as u64);
+                    }
+                }
+                region.task(&ins, &[v as u64], move || payload());
+            }
+            region.wait_all();
+        })?;
+    }
+
+    #[test]
+    fn sequential_respects_random_dags(seed in 0u64..u64::MAX) {
+        check_scheduler("sequential", seed, |dag, _| dag.run_sequential())?;
     }
 }
 
@@ -147,29 +202,31 @@ fn micro_benchmarks_checksum_agreement() {
     use tf_workloads::randdag::RandDagSpec;
     use tf_workloads::wavefront::{self, WavefrontSpec};
 
+    const SCHEDULERS: [&str; 3] = ["rustflow", "flowgraph", "levelized"];
+    let ex = Executor::new(3);
+    let pool = Arc::new(Pool::new(3));
+    let run = |scheduler: &'static str, input: &str, dag: Dag| {
+        let (ex, pool) = (Arc::clone(&ex), Arc::clone(&pool));
+        bounded(scheduler, input, move || match scheduler {
+            "rustflow" => tf_workloads::run::run_rustflow(&dag, &ex),
+            "flowgraph" => tf_workloads::run::run_flowgraph(&dag, &pool),
+            _ => tf_workloads::run::run_levelized(&dag, &pool),
+        });
+    };
+
     let spec = WavefrontSpec::new(24);
     let expected = wavefront::expected_checksum(spec);
-    let ex = Executor::new(3);
-    let pool = Pool::new(3);
-    for run in 0..3 {
+    for scheduler in SCHEDULERS {
         let (dag, sink) = wavefront::build(spec);
-        match run {
-            0 => tf_workloads::run::run_rustflow(&dag, &ex),
-            1 => tf_workloads::run::run_flowgraph(&dag, &pool),
-            _ => tf_workloads::run::run_levelized(&dag, &pool),
-        }
-        assert_eq!(sink.value(), expected, "run {run}");
+        run(scheduler, "the 24x24 wavefront", dag);
+        assert_eq!(sink.value(), expected, "{scheduler}");
     }
 
     let spec = RandDagSpec::new(4_000);
     let expected = tf_workloads::randdag::expected_checksum(spec);
-    for run in 0..3 {
+    for scheduler in SCHEDULERS {
         let (dag, sink) = tf_workloads::randdag::build(spec);
-        match run {
-            0 => tf_workloads::run::run_rustflow(&dag, &ex),
-            1 => tf_workloads::run::run_flowgraph(&dag, &pool),
-            _ => tf_workloads::run::run_levelized(&dag, &pool),
-        }
-        assert_eq!(sink.value(), expected, "run {run}");
+        run(scheduler, "the 4000-node random DAG", dag);
+        assert_eq!(sink.value(), expected, "{scheduler}");
     }
 }
