@@ -458,30 +458,26 @@ fn fmt_result(r: &Result<(), RunError>) -> String {
 }
 
 fn write_report(cli: &Cli, outcomes: &[Outcome]) {
-    std::fs::create_dir_all(&cli.out).expect("cannot create output directory");
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"scenario\": \"{}\", \"seed\": {}, \
-             \"total\": {}, \"plan_panics\": {}, \"completed\": {}, \"skipped\": {}, \
-             \"retries\": {}, \"result\": \"{}\", \"pass\": {}}}{}\n",
-            o.workload,
-            o.scenario,
-            o.seed,
-            o.total,
-            o.plan_panics,
-            o.completed,
-            o.skipped,
-            o.retries,
-            o.result,
-            o.pass,
-            if i + 1 < outcomes.len() { "," } else { "" },
-        ));
+    let mut w = rustflow::wire::json::Writer::pretty();
+    w.begin_object();
+    w.field("schema", 1);
+    w.key("scenarios");
+    w.begin_array();
+    for o in outcomes {
+        w.begin_object();
+        w.field_str("workload", o.workload);
+        w.field_str("scenario", o.scenario);
+        w.field("seed", o.seed);
+        w.field("total", o.total);
+        w.field("plan_panics", o.plan_panics);
+        w.field("completed", o.completed);
+        w.field("skipped", o.skipped);
+        w.field("retries", o.retries);
+        w.field_str("result", &o.result);
+        w.field("pass", o.pass);
+        w.end();
     }
-    json.push_str("  ]\n}\n");
-    let path = cli.out.join("chaos_report.json");
-    std::fs::write(&path, &json).expect("cannot write chaos report");
-    // The report must stay machine-readable: parse it back.
-    tf_bench::json::parse(&json).expect("chaos report must be valid JSON");
-    println!("  -> {}", path.display());
+    w.end();
+    w.end();
+    cli.write_report("chaos_report.json", &w.finish());
 }

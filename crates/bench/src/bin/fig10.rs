@@ -168,16 +168,8 @@ fn utilization(cli: &Cli) {
     report.save();
 
     if let (Some(json), Some(prom)) = (trace_json, prom_text) {
-        std::fs::create_dir_all(&cli.out).expect("cannot create output directory");
-        let trace_path = cli.out.join("trace.json");
-        std::fs::write(&trace_path, json).expect("cannot write trace.json");
-        let prom_path = cli.out.join("fig10_metrics.prom");
-        std::fs::write(&prom_path, prom).expect("cannot write metrics");
-        println!(
-            "scheduler trace -> {} (open in ui.perfetto.dev); \
-             counters -> {}",
-            trace_path.display(),
-            prom_path.display()
-        );
+        println!("scheduler trace (open in ui.perfetto.dev) and counters:");
+        cli.write_report("trace.json", &json);
+        cli.write_report("fig10_metrics.prom", &prom);
     }
 }

@@ -11,7 +11,6 @@ use tf_bench::harness::Cli;
 
 fn main() {
     let cli = Cli::parse();
-    std::fs::create_dir_all(&cli.out).expect("cannot create output dir");
     let layers = 3;
     let batches = 3;
 
@@ -35,13 +34,11 @@ fn main() {
         }
     }
     let dot = tf.dump();
-    let path = cli.out.join("fig11.dot");
-    std::fs::write(&path, &dot).expect("cannot write DOT");
     println!(
         "Figure 11: one-epoch training task graph ({} tasks: 1 shuffle + \
          {batches} x (1 forward + {layers} gradient + {layers} update))",
         1 + batches * (1 + 2 * layers)
     );
-    println!("-> {}", path.display());
+    cli.write_report("fig11.dot", &dot);
     println!("{dot}");
 }

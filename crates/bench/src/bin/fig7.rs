@@ -43,6 +43,7 @@ fn problem_sizes(full: bool) -> (Vec<usize>, Vec<usize>) {
 }
 
 fn size_sweep(cli: &Cli) {
+    let reps = cli.number("--reps", 3) as usize;
     let threads = 8;
     let (dims, dag_sizes) = problem_sizes(cli.full);
     println!("Figure 7 (top): runtime vs problem size, {threads} threads");
@@ -63,17 +64,17 @@ fn size_sweep(cli: &Cli) {
     for &dim in &dims {
         let iters = 40;
         let ex = Executor::new(threads);
-        let rf = median_ms(cli.reps, || {
+        let rf = median_ms(reps, || {
             wavefront_rustflow::run(dim, iters, &ex);
         });
         let pool = Pool::new(threads);
-        let fg = median_ms(cli.reps, || {
+        let fg = median_ms(reps, || {
             wavefront_flowgraph::run(dim, iters, &pool);
         });
-        let omp = median_ms(cli.reps, || {
+        let omp = median_ms(reps, || {
             wavefront_openmp::run(dim, iters, &pool);
         });
-        let lv = median_ms(cli.reps, || {
+        let lv = median_ms(reps, || {
             wavefront_levelized::run(dim, iters, &pool);
         });
         report.row(&[
@@ -88,17 +89,17 @@ fn size_sweep(cli: &Cli) {
     for &nodes in &dag_sizes {
         let spec = RandDagSpec::new(nodes);
         let ex = Executor::new(threads);
-        let rf = median_ms(cli.reps, || {
+        let rf = median_ms(reps, || {
             traversal_rustflow::run(spec, &ex);
         });
         let pool = Pool::new(threads);
-        let fg = median_ms(cli.reps, || {
+        let fg = median_ms(reps, || {
             traversal_flowgraph::run(spec, &pool);
         });
-        let omp = median_ms(cli.reps, || {
+        let omp = median_ms(reps, || {
             traversal_openmp::run(spec, &pool);
         });
-        let lv = median_ms(cli.reps, || {
+        let lv = median_ms(reps, || {
             traversal_levelized::run(spec, &pool);
         });
         report.row(&[
@@ -114,6 +115,7 @@ fn size_sweep(cli: &Cli) {
 }
 
 fn thread_sweep(cli: &Cli) {
+    let reps = cli.number("--reps", 3) as usize;
     let threads = cli.thread_sweep(if cli.full {
         &[1, 2, 4, 8, 16, 32, 64]
     } else {
@@ -135,11 +137,11 @@ fn thread_sweep(cli: &Cli) {
     report.print_header();
     for &t in &threads {
         let ex = Executor::new(t);
-        let rf = median_ms(cli.reps, || {
+        let rf = median_ms(reps, || {
             wavefront_rustflow::run(dim, 40, &ex);
         });
         let pool = Pool::new(t);
-        let fg = median_ms(cli.reps, || {
+        let fg = median_ms(reps, || {
             wavefront_flowgraph::run(dim, 40, &pool);
         });
         report.row(&[
@@ -152,11 +154,11 @@ fn thread_sweep(cli: &Cli) {
     for &t in &threads {
         let spec = RandDagSpec::new(nodes);
         let ex = Executor::new(t);
-        let rf = median_ms(cli.reps, || {
+        let rf = median_ms(reps, || {
             traversal_rustflow::run(spec, &ex);
         });
         let pool = Pool::new(t);
-        let fg = median_ms(cli.reps, || {
+        let fg = median_ms(reps, || {
             traversal_flowgraph::run(spec, &pool);
         });
         report.row(&[

@@ -13,7 +13,6 @@ use tf_timer::{Circuit, CircuitSpec, Engine, GateKind, Timer};
 
 fn main() {
     let cli = Cli::parse();
-    std::fs::create_dir_all(&cli.out).expect("cannot create output dir");
 
     // The circuit of Fig. 8: u1 = NAND(inp1, inp2); f1 captures u1 and
     // launches u2/u4; u2 -> u3 -> out path; u4 = NAND(u1, f1) -> out.
@@ -51,11 +50,9 @@ fn main() {
     let timer = Timer::new(CircuitSpec::small_test(200, 8).generate());
     let seeds: Vec<u32> = timer.circuit().sources().collect();
     let dot = timer.update_task_graph_dot(&seeds);
-    let path = cli.out.join("fig8.dot");
-    std::fs::write(&path, &dot).expect("cannot write DOT");
     println!(
-        "task dependency graph of a {}-gate design -> {}",
-        timer.circuit().num_gates(),
-        path.display()
+        "task dependency graph of a {}-gate design:",
+        timer.circuit().num_gates()
     );
+    cli.write_report("fig8.dot", &dot);
 }

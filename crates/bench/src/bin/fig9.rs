@@ -22,10 +22,10 @@
 //! when the block size or the generator changes on purpose; a failing run
 //! prints the numbers to put there.
 
+use rustflow::wire::json;
 use rustflow::Executor;
 use tf_baselines::Pool;
 use tf_bench::harness::{time_ms, Cli, Report};
-use tf_bench::json;
 use tf_timer::{Circuit, CircuitSpec, DesignModifier, Engine, Timer};
 
 /// Seed of every modifier stream.

@@ -1,22 +1,17 @@
 //! Introspection gate — live-observability overhead and endpoint smoke
 //! (beyond the paper; CI job `introspect-gate`).
 //!
-//! Three checks, all against real sockets:
+//! Two checks, both against real sockets:
 //!
 //! 1. **Overhead** — a wavefront workload is timed on a plain executor
 //!    and on one with the full introspection service enabled (collector
 //!    thread, HTTP endpoint, and a scraper hitting `/metrics` + `/status`
 //!    throughout). The enabled/disabled median ratio must stay ≤ 1.05×.
-//! 2. **Latency-layer overhead** — a tenanted serving workload (pipelined
-//!    `run_on` submissions) is timed with the per-run latency histograms
-//!    enabled vs `latency_histograms(false)`, both sides with the service
-//!    up and an active scraper merging the shards. The stamp+record path
-//!    is a handful of relaxed atomics per *run*, so the same ≤ 1.05×
-//!    median ratio applies.
-//! 3. **Endpoint smoke** — while a `run_n` batch is in flight, `/metrics`
-//!    must pass the strict [`tf_bench::prom`] parser with every expected
-//!    family present, `/status` must parse as JSON ([`tf_bench::json`])
-//!    with a worker entry per thread, and `/trace?last_ms=500` must be
+//! 2. **Endpoint smoke** — while a `run_n` batch is in flight, `/metrics`
+//!    must pass the strict [`rustflow::wire::prom`] parser with every
+//!    expected family present, `/status` must parse as JSON
+//!    ([`rustflow::wire::json`]) with a worker entry per lane, and
+//!    `/trace?last_ms=500` must be
 //!    valid Chrome-trace JSON whose events all sit inside the window.
 //!    A tenant with an `SloSpec` then pushes a known run count through
 //!    the front door and the `rustflow_tenant_latency_us` family and the
@@ -25,16 +20,12 @@
 //! Results land in `<out>/introspect_report.json`; any gate violation
 //! makes the process exit non-zero, failing the CI job.
 
-use rustflow::{Executor, ExecutorBuilder, IntrospectConfig, SloSpec, Taskflow, Tenant, TenantQos};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rustflow::wire::{json, prom};
+use rustflow::{Executor, IntrospectConfig, SloSpec, Taskflow, TenantQos};
 use std::sync::Arc;
 use std::time::Duration;
-use tf_bench::harness::{time_ms, Cli};
+use tf_bench::harness::{http_get, median, time_ms, Cli, Scraper};
 use tf_bench::impls::wavefront_rustflow;
-use tf_bench::{json, prom};
 
 /// Enabled-vs-disabled wall-clock ratio the gate allows.
 const RATIO_GATE: f64 = 1.05;
@@ -63,25 +54,15 @@ struct GateResult {
     enabled_ms: f64,
     ratio: f64,
     scrapes: usize,
-    lat_disabled_ms: f64,
-    lat_enabled_ms: f64,
-    lat_ratio: f64,
     smoke: Vec<(String, bool, String)>,
 }
 
 fn main() {
     let cli = Cli::parse();
-    let threads = cli
-        .threads
-        .as_ref()
-        .and_then(|t| t.first().copied())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4)
-        });
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
+    let threads = cli.thread_count(cores);
     let (dim, iters) = if cli.full { (48, 8192) } else { (32, 8192) };
-    let reps = cli.reps.max(9);
+    let reps = cli.number("--reps", 9).max(9) as usize;
 
     let mut result = GateResult {
         threads,
@@ -92,24 +73,17 @@ fn main() {
         enabled_ms: 0.0,
         ratio: 0.0,
         scrapes: 0,
-        lat_disabled_ms: 0.0,
-        lat_enabled_ms: 0.0,
-        lat_ratio: 0.0,
         smoke: Vec::new(),
     };
 
     if cli.wants_part("overhead") {
         measure_overhead(&mut result);
     }
-    if cli.wants_part("latency") {
-        measure_latency_overhead(&mut result);
-    }
     if cli.wants_part("smoke") {
         smoke(&mut result);
     }
 
     let overhead_pass = result.ratio == 0.0 || result.ratio <= RATIO_GATE;
-    let latency_pass = result.lat_ratio == 0.0 || result.lat_ratio <= RATIO_GATE;
     let smoke_pass = result.smoke.iter().all(|(_, ok, _)| *ok);
     println!(
         "introspect gate: disabled={:.2}ms enabled={:.2}ms ratio={:.3} (gate {RATIO_GATE}) {}",
@@ -118,17 +92,10 @@ fn main() {
         result.ratio,
         if overhead_pass { "ok" } else { "FAIL" },
     );
-    println!(
-        "latency layer:   disabled={:.2}ms enabled={:.2}ms ratio={:.3} (gate {RATIO_GATE}) {}",
-        result.lat_disabled_ms,
-        result.lat_enabled_ms,
-        result.lat_ratio,
-        if latency_pass { "ok" } else { "FAIL" },
-    );
     for (name, ok, note) in &result.smoke {
         println!("  {} {name} {note}", if *ok { "ok  " } else { "FAIL" });
     }
-    let pass = overhead_pass && latency_pass && smoke_pass;
+    let pass = overhead_pass && smoke_pass;
     write_report(&cli, &result, pass);
     if !pass {
         eprintln!("introspect gate: FAILED");
@@ -155,20 +122,7 @@ fn measure_overhead(result: &mut GateResult) {
     // so "enabled" means enabled *and observed*, not merely idling.
     // 250ms is still ~20-60x more aggressive than a production
     // Prometheus scrape interval.
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut n = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let _ = http_get(addr, "/metrics");
-                let _ = http_get(addr, "/status");
-                n += 1;
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            n
-        })
-    };
+    let scraper = Scraper::start(addr, &["/metrics", "/status"], Duration::from_millis(250));
 
     // Warm both executors (threads spawn lazily on first dispatch).
     wavefront_rustflow::run(dim, iters, &bare);
@@ -184,93 +138,10 @@ fn measure_overhead(result: &mut GateResult) {
             wavefront_rustflow::run(dim, iters, &live);
         }));
     }
-    stop.store(true, Ordering::Relaxed);
-    result.scrapes = scraper.join().expect("scraper panicked");
+    result.scrapes = scraper.stop();
     result.disabled_ms = median(&mut disabled);
     result.enabled_ms = median(&mut enabled);
     result.ratio = result.enabled_ms / result.disabled_ms;
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Pushes `n` pipelined single-task flows through `tenant`, keeping a
-/// bounded window in flight — the serving-shaped workload whose per-run
-/// cost the latency layer must not perturb.
-fn run_tenant_batch(ex: &Arc<Executor>, tenant: &Tenant, n: usize) {
-    const WINDOW: usize = 16;
-    let mut inflight: VecDeque<(Taskflow, rustflow::RunHandle)> = VecDeque::with_capacity(WINDOW);
-    for _ in 0..n {
-        let tf = Taskflow::with_executor(Arc::clone(ex));
-        tf.emplace(|| {});
-        let h = tf.run_on(tenant).expect("executor is not shutting down");
-        inflight.push_back((tf, h));
-        if inflight.len() == WINDOW {
-            let (_tf, h) = inflight.pop_front().expect("window is full");
-            h.get().expect("run must succeed");
-        }
-    }
-    for (_tf, h) in inflight {
-        h.get().expect("run must succeed");
-    }
-}
-
-/// Times the tenanted serving workload with the latency histograms on vs
-/// off — both sides with the introspection service live and a scraper
-/// forcing shard merges throughout, so the ratio isolates exactly the
-/// stamp/record/merge cost the always-on pipeline adds per run.
-fn measure_latency_overhead(result: &mut GateResult) {
-    let (threads, reps) = (result.threads, result.reps);
-    const SUBMISSIONS: usize = 3000;
-
-    let mk = |histograms: bool| {
-        let ex = ExecutorBuilder::new()
-            .workers(threads)
-            .latency_histograms(histograms)
-            .build();
-        let handle = ex
-            .serve_introspection_with("127.0.0.1:0", IntrospectConfig::default())
-            .expect("bind introspection endpoint");
-        let addr = handle.local_addr().expect("local addr");
-        let tenant = ex.tenant("ab");
-        (ex, handle, addr, tenant)
-    };
-    let (ex_off, _h_off, addr_off, tenant_off) = mk(false);
-    let (ex_on, _h_on, addr_on, tenant_on) = mk(true);
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let _ = http_get(addr_off, "/metrics");
-                let _ = http_get(addr_on, "/metrics");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        })
-    };
-
-    // Warm both executors and tenant paths.
-    run_tenant_batch(&ex_off, &tenant_off, SUBMISSIONS);
-    run_tenant_batch(&ex_on, &tenant_on, SUBMISSIONS);
-
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        off.push(time_ms(|| {
-            run_tenant_batch(&ex_off, &tenant_off, SUBMISSIONS)
-        }));
-        on.push(time_ms(|| {
-            run_tenant_batch(&ex_on, &tenant_on, SUBMISSIONS)
-        }));
-    }
-    stop.store(true, Ordering::Relaxed);
-    scraper.join().expect("scraper panicked");
-    result.lat_disabled_ms = median(&mut off);
-    result.lat_enabled_ms = median(&mut on);
-    result.lat_ratio = result.lat_enabled_ms / result.lat_disabled_ms;
 }
 
 /// Hits all three endpoints while a `run_n` batch is in flight and
@@ -343,19 +214,14 @@ fn smoke(result: &mut GateResult) {
             check("status_parse", true, String::new());
             status_now_us = v.get("now_us").and_then(|n| n.as_u64()).unwrap_or(0);
             check("status_now_us", status_now_us > 0, String::new());
-            let workers = v
-                .get("workers")
-                .and_then(|w| w.as_arr())
-                .map_or(0, <[_]>::len);
+            let len_of = |key: &str| v.get(key).and_then(|a| a.as_arr()).map_or(0, <[_]>::len);
+            let workers = len_of("workers");
             check(
                 "status_workers",
                 workers == ex.num_lanes(),
                 format!("{workers}/{} lanes", ex.num_lanes()),
             );
-            let topos = v
-                .get("topologies")
-                .and_then(|t| t.as_arr())
-                .map_or(0, <[_]>::len);
+            let topos = len_of("topologies");
             check(
                 "status_live_topology",
                 topos >= 1,
@@ -458,15 +324,10 @@ fn smoke(result: &mut GateResult) {
                 arr.iter()
                     .find(|t| t.get("name").and_then(|n| n.as_str()) == Some("svc"))
             });
-            let slo_ok = svc
-                .and_then(|t| t.get("slo"))
-                .and_then(|s| s.get("p99_us"))
-                .and_then(|p| p.as_u64())
-                == Some(250_000);
+            let slo = svc.and_then(|t| t.at(&["slo", "p99_us"]));
+            let slo_ok = slo.and_then(json::Value::as_u64) == Some(250_000);
             check("status_slo_spec", slo_ok, String::new());
-            let e2e = svc
-                .and_then(|t| t.get("latency_us"))
-                .and_then(|l| l.get("e2e"));
+            let e2e = svc.and_then(|t| t.at(&["latency_us", "e2e"]));
             let pct = |k: &str| e2e.and_then(|p| p.get(k)).and_then(json::Value::as_f64);
             let ordered = matches!(
                 (pct("p50"), pct("p90"), pct("p99"), pct("p999")),
@@ -485,57 +346,30 @@ fn smoke(result: &mut GateResult) {
     }
 }
 
-fn http_get(addr: SocketAddr, target: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect introspection endpoint");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("socket timeout");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("malformed response");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "unexpected status for {target}: {}",
-        head.lines().next().unwrap_or("")
-    );
-    body.to_string()
-}
-
 fn write_report(cli: &Cli, r: &GateResult, pass: bool) {
-    std::fs::create_dir_all(&cli.out).expect("cannot create output directory");
-    let mut smoke = String::new();
-    for (i, (name, ok, note)) in r.smoke.iter().enumerate() {
-        smoke.push_str(&format!(
-            "    {{\"check\": \"{name}\", \"pass\": {ok}, \"note\": \"{note}\"}}{}\n",
-            if i + 1 < r.smoke.len() { "," } else { "" },
-        ));
+    let mut w = json::Writer::pretty();
+    w.begin_object();
+    w.field("schema", 2);
+    w.field("threads", r.threads);
+    w.field("dim", r.dim);
+    w.field("iters", r.iters);
+    w.field("reps", r.reps);
+    w.field("disabled_ms", format_args!("{:.3}", r.disabled_ms));
+    w.field("enabled_ms", format_args!("{:.3}", r.enabled_ms));
+    w.field("ratio", format_args!("{:.4}", r.ratio));
+    w.field("ratio_gate", RATIO_GATE);
+    w.field("scrapes", r.scrapes);
+    w.key("smoke");
+    w.begin_array();
+    for (name, ok, note) in &r.smoke {
+        w.begin_object();
+        w.field_str("check", name);
+        w.field("pass", ok);
+        w.field_str("note", note);
+        w.end();
     }
-    let json_text = format!(
-        "{{\n  \"schema\": 2,\n  \"threads\": {},\n  \"dim\": {},\n  \"iters\": {},\n  \
-         \"reps\": {},\n  \"disabled_ms\": {:.3},\n  \"enabled_ms\": {:.3},\n  \
-         \"ratio\": {:.4},\n  \"ratio_gate\": {RATIO_GATE},\n  \"scrapes\": {},\n  \
-         \"lat_disabled_ms\": {:.3},\n  \"lat_enabled_ms\": {:.3},\n  \"lat_ratio\": {:.4},\n  \
-         \"smoke\": [\n{smoke}  ],\n  \"pass\": {pass}\n}}\n",
-        r.threads,
-        r.dim,
-        r.iters,
-        r.reps,
-        r.disabled_ms,
-        r.enabled_ms,
-        r.ratio,
-        r.scrapes,
-        r.lat_disabled_ms,
-        r.lat_enabled_ms,
-        r.lat_ratio,
-    );
-    let path = cli.out.join("introspect_report.json");
-    std::fs::write(&path, &json_text).expect("cannot write introspect report");
-    // The report must stay machine-readable: parse it back.
-    json::parse(&json_text).expect("introspect report must be valid JSON");
-    println!("  -> {}", path.display());
+    w.end();
+    w.field("pass", pass);
+    w.end();
+    cli.write_report("introspect_report.json", &w.finish());
 }

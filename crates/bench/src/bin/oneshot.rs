@@ -34,31 +34,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tf_bench::count_alloc::{self, CountingAlloc, Stamp};
+use tf_bench::count_alloc::{self, Counted, CountingAlloc, Stamp};
+use tf_bench::harness::{median, Cli};
 use tf_workloads::kernels::nominal_work;
 use tf_workloads::randdag::{generate_edges, RandDagSpec};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// One phase of one repetition.
-#[derive(Clone, Copy)]
-struct Phase {
-    allocs: u64,
-    bytes: u64,
-    ns: f64,
-}
-
-impl Phase {
-    /// What the calling thread did between two stamps.
-    fn mine(from: Stamp, to: Stamp) -> Phase {
-        Phase {
-            allocs: to.my_allocs - from.my_allocs,
-            bytes: to.my_bytes - from.my_bytes,
-            ns: (to.at - from.at).as_nanos() as f64,
-        }
-    }
-}
 
 const PHASES: [&str; 4] = ["build", "freeze", "run", "drop"];
 
@@ -68,7 +50,7 @@ fn one_shot(
     spec: RandDagSpec,
     edges: &[(u32, u32)],
     executor: &Arc<rustflow::Executor>,
-) -> [Phase; 4] {
+) -> [Counted; 4] {
     let count = Arc::new(AtomicU64::new(0));
     let sum = Arc::new(AtomicU64::new(0));
     let t0 = Stamp::now();
@@ -109,42 +91,23 @@ fn one_shot(
     );
     assert_eq!(sum.load(Ordering::Relaxed), expected, "checksum mismatch");
     [
-        Phase::mine(t0, t1),
-        Phase::mine(t1, t2),
+        Counted::mine(t0, t1),
+        Counted::mine(t1, t2),
         // Everything any thread allocated from dispatch to resolution,
         // less the calling thread's freeze: the worker starts on the first
         // published source, while `dispatch` is still returning.
-        Phase {
+        Counted {
             allocs: (t3.all_allocs - t1.all_allocs) - (t2.my_allocs - t1.my_allocs),
             bytes: (t3.all_bytes - t1.all_bytes) - (t2.my_bytes - t1.my_bytes),
             ns: (t3.at - t2.at).as_nanos() as f64,
         },
-        Phase::mine(t3, t4),
+        Counted::mine(t3, t4),
     ]
 }
 
 fn main() {
-    // Own flags, like the other gate binaries: `--check` compares against
-    // the committed file before overwriting it.
-    let mut check = false;
-    let mut out = std::path::PathBuf::from("results");
-    let mut reps = 15usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a directory").into(),
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--reps needs a positive number")
-            }
-            other => panic!("unknown flag {other} (flags: --check | --out <dir> | --reps n)"),
-        }
-    }
-
+    let cli = Cli::parse();
+    let reps = cli.number("--reps", 15).max(1) as usize;
     let spec = RandDagSpec::new(10_000);
     let edges = generate_edges(spec);
     let executor = rustflow::Executor::new(1);
@@ -157,47 +120,34 @@ fn main() {
     for _ in 0..3 {
         one_shot(spec, &edges, &executor);
     }
-    let runs: Vec<[Phase; 4]> = (0..reps)
+    let runs: Vec<[Counted; 4]> = (0..reps)
         .map(|_| one_shot(spec, &edges, &executor))
         .collect();
 
-    let per_node = |x: f64| x / spec.nodes as f64;
-    let mut report = String::from("{\n  \"benchmark\": \"oneshot\",\n");
-    report.push_str(&format!(
-        "  \"nodes\": {},\n  \"edges\": {},\n  \"workers\": 1,\n  \"repetitions\": {reps},\n  \"phases\": {{\n",
-        spec.nodes,
-        edges.len()
-    ));
-    let mut measured = Vec::new();
-    for (p, name) in PHASES.iter().enumerate() {
-        let allocs = runs.iter().map(|r| r[p].allocs).max().expect("reps > 0");
-        let bytes = runs.iter().map(|r| r[p].bytes).max().expect("reps > 0");
-        let mut ns: Vec<f64> = runs.iter().map(|r| r[p].ns).collect();
-        ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let ns = ns[ns.len() / 2];
-        println!(
-            "  {name:<6} {:>8.4} allocs/node  {:>8.1} bytes/node  {:>7.1} ns/node",
-            per_node(allocs as f64),
-            per_node(bytes as f64),
-            per_node(ns)
-        );
-        report.push_str(&format!(
-            "    \"{name}\": {{ \"allocs\": {allocs}, \"allocs_per_node\": {:.4}, \"bytes_per_node\": {:.1}, \"ns_per_node\": {:.1} }}{}\n",
-            per_node(allocs as f64),
-            per_node(bytes as f64),
-            per_node(ns),
-            if p + 1 < PHASES.len() { "," } else { "" }
-        ));
-        measured.push((*name, allocs));
-    }
-    report.push_str("  }\n}\n");
-
-    let path = out.join("oneshot.json");
-    if check {
-        count_alloc::check_against_committed("oneshot", &path, "phases", &measured);
-        println!("oneshot gate: OK (no phase allocates more than the committed file)");
-    }
-    std::fs::create_dir_all(&out).expect("cannot create output directory");
-    std::fs::write(&path, report).expect("cannot write oneshot.json");
-    println!("  -> {}", path.display());
+    let phases: Vec<(&str, Counted)> = PHASES
+        .iter()
+        .enumerate()
+        .map(|(p, name)| {
+            let mut ns: Vec<f64> = runs.iter().map(|r| r[p].ns).collect();
+            let phase = Counted {
+                allocs: runs.iter().map(|r| r[p].allocs).max().expect("reps > 0"),
+                bytes: runs.iter().map(|r| r[p].bytes).max().expect("reps > 0"),
+                ns: median(&mut ns),
+            };
+            (*name, phase)
+        })
+        .collect();
+    let sizes = [
+        ("nodes", spec.nodes),
+        ("edges", edges.len()),
+        ("workers", 1),
+        ("repetitions", reps),
+    ];
+    count_alloc::report_and_gate(
+        &cli,
+        "oneshot",
+        &sizes,
+        ("phases", "node", spec.nodes),
+        &phases,
+    );
 }

@@ -25,30 +25,14 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tf_bench::count_alloc::{self, CountingAlloc, Stamp};
+use tf_bench::count_alloc::{self, Counted, CountingAlloc, Stamp};
+use tf_bench::harness::Cli;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const RUNS: usize = 10_000;
 const WINDOW: usize = 16;
-
-/// One counted loop: allocations, bytes and wall time over `RUNS` runs.
-struct Counted {
-    allocs: u64,
-    bytes: u64,
-    ns: f64,
-}
-
-impl Counted {
-    fn between(from: Stamp, to: Stamp) -> Counted {
-        Counted {
-            allocs: to.all_allocs - from.all_allocs,
-            bytes: to.all_bytes - from.all_bytes,
-            ns: (to.at - from.at).as_nanos() as f64,
-        }
-    }
-}
 
 fn flow(executor: &Arc<rustflow::Executor>, served: &Arc<AtomicU64>) -> rustflow::Taskflow {
     let tf = rustflow::Taskflow::with_executor(Arc::clone(executor));
@@ -87,19 +71,7 @@ fn untenanted_loop(flow: &rustflow::Taskflow) {
 }
 
 fn main() {
-    // Own flags, like the other gate binaries: `--check` compares against
-    // the committed file before overwriting it.
-    let mut check = false;
-    let mut out = std::path::PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a directory").into(),
-            other => panic!("unknown flag {other} (flags: --check | --out <dir>)"),
-        }
-    }
-
+    let cli = Cli::parse();
     let executor = rustflow::Executor::new(1);
     let tenant = executor.tenant("served");
     let served = Arc::new(AtomicU64::new(0));
@@ -142,39 +114,10 @@ fn main() {
         "every body must run exactly once per run"
     );
 
-    let measured = [
-        ("tenant", Counted::between(t0, t1)),
-        ("untenanted", Counted::between(t1, t2)),
+    let loops = [
+        ("tenant", Counted::all(t0, t1)),
+        ("untenanted", Counted::all(t1, t2)),
     ];
-    let per_run = |x: f64| x / RUNS as f64;
-    let mut report = format!(
-        "{{\n  \"benchmark\": \"served\",\n  \"runs\": {RUNS},\n  \"window\": {WINDOW},\n  \"workers\": 1,\n  \"loops\": {{\n"
-    );
-    for (i, (name, c)) in measured.iter().enumerate() {
-        println!(
-            "  {name:<10} {:>7.4} allocs/run  {:>7.1} bytes/run  {:>7.1} ns/run",
-            per_run(c.allocs as f64),
-            per_run(c.bytes as f64),
-            per_run(c.ns)
-        );
-        report.push_str(&format!(
-            "    \"{name}\": {{ \"allocs\": {}, \"allocs_per_run\": {:.4}, \"bytes_per_run\": {:.1}, \"ns_per_run\": {:.1} }}{}\n",
-            c.allocs,
-            per_run(c.allocs as f64),
-            per_run(c.bytes as f64),
-            per_run(c.ns),
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
-    }
-    report.push_str("  }\n}\n");
-
-    let path = out.join("served.json");
-    if check {
-        let counts: Vec<(&str, u64)> = measured.iter().map(|(n, c)| (*n, c.allocs)).collect();
-        count_alloc::check_against_committed("served", &path, "loops", &counts);
-        println!("served gate: OK (neither loop allocates more than the committed file)");
-    }
-    std::fs::create_dir_all(&out).expect("cannot create output directory");
-    std::fs::write(&path, report).expect("cannot write served.json");
-    println!("  -> {}", path.display());
+    let sizes = [("runs", RUNS), ("window", WINDOW), ("workers", 1)];
+    count_alloc::report_and_gate(&cli, "served", &sizes, ("loops", "run", RUNS), &loops);
 }

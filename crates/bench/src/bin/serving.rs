@@ -29,72 +29,23 @@
 //! around `run_on` → `get`, server stamps submit → finalize), so they
 //! must land within one log-linear bucket width of each other.
 
+use rustflow::wire::{json, prom};
 use rustflow::{Executor, ExecutorBuilder, Histogram, Taskflow, TenantQos};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tf_bench::prom;
+use tf_bench::harness::{finish_gate, http_get, Cli, Scraper};
 
 /// Per-client pipeline depth: how many submissions a client keeps in
 /// flight before waiting out the oldest. Deep enough to keep the
 /// injector hot, shallow enough that latency stays submission-bound.
 const WINDOW: usize = 16;
 
+/// The sweep's sizes: `--workers`, `--per-client`, `--repeats`.
 struct Flags {
-    out: std::path::PathBuf,
     workers: usize,
     per_client: usize,
     repeats: usize,
-    check: bool,
-}
-
-fn parse_flags() -> Flags {
-    let mut f = Flags {
-        out: std::path::PathBuf::from("results"),
-        workers: 4,
-        per_client: 1500,
-        repeats: 3,
-        check: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => f.out = args.next().expect("--out needs a directory").into(),
-            "--workers" => {
-                f.workers = args
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("bad worker count");
-            }
-            "--per-client" => {
-                f.per_client = args
-                    .next()
-                    .expect("--per-client needs a count")
-                    .parse()
-                    .expect("bad submission count");
-            }
-            "--repeats" => {
-                f.repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("bad repeat count");
-            }
-            "--check" => f.check = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --out <dir> | --workers n | --per-client n | --repeats n | --check"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    f
 }
 
 /// One measured configuration.
@@ -118,9 +69,16 @@ fn request_flow(ex: Arc<Executor>) -> Taskflow {
     tf
 }
 
-/// Fans out `clients` pipelined client threads (one tenant each) against
-/// `ex`; returns the sorted per-submission submit→resolve latencies (µs).
-fn run_clients(ex: &Arc<Executor>, clients: usize, per_client: usize) -> Vec<f64> {
+/// Fans out `clients` client threads (one tenant each) against `ex`, each
+/// keeping `window` requests built by `flow` in flight (1 = synchronous);
+/// returns the sorted per-submission submit→resolve latencies (µs).
+fn run_clients(
+    ex: &Arc<Executor>,
+    clients: usize,
+    per_client: usize,
+    window: usize,
+    flow: fn(Arc<Executor>) -> Taskflow,
+) -> Vec<f64> {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let ex = Arc::clone(ex);
@@ -128,20 +86,20 @@ fn run_clients(ex: &Arc<Executor>, clients: usize, per_client: usize) -> Vec<f64
                 &format!("client-{c}"),
                 TenantQos {
                     weight: 1,
-                    max_queued: WINDOW * 2,
+                    max_queued: window * 2,
                     ..TenantQos::default()
                 },
             );
             std::thread::spawn(move || {
                 let mut lat_us = Vec::with_capacity(per_client);
                 let mut inflight: VecDeque<(Instant, Taskflow, rustflow::RunHandle)> =
-                    VecDeque::with_capacity(WINDOW);
+                    VecDeque::with_capacity(window);
                 for _ in 0..per_client {
-                    let tf = request_flow(ex.clone());
+                    let tf = flow(ex.clone());
                     let t0 = Instant::now();
                     let h = tf.run_on(&tenant).expect("executor is not shutting down");
                     inflight.push_back((t0, tf, h));
-                    if inflight.len() == WINDOW {
+                    if inflight.len() == window {
                         let (t0, _tf, h) = inflight.pop_front().expect("window is full");
                         h.get().expect("request must succeed");
                         lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
@@ -163,22 +121,20 @@ fn run_clients(ex: &Arc<Executor>, clients: usize, per_client: usize) -> Vec<f64
     lat_us
 }
 
-/// One run of `clients` pipelined client threads against a fresh
-/// executor; returns (wall_ms, sorted per-submission latencies in µs).
-fn run_once(clients: usize, workers: usize, per_client: usize) -> (f64, Vec<f64>) {
-    let ex = ExecutorBuilder::new().workers(workers).build();
-    let start = Instant::now();
-    let lat_us = run_clients(&ex, clients, per_client);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, lat_us)
-}
-
-/// Measures one client count, keeping the best of `--repeats` runs.
+/// Measures one client count: each of `--repeats` runs fans `clients`
+/// pipelined client threads out against a fresh executor; the fastest run
+/// (by wall time) is kept.
 fn measure(clients: usize, flags: &Flags) -> Measured {
     let submissions = clients * flags.per_client;
+    let run_once = |_| {
+        let ex = ExecutorBuilder::new().workers(flags.workers).build();
+        let start = Instant::now();
+        let lat_us = run_clients(&ex, clients, flags.per_client, WINDOW, request_flow);
+        (start.elapsed().as_secs_f64() * 1e3, lat_us)
+    };
     let (wall_ms, lat) = (0..flags.repeats.max(1))
-        .map(|_| run_once(clients, flags.workers, flags.per_client))
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("wall times are finite"))
+        .map(run_once)
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one repeat ran");
     Measured {
         clients,
@@ -194,27 +150,6 @@ fn measure(clients: usize, flags: &Flags) -> Measured {
 /// Client count for the server-agreement configuration: contended enough
 /// that the histograms see a real latency spread, cheap next to the sweep.
 const AGREE_CLIENTS: usize = 4;
-
-fn http_get(addr: SocketAddr, target: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect introspection endpoint");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("socket timeout");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("malformed response");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "unexpected status for {target}: {}",
-        head.lines().next().unwrap_or("")
-    );
-    body.to_string()
-}
 
 /// Merges the `phase="e2e"` series of `rustflow_tenant_latency_us` across
 /// all tenants in a scraped exposition into one [`Histogram`]: the bucket
@@ -302,51 +237,14 @@ fn server_agreement(flags: &Flags) -> Vec<String> {
 
     // Scrape *during* the run: shard merges must be safe (and cheap)
     // while workers are recording into the same shards.
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                let _ = http_get(addr, "/metrics");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
+    let scraper = Scraper::start(addr, &["/metrics"], Duration::from_millis(5));
+    let slow_request = |ex: Arc<Executor>| {
+        let tf = Taskflow::with_executor(ex);
+        tf.emplace(|| std::thread::sleep(Duration::from_micros(300)));
+        tf
     };
-    let lat = {
-        let handles: Vec<_> = (0..AGREE_CLIENTS)
-            .map(|c| {
-                let ex = Arc::clone(&ex);
-                let tenant = ex.tenant_with(
-                    &format!("agree-{c}"),
-                    TenantQos {
-                        weight: 1,
-                        max_queued: 4,
-                        ..TenantQos::default()
-                    },
-                );
-                std::thread::spawn(move || {
-                    let mut lat_us = Vec::with_capacity(per_client);
-                    for _ in 0..per_client {
-                        let tf = Taskflow::with_executor(ex.clone());
-                        tf.emplace(|| std::thread::sleep(Duration::from_micros(300)));
-                        let t0 = Instant::now();
-                        let h = tf.run_on(&tenant).expect("executor is not shutting down");
-                        h.get().expect("request must succeed");
-                        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    lat_us
-                })
-            })
-            .collect();
-        let mut lat: Vec<f64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread panicked"))
-            .collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        lat
-    };
-    stop.store(true, Ordering::Release);
-    scraper.join().expect("scraper thread panicked");
+    let lat = run_clients(&ex, AGREE_CLIENTS, per_client, 1, slow_request);
+    scraper.stop();
 
     // Latency records fold in *after* each run's promise resolves, so
     // poll the endpoint until every submission is visible server-side.
@@ -391,7 +289,12 @@ fn server_agreement(flags: &Flags) -> Vec<String> {
 }
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::parse_with(&["--workers", "--per-client", "--repeats"]);
+    let flags = Flags {
+        workers: cli.number("--workers", 4) as usize,
+        per_client: cli.number("--per-client", 1500) as usize,
+        repeats: cli.number("--repeats", 3) as usize,
+    };
     let client_counts = [1usize, 2, 4, 8, 16];
     let mut measured = Vec::new();
     for &clients in &client_counts {
@@ -406,7 +309,7 @@ fn main() {
     // --- Server-side histogram agreement. --------------------------------
     println!("server-histogram agreement ({AGREE_CLIENTS} clients, scraper attached):");
     let agreement_failures = server_agreement(&flags);
-    if !flags.check {
+    if !cli.check {
         // Outside `--check` the disagreements are advisory, not fatal.
         for f in &agreement_failures {
             eprintln!("serving agreement WARN: {f}");
@@ -414,38 +317,35 @@ fn main() {
     }
 
     // --- Report. ---------------------------------------------------------
-    std::fs::create_dir_all(&flags.out).expect("cannot create output directory");
-    let mut report = format!(
-        "{{\n  \"schema_version\": 1,\n  \"workers\": {},\n  \"per_client\": {},\n  \"window\": {WINDOW},\n  \"configs\": [\n",
-        flags.workers, flags.per_client
-    );
-    for (i, m) in measured.iter().enumerate() {
-        report.push_str(&format!(
-            "    {{\"name\": \"c{}\", \"clients\": {}, \"submissions\": {}, \"wall_ms\": {:.3}, \"throughput_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}}}{}\n",
-            m.clients,
-            m.clients,
-            m.submissions,
-            m.wall_ms,
-            m.throughput_per_s,
-            m.p50_us,
-            m.p99_us,
-            m.p999_us,
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
+    let mut w = json::Writer::pretty();
+    w.begin_object();
+    w.field("schema_version", 1);
+    w.field("workers", flags.workers);
+    w.field("per_client", flags.per_client);
+    w.field("window", WINDOW);
+    w.key("configs");
+    w.begin_array();
+    for m in &measured {
+        w.begin_object();
+        w.field_str("name", &format!("c{}", m.clients));
+        w.field("clients", m.clients);
+        w.field("submissions", m.submissions);
+        w.field("wall_ms", format_args!("{:.3}", m.wall_ms));
+        w.field(
+            "throughput_per_s",
+            format_args!("{:.1}", m.throughput_per_s),
+        );
+        w.field("p50_us", format_args!("{:.1}", m.p50_us));
+        w.field("p99_us", format_args!("{:.1}", m.p99_us));
+        w.field("p999_us", format_args!("{:.1}", m.p999_us));
+        w.end();
     }
-    report.push_str("  ]\n}\n");
-    let path = flags.out.join("serving_report.json");
-    std::fs::write(&path, &report).expect("cannot write serving_report.json");
-    println!("  -> {}", path.display());
+    w.end();
+    w.end();
+    cli.write_report("serving_report.json", &w.finish());
 
-    if flags.check {
-        if agreement_failures.is_empty() {
-            println!("serving gate: OK ({} configs)", measured.len());
-        } else {
-            for f in &agreement_failures {
-                eprintln!("serving gate FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
+    if cli.check {
+        let ok = format!("{} configs", measured.len());
+        finish_gate("serving", &ok, &agreement_failures);
     }
 }

@@ -15,35 +15,32 @@
 //! * the extended admission ledger balances at quiescence for every
 //!   tenant: `submitted == dispatched + coalesced + shed + rejected_*`;
 //! * goodput (deadline-met completions/s) with shedding engaged is at
-//!   least 80% of the no-shedding ablation's, and within the committed
-//!   baseline's one-sided tolerance band;
-//! * admitted-work p99 stays bounded (deadline + grace by construction,
-//!   banded against the baseline);
+//!   least 80% of the no-shedding ablation's, measured in the same
+//!   process minutes apart (absolute speed is the pinned benchmark's
+//!   business, `benchmark/`);
 //! * the circuit breaker isolates the poisoned tenant within a bounded
 //!   number of dispatched failures, fast-rejects while open, and the
 //!   retry budget demonstrably degrades retries to failures;
 //! * the new observability surfaces round-trip: `/metrics` parses under
-//!   the strict `tf_bench::prom` parser with the shed/budget/breaker
+//!   the strict `rustflow::wire::prom` parser with the shed/budget/breaker
 //!   families agreeing with the in-process stats, and `/status` is
 //!   well-formed JSON carrying the breaker and shed sections.
 //!
 //! Modes mirror the serving bench: default writes
-//! `<out>/soak_report.json`; `--write-baseline` additionally writes
-//! `<out>/soak_baseline.json`; `--check` gates and exits non-zero on
+//! `<out>/soak_report.json`; `--check` gates and exits non-zero on
 //! violation.
 
 use rustflow::chaos::ChaosSpec;
+use rustflow::wire::{json, prom};
 use rustflow::{
     AdmissionError, BreakerSpec, Executor, ExecutorBuilder, RetryBudget, RunError, Taskflow,
     TenantQos, TenantStats,
 };
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tf_bench::{json, prom};
+use tf_bench::harness::{finish_gate, http_get, Cli, Scraper};
 
 /// Service time of one healthy request (a sleep, not a spin: workers
 /// must oversubscribe cores the same way on every runner).
@@ -64,73 +61,12 @@ const BREAKER_FAILURES: u32 = 5;
 /// Open window of the poisoned tenant's breaker.
 const BREAKER_OPEN_MS: u64 = 500;
 
+/// The soak's sizes: `--workers`, `--duration-ms`, `--repeats`, `--seed`.
 struct Flags {
-    out: std::path::PathBuf,
     workers: usize,
     duration_ms: u64,
     repeats: usize,
     seed: u64,
-    check: bool,
-    write_baseline: bool,
-    baseline: Option<std::path::PathBuf>,
-}
-
-fn parse_flags() -> Flags {
-    let mut f = Flags {
-        out: std::path::PathBuf::from("results"),
-        workers: 4,
-        duration_ms: 7000,
-        repeats: 2,
-        seed: 1802,
-        check: false,
-        write_baseline: false,
-        baseline: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => f.out = args.next().expect("--out needs a directory").into(),
-            "--workers" => {
-                f.workers = args
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("bad worker count");
-            }
-            "--duration-ms" => {
-                f.duration_ms = args
-                    .next()
-                    .expect("--duration-ms needs a value")
-                    .parse()
-                    .expect("bad duration");
-            }
-            "--repeats" => {
-                f.repeats = args
-                    .next()
-                    .expect("--repeats needs a count")
-                    .parse()
-                    .expect("bad repeat count");
-            }
-            "--seed" => {
-                f.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("bad seed");
-            }
-            "--check" => f.check = true,
-            "--write-baseline" => f.write_baseline = true,
-            "--baseline" => f.baseline = Some(args.next().expect("--baseline needs a path").into()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --out <dir> | --workers n | --duration-ms n | --repeats n | --seed n | --check | --write-baseline | --baseline <path>"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    f
 }
 
 fn build_executor(workers: usize) -> Arc<Executor> {
@@ -142,34 +78,25 @@ fn build_executor(workers: usize) -> Arc<Executor> {
         .build()
 }
 
-/// Outcome tallies for one client, stamped client-side.
+/// What one client saw, stamped client-side: the outcomes the report and
+/// the gate read (the executor's own ledger counts the rest).
 #[derive(Default)]
 struct Tally {
-    submitted: u64,
     ok: u64,
     good: u64,
-    shed: u64,
-    cancelled: u64,
-    panicked: u64,
     saturated: u64,
     infeasible: u64,
     breaker_rejected: u64,
-    shutdown: u64,
     lat_ok_us: Vec<f64>,
 }
 
 impl Tally {
     fn fold(&mut self, other: Tally) {
-        self.submitted += other.submitted;
         self.ok += other.ok;
         self.good += other.good;
-        self.shed += other.shed;
-        self.cancelled += other.cancelled;
-        self.panicked += other.panicked;
         self.saturated += other.saturated;
         self.infeasible += other.infeasible;
         self.breaker_rejected += other.breaker_rejected;
-        self.shutdown += other.shutdown;
         self.lat_ok_us.extend(other.lat_ok_us);
     }
 }
@@ -187,10 +114,8 @@ fn resolve(t0: Instant, h: &rustflow::RunHandle, tally: &mut Tally) {
             }
             tally.lat_ok_us.push(us);
         }
-        Err(RunError::Shed { .. }) => tally.shed += 1,
-        Err(RunError::Cancelled) => tally.cancelled += 1,
-        Err(RunError::Panic(_)) => tally.panicked += 1,
-        Err(RunError::Rejected(_)) => tally.shutdown += 1,
+        Err(RunError::Shed { .. } | RunError::Cancelled | RunError::Panic(_))
+        | Err(RunError::Rejected(_)) => {}
         Err(e) => panic!("unexpected run outcome under soak: {e}"),
     }
 }
@@ -200,7 +125,7 @@ fn count_admission_error(e: AdmissionError, tally: &mut Tally) {
         AdmissionError::Saturated { .. } => tally.saturated += 1,
         AdmissionError::DeadlineInfeasible { .. } => tally.infeasible += 1,
         AdmissionError::BreakerOpen { .. } => tally.breaker_rejected += 1,
-        AdmissionError::ShuttingDown => tally.shutdown += 1,
+        AdmissionError::ShuttingDown => {}
     }
 }
 
@@ -225,7 +150,6 @@ fn paced_client(
         }
         next += interval;
         let tf = make_flow(ex.clone());
-        tally.submitted += 1;
         let t0 = Instant::now();
         match submit(&tf) {
             Ok(h) => inflight.push_back((t0, tf, h)),
@@ -242,46 +166,40 @@ fn paced_client(
     tally
 }
 
+/// A healthy request: one task of [`TASK_US`] service time.
+fn healthy_flow(ex: Arc<Executor>) -> Taskflow {
+    let tf = Taskflow::with_executor(ex);
+    tf.emplace(|| std::thread::sleep(Duration::from_micros(TASK_US)));
+    tf
+}
+
 /// Closed-loop throughput probe: how many requests/s the executor
-/// completes when clients only wait, never pace. The overload phases
-/// offer twice this.
+/// completes when clients only wait (for queue space, and for the oldest
+/// of their window), never pace. The overload phases offer twice this.
+/// Nothing may go wrong here: a refused submission or a failed run would
+/// calibrate a broken executor to a low capacity instead of failing.
 fn calibrate(workers: usize) -> f64 {
     let ex = build_executor(workers);
-    let window = Duration::from_millis(1000);
     let start = Instant::now();
-    let end = start + window;
-    let handles: Vec<_> = (0..HEALTHY)
+    let end = start + Duration::from_millis(1000);
+    let submitted = Arc::new(AtomicU64::new(0));
+    let clients: Vec<_> = (0..HEALTHY)
         .map(|c| {
-            let ex = Arc::clone(&ex);
+            let (ex, submitted) = (Arc::clone(&ex), Arc::clone(&submitted));
             let tenant = ex.tenant(&format!("cal-{c}"));
-            std::thread::spawn(move || {
-                let mut done = 0u64;
-                let mut inflight: VecDeque<(Taskflow, rustflow::RunHandle)> =
-                    VecDeque::with_capacity(WINDOW + 1);
-                while Instant::now() < end {
-                    let tf = Taskflow::with_executor(ex.clone());
-                    tf.emplace(|| std::thread::sleep(Duration::from_micros(TASK_US)));
-                    let h = tf.run_on(&tenant).expect("calibration submit");
-                    inflight.push_back((tf, h));
-                    if inflight.len() == WINDOW {
-                        let (_tf, h) = inflight.pop_front().expect("window full");
-                        h.get().expect("calibration run");
-                        done += 1;
-                    }
-                }
-                for (_tf, h) in inflight {
-                    h.get().expect("calibration run");
-                    done += 1;
-                }
-                done
-            })
+            let submit = move |tf: &Taskflow| {
+                submitted.fetch_add(1, Ordering::Relaxed);
+                Ok(tf.run_on(&tenant).expect("calibration submit"))
+            };
+            std::thread::spawn(move || paced_client(ex, submit, healthy_flow, Duration::ZERO, end))
         })
         .collect();
-    let total: u64 = handles
+    let done: u64 = clients
         .into_iter()
-        .map(|h| h.join().expect("calibration client"))
+        .map(|c| c.join().expect("calibration client").ok)
         .sum();
-    total as f64 / start.elapsed().as_secs_f64()
+    assert_eq!(done, submitted.load(Ordering::Relaxed), "calibration run");
+    done as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Everything one overload phase produced, after quiescence.
@@ -325,11 +243,7 @@ fn run_side(
                         tf.try_run_on(&tenant)
                     }
                 },
-                |ex| {
-                    let tf = Taskflow::with_executor(ex);
-                    tf.emplace(|| std::thread::sleep(Duration::from_micros(TASK_US)));
-                    tf
-                },
+                healthy_flow,
                 interval,
                 end,
             )
@@ -453,27 +367,6 @@ fn summarize(name: &str, run: &SideRun) -> Measured {
     }
 }
 
-fn http_get(addr: SocketAddr, target: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect introspection endpoint");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("socket timeout");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("malformed response");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "unexpected status for {target}: {}",
-        head.lines().next().unwrap_or("")
-    );
-    body.to_string()
-}
-
 /// Sum of a family's sample values, optionally for one tenant label.
 fn family_sum(exposition: &prom::Exposition, name: &str, tenant: Option<&str>) -> Option<f64> {
     let family = exposition.family(name)?;
@@ -501,22 +394,10 @@ fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
         .serve_introspection("127.0.0.1:0")
         .expect("bind introspection listener");
     let addr = handle.local_addr().expect("ephemeral introspection addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            // Scrape both endpoints *during* the storm: merges and
-            // renders must be safe while the counters move.
-            while !stop.load(Ordering::Acquire) {
-                let _ = http_get(addr, "/metrics");
-                let _ = http_get(addr, "/status");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
+    // Both endpoints, *during* the storm.
+    let scraper = Scraper::start(addr, &["/metrics", "/status"], Duration::from_millis(5));
     let run = run_side(&ex, true, capacity, Duration::from_millis(1500), flags.seed);
-    stop.store(true, Ordering::Release);
-    scraper.join().expect("scraper thread panicked");
+    scraper.stop();
 
     let mut failures = ledger_failures("observability", &run.tenants);
     let text = http_get(addr, "/metrics");
@@ -535,16 +416,6 @@ fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
         )),
         None => failures.push("rustflow_runs_shed_total missing from /metrics".into()),
     }
-    match family_sum(
-        &exposition,
-        "rustflow_retry_budget_exhausted_total",
-        Some("poison"),
-    ) {
-        Some(v) if v >= 1.0 => {}
-        other => failures.push(format!(
-            "poisoned tenant's retry budget never ran dry in /metrics: {other:?}"
-        )),
-    }
     let poisoned = run.tenants.iter().find(|t| t.name == "poison");
     match family_sum(&exposition, "rustflow_breaker_state", Some("poison")) {
         Some(v) if poisoned.is_some_and(|t| t.breaker_state == v as u64) => {}
@@ -553,21 +424,28 @@ fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
             poisoned.map(|t| t.breaker_state)
         )),
     }
-    match family_sum(
-        &exposition,
-        "rustflow_tenant_rejected_breaker_total",
-        Some("poison"),
-    ) {
-        Some(v) if v >= 1.0 => {}
-        other => failures.push(format!(
-            "open breaker never fast-rejected in /metrics: {other:?}"
-        )),
-    }
-    match family_sum(&exposition, "rustflow_breaker_transitions_total", None) {
-        Some(v) if v >= 1.0 => {}
-        other => failures.push(format!(
-            "rustflow_breaker_transitions_total missing or zero: {other:?}"
-        )),
+    // What the storm must have moved at least once, and where it shows.
+    for (family, tenant, what) in [
+        (
+            "rustflow_retry_budget_exhausted_total",
+            Some("poison"),
+            "the poisoned tenant's retry budget never ran dry",
+        ),
+        (
+            "rustflow_tenant_rejected_breaker_total",
+            Some("poison"),
+            "the open breaker never fast-rejected",
+        ),
+        (
+            "rustflow_breaker_transitions_total",
+            None,
+            "the breaker never changed state",
+        ),
+    ] {
+        match family_sum(&exposition, family, tenant) {
+            Some(v) if v >= 1.0 => {}
+            other => failures.push(format!("{what}: {family} is {other:?} in /metrics")),
+        }
     }
     if family_sum(&exposition, "rustflow_watchdog_overload_shed_total", None).is_none() {
         failures.push("rustflow_watchdog_overload_shed_total missing from /metrics".into());
@@ -592,7 +470,13 @@ fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
 }
 
 fn main() {
-    let flags = parse_flags();
+    let cli = Cli::parse_with(&["--workers", "--duration-ms", "--repeats", "--seed"]);
+    let flags = Flags {
+        workers: cli.number("--workers", 4) as usize,
+        duration_ms: cli.number("--duration-ms", 7000),
+        repeats: cli.number("--repeats", 2) as usize,
+        seed: cli.number("--seed", 1802),
+    };
     let capacity = calibrate(flags.workers);
     println!("calibrated capacity: {capacity:.0} requests/s (offering 2x)");
 
@@ -636,83 +520,54 @@ fn main() {
 
     println!("observability round-trip (scraper attached):");
     let obs_failures = observability(&flags, capacity);
-    if !flags.check {
+    if !cli.check {
         for f in ledger_problems.iter().chain(&obs_failures) {
             eprintln!("soak WARN: {f}");
         }
     }
 
-    std::fs::create_dir_all(&flags.out).expect("cannot create output directory");
-    let measured = [&resilient, &ablation];
-    let mut report = format!(
-        "{{\n  \"schema_version\": 1,\n  \"workers\": {},\n  \"duration_ms\": {},\n  \"seed\": {},\n  \"capacity_per_s\": {capacity:.1},\n  \"configs\": [\n",
-        flags.workers, flags.duration_ms, flags.seed
-    );
-    for (i, m) in measured.iter().enumerate() {
-        report.push_str(&format!(
-            "    {{\"name\": \"{}\", \"goodput_per_s\": {:.1}, \"ok_per_s\": {:.1}, \"p99_us\": {:.1}, \"shed\": {}, \"saturated\": {}, \"infeasible\": {}, \"breaker_rejected\": {}, \"retry_budget_exhausted\": {}, \"poisoned_dispatched\": {}, \"poisoned_submitted\": {}}}{}\n",
-            m.name,
-            m.goodput_per_s,
-            m.ok_per_s,
-            m.p99_us,
-            m.shed,
-            m.saturated,
-            m.infeasible,
-            m.breaker_rejected,
-            m.retry_budget_exhausted,
-            m.poisoned_dispatched,
-            m.poisoned_submitted,
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
+    let mut w = json::Writer::pretty();
+    w.begin_object();
+    w.field("schema_version", 1);
+    w.field("workers", flags.workers);
+    w.field("duration_ms", flags.duration_ms);
+    w.field("seed", flags.seed);
+    w.field("capacity_per_s", format_args!("{capacity:.1}"));
+    w.key("configs");
+    w.begin_array();
+    for m in [&resilient, &ablation] {
+        w.begin_object();
+        w.field_str("name", &m.name);
+        w.field("goodput_per_s", format_args!("{:.1}", m.goodput_per_s));
+        w.field("ok_per_s", format_args!("{:.1}", m.ok_per_s));
+        w.field("p99_us", format_args!("{:.1}", m.p99_us));
+        w.field("shed", m.shed);
+        w.field("saturated", m.saturated);
+        w.field("infeasible", m.infeasible);
+        w.field("breaker_rejected", m.breaker_rejected);
+        w.field("retry_budget_exhausted", m.retry_budget_exhausted);
+        w.field("poisoned_dispatched", m.poisoned_dispatched);
+        w.field("poisoned_submitted", m.poisoned_submitted);
+        w.end();
     }
-    report.push_str("  ]\n}\n");
-    let path = flags.out.join("soak_report.json");
-    std::fs::write(&path, &report).expect("cannot write soak_report.json");
-    println!("  -> {}", path.display());
+    w.end();
+    w.end();
+    cli.write_report("soak_report.json", &w.finish());
 
-    let baseline_path = flags
-        .baseline
-        .clone()
-        .unwrap_or_else(|| flags.out.join("soak_baseline.json"));
-    if flags.write_baseline {
-        // Only the resilient side is banded: the ablation's goodput is
-        // collapsed by design and pure noise.
-        let b = format!(
-            "{{\n  \"schema_version\": 1,\n  \"tolerance_ratio\": 8.0,\n  \"configs\": [\n    {{\"name\": \"resilient\", \"goodput_per_s\": {:.1}, \"p99_us\": {:.1}}}\n  ]\n}}\n",
-            resilient.goodput_per_s, resilient.p99_us
-        );
-        std::fs::write(&baseline_path, b).expect("cannot write baseline");
-        println!("  -> {}", baseline_path.display());
-    }
-
-    if flags.check {
+    if cli.check {
         let mut failures = ledger_problems;
-        failures.extend(gate(
-            &resilient,
-            &ablation,
-            flags.duration_ms,
-            &baseline_path,
-        ));
+        failures.extend(gate(&resilient, &ablation, flags.duration_ms));
         failures.extend(obs_failures);
-        if failures.is_empty() {
-            println!("soak gate: OK");
-        } else {
-            for f in &failures {
-                eprintln!("soak gate FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
+        finish_gate(
+            "soak",
+            "ledger, goodput ratio, isolation, observability",
+            &failures,
+        );
     }
 }
 
-/// The resilience gate proper: live A/B plus the committed baseline's
-/// one-sided bands.
-fn gate(
-    resilient: &Measured,
-    ablation: &Measured,
-    duration_ms: u64,
-    baseline_path: &std::path::Path,
-) -> Vec<String> {
+/// The resilience gate proper: the live A/B and what the machinery did.
+fn gate(resilient: &Measured, ablation: &Measured, duration_ms: u64) -> Vec<String> {
     let mut failures = Vec::new();
 
     // Shedding must not cost goodput: at 2x load, dropping doomed work
@@ -747,53 +602,5 @@ fn gate(
         ));
     }
 
-    // Baseline tolerance band (one-sided: better never fails).
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            failures.push(format!(
-                "cannot read baseline {}: {e}",
-                baseline_path.display()
-            ));
-            return failures;
-        }
-    };
-    let base = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            failures.push(format!("baseline is not valid JSON: {e}"));
-            return failures;
-        }
-    };
-    let tol = base
-        .get("tolerance_ratio")
-        .and_then(json::Value::as_f64)
-        .unwrap_or(8.0);
-    let Some(configs) = base.get("configs").and_then(json::Value::as_arr) else {
-        failures.push("baseline has no configs array".into());
-        return failures;
-    };
-    let Some(b) = configs
-        .iter()
-        .find(|c| c.get("name").and_then(json::Value::as_str) == Some("resilient"))
-    else {
-        failures.push("resilient config missing from baseline".into());
-        return failures;
-    };
-    let get_f = |k: &str| b.get(k).and_then(json::Value::as_f64).unwrap_or(0.0);
-    let base_goodput = get_f("goodput_per_s");
-    if base_goodput > 0.0 && resilient.goodput_per_s * tol < base_goodput {
-        failures.push(format!(
-            "goodput regressed: {:.1}/s vs baseline {base_goodput:.1}/s (band x{tol})",
-            resilient.goodput_per_s
-        ));
-    }
-    let base_p99 = get_f("p99_us");
-    if base_p99 > 0.0 && resilient.p99_us > base_p99 * tol {
-        failures.push(format!(
-            "admitted-work p99 regressed: {:.1} us vs baseline {base_p99:.1} us (band x{tol})",
-            resilient.p99_us
-        ));
-    }
     failures
 }

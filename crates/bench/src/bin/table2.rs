@@ -9,6 +9,11 @@
 //! scheduling concerns the tasking library absorbs. Shared analyzer code
 //! (netlist, delay model, propagation) is counted in both rows, as it
 //! exists in both OpenTimer versions.
+//!
+//! `--part self` turns the same yardstick on this repository: each crate's
+//! `src/` measured with `SoftwareCost::measure_dir`, written to
+//! `results/selfcost.csv`. The counts are exact, so CI regenerates the file
+//! and fails on a diff; a simplicity claim is a change to a committed row.
 
 use std::path::Path;
 use tf_bench::harness::{Cli, Report};
@@ -26,8 +31,39 @@ fn baselines_src(file: &str) -> std::path::PathBuf {
         .join(file)
 }
 
+/// Every crate's `src/` by SLOC, total and maximum cyclomatic complexity.
+fn self_cost(cli: &Cli) {
+    println!("Software cost of this repository, per crate (crates/*/src)");
+    let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut names: Vec<String> = std::fs::read_dir(&crates_dir)
+        .expect("crates/ is readable")
+        .flatten()
+        .filter(|e| e.path().join("src").is_dir())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut report = Report::new(cli, "selfcost", &["crate", "sloc", "cc", "max_cc"]);
+    report.print_header();
+    let (mut sloc, mut cc, mut max_cc) = (0, 0, 0);
+    for name in names {
+        let cost = SoftwareCost::measure_dir(name.as_str(), &crates_dir.join(&name).join("src"));
+        report.row_display(&[&name, &cost.sloc, &cost.cc_total(), &cost.cc_max()]);
+        sloc += cost.sloc;
+        cc += cost.cc_total();
+        max_cc = max_cc.max(cost.cc_max());
+    }
+    report.row_display(&[&"total", &sloc, &cc, &max_cc]);
+    report.save();
+}
+
 fn main() {
     let cli = Cli::parse();
+    if cli.wants_part("self") {
+        self_cost(&cli);
+    }
+    if !cli.wants_part("paper") {
+        return;
+    }
     println!("Table II: software costs of the timing engines (ours vs paper)");
     let shared = [
         timer_src("circuit.rs"),

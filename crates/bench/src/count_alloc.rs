@@ -94,35 +94,110 @@ impl Stamp {
     }
 }
 
-/// The `--check` half of an allocation gate: compares each freshly
-/// measured `(name, allocations)` with `<section>.<name>.allocs` in the
-/// committed report at `path`. Prints one line per count that exceeds its
-/// committed value and ends the process with status 1 if any did.
-pub fn check_against_committed(
-    gate: &str,
-    path: &std::path::Path,
-    section: &str,
-    measured: &[(&str, u64)],
-) {
-    let file = path.display();
-    let committed =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check needs {file}: {e}"));
-    let committed = crate::json::parse(&committed)
-        .unwrap_or_else(|e| panic!("committed {file} is not JSON: {e}"));
-    let mut failed = false;
-    for (name, allocs) in measured {
-        let limit = committed
-            .get(section)
-            .and_then(|s| s.get(name))
-            .and_then(|s| s.get("allocs"))
-            .and_then(crate::json::Value::as_u64)
-            .unwrap_or_else(|| panic!("committed {file} has no {section}.{name}.allocs"));
-        if *allocs > limit {
-            eprintln!("{gate} gate: {name} allocates {allocs} times, committed {limit}");
-            failed = true;
+/// What happened between two [`Stamp`]s: allocations, bytes, wall time.
+#[derive(Debug, Clone, Copy)]
+pub struct Counted {
+    /// Allocations requested.
+    pub allocs: u64,
+    /// Bytes requested.
+    pub bytes: u64,
+    /// Nanoseconds elapsed.
+    pub ns: f64,
+}
+
+impl Counted {
+    /// What the calling thread did between two of its stamps.
+    pub fn mine(from: Stamp, to: Stamp) -> Counted {
+        Counted {
+            allocs: to.my_allocs - from.my_allocs,
+            bytes: to.my_bytes - from.my_bytes,
+            ns: (to.at - from.at).as_nanos() as f64,
         }
     }
-    if failed {
-        std::process::exit(1);
+
+    /// What every thread did between two stamps.
+    pub fn all(from: Stamp, to: Stamp) -> Counted {
+        Counted {
+            allocs: to.all_allocs - from.all_allocs,
+            bytes: to.all_bytes - from.all_bytes,
+            ns: (to.at - from.at).as_nanos() as f64,
+        }
     }
+}
+
+/// An allocation gate from its measurements to its exit: prints each
+/// `(name, counted)` row of `rows` per `unit` (there are `units` of them
+/// in a row), renders the report
+/// `{"benchmark", <sizes>, <section>: {<name>: {"allocs", ..}}}`, and with
+/// `--check` first compares each row with `<section>.<name>.allocs` in the
+/// committed `<out>/<benchmark>.json`: a row that allocates more often
+/// than the committed file says is printed, the file is left alone and the
+/// process ends with status 1. Otherwise the file is rewritten.
+pub fn report_and_gate(
+    cli: &crate::harness::Cli,
+    benchmark: &str,
+    sizes: &[(&str, usize)],
+    (section, unit, units): (&str, &str, usize),
+    rows: &[(&str, Counted)],
+) {
+    use rustflow::wire::json;
+    let per_unit = |x: f64| x / units as f64;
+    let mut w = json::Writer::pretty();
+    w.begin_object();
+    w.field_str("benchmark", benchmark);
+    for (key, size) in sizes {
+        w.field(key, size);
+    }
+    w.key(section);
+    w.begin_object();
+    for (name, c) in rows {
+        println!(
+            "  {name:<10} {:>8.4} allocs/{unit}  {:>8.1} bytes/{unit}  {:>7.1} ns/{unit}",
+            per_unit(c.allocs as f64),
+            per_unit(c.bytes as f64),
+            per_unit(c.ns)
+        );
+        w.key(name);
+        w.begin_object();
+        w.field("allocs", c.allocs);
+        w.field(
+            &format!("allocs_per_{unit}"),
+            format_args!("{:.4}", per_unit(c.allocs as f64)),
+        );
+        w.field(
+            &format!("bytes_per_{unit}"),
+            format_args!("{:.1}", per_unit(c.bytes as f64)),
+        );
+        w.field(
+            &format!("ns_per_{unit}"),
+            format_args!("{:.1}", per_unit(c.ns)),
+        );
+        w.end();
+    }
+    w.end();
+    w.end();
+
+    let file = format!("{benchmark}.json");
+    if cli.check {
+        let path = cli.out.join(&file);
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()));
+        let committed =
+            json::parse(&committed).unwrap_or_else(|e| panic!("committed {file} is not JSON: {e}"));
+        let failures: Vec<String> = rows
+            .iter()
+            .filter_map(|(name, c)| {
+                let limit = committed.at(&[section, name, "allocs"]);
+                let limit = limit
+                    .and_then(json::Value::as_u64)
+                    .unwrap_or_else(|| panic!("committed {file} has no {section}.{name}.allocs"));
+                let allocs = c.allocs;
+                (allocs > limit)
+                    .then(|| format!("{name} allocates {allocs} times, committed {limit}"))
+            })
+            .collect();
+        let ok = format!("no row of {section} allocates more than the committed file");
+        crate::harness::finish_gate(benchmark, &ok, &failures);
+    }
+    cli.write_report(&file, &w.finish());
 }

@@ -27,8 +27,6 @@
 pub mod count_alloc;
 pub mod harness;
 pub mod impls;
-pub mod json;
-pub mod prom;
 
 #[cfg(test)]
 mod impl_tests {

@@ -42,19 +42,11 @@ pub(crate) struct Config {
     /// After draining a chain, wake one idler with probability
     /// `1/wake_ratio` (0 disables the heuristic).
     pub wake_ratio: u64,
-    /// Initial per-worker deque capacity (power of two). The default
-    /// matches [`crate::wsq`]; tiny capacities exist so the sanitizer can
-    /// reach the deque's grow path with model-sized graphs.
-    pub queue_capacity: usize,
     /// Admission budget: how many tenant-submitted topologies may be
     /// dispatched-but-not-finalized at once. Submissions past it queue
     /// per tenant and are released by weighted fair queueing.
     /// `usize::MAX` (the default) never queues.
     pub max_inflight: usize,
-    /// Record per-tenant lifecycle latency into lock-free histogram
-    /// shards (default on; the cost is a few relaxed atomics per tenant
-    /// run). The `false` side is the introspect-gate's A/B ablation.
-    pub latency_histograms: bool,
 }
 
 impl Default for Config {
@@ -62,9 +54,7 @@ impl Default for Config {
         Config {
             cache_slot: true,
             wake_ratio: 64,
-            queue_capacity: wsq::INITIAL_CAPACITY,
             max_inflight: usize::MAX,
-            latency_histograms: true,
         }
     }
 }
@@ -107,14 +97,6 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Initial per-worker deque capacity (rounded up to a power of two,
-    /// minimum 2). Defaults to the production size; the sanitizer shrinks
-    /// it so the Chase–Lev grow path is exercised by model-sized graphs.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.queue_capacity = capacity.max(2).next_power_of_two();
-        self
-    }
-
     /// Admission budget for tenant submissions: at most `n` tenant
     /// topologies may be dispatched-but-not-finalized at once; further
     /// submissions wait in their tenant's bounded queue and are released
@@ -122,16 +104,6 @@ impl ExecutorBuilder {
     /// dispatch immediately and tenant queues never fill).
     pub fn max_inflight(mut self, n: usize) -> Self {
         self.cfg.max_inflight = n.max(1);
-        self
-    }
-
-    /// Ablation switch: record per-tenant lifecycle latency (submit →
-    /// admitted → dispatched → first task → finalize) into lock-free
-    /// histogram shards, surfaced via `/metrics` and `/status` (default
-    /// on). Disabling it removes the per-run stamping and recording —
-    /// the baseline the introspect-gate A/Bs the latency layer against.
-    pub fn latency_histograms(mut self, enabled: bool) -> Self {
-        self.cfg.latency_histograms = enabled;
         self
     }
 
@@ -337,7 +309,7 @@ impl Executor {
         let mut ctxs = Vec::with_capacity(lanes);
         let mut shareds = Vec::with_capacity(lanes);
         for id in 0..lanes {
-            let (owner, stealer) = wsq::deque_with_capacity(cfg.queue_capacity);
+            let (owner, stealer) = wsq::deque();
             ctxs.push(WorkerCtx::new(id, owner, lanes));
             shareds.push(WorkerShared::new(stealer, id >= workers));
         }
@@ -639,13 +611,9 @@ pub(crate) fn advance_topology(
     // bracketed by any client timing its own submit→resolve round trip
     // (promise resolution and finalize bookkeeping can be descheduled for
     // a long time on a loaded box, and that wait belongs to neither view).
-    // Four relaxed loads and a clock read, skipped when the pipeline is
-    // off.
+    // Four relaxed loads and a clock read.
     let slot = topo.registration();
-    let stamps = inner
-        .cfg
-        .latency_histograms
-        .then(|| (topo.stamps.snapshot(), crate::clock::now_us().max(1)));
+    let stamps = (topo.stamps.snapshot(), crate::clock::now_us().max(1));
     // The breaker's failure signal must be read before `advance` too: the
     // idle transition consumes the recorded error while resolving the
     // run's promises. Panics (and invalid graphs) count; a plain

@@ -173,15 +173,14 @@ pub(crate) struct QueuedRun {
     topo: Arc<Topology>,
     pending: PendingRun,
     /// [`crate::clock::now_us`] at admission into the tenant queue
-    /// (`.max(1)`); `0` when the latency pipeline is off.
+    /// (`.max(1)`: 0 is the stamps' "not stamped" sentinel and the clock's
+    /// first microsecond is indistinguishable from it). The latency
+    /// phases start here, and the shed path reports time spent queued
+    /// from it.
     submit_us: u64,
     /// Stamped by [`next_dispatch`] when the fair-queue pump pops the
-    /// run; `0` until then (and when the pipeline is off).
+    /// run; `0` until then.
     admitted_us: u64,
-    /// [`crate::clock::now_us`] at enqueue, always stamped (unlike
-    /// `submit_us` it does not depend on the latency pipeline): the
-    /// shed path reports time spent queued from it.
-    enqueued_us: u64,
     /// Absolute expiry ([`crate::clock::now_us`] domain) past which the
     /// dispatcher sheds this run instead of dispatching it; `0` = none.
     deadline_us: u64,
@@ -330,7 +329,7 @@ impl TenantState {
             Outcome::Shed => RunError::Shed {
                 tenant: self.name.clone(),
                 queued_for: Duration::from_micros(
-                    crate::clock::now_us().saturating_sub(run.enqueued_us),
+                    crate::clock::now_us().saturating_sub(run.submit_us),
                 ),
             },
             Outcome::RejectedShutdown => RunError::Rejected(AdmissionError::ShuttingDown),
@@ -662,12 +661,8 @@ impl Executor {
                     q.push_back(QueuedRun {
                         topo: Arc::clone(topo),
                         pending: PendingRun { cond, promise },
-                        // `.max(1)`: 0 is the "not stamped" sentinel and
-                        // the clock's first microsecond is
-                        // indistinguishable from it.
-                        submit_us: if inner.cfg.latency_histograms { now } else { 0 },
+                        submit_us: now,
                         admitted_us: 0,
-                        enqueued_us: now,
                         deadline_us: deadline
                             .map(|d| now.saturating_add(d.as_micros() as u64))
                             .unwrap_or(0),
@@ -775,12 +770,10 @@ fn next_dispatch(
                     expired.push((Arc::clone(&tenant), run));
                     continue;
                 }
-                if run.submit_us != 0 {
-                    // Admission stamp: the fair-queue pump just released
-                    // this run from the tenant queue (end of the
-                    // admission-wait phase).
-                    run.admitted_us = now;
-                }
+                // Admission stamp: the fair-queue pump just released this
+                // run from the tenant queue (end of the admission-wait
+                // phase).
+                run.admitted_us = now;
                 break run;
             }
         };
@@ -812,15 +805,11 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
             // the sources visible (the injector's Release publish carries
             // them to workers). Coalesced dispatches below ride the incumbent
             // driver's stint and are never recorded.
-            if run.submit_us != 0 {
-                run.topo.stamps.arm(
-                    run.submit_us,
-                    run.admitted_us,
-                    crate::clock::now_us().max(1),
-                );
-            } else {
-                run.topo.stamps.clear();
-            }
+            run.topo.stamps.arm(
+                run.submit_us,
+                run.admitted_us,
+                crate::clock::now_us().max(1),
+            );
             advance_topology(inner, &run.topo, false, None);
         }
         Claim::Rider => {
@@ -842,19 +831,16 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
 /// A tenant stint finalized (its keep-alive is already dropped): folds it
 /// into the tenant's latency shards, credits the completion, feeds the
 /// circuit breaker and returns the admission slot. `stamps` is the
-/// stint's lifecycle and its end time, `None` with the latency pipeline
-/// off; `failed` is the breaker's signal.
+/// stint's lifecycle and its end time; `failed` is the breaker's signal.
 pub(crate) fn stint_finished(
     inner: &Inner,
     tenant: &TenantState,
-    stamps: Option<(StampSnapshot, u64)>,
+    (stamps, end_us): (StampSnapshot, u64),
     failed: bool,
 ) {
     // A few relaxed fetch_adds; coalesced piggybacks never get here —
     // they are counted separately and have no lifecycle of their own.
-    if let Some((stamps, end_us)) = stamps {
-        record_latency(tenant, stamps, end_us);
-    }
+    record_latency(tenant, stamps, end_us);
     tenant.completed.fetch_add(1, Ordering::Relaxed);
     tenant.inflight.fetch_sub(1, Ordering::Relaxed);
     // Feed the circuit breaker; no locks held, so the
@@ -891,11 +877,6 @@ pub(crate) fn charge_retry(inner: &Inner, id: u64) -> bool {
 /// stamped by the caller just before the idle transition resolves the
 /// run's promises.
 fn record_latency(tenant: &TenantState, s: StampSnapshot, end: u64) {
-    if s.submit == 0 {
-        // Stint never stamped: the latency pipeline was off when this
-        // dispatch claimed the driver role, or an untenanted claim.
-        return;
-    }
     // An armed-but-unstamped latch (0: the stint ran no task, e.g. an
     // instantly-cancelled batch) falls back to the dispatch stamp so the
     // dispatch/exec split stays well-defined.

@@ -32,15 +32,16 @@ pub use watchdog::{WatchdogCounts, WatchdogDiagnostic};
 
 use crate::executor::{Executor, Inner};
 use crate::label::TaskLabel;
-use crate::observer::{chrome_trace_json_from, escape_json, ExecutorObserver, Tracer};
-use crate::stats::{lane_labels, ExecutorStats};
+use crate::observer::{chrome_trace_json_from, ExecutorObserver, Tracer};
+use crate::stats::{lane_labels, ExecutorStats, LANE_METRICS, TENANT_METRICS};
+use crate::wire::{json, prom};
 use parking_lot::Mutex;
 use recorder::FlightRecorder;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-use watchdog::{Watchdog, WatchdogPass};
+use watchdog::{Watchdog, WatchdogPass, WATCHDOG_METRICS};
 
 /// What a worker is running *right now*; published into
 /// `WorkerShared.current` at task entry and cleared at exit, read by
@@ -178,34 +179,24 @@ impl IntrospectState {
         let mut out = stats.prometheus_text();
         // Lanes from `num_workers` up are guest seats.
         let lane = |w: usize| lane_labels(w, w >= self.num_workers);
-        let depths: Vec<(String, u64)> = inner
-            .shareds
-            .iter()
-            .enumerate()
-            .map(|(w, s)| (lane(w), s.stealer.len() as u64))
-            .collect();
-        family(
-            &mut out,
-            "rustflow_queue_depth",
-            "Tasks currently queued in each lane's deque.",
-            "gauge",
-            &depths,
-        );
-        let fills: Vec<(String, u64)> = self
+        let queue_depth = "rustflow_queue_depth";
+        let help = "Tasks currently queued in each lane's deque.";
+        prom::header(&mut out, queue_depth, help, "gauge");
+        for (w, s) in inner.shareds.iter().enumerate() {
+            prom::sample(&mut out, queue_depth, &lane(w), s.stealer.len());
+        }
+        let ring_fill = "rustflow_ring_fill";
+        let help = "Telemetry events waiting in each lane's ring.";
+        prom::header(&mut out, ring_fill, help, "gauge");
+        for (w, fill) in self
             .tracer
             .lane_fill()
-            .into_iter()
+            .iter()
             .take(self.num_lanes)
             .enumerate()
-            .map(|(w, n)| (lane(w), n as u64))
-            .collect();
-        family(
-            &mut out,
-            "rustflow_ring_fill",
-            "Telemetry events waiting in each lane's ring.",
-            "gauge",
-            &fills,
-        );
+        {
+            prom::sample(&mut out, ring_fill, &lane(w), fill);
+        }
         let singles: &[(&str, &str, &str, u64)] = &[
             (
                 "rustflow_injector_depth",
@@ -243,45 +234,15 @@ impl IntrospectState {
                 "counter",
                 self.recorder.evicted(),
             ),
-            (
-                "rustflow_watchdog_stalled_workers_total",
-                "Watchdog reports of a worker stuck in one task invocation.",
-                "counter",
-                self.watchdog.counts().stalled_workers,
-            ),
-            (
-                "rustflow_watchdog_stalled_topologies_total",
-                "Watchdog reports of a dispatched topology frozen while the executor was idle.",
-                "counter",
-                self.watchdog.counts().stalled_topologies,
-            ),
-            (
-                "rustflow_watchdog_ring_saturation_total",
-                "Watchdog reports of event-ring overflow between collection passes.",
-                "counter",
-                self.watchdog.counts().ring_saturation,
-            ),
-            (
-                "rustflow_slo_breach_total",
-                "Watchdog reports of a tenant burning its latency SLO error budget too fast.",
-                "counter",
-                self.watchdog.counts().slo_burn,
-            ),
-            (
-                "rustflow_watchdog_overload_shed_total",
-                "Overload-controller interventions that shed queued runs from an over-budget tenant.",
-                "counter",
-                self.watchdog.counts().overload_shed,
-            ),
-            (
-                "rustflow_breaker_transitions_total",
-                "Tenant circuit-breaker state changes (closed/open/half-open, any direction).",
-                "counter",
-                self.watchdog.counts().breaker_transitions,
-            ),
         ];
         for (name, help, kind, value) in singles {
-            family(&mut out, name, help, kind, &[(String::new(), *value)]);
+            prom::header(&mut out, name, help, kind);
+            prom::sample(&mut out, name, "", value);
+        }
+        let watchdog = self.watchdog.counts();
+        for m in WATCHDOG_METRICS {
+            prom::header(&mut out, m.name, m.help, m.kind);
+            prom::sample(&mut out, m.name, "", (m.get)(&watchdog));
         }
         // Per-tenant × per-phase latency histograms, merged from the
         // lock-free shards at scrape time. One header covers every
@@ -289,19 +250,14 @@ impl IntrospectState {
         // family renders only when the front door is in use).
         let latency = inner.tenant_latency();
         if !latency.is_empty() {
-            out.push_str(
-                "# HELP rustflow_tenant_latency_us Run lifecycle latency by tenant and phase \
-                 (admission, queue, dispatch, exec, e2e), in microseconds.\n\
-                 # TYPE rustflow_tenant_latency_us histogram\n",
-            );
+            let name = "rustflow_tenant_latency_us";
+            let help = "Run lifecycle latency by tenant and phase \
+                        (admission, queue, dispatch, exec, e2e), in microseconds.";
+            prom::header(&mut out, name, help, "histogram");
             for t in &latency {
-                let tenant = crate::stats::escape_label_value(&t.name);
                 for (phase, hist) in &t.phases {
-                    hist.render_labelled_into(
-                        &mut out,
-                        "rustflow_tenant_latency_us",
-                        &format!("tenant=\"{tenant}\",phase=\"{phase}\""),
-                    );
+                    let labels = prom::labels(&[("tenant", &t.name), ("phase", phase)]);
+                    hist.render_labelled_into(&mut out, name, &labels);
                 }
             }
         }
@@ -330,129 +286,121 @@ impl IntrospectState {
             d
         };
         let ring_dropped_total: u64 = self.tracer.dropped_per_lane().iter().sum();
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\"schema\":1,\"now_us\":{now},\"num_workers\":{},\"num_lanes\":{},\
-             \"parked_workers\":{},\"injector_depth\":{},\"inflight_topologies\":{},",
-            self.num_workers,
-            self.num_lanes,
-            inner.notifier.num_idlers(),
-            inner.injector.len(),
-            inner.running.lock().len(),
-        ));
+        let mut w = json::Writer::compact();
+        w.begin_object();
+        w.field("schema", 1);
+        w.field("now_us", now);
+        w.field("num_workers", self.num_workers);
+        w.field("num_lanes", self.num_lanes);
+        w.field("parked_workers", inner.notifier.num_idlers());
+        w.field("injector_depth", inner.injector.len());
+        w.field("inflight_topologies", inner.running.lock().len());
+        w.key("collector");
+        w.begin_object();
+        w.field("period_ms", self.config.collect_period.as_millis());
+        w.field("window_ms", self.config.window.as_millis());
+        w.field("recorder_events", self.recorder.len());
+        w.field("recorder_dropped", self.recorder.evicted());
+        w.field("ring_dropped_total", ring_dropped_total);
+        w.end();
         let wd = self.watchdog.counts();
-        out.push_str(&format!(
-            "\"collector\":{{\"period_ms\":{},\"window_ms\":{},\"recorder_events\":{},\
-             \"recorder_dropped\":{},\"ring_dropped_total\":{ring_dropped_total}}},\
-             \"watchdog\":{{\"stalled_workers\":{},\"stalled_topologies\":{},\"ring_saturation\":{},\
-             \"slo_burn\":{},\"overload_shed\":{},\"breaker_transitions\":{}}},",
-            self.config.collect_period.as_millis(),
-            self.config.window.as_millis(),
-            self.recorder.len(),
-            self.recorder.evicted(),
-            wd.stalled_workers,
-            wd.stalled_topologies,
-            wd.ring_saturation,
-            wd.slo_burn,
-            wd.overload_shed,
-            wd.breaker_transitions,
-        ));
-        out.push_str("\"workers\":[");
-        for (w, shared) in inner.shareds.iter().enumerate() {
-            if w > 0 {
-                out.push(',');
-            }
-            let current = shared.current.lock().clone();
-            out.push_str(&format!(
-                "{{\"id\":{w},\"guest\":{},\"queue_depth\":{},",
-                w >= self.num_workers,
-                shared.stealer.len()
-            ));
-            match current {
-                Some(ct) => out.push_str(&format!(
-                    "\"running\":{{\"label\":\"{}\",\"node\":{},\"topology\":{},\
-                     \"since_us\":{},\"running_for_us\":{}}},",
-                    escape_json(ct.label.as_str()),
-                    ct.node,
-                    ct.topology,
-                    ct.since_us,
-                    now.saturating_sub(ct.since_us),
-                )),
-                None => out.push_str("\"running\":null,"),
-            }
-            out.push_str("\"since_last_scrape\":");
-            push_counters(&mut out, &deltas[w]);
-            out.push_str(",\"total\":");
-            push_counters(&mut out, &stats[w]);
-            out.push('}');
+        w.key("watchdog");
+        w.begin_object();
+        for m in WATCHDOG_METRICS {
+            w.field(m.key, (m.get)(&wd));
         }
-        out.push_str("],\"tenants\":[");
-        let latency = inner.tenant_latency();
-        for (i, t) in inner.tenant_stats().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.end();
+        w.key("workers");
+        w.begin_array();
+        for (id, shared) in inner.shareds.iter().enumerate() {
+            w.begin_object();
+            w.field("id", id);
+            w.field("guest", id >= self.num_workers);
+            w.field("queue_depth", shared.stealer.len());
+            w.key("running");
+            let current = shared.current.lock().clone();
+            match current {
+                Some(ct) => {
+                    w.begin_object();
+                    w.field_str("label", ct.label.as_str());
+                    w.field("node", ct.node);
+                    w.field("topology", ct.topology);
+                    w.field("since_us", ct.since_us);
+                    w.field("running_for_us", now.saturating_sub(ct.since_us));
+                    w.end();
+                }
+                None => w.value("null"),
             }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"weight\":{},\"queued\":{},\"in_flight\":{},\
-                 \"submitted\":{},\"dispatched\":{},\"coalesced\":{},\"completed\":{},\
-                 \"rejected_saturated\":{},\"rejected_shutdown\":{},\
-                 \"rejected_infeasible\":{},\"rejected_breaker\":{},\"shed\":{},\
-                 \"retry_budget_exhausted\":{},\
-                 \"breaker\":{{\"state\":\"{}\",\"consecutive_failures\":{}}}",
-                escape_json(&t.name),
-                t.weight,
-                t.queued,
-                t.in_flight,
-                t.submitted,
-                t.dispatched,
-                t.coalesced,
-                t.completed,
-                t.rejected_saturated,
-                t.rejected_shutdown,
-                t.rejected_infeasible,
-                t.rejected_breaker,
-                t.shed,
-                t.retry_budget_exhausted,
+            // Every lane counter, under the same keys in both views.
+            for (key, counters) in [("since_last_scrape", &deltas[id]), ("total", &stats[id])] {
+                w.key(key);
+                w.begin_object();
+                for m in LANE_METRICS {
+                    w.field(m.key, (m.get)(counters));
+                }
+                w.end();
+            }
+            w.end();
+        }
+        w.end();
+        w.key("tenants");
+        w.begin_array();
+        let latency = inner.tenant_latency();
+        for t in inner.tenant_stats() {
+            w.begin_object();
+            w.field_str("name", &t.name);
+            w.field("weight", t.weight);
+            // Gauges, then counters; the breaker's state goes by name below.
+            for kind in ["gauge", "counter"] {
+                let of_kind = |m: &&crate::stats::Metric<_>| m.kind == kind;
+                for m in TENANT_METRICS.iter().filter(of_kind) {
+                    if m.key != "breaker_state" {
+                        w.field(m.key, (m.get)(&t));
+                    }
+                }
+            }
+            w.key("breaker");
+            w.begin_object();
+            w.field_str(
+                "state",
                 crate::BreakerState::from_word(t.breaker_state).as_str(),
-                t.consecutive_failures,
-            ));
+            );
+            w.field("consecutive_failures", t.consecutive_failures);
+            w.end();
             // Matched by name, not index: the stats and latency snapshots
             // come from two separate lock acquisitions, so a tenant
             // created in between could skew positions.
             if let Some(lat) = latency.iter().find(|l| l.name == t.name) {
+                w.key("slo");
                 match lat.slo {
-                    Some(slo) => out.push_str(&format!(
-                        ",\"slo\":{{\"p99_us\":{},\"window_ms\":{}}}",
-                        slo.p99_us,
-                        slo.window.as_millis(),
-                    )),
-                    None => out.push_str(",\"slo\":null"),
-                }
-                out.push_str(",\"latency_us\":{");
-                for (p, (phase, hist)) in lat.phases.iter().enumerate() {
-                    if p > 0 {
-                        out.push(',');
+                    Some(slo) => {
+                        w.begin_object();
+                        w.field("p99_us", slo.p99_us);
+                        w.field("window_ms", slo.window.as_millis());
+                        w.end();
                     }
-                    out.push_str(&format!(
-                        "\"{phase}\":{{\"count\":{},\"p50\":{:.1},\"p90\":{:.1},\
-                         \"p99\":{:.1},\"p999\":{:.1}}}",
-                        hist.count(),
-                        hist.percentile(0.50),
-                        hist.percentile(0.90),
-                        hist.percentile(0.99),
-                        hist.percentile(0.999),
-                    ));
+                    None => w.value("null"),
                 }
-                out.push('}');
+                w.key("latency_us");
+                w.begin_object();
+                for (phase, hist) in &lat.phases {
+                    w.key(phase);
+                    w.begin_object();
+                    w.field("count", hist.count());
+                    for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)] {
+                        w.field(key, format_args!("{:.1}", hist.percentile(q)));
+                    }
+                    w.end();
+                }
+                w.end();
             }
-            out.push('}');
+            w.end();
         }
-        out.push_str("],\"topologies\":[");
+        w.end();
+        w.key("topologies");
+        w.begin_array();
         let running: Vec<_> = inner.running.lock().topologies();
-        for (i, topo) in running.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        for topo in &running {
             let state = if topo.is_cancelled() {
                 "cancelled"
             } else if topo.is_settled() {
@@ -460,19 +408,19 @@ impl IntrospectState {
             } else {
                 "running"
             };
-            out.push_str(&format!(
-                "{{\"topology\":{},\"run\":{},\"iteration\":{},\"alive\":{},\
-                 \"pending_batches\":{},\"has_error\":{},\"state\":\"{state}\"}}",
-                topo.uid(),
-                topo.run_id(),
-                topo.iterations(),
-                topo.alive_count(),
-                topo.pending_batches(),
-                topo.has_error(),
-            ));
+            w.begin_object();
+            w.field("topology", topo.uid());
+            w.field("run", topo.run_id());
+            w.field("iteration", topo.iterations());
+            w.field("alive", topo.alive_count());
+            w.field("pending_batches", topo.pending_batches());
+            w.field("has_error", topo.has_error());
+            w.field_str("state", state);
+            w.end();
         }
-        out.push_str("]}");
-        out
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// The `/trace` body: Chrome-trace JSON for the last `last` of
@@ -485,36 +433,6 @@ impl IntrospectState {
         let events = self.recorder.window(last_us, now);
         chrome_trace_json_from(&events, self.num_lanes)
     }
-}
-
-/// Appends one Prometheus family: HELP + TYPE, then each sample under its
-/// label set (empty for an unlabelled single).
-fn family(out: &mut String, name: &str, help: &str, kind: &str, samples: &[(String, u64)]) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    for (labels, value) in samples {
-        if labels.is_empty() {
-            out.push_str(&format!("{name} {value}\n"));
-        } else {
-            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-        }
-    }
-}
-
-/// One worker's counters as a JSON object (shared by the delta and
-/// total views in `/status`).
-fn push_counters(out: &mut String, w: &crate::stats::WorkerStats) {
-    out.push_str(&format!(
-        "{{\"executed\":{},\"cache_hits\":{},\"steals\":{},\"steal_fails\":{},\
-         \"parks\":{},\"skipped\":{},\"retries\":{},\"ring_dropped\":{}}}",
-        w.executed,
-        w.cache_hits,
-        w.steals,
-        w.steal_fails,
-        w.parks,
-        w.skipped,
-        w.retries,
-        w.ring_dropped,
-    ));
 }
 
 /// A live handle to a running introspection service.

@@ -88,10 +88,13 @@ fn handle(mut stream: TcpStream, state: &Arc<IntrospectState>) -> std::io::Resul
                 Some(raw) => match raw.parse::<u64>() {
                     Ok(ms) => Duration::from_millis(ms),
                     Err(_) => {
-                        let body = format!(
-                            "{{\"error\":\"last_ms must be a non-negative integer, got \\\"{}\\\"\"}}\n",
-                            crate::observer::escape_json(raw)
-                        );
+                        let mut body = crate::wire::json::Writer::compact();
+                        body.begin_object();
+                        let error =
+                            format!("last_ms must be a non-negative integer, got \"{raw}\"");
+                        body.field_str("error", &error);
+                        body.end();
+                        let body = body.finish() + "\n";
                         return respond(&mut stream, 400, "application/json", &body);
                     }
                 },

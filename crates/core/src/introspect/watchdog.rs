@@ -38,6 +38,7 @@ use super::CurrentTask;
 use crate::executor::Inner;
 use crate::frontdoor::PHASE_E2E;
 use crate::observer::Tracer;
+use crate::stats::{metric_table, Metric};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,29 +220,38 @@ pub struct WatchdogCounts {
     pub breaker_transitions: u64,
 }
 
+metric_table!(
+    /// Every watchdog counter: the key `/status` lists it under (the
+    /// field's name), its `/metrics` family, and by [`Tripped`] its slot
+    /// in [`Watchdog`].
+    WATCHDOG_METRICS: WatchdogCounts, enum Tripped;
+    StalledWorker = stalled_workers counter "rustflow_watchdog_stalled_workers_total"
+        "Watchdog reports of a worker stuck in one task invocation.";
+    StalledTopology = stalled_topologies counter "rustflow_watchdog_stalled_topologies_total"
+        "Watchdog reports of a dispatched topology frozen while the executor was idle.";
+    RingSaturation = ring_saturation counter "rustflow_watchdog_ring_saturation_total"
+        "Watchdog reports of event-ring overflow between collection passes.";
+    SloBurn = slo_burn counter "rustflow_slo_breach_total"
+        "Watchdog reports of a tenant burning its latency SLO error budget too fast.";
+    OverloadShed = overload_shed counter "rustflow_watchdog_overload_shed_total"
+        "Overload-controller interventions that shed queued runs from an over-budget tenant.";
+    BreakerTransition = breaker_transitions counter "rustflow_breaker_transitions_total"
+        "Tenant circuit-breaker state changes (closed/open/half-open, any direction).";
+);
+
 type Subscriber = Box<dyn Fn(&WatchdogDiagnostic) + Send + Sync>;
 
 /// Counters plus the subscriber list — shared between the collector
 /// (emitting) and scrape/API paths (reading counts).
 pub(crate) struct Watchdog {
-    stalled_workers: AtomicU64,
-    stalled_topologies: AtomicU64,
-    ring_saturation: AtomicU64,
-    slo_burn: AtomicU64,
-    overload_shed: AtomicU64,
-    breaker_transitions: AtomicU64,
+    counters: [AtomicU64; Tripped::COUNT],
     subscribers: Mutex<Vec<Subscriber>>,
 }
 
 impl Watchdog {
     pub(crate) fn new() -> Watchdog {
         Watchdog {
-            stalled_workers: AtomicU64::new(0),
-            stalled_topologies: AtomicU64::new(0),
-            ring_saturation: AtomicU64::new(0),
-            slo_burn: AtomicU64::new(0),
-            overload_shed: AtomicU64::new(0),
-            breaker_transitions: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             subscribers: Mutex::new(Vec::new()),
         }
     }
@@ -251,14 +261,11 @@ impl Watchdog {
     }
 
     pub(crate) fn counts(&self) -> WatchdogCounts {
-        WatchdogCounts {
-            stalled_workers: self.stalled_workers.load(Ordering::Relaxed),
-            stalled_topologies: self.stalled_topologies.load(Ordering::Relaxed),
-            ring_saturation: self.ring_saturation.load(Ordering::Relaxed),
-            slo_burn: self.slo_burn.load(Ordering::Relaxed),
-            overload_shed: self.overload_shed.load(Ordering::Relaxed),
-            breaker_transitions: self.breaker_transitions.load(Ordering::Relaxed),
-        }
+        let words = self
+            .counters
+            .iter()
+            .map(|word| word.load(Ordering::Relaxed));
+        Metric::load(WATCHDOG_METRICS, words, WatchdogCounts::default())
     }
 
     /// Counts and broadcasts a breaker state change on behalf of the
@@ -278,15 +285,15 @@ impl Watchdog {
     }
 
     fn emit(&self, d: &WatchdogDiagnostic) {
-        let counter = match d {
-            WatchdogDiagnostic::StalledWorker { .. } => &self.stalled_workers,
-            WatchdogDiagnostic::StalledTopology { .. } => &self.stalled_topologies,
-            WatchdogDiagnostic::RingSaturation { .. } => &self.ring_saturation,
-            WatchdogDiagnostic::SloBurn { .. } => &self.slo_burn,
-            WatchdogDiagnostic::OverloadShed { .. } => &self.overload_shed,
-            WatchdogDiagnostic::BreakerTransition { .. } => &self.breaker_transitions,
+        let counted_as = match d {
+            WatchdogDiagnostic::StalledWorker { .. } => Tripped::StalledWorker,
+            WatchdogDiagnostic::StalledTopology { .. } => Tripped::StalledTopology,
+            WatchdogDiagnostic::RingSaturation { .. } => Tripped::RingSaturation,
+            WatchdogDiagnostic::SloBurn { .. } => Tripped::SloBurn,
+            WatchdogDiagnostic::OverloadShed { .. } => Tripped::OverloadShed,
+            WatchdogDiagnostic::BreakerTransition { .. } => Tripped::BreakerTransition,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.counters[counted_as as usize].fetch_add(1, Ordering::Relaxed);
         for s in self.subscribers.lock().iter() {
             s(d);
         }

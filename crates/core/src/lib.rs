@@ -83,6 +83,7 @@ mod task;
 pub mod this_task;
 mod topology;
 mod validate;
+pub mod wire;
 pub mod wsq;
 
 /// Internal protocol types re-exported for the model-checker test suite
@@ -107,16 +108,13 @@ pub use introspect::{IntrospectConfig, IntrospectHandle, WatchdogCounts, Watchdo
 pub use label::TaskLabel;
 pub use observer::{
     chrome_trace_json_from, BusyCounter, ExecutorObserver, IterationInfo, SchedEvent,
-    SchedEventKind, TaskSpanInfo, TopologyAgg, TopologyRollup, TraceEvent, Tracer, DISPATCH_LANE,
+    SchedEventKind, TaskSpanInfo, TopologyAgg, TopologyRollup, Tracer, DISPATCH_LANE,
     SCHED_EVENT_SCHEMA_VERSION,
 };
 pub use profile::{GraphSnapshot, ProfileReport, PROFILE_SCHEMA_VERSION};
 pub use resilience::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};
 pub use shared_vec::SharedVec;
-pub use stats::{
-    escape_label_value, percentile, AtomicHistogram, ExecutorStats, Histogram, TenantStats,
-    WorkerStats,
-};
+pub use stats::{percentile, AtomicHistogram, ExecutorStats, Histogram, TenantStats, WorkerStats};
 pub use subflow::Subflow;
 pub use task::{Task, TaskSet};
 pub use taskflow::Taskflow;

@@ -13,6 +13,8 @@
 use crate::label::TaskLabel;
 use crate::ring::EventRing;
 use crate::sync::{AtomicUsize, Mutex};
+use crate::wire::json::Writer;
+use std::fmt::Display;
 use std::sync::atomic::Ordering;
 
 /// Pseudo lane id used for events recorded off every lane (topology
@@ -43,7 +45,7 @@ pub const DISPATCH_LANE: usize = usize::MAX;
 ///   untenanted), giving traces per-tenant lanes.
 /// * **v5** — dispatch/finalize events carry the submit timestamp of the
 ///   tenant stint driving the topology ([`IterationInfo::submit_us`];
-///   `0` = untenanted or latency pipeline disabled), anchoring each
+///   `0` = untenanted), anchoring each
 ///   stint's lifecycle decomposition in the trace's time domain.
 pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 5;
 
@@ -80,9 +82,7 @@ pub struct IterationInfo {
     /// (`0` = untenanted / direct submission). Schema v4.
     pub tenant: u64,
     /// Microseconds since [`crate::clock::origin`] when the driving
-    /// tenant stint was submitted; `0` when the stint is untenanted or
-    /// the latency pipeline is disabled
-    /// ([`ExecutorBuilder::latency_histograms`](crate::ExecutorBuilder::latency_histograms)).
+    /// tenant stint was submitted; `0` when the stint is untenanted.
     /// Schema v5.
     pub submit_us: u64,
 }
@@ -352,19 +352,6 @@ impl ExecutorObserver for TopologyRollup {
     }
 }
 
-/// One recorded task execution, paired from entry/exit events.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Worker that executed the task.
-    pub worker: usize,
-    /// Task name (empty if unnamed).
-    pub name: String,
-    /// Microseconds since the shared monotonic clock origin, at entry.
-    pub begin_us: u64,
-    /// Microseconds since the shared monotonic clock origin, at exit.
-    pub end_us: u64,
-}
-
 /// Default ring capacity per lane (events).
 const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 
@@ -532,37 +519,6 @@ impl Tracer {
         self.archive.lock().clone()
     }
 
-    /// Drains the recorded events, paired into one [`TraceEvent`] per
-    /// task execution. Non-task events (steals, parks, wakes…) are
-    /// dropped by this compatibility view; use [`Tracer::sched_events`]
-    /// or [`Tracer::chrome_trace_json`] to see them.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.collect();
-        let drained = std::mem::take(&mut *self.archive.lock());
-        let mut open: std::collections::HashMap<usize, Vec<(TaskLabel, u64)>> =
-            std::collections::HashMap::new();
-        let mut out = Vec::new();
-        for e in drained {
-            match e.kind {
-                SchedEventKind::TaskBegin { .. } => {
-                    open.entry(e.worker).or_default().push((e.label, e.ts_us));
-                }
-                SchedEventKind::TaskEnd { .. } => {
-                    let matched = open.get_mut(&e.worker).and_then(|v| v.pop());
-                    let (label, begin) = matched.unwrap_or((e.label, e.ts_us));
-                    out.push(TraceEvent {
-                        worker: e.worker,
-                        name: label.to_string(),
-                        begin_us: begin,
-                        end_us: e.ts_us,
-                    });
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Renders every recorded event as a Chrome trace (`chrome://tracing`
     /// / Perfetto JSON array format): one lane (`tid`) per worker plus a
     /// dispatch lane. Task executions become complete (`"X"`) events;
@@ -586,147 +542,125 @@ impl Tracer {
 /// calling). This is the shared back-end of the tracer export and the
 /// flight recorder's live `/trace` window.
 pub fn chrome_trace_json_from(events: &[SchedEvent], num_lanes: usize) -> String {
-    {
-        let archive = events;
-        let tid = |w: usize| if w == DISPATCH_LANE { num_lanes } else { w };
-
-        // For park durations: index of the next event on the same lane.
-        let mut next_on_lane: Vec<Option<u64>> = vec![None; archive.len()];
-        {
-            let mut last_seen: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            for (i, e) in archive.iter().enumerate() {
-                if let Some(prev) = last_seen.insert(e.worker, i) {
-                    next_on_lane[prev] = Some(e.ts_us);
-                }
-            }
+    // For park durations: timestamp of the next event on the same lane.
+    let mut next_on_lane: Vec<Option<u64>> = vec![None; events.len()];
+    let mut last_seen: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    for (i, e) in events.iter().enumerate() {
+        if let Some(prev) = last_seen.insert(e.worker, i) {
+            next_on_lane[prev] = Some(e.ts_us);
         }
-
-        let mut open: std::collections::HashMap<usize, Vec<(usize, u64)>> =
-            std::collections::HashMap::new();
-        let mut out = String::with_capacity(64 + archive.len() * 96);
-        out.push('[');
-        let mut first = true;
-        let mut emit = |s: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(s);
-        };
-        for (i, e) in archive.iter().enumerate() {
-            let t = tid(e.worker);
-            match &e.kind {
-                SchedEventKind::TaskBegin { .. } => {
-                    open.entry(e.worker).or_default().push((i, e.ts_us));
-                }
-                SchedEventKind::TaskEnd { .. } => {
-                    let (bi, begin) = open
-                        .get_mut(&e.worker)
-                        .and_then(|v| v.pop())
-                        .unwrap_or((i, e.ts_us));
-                    let label = &archive[bi].label;
-                    let name = if label.is_empty() {
-                        String::from("(task)")
-                    } else {
-                        escape_json(label)
-                    };
-                    emit(&format!(
-                        "{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-                        name,
-                        begin,
-                        e.ts_us.saturating_sub(begin).max(1),
-                        t
-                    ));
-                }
-                SchedEventKind::Park => {
-                    let dur = next_on_lane[i]
-                        .map(|n| n.saturating_sub(e.ts_us))
-                        .unwrap_or(0)
-                        .max(1);
-                    emit(&format!(
-                        "{{\"name\":\"park\",\"cat\":\"idle\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-                        e.ts_us, dur, t
-                    ));
-                }
-                SchedEventKind::CacheHit => {
-                    emit(&format!(
-                        "{{\"name\":\"cache-hit\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":\"{}\"}}}}",
-                        e.ts_us,
-                        t,
-                        escape_json(&e.label)
-                    ));
-                }
-                SchedEventKind::TaskSkipped => {
-                    emit(&format!(
-                        "{{\"name\":\"task-skipped\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":\"{}\"}}}}",
-                        e.ts_us,
-                        t,
-                        escape_json(&e.label)
-                    ));
-                }
-                SchedEventKind::TaskRetried { attempt } => {
-                    emit(&format!(
-                        "{{\"name\":\"task-retried\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":\"{}\",\"attempt\":{}}}}}",
-                        e.ts_us,
-                        t,
-                        escape_json(&e.label),
-                        attempt
-                    ));
-                }
-                SchedEventKind::Steal { victim } => {
-                    emit(&format!(
-                        "{{\"name\":\"steal\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"victim\":{}}}}}",
-                        e.ts_us, t, victim
-                    ));
-                }
-                SchedEventKind::StealFail => {
-                    emit(&format!(
-                        "{{\"name\":\"steal-fail\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-                        e.ts_us, t
-                    ));
-                }
-                SchedEventKind::InjectorPop => {
-                    emit(&format!(
-                        "{{\"name\":\"injector-pop\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-                        e.ts_us, t
-                    ));
-                }
-                SchedEventKind::Wake { woken, targeted } => {
-                    emit(&format!(
-                        "{{\"name\":\"wake\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"woken\":{},\"targeted\":{}}}}}",
-                        e.ts_us, t, woken, targeted
-                    ));
-                }
-                SchedEventKind::TopologyDispatch { info, tasks } => {
-                    // Tenanted dispatches get their own lane past the
-                    // dispatch lane (tid = num_lanes + tenant id), so each
-                    // tenant's submission stream reads as one track.
-                    let t = if info.tenant != 0 {
-                        num_lanes + info.tenant as usize
-                    } else {
-                        t
-                    };
-                    emit(&format!(
-                        "{{\"name\":\"topology-dispatch\",\"cat\":\"topology\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"topology\":{},\"run\":{},\"iteration\":{},\"tasks\":{},\"tenant\":{}}}}}",
-                        e.ts_us, t, info.topology, info.run, info.iteration, tasks, info.tenant
-                    ));
-                }
-                SchedEventKind::TopologyFinalize { info } => {
-                    let t = if info.tenant != 0 {
-                        num_lanes + info.tenant as usize
-                    } else {
-                        t
-                    };
-                    emit(&format!(
-                        "{{\"name\":\"topology-finalize\",\"cat\":\"topology\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"topology\":{},\"run\":{},\"iteration\":{},\"tenant\":{}}}}}",
-                        e.ts_us, t, info.topology, info.run, info.iteration, info.tenant
-                    ));
-                }
-            }
-        }
-        out.push(']');
-        out
     }
+
+    // One span per task end, in the order the ends appear below.
+    let mut spans = crate::profile::task_spans(events).into_iter();
+    let mut w = Writer::compact();
+    w.begin_array();
+    for (i, e) in events.iter().enumerate() {
+        let tid = match &e.kind {
+            // Tenanted dispatches get their own lane past the dispatch
+            // lane (tid = num_lanes + tenant id), so each tenant's
+            // submission stream reads as one track.
+            SchedEventKind::TopologyDispatch { info, .. }
+            | SchedEventKind::TopologyFinalize { info }
+                if info.tenant != 0 =>
+            {
+                num_lanes + info.tenant as usize
+            }
+            _ if e.worker == DISPATCH_LANE => num_lanes,
+            _ => e.worker,
+        };
+        // An instant's name, category, whether its `args` open with the
+        // task's label, and the numbers that follow.
+        let (name, cat, task, args): (&str, &str, bool, Args<'_>) = match &e.kind {
+            SchedEventKind::TaskBegin { .. } => continue,
+            SchedEventKind::TaskEnd { .. } => {
+                let span = spans.next().expect("one span per task end");
+                let name = if span.label.is_empty() {
+                    "(task)"
+                } else {
+                    &span.label
+                };
+                complete(&mut w, name, "task", span.begin_us, span.end_us, tid);
+                continue;
+            }
+            SchedEventKind::Park => {
+                let until = next_on_lane[i].unwrap_or(e.ts_us);
+                complete(&mut w, "park", "idle", e.ts_us, until, tid);
+                continue;
+            }
+            SchedEventKind::CacheHit => ("cache-hit", "sched", true, vec![]),
+            SchedEventKind::TaskSkipped => ("task-skipped", "fault", true, vec![]),
+            SchedEventKind::TaskRetried { attempt } => {
+                ("task-retried", "fault", true, vec![("attempt", attempt)])
+            }
+            SchedEventKind::Steal { victim } => ("steal", "sched", false, vec![("victim", victim)]),
+            SchedEventKind::StealFail => ("steal-fail", "sched", false, vec![]),
+            SchedEventKind::InjectorPop => ("injector-pop", "sched", false, vec![]),
+            SchedEventKind::Wake { woken, targeted } => {
+                let args: Args<'_> = vec![("woken", woken), ("targeted", targeted)];
+                ("wake", "sched", false, args)
+            }
+            SchedEventKind::TopologyDispatch { info, tasks } => {
+                let mut args = topology_args(info);
+                args.extend([("tasks", tasks as &dyn Display), ("tenant", &info.tenant)]);
+                ("topology-dispatch", "topology", false, args)
+            }
+            SchedEventKind::TopologyFinalize { info } => {
+                let mut args = topology_args(info);
+                args.push(("tenant", &info.tenant));
+                ("topology-finalize", "topology", false, args)
+            }
+        };
+        w.begin_object();
+        w.field_str("name", name);
+        w.field_str("cat", cat);
+        w.field_str("ph", "i");
+        // Thread-scoped, unless it is a topology milestone.
+        w.field_str("s", if cat == "topology" { "g" } else { "t" });
+        w.field("ts", e.ts_us);
+        w.field("pid", 0);
+        w.field("tid", tid);
+        if task || !args.is_empty() {
+            w.key("args");
+            w.begin_object();
+            if task {
+                w.field_str("task", &e.label);
+            }
+            for (key, number) in args {
+                w.field(key, number);
+            }
+            w.end();
+        }
+        w.end();
+    }
+    w.end();
+    w.finish()
+}
+
+/// The numbers in an instant trace event's `args`.
+type Args<'a> = Vec<(&'static str, &'a dyn Display)>;
+
+/// What a dispatch and a finalize event both say about their iteration.
+fn topology_args(info: &IterationInfo) -> Args<'_> {
+    vec![
+        ("topology", &info.topology),
+        ("run", &info.run),
+        ("iteration", &info.iteration),
+    ]
+}
+
+/// One complete (`"X"`) trace event from `begin_us` to `end_us`, at least
+/// a microsecond long so viewers draw it.
+fn complete(w: &mut Writer, name: &str, cat: &str, begin_us: u64, end_us: u64, tid: usize) {
+    w.begin_object();
+    w.field_str("name", name);
+    w.field_str("cat", cat);
+    w.field_str("ph", "X");
+    w.field("ts", begin_us);
+    w.field("dur", end_us.saturating_sub(begin_us).max(1));
+    w.field("pid", 0);
+    w.field("tid", tid);
+    w.end();
 }
 
 impl ExecutorObserver for Tracer {
@@ -799,30 +733,10 @@ impl ExecutorObserver for Tracer {
     }
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal: `"` and `\`
-/// are backslash-escaped and control characters become `\n`/`\r`/`\t` or
-/// `\u00XX` sequences.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::task_spans;
 
     fn label(s: &str) -> TaskLabel {
         TaskLabel::new(s)
@@ -849,11 +763,10 @@ mod tests {
         t.on_exit(0, &label("x"));
         t.on_entry(1, &label("y"));
         t.on_exit(1, &label("y"));
-        let events = t.take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "x");
-        assert!(events[0].end_us >= events[0].begin_us);
-        assert!(t.take_events().is_empty());
+        let spans = task_spans(&t.sched_events());
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[0].label.as_str(), spans[0].worker), ("x", 0));
+        assert!(spans[0].end_us >= spans[0].begin_us);
     }
 
     #[test]
@@ -882,8 +795,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.kind == SchedEventKind::TopologyDispatch { info, tasks: 3 }));
-        // The compat view keeps only task executions.
-        assert!(t.take_events().is_empty());
+        // None of them is a task execution.
+        assert!(task_spans(&events).is_empty());
     }
 
     #[test]
@@ -904,34 +817,16 @@ mod tests {
         assert!(json.contains("\"name\":\"wake\""));
         assert!(json.contains("\"tid\":1"));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 3); // 2 tasks + park
-                                                             // take_events still returns the tasks (export is non-draining).
-        assert_eq!(t.take_events().len(), 2);
     }
 
     #[test]
     fn tracer_tolerates_unmatched_exit() {
         let t = Tracer::new(1);
         t.on_exit(0, &label("ghost"));
-        let events = t.take_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].begin_us, events[0].end_us);
-        assert_eq!(events[0].name, "ghost");
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_backslashes_and_controls() {
-        // Satellite regression: the seed exporter stripped these chars.
-        let nasty = "a\"b\n\t\\c";
-        assert_eq!(escape_json(nasty), "a\\\"b\\n\\t\\\\c");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-
-        let t = Tracer::new(1);
-        t.on_entry(0, &label(nasty));
-        t.on_exit(0, &label(nasty));
-        let json = t.chrome_trace_json();
-        assert!(json.contains("a\\\"b\\n\\t\\\\c"));
-        // No raw (unescaped) quote inside the name.
-        assert!(!json.contains("a\"b"));
+        let spans = task_spans(&t.sched_events());
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].begin_us, spans[0].end_us);
+        assert_eq!(spans[0].label, "ghost");
     }
 
     #[test]

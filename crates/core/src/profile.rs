@@ -25,8 +25,9 @@
 //! critical path bold and nodes heat-colored by total time.
 
 use crate::graph::{Graph, Node};
-use crate::observer::{escape_json, SchedEvent, SchedEventKind};
-use crate::stats::{escape_label_value, Histogram};
+use crate::observer::{SchedEvent, SchedEventKind};
+use crate::stats::Histogram;
+use crate::wire::{json, prom};
 use std::collections::{HashMap, HashSet};
 
 /// Version of the [`ProfileReport`] JSON schema.
@@ -138,6 +139,37 @@ impl TaskSpan {
     fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.begin_us)
     }
+}
+
+/// Pairs task begin/end events into one [`TaskSpan`] per execution, in the
+/// order the executions ended: the one pairing behind the profiler and the
+/// Chrome-trace export. Pairing is per lane (a lane's executions never
+/// nest): an end closes its lane's most recent open begin and takes that
+/// begin's timestamp and label. An end whose begin was lost to ring
+/// pressure degrades to a zero-length span at the end's timestamp. `events`
+/// must be ordered by timestamp ([`crate::Tracer::sched_events`] is).
+pub fn task_spans(events: &[SchedEvent]) -> Vec<TaskSpan> {
+    let mut open: HashMap<usize, Vec<&SchedEvent>> = HashMap::new();
+    let mut spans = Vec::new();
+    for e in events {
+        match &e.kind {
+            SchedEventKind::TaskBegin { .. } => open.entry(e.worker).or_default().push(e),
+            SchedEventKind::TaskEnd { span } => {
+                let begin = open.get_mut(&e.worker).and_then(Vec::pop).unwrap_or(e);
+                spans.push(TaskSpan {
+                    node: span.node,
+                    parent: span.parent,
+                    run: span.run,
+                    worker: e.worker,
+                    label: begin.label.to_string(),
+                    begin_us: begin.ts_us,
+                    end_us: e.ts_us,
+                });
+            }
+            _ => {}
+        }
+    }
+    spans
 }
 
 /// Work/span analysis of one topology iteration.
@@ -283,37 +315,16 @@ impl ProfileReport {
         }
 
         // --- Pair begin/end events into spans; collect histograms. -------
-        let mut open: HashMap<usize, Vec<SchedEvent>> = HashMap::new();
-        let mut spans: Vec<TaskSpan> = Vec::new();
+        let spans = task_spans(events);
         let mut task_duration = Histogram::new_us();
+        for s in &spans {
+            task_duration.observe(s.duration_us());
+        }
         let mut steal_latency = Histogram::new_us();
         let mut last_on_lane: HashMap<usize, u64> = HashMap::new();
         let mut dispatch: HashMap<u64, (u64, u64)> = HashMap::new();
         for e in events {
             match &e.kind {
-                SchedEventKind::TaskBegin { .. } => {
-                    open.entry(e.worker).or_default().push(e.clone());
-                }
-                SchedEventKind::TaskEnd { span } => {
-                    let begin = open.get_mut(&e.worker).and_then(|v| v.pop());
-                    let (begin_us, label) = match begin {
-                        Some(b) => (b.ts_us, b.label),
-                        // Begin lost to ring pressure: degrade to a
-                        // zero-length span at the end timestamp.
-                        None => (e.ts_us, e.label.clone()),
-                    };
-                    let s = TaskSpan {
-                        node: span.node,
-                        parent: span.parent,
-                        run: span.run,
-                        worker: e.worker,
-                        label: label.to_string(),
-                        begin_us,
-                        end_us: e.ts_us,
-                    };
-                    task_duration.observe(s.duration_us());
-                    spans.push(s);
-                }
                 SchedEventKind::Steal { .. } => {
                     if let Some(&prev) = last_on_lane.get(&e.worker) {
                         steal_latency.observe(e.ts_us.saturating_sub(prev));
@@ -482,82 +493,93 @@ impl ProfileReport {
     /// Renders the report as schema-stable JSON (see
     /// [`PROFILE_SCHEMA_VERSION`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\n  \"schema_version\": {},\n  \"num_workers\": {},\n  \"wall_us\": {},\n  \"total_work_us\": {},\n  \"mean_span_us\": {:.3},\n  \"mean_parallelism\": {:.3},\n  \"dropped_events\": {},\n",
-            self.schema_version,
-            self.num_workers,
-            self.wall_us,
-            self.total_work_us,
-            self.mean_span_us,
-            self.mean_parallelism,
-            self.dropped_events
-        ));
-        out.push_str("  \"iterations\": [\n");
-        for (i, it) in self.iterations.iter().enumerate() {
-            let path = it
-                .critical_path
-                .iter()
-                .map(|p| format!("\"{}\"", escape_json(p)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    {{\"run\": {}, \"topology\": {}, \"iteration\": {}, \"tasks\": {}, \"work_us\": {}, \"span_us\": {}, \"wall_us\": {}, \"parallelism\": {:.3}, \"achieved_speedup\": {:.3}, \"brent_speedup\": {:.3}, \"critical_path\": [{}]}}{}\n",
-                it.run,
-                it.topology,
-                it.iteration,
-                it.tasks,
-                it.work_us,
-                it.span_us,
-                it.wall_us,
-                it.parallelism,
-                it.achieved_speedup,
-                it.brent_speedup,
-                path,
-                if i + 1 < self.iterations.len() { "," } else { "" }
-            ));
+        let mut w = json::Writer::pretty();
+        w.begin_object();
+        w.field("schema_version", self.schema_version);
+        w.field("num_workers", self.num_workers);
+        w.field("wall_us", self.wall_us);
+        w.field("total_work_us", self.total_work_us);
+        w.field("mean_span_us", format_args!("{:.3}", self.mean_span_us));
+        w.field(
+            "mean_parallelism",
+            format_args!("{:.3}", self.mean_parallelism),
+        );
+        w.field("dropped_events", self.dropped_events);
+        w.key("iterations");
+        w.begin_array();
+        for it in &self.iterations {
+            w.begin_object();
+            w.field("run", it.run);
+            w.field("topology", it.topology);
+            w.field("iteration", it.iteration);
+            w.field("tasks", it.tasks);
+            w.field("work_us", it.work_us);
+            w.field("span_us", it.span_us);
+            w.field("wall_us", it.wall_us);
+            w.field("parallelism", format_args!("{:.3}", it.parallelism));
+            w.field(
+                "achieved_speedup",
+                format_args!("{:.3}", it.achieved_speedup),
+            );
+            w.field("brent_speedup", format_args!("{:.3}", it.brent_speedup));
+            w.key("critical_path");
+            w.begin_array();
+            for step in &it.critical_path {
+                w.string(step);
+            }
+            w.end();
+            w.end();
         }
-        out.push_str("  ],\n  \"nodes\": [\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"identity\": \"{}\", \"count\": {}, \"total_us\": {}, \"mean_us\": {:.3}, \"max_us\": {}, \"critical_appearances\": {}}}{}\n",
-                escape_json(&n.identity),
-                n.count,
-                n.total_us,
-                n.mean_us,
-                n.max_us,
-                n.critical_appearances,
-                if i + 1 < self.nodes.len() { "," } else { "" }
-            ));
+        w.end();
+        w.key("nodes");
+        w.begin_array();
+        for n in &self.nodes {
+            w.begin_object();
+            w.field_str("identity", &n.identity);
+            w.field("count", n.count);
+            w.field("total_us", n.total_us);
+            w.field("mean_us", format_args!("{:.3}", n.mean_us));
+            w.field("max_us", n.max_us);
+            w.field("critical_appearances", n.critical_appearances);
+            w.end();
         }
-        out.push_str(&format!(
-            "  ],\n  \"utilization\": {{\"begin_us\": {}, \"bin_us\": {}, \"workers\": [\n",
-            self.begin_us, self.bin_us
-        ));
-        for (i, t) in self.utilization.iter().enumerate() {
-            let bins = t
-                .busy
-                .iter()
-                .map(|b| format!("{b:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    [{}]{}\n",
-                bins,
-                if i + 1 < self.utilization.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+        w.end();
+        w.key("utilization");
+        w.begin_object();
+        w.field("begin_us", self.begin_us);
+        w.field("bin_us", self.bin_us);
+        w.key("workers");
+        w.begin_array();
+        for timeline in &self.utilization {
+            w.begin_array();
+            for busy in &timeline.busy {
+                w.value(format_args!("{busy:.3}"));
+            }
+            w.end();
         }
-        out.push_str("  ]},\n  \"histograms\": {\n");
-        out.push_str(&format!(
-            "    \"task_duration_us\": {},\n    \"steal_latency_us\": {}\n  }}\n}}\n",
-            histogram_json(&self.task_duration),
-            histogram_json(&self.steal_latency)
-        ));
-        out
+        w.end();
+        w.end();
+        w.key("histograms");
+        w.begin_object();
+        for (key, h) in [
+            ("task_duration_us", &self.task_duration),
+            ("steal_latency_us", &self.steal_latency),
+        ] {
+            w.key(key);
+            w.begin_object();
+            for (key, values) in [("bounds_us", h.bounds()), ("counts", h.bucket_counts())] {
+                w.key(key);
+                w.begin_array();
+                values.iter().for_each(|v| w.value(v));
+                w.end();
+            }
+            w.field("sum_us", h.sum());
+            w.field("count", h.count());
+            w.end();
+        }
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// Renders the profiler's Prometheus families: task-duration and
@@ -576,75 +598,58 @@ impl ProfileReport {
             "rustflow_steal_latency_us",
             "Distribution of steal latencies in microseconds.",
         );
-        out.push_str("# HELP rustflow_task_total_us Total execution time per task.\n");
-        out.push_str("# TYPE rustflow_task_total_us gauge\n");
-        for n in &self.nodes {
-            out.push_str(&format!(
-                "rustflow_task_total_us{{task=\"{}\"}} {}\n",
-                escape_label_value(&n.identity),
-                n.total_us
-            ));
+        type PerTask = fn(&NodeProfile) -> u64;
+        let per_task: [(&str, &str, &str, PerTask); 2] = [
+            (
+                "rustflow_task_total_us",
+                "Total execution time per task.",
+                "gauge",
+                |n| n.total_us,
+            ),
+            (
+                "rustflow_task_executions_total",
+                "Executions per task.",
+                "counter",
+                |n| n.count,
+            ),
+        ];
+        for (name, help, kind, get) in per_task {
+            prom::header(&mut out, name, help, kind);
+            for n in &self.nodes {
+                let labels = prom::labels(&[("task", &n.identity)]);
+                prom::sample(&mut out, name, &labels, get(n));
+            }
         }
-        out.push_str("# HELP rustflow_task_executions_total Executions per task.\n");
-        out.push_str("# TYPE rustflow_task_executions_total counter\n");
-        for n in &self.nodes {
-            out.push_str(&format!(
-                "rustflow_task_executions_total{{task=\"{}\"}} {}\n",
-                escape_label_value(&n.identity),
-                n.count
-            ));
-        }
-        for (name, help, get) in [
+        type PerIteration = fn(&IterationProfile) -> f64;
+        let per_iteration: [(&str, &str, PerIteration); 3] = [
             (
                 "rustflow_iteration_work_us",
                 "Work (sum of span durations) per iteration.",
-                (|it: &IterationProfile| it.work_us as f64) as fn(&IterationProfile) -> f64,
+                |it| it.work_us as f64,
             ),
             (
                 "rustflow_iteration_span_us",
                 "Critical-path length per iteration.",
-                |it: &IterationProfile| it.span_us as f64,
+                |it| it.span_us as f64,
             ),
             (
                 "rustflow_iteration_parallelism",
                 "Work/span parallelism per iteration.",
-                |it: &IterationProfile| it.parallelism,
+                |it| it.parallelism,
             ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
+        ];
+        for (name, help, get) in per_iteration {
+            prom::header(&mut out, name, help, "gauge");
             for it in &self.iterations {
-                out.push_str(&format!(
-                    "{name}{{topology=\"{}\",iteration=\"{}\"}} {:.3}\n",
-                    it.topology,
-                    it.iteration,
-                    get(it)
-                ));
+                let labels = prom::labels(&[
+                    ("topology", &it.topology.to_string()),
+                    ("iteration", &it.iteration.to_string()),
+                ]);
+                prom::sample(&mut out, name, &labels, format_args!("{:.3}", get(it)));
             }
         }
         out
     }
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let bounds = h
-        .bounds()
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let counts = h
-        .bucket_counts()
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"bounds_us\": [{}], \"counts\": [{}], \"sum_us\": {}, \"count\": {}}}",
-        bounds,
-        counts,
-        h.sum(),
-        h.count()
-    )
 }
 
 /// Work/span analysis of one iteration's spans (`members` indexes into

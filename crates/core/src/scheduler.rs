@@ -30,7 +30,7 @@ use crate::error::{panic_message, FailurePolicy, RunError, TaskPanic};
 use crate::executor::{advance_topology, notify_observers, Inner};
 use crate::graph::{RawNode, Work};
 use crate::introspect::CurrentTask;
-use crate::stats::WorkerStats;
+use crate::stats::{Counter, Metric, WorkerStats, LANE_METRICS};
 use crate::subflow::Subflow;
 use crate::sync::{fence, AtomicU64, Mutex};
 use crate::topology::Topology;
@@ -49,18 +49,10 @@ pub(crate) struct WorkerShared {
     /// in steady state: the worker writes twice per task, the collector
     /// reads once per period.
     pub(crate) current: Mutex<Option<CurrentTask>>,
-    /// Diagnostic counters (relaxed; advisory). Each worker writes only
-    /// its own set, so there is no cross-worker contention.
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-    steals: AtomicU64,
-    steal_attempts: AtomicU64,
-    steal_fails: AtomicU64,
-    injector_pops: AtomicU64,
-    parks: AtomicU64,
-    wakes_sent: AtomicU64,
-    skipped: AtomicU64,
-    retries: AtomicU64,
+    /// Diagnostic counters (relaxed; advisory), indexed by [`Counter`].
+    /// Each lane writes only its own set, so there is no cross-lane
+    /// contention.
+    counters: [AtomicU64; Counter::COUNT],
 }
 
 impl WorkerShared {
@@ -69,34 +61,28 @@ impl WorkerShared {
             stealer,
             guest,
             current: Mutex::new(None),
-            executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_attempts: AtomicU64::new(0),
-            steal_fails: AtomicU64::new(0),
-            injector_pops: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wakes_sent: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
+    /// One more of `counter` on this lane.
+    #[inline]
+    fn count(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// What the counters read right now; `ring_dropped` is left for the
+    /// caller (the tracer counts it).
     pub(crate) fn snapshot(&self) -> WorkerStats {
-        WorkerStats {
+        let words = self
+            .counters
+            .iter()
+            .map(|word| word.load(Ordering::Relaxed));
+        let stats = WorkerStats {
             guest: self.guest,
-            executed: self.executed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
-            steal_fails: self.steal_fails.load(Ordering::Relaxed),
-            injector_pops: self.injector_pops.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            wakes_sent: self.wakes_sent.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            ring_dropped: 0,
-        }
+            ..WorkerStats::default()
+        };
+        Metric::load(LANE_METRICS, words, stats)
     }
 }
 
@@ -166,7 +152,7 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
             // for the sanitizer to catch.
             #[cfg(rustflow_weaken = "seed_plain_race")]
             let _ = unsafe { *inner.race_scratch.get() };
-            inner.shareds[ctx.id].parks.fetch_add(1, Ordering::Relaxed);
+            inner.shareds[ctx.id].count(Counter::Parks);
             notify_observers(inner, |ob| ob.on_park(ctx.id));
             inner
                 .notifier
@@ -177,9 +163,7 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
         // Lines 26–28: probabilistic wake-up for load balancing.
         if inner.cfg.wake_ratio != 0 && ctx.next_rand().is_multiple_of(inner.cfg.wake_ratio) {
             if let Some(woken) = inner.notifier.wake_one() {
-                inner.shareds[ctx.id]
-                    .wakes_sent
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.shareds[ctx.id].count(Counter::WakesSent);
                 notify_observers(inner, |ob| ob.on_wake(ctx.id, woken, false));
             }
         }
@@ -249,25 +233,19 @@ fn run_chain(inner: &Inner, ctx: &mut WorkerCtx, first: usize) {
     // finalizes its topology and releases `wait_for_all`, so counting
     // afterwards would let a freshly released reader miss the final
     // increments.
-    inner.shareds[ctx.id]
-        .executed
-        .fetch_add(1, Ordering::Relaxed);
+    inner.shareds[ctx.id].count(Counter::Executed);
     execute(inner, ctx, first as RawNode);
     loop {
         let t = std::mem::take(&mut ctx.cache);
         if t == 0 {
             break;
         }
-        inner.shareds[ctx.id]
-            .cache_hits
-            .fetch_add(1, Ordering::Relaxed);
+        inner.shareds[ctx.id].count(Counter::CacheHits);
         // SAFETY: the node is armed and its topology alive (same
         // contract as `execute` below, which runs it next).
         let label = unsafe { (*(t as RawNode)).label() };
         notify_observers(inner, |ob| ob.on_cache_hit(ctx.id, label));
-        inner.shareds[ctx.id]
-            .executed
-            .fetch_add(1, Ordering::Relaxed);
+        inner.shareds[ctx.id].count(Counter::Executed);
         execute(inner, ctx, t as RawNode);
     }
 }
@@ -282,12 +260,10 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
         attempts -= 1;
         let v = ctx.last_victim;
         if v != me {
-            inner.shareds[me]
-                .steal_attempts
-                .fetch_add(1, Ordering::Relaxed);
+            inner.shareds[me].count(Counter::StealAttempts);
             match inner.shareds[v].stealer.steal() {
                 wsq::Steal::Success(x) => {
-                    inner.shareds[me].steals.fetch_add(1, Ordering::Relaxed);
+                    inner.shareds[me].count(Counter::Steals);
                     notify_observers(inner, |ob| ob.on_steal(me, v));
                     return x;
                 }
@@ -300,16 +276,12 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
     let popped = inner.injector.pop();
     match popped {
         Some(x) => {
-            inner.shareds[me]
-                .injector_pops
-                .fetch_add(1, Ordering::Relaxed);
+            inner.shareds[me].count(Counter::InjectorPops);
             notify_observers(inner, |ob| ob.on_injector_pop(me));
             x
         }
         None => {
-            inner.shareds[me]
-                .steal_fails
-                .fetch_add(1, Ordering::Relaxed);
+            inner.shareds[me].count(Counter::StealFails);
             notify_observers(inner, |ob| ob.on_steal_fail(me));
             0
         }
@@ -337,9 +309,7 @@ pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode)
     fence(Ordering::SeqCst);
     if inner.num_spinning.load(Ordering::SeqCst) == 0 {
         if let Some(woken) = inner.notifier.wake_one() {
-            inner.shareds[ctx.id]
-                .wakes_sent
-                .fetch_add(1, Ordering::Relaxed);
+            inner.shareds[ctx.id].count(Counter::WakesSent);
             notify_observers(inner, |ob| ob.on_wake(ctx.id, woken, true));
         }
     }
@@ -367,9 +337,7 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
             // was recorded (see `Topology::cancel`), so skipping here can
             // never let the batch resolve `Ok`. Skipped tasks emit no
             // begin/end span — they did not run.
-            inner.shareds[ctx.id]
-                .skipped
-                .fetch_add(1, Ordering::Relaxed);
+            inner.shareds[ctx.id].count(Counter::Skipped);
             let label = (*node).label();
             notify_observers(inner, |ob| ob.on_task_skipped(ctx.id, label));
             complete(inner, ctx, node);
@@ -463,9 +431,7 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
             let Some(payload) = failed else { break };
             if will_retry {
                 attempt += 1;
-                inner.shareds[ctx.id]
-                    .retries
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.shareds[ctx.id].count(Counter::Retries);
                 let label = (*node).label();
                 notify_observers(inner, |ob| ob.on_task_retry(ctx.id, label, attempt));
                 // Reset just this node's run state (half-built subflow,

@@ -12,8 +12,11 @@
 //! `_bucket`/`_sum`/`_count` histogram families (cumulative buckets with
 //! `le` labels, closed by `+Inf`) used by the causal profiler
 //! ([`crate::profile`]) for task-duration and steal-latency
-//! distributions, and [`escape_label_value`] implements the format's
-//! label value escaping.
+//! distributions. Every line of exposition text is written by
+//! [`crate::wire::prom`]; what this module owns is *which* counters exist:
+//! [`LANE_METRICS`] and [`TENANT_METRICS`] declare each one once (stats
+//! field, Prometheus family, help text, JSON key), and snapshot, delta,
+//! total, `/metrics` and `/status` all walk those tables.
 //!
 //! For the online latency pipeline, [`AtomicHistogram`] is the lock-free
 //! recording side: log-linear (HDR-style) buckets updated with two
@@ -24,7 +27,83 @@
 //! reports.
 
 use crate::sync::AtomicU64;
+use crate::wire::prom;
 use std::sync::atomic::Ordering;
+
+/// One row of a counter table: a `u64` field of the stats struct `S`,
+/// declared once for everything that reads, diffs or renders it.
+pub(crate) struct Metric<S> {
+    /// Prometheus family name.
+    pub(crate) name: &'static str,
+    /// Prometheus help text.
+    pub(crate) help: &'static str,
+    /// Prometheus type: `"counter"` (diffed by `delta`) or `"gauge"`
+    /// (passed through).
+    pub(crate) kind: &'static str,
+    /// Key in `/status`: the field's own name.
+    pub(crate) key: &'static str,
+    pub(crate) get: fn(&S) -> u64,
+    pub(crate) slot: fn(&mut S) -> &mut u64,
+}
+
+impl<S: Clone> Metric<S> {
+    /// `later - earlier` for every counter of `table`, saturating at
+    /// zero; gauges and everything outside the table pass through from
+    /// `later`.
+    fn delta(table: &[Metric<S>], later: &S, earlier: &S) -> S {
+        let mut out = later.clone();
+        for m in table.iter().filter(|m| m.kind == "counter") {
+            *(m.slot)(&mut out) = (m.get)(later).saturating_sub((m.get)(earlier));
+        }
+        out
+    }
+
+    /// Stores `words` into the fields of `stats` that the leading rows of
+    /// `table` name, word `i` into row `i`'s.
+    pub(crate) fn load(
+        table: &[Metric<S>],
+        words: impl IntoIterator<Item = u64>,
+        mut stats: S,
+    ) -> S {
+        for (m, word) in table.iter().zip(words) {
+            *(m.slot)(&mut stats) = word;
+        }
+        stats
+    }
+}
+
+/// Declares `TABLE: &[Metric<Stats>]` from `field kind "family" "help";`
+/// rows. With `enum Index`, the rows that lead with `Variant =` also make
+/// up that enum, numbered by row (they come first, `_ =` rows after), so a
+/// slot array indexed by it cannot drift from the table.
+macro_rules! metric_table {
+    ($(#[$doc:meta])* $table:ident: $stats:ty;
+     $($field:ident $kind:ident $name:literal $help:literal;)*) => {
+        $(#[$doc])*
+        pub(crate) const $table: &[Metric<$stats>] = &[$(Metric::<$stats> {
+            name: $name,
+            help: $help,
+            kind: stringify!($kind),
+            key: stringify!($field),
+            get: |s| s.$field,
+            slot: |s| &mut s.$field,
+        }),*];
+    };
+    ($(#[$doc:meta])* $table:ident: $stats:ty, enum $index:ident;
+     $($variant:ident = $field:ident $kind:ident $name:literal $help:literal;)*
+     $(_ = $rest:ident $rest_kind:ident $rest_name:literal $rest_help:literal;)*) => {
+        metric_table!($(#[$doc])* $table: $stats;
+            $($field $kind $name $help;)* $($rest $rest_kind $rest_name $rest_help;)*);
+        /// The slot of each live counter: its row in the table.
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum $index { $($variant),* }
+        impl $index {
+            /// Variants, i.e. slots.
+            pub(crate) const COUNT: usize = [$(stringify!($variant)),*].len();
+        }
+    };
+}
+pub(crate) use metric_table;
 
 /// Snapshot of one lane's diagnostic counters: a worker thread's, or a
 /// guest seat's (the threads that executed tasks while waiting in
@@ -74,98 +153,34 @@ pub struct WorkerStats {
 impl WorkerStats {
     /// Counter-wise `self - earlier`, saturating at zero.
     pub fn delta(&self, earlier: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            guest: self.guest,
-            executed: self.executed.saturating_sub(earlier.executed),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            steals: self.steals.saturating_sub(earlier.steals),
-            steal_attempts: self.steal_attempts.saturating_sub(earlier.steal_attempts),
-            steal_fails: self.steal_fails.saturating_sub(earlier.steal_fails),
-            injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
-            parks: self.parks.saturating_sub(earlier.parks),
-            wakes_sent: self.wakes_sent.saturating_sub(earlier.wakes_sent),
-            skipped: self.skipped.saturating_sub(earlier.skipped),
-            retries: self.retries.saturating_sub(earlier.retries),
-            ring_dropped: self.ring_dropped.saturating_sub(earlier.ring_dropped),
-        }
-    }
-
-    fn add(&mut self, other: &WorkerStats) {
-        self.executed += other.executed;
-        self.cache_hits += other.cache_hits;
-        self.steals += other.steals;
-        self.steal_attempts += other.steal_attempts;
-        self.steal_fails += other.steal_fails;
-        self.injector_pops += other.injector_pops;
-        self.parks += other.parks;
-        self.wakes_sent += other.wakes_sent;
-        self.skipped += other.skipped;
-        self.retries += other.retries;
-        self.ring_dropped += other.ring_dropped;
+        Metric::delta(LANE_METRICS, self, earlier)
     }
 }
 
-/// Accessor pulling one counter out of a [`WorkerStats`].
-type MetricAccessor = fn(&WorkerStats) -> u64;
-
-/// The metric catalogue: (suffix-less metric name, help text, accessor).
-const METRICS: &[(&str, &str, MetricAccessor)] = &[
-    (
-        "rustflow_tasks_executed_total",
-        "Tasks executed, per worker.",
-        |w| w.executed,
-    ),
-    (
-        "rustflow_cache_hits_total",
-        "Tasks pulled from the exclusive per-worker cache slot.",
-        |w| w.cache_hits,
-    ),
-    (
-        "rustflow_steals_total",
-        "Successful steals, per thief.",
-        |w| w.steals,
-    ),
-    (
-        "rustflow_steal_attempts_total",
-        "Individual steal probes, per thief.",
-        |w| w.steal_attempts,
-    ),
-    (
-        "rustflow_steal_failures_total",
-        "Steal rounds that found no work anywhere.",
-        |w| w.steal_fails,
-    ),
-    (
-        "rustflow_injector_pops_total",
-        "Tasks taken from the external injector queue.",
-        |w| w.injector_pops,
-    ),
-    (
-        "rustflow_parks_total",
-        "Times a worker parked on the idler list.",
-        |w| w.parks,
-    ),
-    (
-        "rustflow_wakes_sent_total",
-        "Wake-ups issued (targeted and probabilistic).",
-        |w| w.wakes_sent,
-    ),
-    (
-        "rustflow_tasks_skipped_total",
-        "Ready tasks skipped because their topology was cancelled.",
-        |w| w.skipped,
-    ),
-    (
-        "rustflow_task_retries_total",
-        "Extra task attempts executed under a retry budget.",
-        |w| w.retries,
-    ),
-    (
-        "rustflow_ring_dropped_events_total",
-        "Telemetry events lost to per-worker ring overflow.",
-        |w| w.ring_dropped,
-    ),
-];
+metric_table!(
+    /// Every lane counter. [`Counter`] indexes `WorkerShared`'s array of
+    /// atomics; `ring_dropped` has no slot there (the tracer counts it).
+    LANE_METRICS: WorkerStats, enum Counter;
+    Executed = executed counter "rustflow_tasks_executed_total" "Tasks executed, per worker.";
+    CacheHits = cache_hits counter "rustflow_cache_hits_total"
+        "Tasks pulled from the exclusive per-worker cache slot.";
+    Steals = steals counter "rustflow_steals_total" "Successful steals, per thief.";
+    StealAttempts = steal_attempts counter "rustflow_steal_attempts_total"
+        "Individual steal probes, per thief.";
+    StealFails = steal_fails counter "rustflow_steal_failures_total"
+        "Steal rounds that found no work anywhere.";
+    InjectorPops = injector_pops counter "rustflow_injector_pops_total"
+        "Tasks taken from the external injector queue.";
+    Parks = parks counter "rustflow_parks_total" "Times a worker parked on the idler list.";
+    WakesSent = wakes_sent counter "rustflow_wakes_sent_total"
+        "Wake-ups issued (targeted and probabilistic).";
+    Skipped = skipped counter "rustflow_tasks_skipped_total"
+        "Ready tasks skipped because their topology was cancelled.";
+    Retries = retries counter "rustflow_task_retries_total"
+        "Extra task attempts executed under a retry budget.";
+    _ = ring_dropped counter "rustflow_ring_dropped_events_total"
+        "Telemetry events lost to per-worker ring overflow.";
+);
 
 /// Snapshot of one tenant's submission-path counters
 /// ([`crate::Executor::tenant`]).
@@ -228,127 +243,48 @@ impl TenantStats {
     /// Counter-wise `self - earlier`, saturating at zero; gauges pass
     /// through from `self`.
     pub fn delta(&self, earlier: &TenantStats) -> TenantStats {
-        TenantStats {
-            name: self.name.clone(),
-            weight: self.weight,
-            queued: self.queued,
-            in_flight: self.in_flight,
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            dispatched: self.dispatched.saturating_sub(earlier.dispatched),
-            coalesced: self.coalesced.saturating_sub(earlier.coalesced),
-            completed: self.completed.saturating_sub(earlier.completed),
-            rejected_saturated: self
-                .rejected_saturated
-                .saturating_sub(earlier.rejected_saturated),
-            rejected_shutdown: self
-                .rejected_shutdown
-                .saturating_sub(earlier.rejected_shutdown),
-            rejected_infeasible: self
-                .rejected_infeasible
-                .saturating_sub(earlier.rejected_infeasible),
-            rejected_breaker: self
-                .rejected_breaker
-                .saturating_sub(earlier.rejected_breaker),
-            shed: self.shed.saturating_sub(earlier.shed),
-            retry_budget_exhausted: self
-                .retry_budget_exhausted
-                .saturating_sub(earlier.retry_budget_exhausted),
-            consecutive_failures: self.consecutive_failures,
-            breaker_state: self.breaker_state,
-        }
+        Metric::delta(TENANT_METRICS, self, earlier)
     }
 }
 
-/// Accessor pulling one counter out of a [`TenantStats`].
-type TenantAccessor = fn(&TenantStats) -> u64;
-
-/// Tenant metric catalogue: (name, help, Prometheus type, accessor).
-const TENANT_METRICS: &[(&str, &str, &str, TenantAccessor)] = &[
-    (
-        "rustflow_tenant_submissions_total",
-        "Admission attempts through the tenant, accepted or not.",
-        "counter",
-        |t| t.submitted,
-    ),
-    (
-        "rustflow_tenant_dispatches_total",
-        "Submissions that claimed a topology's driver role (one stint each).",
-        "counter",
-        |t| t.dispatched,
-    ),
-    (
-        "rustflow_tenant_coalesced_total",
-        "Submissions that joined an already-running topology's stint.",
-        "counter",
-        |t| t.coalesced,
-    ),
-    (
-        "rustflow_tenant_completions_total",
-        "Driver-claimed dispatches that ran to finalization.",
-        "counter",
-        |t| t.completed,
-    ),
-    (
-        "rustflow_tenant_rejected_saturated_total",
-        "try_submit rejections due to a full tenant queue.",
-        "counter",
-        |t| t.rejected_saturated,
-    ),
-    (
-        "rustflow_tenant_rejected_shutdown_total",
-        "Submissions rejected or drained by executor shutdown.",
-        "counter",
-        |t| t.rejected_shutdown,
-    ),
-    (
-        "rustflow_tenant_rejected_infeasible_total",
-        "Submissions cheap-rejected because the expected queue wait exceeded their deadline.",
-        "counter",
-        |t| t.rejected_infeasible,
-    ),
-    (
-        "rustflow_tenant_rejected_breaker_total",
-        "Submissions fast-rejected by an open circuit breaker.",
-        "counter",
-        |t| t.rejected_breaker,
-    ),
-    (
-        "rustflow_runs_shed_total",
-        "Queued runs dropped by the dispatcher (deadline expired) or the overload controller.",
-        "counter",
-        |t| t.shed,
-    ),
-    (
-        "rustflow_retry_budget_exhausted_total",
-        "Retries refused by the tenant retry budget (task failed instead of retrying).",
-        "counter",
-        |t| t.retry_budget_exhausted,
-    ),
-    (
-        "rustflow_breaker_state",
-        "Circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-        "gauge",
-        |t| t.breaker_state,
-    ),
-    (
-        "rustflow_tenant_queued",
-        "Submissions waiting in the tenant queue.",
-        "gauge",
-        |t| t.queued,
-    ),
-    (
-        "rustflow_tenant_in_flight",
-        "Tenant topologies dispatched and not yet finalized.",
-        "gauge",
-        |t| t.in_flight,
-    ),
-];
+metric_table!(
+    /// Every tenant counter and gauge with a Prometheus family, in
+    /// `/metrics` order. `/status` lists the gauges first, then the
+    /// counters, under the same keys; `breaker_state` goes there as a
+    /// name, beside `consecutive_failures`.
+    TENANT_METRICS: TenantStats;
+    submitted counter "rustflow_tenant_submissions_total"
+        "Admission attempts through the tenant, accepted or not.";
+    dispatched counter "rustflow_tenant_dispatches_total"
+        "Submissions that claimed a topology's driver role (one stint each).";
+    coalesced counter "rustflow_tenant_coalesced_total"
+        "Submissions that joined an already-running topology's stint.";
+    completed counter "rustflow_tenant_completions_total"
+        "Driver-claimed dispatches that ran to finalization.";
+    rejected_saturated counter "rustflow_tenant_rejected_saturated_total"
+        "try_submit rejections due to a full tenant queue.";
+    rejected_shutdown counter "rustflow_tenant_rejected_shutdown_total"
+        "Submissions rejected or drained by executor shutdown.";
+    rejected_infeasible counter "rustflow_tenant_rejected_infeasible_total"
+        "Submissions cheap-rejected because the expected queue wait exceeded their deadline.";
+    rejected_breaker counter "rustflow_tenant_rejected_breaker_total"
+        "Submissions fast-rejected by an open circuit breaker.";
+    shed counter "rustflow_runs_shed_total"
+        "Queued runs dropped by the dispatcher (deadline expired) or the overload controller.";
+    retry_budget_exhausted counter "rustflow_retry_budget_exhausted_total"
+        "Retries refused by the tenant retry budget (task failed instead of retrying).";
+    breaker_state gauge "rustflow_breaker_state"
+        "Circuit-breaker state: 0 closed, 1 open, 2 half-open.";
+    queued gauge "rustflow_tenant_queued" "Submissions waiting in the tenant queue.";
+    in_flight gauge "rustflow_tenant_in_flight"
+        "Tenant topologies dispatched and not yet finalized.";
+);
 
 /// The label pair of one lane's sample: its id, and whether it is a worker
 /// thread's or a guest seat's (`worker="2",lane="guest"`).
 pub(crate) fn lane_labels(id: usize, guest: bool) -> String {
     let lane = if guest { "guest" } else { "worker" };
-    format!("worker=\"{id}\",lane=\"{lane}\"")
+    prom::labels(&[("worker", &id.to_string()), ("lane", lane)])
 }
 
 /// A point-in-time snapshot of every lane's counters.
@@ -367,8 +303,8 @@ impl ExecutorStats {
     /// is every task the executor ran, on whichever thread.
     pub fn total(&self) -> WorkerStats {
         let mut total = WorkerStats::default();
-        for w in &self.workers {
-            total.add(w);
+        for m in LANE_METRICS {
+            *(m.slot)(&mut total) = self.workers.iter().map(m.get).sum();
         }
         total
     }
@@ -377,96 +313,57 @@ impl ExecutorStats {
     /// executor — the activity that happened in between (e.g. during one
     /// benchmark run). Saturates at zero per counter.
     pub fn delta(&self, earlier: &ExecutorStats) -> ExecutorStats {
+        // A lane or tenant `earlier` lacks is diffed against all zeros.
+        let (no_lane, no_tenant) = (WorkerStats::default(), TenantStats::default());
+        let workers = self.workers.iter().enumerate();
+        let tenant_before = |t: &TenantStats| earlier.tenants.iter().find(|e| e.name == t.name);
         ExecutorStats {
-            workers: self
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(i, w)| match earlier.workers.get(i) {
-                    Some(e) => w.delta(e),
-                    None => w.clone(),
-                })
+            workers: workers
+                .map(|(i, w)| w.delta(earlier.workers.get(i).unwrap_or(&no_lane)))
                 .collect(),
             tenants: self
                 .tenants
                 .iter()
-                .map(
-                    |t| match earlier.tenants.iter().find(|e| e.name == t.name) {
-                        Some(e) => t.delta(e),
-                        None => t.clone(),
-                    },
-                )
+                .map(|t| t.delta(tenant_before(t).unwrap_or(&no_tenant)))
                 .collect(),
         }
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// one counter family per metric with `# HELP`/`# TYPE` headers and
+    /// one counter family per metric under its help and type header, with
     /// one `{worker="N",lane="worker"|"guest"}`-labelled sample per lane.
     ///
     /// ```
     /// let ex = rustflow::Executor::new(2);
     /// let text = ex.stats().prometheus_text();
-    /// assert!(text.contains("# TYPE rustflow_tasks_executed_total counter"));
+    /// let parsed = rustflow::wire::prom::parse(&text).unwrap();
+    /// assert_eq!(parsed.family("rustflow_tasks_executed_total").unwrap().kind, "counter");
     /// assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\",lane=\"worker\"}"));
     /// assert!(text.contains("rustflow_tasks_executed_total{worker=\"2\",lane=\"guest\"}"));
     /// ```
     pub fn prometheus_text(&self) -> String {
-        let mut out = String::with_capacity(METRICS.len() * (96 + self.workers.len() * 48));
-        for (name, help, get) in METRICS {
-            out.push_str("# HELP ");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(help);
-            out.push('\n');
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push_str(" counter\n");
-            for (id, w) in self.workers.iter().enumerate() {
-                let labels = lane_labels(id, w.guest);
-                out.push_str(&format!("{name}{{{labels}}} {}\n", get(w)));
+        let mut out = String::with_capacity(LANE_METRICS.len() * (96 + self.workers.len() * 48));
+        let lanes = self.workers.iter().enumerate();
+        let labels: Vec<String> = lanes.map(|(id, w)| lane_labels(id, w.guest)).collect();
+        for m in LANE_METRICS {
+            prom::header(&mut out, m.name, m.help, m.kind);
+            for (w, labels) in self.workers.iter().zip(&labels) {
+                prom::sample(&mut out, m.name, labels, (m.get)(w));
             }
         }
         // Tenant families render only when the multi-tenant front door is
         // in use; a tenant-less executor's exposition is unchanged.
         if !self.tenants.is_empty() {
-            for (name, help, ty, get) in TENANT_METRICS {
-                out.push_str("# HELP ");
-                out.push_str(name);
-                out.push(' ');
-                out.push_str(help);
-                out.push('\n');
-                out.push_str("# TYPE ");
-                out.push_str(name);
-                out.push(' ');
-                out.push_str(ty);
-                out.push('\n');
+            for m in TENANT_METRICS {
+                prom::header(&mut out, m.name, m.help, m.kind);
                 for t in &self.tenants {
-                    out.push_str(&format!(
-                        "{name}{{tenant=\"{}\"}} {}\n",
-                        escape_label_value(&t.name),
-                        get(t)
-                    ));
+                    let labels = prom::labels(&[("tenant", &t.name)]);
+                    prom::sample(&mut out, m.name, &labels, (m.get)(t));
                 }
             }
         }
         out
     }
-}
-
-/// Escapes a Prometheus label *value* per the text exposition format:
-/// backslash, double-quote, and line-feed become `\\`, `\"`, and `\n`.
-pub fn escape_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Default microsecond bucket bounds: log-ish scale from 1 µs to 100 ms.
@@ -627,43 +524,19 @@ impl Histogram {
         self.counts[..=idx].iter().sum()
     }
 
-    /// Renders the histogram family (`# HELP`/`# TYPE` headers, cumulative
+    /// Renders the histogram family (help and type header, cumulative
     /// `_bucket` samples, `_sum`, `_count`) into `out`.
     pub fn render_into(&self, out: &mut String, name: &str, help: &str) {
-        out.push_str("# HELP ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(help);
-        out.push_str("\n# TYPE ");
-        out.push_str(name);
-        out.push_str(" histogram\n");
+        prom::header(out, name, help, "histogram");
         self.render_labelled_into(out, name, "");
     }
 
     /// Renders only the samples (`_bucket`/`_sum`/`_count`) with `labels`
     /// (e.g. `tenant="a",phase="e2e"`, already escaped) prefixed to the
-    /// `le` label, so one `# HELP`/`# TYPE` header can cover many
+    /// `le` label, so one help and type header can cover many
     /// labelled series of the same family. Pass `""` for no extra labels.
     pub fn render_labelled_into(&self, out: &mut String, name: &str, labels: &str) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let braces = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        let mut cumulative = 0u64;
-        for (i, &b) in self.bounds.iter().enumerate() {
-            cumulative += self.counts[i];
-            out.push_str(&format!(
-                "{name}_bucket{{{labels}{sep}le=\"{b}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.counts[self.bounds.len()];
-        out.push_str(&format!(
-            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!("{name}_sum{braces} {}\n", self.sum));
-        out.push_str(&format!("{name}_count{braces} {cumulative}\n"));
+        prom::histogram(out, name, labels, &self.bounds, &self.counts, self.sum);
     }
 
     /// The histogram family as a standalone exposition string.
@@ -873,29 +746,17 @@ mod tests {
             tenants: vec![],
         };
         let text = s.prometheus_text();
+        let parsed = prom::parse(&text).expect("strict parse");
         let mut samples = 0;
-        for line in text.lines() {
-            assert!(!line.is_empty(), "no blank lines inside the exposition");
-            if let Some(rest) = line.strip_prefix("# ") {
-                assert!(
-                    rest.starts_with("HELP rustflow_") || rest.starts_with("TYPE rustflow_"),
-                    "bad comment line: {line}"
-                );
-                if let Some(ty) = rest.strip_prefix("TYPE ") {
-                    assert!(ty.ends_with(" counter"), "all metrics are counters: {line}");
-                }
-                continue;
+        for family in &parsed.families {
+            assert!(family.name.starts_with("rustflow_") && family.name.ends_with("_total"));
+            assert_eq!(family.kind, "counter", "all lane metrics are counters");
+            assert!(!family.help.is_empty());
+            for (lane, sample) in family.samples.iter().enumerate() {
+                assert_eq!(sample.label("worker"), Some(lane.to_string().as_str()));
+                assert_eq!(sample.value.fract(), 0.0, "integer sample value");
+                samples += 1;
             }
-            // Sample line: name{worker="N",lane="worker"|"guest"} value
-            let open = line.find('{').expect("label set");
-            let close = line.find('}').expect("label set closed");
-            let name = &line[..open];
-            assert!(name.starts_with("rustflow_") && name.ends_with("_total"));
-            let labels = &line[open + 1..close];
-            assert!(labels.starts_with("worker=\"") && labels.ends_with('"'));
-            let value = line[close + 1..].trim();
-            value.parse::<u64>().expect("integer sample value");
-            samples += 1;
         }
         // 11 metrics × 3 lanes.
         assert_eq!(samples, 33);
@@ -928,8 +789,10 @@ mod tests {
             }],
         };
         let text = s.prometheus_text();
-        assert!(text.contains("# TYPE rustflow_tenant_submissions_total counter"));
-        assert!(text.contains("# TYPE rustflow_tenant_queued gauge"));
+        let parsed = prom::parse(&text).expect("strict parse");
+        let kind = |family: &str| parsed.family(family).map(|f| f.kind.as_str());
+        assert_eq!(kind("rustflow_tenant_submissions_total"), Some("counter"));
+        assert_eq!(kind("rustflow_tenant_queued"), Some("gauge"));
         assert!(text.contains("rustflow_tenant_submissions_total{tenant=\"ana\\\"lytics\"} 10"));
         assert!(text.contains("rustflow_tenant_in_flight{tenant=\"ana\\\"lytics\"} 1"));
         // Counter-wise delta: counters subtract, gauges pass through.
@@ -949,7 +812,7 @@ mod tests {
         // Bounds are inclusive: 10 lands in le="10", 100 in le="100".
         assert_eq!(h.bucket_counts(), &[2, 2, 0, 1]);
         let text = h.prometheus_text("x_us", "help");
-        assert!(text.contains("# TYPE x_us histogram"));
+        assert_eq!(prom::parse(&text).unwrap().families[0].kind, "histogram");
         assert!(text.contains("x_us_bucket{le=\"10\"} 2"));
         assert!(text.contains("x_us_bucket{le=\"100\"} 4"));
         assert!(text.contains("x_us_bucket{le=\"1000\"} 4"));
@@ -959,14 +822,6 @@ mod tests {
         // +Inf closes the family: its cumulative count equals _count.
         let inf: u64 = 5;
         assert_eq!(h.count(), inf);
-    }
-
-    #[test]
-    fn label_values_escaped_per_exposition_format() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("a\nb"), "a\\nb");
     }
 
     #[test]

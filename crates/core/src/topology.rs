@@ -127,9 +127,8 @@ impl RunStamps {
         }
     }
 
-    /// Marks the upcoming stint as unstamped (untenanted claims, or the
-    /// latency pipeline disabled): recording and the first-task latch
-    /// both become no-ops.
+    /// Marks the upcoming stint as unstamped (untenanted claims): the
+    /// first-task latch becomes a no-op and nothing is recorded.
     pub(crate) fn clear(&self) {
         self.submit_us.store(0, Ordering::Relaxed);
         self.first_start_us.store(u64::MAX, Ordering::Relaxed);

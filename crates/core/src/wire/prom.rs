@@ -1,6 +1,8 @@
-//! A strict parser for the Prometheus text exposition format (the
-//! dependency-free sibling of [`crate::json`]), used by the
-//! `introspect` gate to validate live `/metrics` scrapes.
+//! The Prometheus text exposition format, both directions,
+//! dependency-free: the label-value escaper, the family writer
+//! ([`header`], [`sample`], [`histogram`]) behind every `# HELP` / `# TYPE`
+//! line this crate and `tf-bench` emit, and a strict parser ([`parse`])
+//! the gates validate live `/metrics` scrapes with.
 //!
 //! "Strict" means a torn or interleaved exposition is an **error**, not
 //! a shrug: families must be contiguous (HELP, TYPE, then every sample
@@ -10,6 +12,84 @@
 //! well-formed, values must parse, and no name+labels pair may repeat.
 //! A scrape raced against a concurrent writer that produced overlapping
 //! families fails here — which is exactly what the gate wants to catch.
+
+use std::fmt::{Display, Write as _};
+
+/// Escapes a label *value* per the text exposition format: backslash,
+/// double-quote, and line-feed become `\\`, `\"`, and `\n`.
+pub fn escape_label_value(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A label set as it stands between a sample's braces:
+/// `key="value",key="value"`, values escaped.
+pub fn labels(pairs: &[(&str, &str)]) -> String {
+    let rendered: Vec<String> = pairs
+        .iter()
+        .map(|(key, value)| format!("{key}=\"{}\"", escape_label_value(value)))
+        .collect();
+    rendered.join(",")
+}
+
+/// Opens a family: its `# HELP` and `# TYPE` lines (`kind` is `counter`,
+/// `gauge` or `histogram`). Every sample of the family follows before the
+/// next header.
+pub fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// One sample line of the open family. `labels` is a rendered label set
+/// ([`labels`]), `""` for none.
+pub fn sample(out: &mut String, name: &str, labels: &str, value: impl Display) {
+    let _ = match labels {
+        "" => writeln!(out, "{name} {value}"),
+        _ => writeln!(out, "{name}{{{labels}}} {value}"),
+    };
+}
+
+/// One series of an open histogram family: a cumulative `_bucket` sample
+/// per inclusive upper bound in `bounds` with `le` after `labels`, closed
+/// by `le="+Inf"`, then `_sum` and `_count`. `counts` are per bucket, not
+/// cumulative, with one more entry than `bounds` for the overflow bucket.
+pub fn histogram(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    bounds: &[u64],
+    counts: &[u64],
+    sum: u64,
+) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let bucket = format!("{name}_bucket");
+    let mut cumulative = 0u64;
+    for (bound, count) in bounds.iter().zip(counts) {
+        cumulative += count;
+        sample(
+            out,
+            &bucket,
+            &format!("{labels}{sep}le=\"{bound}\""),
+            cumulative,
+        );
+    }
+    cumulative += counts[bounds.len()];
+    sample(
+        out,
+        &bucket,
+        &format!("{labels}{sep}le=\"+Inf\""),
+        cumulative,
+    );
+    sample(out, &format!("{name}_sum"), labels, sum);
+    sample(out, &format!("{name}_count"), labels, cumulative);
+}
 
 /// One parsed sample: metric name (with suffix), label pairs in source
 /// order, and the value.
@@ -240,9 +320,11 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
                     }
                     i += 2;
                 }
-                Some(&c) => {
-                    value.push(c as char);
-                    i += 1;
+                Some(_) => {
+                    // One whole scalar: `i` only ever stops on a boundary.
+                    let c = body[i..].chars().next().expect("in bounds");
+                    value.push(c);
+                    i += c.len_utf8();
                 }
             }
         }
@@ -314,6 +396,71 @@ a{worker=\"1\"} 3\n";
         assert!(parse("# TYPE a counter\na nope\n").is_err());
         assert!(parse("# TYPE a counter\na 1\na 2\n").is_err(), "duplicate");
         assert!(parse("# NOTE a hi\n").is_err());
+    }
+
+    proptest::proptest! {
+        /// Any label value the writer emits parses back equal, wherever it
+        /// stands in the label set.
+        #[test]
+        fn any_label_value_round_trips(first in crate::wire::hostile_string(),
+                                       second in crate::wire::hostile_string()) {
+            let mut text = String::new();
+            header(&mut text, "a", "Help.", "gauge");
+            sample(&mut text, "a", &labels(&[("x", &first), ("y", &second)]), 3);
+            let exp = parse(&text).map_err(proptest::TestCaseError::fail)?;
+            let parsed = &exp.families[0].samples[0];
+            proptest::prop_assert_eq!(parsed.label("x"), Some(first.as_str()));
+            proptest::prop_assert_eq!(parsed.label("y"), Some(second.as_str()));
+            proptest::prop_assert_eq!(parsed.value, 3.0);
+        }
+
+        /// A histogram family, one series without extra labels or two with
+        /// them, parses with cumulative buckets in `le` order, closed by a
+        /// `+Inf` bucket equal to `_count`.
+        #[test]
+        fn any_histogram_family_round_trips(
+            counts in proptest::collection::vec(0u64..1000, 1..12),
+            sum in 0u64..1_000_000,
+            tenant in crate::wire::hostile_string(),
+            labelled in 0usize..2,
+        ) {
+            let bounds: Vec<u64> = (1..counts.len() as u64).map(|i| i * 10).collect();
+            let series: Vec<String> = match labelled {
+                0 => vec![String::new()],
+                _ => ["e2e", "exec"]
+                    .map(|phase| labels(&[("tenant", &tenant), ("phase", phase)]))
+                    .to_vec(),
+            };
+            let mut text = String::new();
+            header(&mut text, "h_us", "Help.", "histogram");
+            for labels in &series {
+                histogram(&mut text, "h_us", labels, &bounds, &counts, sum);
+            }
+            let exp = parse(&text).map_err(proptest::TestCaseError::fail)?;
+            let family = exp.family("h_us").expect("family");
+            proptest::prop_assert_eq!(family.kind.as_str(), "histogram");
+            for (i, chunk) in family.samples.chunks(counts.len() + 2).enumerate() {
+                let (buckets, tail) = chunk.split_at(counts.len());
+                let mut cumulative = 0.0;
+                for (bucket, count) in buckets.iter().zip(&counts) {
+                    cumulative += *count as f64;
+                    proptest::prop_assert_eq!(bucket.name.as_str(), "h_us_bucket");
+                    proptest::prop_assert_eq!(bucket.value, cumulative);
+                }
+                let les: Vec<&str> = buckets.iter().filter_map(|b| b.label("le")).collect();
+                let expect: Vec<String> = bounds.iter().map(u64::to_string).collect();
+                proptest::prop_assert_eq!(&les[..bounds.len()], &expect[..]);
+                proptest::prop_assert_eq!(les[bounds.len()], "+Inf");
+                proptest::prop_assert_eq!(tail[0].name.as_str(), "h_us_sum");
+                proptest::prop_assert_eq!(tail[0].value, sum as f64);
+                proptest::prop_assert_eq!(tail[1].name.as_str(), "h_us_count");
+                proptest::prop_assert_eq!(tail[1].value, cumulative);
+                if labelled == 1 {
+                    proptest::prop_assert_eq!(tail[1].label("tenant"), Some(tenant.as_str()));
+                    proptest::prop_assert_eq!(tail[1].label("phase"), Some(["e2e", "exec"][i]));
+                }
+            }
+        }
     }
 
     #[test]

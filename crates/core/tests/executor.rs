@@ -318,9 +318,9 @@ fn observers_see_every_task() {
     tf.wait_for_all();
     assert_eq!(counter.executed(), 50);
     assert_eq!(counter.busy(), 0);
-    let events = tracer.take_events();
-    assert_eq!(events.len(), 50);
-    assert!(events.iter().any(|e| e.name == "t0"));
+    let spans = rustflow::profile::task_spans(&tracer.sched_events());
+    assert_eq!(spans.len(), 50);
+    assert!(spans.iter().any(|s| s.label == "t0"));
     ex.remove_observers();
     let tf2 = Taskflow::with_executor(ex);
     tf2.emplace(|| {});

@@ -607,18 +607,17 @@ fn shed_vs_cancel_race_resolves_every_handle() {
     // side wins, the handle resolves exactly once to a definite outcome
     // and the ledger still balances.
     const ROUNDS: usize = 20;
-    // Histograms off: a warm queue-wait estimate would start rejecting
-    // the tighter deadlines at admission, and this test is about the
-    // dispatch-side race, not feasibility.
-    let ex = ExecutorBuilder::new()
-        .workers(2)
-        .max_inflight(1)
-        .latency_histograms(false)
-        .build();
+    let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
     let blocker = ex.tenant("blocker");
-    let victim = ex.tenant("victim");
+    // A victim per round: a warm queue-wait estimate (eight recorded runs
+    // of one tenant) would start rejecting the tighter deadlines at
+    // admission, and this test is about the dispatch-side race, not
+    // feasibility.
+    let victims: Vec<_> = (0..ROUNDS)
+        .map(|i| ex.tenant(&format!("victim-{i}")))
+        .collect();
     let mut outcomes = [0usize; 3]; // [ok, cancelled, shed]
-    for i in 0..ROUNDS {
+    for (i, victim) in victims.iter().enumerate() {
         let gate = Arc::new(AtomicBool::new(false));
         let gate_tf = Taskflow::with_executor(ex.clone());
         gate_tf.emplace(spin_until_released(&gate));
@@ -635,7 +634,7 @@ fn shed_vs_cancel_race_resolves_every_handle() {
         // Scan the race window: deadlines from far-expired to just-ahead
         // of the dispatcher.
         let h = tf
-            .run_on_deadline(&victim, Duration::from_micros(200 + 150 * i as u64))
+            .run_on_deadline(victim, Duration::from_micros(200 + 150 * i as u64))
             .unwrap();
         std::thread::sleep(Duration::from_millis(1));
         gate.store(true, Ordering::Release); // dispatcher starts popping
@@ -649,12 +648,13 @@ fn shed_vs_cancel_race_resolves_every_handle() {
         }
     }
     assert_eq!(outcomes.iter().sum::<usize>(), ROUNDS);
-    let s = settled(&victim);
+    let stats: Vec<_> = victims.iter().map(settled).collect();
+    let shed: u64 = stats.iter().map(|s| s.shed).sum();
     assert_eq!(
-        s.shed as usize, outcomes[2],
+        shed as usize, outcomes[2],
         "ledger agrees with observed sheds"
     );
-    assert_ledger_balances(&s);
+    stats.iter().for_each(assert_ledger_balances);
 }
 
 #[test]
@@ -663,19 +663,18 @@ fn shed_vs_finalize_straddle_never_hangs() {
     // frees: either the run dispatches (and completes) or it sheds.
     // Both are legal; a hang or a third outcome is not.
     const ROUNDS: usize = 20;
-    // Histograms off for the same reason as the cancel race above — and
-    // doubly so here: the `i % 5 == 0` rounds submit an already-expired
-    // (zero) deadline, which a warm estimate would always reject.
-    let ex = ExecutorBuilder::new()
-        .workers(2)
-        .max_inflight(1)
-        .latency_histograms(false)
-        .build();
+    let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
     let blocker = ex.tenant("blocker");
-    let tenant = ex.tenant("straddle");
+    // A tenant per round, for the same reason as the cancel race above,
+    // and doubly so here: the `i % 5 == 0` rounds submit an
+    // already-expired (zero) deadline, which a warm estimate would always
+    // reject.
+    let tenants: Vec<_> = (0..ROUNDS)
+        .map(|i| ex.tenant(&format!("straddle-{i}")))
+        .collect();
     let mut shed = 0u64;
     let mut ok = 0u64;
-    for i in 0..ROUNDS {
+    for (i, tenant) in tenants.iter().enumerate() {
         let gate = Arc::new(AtomicBool::new(false));
         let gate_tf = Taskflow::with_executor(ex.clone());
         gate_tf.emplace(spin_until_released(&gate));
@@ -690,7 +689,7 @@ fn shed_vs_finalize_straddle_never_hangs() {
         let tf = Taskflow::with_executor(ex.clone());
         tf.emplace(|| {});
         let h = tf
-            .run_on_deadline(&tenant, Duration::from_micros(300 * (i as u64 % 5)))
+            .run_on_deadline(tenant, Duration::from_micros(300 * (i as u64 % 5)))
             .unwrap();
         gate.store(true, Ordering::Release);
         gate_handle.get().unwrap();
@@ -701,9 +700,9 @@ fn shed_vs_finalize_straddle_never_hangs() {
         }
     }
     assert_eq!(ok + shed, ROUNDS as u64);
-    let s = settled(&tenant);
-    assert_eq!(s.shed, shed);
-    assert_ledger_balances(&s);
+    let stats: Vec<_> = tenants.iter().map(settled).collect();
+    assert_eq!(stats.iter().map(|s| s.shed).sum::<u64>(), shed);
+    stats.iter().for_each(assert_ledger_balances);
 }
 
 #[test]

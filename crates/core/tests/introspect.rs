@@ -4,6 +4,7 @@
 //! flight-recorder window, and per-worker ring-drop accounting.
 
 use rustflow::chaos::{ChaosSpec, Fault};
+use rustflow::wire::{json, prom};
 use rustflow::{this_task, Executor, IntrospectConfig, Taskflow, WatchdogDiagnostic};
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -12,234 +13,19 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-// --- Minimal validating JSON parser (no deps): accepts or rejects. ------
-
-struct Json<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Json<'a> {
-    fn check(s: &str) -> Result<(), String> {
-        let mut p = Json {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at {}", p.i));
-        }
-        Ok(())
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(|_| ())
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let esc = self.peek().ok_or("eof in escape")?;
-                    self.i += 1;
-                    if esc == b'u' {
-                        for _ in 0..4 {
-                            let h = self.peek().ok_or("eof in \\u")?;
-                            if !h.is_ascii_hexdigit() {
-                                return Err(format!("bad \\u at {}", self.i));
-                            }
-                            self.i += 1;
-                        }
-                    } else if !matches!(esc, b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't')
-                    {
-                        return Err(format!("bad escape at {}", self.i));
-                    }
-                }
-                0x00..=0x1f => return Err(format!("raw control char at {}", self.i - 1)),
-                _ => {}
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("bad object sep {other:?} at {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("bad array sep {other:?} at {}", self.i)),
-            }
-        }
-    }
-}
+// --- Both formats through the crate's own strict parsers. ---------------
 
 fn assert_json(s: &str) {
-    if let Err(e) = Json::check(s) {
+    if let Err(e) = json::parse(s) {
         panic!("invalid JSON ({e}): {}", &s[..s.len().min(400)]);
     }
 }
 
-// --- Strict-ish Prometheus text checker: families must be contiguous. ---
-
+/// Families contiguous, samples inside their family, no duplicates: a torn
+/// exposition is an error.
 fn check_prometheus(text: &str) {
-    let mut current: Option<String> = None;
-    let mut finished: HashSet<String> = HashSet::new();
-    let mut seen_samples: HashSet<String> = HashSet::new();
-    let enter = |name: &str, current: &mut Option<String>, finished: &mut HashSet<String>| {
-        if current.as_deref() != Some(name) {
-            if let Some(prev) = current.take() {
-                finished.insert(prev);
-            }
-            assert!(
-                !finished.contains(name),
-                "family {name} reopened after another family started (torn exposition)"
-            );
-            *current = Some(name.to_string());
-        }
-    };
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut parts = rest.splitn(3, ' ');
-            let kind = parts.next().unwrap_or("");
-            let name = parts.next().unwrap_or("");
-            assert!(
-                kind == "HELP" || kind == "TYPE",
-                "unknown comment line: {line}"
-            );
-            assert!(!name.is_empty(), "comment without metric name: {line}");
-            enter(name, &mut current, &mut finished);
-            continue;
-        }
-        // Sample line: name{labels} value  |  name value
-        let (name_and_labels, value) = line.rsplit_once(' ').expect("sample without value");
-        value.parse::<f64>().unwrap_or_else(|_| {
-            panic!("unparseable sample value in line: {line}");
-        });
-        let name = name_and_labels
-            .split('{')
-            .next()
-            .expect("sample without name");
-        if let Some(l) = name_and_labels.strip_prefix(name) {
-            if !l.is_empty() {
-                assert!(
-                    l.starts_with('{') && l.ends_with('}'),
-                    "malformed labels in line: {line}"
-                );
-            }
-        }
-        let family = current
-            .as_deref()
-            .unwrap_or_else(|| panic!("sample before any HELP/TYPE: {line}"));
-        let base_ok = name == family
-            || [("_bucket"), ("_sum"), ("_count")]
-                .iter()
-                .any(|suf| name.strip_suffix(suf) == Some(family));
-        assert!(
-            base_ok,
-            "sample {name} outside its family {family} (torn exposition)"
-        );
-        assert!(
-            seen_samples.insert(name_and_labels.to_string()),
-            "duplicate sample {name_and_labels}"
-        );
+    if let Err(e) = prom::parse(text) {
+        panic!("invalid exposition ({e})");
     }
 }
 

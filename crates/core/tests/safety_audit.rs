@@ -15,6 +15,9 @@
 //!   nothing of the serving layers beside it: no `use` of and no path into
 //!   `frontdoor` or `resilience`, and none of their types. It reaches them
 //!   through two calls on the executor core only (see the module's docs).
+//! * Each wire format has one writer: under `crates/*/src`, only
+//!   `rustflow::wire` may spell the Prometheus exposition's header lines
+//!   or a JSON string escape.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -71,19 +74,22 @@ fn audit_file(path: &Path, violations: &mut Vec<String>) {
     }
 }
 
-fn audit_dir(dir: &Path, violations: &mut Vec<String>) {
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("read dir {dir:?}: {e}"))
         .map(|entry| entry.expect("dir entry").path())
         .collect();
     paths.sort();
+    let mut files = Vec::new();
     for path in paths {
         if path.is_dir() {
-            audit_dir(&path, violations);
+            files.extend(rust_files(&path));
         } else if path.extension().is_some_and(|ext| ext == "rs") {
-            audit_file(&path, violations);
+            files.push(path);
         }
     }
+    files
 }
 
 /// A non-comment code line that names a non-Relaxed memory ordering.
@@ -149,28 +155,14 @@ fn audit_orderings(path: &Path, violations: &mut Vec<String>) {
     }
 }
 
-fn audit_orderings_dir(dir: &Path, violations: &mut Vec<String>) {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read dir {dir:?}: {e}"))
-        .map(|entry| entry.expect("dir entry").path())
-        .collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            audit_orderings_dir(&path, violations);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            audit_orderings(&path, violations);
-        }
-    }
-}
-
 #[test]
 fn every_unsafe_block_has_a_safety_comment() {
     let core_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let check_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../check/src");
     let mut violations = Vec::new();
-    audit_dir(&core_src, &mut violations);
-    audit_dir(&check_src, &mut violations);
+    for path in rust_files(&core_src).iter().chain(&rust_files(&check_src)) {
+        audit_file(path, &mut violations);
+    }
     assert!(
         violations.is_empty(),
         "unsafe sites missing a // SAFETY: comment:\n{}",
@@ -182,7 +174,9 @@ fn every_unsafe_block_has_a_safety_comment() {
 fn every_nonrelaxed_atomic_op_documents_its_ordering() {
     let core_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut violations = Vec::new();
-    audit_orderings_dir(&core_src, &mut violations);
+    for path in rust_files(&core_src) {
+        audit_orderings(&path, &mut violations);
+    }
     assert!(
         violations.is_empty(),
         "non-Relaxed atomic ops missing a // ORDERING: comment:\n{}",
@@ -218,6 +212,40 @@ fn the_scheduler_names_nothing_of_the_serving_layers() {
     assert!(
         violations.is_empty(),
         "the scheduler reaches into the serving layers:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// What a second writer of either format would have to spell: the
+/// exposition's two header lines, and the `\u00XX` escape only JSON has
+/// (as a format string or as a literal prefix).
+const WRITER_MARKS: [&str; 4] = ["# HELP", "# TYPE", "\\\\u{:0", "\\\\u00"];
+
+#[test]
+fn each_wire_format_has_one_writer() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut violations = Vec::new();
+    for krate in fs::read_dir(&crates)
+        .expect("crates/ is readable")
+        .flatten()
+    {
+        let src = krate.path().join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        let wire = src.join("wire");
+        for path in rust_files(&src).iter().filter(|p| !p.starts_with(&wire)) {
+            let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+            for (i, line) in text.lines().enumerate() {
+                if let Some(mark) = WRITER_MARKS.iter().find(|mark| line.contains(**mark)) {
+                    violations.push(format!("{}:{}: `{mark}`", path.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a wire format written outside rustflow::wire:\n{}",
         violations.join("\n")
     );
 }

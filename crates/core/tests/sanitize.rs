@@ -295,9 +295,10 @@ fn deque_pop_steal_storm() {
     );
 }
 
-/// Steal racing a deque grow inside the full executor: a tiny initial
-/// capacity forces `grow` during the fan-out push burst while the other
-/// worker is stealing. Sound-only coverage — under the `wsq_grow_swap`
+/// Steal racing a deque grow inside the full executor: a fan wider than
+/// the deque's initial capacity (`wsq::INITIAL_CAPACITY`, 64) forces `grow`
+/// during the push burst while the other worker is stealing. Sound-only
+/// coverage — under the `wsq_grow_swap`
 /// mutation a thief can steal a *stale node pointer* and execute garbage,
 /// which wedges the whole schedule instead of failing crisply, so the
 /// mutation itself is cornered by [`deque_grow_direct`] below on plain
@@ -305,16 +306,12 @@ fn deque_pop_steal_storm() {
 #[test]
 fn deque_grow_under_steal() {
     sanitize(None, Sanitizer::new("grow_steal").iters(24), || {
-        let ex = ExecutorBuilder::new()
-            .workers(2)
-            .wake_ratio(1)
-            .queue_capacity(2)
-            .build();
+        let ex = ExecutorBuilder::new().workers(2).wake_ratio(1).build();
         let tf = Taskflow::with_executor(ex);
         let done = Arc::new(AtomicUsize::new(0));
-        fan_out_flow(&tf, 7, &done);
+        fan_out_flow(&tf, 80, &done);
         tf.run().get().unwrap();
-        assert_eq!(done.load(Ordering::Relaxed), 7);
+        assert_eq!(done.load(Ordering::Relaxed), 80);
     });
 }
 

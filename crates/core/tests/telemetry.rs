@@ -3,6 +3,7 @@
 //! concurrent install/remove), Prometheus export, and Chrome-trace JSON
 //! validity.
 
+use rustflow::wire::{json, prom};
 use rustflow::{
     Executor, ExecutorBuilder, ExecutorObserver, ExecutorStats, IntrospectConfig, SchedEventKind,
     SloSpec, TaskLabel, Taskflow, Tenant, TenantQos, Tracer,
@@ -383,41 +384,20 @@ fn prometheus_text_from_live_executor_parses() {
     assert_eq!(delta.total().executed, 600);
     assert_eq!(after.workers.len(), ex.num_lanes());
 
-    let text = after.prometheus_text();
-    let mut families: Vec<String> = Vec::new();
-    let mut executed_sum = 0u64;
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest.split_once(' ').expect("TYPE name kind");
-            assert_eq!(kind, "counter");
-            families.push(name.to_string());
-            continue;
-        }
-        if line.starts_with("# HELP ") {
-            continue;
-        }
-        // name{worker="N",lane="worker"|"guest"} value: the three
-        // workers, then the guest seats (the caller of `wait_for_all`
-        // executed some of the 600 on one).
-        let open = line.find('{').expect("labels");
-        let close = line.find('}').expect("labels close");
-        let name = &line[..open];
-        let (worker, lane) = line[open + 1..close].split_once(',').expect("two labels");
-        let worker: usize = worker
-            .strip_prefix("worker=\"")
-            .and_then(|l| l.strip_suffix('"'))
-            .expect("worker label")
-            .parse()
-            .expect("lane id");
-        assert!(worker < ex.num_lanes());
-        let expect_lane = if worker < 3 { "worker" } else { "guest" };
-        assert_eq!(lane, format!("lane=\"{expect_lane}\""));
-        let value: u64 = line[close + 1..].trim().parse().expect("sample value");
-        if name == "rustflow_tasks_executed_total" {
-            executed_sum += value;
+    // Every family is a counter with one sample per lane: the three
+    // workers, then the guest seats (the caller of `wait_for_all` executed
+    // some of the 600 on one), told apart by the `lane` label.
+    let exposition = prom::parse(&after.prometheus_text()).expect("strict parse");
+    for family in &exposition.families {
+        assert_eq!(family.kind, "counter", "{}", family.name);
+        assert_eq!(family.samples.len(), ex.num_lanes(), "{}", family.name);
+        for (lane, sample) in family.samples.iter().enumerate() {
+            assert_eq!(sample.label("worker"), Some(lane.to_string().as_str()));
+            let expect_lane = if lane < 3 { "worker" } else { "guest" };
+            assert_eq!(sample.label("lane"), Some(expect_lane));
         }
     }
-    assert_eq!(executed_sum, 600);
+    assert_eq!(exposition.total("rustflow_tasks_executed_total"), 600.0);
     for family in [
         "rustflow_tasks_executed_total",
         "rustflow_cache_hits_total",
@@ -430,7 +410,7 @@ fn prometheus_text_from_live_executor_parses() {
         "rustflow_tasks_skipped_total",
         "rustflow_task_retries_total",
     ] {
-        assert!(families.iter().any(|f| f == family), "missing {family}");
+        assert!(exposition.family(family).is_some(), "missing {family}");
     }
 }
 
@@ -552,172 +532,6 @@ fn stats_delta_isolates_a_run() {
 // Chrome trace JSON round-trips through a real JSON parser
 // ---------------------------------------------------------------------------
 
-mod json {
-    //! A minimal strict JSON parser — enough to prove the exporter's
-    //! output is well-formed without pulling in a dependency.
-
-    #[derive(Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing data at {i}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => obj(b, i),
-            Some(b'[') => arr(b, i),
-            Some(b'"') => Ok(Value::Str(string(b, i)?)),
-            Some(b't') => lit(b, i, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, i, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, i, "null", Value::Null),
-            Some(_) => num(b, i),
-            None => Err("unexpected end".into()),
-        }
-    }
-
-    fn lit(b: &[u8], i: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*i..].starts_with(word.as_bytes()) {
-            *i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at {i}"))
-        }
-    }
-
-    fn num(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        let start = *i;
-        while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *i += 1;
-        }
-        std::str::from_utf8(&b[start..*i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
-        if b[*i] != b'"' {
-            return Err(format!("expected string at {i}"));
-        }
-        *i += 1;
-        let mut out = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = std::str::from_utf8(&b[*i + 1..*i + 5])
-                                .map_err(|_| "bad \\u".to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u".to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                            *i += 4;
-                        }
-                        _ => return Err(format!("bad escape at {i}")),
-                    }
-                    *i += 1;
-                }
-                c if c < 0x20 => return Err(format!("raw control char at {i}")),
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(&b[*i..]).map_err(|_| "bad utf8".to_string())?;
-                    let ch = s.chars().next().ok_or("end")?;
-                    out.push(ch);
-                    *i += ch.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn arr(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        *i += 1; // [
-        let mut items = Vec::new();
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(value(b, i)?);
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at {i}")),
-            }
-        }
-    }
-
-    fn obj(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        *i += 1; // {
-        let mut items = Vec::new();
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(Value::Obj(items));
-        }
-        loop {
-            skip_ws(b, i);
-            let key = string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("expected : at {i}"));
-            }
-            *i += 1;
-            items.push((key, value(b, i)?));
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(Value::Obj(items));
-                }
-                _ => return Err(format!("expected , or }} at {i}")),
-            }
-        }
-    }
-}
-
 #[test]
 fn chrome_trace_round_trips_through_json_parser() {
     let ex = Executor::new(4);
@@ -777,52 +591,6 @@ fn chrome_trace_round_trips_through_json_parser() {
 // label escaping round-trip, and /status percentile JSON
 // ---------------------------------------------------------------------------
 
-/// Splits a Prometheus sample line into `(name, labels, value)`, decoding
-/// the label-value escapes (`\\`, `\"`, `\n`) the exporter applies.
-fn parse_sample(line: &str) -> (String, Vec<(String, String)>, f64) {
-    let (head, value) = line.rsplit_once(' ').expect("sample line without value");
-    let value: f64 = value.parse().expect("unparseable sample value");
-    let Some((name, rest)) = head.split_once('{') else {
-        return (head.to_string(), Vec::new(), value);
-    };
-    let body: Vec<char> = rest
-        .strip_suffix('}')
-        .expect("unterminated label set")
-        .chars()
-        .collect();
-    let mut labels = Vec::new();
-    let mut i = 0;
-    while i < body.len() {
-        let mut key = String::new();
-        while body[i] != '=' {
-            key.push(body[i]);
-            i += 1;
-        }
-        i += 2; // skip `="`
-        let mut val = String::new();
-        loop {
-            match body[i] {
-                '\\' => {
-                    i += 1;
-                    match body[i] {
-                        'n' => val.push('\n'),
-                        c => val.push(c),
-                    }
-                }
-                '"' => break,
-                c => val.push(c),
-            }
-            i += 1;
-        }
-        i += 1; // closing quote
-        if i < body.len() && body[i] == ',' {
-            i += 1;
-        }
-        labels.push((key, val));
-    }
-    (name.to_string(), labels, value)
-}
-
 /// Runs `runs` trivial one-task flows through `tenant` and waits until the
 /// executor has *recorded* them (latency shards fold in just before the
 /// completion counter bumps, after the promise resolves).
@@ -844,10 +612,15 @@ fn run_recorded(ex: &Arc<Executor>, tenant: &Tenant, runs: usize) {
     }
 }
 
+/// The per-tenant latency family under the strict parser: a well-formed
+/// histogram with cumulative buckets, a `+Inf` bucket equal to `_count`,
+/// and label escaping that round-trips a hostile tenant name.
 #[test]
-fn tenant_latency_exposition_is_cumulative_and_escaped() {
-    const RUNS: usize = 8;
+fn tenant_latency_family_survives_the_strict_parser() {
+    const RUNS: usize = 12;
     const PHASES: [&str; 5] = ["admission", "queue", "dispatch", "exec", "e2e"];
+    // A tenant name exercising every escape the exporter applies: a quote,
+    // a backslash, and a newline.
     let nasty = "q\"uote\\slash\nline";
     let ex = Executor::new(2);
     let handle = ex
@@ -856,58 +629,46 @@ fn tenant_latency_exposition_is_cumulative_and_escaped() {
     let tenant = ex.tenant(nasty);
     run_recorded(&ex, &tenant, RUNS);
 
-    let metrics = handle.metrics_text();
-    // Group the family's bucket samples by (tenant, phase), in exposition
-    // order, which is `le` order within one series.
-    type SeriesId = (String, String);
-    let mut series: Vec<(SeriesId, Vec<(String, f64)>)> = Vec::new();
-    let mut counts: Vec<((String, String), f64)> = Vec::new();
-    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
-        if !line.starts_with("rustflow_tenant_latency_us") {
-            continue;
-        }
-        let (name, labels, value) = parse_sample(line);
-        let get = |k: &str| {
-            labels
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing label {k} in {line}"))
+    let exposition = prom::parse(&handle.metrics_text()).expect("strict parse of /metrics");
+    let family = exposition
+        .family("rustflow_tenant_latency_us")
+        .expect("latency family present");
+    assert_eq!(family.kind, "histogram");
+    for phase in PHASES {
+        let series = |suffix: &str| -> Vec<&prom::Sample> {
+            let name = format!("rustflow_tenant_latency_us{suffix}");
+            let of_series = |s: &&prom::Sample| {
+                s.name == name
+                    && s.label("phase") == Some(phase)
+                    && s.label("tenant") == Some(nasty)
+            };
+            family.samples.iter().filter(of_series).collect()
         };
-        let id = (get("tenant"), get("phase"));
-        match name.as_str() {
-            "rustflow_tenant_latency_us_bucket" => {
-                match series.iter_mut().find(|(sid, _)| *sid == id) {
-                    Some((_, buckets)) => buckets.push((get("le"), value)),
-                    None => series.push((id, vec![(get("le"), value)])),
-                }
-            }
-            "rustflow_tenant_latency_us_count" => counts.push((id, value)),
-            "rustflow_tenant_latency_us_sum" => {}
-            other => panic!("unexpected sample {other} in family"),
-        }
-    }
-    assert_eq!(series.len(), PHASES.len(), "one series per phase");
-    for ((tenant_label, phase), buckets) in &series {
-        // Escaping round-trips: the decoded label is the original name.
-        assert_eq!(tenant_label, nasty, "tenant label escape round-trip");
-        assert!(PHASES.contains(&phase.as_str()), "unknown phase {phase}");
-        // Buckets are cumulative: non-decreasing in `le` order, ending in
-        // a `+Inf` bucket that equals the series' `_count`.
-        for w in buckets.windows(2) {
-            assert!(
-                w[1].1 >= w[0].1,
-                "non-monotonic buckets for {phase}: {buckets:?}"
-            );
-        }
-        let (last_le, last) = buckets.last().expect("series has buckets");
-        assert_eq!(last_le, "+Inf", "last bucket is +Inf");
-        let (_, count) = counts
-            .iter()
-            .find(|(cid, _)| cid == &(tenant_label.clone(), phase.clone()))
-            .expect("every series has a _count");
-        assert_eq!(last, count, "+Inf bucket equals _count for {phase}");
-        assert_eq!(*count, RUNS as f64, "every run recorded in {phase}");
+        let buckets = series("_bucket");
+        assert!(
+            !buckets.is_empty(),
+            "phase {phase} has buckets for the escaped tenant"
+        );
+        // Cumulative in exposition (= `le`) order.
+        assert!(
+            buckets.windows(2).all(|w| w[1].value >= w[0].value),
+            "phase {phase}: non-monotonic buckets"
+        );
+        // `le` bounds strictly increase, with `+Inf` last.
+        let les: Vec<&str> = buckets.iter().map(|s| s.label("le").unwrap()).collect();
+        let (inf, finite) = les.split_last().unwrap();
+        assert_eq!(*inf, "+Inf", "phase {phase} ends at +Inf");
+        let finite: Vec<u64> = finite.iter().map(|le| le.parse().unwrap()).collect();
+        assert!(
+            finite.windows(2).all(|w| w[0] < w[1]),
+            "phase {phase}: le order"
+        );
+        // The +Inf bucket equals the series' `_count`, which equals the
+        // number of runs pushed through the front door; a `_sum` exists.
+        let count = series("_count")[0].value;
+        assert_eq!(buckets.last().unwrap().value, count, "phase {phase}");
+        assert_eq!(count, RUNS as f64, "phase {phase} recorded every run");
+        assert_eq!(series("_sum").len(), 1, "phase {phase} has a _sum");
     }
     drop(handle);
 }
@@ -936,24 +697,19 @@ fn status_reports_interpolated_percentiles_and_slo() {
         status.contains("\"slo\":{\"p99_us\":250000,\"window_ms\":60000}"),
         "SLO spec surfaced in /status: {status}"
     );
-    let latency = status
-        .split_once("\"latency_us\":{")
-        .expect("tenant has a latency_us object")
-        .1;
+    let doc = json::parse(&status).expect("/status is JSON");
+    let tenant = &doc
+        .get("tenants")
+        .and_then(json::Value::as_arr)
+        .expect("tenants")[0];
+    let latency = tenant
+        .get("latency_us")
+        .expect("tenant has a latency_us object");
     for phase in ["admission", "queue", "dispatch", "exec", "e2e"] {
-        let obj = latency
-            .split_once(&format!("\"{phase}\":{{"))
-            .unwrap_or_else(|| panic!("phase {phase} missing: {status}"))
-            .1;
         let field = |key: &str| -> f64 {
-            obj.split_once(&format!("\"{key}\":"))
-                .unwrap_or_else(|| panic!("{phase} missing {key}"))
-                .1
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect::<String>()
-                .parse()
-                .unwrap_or_else(|_| panic!("{phase} {key} not a number"))
+            let value = latency.get(phase).and_then(|p| p.get(key));
+            let value = value.and_then(json::Value::as_f64);
+            value.unwrap_or_else(|| panic!("{phase} {key} missing or not a number"))
         };
         assert_eq!(field("count"), RUNS as f64, "{phase} count");
         let (p50, p90, p99, p999) = (field("p50"), field("p90"), field("p99"), field("p999"));
@@ -965,25 +721,71 @@ fn status_reports_interpolated_percentiles_and_slo() {
     drop(handle);
 }
 
+/// `/status` and `/metrics` are two renderings of one counter table: for
+/// every lane counter, every lane's `total` in `/status` carries the key
+/// and equals that lane's sample in the `/metrics` family.
 #[test]
-fn latency_pipeline_can_be_disabled() {
-    let ex = ExecutorBuilder::new()
-        .workers(2)
-        .latency_histograms(false)
-        .build();
+fn status_totals_equal_the_metrics_samples_for_every_lane_counter() {
+    const LANE_COUNTERS: [(&str, &str); 11] = [
+        ("executed", "rustflow_tasks_executed_total"),
+        ("cache_hits", "rustflow_cache_hits_total"),
+        ("steals", "rustflow_steals_total"),
+        ("steal_attempts", "rustflow_steal_attempts_total"),
+        ("steal_fails", "rustflow_steal_failures_total"),
+        ("injector_pops", "rustflow_injector_pops_total"),
+        ("parks", "rustflow_parks_total"),
+        ("wakes_sent", "rustflow_wakes_sent_total"),
+        ("skipped", "rustflow_tasks_skipped_total"),
+        ("retries", "rustflow_task_retries_total"),
+        ("ring_dropped", "rustflow_ring_dropped_events_total"),
+    ];
+    let ex = Executor::new(2);
     let handle = ex
         .start_introspection(IntrospectConfig::default())
         .expect("introspection starts");
-    let tenant = ex.tenant("quiet");
-    run_recorded(&ex, &tenant, 4);
-    let metrics = handle.metrics_text();
-    // The family renders (the front door is in use) but records nothing:
-    // every series stays at zero.
-    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
-        if line.starts_with("rustflow_tenant_latency_us") {
-            let (_, _, value) = parse_sample(line);
-            assert_eq!(value, 0.0, "disabled pipeline recorded a sample: {line}");
+    // Some of everything: chains (cache hits), a fan (steals, wakes), runs
+    // through the injector, then quiescence: `get` returned and the workers
+    // have parked, so no counter moves between the two scrapes.
+    let tf = Taskflow::with_executor(Arc::clone(&ex));
+    for _ in 0..8 {
+        let mut prev = tf.emplace(|| {});
+        for _ in 0..20 {
+            let next = tf.emplace(|| std::hint::black_box(()));
+            prev.precede(next);
+            prev = next;
         }
     }
+    tf.run_n(3).get().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while ex.num_idlers() < ex.num_workers() {
+        assert!(std::time::Instant::now() < deadline, "workers never parked");
+        std::thread::yield_now();
+    }
+
+    let status = json::parse(&handle.status_json()).expect("/status is JSON");
+    let exposition = prom::parse(&handle.metrics_text()).expect("strict parse of /metrics");
+    let workers = status
+        .get("workers")
+        .and_then(json::Value::as_arr)
+        .expect("workers");
+    assert_eq!(workers.len(), ex.num_lanes());
+    for (key, family) in LANE_COUNTERS {
+        let family = exposition
+            .family(family)
+            .unwrap_or_else(|| panic!("no {family}"));
+        for (lane, worker) in workers.iter().enumerate() {
+            for view in ["total", "since_last_scrape"] {
+                let has_key = worker.get(view).and_then(|v| v.get(key)).is_some();
+                assert!(has_key, "/status lane {lane} {view} lacks {key}");
+            }
+            let total = worker.get("total").and_then(|t| t.get(key));
+            let total = total.and_then(json::Value::as_f64).unwrap();
+            assert_eq!(total, family.samples[lane].value, "lane {lane} {key}");
+        }
+    }
+    assert_eq!(
+        exposition.total("rustflow_tasks_executed_total"),
+        3.0 * 8.0 * 21.0
+    );
     drop(handle);
 }

@@ -46,20 +46,21 @@ fn main() {
     }
     tf.wait_for_all();
 
-    let events = tracer.take_events();
+    let spans = rustflow::profile::task_spans(&tracer.sched_events());
     println!(
         "traced {} task executions across {} workers",
-        events.len(),
+        spans.len(),
         threads
     );
-    // Per-worker load summary.
-    let mut per_worker = vec![(0usize, 0u64); threads];
-    for e in &events {
-        per_worker[e.worker].0 += 1;
-        per_worker[e.worker].1 += e.end_us - e.begin_us;
+    // Per-lane load summary: the workers, then the guest seats the caller
+    // of `wait_for_all` helped on.
+    let mut per_lane = vec![(0usize, 0u64); executor.num_lanes()];
+    for s in &spans {
+        per_lane[s.worker].0 += 1;
+        per_lane[s.worker].1 += s.end_us - s.begin_us;
     }
-    for (w, (count, busy_us)) in per_worker.iter().enumerate() {
-        println!("worker {w}: {count} tasks, {busy_us} us busy");
+    for (lane, (count, busy_us)) in per_lane.iter().enumerate() {
+        println!("lane {lane}: {count} tasks, {busy_us} us busy");
     }
 
     // Re-run with the tracer still installed to produce the JSON export.
