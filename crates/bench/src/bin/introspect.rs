@@ -17,15 +17,16 @@
 //!    the front door and the `rustflow_tenant_latency_us` family and the
 //!    `/status` per-tenant percentile block are validated against it.
 //!
-//! Results land in `<out>/introspect_report.json`; any gate violation
-//! makes the process exit non-zero, failing the CI job.
+//! Results land in `<out>/introspect_report.json` (git-ignored: it holds
+//! this run's timings); any gate violation makes the process exit
+//! non-zero, failing the CI job.
 
 use rustflow::wire::{json, prom};
 use rustflow::{Executor, IntrospectConfig, SloSpec, Taskflow, TenantQos};
 use std::sync::Arc;
 use std::time::Duration;
-use tf_bench::harness::{http_get, median, time_ms, Cli, Scraper};
-use tf_bench::impls::wavefront_rustflow;
+use tf_bench::harness::{http_get, median, scrape, time_ms, Cli};
+use tf_bench::impls::{Backend, Runtime, CONTENDERS};
 
 /// Enabled-vs-disabled wall-clock ratio the gate allows.
 const RATIO_GATE: f64 = 1.05;
@@ -122,23 +123,27 @@ fn measure_overhead(result: &mut GateResult) {
     // so "enabled" means enabled *and observed*, not merely idling.
     // 250ms is still ~20-60x more aggressive than a production
     // Prometheus scrape interval.
-    let scraper = Scraper::start(addr, &["/metrics", "/status"], Duration::from_millis(250));
+    let scraper = scrape(addr, &["/metrics", "/status"], Duration::from_millis(250));
 
+    // The workload is the rustflow contender's wavefront, as in Figure 7.
+    let rustflow = CONTENDERS.iter().find(|c| c.backend == Backend::Executor);
+    let wavefront = rustflow.expect("the table has rustflow").wavefront.run;
+    let (bare, live) = (Runtime::Executor(bare), Runtime::Executor(live));
     // Warm both executors (threads spawn lazily on first dispatch).
-    wavefront_rustflow::run(dim, iters, &bare);
-    wavefront_rustflow::run(dim, iters, &live);
+    wavefront(dim, iters, &bare);
+    wavefront(dim, iters, &live);
 
     let mut disabled = Vec::with_capacity(reps);
     let mut enabled = Vec::with_capacity(reps);
     for _ in 0..reps {
         disabled.push(time_ms(|| {
-            wavefront_rustflow::run(dim, iters, &bare);
+            wavefront(dim, iters, &bare);
         }));
         enabled.push(time_ms(|| {
-            wavefront_rustflow::run(dim, iters, &live);
+            wavefront(dim, iters, &live);
         }));
     }
-    result.scrapes = scraper.stop();
+    result.scrapes = scraper.stop().len();
     result.disabled_ms = median(&mut disabled);
     result.enabled_ms = median(&mut enabled);
     result.ratio = result.enabled_ms / result.disabled_ms;

@@ -27,9 +27,10 @@
 //! is steady either way.
 //!
 //! Writes `<out>/oneshot.json`. With `--check` the freshly measured
-//! allocation counts are first compared against the committed
+//! allocation counts are compared against the committed
 //! `<out>/oneshot.json`: any phase allocating more often per node than the
-//! committed file says fails the binary (and leaves the file alone). Every
+//! committed file says fails the binary, and the run's own report goes
+//! under `target/tf-bench/`, never over the committed file. Every
 //! repetition asserts exactly-once execution by task count and checksum.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,10 +15,11 @@
 //!
 //! Modes:
 //!
-//! * default — profile and write the artifacts;
+//! * default — profile and write the artifacts (all three git-ignored:
+//!   they hold this run's timings);
 //! * `--check` — the CI gate: compare this run against the committed
 //!   `<out>/profile_baseline.json` and exit non-zero when the schedule
-//!   drifts.
+//!   drifts; the artifacts go under `target/tf-bench/`.
 //!
 //! What the gate checks is machine-independent. The task count per
 //! iteration and the iteration count must match the baseline exactly and

@@ -17,16 +17,16 @@
 //! promise/future pair), and it repeats exactly.
 //!
 //! Writes `<out>/served.json`. With `--check` the freshly measured counts
-//! are first compared against the committed `<out>/served.json`: either
-//! loop allocating more often than the committed file says fails the
-//! binary (and leaves the file alone). Every run must resolve `Ok` and
-//! every body must have run exactly once per run.
+//! are compared against the committed `<out>/served.json`: either loop
+//! allocating more often than the committed file says fails the binary,
+//! and the run's own report goes under `target/tf-bench/`, never over the
+//! committed file. Every run must resolve `Ok` and every body must have
+//! run exactly once per run.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tf_bench::count_alloc::{self, Counted, CountingAlloc, Stamp};
-use tf_bench::harness::Cli;
+use tf_bench::harness::{Cli, Client, Served};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -45,23 +45,17 @@ fn flow(executor: &Arc<rustflow::Executor>, served: &Arc<AtomicU64>) -> rustflow
 
 /// `RUNS` runs through `tenant`, `WINDOW` in flight, flow `i % WINDOW` for
 /// run `i` (so a flow is resubmitted only after its last run resolved).
-/// `window` is the caller's (empty, `WINDOW` slots) so that it is not
-/// counted.
-fn tenant_loop(
-    flows: &[rustflow::Taskflow],
-    tenant: &rustflow::Tenant,
-    window: &mut VecDeque<rustflow::RunHandle>,
-) {
-    for i in 0..RUNS {
-        if window.len() == WINDOW {
-            let oldest = window.pop_front().expect("window is full");
-            oldest.get().expect("served run failed");
-        }
-        window.push_back(flows[i % WINDOW].run_on(tenant).expect("admitted"));
-    }
-    for handle in window.drain(..) {
-        handle.get().expect("served run failed");
-    }
+/// `client` is the caller's, its window allocated beforehand, so that it
+/// is not counted.
+fn tenant_runs(flows: &[rustflow::Taskflow], tenant: &rustflow::Tenant, client: &mut Client<()>) {
+    client.drive(
+        |offered| offered < RUNS,
+        |i| Ok(((), flows[i % WINDOW].run_on(tenant)?)),
+        |served| match served {
+            Served::Resolved((), result) => result.expect("served run failed"),
+            Served::Refused(e) => panic!("not admitted: {e}"),
+        },
+    );
 }
 
 fn untenanted_loop(flow: &rustflow::Taskflow) {
@@ -96,15 +90,15 @@ fn main() {
     }
     drop(burst);
     let warmed = served.load(Ordering::Relaxed);
-    let mut window = VecDeque::with_capacity(WINDOW);
-    tenant_loop(&flows, &tenant, &mut window);
+    let mut client = Client::new(Some(WINDOW), None);
+    tenant_runs(&flows, &tenant, &mut client);
     untenanted_loop(&lone);
     for tf in flows.iter_mut().chain(std::iter::once(&mut lone)) {
         tf.gc();
     }
 
     let t0 = Stamp::now();
-    tenant_loop(&flows, &tenant, &mut window);
+    tenant_runs(&flows, &tenant, &mut client);
     let t1 = Stamp::now();
     untenanted_loop(&lone);
     let t2 = Stamp::now();

@@ -13,10 +13,10 @@
 //!
 //! Modes:
 //!
-//! * default — run and write `<out>/serving_report.json`;
-//! * `--check` — the CI gate: the executor's own `/metrics` latency
-//!   histograms must agree with the client-measured percentiles (see
-//!   below). Exit non-zero on violation. Absolute speed is the pinned
+//! * default — run and write `<out>/serving_report.json` (git-ignored);
+//! * `--check` — the CI gate (the report goes under `target/tf-bench/`):
+//!   the executor's own `/metrics` latency histograms must agree with the
+//!   client-measured percentiles (see below). Exit non-zero on violation. Absolute speed is the pinned
 //!   benchmark's business (`benchmark/`, `serve_closed`/`serve_open`),
 //!   not this gate's.
 //!
@@ -26,27 +26,21 @@
 //! `e2e` histograms are merged across tenants and their interpolated
 //! p50/p99 compared against the exact client-side samples. The two
 //! views measure the same interval from opposite ends (client stamps
-//! around `run_on` → `get`, server stamps submit → finalize), so they
-//! must land within one log-linear bucket width of each other.
+//! around `run_on` → `get`, server stamps submit → finalize, the latter
+//! inside the former), so the medians must land within one log-linear
+//! bucket width of each other and the server's p99 may not exceed the
+//! client's by more than that.
 
 use rustflow::wire::{json, prom};
 use rustflow::{Executor, ExecutorBuilder, Histogram, Taskflow, TenantQos};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tf_bench::harness::{finish_gate, http_get, Cli, Scraper};
+use tf_bench::harness::{finish_gate, http_get, scrape, Cli, Client, Served};
 
 /// Per-client pipeline depth: how many submissions a client keeps in
 /// flight before waiting out the oldest. Deep enough to keep the
 /// injector hot, shallow enough that latency stays submission-bound.
 const WINDOW: usize = 16;
-
-/// The sweep's sizes: `--workers`, `--per-client`, `--repeats`.
-struct Flags {
-    workers: usize,
-    per_client: usize,
-    repeats: usize,
-}
 
 /// One measured configuration.
 struct Measured {
@@ -72,7 +66,7 @@ fn request_flow(ex: Arc<Executor>) -> Taskflow {
 /// Fans out `clients` client threads (one tenant each) against `ex`, each
 /// keeping `window` requests built by `flow` in flight (1 = synchronous);
 /// returns the sorted per-submission submit→resolve latencies (µs).
-fn run_clients(
+fn client_latencies(
     ex: &Arc<Executor>,
     clients: usize,
     per_client: usize,
@@ -92,23 +86,22 @@ fn run_clients(
             );
             std::thread::spawn(move || {
                 let mut lat_us = Vec::with_capacity(per_client);
-                let mut inflight: VecDeque<(Instant, Taskflow, rustflow::RunHandle)> =
-                    VecDeque::with_capacity(window);
-                for _ in 0..per_client {
-                    let tf = flow(ex.clone());
-                    let t0 = Instant::now();
-                    let h = tf.run_on(&tenant).expect("executor is not shutting down");
-                    inflight.push_back((t0, tf, h));
-                    if inflight.len() == window {
-                        let (t0, _tf, h) = inflight.pop_front().expect("window is full");
-                        h.get().expect("request must succeed");
-                        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                }
-                for (t0, _tf, h) in inflight {
-                    h.get().expect("request must succeed");
-                    lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                }
+                Client::new(Some(window), None).drive(
+                    |offered| offered < per_client,
+                    |_| {
+                        let tf = flow(ex.clone());
+                        let t0 = Instant::now();
+                        let handle = tf.run_on(&tenant)?;
+                        Ok(((t0, tf), handle))
+                    },
+                    |served| match served {
+                        Served::Resolved((t0, _tf), result) => {
+                            result.expect("request must succeed");
+                            lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
+                        }
+                        Served::Refused(e) => panic!("executor is not shutting down: {e}"),
+                    },
+                );
                 lat_us
             })
         })
@@ -124,15 +117,15 @@ fn run_clients(
 /// Measures one client count: each of `--repeats` runs fans `clients`
 /// pipelined client threads out against a fresh executor; the fastest run
 /// (by wall time) is kept.
-fn measure(clients: usize, flags: &Flags) -> Measured {
-    let submissions = clients * flags.per_client;
+fn measure(clients: usize, workers: usize, per_client: usize, repeats: u64) -> Measured {
+    let submissions = clients * per_client;
     let run_once = |_| {
-        let ex = ExecutorBuilder::new().workers(flags.workers).build();
+        let ex = ExecutorBuilder::new().workers(workers).build();
         let start = Instant::now();
-        let lat_us = run_clients(&ex, clients, flags.per_client, WINDOW, request_flow);
+        let lat_us = client_latencies(&ex, clients, per_client, WINDOW, request_flow);
         (start.elapsed().as_secs_f64() * 1e3, lat_us)
     };
-    let (wall_ms, lat) = (0..flags.repeats.max(1))
+    let (wall_ms, lat) = (0..repeats.max(1))
         .map(run_once)
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one repeat ran");
@@ -227,9 +220,9 @@ fn bucket_width_at(bounds: &[u64], v: f64) -> f64 {
 /// on, poisoning the client-side stamp): execution dominates both views
 /// identically and wakeup jitter stays well inside the ≤25%-wide bucket
 /// at that scale.
-fn server_agreement(flags: &Flags) -> Vec<String> {
-    let per_client = flags.per_client.min(300);
-    let ex = ExecutorBuilder::new().workers(flags.workers).build();
+fn server_agreement(workers: usize, per_client: usize) -> Vec<String> {
+    let per_client = per_client.min(300);
+    let ex = ExecutorBuilder::new().workers(workers).build();
     let handle = ex
         .serve_introspection("127.0.0.1:0")
         .expect("bind introspection listener");
@@ -237,13 +230,13 @@ fn server_agreement(flags: &Flags) -> Vec<String> {
 
     // Scrape *during* the run: shard merges must be safe (and cheap)
     // while workers are recording into the same shards.
-    let scraper = Scraper::start(addr, &["/metrics"], Duration::from_millis(5));
+    let scraper = scrape(addr, &["/metrics"], Duration::from_millis(5));
     let slow_request = |ex: Arc<Executor>| {
         let tf = Taskflow::with_executor(ex);
         tf.emplace(|| std::thread::sleep(Duration::from_micros(300)));
         tf
     };
-    let lat = run_clients(&ex, AGREE_CLIENTS, per_client, 1, slow_request);
+    let lat = client_latencies(&ex, AGREE_CLIENTS, per_client, 1, slow_request);
     scraper.stop();
 
     // Latency records fold in *after* each run's promise resolves, so
@@ -271,14 +264,18 @@ fn server_agreement(flags: &Flags) -> Vec<String> {
             hist.count()
         ));
     }
-    for (q, name) in [(0.50, "p50"), (0.99, "p99")] {
+    // The server stamps a run's end before its promise resolves, so its
+    // e2e interval lies inside the client's submit→`get` bracket: at p50
+    // the two agree within a bucket either way, while the client's tail
+    // also carries its own wake-up, so p99 is held from one side only.
+    for (q, name, two_sided) in [(0.50, "p50", true), (0.99, "p99", false)] {
         let client = rustflow::percentile(&lat, q);
         let server = hist.percentile(q);
         let tol = bucket_width_at(hist.bounds(), client.max(server)) + 1.0;
         println!(
             "   agreement {name}: client {client:>8.1} us  server {server:>8.1} us  (tolerance {tol:.1} us)"
         );
-        if (client - server).abs() > tol {
+        if server - client > tol || (two_sided && client - server > tol) {
             failures.push(format!(
                 "server-side {name} ({server:.1} us) disagrees with client-measured {name} \
                  ({client:.1} us) beyond one bucket width ({tol:.1} us)"
@@ -290,15 +287,12 @@ fn server_agreement(flags: &Flags) -> Vec<String> {
 
 fn main() {
     let cli = Cli::parse_with(&["--workers", "--per-client", "--repeats"]);
-    let flags = Flags {
-        workers: cli.number("--workers", 4) as usize,
-        per_client: cli.number("--per-client", 1500) as usize,
-        repeats: cli.number("--repeats", 3) as usize,
-    };
+    let workers = cli.number("--workers", 4) as usize;
+    let per_client = cli.number("--per-client", 1500) as usize;
     let client_counts = [1usize, 2, 4, 8, 16];
     let mut measured = Vec::new();
     for &clients in &client_counts {
-        let m = measure(clients, &flags);
+        let m = measure(clients, workers, per_client, cli.number("--repeats", 3));
         println!(
             "c{:<3}: {:>7} submissions in {:>8.1} ms  ({:>9.0}/s)  p50 {:>7.1} us  p99 {:>8.1} us  p999 {:>8.1} us",
             m.clients, m.submissions, m.wall_ms, m.throughput_per_s, m.p50_us, m.p99_us, m.p999_us
@@ -308,7 +302,7 @@ fn main() {
 
     // --- Server-side histogram agreement. --------------------------------
     println!("server-histogram agreement ({AGREE_CLIENTS} clients, scraper attached):");
-    let agreement_failures = server_agreement(&flags);
+    let agreement_failures = server_agreement(workers, per_client);
     if !cli.check {
         // Outside `--check` the disagreements are advisory, not fatal.
         for f in &agreement_failures {
@@ -320,8 +314,8 @@ fn main() {
     let mut w = json::Writer::pretty();
     w.begin_object();
     w.field("schema_version", 1);
-    w.field("workers", flags.workers);
-    w.field("per_client", flags.per_client);
+    w.field("workers", workers);
+    w.field("per_client", per_client);
     w.field("window", WINDOW);
     w.key("configs");
     w.begin_array();

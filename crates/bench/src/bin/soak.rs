@@ -27,8 +27,8 @@
 //!   well-formed JSON carrying the breaker and shed sections.
 //!
 //! Modes mirror the serving bench: default writes
-//! `<out>/soak_report.json`; `--check` gates and exits non-zero on
-//! violation.
+//! `<out>/soak_report.json` (git-ignored); `--check` gates, exits
+//! non-zero on violation and writes under `target/tf-bench/`.
 
 use rustflow::chaos::ChaosSpec;
 use rustflow::wire::{json, prom};
@@ -36,11 +36,10 @@ use rustflow::{
     AdmissionError, BreakerSpec, Executor, ExecutorBuilder, RetryBudget, RunError, Taskflow,
     TenantQos, TenantStats,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tf_bench::harness::{finish_gate, http_get, Cli, Scraper};
+use tf_bench::harness::{finish_gate, http_get, scrape, Cli, Client, Served};
 
 /// Service time of one healthy request (a sleep, not a spin: workers
 /// must oversubscribe cores the same way on every runner).
@@ -51,23 +50,16 @@ const DEADLINE_MS: u64 = 25;
 /// Slack on the client-side deadline-met judgement: execution time plus
 /// the bounded reap lag of the measurement window.
 const GRACE_MS: u64 = 10;
-/// Client pipeline depth; bounds both memory and the reap lag that the
-/// grace above absorbs.
+/// Pipeline depth of the clients that have one: the calibration's
+/// closed loop and the poisoned tenant's.
 const WINDOW: usize = 16;
-/// Healthy open-loop clients, one tenant each.
+/// Healthy clients, one tenant each; open-loop under overload, so that
+/// what bounds a tenant's queue is its `max_queued`, not its client.
 const HEALTHY: usize = 8;
 /// Consecutive failures that open the poisoned tenant's breaker.
 const BREAKER_FAILURES: u32 = 5;
 /// Open window of the poisoned tenant's breaker.
 const BREAKER_OPEN_MS: u64 = 500;
-
-/// The soak's sizes: `--workers`, `--duration-ms`, `--repeats`, `--seed`.
-struct Flags {
-    workers: usize,
-    duration_ms: u64,
-    repeats: usize,
-    seed: u64,
-}
 
 fn build_executor(workers: usize) -> Arc<Executor> {
     // A bounded dispatch budget is what makes overload land in the
@@ -101,68 +93,48 @@ impl Tally {
     }
 }
 
-/// Resolves one in-flight run into the tally. Clients reap in submission
-/// order, which is per-tenant resolve order, so the stamp at `get`'s
-/// return tracks the true resolve time to within the reap lag.
-fn resolve(t0: Instant, h: &rustflow::RunHandle, tally: &mut Tally) {
-    match h.get() {
-        Ok(()) => {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            tally.ok += 1;
-            if us <= ((DEADLINE_MS + GRACE_MS) * 1000) as f64 {
-                tally.good += 1;
-            }
-            tally.lat_ok_us.push(us);
-        }
-        Err(RunError::Shed { .. } | RunError::Cancelled | RunError::Panic(_))
-        | Err(RunError::Rejected(_)) => {}
-        Err(e) => panic!("unexpected run outcome under soak: {e}"),
-    }
-}
-
-fn count_admission_error(e: AdmissionError, tally: &mut Tally) {
-    match e {
-        AdmissionError::Saturated { .. } => tally.saturated += 1,
-        AdmissionError::DeadlineInfeasible { .. } => tally.infeasible += 1,
-        AdmissionError::BreakerOpen { .. } => tally.breaker_rejected += 1,
-        AdmissionError::ShuttingDown => {}
-    }
-}
-
-/// One paced open-loop client: submits on an absolute schedule (falling
-/// behind compresses, it never thins the offered load), keeps at most
-/// [`WINDOW`] runs in flight, drains the rest at the end.
-fn paced_client(
+/// One client's stream of requests until `end`: each is a fresh flow from
+/// `make_flow` handed to `submit`, stamped at submission. A run resolves
+/// in per-tenant submission order, which is the order the client reaps
+/// in, so the stamp at the outcome tracks the true resolve time to within
+/// the reap lag (at most one pacing interval for an open-loop client).
+fn drive_client(
+    mut client: Client<(Instant, Taskflow)>,
     ex: Arc<Executor>,
     submit: impl Fn(&Taskflow) -> Result<rustflow::RunHandle, AdmissionError>,
     make_flow: impl Fn(Arc<Executor>) -> Taskflow,
-    interval: Duration,
     end: Instant,
 ) -> Tally {
     let mut tally = Tally::default();
-    let mut inflight: VecDeque<(Instant, Taskflow, rustflow::RunHandle)> =
-        VecDeque::with_capacity(WINDOW + 1);
-    let mut next = Instant::now();
-    while Instant::now() < end {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(next - now);
-        }
-        next += interval;
-        let tf = make_flow(ex.clone());
-        let t0 = Instant::now();
-        match submit(&tf) {
-            Ok(h) => inflight.push_back((t0, tf, h)),
-            Err(e) => count_admission_error(e, &mut tally),
-        }
-        while inflight.len() > WINDOW {
-            let (t0, _tf, h) = inflight.pop_front().expect("window overfull");
-            resolve(t0, &h, &mut tally);
-        }
-    }
-    for (t0, _tf, h) in inflight {
-        resolve(t0, &h, &mut tally);
-    }
+    client.drive(
+        |_| Instant::now() < end,
+        |_| {
+            let tf = make_flow(ex.clone());
+            let t0 = Instant::now();
+            let handle = submit(&tf)?;
+            Ok(((t0, tf), handle))
+        },
+        |served| match served {
+            Served::Resolved((t0, _tf), Ok(())) => {
+                let us = t0.elapsed().as_secs_f64() * 1e6;
+                tally.ok += 1;
+                if us <= ((DEADLINE_MS + GRACE_MS) * 1000) as f64 {
+                    tally.good += 1;
+                }
+                tally.lat_ok_us.push(us);
+            }
+            Served::Resolved(
+                _,
+                Err(RunError::Shed { .. } | RunError::Cancelled | RunError::Panic(_))
+                | Err(RunError::Rejected(_)),
+            ) => {}
+            Served::Resolved(_, Err(e)) => panic!("unexpected run outcome under soak: {e}"),
+            Served::Refused(AdmissionError::Saturated { .. }) => tally.saturated += 1,
+            Served::Refused(AdmissionError::DeadlineInfeasible { .. }) => tally.infeasible += 1,
+            Served::Refused(AdmissionError::BreakerOpen { .. }) => tally.breaker_rejected += 1,
+            Served::Refused(AdmissionError::ShuttingDown) => {}
+        },
+    );
     tally
 }
 
@@ -191,7 +163,8 @@ fn calibrate(workers: usize) -> f64 {
                 submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(tf.run_on(&tenant).expect("calibration submit"))
             };
-            std::thread::spawn(move || paced_client(ex, submit, healthy_flow, Duration::ZERO, end))
+            let client = Client::new(Some(WINDOW), None);
+            std::thread::spawn(move || drive_client(client, ex, submit, healthy_flow, end))
         })
         .collect();
     let done: u64 = clients
@@ -234,7 +207,8 @@ fn run_side(
             },
         );
         clients.push(std::thread::spawn(move || {
-            paced_client(
+            drive_client(
+                Client::new(None, Some(interval)),
                 Arc::clone(&ex),
                 move |tf| {
                     if resilient {
@@ -244,7 +218,6 @@ fn run_side(
                     }
                 },
                 healthy_flow,
-                interval,
                 end,
             )
         }));
@@ -273,7 +246,8 @@ fn run_side(
             .for_tenant(&tenant);
         let poison_interval = interval * 8;
         std::thread::spawn(move || {
-            paced_client(
+            drive_client(
+                Client::new(Some(WINDOW), Some(poison_interval)),
                 Arc::clone(&ex),
                 move |tf| tf.try_run_on(&tenant),
                 move |ex| {
@@ -281,7 +255,6 @@ fn run_side(
                     tf.emplace(spec.wrap(0, || {})).retry(2);
                     tf
                 },
-                poison_interval,
                 end,
             )
         })
@@ -388,15 +361,15 @@ fn family_sum(exposition: &prom::Exposition, name: &str, tenant: Option<&str>) -
 /// introspection server attached and a live scraper, then the shed /
 /// budget / breaker families must agree with the in-process stats and
 /// `/status` must carry the breaker and shed sections as valid JSON.
-fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
-    let ex = build_executor(flags.workers);
+fn observability(workers: usize, seed: u64, capacity: f64) -> Vec<String> {
+    let ex = build_executor(workers);
     let handle = ex
         .serve_introspection("127.0.0.1:0")
         .expect("bind introspection listener");
     let addr = handle.local_addr().expect("ephemeral introspection addr");
     // Both endpoints, *during* the storm.
-    let scraper = Scraper::start(addr, &["/metrics", "/status"], Duration::from_millis(5));
-    let run = run_side(&ex, true, capacity, Duration::from_millis(1500), flags.seed);
+    let scraper = scrape(addr, &["/metrics", "/status"], Duration::from_millis(5));
+    let run = run_side(&ex, true, capacity, Duration::from_millis(1500), seed);
     scraper.stop();
 
     let mut failures = ledger_failures("observability", &run.tenants);
@@ -471,24 +444,21 @@ fn observability(flags: &Flags, capacity: f64) -> Vec<String> {
 
 fn main() {
     let cli = Cli::parse_with(&["--workers", "--duration-ms", "--repeats", "--seed"]);
-    let flags = Flags {
-        workers: cli.number("--workers", 4) as usize,
-        duration_ms: cli.number("--duration-ms", 7000),
-        repeats: cli.number("--repeats", 2) as usize,
-        seed: cli.number("--seed", 1802),
-    };
-    let capacity = calibrate(flags.workers);
+    let workers = cli.number("--workers", 4) as usize;
+    let duration_ms = cli.number("--duration-ms", 7000);
+    let seed = cli.number("--seed", 1802);
+    let capacity = calibrate(workers);
     println!("calibrated capacity: {capacity:.0} requests/s (offering 2x)");
 
-    let duration = Duration::from_millis(flags.duration_ms);
+    let duration = Duration::from_millis(duration_ms);
     let mut ledger_problems = Vec::new();
     // Interleave resilient/ablation repeats; keep the best run per side
     // by goodput so load drift cannot bias the A/B.
     let mut best: [Option<(SideRun, u64)>; 2] = [None, None];
-    for _ in 0..flags.repeats.max(1) {
+    for _ in 0..cli.number("--repeats", 2).max(1) {
         for (side, resilient) in [(0usize, true), (1usize, false)] {
-            let ex = build_executor(flags.workers);
-            let run = run_side(&ex, resilient, capacity, duration, flags.seed);
+            let ex = build_executor(workers);
+            let run = run_side(&ex, resilient, capacity, duration, seed);
             ledger_problems.extend(ledger_failures(
                 if resilient { "resilient" } else { "ablation" },
                 &run.tenants,
@@ -519,7 +489,7 @@ fn main() {
     }
 
     println!("observability round-trip (scraper attached):");
-    let obs_failures = observability(&flags, capacity);
+    let obs_failures = observability(workers, seed, capacity);
     if !cli.check {
         for f in ledger_problems.iter().chain(&obs_failures) {
             eprintln!("soak WARN: {f}");
@@ -529,9 +499,9 @@ fn main() {
     let mut w = json::Writer::pretty();
     w.begin_object();
     w.field("schema_version", 1);
-    w.field("workers", flags.workers);
-    w.field("duration_ms", flags.duration_ms);
-    w.field("seed", flags.seed);
+    w.field("workers", workers);
+    w.field("duration_ms", duration_ms);
+    w.field("seed", seed);
     w.field("capacity_per_s", format_args!("{capacity:.1}"));
     w.key("configs");
     w.begin_array();
@@ -556,7 +526,7 @@ fn main() {
 
     if cli.check {
         let mut failures = ledger_problems;
-        failures.extend(gate(&resilient, &ablation, flags.duration_ms));
+        failures.extend(gate(&resilient, &ablation, duration_ms));
         failures.extend(obs_failures);
         finish_gate(
             "soak",

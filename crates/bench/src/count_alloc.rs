@@ -131,8 +131,9 @@ impl Counted {
 /// `{"benchmark", <sizes>, <section>: {<name>: {"allocs", ..}}}`, and with
 /// `--check` first compares each row with `<section>.<name>.allocs` in the
 /// committed `<out>/<benchmark>.json`: a row that allocates more often
-/// than the committed file says is printed, the file is left alone and the
-/// process ends with status 1. Otherwise the file is rewritten.
+/// than the committed file says is printed and the process ends with
+/// status 1. The report is then written where [`crate::harness::Cli::write_report`] puts
+/// it: a `--check` run never touches the committed file.
 pub fn report_and_gate(
     cli: &crate::harness::Cli,
     benchmark: &str,
@@ -179,11 +180,8 @@ pub fn report_and_gate(
 
     let file = format!("{benchmark}.json");
     if cli.check {
-        let path = cli.out.join(&file);
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()));
-        let committed =
-            json::parse(&committed).unwrap_or_else(|e| panic!("committed {file} is not JSON: {e}"));
+        let committed = json::parse(&cli.committed(&file))
+            .unwrap_or_else(|e| panic!("committed {file} is not JSON: {e}"));
         let failures: Vec<String> = rows
             .iter()
             .filter_map(|(name, c)| {

@@ -1,15 +1,19 @@
 //! Shared harness utilities: CLI flags, timing, and result output.
 //!
-//! Every `table*`/`fig*` binary accepts:
+//! Every binary accepts:
 //!
 //! * `--full` — paper-scale parameters (hours on this container); the
 //!   default is a scaled-down configuration with the same shape;
-//! * `--out <dir>` — where CSV results land (default `results/`);
-//! * `--part <name>` — sub-experiment selector where a figure has several
-//!   panels;
+//! * `--out <dir>` — where the committed record lives: CSV and report
+//!   files land there, and gates read what they compare against from
+//!   there (default `results/`);
+//! * `--part <name>` — which artifact of `paper` to run, or which panel of
+//!   one (`fig7`, `fig7.size`); which phase of `introspect`;
 //! * `--threads a,b,c` — override the thread sweep;
-//! * `--check` — gate mode, where a binary has one (`fig9`, `oneshot`,
-//!   `served`, `serving`, `soak`, `profile`);
+//! * `--check` — gate mode (`paper`, `oneshot`, `served`, `serving`,
+//!   `soak`, `profile`): assert, and write every file under
+//!   [`gate_out`] instead of `--out`, so that a gate run leaves the
+//!   record as it found it;
 //! * `--reps n` — repetitions per measurement (the median is reported).
 //!
 //! A gate binary names the further `--key n` flags it reads (`--workers`,
@@ -17,9 +21,11 @@
 //! error, and every number is read through [`Cli::number`].
 //!
 //! The gates' shared plumbing lives here too: [`http_get`] and
-//! [`Scraper`] for the introspection endpoints, [`finish_gate`] for the
-//! verdict.
+//! [`scrape`] for the introspection endpoints, [`Client`] for a windowed
+//! or paced stream of submissions, [`finish_gate`] for the verdict.
 
+use rustflow::{AdmissionError, RunHandle, RunResult};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -46,6 +52,18 @@ pub struct Cli {
     numbers: Vec<(String, u64)>,
 }
 
+/// Where a `--check` run writes: nothing a gate produces is part of the
+/// record. `target/tf-bench/` of the workspace, wherever the binary is
+/// started from (a test starts it from its package's directory).
+pub fn gate_out() -> PathBuf {
+    let workspace = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2);
+    workspace
+        .expect("crates/bench is two levels down")
+        .join("target/tf-bench")
+}
+
 impl Cli {
     /// Parses `std::env::args`.
     pub fn parse() -> Cli {
@@ -55,6 +73,14 @@ impl Cli {
     /// Parses `std::env::args` for a binary that also reads the numeric
     /// flags `number_flags`.
     pub fn parse_with(number_flags: &'static [&'static str]) -> Cli {
+        Cli::from_args(std::env::args().skip(1), number_flags)
+    }
+
+    /// Parses `args` (the command line without the program's name).
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+        number_flags: &'static [&'static str],
+    ) -> Cli {
         let mut cli = Cli {
             full: false,
             part: None,
@@ -64,7 +90,7 @@ impl Cli {
             number_flags,
             numbers: Vec::new(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--full" => cli.full = true,
@@ -97,9 +123,18 @@ impl Cli {
         cli
     }
 
-    /// `true` when `--part` is absent or equals `name`.
+    /// `true` when `--part` is absent, equals `name`, or is `name`'s
+    /// artifact or one of its panels (`fig7` and `fig7.size` want each
+    /// other; `fig7.size` and `fig7.threads` do not).
     pub fn wants_part(&self, name: &str) -> bool {
-        self.part.as_deref().is_none_or(|p| p == name)
+        let within = |outer: &str, inner: &str| {
+            inner
+                .strip_prefix(outer)
+                .is_some_and(|rest| rest.starts_with('.'))
+        };
+        self.part
+            .as_deref()
+            .is_none_or(|p| p == name || within(p, name) || within(name, p))
     }
 
     /// The thread sweep: override, or the given default.
@@ -128,12 +163,26 @@ impl Cli {
         given.map_or(default, |(_, value)| *value)
     }
 
-    /// Writes a report file into the output directory and says so.
+    /// Writes a file of this run and says where: into the output
+    /// directory, or under [`gate_out`] when this is a `--check` run.
     pub fn write_report(&self, file: &str, text: &str) {
-        std::fs::create_dir_all(&self.out).expect("cannot create output directory");
-        let path = self.out.join(file);
+        let dir = if self.check {
+            gate_out()
+        } else {
+            self.out.clone()
+        };
+        std::fs::create_dir_all(&dir).expect("cannot create output directory");
+        let path = dir.join(file);
         std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {file}: {e}"));
         println!("  -> {}", path.display());
+    }
+
+    /// The committed `file` of the output directory, which a gate compares
+    /// its run against.
+    pub fn committed(&self, file: &str) -> String {
+        let path = self.out.join(file);
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("--check needs {}: {e}", path.display()))
     }
 }
 
@@ -161,39 +210,147 @@ pub fn http_get(addr: SocketAddr, target: &str) -> String {
     body.to_string()
 }
 
-/// A thread scraping an introspection endpoint while a measurement runs,
-/// so that "enabled" means enabled *and observed*: renders and shard
-/// merges must be safe (and cheap) while the counters move.
-pub struct Scraper {
+/// A thread taking a sample every `period` while a measurement runs.
+pub struct Sampler<T> {
     stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<usize>,
+    thread: std::thread::JoinHandle<Vec<T>>,
 }
 
-impl Scraper {
-    /// Starts fetching every target of `targets` from `addr`, then
-    /// sleeping `period`, over and over.
-    pub fn start(addr: SocketAddr, targets: &'static [&'static str], period: Duration) -> Scraper {
+impl<T: Send + 'static> Sampler<T> {
+    /// Starts calling `sample`, then sleeping `period`, over and over.
+    pub fn start(period: Duration, mut sample: impl FnMut() -> T + Send + 'static) -> Sampler<T> {
         let stop = Arc::new(AtomicBool::new(false));
         let stopped = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            let mut rounds = 0;
+            let mut samples = Vec::new();
             while !stopped.load(Ordering::Acquire) {
-                for target in targets {
-                    let _ = http_get(addr, target);
-                }
-                rounds += 1;
+                samples.push(sample());
                 std::thread::sleep(period);
             }
-            rounds
+            samples
         });
-        Scraper { stop, thread }
+        Sampler { stop, thread }
     }
 
-    /// Stops the thread; how many rounds it made.
-    pub fn stop(self) -> usize {
+    /// Stops the thread; what it sampled.
+    pub fn stop(self) -> Vec<T> {
         self.stop.store(true, Ordering::Release);
-        self.thread.join().expect("scraper thread panicked")
+        self.thread.join().expect("sampler thread panicked")
     }
+}
+
+/// Scrapes every target of `targets` from an introspection endpoint each
+/// `period`, so that "enabled" means enabled *and observed*: renders and
+/// shard merges must be safe (and cheap) while the counters move. One
+/// sample per round.
+pub fn scrape(addr: SocketAddr, targets: &'static [&'static str], period: Duration) -> Sampler<()> {
+    Sampler::start(period, move || {
+        for target in targets {
+            let _ = http_get(addr, target);
+        }
+    })
+}
+
+/// What became of one offer of a [`Client`].
+pub enum Served<T> {
+    /// The front door refused the submission.
+    Refused(AdmissionError),
+    /// The run was admitted and has resolved; the payload its submission
+    /// returned comes back with the outcome.
+    Resolved(T, RunResult),
+}
+
+/// One client of an executor: a stream of submissions with at most
+/// `window` of them in flight, optionally paced, each run's outcome
+/// reported once, in submission order. The deque is the client's own, so
+/// a client driven twice allocates nothing the second time.
+pub struct Client<T> {
+    window: Option<usize>,
+    interval: Option<Duration>,
+    inflight: VecDeque<(T, RunHandle)>,
+}
+
+impl<T> Client<T> {
+    /// A client that waits out its oldest run before offering another
+    /// while `window` are in flight (`Some(1)` is synchronous), or with
+    /// `None` an open-loop client that never waits for a run: it resolves
+    /// the runs that have finished, so what it holds is bounded by what
+    /// the executor holds. With `interval` the offers follow an absolute
+    /// schedule, one per interval: a client that falls behind submits
+    /// back to back until it has caught up, so pacing never thins the
+    /// offered load.
+    pub fn new(window: Option<usize>, interval: Option<Duration>) -> Client<T> {
+        Client {
+            window,
+            interval,
+            inflight: VecDeque::with_capacity(window.unwrap_or(0)),
+        }
+    }
+
+    /// Offers `submit(i)` for `i` from 0 while `more(i)` holds, then waits
+    /// for everything in flight; `outcome` sees every offer exactly once.
+    /// Returns how many offers were made.
+    pub fn drive(
+        &mut self,
+        mut more: impl FnMut(usize) -> bool,
+        mut submit: impl FnMut(usize) -> Result<(T, RunHandle), AdmissionError>,
+        mut outcome: impl FnMut(Served<T>),
+    ) -> usize {
+        let mut offered = 0;
+        let mut due = Instant::now();
+        while more(offered) {
+            if let Some(interval) = self.interval {
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                due += interval;
+            }
+            while let Some((_, oldest)) = self.inflight.front() {
+                let reap = match self.window {
+                    Some(window) => self.inflight.len() >= window,
+                    None => oldest.is_ready(),
+                };
+                if !reap {
+                    break;
+                }
+                let (payload, handle) = self.inflight.pop_front().expect("front exists");
+                outcome(Served::Resolved(payload, handle.get()));
+            }
+            match submit(offered) {
+                Ok(admitted) => self.inflight.push_back(admitted),
+                Err(refused) => outcome(Served::Refused(refused)),
+            }
+            offered += 1;
+        }
+        for (payload, handle) in self.inflight.drain(..) {
+            outcome(Served::Resolved(payload, handle.get()));
+        }
+        offered
+    }
+}
+
+/// `dot` with its node identifiers (`n<address>`, different in every
+/// process) renamed `n0`, `n1`, ... in order of first appearance, so that
+/// the same graph is the same bytes. An identifier is a whole word of a
+/// node or edge statement; a label is left alone unless one of its inner
+/// words looks like one, which no graph drawn here has.
+pub fn canonical_dot(dot: &str) -> String {
+    let mut ids: Vec<String> = Vec::new();
+    let mut rename = |word: &str| {
+        let id = word.trim_end_matches(';');
+        let hex = id.strip_prefix('n').filter(|hex| !hex.is_empty());
+        if !hex.is_some_and(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit())) {
+            return word.to_string();
+        }
+        let index = ids.iter().position(|seen| seen == id).unwrap_or_else(|| {
+            ids.push(id.to_string());
+            ids.len() - 1
+        });
+        format!("n{index}{}", &word[id.len()..])
+    };
+    let lines = dot.lines().map(|line| {
+        let words: Vec<String> = line.split(' ').map(&mut rename).collect();
+        words.join(" ") + "\n"
+    });
+    lines.collect()
 }
 
 /// A `--check` run's verdict: prints `<gate> gate: OK (<ok>)` when nothing
@@ -222,66 +379,31 @@ pub fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Median of `reps` runs of `f` (ms).
-pub fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1)).map(|_| time_ms(&mut f)).collect();
-    median(&mut samples)
-}
-
 /// A CSV + console sink for one experiment's rows.
 pub struct Report {
-    path: PathBuf,
-    rows: Vec<Vec<String>>,
-    header: Vec<String>,
+    csv: String,
 }
 
 impl Report {
-    /// Creates a report writing to `<out>/<name>.csv`.
-    pub fn new(cli: &Cli, name: &str, header: &[&str]) -> Report {
-        std::fs::create_dir_all(&cli.out).expect("cannot create output directory");
+    /// Creates a report under `header`, the CSV's first line, and prints
+    /// it.
+    pub fn new(header: &str) -> Report {
+        println!("  {}", header.replace(',', "  \t"));
         Report {
-            path: cli.out.join(format!("{name}.csv")),
-            rows: Vec::new(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            csv: format!("{header}\n"),
         }
     }
 
-    /// Appends one row (printed to the console immediately).
-    pub fn row(&mut self, cells: &[String]) {
-        println!("  {}", cells.join("  \t"));
-        self.rows.push(cells.to_vec());
+    /// Appends one row, given as its CSV line (printed to the console
+    /// immediately).
+    pub fn row(&mut self, line: std::fmt::Arguments<'_>) {
+        let line = line.to_string();
+        println!("  {}", line.replace(',', "  \t"));
+        self.csv += &(line + "\n");
     }
 
-    /// Convenience: formats mixed cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
-    /// Prints the header line to the console.
-    pub fn print_header(&self) {
-        println!("  {}", self.header.join("  \t"));
-    }
-
-    /// Writes the CSV file.
-    pub fn save(&self) {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        std::fs::write(&self.path, out).expect("cannot write CSV");
-        println!("  -> {}", self.path.display());
-    }
-}
-
-/// Formats a milliseconds value compactly.
-pub fn fmt_ms(ms: f64) -> String {
-    if ms >= 1000.0 {
-        format!("{:.2}s", ms / 1000.0)
-    } else {
-        format!("{ms:.1}ms")
+    /// The CSV text.
+    pub fn csv(&self) -> &str {
+        &self.csv
     }
 }

@@ -108,8 +108,7 @@ pub use introspect::{IntrospectConfig, IntrospectHandle, WatchdogCounts, Watchdo
 pub use label::TaskLabel;
 pub use observer::{
     chrome_trace_json_from, BusyCounter, ExecutorObserver, IterationInfo, SchedEvent,
-    SchedEventKind, TaskSpanInfo, TopologyAgg, TopologyRollup, Tracer, DISPATCH_LANE,
-    SCHED_EVENT_SCHEMA_VERSION,
+    SchedEventKind, TaskSpanInfo, Tracer, DISPATCH_LANE, SCHED_EVENT_SCHEMA_VERSION,
 };
 pub use profile::{GraphSnapshot, ProfileReport, PROFILE_SCHEMA_VERSION};
 pub use resilience::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};

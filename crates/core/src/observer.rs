@@ -279,79 +279,6 @@ impl ExecutorObserver for BusyCounter {
     }
 }
 
-/// Aggregated activity of one topology across every iteration and batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TopologyAgg {
-    /// Stable topology id ([`IterationInfo::topology`]).
-    pub topology: u64,
-    /// Iterations dispatched (`on_topology_start` calls).
-    pub dispatched: u64,
-    /// Iterations completed (`on_topology_stop` calls).
-    pub completed: u64,
-    /// Sum of top-level task counts across every dispatched iteration.
-    pub tasks_dispatched: u64,
-    /// Run id of the first observed iteration.
-    pub first_run: u64,
-    /// Run id of the most recently observed iteration.
-    pub last_run: u64,
-}
-
-/// Rolls per-iteration topology events up into per-*topology* aggregates
-/// that survive re-arms.
-///
-/// Each `run_n` iteration carries a fresh run id, so a consumer keying on
-/// that id sees `n` unrelated topologies for one reused graph. This
-/// observer keys on the stable [`IterationInfo::topology`] instead: every
-/// iteration of every batch on the same frozen graph folds into a single
-/// [`TopologyAgg`].
-#[derive(Default)]
-pub struct TopologyRollup {
-    inner: Mutex<std::collections::HashMap<u64, TopologyAgg>>,
-}
-
-impl TopologyRollup {
-    /// Creates an empty roll-up.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The aggregate for topology `uid`, if any iteration was observed.
-    pub fn get(&self, uid: u64) -> Option<TopologyAgg> {
-        self.inner.lock().get(&uid).cloned()
-    }
-
-    /// Every observed topology's aggregate, ordered by topology id.
-    pub fn topologies(&self) -> Vec<TopologyAgg> {
-        let mut v: Vec<TopologyAgg> = self.inner.lock().values().cloned().collect();
-        v.sort_by_key(|a| a.topology);
-        v
-    }
-}
-
-impl ExecutorObserver for TopologyRollup {
-    fn on_topology_start(&self, info: IterationInfo, num_tasks: usize) {
-        let mut map = self.inner.lock();
-        let agg = map.entry(info.topology).or_insert_with(|| TopologyAgg {
-            topology: info.topology,
-            first_run: info.run,
-            ..TopologyAgg::default()
-        });
-        agg.dispatched += 1;
-        agg.tasks_dispatched += num_tasks as u64;
-        agg.last_run = info.run;
-    }
-    fn on_topology_stop(&self, info: IterationInfo) {
-        let mut map = self.inner.lock();
-        let agg = map.entry(info.topology).or_insert_with(|| TopologyAgg {
-            topology: info.topology,
-            first_run: info.run,
-            ..TopologyAgg::default()
-        });
-        agg.completed += 1;
-        agg.last_run = info.run;
-    }
-}
-
 /// Default ring capacity per lane (events).
 const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 
@@ -840,35 +767,6 @@ mod tests {
         }
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.sched_events().len(), 20);
-    }
-
-    #[test]
-    fn rollup_folds_iterations_of_one_topology() {
-        let r = TopologyRollup::new();
-        for iteration in 0..5 {
-            // Fresh run id per iteration, stable topology uid — exactly
-            // what the executor reports for `run_n(5)`.
-            let info = IterationInfo {
-                run: 100 + iteration,
-                topology: 42,
-                iteration,
-                tenant: 0,
-                submit_us: 0,
-            };
-            r.on_topology_start(info, 3);
-            r.on_topology_stop(info);
-        }
-        let aggs = r.topologies();
-        assert_eq!(aggs.len(), 1, "5 iterations roll up into 1 topology");
-        let agg = &aggs[0];
-        assert_eq!(agg.topology, 42);
-        assert_eq!(agg.dispatched, 5);
-        assert_eq!(agg.completed, 5);
-        assert_eq!(agg.tasks_dispatched, 15);
-        assert_eq!(agg.first_run, 100);
-        assert_eq!(agg.last_run, 104);
-        assert_eq!(r.get(42).unwrap(), aggs[0]);
-        assert!(r.get(7).is_none());
     }
 
     #[test]

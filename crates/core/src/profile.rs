@@ -26,7 +26,7 @@
 
 use crate::graph::{Graph, Node};
 use crate::observer::{SchedEvent, SchedEventKind};
-use crate::stats::Histogram;
+use crate::stats::{AtomicHistogram, Histogram};
 use crate::wire::{json, prom};
 use std::collections::{HashMap, HashSet};
 
@@ -316,18 +316,18 @@ impl ProfileReport {
 
         // --- Pair begin/end events into spans; collect histograms. -------
         let spans = task_spans(events);
-        let mut task_duration = Histogram::new_us();
+        let task_duration = AtomicHistogram::new();
         for s in &spans {
-            task_duration.observe(s.duration_us());
+            task_duration.record(s.duration_us());
         }
-        let mut steal_latency = Histogram::new_us();
+        let steal_latency = AtomicHistogram::new();
         let mut last_on_lane: HashMap<usize, u64> = HashMap::new();
         let mut dispatch: HashMap<u64, (u64, u64)> = HashMap::new();
         for e in events {
             match &e.kind {
                 SchedEventKind::Steal { .. } => {
                     if let Some(&prev) = last_on_lane.get(&e.worker) {
-                        steal_latency.observe(e.ts_us.saturating_sub(prev));
+                        steal_latency.record(e.ts_us.saturating_sub(prev));
                     }
                 }
                 SchedEventKind::TopologyDispatch { info, .. } => {
@@ -479,8 +479,8 @@ impl ProfileReport {
             iterations,
             nodes,
             utilization,
-            task_duration,
-            steal_latency,
+            task_duration: task_duration.snapshot(),
+            steal_latency: steal_latency.snapshot(),
             total_work_us,
             mean_span_us,
             mean_parallelism,

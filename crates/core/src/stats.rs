@@ -10,16 +10,16 @@
 //!
 //! Beyond plain counters, [`Histogram`] provides the exposition format's
 //! `_bucket`/`_sum`/`_count` histogram families (cumulative buckets with
-//! `le` labels, closed by `+Inf`) used by the causal profiler
-//! ([`crate::profile`]) for task-duration and steal-latency
-//! distributions. Every line of exposition text is written by
+//! `le` labels, closed by `+Inf`): the tenant latency families and the
+//! causal profiler's ([`crate::profile`]) task-duration and steal-latency
+//! distributions, all over one bucket layout. Every line of exposition text is written by
 //! [`crate::wire::prom`]; what this module owns is *which* counters exist:
 //! [`LANE_METRICS`] and [`TENANT_METRICS`] declare each one once (stats
 //! field, Prometheus family, help text, JSON key), and snapshot, delta,
 //! total, `/metrics` and `/status` all walk those tables.
 //!
-//! For the online latency pipeline, [`AtomicHistogram`] is the lock-free
-//! recording side: log-linear (HDR-style) buckets updated with two
+//! [`AtomicHistogram`] is the one recording side, lock-free for the
+//! online latency pipeline: log-linear (HDR-style) buckets updated with two
 //! relaxed `fetch_add`s per observation, snapshotted into a [`Histogram`]
 //! only at scrape time. [`Histogram::percentile`] interpolates quantiles
 //! out of bucketed counts, and the free [`percentile`] function is the
@@ -366,20 +366,20 @@ impl ExecutorStats {
     }
 }
 
-/// Default microsecond bucket bounds: log-ish scale from 1 µs to 100 ms.
-const DEFAULT_US_BOUNDS: &[u64] = &[
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
-];
-
-/// A fixed-bound histogram rendered as a Prometheus histogram family:
+/// An owned histogram snapshot rendered as a Prometheus histogram family:
 /// cumulative `_bucket` samples with `le` labels (closed by `le="+Inf"`),
-/// plus `_sum` and `_count`.
+/// plus `_sum` and `_count`. Nothing records into one: observations go
+/// through an [`AtomicHistogram`], whose [`snapshot`](AtomicHistogram::snapshot)
+/// is this type over the one log-linear layout, and a scrape is rebuilt
+/// with [`from_parts`](Histogram::from_parts).
 ///
 /// ```
-/// let mut h = rustflow::Histogram::new_us();
-/// h.observe(3);
-/// h.observe(40);
-/// let text = h.prometheus_text("rustflow_task_duration_us", "Task durations.");
+/// let recorder = rustflow::AtomicHistogram::new();
+/// recorder.record(3);
+/// recorder.record(40);
+/// let text = recorder
+///     .snapshot()
+///     .prometheus_text("rustflow_task_duration_us", "Task durations.");
 /// assert!(text.contains("rustflow_task_duration_us_bucket{le=\"+Inf\"} 2"));
 /// assert!(text.contains("rustflow_task_duration_us_sum 43"));
 /// assert!(text.contains("rustflow_task_duration_us_count 2"));
@@ -394,34 +394,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram with the default microsecond bounds (1 µs … 100 ms,
-    /// log-ish scale, `+Inf` overflow bucket).
-    pub fn new_us() -> Histogram {
-        Histogram::with_bounds(DEFAULT_US_BOUNDS.to_vec())
-    }
-
-    /// A histogram with custom inclusive upper `bounds` (must be strictly
-    /// increasing; an `+Inf` overflow bucket is implicit).
-    pub fn with_bounds(bounds: Vec<u64>) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let n = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            sum: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .partition_point(|&b| b < value)
-            .min(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -472,10 +444,8 @@ impl Histogram {
     /// empty histogram.
     ///
     /// ```
-    /// let mut h = rustflow::Histogram::with_bounds(vec![10, 20, 40]);
-    /// for v in [4, 8, 12, 16, 35] {
-    ///     h.observe(v);
-    /// }
+    /// // 4 and 8 in (0, 10], 12 and 16 in (10, 20], 35 in (20, 40].
+    /// let h = rustflow::Histogram::from_parts(vec![10, 20, 40], vec![2, 2, 1, 0], 75).unwrap();
     /// let p50 = h.percentile(0.5);
     /// assert!(p50 > 10.0 && p50 <= 20.0, "p50 = {p50}");
     /// ```
@@ -803,14 +773,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_closed_by_inf() {
-        let mut h = Histogram::with_bounds(vec![10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
+        // 1, 10, 11, 100 and 5000 under inclusive bounds: 10 lands in
+        // le="10", 100 in le="100".
+        let h = Histogram::from_parts(vec![10, 100, 1000], vec![2, 2, 0, 1], 5122).unwrap();
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 5122);
-        // Bounds are inclusive: 10 lands in le="10", 100 in le="100".
-        assert_eq!(h.bucket_counts(), &[2, 2, 0, 1]);
         let text = h.prometheus_text("x_us", "help");
         assert_eq!(prom::parse(&text).unwrap().families[0].kind, "histogram");
         assert!(text.contains("x_us_bucket{le=\"10\"} 2"));
@@ -840,10 +807,9 @@ mod tests {
 
     #[test]
     fn histogram_percentile_brackets_the_true_quantile() {
-        let mut h = Histogram::with_bounds(AtomicHistogram::bounds_us());
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
+        let recorder = AtomicHistogram::new();
+        (1..=1000u64).for_each(|v| recorder.record(v));
+        let h = recorder.snapshot();
         for (q, exact) in [(0.5, 500.0), (0.9, 900.0), (0.99, 990.0)] {
             let est = h.percentile(q);
             // Log-linear layout: at most one bucket width (≤25%) off.
@@ -853,15 +819,12 @@ mod tests {
             );
         }
         // Empty histogram reports 0.
-        assert_eq!(Histogram::new_us().percentile(0.99), 0.0);
+        assert_eq!(AtomicHistogram::new().snapshot().percentile(0.99), 0.0);
     }
 
     #[test]
     fn histogram_count_le_quantizes_to_bucket_bound() {
-        let mut h = Histogram::with_bounds(vec![10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
+        let h = Histogram::from_parts(vec![10, 100, 1000], vec![2, 2, 0, 1], 5122).unwrap();
         assert_eq!(h.count_le(10), 2);
         // 50 falls in the (10, 100] bucket: the whole bucket counts.
         assert_eq!(h.count_le(50), 4);

@@ -61,17 +61,47 @@ fn cocomo_matches_paper_table2_exactly() {
 
 #[test]
 fn loc_ordering_of_micro_benchmark_impls_holds() {
-    // The Table I conclusion, asserted as a test so regressions in the
-    // implementations keep the programmability story honest.
-    let dir = repo_root().join("crates/bench/src/impls");
-    let loc = |f: &str| {
-        count_sloc(&std::fs::read_to_string(dir.join(f)).unwrap_or_else(|e| panic!("{f}: {e}")))
+    // The Table I / III conclusion, asserted as a test so regressions in
+    // the implementations keep the programmability story honest. The
+    // sources are the contender table's, so a model added there is held
+    // to the same orderings.
+    use tf_bench::impls::{Backend, CONTENDERS};
+    let loc = |path: std::path::PathBuf| {
+        let source = std::fs::read_to_string(&path);
+        count_sloc(&source.unwrap_or_else(|e| panic!("{}: {e}", path.display())))
     };
-    // Traversal: sequential < rustflow < tbb-style.
-    assert!(loc("traversal_seq.rs") < loc("traversal_rustflow.rs"));
-    assert!(loc("traversal_rustflow.rs") < loc("traversal_flowgraph.rs"));
-    // DNN: sequential < rustflow <= tbb-style < openmp-style.
-    assert!(loc("dnn_seq.rs") < loc("dnn_rustflow.rs"));
-    assert!(loc("dnn_rustflow.rs") <= loc("dnn_flowgraph.rs"));
-    assert!(loc("dnn_flowgraph.rs") < loc("dnn_openmp.rs"));
+    // Per model: (label, is it parallel, wavefront, traversal, DNN lines).
+    let lines: Vec<_> = CONTENDERS
+        .iter()
+        .map(|c| {
+            let sources = [
+                c.wavefront.source_path(),
+                c.traversal.source_path(),
+                c.dnn.source_path(),
+            ];
+            (c.label, c.backend != Backend::Inline, sources.map(loc))
+        })
+        .collect();
+    let of = |label: &str| {
+        let row = lines.iter().find(|(model, ..)| *model == label);
+        row.unwrap_or_else(|| panic!("no contender {label}")).2
+    };
+    let [sequential, rustflow, tbb, openmp] =
+        ["sequential", "rustflow", "tbb-style", "openmp-style"].map(of);
+    for benchmark in 0..3 {
+        // Sequential is the shortest; rustflow no longer than either
+        // competing model.
+        for (label, parallel, model) in &lines {
+            assert!(
+                !parallel || sequential[benchmark] < model[benchmark],
+                "{label}"
+            );
+        }
+        assert!(rustflow[benchmark] <= tbb[benchmark]);
+        assert!(rustflow[benchmark] <= openmp[benchmark]);
+    }
+    // Traversal: rustflow strictly below tbb-style; DNN: tbb-style below
+    // openmp-style.
+    assert!(rustflow[1] < tbb[1]);
+    assert!(tbb[2] < openmp[2]);
 }
