@@ -656,8 +656,8 @@ fn guest_seat_no_lost_task() {
             run.future.get();
         }
 
-        /// `worker_loop`, without its own pops (its deque stays empty),
-        /// the cache slot and the load-balancing coin.
+        /// `worker_loop`, without its own pops (its deque stays empty)
+        /// and the cache slot.
         fn worker_loop(&self) {
             while !self.stop.load(Ordering::Acquire) {
                 let task = self.steal_round(&self.seat_stealer);

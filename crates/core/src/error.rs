@@ -210,10 +210,9 @@ pub enum RunError {
     /// batch ran.
     Rejected(AdmissionError),
     /// The run was shed from its tenant queue before dispatch: its
-    /// deadline expired while it waited, or the overload controller
-    /// dropped it (newest-first) because the tenant was burning its SLO
-    /// error budget. No task of this batch ran; the topology was never
-    /// claimed, so it re-arms clean for the next submission.
+    /// deadline expired while it waited. No task of this batch ran; the
+    /// topology was never claimed, so it re-arms clean for the next
+    /// submission.
     Shed {
         /// Name of the tenant whose queue shed the run.
         tenant: String,
@@ -254,7 +253,7 @@ impl RunError {
     }
 
     /// `true` when the run was shed from its tenant queue before
-    /// dispatch (expired deadline or overload-controller drop).
+    /// dispatch because its deadline expired there.
     pub fn is_shed(&self) -> bool {
         matches!(self, RunError::Shed { .. })
     }
@@ -279,7 +278,7 @@ impl fmt::Display for RunError {
             RunError::Shed { tenant, queued_for } => write!(
                 f,
                 "run shed from tenant '{tenant}' queue after {queued_for:?} \
-                 (deadline expired or overload)"
+                 (deadline expired)"
             ),
         }
     }
@@ -386,7 +385,7 @@ mod tests {
         assert!(shed.as_rejected().is_none());
         assert_eq!(
             shed.to_string(),
-            "run shed from tenant 'api' queue after 12ms (deadline expired or overload)"
+            "run shed from tenant 'api' queue after 12ms (deadline expired)"
         );
         assert!(!RunError::Cancelled.is_shed());
     }

@@ -33,32 +33,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Tunables of the scheduling algorithm; the defaults match the paper.
-/// The ablation switches exist so the benches can quantify each heuristic.
-#[derive(Debug, Clone)]
-pub(crate) struct Config {
-    /// Use the per-worker cache slot for the first ready successor.
-    pub cache_slot: bool,
-    /// After draining a chain, wake one idler with probability
-    /// `1/wake_ratio` (0 disables the heuristic).
-    pub wake_ratio: u64,
-    /// Admission budget: how many tenant-submitted topologies may be
-    /// dispatched-but-not-finalized at once. Submissions past it queue
-    /// per tenant and are released by weighted fair queueing.
-    /// `usize::MAX` (the default) never queues.
-    pub max_inflight: usize,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            cache_slot: true,
-            wake_ratio: 64,
-            max_inflight: usize::MAX,
-        }
-    }
-}
-
 /// Builds an [`Executor`] with custom settings.
 ///
 /// ```
@@ -68,7 +42,8 @@ impl Default for Config {
 #[derive(Debug, Default)]
 pub struct ExecutorBuilder {
     workers: Option<usize>,
-    cfg: Config,
+    /// `None` (the default) never queues a tenant submission.
+    max_inflight: Option<usize>,
 }
 
 impl ExecutorBuilder {
@@ -83,34 +58,20 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Ablation switch: disable the per-worker task cache so every ready
-    /// successor goes through the deque.
-    pub fn cache_slot(mut self, enabled: bool) -> Self {
-        self.cfg.cache_slot = enabled;
-        self
-    }
-
-    /// Ablation switch: the load-balancing wake-up fires with probability
-    /// `1/ratio` after each drained chain (0 disables it).
-    pub fn wake_ratio(mut self, ratio: u64) -> Self {
-        self.cfg.wake_ratio = ratio;
-        self
-    }
-
     /// Admission budget for tenant submissions: at most `n` tenant
     /// topologies may be dispatched-but-not-finalized at once; further
     /// submissions wait in their tenant's bounded queue and are released
     /// by weighted fair queueing. Defaults to unlimited (submissions
     /// dispatch immediately and tenant queues never fill).
     pub fn max_inflight(mut self, n: usize) -> Self {
-        self.cfg.max_inflight = n.max(1);
+        self.max_inflight = Some(n.max(1));
         self
     }
 
     /// Builds the executor and spawns its worker threads.
     pub fn build(self) -> Arc<Executor> {
         let workers = self.workers.unwrap_or_else(default_parallelism);
-        Executor::with_config(workers, self.cfg)
+        Executor::with_budget(workers, self.max_inflight.unwrap_or(usize::MAX))
     }
 }
 
@@ -144,7 +105,6 @@ pub(crate) struct Inner {
     pub(crate) shareds: Box<[WorkerShared]>,
     /// How many of `shareds` belong to worker threads (the leading ones).
     pub(crate) num_workers: usize,
-    pub(crate) cfg: Config,
     /// The shared monotonic clock origin ([`crate::clock::origin`]),
     /// latched here so every timestamp this executor emits — ring events,
     /// flight-recorder windows, `/trace` output, profile spans — lives in
@@ -299,12 +259,14 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor with `workers` threads and default heuristics.
+    /// Creates an executor with `workers` threads and no admission budget.
     pub fn new(workers: usize) -> Arc<Executor> {
-        Executor::with_config(workers.max(1), Config::default())
+        Executor::with_budget(workers.max(1), usize::MAX)
     }
 
-    fn with_config(workers: usize, cfg: Config) -> Arc<Executor> {
+    /// `workers` threads, at most `max_inflight` tenant topologies in
+    /// flight ([`ExecutorBuilder::max_inflight`]).
+    fn with_budget(workers: usize, max_inflight: usize) -> Arc<Executor> {
         let lanes = workers + GUEST_SEATS;
         let mut ctxs = Vec::with_capacity(lanes);
         let mut shareds = Vec::with_capacity(lanes);
@@ -331,10 +293,9 @@ impl Executor {
             all_done: Condvar::new(),
             closing: AtomicBool::new(false),
             qos: Mutex::new(QosState::default()),
-            budget: FrontDoorBudget::new(cfg.max_inflight),
+            budget: FrontDoorBudget::new(max_inflight),
             observers: RwLock::new(Vec::new()),
             has_observers: AtomicBool::new(false),
-            cfg,
             epoch: crate::clock::origin(),
             introspect_live: AtomicBool::new(false),
             introspect: RwLock::new(None),
@@ -649,9 +610,7 @@ pub(crate) fn advance_topology(
                     fence(Ordering::SeqCst);
                     for _ in 0..k {
                         match inner.notifier.wake_one() {
-                            Some(w) => {
-                                notify_observers(inner, |ob| ob.on_wake(DISPATCH_LANE, w, true))
-                            }
+                            Some(w) => notify_observers(inner, |ob| ob.on_wake(DISPATCH_LANE, w)),
                             None => break,
                         }
                     }

@@ -53,14 +53,14 @@ pub(crate) enum Block {
 /// How a tenant submission ended. Each `submitted` increment is matched by
 /// exactly one of these, recorded by [`TenantState::record`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Outcome {
+enum Outcome {
     /// Claimed its topology's driver role: one stint, one `completed`.
     Dispatched,
     /// Joined the batch queue of a topology already running under
     /// another claim; resolves with that stint.
     Coalesced,
-    /// Dropped from the queue by an expired deadline or the overload
-    /// controller ([`RunError::Shed`]).
+    /// Dropped from the queue by the pump because its deadline expired
+    /// there ([`RunError::Shed`]).
     Shed,
     /// Refused with [`AdmissionError::Saturated`].
     RejectedSaturated,
@@ -169,7 +169,7 @@ impl FrontDoorBudget {
 const VT_SCALE: u64 = 1 << 20;
 
 /// A run waiting in a tenant queue for a dispatch slot.
-pub(crate) struct QueuedRun {
+struct QueuedRun {
     topo: Arc<Topology>,
     pending: PendingRun,
     /// [`crate::clock::now_us`] at admission into the tenant queue
@@ -216,7 +216,7 @@ pub(crate) struct TenantState {
 
     // ---- written on the way in: submit, admission, dispatch ----
     _door: LineBreak,
-    pub(crate) queue: Mutex<VecDeque<QueuedRun>>,
+    queue: Mutex<VecDeque<QueuedRun>>,
     /// Signalled when queue space frees up (dispatch) or admission closes
     /// (shutdown); blocking submitters wait on it.
     space: Condvar,
@@ -299,18 +299,11 @@ impl TenantState {
         self.outcomes[outcome as usize].load(Ordering::Relaxed)
     }
 
-    /// Pops one run and moves the gauges with it, under the queue lock:
-    /// out of `queued` and the backlog, into `inflight` until its outcome
-    /// is final. `pop` picks the end: `VecDeque::pop_front` for the run
-    /// closest to dispatch (the pump, the shutdown drain), `pop_back` for
-    /// the one furthest from it (the overload shed).
-    pub(crate) fn unqueue(
-        &self,
-        q: &mut VecDeque<QueuedRun>,
-        budget: &FrontDoorBudget,
-        pop: fn(&mut VecDeque<QueuedRun>) -> Option<QueuedRun>,
-    ) -> Option<QueuedRun> {
-        let run = pop(q)?;
+    /// Pops the run closest to dispatch and moves the gauges with it,
+    /// under the queue lock: out of `queued` and the backlog, into
+    /// `inflight` until its outcome is final.
+    fn unqueue(&self, q: &mut VecDeque<QueuedRun>, budget: &FrontDoorBudget) -> Option<QueuedRun> {
+        let run = q.pop_front()?;
         self.queued.fetch_sub(1, Ordering::Relaxed);
         budget.unqueued(1);
         self.inflight.fetch_add(1, Ordering::Relaxed);
@@ -324,7 +317,7 @@ impl TenantState {
     /// with no lock held — promise resolution can run arbitrary waker
     /// code. The run never reached `Topology::enqueue`, so the topology
     /// stays idle/claimable: re-arming after a shed needs no cleanup.
-    pub(crate) fn retire(&self, run: QueuedRun, outcome: Outcome) {
+    fn retire(&self, run: QueuedRun, outcome: Outcome) {
         let error = match outcome {
             Outcome::Shed => RunError::Shed {
                 tenant: self.name.clone(),
@@ -576,12 +569,6 @@ impl Inner {
         self.qos.lock().tenants.clone()
     }
 
-    /// The tenant called `name`, if one was ever created.
-    pub(crate) fn find_tenant(&self, name: &str) -> Option<Arc<TenantState>> {
-        let qos = self.qos.lock();
-        qos.tenants.iter().find(|t| t.name == name).cloned()
-    }
-
     /// Snapshot of every tenant's counters and gauges.
     pub(crate) fn tenant_stats(&self) -> Vec<TenantStats> {
         self.tenants().iter().map(|t| t.snapshot()).collect()
@@ -748,11 +735,10 @@ fn next_dispatch(
             let mut q = tenant.queue.lock();
             let now = crate::clock::now_us().max(1);
             loop {
-                let Some(mut run) = tenant.unqueue(&mut q, &inner.budget, VecDeque::pop_front)
-                else {
-                    // The whole queue was doomed work (or a shed or a
-                    // shutdown drain emptied it since the scan); rescan —
-                    // another tenant may still have dispatchable runs.
+                let Some(mut run) = tenant.unqueue(&mut q, &inner.budget) else {
+                    // The whole queue was doomed work (or a shutdown drain
+                    // emptied it since the scan); rescan — another tenant
+                    // may still have dispatchable runs.
                     continue 'scan;
                 };
                 if run.deadline_us != 0 && now >= run.deadline_us {
@@ -909,9 +895,7 @@ pub(crate) fn drain_for_shutdown(inner: &Inner) {
     for tenant in inner.tenants() {
         let drained: Vec<QueuedRun> = {
             let mut q = tenant.queue.lock();
-            let runs =
-                std::iter::from_fn(|| tenant.unqueue(&mut q, &inner.budget, VecDeque::pop_front))
-                    .collect();
+            let runs = std::iter::from_fn(|| tenant.unqueue(&mut q, &inner.budget)).collect();
             // Unblock submitters waiting for queue space; they
             // re-check the closing flag and return the typed error.
             tenant.space.notify_all();

@@ -28,7 +28,9 @@
 //!    long window (`SloSpec::window`) and the fast window (`window/12`)
 //!    — a sustained breach fires within the fast window, while a spike
 //!    that ended long ago does not page. One report per episode; the
-//!    episode re-arms once the fast-window burn drops below 1.
+//!    episode re-arms once the fast-window burn drops below 1. The report
+//!    is all it does: the watchdog reads the front door and never writes
+//!    it (a tenant that wants queued runs dropped sets a deadline).
 //!
 //! All state lives in [`WatchdogPass`], which the collector keeps inside
 //! the pass mutex — passes are serialized, so detection needs no atomics
@@ -118,18 +120,6 @@ pub enum WatchdogDiagnostic {
         /// (1.0 = exactly budget pace; the fire threshold is 2.0).
         burn: f64,
     },
-    /// The overload controller shed queued runs from a tenant whose SLO
-    /// burn rate fired: queued work was failed with
-    /// [`RunError::Shed`](crate::RunError) so the remaining queue can
-    /// still meet its deadlines.
-    OverloadShed {
-        /// The over-budget tenant's name.
-        tenant: String,
-        /// Runs shed by this intervention (newest-first).
-        shed: u64,
-        /// Runs still queued after the shed.
-        queued: u64,
-    },
     /// A tenant's circuit breaker changed state
     /// ([`crate::BreakerState`]): consecutive failures opened it, the
     /// open window elapsed into a half-open probe, or a probe verdict
@@ -187,14 +177,6 @@ impl std::fmt::Display for WatchdogDiagnostic {
                 "tenant \"{tenant}\" is burning its p99 SLO error budget at {burn:.1}x \
                  ({breached}/{total} runs over {target_p99_us}us in the last {window:?})"
             ),
-            WatchdogDiagnostic::OverloadShed {
-                tenant,
-                shed,
-                queued,
-            } => write!(
-                f,
-                "overload controller shed {shed} queued runs from tenant \"{tenant}\" ({queued} still queued)"
-            ),
             WatchdogDiagnostic::BreakerTransition { tenant, from, to } => write!(
                 f,
                 "tenant \"{tenant}\" circuit breaker: {from} -> {to}"
@@ -214,8 +196,6 @@ pub struct WatchdogCounts {
     pub ring_saturation: u64,
     /// [`WatchdogDiagnostic::SloBurn`] emissions.
     pub slo_burn: u64,
-    /// [`WatchdogDiagnostic::OverloadShed`] emissions.
-    pub overload_shed: u64,
     /// [`WatchdogDiagnostic::BreakerTransition`] emissions.
     pub breaker_transitions: u64,
 }
@@ -233,8 +213,6 @@ metric_table!(
         "Watchdog reports of event-ring overflow between collection passes.";
     SloBurn = slo_burn counter "rustflow_slo_breach_total"
         "Watchdog reports of a tenant burning its latency SLO error budget too fast.";
-    OverloadShed = overload_shed counter "rustflow_watchdog_overload_shed_total"
-        "Overload-controller interventions that shed queued runs from an over-budget tenant.";
     BreakerTransition = breaker_transitions counter "rustflow_breaker_transitions_total"
         "Tenant circuit-breaker state changes (closed/open/half-open, any direction).";
 );
@@ -290,7 +268,6 @@ impl Watchdog {
             WatchdogDiagnostic::StalledTopology { .. } => Tripped::StalledTopology,
             WatchdogDiagnostic::RingSaturation { .. } => Tripped::RingSaturation,
             WatchdogDiagnostic::SloBurn { .. } => Tripped::SloBurn,
-            WatchdogDiagnostic::OverloadShed { .. } => Tripped::OverloadShed,
             WatchdogDiagnostic::BreakerTransition { .. } => Tripped::BreakerTransition,
         };
         self.counters[counted_as as usize].fetch_add(1, Ordering::Relaxed);
@@ -500,19 +477,6 @@ pub(crate) fn check(
                     total: l.total,
                     burn: l.rate,
                 });
-                // Overload controller: an over-budget tenant's queue is
-                // its own worst enemy — shed the newest half so the work
-                // already closest to dispatch can still meet its
-                // deadlines. One intervention per burn episode (the
-                // episode re-arms below once the fast window cools).
-                let (shed, queued) = crate::resilience::shed_overburn(inner, &t.name);
-                if shed > 0 {
-                    wd.emit(&WatchdogDiagnostic::OverloadShed {
-                        tenant: t.name.clone(),
-                        shed,
-                        queued,
-                    });
-                }
             }
             (_, Some(s)) if s.rate < SLO_BURN_CLEAR => track.firing = false,
             _ => {}

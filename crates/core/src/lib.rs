@@ -44,8 +44,8 @@
 //! owns a Chase–Lev deque plus an *exclusive task cache* that lets linear
 //! task chains run speculatively with no queue traffic; idle workers park
 //! on a precise *idler list* from which wakers pop exactly one spare
-//! worker; and a finishing worker occasionally wakes an idler to
-//! rebalance load. See [`Executor`] for details and ablation switches.
+//! worker, and a worker is woken only for a pushed task that no spinning
+//! thief will find. See [`Executor`] for details.
 
 #![warn(missing_docs)]
 #![warn(unsafe_op_in_unsafe_fn)]

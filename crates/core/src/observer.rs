@@ -47,7 +47,9 @@ pub const DISPATCH_LANE: usize = usize::MAX;
 ///   tenant stint driving the topology ([`IterationInfo::submit_us`];
 ///   `0` = untenanted), anchoring each
 ///   stint's lifecycle decomposition in the trace's time domain.
-pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 5;
+/// * **v6** — [`SchedEventKind::Wake`] loses its `targeted` flag: every
+///   wake-up is a push-side one since the post-chain coin went.
+pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 6;
 
 /// Identity of one task execution, attached to task begin/end events.
 ///
@@ -91,9 +93,8 @@ pub struct IterationInfo {
 ///
 /// The variants mirror Algorithm 1 of the paper: task execution (lines
 /// 16–25), the exclusive-cache fast path, work stealing (line 3), parking
-/// on the idler list (lines 5–13), wake-ups (targeted on submission,
-/// probabilistic after a drained chain, lines 26–28), and topology
-/// dispatch/finalize (§III-C).
+/// on the idler list (lines 5–13), wake-ups (on a push no spinning thief
+/// will see), and topology dispatch/finalize (§III-C).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedEventKind {
     /// A worker is about to invoke a task's callable (schema v2: carries
@@ -139,9 +140,6 @@ pub enum SchedEventKind {
     Wake {
         /// The worker that was woken.
         woken: usize,
-        /// `true` for submission-driven wakes, `false` for the
-        /// probabilistic load-balancing wake after a drained chain.
-        targeted: bool,
     },
     /// A topology iteration was dispatched to the executor. A reusable
     /// topology driven by `run_n`/`run_until` emits one dispatch event per
@@ -227,11 +225,10 @@ pub trait ExecutorObserver: Send + Sync {
     fn on_injector_pop(&self, _worker: usize) {}
     /// Called when `worker` is about to park on the idler list.
     fn on_park(&self, _worker: usize) {}
-    /// Called when `waker` wakes the parked worker `woken`. `targeted` is
-    /// `true` for submission-driven wakes and `false` for the
-    /// probabilistic load-balancing wake; `waker` is [`DISPATCH_LANE`]
-    /// when the wake came from a dispatching (non-worker) thread.
-    fn on_wake(&self, _waker: usize, _woken: usize, _targeted: bool) {}
+    /// Called when `waker` wakes the parked worker `woken`; `waker` is
+    /// [`DISPATCH_LANE`] when the wake came from a dispatching
+    /// (non-worker) thread.
+    fn on_wake(&self, _waker: usize, _woken: usize) {}
     /// Called when an iteration of a topology with `num_tasks` top-level
     /// tasks is handed to the executor — on the submitting thread for the
     /// first iteration of a batch, on the re-arming worker for later
@@ -523,10 +520,7 @@ pub fn chrome_trace_json_from(events: &[SchedEvent], num_lanes: usize) -> String
             SchedEventKind::Steal { victim } => ("steal", "sched", false, vec![("victim", victim)]),
             SchedEventKind::StealFail => ("steal-fail", "sched", false, vec![]),
             SchedEventKind::InjectorPop => ("injector-pop", "sched", false, vec![]),
-            SchedEventKind::Wake { woken, targeted } => {
-                let args: Args<'_> = vec![("woken", woken), ("targeted", targeted)];
-                ("wake", "sched", false, args)
-            }
+            SchedEventKind::Wake { woken } => ("wake", "sched", false, vec![("woken", woken)]),
             SchedEventKind::TopologyDispatch { info, tasks } => {
                 let mut args = topology_args(info);
                 args.extend([("tasks", tasks as &dyn Display), ("tenant", &info.tenant)]);
@@ -630,12 +624,8 @@ impl ExecutorObserver for Tracer {
     fn on_park(&self, worker: usize) {
         self.record(worker, TaskLabel::empty(), SchedEventKind::Park);
     }
-    fn on_wake(&self, waker: usize, woken: usize, targeted: bool) {
-        self.record(
-            waker,
-            TaskLabel::empty(),
-            SchedEventKind::Wake { woken, targeted },
-        );
+    fn on_wake(&self, waker: usize, woken: usize) {
+        self.record(waker, TaskLabel::empty(), SchedEventKind::Wake { woken });
     }
     fn on_topology_start(&self, info: IterationInfo, num_tasks: usize) {
         self.record(
@@ -703,7 +693,7 @@ mod tests {
         t.on_steal_fail(1);
         t.on_injector_pop(0);
         t.on_park(1);
-        t.on_wake(0, 1, true);
+        t.on_wake(0, 1);
         t.on_cache_hit(0, &label("c"));
         let info = IterationInfo {
             run: 7,
@@ -735,7 +725,7 @@ mod tests {
         t.on_exit(1, &label("beta"));
         t.on_steal(1, 0);
         t.on_park(1);
-        t.on_wake(0, 1, false);
+        t.on_wake(0, 1);
         let json = t.chrome_trace_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"alpha\""));

@@ -1,17 +1,16 @@
 //! Resilience: what a client asks of a tenant ([`TenantQos`] and the specs
 //! it is made of) next to the machinery that honours each spec — the
 //! circuit-breaker word machine ([`Breaker`]), the retry budget
-//! ([`RetryMeter`]), the deadline-feasibility estimate
-//! ([`check_deadline`]) and the overload shed ([`shed_overburn`]). Each is
-//! a small stage the front door ([`crate::frontdoor`]) calls at one point
-//! of a run's life; none of them knows about queues, fair queueing or the
-//! scheduler. SLO burn rates are judged in `introspect/watchdog.rs`.
+//! ([`RetryMeter`]) and the deadline-feasibility estimate
+//! ([`check_deadline`]). Each is a small stage the front door
+//! ([`crate::frontdoor`]) calls at one point of a run's life; none of them
+//! knows about queues, fair queueing or the scheduler. SLO burn rates are
+//! judged in `introspect/watchdog.rs`, which reports them and acts on no
+//! queue: the one rule that drops a queued run is the pump's deadline
+//! check, so a tenant that wants its queue shed sets a deadline.
 
 use crate::error::AdmissionError;
-use crate::executor::Inner;
-use crate::frontdoor::Outcome;
 use crate::sync::{AtomicBool, AtomicU64};
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -31,7 +30,9 @@ pub struct TenantQos {
     /// multi-window burn-rate check over this tenant's end-to-end latency
     /// histogram and emits
     /// [`WatchdogDiagnostic::SloBurn`](crate::WatchdogDiagnostic) when
-    /// the error budget burns too fast (see [`SloSpec`]).
+    /// the error budget burns too fast (see [`SloSpec`]). It is a report
+    /// only: to have queued runs dropped, set `deadline` (for example to
+    /// the SLO target).
     pub slo: Option<SloSpec>,
     /// Default deadline applied to every run submitted on this tenant
     /// (overridable per run via
@@ -437,28 +438,4 @@ pub(crate) fn check_deadline(
         }
     }
     Ok(())
-}
-
-/// The overload controller's actuator, invoked from the watchdog when a
-/// tenant's SLO burn rate fires: sheds the newest half of the tenant's
-/// queued runs (newest-first — the oldest queued work is closest to
-/// dispatch and most worth finishing). Returns `(shed, still_queued)`.
-pub(crate) fn shed_overburn(inner: &Inner, tenant: &str) -> (u64, u64) {
-    let Some(state) = inner.find_tenant(tenant) else {
-        return (0, 0);
-    };
-    let mut dropped = Vec::new();
-    let remaining = {
-        let mut q = state.queue.lock();
-        let keep = q.len() / 2;
-        while q.len() > keep {
-            dropped.extend(state.unqueue(&mut q, &inner.budget, VecDeque::pop_back));
-        }
-        q.len() as u64
-    };
-    let count = dropped.len() as u64;
-    for run in dropped {
-        state.retire(run, Outcome::Shed);
-    }
-    (count, remaining)
 }

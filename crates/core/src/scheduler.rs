@@ -7,9 +7,11 @@
 //! same worker — linear chains run speculatively with no queue traffic and
 //! no wake-ups (Algorithm 1 lines 16–25). Workers that find every queue
 //! empty park themselves on the **idler list** ([`crate::notifier`]), from
-//! which wakers pop exactly one spare worker (lines 5–13). After draining
-//! a chain, a worker wakes one idler with a small probability to rebalance
-//! load (lines 26–28).
+//! which wakers pop exactly one spare worker (lines 5–13). One rule wakes
+//! a worker: a push onto a deque while no thief is spinning ([`schedule`]).
+//! The paper's other one, a 1-in-64 coin after every drained chain (lines
+//! 26–28), is not kept: the spinning rule already reaches every pushed
+//! task, and Taskflow's later executor has no such coin either.
 //!
 //! Beside the workers' lanes sit a few **guest seats**: the same deque,
 //! cache slot and counters, owned for the length of one call by a thread
@@ -93,8 +95,6 @@ pub(crate) struct WorkerCtx {
     owner: wsq::Owner,
     /// The exclusive task cache (Algorithm 1); 0 = empty.
     cache: usize,
-    /// xorshift64 state for the probabilistic wake-up.
-    rng: u64,
     last_victim: usize,
 }
 
@@ -105,7 +105,6 @@ impl WorkerCtx {
             id,
             owner,
             cache: 0,
-            rng: 0x9E37_79B9_7F4A_7C15 ^ ((id as u64 + 1) << 17),
             last_victim: (id + 1) % lanes,
         }
     }
@@ -117,18 +116,6 @@ impl WorkerCtx {
             0 => self.owner.pop().unwrap_or(0),
             t => t,
         }
-    }
-
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64: cheap thread-local randomness; quality is irrelevant,
-        // we only need an unbiased-enough coin for the wake heuristic.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
     }
 }
 
@@ -160,13 +147,6 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
             continue;
         }
         run_chain(inner, &mut ctx, t);
-        // Lines 26–28: probabilistic wake-up for load balancing.
-        if inner.cfg.wake_ratio != 0 && ctx.next_rand().is_multiple_of(inner.cfg.wake_ratio) {
-            if let Some(woken) = inner.notifier.wake_one() {
-                inner.shareds[ctx.id].count(Counter::WakesSent);
-                notify_observers(inner, |ob| ob.on_wake(ctx.id, woken, false));
-            }
-        }
     }
 }
 
@@ -175,9 +155,8 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
 /// then `done`, then one steal round. It returns when `done()` holds or
 /// when a round found nothing and every queue is empty, which is where a
 /// worker would park; either way the seat's cache and deque are empty, so
-/// the next guest inherits no task. It neither parks on the idler list
-/// nor flips the load-balancing coin: its caller blocks on the run's
-/// promise, and the workers rebalance among themselves.
+/// the next guest inherits no task. It never parks on the idler list: its
+/// caller blocks on the run's promise instead.
 pub(crate) fn guest_loop(inner: &Inner, ctx: &mut WorkerCtx, done: impl Fn() -> bool) {
     loop {
         let mut t = ctx.next_local();
@@ -297,7 +276,7 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
 /// topology alive.
 pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
     let item = node as usize;
-    if inner.cfg.cache_slot && ctx.cache == 0 {
+    if ctx.cache == 0 {
         // First ready successor: speculative execution, no queue traffic.
         ctx.cache = item;
         return;
@@ -310,7 +289,7 @@ pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode)
     if inner.num_spinning.load(Ordering::SeqCst) == 0 {
         if let Some(woken) = inner.notifier.wake_one() {
             inner.shareds[ctx.id].count(Counter::WakesSent);
-            notify_observers(inner, |ob| ob.on_wake(ctx.id, woken, true));
+            notify_observers(inner, |ob| ob.on_wake(ctx.id, woken));
         }
     }
 }

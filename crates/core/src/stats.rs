@@ -132,7 +132,7 @@ pub struct WorkerStats {
     pub injector_pops: u64,
     /// Times this worker entered the idle path.
     pub parks: u64,
-    /// Wake-ups this worker issued (targeted and probabilistic).
+    /// Wake-ups this lane issued for a task it pushed.
     pub wakes_sent: u64,
     /// Tasks popped ready but skipped because their topology was
     /// cancelled (no closure ran, no span was emitted).
@@ -173,7 +173,7 @@ metric_table!(
         "Tasks taken from the external injector queue.";
     Parks = parks counter "rustflow_parks_total" "Times a worker parked on the idler list.";
     WakesSent = wakes_sent counter "rustflow_wakes_sent_total"
-        "Wake-ups issued (targeted and probabilistic).";
+        "Wake-ups issued for a pushed task.";
     Skipped = skipped counter "rustflow_tasks_skipped_total"
         "Ready tasks skipped because their topology was cancelled.";
     Retries = retries counter "rustflow_task_retries_total"
@@ -225,8 +225,8 @@ pub struct TenantStats {
     /// Submissions fast-rejected by an open circuit breaker
     /// ([`AdmissionError::BreakerOpen`](crate::AdmissionError)).
     pub rejected_breaker: u64,
-    /// Queued runs dropped by the dispatcher or the overload controller
-    /// ([`RunError::Shed`](crate::RunError)).
+    /// Queued runs the dispatcher dropped because their deadline expired
+    /// in the queue ([`RunError::Shed`](crate::RunError)).
     pub shed: u64,
     /// Retries refused by the tenant's retry budget (the task failed
     /// instead of retrying).
@@ -270,7 +270,7 @@ metric_table!(
     rejected_breaker counter "rustflow_tenant_rejected_breaker_total"
         "Submissions fast-rejected by an open circuit breaker.";
     shed counter "rustflow_runs_shed_total"
-        "Queued runs dropped by the dispatcher (deadline expired) or the overload controller.";
+        "Queued runs dropped by the dispatcher because their deadline expired.";
     retry_budget_exhausted counter "rustflow_retry_budget_exhausted_total"
         "Retries refused by the tenant retry budget (task failed instead of retrying).";
     breaker_state gauge "rustflow_breaker_state"

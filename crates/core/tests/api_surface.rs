@@ -55,13 +55,8 @@ fn mutating_task_after_dispatch_panics() {
 fn builder_defaults_and_overrides() {
     let default = ExecutorBuilder::new().build();
     assert!(default.num_workers() >= 1);
-    let custom = ExecutorBuilder::new()
-        .workers(3)
-        .cache_slot(false)
-        .wake_ratio(0)
-        .build();
+    let custom = ExecutorBuilder::new().workers(3).build();
     assert_eq!(custom.num_workers(), 3);
-    // And it still runs graphs correctly with both heuristics off.
     let tf = Taskflow::with_executor(custom);
     let counter = Arc::new(AtomicUsize::new(0));
     for _ in 0..100 {

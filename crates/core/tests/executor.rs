@@ -95,26 +95,6 @@ fn linear_chain_runs_in_order() {
 }
 
 #[test]
-fn cache_slot_disabled_still_correct() {
-    let ex = ExecutorBuilder::new().workers(2).cache_slot(false).build();
-    let tf = Taskflow::with_executor(ex);
-    let counter = Arc::new(AtomicUsize::new(0));
-    let mut prev: Option<rustflow::Task<'_>> = None;
-    for _ in 0..1_000 {
-        let c = Arc::clone(&counter);
-        let t = tf.emplace(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        if let Some(p) = prev {
-            p.precede(t);
-        }
-        prev = Some(t);
-    }
-    tf.wait_for_all();
-    assert_eq!(counter.load(Ordering::SeqCst), 1_000);
-}
-
-#[test]
 fn subflow_join_blocks_successor() {
     let ex = Executor::new(4);
     let tf = Taskflow::with_executor(ex);

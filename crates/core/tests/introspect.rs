@@ -5,7 +5,10 @@
 
 use rustflow::chaos::{ChaosSpec, Fault};
 use rustflow::wire::{json, prom};
-use rustflow::{this_task, Executor, IntrospectConfig, Taskflow, WatchdogDiagnostic};
+use rustflow::{
+    this_task, Executor, ExecutorBuilder, IntrospectConfig, SloSpec, Taskflow, TenantQos,
+    WatchdogDiagnostic,
+};
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -428,6 +431,92 @@ fn watchdog_stays_silent_on_legit_work_and_cancelled_drains() {
     );
     let wd = handle.watchdog_counts();
     assert_eq!((wd.stalled_workers, wd.stalled_topologies), (0, 0));
+}
+
+/// The SLO burn signal is a report and nothing else: a tenant whose every
+/// run misses a 1 µs target fires one `SloBurn` per episode, and the runs
+/// queued behind a held dispatch slot when it fires all dispatch once the
+/// slot frees. None is shed: dropping queued runs is the deadline's job.
+#[test]
+fn slo_burn_reports_once_and_sheds_nothing() {
+    let ex = ExecutorBuilder::new().workers(1).max_inflight(1).build();
+    let handle = ex.start_introspection(manual_config()).unwrap();
+    let burns = Arc::new(AtomicUsize::new(0));
+    let b = Arc::clone(&burns);
+    handle.subscribe_watchdog(move |d| {
+        if let WatchdogDiagnostic::SloBurn { .. } = d {
+            b.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    let tenant = ex.tenant_with(
+        "burning",
+        TenantQos {
+            slo: Some(SloSpec {
+                p99_us: 1,
+                window: Duration::from_secs(60),
+            }),
+            ..TenantQos::default()
+        },
+    );
+    // The baseline pass: no run has finished yet.
+    handle.force_collect();
+    let finished = Taskflow::with_executor(Arc::clone(&ex));
+    finished.emplace(|| {});
+    for _ in 0..12 {
+        finished.run_on(&tenant).unwrap().get().unwrap();
+    }
+
+    // One run holds the only dispatch slot; six more wait behind it.
+    let (started, release) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let holder = Taskflow::with_executor(Arc::clone(&ex));
+    let (s, r) = (Arc::clone(&started), Arc::clone(&release));
+    holder.emplace(move || {
+        s.store(true, Ordering::SeqCst);
+        while !r.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let held = holder.run_on(&tenant).unwrap();
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let ran = Arc::new(AtomicUsize::new(0));
+    let queued: Vec<_> = (0..6)
+        .map(|_| {
+            let tf = Taskflow::with_executor(Arc::clone(&ex));
+            let r = Arc::clone(&ran);
+            tf.emplace(move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            let run = tf.run_on(&tenant).unwrap();
+            (tf, run)
+        })
+        .collect();
+    let queued_before = tenant.stats().queued;
+    handle.force_collect();
+    let (fired, queued_after) = (burns.load(Ordering::SeqCst), tenant.stats().queued);
+    // Still burning: the episode already reported.
+    handle.force_collect();
+    let fired_again = burns.load(Ordering::SeqCst) - fired;
+    // Free the slot before asserting, so a failure cannot wedge the drop.
+    release.store(true, Ordering::SeqCst);
+    held.get().unwrap();
+    let outcomes: Vec<_> = queued.into_iter().map(|(_tf, run)| run.get()).collect();
+
+    assert_eq!(fired, 1, "12 of 12 runs missed 1 µs");
+    assert_eq!(fired_again, 0);
+    assert_eq!(
+        (queued_before, queued_after),
+        (6, 6),
+        "the burn pass touched the queue"
+    );
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    assert_eq!(ran.load(Ordering::SeqCst), 6);
+    assert_eq!(tenant.stats().shed, 0);
+    assert_eq!(handle.watchdog_counts().slo_burn, 1);
 }
 
 // --- Flight-recorder window scoping. ------------------------------------

@@ -15,6 +15,11 @@
 //!   nothing of the serving layers beside it: no `use` of and no path into
 //!   `frontdoor` or `resilience`, and none of their types. It reaches them
 //!   through two calls on the executor core only (see the module's docs).
+//! * Observability reads the front door and never writes it: no file under
+//!   `src/introspect/` calls into `resilience` or takes a run off a tenant
+//!   queue (`unqueue`, `retire`).
+//! * `src/resilience.rs` holds stages the front door calls, so it names
+//!   neither the executor core (`Inner`) nor `frontdoor`.
 //! * Each wire format has one writer: under `crates/*/src`, only
 //!   `rustflow::wire` may spell the Prometheus exposition's header lines
 //!   or a JSON string escape.
@@ -196,22 +201,54 @@ const SERVING_NAMES: [&str; 7] = [
     "RetryBudget",
 ];
 
-#[test]
-fn the_scheduler_names_nothing_of_the_serving_layers() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+/// Every code line of `path` (comments stripped) that names one of
+/// `names`, as `file:line: `name``.
+fn named_in_code(path: &Path, names: &[&str]) -> Vec<String> {
+    let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     let mut violations = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let code = line.split("//").next().unwrap_or("");
-        for name in SERVING_NAMES {
+        for name in names {
             if code.contains(name) {
                 violations.push(format!("{}:{}: `{name}`", path.display(), i + 1));
             }
         }
     }
+    violations
+}
+
+#[test]
+fn the_scheduler_names_nothing_of_the_serving_layers() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
+    let violations = named_in_code(&path, &SERVING_NAMES);
     assert!(
         violations.is_empty(),
         "the scheduler reaches into the serving layers:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn introspection_never_writes_the_front_door() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/introspect");
+    let violations: Vec<String> = rust_files(&dir)
+        .iter()
+        .flat_map(|path| named_in_code(path, &["resilience::", "unqueue", "retire"]))
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "introspection writes into the front door:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn resilience_names_neither_the_core_nor_the_front_door() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/resilience.rs");
+    let violations = named_in_code(&path, &["Inner", "frontdoor"]);
+    assert!(
+        violations.is_empty(),
+        "resilience reaches back into its callers:\n{}",
         violations.join("\n")
     );
 }

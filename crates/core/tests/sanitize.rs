@@ -285,7 +285,7 @@ fn deque_pop_steal_storm() {
         Some("wsq_pop_fence"),
         Sanitizer::new("pop_steal").iters(96),
         || {
-            let ex = ExecutorBuilder::new().workers(2).wake_ratio(1).build();
+            let ex = ExecutorBuilder::new().workers(2).build();
             let tf = Taskflow::with_executor(ex);
             let done = Arc::new(AtomicUsize::new(0));
             fan_out_flow(&tf, 5, &done);
@@ -306,7 +306,7 @@ fn deque_pop_steal_storm() {
 #[test]
 fn deque_grow_under_steal() {
     sanitize(None, Sanitizer::new("grow_steal").iters(24), || {
-        let ex = ExecutorBuilder::new().workers(2).wake_ratio(1).build();
+        let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let done = Arc::new(AtomicUsize::new(0));
         fan_out_flow(&tf, 80, &done);
@@ -441,9 +441,8 @@ fn injector_handoff() {
     );
 }
 
-/// Repeated run→drain→park cycles on a single worker with the
-/// probabilistic wake heuristic off: the park path at whole-executor
-/// scope. The dispatcher publishes into the lock-free injector, issues the
+/// Repeated run→drain→park cycles on a single worker: the park path at
+/// whole-executor scope. The dispatcher publishes into the lock-free injector, issues the
 /// SeqCst Dekker fence and calls `wake_one`, whose fast path reads the
 /// idler count without the idlers mutex; the parking worker counts itself
 /// and re-scans the injector. The injector takes no lock on either side,
@@ -458,7 +457,7 @@ fn park_submit_cycles() {
         Some("notifier_dekker"),
         Sanitizer::new("park_submit").iters(24),
         || {
-            let ex = ExecutorBuilder::new().workers(1).wake_ratio(0).build();
+            let ex = ExecutorBuilder::new().workers(1).build();
             let tf = Taskflow::with_executor(ex);
             let done = Arc::new(AtomicUsize::new(0));
             let d = Arc::clone(&done);
@@ -567,7 +566,7 @@ fn run_n_rearm_boundary() {
         Some("rearm_publish"),
         Sanitizer::new("rearm").iters(96),
         || {
-            let ex = ExecutorBuilder::new().workers(2).wake_ratio(1).build();
+            let ex = ExecutorBuilder::new().workers(2).build();
             let tf = Taskflow::with_executor(ex);
             let done = Arc::new(AtomicUsize::new(0));
             let mk = || {
@@ -644,7 +643,7 @@ fn park_vs_execute_scratch() {
         Some("seed_plain_race"),
         Sanitizer::new("seed_race").iters(96),
         || {
-            let ex = ExecutorBuilder::new().workers(2).wake_ratio(1).build();
+            let ex = ExecutorBuilder::new().workers(2).build();
             let tf = Taskflow::with_executor(ex);
             let done = Arc::new(AtomicUsize::new(0));
             fan_out_flow(&tf, 3, &done);

@@ -420,7 +420,7 @@ fn prometheus_text_from_live_executor_parses() {
 
 #[test]
 fn retry_events_round_trip_with_one_span_per_task() {
-    assert_eq!(rustflow::SCHED_EVENT_SCHEMA_VERSION, 5);
+    assert_eq!(rustflow::SCHED_EVENT_SCHEMA_VERSION, 6);
     let ex = Executor::new(2);
     let tracer = Arc::new(Tracer::new(2));
     ex.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
