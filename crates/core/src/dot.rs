@@ -290,8 +290,8 @@ mod tests {
     #[test]
     fn dot_contains_nodes_and_edges() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         unsafe {
             *(*a).structure.name.get_mut() = crate::TaskLabel::new("A");
             Node::connect(a, b);
@@ -306,10 +306,10 @@ mod tests {
     #[test]
     fn dot_renders_subflow_clusters() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
         unsafe {
             *(*a).structure.name.get_mut() = crate::TaskLabel::new("A");
-            (*a).state.subgraph.get_mut().emplace(Work::Empty);
+            (*a).state.subgraph.get_mut().emplace(Work::empty());
             let dot = graph_to_dot(&g, "demo");
             assert!(dot.contains("subgraph cluster_1"));
             assert!(dot.contains("Subflow_A"));
@@ -319,9 +319,9 @@ mod tests {
     #[test]
     fn annotated_dot_highlights_findings() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
-        g.emplace(Work::Empty); // orphan
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
+        g.emplace(Work::empty()); // orphan
         unsafe {
             *(*a).structure.name.get_mut() = crate::TaskLabel::new("A");
             *(*b).structure.name.get_mut() = crate::TaskLabel::new("B");
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn self_edge_rendered_bold_red() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
         unsafe {
             Node::connect(a, a);
             let dot = graph_to_dot(&g, "demo");

@@ -36,7 +36,7 @@ fn a_topology_registered_twice_is_listed_once() {
     // A topology frozen mid-iteration: claimed, re-armed, its source never
     // published, so `alive` stays at 1 on an idle executor.
     let mut graph = Graph::new();
-    graph.emplace(Work::Empty);
+    graph.emplace(Work::empty());
     let topo = Topology::new(graph, FailurePolicy::ContinueAll);
     let (promise, _future) = crate::future::promise_pair();
     let cond = RunCondition::Count(1);

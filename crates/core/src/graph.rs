@@ -9,9 +9,11 @@
 //! pointer, exactly like Cpp-Taskflow's `Node*`; liveness is guaranteed by
 //! the taskflow keeping every dispatched topology alive until the taskflow
 //! itself is destroyed or garbage-collected (§III-C of the paper).
-//! Building a graph costs one allocation per chunk rather than one per
-//! node, dropping it drops the nodes in place and frees the chunks, and
-//! every node records its emplacement index, which is what lets the freeze
+//! A node carries its edges (up to [`INLINE_SUCCESSORS`]) and its closure
+//! ([`Work`]: up to two words) inside itself, so building a graph of
+//! small closures costs one allocation per chunk rather than any per node,
+//! dropping it drops the nodes in place and frees the chunks, and every
+//! node records its emplacement index, which is what lets the freeze
 //! sweep in [`crate::validate`] answer "is this successor in this graph,
 //! and which one" with an index read and a pointer compare.
 //!
@@ -32,35 +34,220 @@ use crate::sync::AtomicUsize;
 use crate::sync_cell::SyncCell;
 use crate::topology::Topology;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
 /// Raw pointer to a node; the executor's currency.
 pub(crate) type RawNode = *mut Node;
 
-/// The callable payload of a node.
+/// The in-node storage of a closure: two words.
+type Inline = [usize; 2];
+
+/// The callable payload of a node, stored in the node itself.
 ///
 /// Cpp-Taskflow stores a `std::variant` of a static callable and a dynamic
 /// (subflow-taking) callable behind one polymorphic wrapper (§III-D); this
-/// enum is the Rust equivalent and is what makes the static and dynamic
-/// tasking interfaces uniform. The callables are `FnMut`, so the same
-/// payload can run once per iteration of a reused topology.
-pub(crate) enum Work {
-    /// Placeholder: no work yet (task handle may assign later).
+/// is the Rust equivalent and is what makes the static and dynamic tasking
+/// interfaces uniform. The callables are `FnMut`, so the same payload can
+/// run once per iteration of a reused topology.
+///
+/// Three words: the closure type's [`WorkVTable`] (`None` for a
+/// placeholder) and two words of storage. A closure of at most two words
+/// whose alignment the storage satisfies (an `Arc` and an index, say) is
+/// written into the storage; a bigger one is boxed, and what is stored is
+/// the box, itself a one-word closure that calls through to its contents.
+/// So emplacing a small closure allocates nothing, and every closure is
+/// called, and dropped, the same way.
+///
+/// `Work` is `Send` and `Sync` automatically: every constructor demands
+/// `F: Send`, and nothing reachable through `&Work` touches the closure.
+pub(crate) struct Work {
+    vtable: Option<&'static WorkVTable>,
+    data: MaybeUninit<Inline>,
+}
+
+/// How to call and drop the closure type stored in a [`Work`]; one
+/// constant per closure type (see [`VTableOf`]).
+struct WorkVTable {
+    call: Call,
+    drop: unsafe fn(*mut u8),
+}
+
+/// The call entry of a [`WorkVTable`]: which interface the closure has.
+#[derive(Clone, Copy)]
+enum Call {
+    Static(unsafe fn(*mut u8)),
+    Dynamic(unsafe fn(*mut u8, &mut Subflow<'_>)),
+}
+
+/// Carrier of the per-closure-type vtable constants. Taking the address
+/// of an associated constant promotes it to a `&'static`.
+struct VTableOf<F>(PhantomData<F>);
+
+impl<F: FnMut() + Send + 'static> VTableOf<F> {
+    const STATIC: WorkVTable = WorkVTable {
+        call: Call::Static(call_static::<F>),
+        drop: drop_closure::<F>,
+    };
+}
+
+impl<F: FnMut(&mut Subflow<'_>) + Send + 'static> VTableOf<F> {
+    const DYNAMIC: WorkVTable = WorkVTable {
+        call: Call::Dynamic(call_dynamic::<F>),
+        drop: drop_closure::<F>,
+    };
+}
+
+/// # Safety
+/// `data` must point to a live `F`, not aliased for the call's duration.
+unsafe fn call_static<F: FnMut()>(data: *mut u8) {
+    // SAFETY: per the function's contract.
+    unsafe { (*data.cast::<F>())() }
+}
+
+/// # Safety
+/// As for [`call_static`].
+unsafe fn call_dynamic<F: FnMut(&mut Subflow<'_>)>(data: *mut u8, sf: &mut Subflow<'_>) {
+    // SAFETY: per the function's contract.
+    unsafe { (*data.cast::<F>())(sf) }
+}
+
+/// # Safety
+/// `data` must point to a live `F` that is never used again.
+unsafe fn drop_closure<F>(data: *mut u8) {
+    // SAFETY: per the function's contract.
+    unsafe { std::ptr::drop_in_place(data.cast::<F>()) }
+}
+
+/// `true` when an `F` is stored in a [`Work`] itself rather than boxed.
+const fn fits_inline<F>() -> bool {
+    size_of::<F>() <= size_of::<Inline>() && align_of::<F>() <= align_of::<Inline>()
+}
+
+/// A node's work, as [`Work::kind`] lends it out for one execution.
+pub(crate) enum WorkKind<'w> {
+    /// Placeholder: nothing to run.
     Empty,
     /// A static task: a plain closure.
-    Static(Box<dyn FnMut() + Send + 'static>),
+    Static(Closure<'w, unsafe fn(*mut u8)>),
     /// A dynamic task: receives a [`Subflow`] to spawn children at runtime.
-    Dynamic(Box<dyn FnMut(&mut Subflow<'_>) + Send + 'static>),
+    Dynamic(Closure<'w, unsafe fn(*mut u8, &mut Subflow<'_>)>),
+}
+
+/// A stored closure, exclusively borrowed from its [`Work`], with the call
+/// entry of its type.
+pub(crate) struct Closure<'w, C> {
+    data: &'w mut MaybeUninit<Inline>,
+    call: C,
+}
+
+impl Closure<'_, unsafe fn(*mut u8)> {
+    /// Runs the closure once.
+    pub(crate) fn call(self) {
+        // SAFETY: `Work::kind` pairs the storage with its own vtable's
+        // entry, and the `&mut` borrow makes this the only access.
+        unsafe { (self.call)(self.data.as_mut_ptr().cast()) }
+    }
+}
+
+impl Closure<'_, unsafe fn(*mut u8, &mut Subflow<'_>)> {
+    /// Runs the closure once with `sf`.
+    pub(crate) fn call(self, sf: &mut Subflow<'_>) {
+        // SAFETY: as for the static `call`.
+        unsafe { (self.call)(self.data.as_mut_ptr().cast(), sf) }
+    }
+}
+
+impl Work {
+    /// A placeholder: no work yet (a task handle may assign it later).
+    pub(crate) const fn empty() -> Work {
+        Work {
+            vtable: None,
+            data: MaybeUninit::uninit(),
+        }
+    }
+
+    /// A static task running `f`.
+    pub(crate) fn new_static<F: FnMut() + Send + 'static>(f: F) -> Work {
+        fn store<F: FnMut() + Send + 'static>(f: F) -> Work {
+            // SAFETY: the vtable is `F`'s own.
+            unsafe { Work::store(f, &VTableOf::<F>::STATIC) }
+        }
+        if fits_inline::<F>() {
+            store(f)
+        } else {
+            store(Box::new(f))
+        }
+    }
+
+    /// A dynamic task running `f` with the subflow it may spawn into.
+    pub(crate) fn new_dynamic<F: FnMut(&mut Subflow<'_>) + Send + 'static>(f: F) -> Work {
+        fn store<F: FnMut(&mut Subflow<'_>) + Send + 'static>(f: F) -> Work {
+            // SAFETY: the vtable is `F`'s own.
+            unsafe { Work::store(f, &VTableOf::<F>::DYNAMIC) }
+        }
+        if fits_inline::<F>() {
+            store(f)
+        } else {
+            store(Box::new(f))
+        }
+    }
+
+    /// Writes `f` into the storage.
+    ///
+    /// # Safety
+    /// `vtable` must be one of `VTableOf::<F>`'s constants: it is what
+    /// calls and drops the stored bytes as an `F`.
+    unsafe fn store<F>(f: F, vtable: &'static WorkVTable) -> Work {
+        assert!(fits_inline::<F>());
+        let mut data = MaybeUninit::<Inline>::uninit();
+        // SAFETY: the assert above: an `F` fits the storage, size and
+        // alignment both.
+        unsafe { data.as_mut_ptr().cast::<F>().write(f) };
+        Work {
+            vtable: Some(vtable),
+            data,
+        }
+    }
+
+    /// `true` for a placeholder.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.vtable.is_none()
+    }
+
+    /// The work, lent out for one call.
+    #[inline]
+    pub(crate) fn kind(&mut self) -> WorkKind<'_> {
+        let Some(vtable) = self.vtable else {
+            return WorkKind::Empty;
+        };
+        let data = &mut self.data;
+        match vtable.call {
+            Call::Static(call) => WorkKind::Static(Closure { data, call }),
+            Call::Dynamic(call) => WorkKind::Dynamic(Closure { data, call }),
+        }
+    }
+}
+
+impl Drop for Work {
+    fn drop(&mut self) {
+        if let Some(vtable) = self.vtable {
+            // SAFETY: a stored closure is live until here, and `vtable` is
+            // its type's.
+            unsafe { (vtable.drop)(self.data.as_mut_ptr().cast()) }
+        }
+    }
 }
 
 impl std::fmt::Debug for Work {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Work::Empty => f.write_str("Empty"),
-            Work::Static(_) => f.write_str("Static"),
-            Work::Dynamic(_) => f.write_str("Dynamic"),
-        }
+        f.write_str(match self.vtable.map(|vtable| vtable.call) {
+            None => "Empty",
+            Some(Call::Static(_)) => "Static",
+            Some(Call::Dynamic(_)) => "Dynamic",
+        })
     }
 }
 
@@ -556,11 +743,28 @@ mod tests {
         }
     }
 
-    fn counted(drops: &Arc<Counter>) -> Work {
-        let guard = DropCounter(Arc::clone(drops));
-        Work::Static(Box::new(move || {
+    /// A [`DropCounter`] padded by `PAD` words. A closure owning one with
+    /// `PAD == 0` can be stored in its node; with `PAD == 2` it is at least
+    /// three words, so it is boxed. Each drop-count test runs with both.
+    #[allow(dead_code)] // carried and dropped, never read
+    struct Guard<const PAD: usize>(DropCounter, [usize; PAD]);
+
+    fn new_guard<const PAD: usize>(drops: &Arc<Counter>) -> Guard<PAD> {
+        Guard(DropCounter(Arc::clone(drops)), [0; PAD])
+    }
+
+    fn fits_inline_as<F>(_: &F) -> bool {
+        fits_inline::<F>()
+    }
+
+    /// A static closure owning a [`Guard`].
+    fn counted<const PAD: usize>(drops: &Arc<Counter>) -> Work {
+        let guard = new_guard::<PAD>(drops);
+        let f = move || {
             let _keep = &guard;
-        }))
+        };
+        assert_eq!(fits_inline_as(&f), PAD == 0);
+        Work::new_static(f)
     }
 
     fn assert_layout(g: &Graph, ptrs: &[RawNode]) {
@@ -580,7 +784,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ptrs = Vec::new();
         for i in 0..10_000 {
-            ptrs.push(g.emplace(Work::Empty));
+            ptrs.push(g.emplace(Work::empty()));
             // Re-check everything emplaced so far right after each chunk
             // boundary, where a reallocating container would have moved it.
             if locate(i).1 == 0 {
@@ -598,10 +802,10 @@ mod tests {
     fn index_of_rejects_nodes_of_another_graph() {
         let mut g = Graph::new();
         let mut other = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let foreign = other.emplace(Work::Empty);
-        other.emplace(Work::Empty);
-        let beyond = other.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let foreign = other.emplace(Work::empty());
+        other.emplace(Work::empty());
+        let beyond = other.emplace(Work::empty());
         // SAFETY: all three are live nodes.
         unsafe {
             assert_eq!(g.index_of(a), Some(0));
@@ -624,7 +828,7 @@ mod tests {
     #[test]
     fn successors_match_a_vec_model() {
         let mut g = Graph::new();
-        let targets: Vec<RawNode> = (0..100).map(|_| g.emplace(Work::Empty)).collect();
+        let targets: Vec<RawNode> = (0..100).map(|_| g.emplace(Work::empty())).collect();
         for fan_out in [0, 1, INLINE_SUCCESSORS, INLINE_SUCCESSORS + 1, 100] {
             let mut list = Successors::new();
             let mut model: Vec<RawNode> = Vec::new();
@@ -645,8 +849,8 @@ mod tests {
     #[test]
     fn connect_records_edge_and_in_degree() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         // SAFETY: single-threaded build phase.
         unsafe {
             Node::connect(a, b);
@@ -675,6 +879,15 @@ mod tests {
         assert!(hot_end <= 128, "hot span ends at byte {hot_end}");
     }
 
+    // The closure storage is the node's: growing it grows every node
+    // (EXPERIMENTS.md, "One-shot graph cost").
+    #[cfg(not(feature = "rustflow_check"))]
+    #[test]
+    fn work_is_three_words_and_node_160_bytes() {
+        assert_eq!(size_of::<Work>(), 24);
+        assert_eq!(size_of::<Node>(), 160);
+    }
+
     #[test]
     fn backoff_doubles_up_to_the_cap_and_saturates() {
         use std::time::Duration;
@@ -691,12 +904,12 @@ mod tests {
     #[test]
     fn total_nodes_counts_subgraphs() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        g.emplace(Work::empty());
         unsafe {
             let sub = (*a).state.subgraph.get_mut();
-            sub.emplace(Work::Empty);
-            sub.emplace(Work::Empty);
+            sub.emplace(Work::empty());
+            sub.emplace(Work::empty());
             assert_eq!(g.total_nodes(), 4);
         }
     }
@@ -704,12 +917,12 @@ mod tests {
     #[test]
     fn rearm_resets_runtime_state_and_clears_subgraph() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
         unsafe {
             *(*a).structure.in_degree.get_mut() = 3;
             (*a).state.join_counter.store(0, Ordering::Relaxed);
             (*a).state.nested.store(7, Ordering::Relaxed);
-            (*a).state.subgraph.get_mut().emplace(Work::Empty);
+            (*a).state.subgraph.get_mut().emplace(Work::empty());
             (*a).rearm(std::ptr::null(), std::ptr::null_mut());
             assert_eq!((*a).state.join_counter.load(Ordering::Relaxed), 3);
             assert_eq!((*a).state.nested.load(Ordering::Relaxed), 0);
@@ -719,80 +932,148 @@ mod tests {
 
     #[test]
     fn undispatched_graph_drops_each_closure_once() {
-        let drops = Arc::new(Counter::new(0));
-        let mut g = Graph::new();
-        // Three chunks' worth, the last one partly filled.
-        for _ in 0..FIRST_CHUNK * 3 + 1 {
-            g.emplace(counted(&drops));
+        fn check<const PAD: usize>() {
+            let drops = Arc::new(Counter::new(0));
+            let mut g = Graph::new();
+            // Three chunks' worth, the last one partly filled.
+            for _ in 0..FIRST_CHUNK * 3 + 1 {
+                g.emplace(counted::<PAD>(&drops));
+            }
+            assert_eq!(drops.load(Ordering::Relaxed), 0);
+            drop(g);
+            assert_eq!(drops.load(Ordering::Relaxed), FIRST_CHUNK * 3 + 1);
         }
-        assert_eq!(drops.load(Ordering::Relaxed), 0);
-        drop(g);
-        assert_eq!(drops.load(Ordering::Relaxed), FIRST_CHUNK * 3 + 1);
+        check::<0>();
+        check::<2>();
     }
 
     #[test]
     fn rearmed_and_retried_subgraphs_drop_each_closure_once() {
-        let drops = Arc::new(Counter::new(0));
-        let children = FIRST_CHUNK + 2;
-        let mut g = Graph::new();
-        let parent = g.emplace(counted(&drops));
-        let spawn = |drops: &Arc<Counter>| {
-            for _ in 0..children {
-                // SAFETY: single-threaded test; `parent` is live.
-                unsafe { (*parent).state.subgraph.get_mut().emplace(counted(drops)) };
-            }
-        };
-        spawn(&drops);
-        // SAFETY: single-threaded test, exclusive access to `parent`.
-        unsafe { (*parent).rearm(std::ptr::null(), std::ptr::null_mut()) };
-        assert_eq!(drops.load(Ordering::Relaxed), children);
-        spawn(&drops);
-        // SAFETY: as above.
-        unsafe { (*parent).rearm_retry() };
-        assert_eq!(drops.load(Ordering::Relaxed), 2 * children);
-        spawn(&drops);
-        drop(g);
-        assert_eq!(drops.load(Ordering::Relaxed), 3 * children + 1);
+        fn check<const PAD: usize>() {
+            let drops = Arc::new(Counter::new(0));
+            let children = FIRST_CHUNK + 2;
+            let mut g = Graph::new();
+            let parent = g.emplace(counted::<PAD>(&drops));
+            let spawn = |drops: &Arc<Counter>| {
+                for _ in 0..children {
+                    // SAFETY: single-threaded test; `parent` is live.
+                    unsafe {
+                        (*parent)
+                            .state
+                            .subgraph
+                            .get_mut()
+                            .emplace(counted::<PAD>(drops))
+                    };
+                }
+            };
+            spawn(&drops);
+            // SAFETY: single-threaded test, exclusive access to `parent`.
+            unsafe { (*parent).rearm(std::ptr::null(), std::ptr::null_mut()) };
+            assert_eq!(drops.load(Ordering::Relaxed), children);
+            spawn(&drops);
+            // SAFETY: as above.
+            unsafe { (*parent).rearm_retry() };
+            assert_eq!(drops.load(Ordering::Relaxed), 2 * children);
+            spawn(&drops);
+            drop(g);
+            assert_eq!(drops.load(Ordering::Relaxed), 3 * children + 1);
+        }
+        check::<0>();
+        check::<2>();
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns a worker pool; too slow under miri")]
     fn dispatched_graph_drops_each_closure_once() {
-        let drops = Arc::new(Counter::new(0));
-        let runs = Arc::new(Counter::new(0));
-        let tf = crate::Taskflow::with_executor(crate::Executor::new(1));
-        let statics = 2 * FIRST_CHUNK + 1;
-        for _ in 0..statics {
-            let guard = DropCounter(Arc::clone(&drops));
-            let runs = Arc::clone(&runs);
-            tf.emplace(move || {
-                let _keep = &guard;
-                runs.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // A dynamic task whose children are re-spawned (and the previous
-        // iteration's dropped) on every re-arm.
-        let child_drops = Arc::clone(&drops);
-        tf.emplace_subflow(move |sf| {
-            for _ in 0..3 {
-                let guard = DropCounter(Arc::clone(&child_drops));
-                sf.emplace(move || {
+        fn check<const PAD: usize>() {
+            let drops = Arc::new(Counter::new(0));
+            let runs = Arc::new(Counter::new(0));
+            let tf = crate::Taskflow::with_executor(crate::Executor::new(1));
+            let statics = 2 * FIRST_CHUNK + 1;
+            for _ in 0..statics {
+                let guard = new_guard::<PAD>(&drops);
+                let runs = Arc::clone(&runs);
+                tf.emplace(move || {
                     let _keep = &guard;
+                    runs.fetch_add(1, Ordering::Relaxed);
                 });
             }
-        });
-        let iterations = 3;
-        tf.run_n(iterations as u64).get().expect("run failed");
-        assert_eq!(runs.load(Ordering::Relaxed), statics * iterations);
-        // The last iteration's children are still owned by the topology.
-        assert_eq!(drops.load(Ordering::Relaxed), 3 * (iterations - 1));
+            // A dynamic task whose children are re-spawned (and the
+            // previous iteration's dropped) on every re-arm.
+            let child_drops = Arc::clone(&drops);
+            tf.emplace_subflow(move |sf| {
+                for _ in 0..3 {
+                    let guard = new_guard::<PAD>(&child_drops);
+                    sf.emplace(move || {
+                        let _keep = &guard;
+                    });
+                }
+            });
+            let iterations = 3;
+            tf.run_n(iterations as u64).get().expect("run failed");
+            assert_eq!(runs.load(Ordering::Relaxed), statics * iterations);
+            // The last iteration's children are still owned by the topology.
+            assert_eq!(drops.load(Ordering::Relaxed), 3 * (iterations - 1));
+            drop(tf);
+            assert_eq!(drops.load(Ordering::Relaxed), 3 * iterations + statics);
+        }
+        check::<0>();
+        check::<2>();
+    }
+
+    #[test]
+    fn replacing_a_closure_drops_the_old_one_once() {
+        fn check<const PAD: usize>() {
+            let drops = Arc::new(Counter::new(0));
+            let dropped = || drops.load(Ordering::Relaxed);
+            let tf = crate::Taskflow::new();
+            let guard = new_guard::<PAD>(&drops);
+            let task = tf.emplace(move || {
+                let _keep = &guard;
+            });
+            let guard = new_guard::<PAD>(&drops);
+            task.work_subflow(move |_| {
+                let _keep = &guard;
+            });
+            assert_eq!(dropped(), 1);
+            let guard = new_guard::<PAD>(&drops);
+            task.work(move || {
+                let _keep = &guard;
+            });
+            assert_eq!(dropped(), 2);
+            drop(tf);
+            assert_eq!(dropped(), 3);
+        }
+        check::<0>();
+        check::<2>();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns a worker pool; too slow under miri")]
+    fn a_panicking_inline_closure_is_retried_then_dropped_once() {
+        let drops = Arc::new(Counter::new(0));
+        let attempts = Arc::new(Counter::new(0));
+        let tf = crate::Taskflow::with_executor(crate::Executor::new(1));
+        let guard = DropCounter(Arc::clone(&drops));
+        let tries = Arc::clone(&attempts);
+        let body = move || {
+            let _keep = &guard;
+            tries.fetch_add(1, Ordering::Relaxed);
+            panic!("always fails");
+        };
+        assert!(fits_inline_as(&body));
+        tf.emplace(body).retry(2);
+        assert!(tf.run().get().is_err());
+        assert_eq!(attempts.load(Ordering::Relaxed), 3);
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
         drop(tf);
-        assert_eq!(drops.load(Ordering::Relaxed), 3 * iterations + statics);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn work_debug_names() {
-        assert_eq!(format!("{:?}", Work::Empty), "Empty");
-        assert_eq!(format!("{:?}", Work::Static(Box::new(|| {}))), "Static");
+        assert_eq!(format!("{:?}", Work::empty()), "Empty");
+        assert_eq!(format!("{:?}", Work::new_static(|| {})), "Static");
+        assert_eq!(format!("{:?}", Work::new_dynamic(|_| {})), "Dynamic");
     }
 }

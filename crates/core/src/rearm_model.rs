@@ -27,7 +27,7 @@
 
 use crate::error::{FailurePolicy, RunResult};
 use crate::future::{promise_pair, SharedFuture};
-use crate::graph::{Graph, Node, RawNode, Work};
+use crate::graph::{Graph, Node, RawNode, Work, WorkKind};
 use crate::sync::{AtomicUsize, Condvar, Mutex};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use std::collections::VecDeque;
@@ -68,9 +68,9 @@ impl RearmHarness {
             (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         let count = |c: &Arc<AtomicUsize>| {
             let c = Arc::clone(c);
-            Work::Static(Box::new(move || {
+            Work::new_static(move || {
                 c.fetch_add(1, Ordering::Relaxed);
-            }))
+            })
         };
         let a = g.emplace(count(&counters[0]));
         let b = g.emplace(count(&counters[1]));
@@ -153,8 +153,8 @@ impl RearmHarness {
             if self.topo.is_cancelled() {
                 self.skips.fetch_add(1, Ordering::Relaxed);
             } else {
-                match (*node).structure.work.get_mut() {
-                    Work::Static(f) => f(),
+                match (*node).structure.work.get_mut().kind() {
+                    WorkKind::Static(f) => f.call(),
                     _ => unreachable!("harness graphs hold static work only"),
                 }
             }

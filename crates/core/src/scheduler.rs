@@ -30,7 +30,7 @@
 
 use crate::error::{panic_message, FailurePolicy, RunError, TaskPanic};
 use crate::executor::{advance_topology, notify_observers, Inner};
-use crate::graph::{RawNode, Work};
+use crate::graph::{RawNode, WorkKind};
 use crate::introspect::CurrentTask;
 use crate::stats::{Counter, Metric, WorkerStats, LANE_METRICS};
 use crate::subflow::Subflow;
@@ -362,10 +362,10 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
                 // Publish the executing topology so the closure can poll
                 // `this_task::is_cancelled()` / read its iteration.
                 let _task_scope = crate::this_task::ContextGuard::enter(topo as *const Topology);
-                match (*node).structure.work.get_mut() {
-                    Work::Empty => {}
-                    Work::Static(f) => {
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+                match (*node).structure.work.get_mut().kind() {
+                    WorkKind::Empty => {}
+                    WorkKind::Static(f) => {
+                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.call())) {
                             if crate::sync::is_model_abort(payload.as_ref()) {
                                 // Engine-internal unwind tearing the model
                                 // execution down: the topology may already
@@ -381,9 +381,9 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
                             failed = Some(payload);
                         }
                     }
-                    Work::Dynamic(f) => {
+                    WorkKind::Dynamic(f) => {
                         let mut sf = Subflow::new(node);
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut sf))) {
+                        match catch_unwind(AssertUnwindSafe(|| f.call(&mut sf))) {
                             Ok(()) => deferred = spawn_subflow(inner, ctx, node, sf.is_detached()),
                             Err(payload) => {
                                 if crate::sync::is_model_abort(payload.as_ref()) {

@@ -43,7 +43,7 @@ impl<'s> Subflow<'s> {
     where
         F: FnMut() + Send + 'static,
     {
-        self.emplace_work(Work::Static(Box::new(f)))
+        self.emplace_work(Work::new_static(f))
     }
 
     /// Creates a child task that may itself spawn a nested subflow.
@@ -51,12 +51,12 @@ impl<'s> Subflow<'s> {
     where
         F: FnMut(&mut Subflow<'_>) + Send + 'static,
     {
-        self.emplace_work(Work::Dynamic(Box::new(f)))
+        self.emplace_work(Work::new_dynamic(f))
     }
 
     /// Creates an empty child task to be filled in later.
     pub fn placeholder(&self) -> Task<'_> {
-        self.emplace_work(Work::Empty)
+        self.emplace_work(Work::empty())
     }
 
     fn emplace_work(&self, work: Work) -> Task<'_> {
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn emplace_builds_children_in_parent_subgraph() {
         let mut g = Graph::new();
-        let parent = g.emplace(Work::Empty);
+        let parent = g.emplace(Work::empty());
         let sf = Subflow::new(parent);
         let a = sf.emplace(|| {}).name("a");
         let b = sf.emplace(|| {});
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn detach_and_join_toggle() {
         let mut g = Graph::new();
-        let sf = Subflow::new(g.emplace(Work::Empty));
+        let sf = Subflow::new(g.emplace(Work::empty()));
         assert!(!sf.is_detached());
         sf.detach();
         assert!(sf.is_detached());

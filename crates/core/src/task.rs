@@ -96,7 +96,7 @@ impl<'g> Task<'g> {
         self.assert_mutable();
         // SAFETY: build phase, single thread.
         unsafe {
-            *(*self.node).structure.work.get_mut() = Work::Static(Box::new(f));
+            *(*self.node).structure.work.get_mut() = Work::new_static(f);
         }
         self
     }
@@ -109,7 +109,7 @@ impl<'g> Task<'g> {
         self.assert_mutable();
         // SAFETY: build phase, single thread.
         unsafe {
-            *(*self.node).structure.work.get_mut() = Work::Dynamic(Box::new(f));
+            *(*self.node).structure.work.get_mut() = Work::new_dynamic(f);
         }
         self
     }
@@ -167,7 +167,7 @@ impl<'g> Task<'g> {
     /// `true` when the task has no callable assigned yet.
     pub fn is_placeholder(self) -> bool {
         // SAFETY: work is assigned only during the build phase.
-        unsafe { matches!(*(*self.node).structure.work.get(), Work::Empty) }
+        unsafe { (*self.node).structure.work.get().is_empty() }
     }
 }
 

@@ -158,7 +158,7 @@ impl Taskflow {
     where
         F: FnMut() + Send + 'static,
     {
-        self.emplace_work(Work::Static(Box::new(f)))
+        self.emplace_work(Work::new_static(f))
     }
 
     /// Creates a *dynamic* task: its closure receives a [`Subflow`] at
@@ -167,13 +167,13 @@ impl Taskflow {
     where
         F: FnMut(&mut Subflow<'_>) + Send + 'static,
     {
-        self.emplace_work(Work::Dynamic(Box::new(f)))
+        self.emplace_work(Work::new_dynamic(f))
     }
 
     /// Creates an empty task whose work can be assigned later through
     /// [`Task::work`] — the paper's placeholder idiom (§III-A).
     pub fn placeholder(&self) -> Task<'_> {
-        self.emplace_work(Work::Empty)
+        self.emplace_work(Work::empty())
     }
 
     fn emplace_work(&self, work: Work) -> Task<'_> {

@@ -707,8 +707,8 @@ mod tests {
     #[test]
     fn sanitize_verdict_cached_at_construction() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         unsafe {
             crate::graph::Node::connect(a, b);
             crate::graph::Node::connect(b, a);
@@ -720,7 +720,7 @@ mod tests {
     #[test]
     fn count_batch_runs_and_settles() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         assert!(topo.fatal().is_none());
         let (b, future) = batch(RunCondition::Count(2));
@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn zero_count_batch_resolves_without_running() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         let (b, future) = batch(RunCondition::Count(0));
         assert!(topo.enqueue(b));
@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn until_predicate_already_true_runs_nothing() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         let (b, future) = batch(RunCondition::Until(Box::new(|| true)));
         assert!(topo.enqueue(b));
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn iteration_error_stops_batch_with_that_error() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         let (b, future) = batch(RunCondition::Count(10));
         assert!(topo.enqueue(b));
@@ -792,7 +792,7 @@ mod tests {
     #[test]
     fn batches_queue_fifo() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         let (b1, f1) = batch(RunCondition::Count(1));
         let (b2, f2) = batch(RunCondition::Count(1));
@@ -814,7 +814,7 @@ mod tests {
     #[test]
     fn run_ids_are_fresh_per_iteration() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         let topo = topo_of(g);
         let (b, _f) = batch(RunCondition::Count(2));
         topo.enqueue(b);

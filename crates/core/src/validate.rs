@@ -479,7 +479,7 @@ mod tests {
     /// A graph of `n` nodes named `t0..` wired with `edges`.
     fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph {
         let mut g = Graph::new();
-        let nodes: Vec<RawNode> = (0..n).map(|_| g.emplace(Work::Empty)).collect();
+        let nodes: Vec<RawNode> = (0..n).map(|_| g.emplace(Work::empty())).collect();
         for (i, &node) in nodes.iter().enumerate() {
             name(node, &format!("t{i}"));
         }
@@ -492,8 +492,8 @@ mod tests {
     #[test]
     fn clean_graph_has_no_findings() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         connect(a, b);
         assert!(unsafe { validate_graph(&g) }.is_empty());
         let swept = unsafe { sweep(&g) };
@@ -504,9 +504,9 @@ mod tests {
     #[test]
     fn cycle_reports_label_path() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
-        let c = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
+        let c = g.emplace(Work::empty());
         name(a, "A");
         name(b, "B");
         name(c, "C");
@@ -530,8 +530,8 @@ mod tests {
     #[test]
     fn unnamed_cycle_uses_index_labels() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         connect(a, b);
         connect(b, a);
         let diags = unsafe { validate_graph(&g) };
@@ -546,7 +546,7 @@ mod tests {
     #[test]
     fn self_edge_is_fatal_and_not_double_reported() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
         name(a, "loopy");
         connect(a, a);
         let diags = unsafe { validate_graph(&g) };
@@ -576,8 +576,8 @@ mod tests {
     #[test]
     fn duplicate_edge_counts_copies() {
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
         name(a, "A");
         name(b, "B");
         connect(a, b);
@@ -600,15 +600,15 @@ mod tests {
     #[test]
     fn orphan_detected_only_in_multi_node_graphs() {
         let mut g = Graph::new();
-        g.emplace(Work::Empty);
+        g.emplace(Work::empty());
         assert!(
             unsafe { validate_graph(&g) }.is_empty(),
             "singleton is fine"
         );
         let mut g = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
-        g.emplace(Work::Empty); // orphan
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
+        g.emplace(Work::empty()); // orphan
         connect(a, b);
         let diags = unsafe { validate_graph(&g) };
         assert_eq!(
@@ -680,9 +680,9 @@ mod tests {
     fn edge_into_another_graph_is_fatal() {
         let mut g = Graph::new();
         let mut other = Graph::new();
-        let a = g.emplace(Work::Empty);
-        let b = g.emplace(Work::Empty);
-        let foreign = other.emplace(Work::Empty);
+        let a = g.emplace(Work::empty());
+        let b = g.emplace(Work::empty());
+        let foreign = other.emplace(Work::empty());
         name(a, "A");
         connect(a, b);
         connect(a, foreign);

@@ -17,7 +17,7 @@
 use crate::analysis::TimerInner;
 use crate::circuit::{Circuit, GateId};
 use crate::engine_v1::run_levelized;
-use crate::engine_v2::{build_block_graph, run_rustflow, Pass};
+use crate::engine_v2::{build_block_graph, level_order, run_rustflow, Pass};
 use rustflow::{Executor, Taskflow};
 use std::sync::Arc;
 use tf_baselines::Pool;
@@ -200,7 +200,8 @@ impl Timer {
         let (region, epoch) = inner.forward_region(seeds);
         let tf = Taskflow::new();
         tf.set_name("timing_update");
-        build_block_graph(inner, &region, epoch, Pass::Arrival, |order, block| {
+        let order = level_order(inner, &region, Pass::Arrival);
+        build_block_graph(inner, &order, epoch, Pass::Arrival, |block| {
             let (first, last) = (order[block.start], order[block.end - 1]);
             tf.placeholder()
                 .name(format!("L{} g{first}..g{last}", inner.level(first)))

@@ -72,7 +72,7 @@ impl Pass {
 /// The region sorted by level (ascending for arrivals, descending for
 /// required times), gates of one level in the order the region lists
 /// them; records each gate's position as its region index.
-fn level_order(inner: &TimerInner, region: &[GateId], pass: Pass) -> Vec<GateId> {
+pub(crate) fn level_order(inner: &TimerInner, region: &[GateId], pass: Pass) -> Vec<GateId> {
     let levels = inner.num_levels();
     let key = |g: GateId| match pass {
         Pass::Arrival => inner.level(g),
@@ -96,24 +96,24 @@ fn level_order(inner: &TimerInner, region: &[GateId], pass: Pass) -> Vec<GateId>
     order
 }
 
-/// Builds the timing graph of one pass over a stamped region: `task`
-/// makes the node of one block (it receives the level order and the
-/// block's range in it), this function orders the blocks.
+/// Builds the timing graph of one pass over a stamped region, given the
+/// region's [`level_order`] for that pass (which also recorded the region
+/// indices read here): `task` makes the node of one block (it receives
+/// the block's range in `order`), this function orders the blocks.
 ///
 /// Level order puts everything a gate reads at a lower position, so a
 /// read either stays inside a block (the block runs its gates in order)
 /// or comes from an earlier block, which gets one deduplicated edge.
 pub(crate) fn build_block_graph<'t>(
     inner: &TimerInner,
-    region: &[GateId],
+    order: &[GateId],
     epoch: u32,
     pass: Pass,
-    mut task: impl FnMut(&Arc<Vec<GateId>>, Range<usize>) -> Task<'t>,
+    mut task: impl FnMut(Range<usize>) -> Task<'t>,
 ) {
-    let order = Arc::new(level_order(inner, region, pass));
     let tasks: Vec<Task<'t>> = (0..order.len())
         .step_by(BLOCK)
-        .map(|start| task(&order, start..order.len().min(start + BLOCK)))
+        .map(|start| task(start..order.len().min(start + BLOCK)))
         .collect();
     // `joined[a] == b`: the edge a -> b is already there. Blocks are
     // visited in ascending `b`, so one word per source block is enough.
@@ -134,9 +134,20 @@ pub(crate) fn build_block_graph<'t>(
     }
 }
 
+/// What every block task of one update shares, behind one `Arc`.
+struct Update {
+    timer: SharedTimer,
+    order: Vec<GateId>,
+    pass: Pass,
+}
+
 /// Cpp-Taskflow-style: build a task dependency graph over the region and
 /// dispatch it. Construction is part of the measured work, matching the
 /// paper ("the time to create and launch a new task dependency graph").
+///
+/// A block's closure is two words, the shared [`Update`] and the block's
+/// bounds as two `u32`s, so rustflow stores it in the task's node and
+/// building the graph allocates per chunk of nodes, not per block.
 pub(crate) fn run_rustflow(
     inner: &TimerInner,
     region: &[GateId],
@@ -145,15 +156,21 @@ pub(crate) fn run_rustflow(
     executor: &Arc<Executor>,
 ) {
     let tf = Taskflow::with_executor(Arc::clone(executor));
-    let shared = SharedTimer(inner as *const TimerInner);
-    build_block_graph(inner, region, epoch, pass, |order, block| {
-        let order = Arc::clone(order);
+    let update = Arc::new(Update {
+        timer: SharedTimer(inner as *const TimerInner),
+        order: level_order(inner, region, pass),
+        pass,
+    });
+    build_block_graph(inner, &update.order, epoch, pass, |block| {
+        let update = Arc::clone(&update);
+        let bound = |i: usize| u32::try_from(i).expect("a region position fits a GateId");
+        let (start, end) = (bound(block.start), bound(block.end));
         tf.emplace(move || {
             // SAFETY: wait_for_all below keeps `inner` borrowed until
             // every task completed.
-            let timer = unsafe { shared.get() };
-            for &g in &order[block.clone()] {
-                pass.propagate(timer, g);
+            let timer = unsafe { update.timer.get() };
+            for &g in &update.order[start as usize..end as usize] {
+                update.pass.propagate(timer, g);
             }
         })
     });
@@ -174,7 +191,8 @@ mod tests {
     /// crosses, none of them twice.
     fn check_graph(inner: &TimerInner, region: &[GateId], epoch: u32, pass: Pass) {
         let tf = Taskflow::new();
-        build_block_graph(inner, region, epoch, pass, |_, _| tf.placeholder());
+        let order = level_order(inner, region, pass);
+        build_block_graph(inner, &order, epoch, pass, |_| tf.placeholder());
         assert_eq!(tf.num_nodes(), region.len().div_ceil(BLOCK));
 
         let snapshot = tf.profile_snapshot();

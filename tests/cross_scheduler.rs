@@ -5,46 +5,18 @@
 //! once.
 //!
 //! No wait here is unbounded: each scheduler's case runs on a helper
-//! thread, and a case that has not finished after 30 s fails the suite
-//! with the scheduler's name and the seed the DAG is rebuilt from
-//! ([`dag_from_seed`]).
+//! thread ([`common::bounded`]), and a case that has not finished after
+//! 30 s fails the suite with the scheduler's name and the seed the DAG is
+//! rebuilt from ([`dag_from_seed`]).
 
+mod common;
+
+use common::bounded;
 use proptest::prelude::*;
 use rustflow::Executor;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
 use tf_baselines::{Dag, FlowGraphBuilder, Pool, TaskDepRegion};
-
-/// Runs `case` (one scheduler over one input) on a helper thread and
-/// returns what it returns, or fails loudly after 30 s. It ends the
-/// process rather than panic: the wedged helper still borrows the
-/// scheduler, whose destructor would wait for it.
-fn bounded<T: Send + 'static>(
-    scheduler: &str,
-    input: &str,
-    case: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (done, finished) = channel();
-    let helper = std::thread::spawn(move || {
-        let _ = done.send(case());
-    });
-    match finished.recv_timeout(Duration::from_secs(30)) {
-        Ok(value) => {
-            helper.join().unwrap();
-            value
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            eprintln!("FAILED: {scheduler} did not finish {input} within 30 s");
-            std::process::exit(101)
-        }
-        // The case panicked before reporting: surface that panic.
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(helper.join().unwrap_err())
-        }
-    }
-}
 
 struct Probe {
     clock: Arc<AtomicUsize>,

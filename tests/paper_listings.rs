@@ -1,6 +1,11 @@
 //! End-to-end reproductions of the paper's code listings, asserting the
-//! dependency semantics each listing demonstrates.
+//! dependency semantics each listing demonstrates. Every blocking wait is
+//! bounded ([`common::bounded`]): a wedged listing fails the suite after
+//! 30 s and names itself.
 
+mod common;
+
+use common::bounded;
 use rustflow::{Executor, Taskflow};
 use std::sync::Arc;
 
@@ -18,6 +23,14 @@ fn ordered_log() -> (Log, impl Fn(&'static str) -> Box<dyn FnMut() + Send>) {
     (log, maker)
 }
 
+/// `tf.wait_for_all()`, bounded; hands the taskflow back.
+fn wait_for_all(listing: &str, tf: Taskflow) -> Taskflow {
+    bounded("rustflow", listing, move || {
+        tf.wait_for_all();
+        tf
+    })
+}
+
 fn pos(log: &[&str], name: &str) -> usize {
     log.iter()
         .position(|&x| x == name)
@@ -32,7 +45,7 @@ fn listing1_four_task_diamond() {
     a.precede([b, c]); // A runs before B and C
     b.precede(d); // B runs before D
     c.precede(d); // C runs before D
-    tf.wait_for_all(); // block until finish
+    wait_for_all("Listing 1", tf); // block until finish
     let log = log.lock();
     assert_eq!(log.len(), 4);
     assert!(pos(&log, "A") < pos(&log, "B"));
@@ -61,7 +74,7 @@ fn listing3_figure2_static_graph() {
     b0.precede(b1);
     b1.precede([a2, b2]);
     b2.precede(a3);
-    tf.wait_for_all();
+    wait_for_all("Listing 3", tf);
     let log = log.lock();
     assert_eq!(log.len(), 7);
     assert!(pos(&log, "a0") < pos(&log, "a1"));
@@ -77,14 +90,17 @@ fn listing6_blocking_and_nonblocking_dispatch() {
     let tf = Taskflow::new();
     let (a, b) = rustflow::emplace!(tf, task("A"), task("B"));
     a.precede(b); // task A runs before task B
-    tf.wait_for_all(); // block until finish
+    let tf = wait_for_all("Listing 6", tf); // block until finish
 
     let (a2, b2) = rustflow::emplace!(tf, task("newA"), task("newB"));
     b2.precede(a2); // task B runs before task A this time
     let shared_future = tf.dispatch();
     // ... do something to overlap the graph execution ...
-    shared_future.wait(); // block until finish
-    assert!(shared_future.get().is_ok());
+    let result = bounded("rustflow", "Listing 6's dispatch", move || {
+        shared_future.wait(); // block until finish
+        shared_future.get()
+    });
+    assert!(result.is_ok());
 
     let log = log.lock();
     assert!(pos(&log, "A") < pos(&log, "B"));
@@ -111,7 +127,7 @@ fn listing7_figure4_dynamic_graph() {
     a.precede([b, c]);
     b.precede(d);
     c.precede(d);
-    tf.wait_for_all();
+    wait_for_all("Listing 7", tf);
     let log = log.lock();
     assert_eq!(log.len(), 7);
     assert!(pos(&log, "A") < pos(&log, "B"));
@@ -138,7 +154,7 @@ fn figure5_nested_subflow_dump() {
         a1.precede(a2);
     })
     .name("A");
-    tf.wait_for_all();
+    let tf = wait_for_all("Figure 5", tf);
     let dot = tf.dump_topologies();
     assert!(dot.contains("Subflow_A"));
     assert!(dot.contains("Subflow_A2"));
@@ -160,8 +176,10 @@ fn executor_shared_like_the_animation_use_case() {
     loader.emplace(task("texture"));
     let f1 = render.dispatch();
     let f2 = loader.dispatch();
-    f1.wait();
-    f2.wait();
+    bounded("rustflow", "the two taskflows of §III-E", move || {
+        f1.wait();
+        f2.wait();
+    });
     let log = log.lock();
     assert_eq!(log.len(), 2);
 }
