@@ -20,14 +20,16 @@ use crate::future::SharedFuture;
 use crate::graph::RawNode;
 use crate::injector::{self, Injector};
 use crate::introspect::{IntrospectConfig, IntrospectHandle, IntrospectState};
+use crate::label::TaskLabel;
 use crate::notifier::Notifier;
-use crate::observer::{ExecutorObserver, DISPATCH_LANE};
+use crate::observer::{ExecutorObserver, SchedEventKind, DISPATCH_LANE};
 use crate::resilience::TenantQos;
 use crate::scheduler::{guest_loop, schedule, worker_loop, WorkerCtx, WorkerShared};
 use crate::stats::{ExecutorStats, WorkerStats};
 use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, RwLock};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use crate::wsq;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -115,11 +117,13 @@ pub(crate) struct Inner {
     /// paths reject without the registry lock. The registry bool (set
     /// first, under its lock) is the authoritative race-free check.
     pub(crate) closing: AtomicBool,
-    pub(crate) has_observers: AtomicBool,
-    pub(crate) observers: RwLock<Vec<Arc<dyn ExecutorObserver>>>,
-    /// `true` while live introspection is on; gates the current-task
-    /// publication in `execute` (one relaxed load when off).
-    pub(crate) introspect_live: AtomicBool,
+    /// `true` while `observers` is non-empty: all that [`emit`] reads when
+    /// nobody listens.
+    has_observers: AtomicBool,
+    /// Every installed observer, each with whether
+    /// [`Executor::remove_observers`] takes it off again: what `observe`
+    /// installed is removable, introspection's own observer is not.
+    observers: RwLock<Vec<(Arc<dyn ExecutorObserver>, bool)>>,
     /// The live-introspection service, if started (collector + optional
     /// HTTP server). Holds a `Weak` back-reference to this `Inner`, so no
     /// cycle keeps the executor alive.
@@ -212,6 +216,17 @@ impl Inner {
         Claim::Driver
     }
 
+    /// Installs `observer`, told the lane count first; `removable` says
+    /// whether [`Executor::remove_observers`] takes it off again.
+    pub(crate) fn install(&self, observer: Arc<dyn ExecutorObserver>, removable: bool) {
+        observer.on_observe(self.shareds.len());
+        let mut observers = self.observers.write();
+        observers.push((observer, removable));
+        // ORDERING: Release publishes the list write above to `emit`'s
+        // Acquire fast-path load.
+        self.has_observers.store(true, Ordering::Release);
+    }
+
     /// May the failed task of `topo` be run again? The scheduler's question
     /// before every retry; untenanted runs always may, a tenant's retry
     /// budget answers for the rest.
@@ -233,15 +248,41 @@ pub(crate) enum Claim {
     Closed(PendingRun),
 }
 
-/// Runs every observer hook iff at least one observer is installed; the
-/// hot paths pay a single relaxed-ish load when tracing is off.
+/// The label of an event that concerns no task.
+pub(crate) const NO_LABEL: &TaskLabel = &TaskLabel::empty();
+
+/// The one way the scheduler and this module reach observers: one event,
+/// `kind`, on `lane`. With no observer installed this is one load; `kind`
+/// is built only when somebody listens, then handed to each observer by
+/// [`deliver`].
 #[inline]
-pub(crate) fn notify_observers(inner: &Inner, f: impl Fn(&dyn ExecutorObserver)) {
-    // ORDERING: Acquire pairs with `observe`'s Release store, so a hook
+pub(crate) fn emit(
+    inner: &Inner,
+    lane: usize,
+    label: &TaskLabel,
+    kind: impl FnOnce() -> SchedEventKind,
+) {
+    // ORDERING: Acquire pairs with `install`'s Release store, so a hook
     // that fires sees the fully-constructed observer list.
     if inner.has_observers.load(Ordering::Acquire) {
-        for ob in inner.observers.read().iter() {
-            f(&**ob);
+        deliver(inner, lane, label, &kind());
+    }
+}
+
+/// [`emit`]'s calls, out of line so that the scheduler's hot functions
+/// keep only the load and a branch: one call per observer. A hook that
+/// panics is caught here, so a faulty observer costs neither the lane nor
+/// the run, and it stays installed.
+#[inline(never)]
+fn deliver(inner: &Inner, lane: usize, label: &TaskLabel, kind: &SchedEventKind) {
+    for (observer, _) in inner.observers.read().iter() {
+        let hook = catch_unwind(AssertUnwindSafe(|| observer.on_event(lane, label, kind)));
+        if let Err(payload) = hook {
+            if crate::sync::is_model_abort(payload.as_ref()) {
+                // The model engine tearing its execution down: rethrow,
+                // as `execute` does for a task.
+                std::panic::resume_unwind(payload);
+            }
         }
     }
 }
@@ -297,7 +338,6 @@ impl Executor {
             observers: RwLock::new(Vec::new()),
             has_observers: AtomicBool::new(false),
             epoch: crate::clock::origin(),
-            introspect_live: AtomicBool::new(false),
             introspect: RwLock::new(None),
             #[cfg(rustflow_weaken = "seed_plain_race")]
             race_scratch: crate::sync_cell::SyncCell::new(0),
@@ -381,21 +421,20 @@ impl Executor {
 
     /// Installs an observer whose hooks run around every task execution.
     pub fn observe(&self, observer: Arc<dyn ExecutorObserver>) {
-        observer.on_observe(self.num_lanes());
-        let mut obs = self.inner.observers.write();
-        obs.push(observer);
-        // ORDERING: Release publishes the list write above to
-        // `notify_observers`' Acquire fast-path load.
-        self.inner.has_observers.store(true, Ordering::Release);
+        self.inner.install(observer, true);
     }
 
-    /// Removes all observers.
+    /// Removes every observer installed through [`Executor::observe`].
+    /// Live introspection's own observer stays: `/trace` and the watchdog
+    /// keep seeing the executor.
     pub fn remove_observers(&self) {
-        let mut obs = self.inner.observers.write();
-        obs.clear();
-        // ORDERING: Release orders the clear before the flag flip; the
+        let mut observers = self.inner.observers.write();
+        observers.retain(|(_, removable)| !removable);
+        // ORDERING: Release orders the removal before the flag flip; the
         // fast path never iterates a list mid-teardown.
-        self.inner.has_observers.store(false, Ordering::Release);
+        self.inner
+            .has_observers
+            .store(!observers.is_empty(), Ordering::Release);
     }
 
     /// Per-lane diagnostic counters: one entry per worker, then one per
@@ -428,8 +467,9 @@ impl Executor {
     /// Starts the live-introspection collector (flight recorder +
     /// watchdog) **without** an HTTP endpoint; snapshots are read through
     /// the returned [`IntrospectHandle`]. The whole feature is off until
-    /// this (or [`Executor::serve_introspection`]) is called: workers pay
-    /// one relaxed load per task when disabled.
+    /// this (or [`Executor::serve_introspection`]) is called: it is one
+    /// more observer, so with none installed workers pay one load per
+    /// event.
     ///
     /// Errors with [`std::io::ErrorKind::AlreadyExists`] if introspection
     /// was already started on this executor.
@@ -589,8 +629,11 @@ pub(crate) fn advance_topology(
             // makes the sources visible below.
             unsafe {
                 topo.begin_iteration(|sources| {
-                    notify_observers(inner, |ob| {
-                        ob.on_topology_start(topo.iteration_info(), topo.num_static_nodes())
+                    emit(inner, DISPATCH_LANE, NO_LABEL, || {
+                        SchedEventKind::TopologyDispatch {
+                            info: topo.iteration_info(),
+                            tasks: topo.num_static_nodes(),
+                        }
                     });
                     if let Some(guest) = guest {
                         for &source in sources {
@@ -610,7 +653,9 @@ pub(crate) fn advance_topology(
                     fence(Ordering::SeqCst);
                     for _ in 0..k {
                         match inner.notifier.wake_one() {
-                            Some(w) => notify_observers(inner, |ob| ob.on_wake(DISPATCH_LANE, w)),
+                            Some(woken) => emit(inner, DISPATCH_LANE, NO_LABEL, || {
+                                SchedEventKind::Wake { woken }
+                            }),
                             None => break,
                         }
                     }
@@ -671,10 +716,6 @@ impl Drop for Executor {
         // stop flag with bounded sleeps, so the join is prompt.
         let introspect = self.inner.introspect.write().take();
         if let Some(state) = introspect {
-            // ORDERING: Release — workers' Relaxed `live` loads may lag,
-            // but anything they published before this store is visible to
-            // the collector's final drain.
-            self.inner.introspect_live.store(false, Ordering::Release);
             state.request_stop();
         }
         for t in self.aux_threads.lock().drain(..) {

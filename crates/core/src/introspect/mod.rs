@@ -4,8 +4,8 @@
 //! Everything here is **off until asked for**. Calling
 //! [`Executor::serve_introspection`](crate::Executor::serve_introspection)
 //! (or [`start_introspection`](crate::Executor::start_introspection) for
-//! the in-process API without a socket) installs a dedicated
-//! [`Tracer`] as an observer, flips one executor-wide flag, and spawns:
+//! the in-process API without a socket) installs one observer — a
+//! dedicated lossy [`Tracer`] plus each lane's running task — and spawns:
 //!
 //! * a **collector thread** that every [`IntrospectConfig::collect_period`]
 //!   drains the per-worker event rings into a bounded, time-windowed
@@ -14,11 +14,12 @@
 //!   (Prometheus text), `GET /status` (JSON scheduler snapshot), and
 //!   `GET /trace?last_ms=N` (Chrome-trace JSON of the recent window).
 //!
-//! The only hot-path costs while enabled are the ring pushes the tracer
-//! already paid for under any observer, plus one relaxed flag load and a
-//! per-task `Mutex<Option<CurrentTask>>` store publishing what each
-//! worker is running (uncontended except when a scrape reads it). With
-//! introspection off, the flag load is all that remains.
+//! The scheduler does not know any of this exists: it reports events to
+//! observers, and introspection is one. Its hot-path costs while enabled
+//! are the ring pushes any tracer pays, plus one per-lane
+//! `Mutex<Option<CurrentTask>>` store at each task begin and end
+//! publishing what the lane is running (uncontended except when a scrape
+//! reads it). With introspection off, nothing of it remains.
 //!
 //! All timestamps across `/status`, `/trace`, ring events, and profiler
 //! spans share one process-wide monotonic origin ([`crate::clock`]), so
@@ -32,7 +33,7 @@ pub use watchdog::{WatchdogCounts, WatchdogDiagnostic};
 
 use crate::executor::{Executor, Inner};
 use crate::label::TaskLabel;
-use crate::observer::{chrome_trace_json_from, ExecutorObserver, Tracer};
+use crate::observer::{chrome_trace_json_from, ExecutorObserver, SchedEventKind, Tracer};
 use crate::stats::{lane_labels, ExecutorStats, LANE_METRICS, TENANT_METRICS};
 use crate::wire::{json, prom};
 use parking_lot::Mutex;
@@ -43,9 +44,9 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 use watchdog::{Watchdog, WatchdogPass, WATCHDOG_METRICS};
 
-/// What a worker is running *right now*; published into
-/// `WorkerShared.current` at task entry and cleared at exit, read by
-/// `/status` and the worker-stall watchdog.
+/// What a lane is running *right now*; set in its [`LiveObserver`] slot at
+/// task begin and cleared at task end, read by `/status` and the
+/// worker-stall watchdog.
 #[derive(Debug, Clone)]
 pub(crate) struct CurrentTask {
     /// The task's label (cloning is a refcount bump).
@@ -56,6 +57,45 @@ pub(crate) struct CurrentTask {
     pub(crate) topology: u64,
     /// Task entry time, µs since the process clock origin.
     pub(crate) since_us: u64,
+}
+
+/// Introspection's one observer: the lossy tracer feeding the flight
+/// recorder, and one running-task slot per lane.
+pub(crate) struct LiveObserver {
+    tracer: Tracer,
+    /// Per lane (workers, then guest seats): the task it is running.
+    running: Box<[Mutex<Option<CurrentTask>>]>,
+}
+
+impl LiveObserver {
+    /// What every lane is running right now, by lane.
+    pub(crate) fn running(&self) -> Vec<Option<CurrentTask>> {
+        self.running
+            .iter()
+            .map(|slot| slot.lock().clone())
+            .collect()
+    }
+}
+
+impl ExecutorObserver for LiveObserver {
+    fn on_event(&self, lane: usize, label: &TaskLabel, kind: &SchedEventKind) {
+        // One clock read stamps both the ring event and the slot.
+        let now = crate::clock::now_us();
+        // Task events come from real lanes only, each below `running.len()`.
+        match kind {
+            SchedEventKind::TaskBegin { span } => {
+                *self.running[lane].lock() = Some(CurrentTask {
+                    label: label.clone(),
+                    node: span.node,
+                    topology: span.topology,
+                    since_us: now,
+                });
+            }
+            SchedEventKind::TaskEnd { .. } => *self.running[lane].lock() = None,
+            _ => {}
+        }
+        self.tracer.record_at(now, lane, label, kind);
+    }
 }
 
 /// Tuning knobs for the introspection service.
@@ -107,7 +147,7 @@ pub(crate) struct IntrospectState {
     num_workers: usize,
     /// Workers plus guest seats: what sizes every per-lane array here.
     num_lanes: usize,
-    tracer: Arc<Tracer>,
+    live: Arc<LiveObserver>,
     recorder: FlightRecorder,
     watchdog: Watchdog,
     /// Serializes collection passes and owns watchdog bookkeeping.
@@ -120,9 +160,9 @@ pub(crate) struct IntrospectState {
 }
 
 impl IntrospectState {
-    /// The tracer installed as this executor's introspection observer.
+    /// The tracer inside this executor's introspection observer.
     pub(crate) fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.live.tracer
     }
 
     /// The watchdog, for diagnostic sources outside the collection pass
@@ -155,12 +195,12 @@ impl IntrospectState {
     fn collect_pass_with(&self, inner: &Inner) {
         let mut pass = self.pass.lock();
         let now = crate::clock::now_us();
-        self.recorder.absorb(self.tracer.drain_events(), now);
+        self.recorder.absorb(self.tracer().drain_events(), now);
         watchdog::check(
             &mut pass,
             &self.watchdog,
             inner,
-            &self.tracer,
+            &self.live,
             self.config.stall_threshold.as_micros() as u64,
             now,
         );
@@ -189,7 +229,7 @@ impl IntrospectState {
         let help = "Telemetry events waiting in each lane's ring.";
         prom::header(&mut out, ring_fill, help, "gauge");
         for (w, fill) in self
-            .tracer
+            .tracer()
             .lane_fill()
             .iter()
             .take(self.num_lanes)
@@ -285,7 +325,7 @@ impl IntrospectState {
             *last = stats.clone();
             d
         };
-        let ring_dropped_total: u64 = self.tracer.dropped_per_lane().iter().sum();
+        let ring_dropped_total: u64 = self.tracer().dropped_per_lane().iter().sum();
         let mut w = json::Writer::compact();
         w.begin_object();
         w.field("schema", 1);
@@ -312,13 +352,13 @@ impl IntrospectState {
         w.end();
         w.key("workers");
         w.begin_array();
-        for (id, shared) in inner.shareds.iter().enumerate() {
+        let running = self.live.running();
+        for (id, (shared, current)) in inner.shareds.iter().zip(running).enumerate() {
             w.begin_object();
             w.field("id", id);
             w.field("guest", id >= self.num_workers);
             w.field("queue_depth", shared.stealer.len());
             w.key("running");
-            let current = shared.current.lock().clone();
             match current {
                 Some(ct) => {
                     w.begin_object();
@@ -505,7 +545,7 @@ impl IntrospectHandle {
 
     /// Telemetry events lost to ring overflow, summed across workers.
     pub fn ring_dropped(&self) -> u64 {
-        self.state.tracer.dropped_per_lane().iter().sum()
+        self.state.tracer().dropped_per_lane().iter().sum()
     }
 }
 
@@ -519,10 +559,10 @@ impl std::fmt::Debug for IntrospectHandle {
     }
 }
 
-/// Installs the introspection service on `executor`: registers the
-/// tracer observer, flips the live flag, and spawns the collector (and,
-/// with a listener, the HTTP acceptor). Fails with `AlreadyExists` if
-/// the executor already has one.
+/// Installs the introspection service on `executor`: registers its
+/// observer (one [`Executor::remove_observers`] leaves in place) and
+/// spawns the collector (and, with a listener, the HTTP acceptor). Fails
+/// with `AlreadyExists` if the executor already has one.
 pub(crate) fn start(
     executor: &Executor,
     inner: &Arc<Inner>,
@@ -543,7 +583,10 @@ pub(crate) fn start(
             inner: Arc::downgrade(inner),
             num_workers: inner.num_workers,
             num_lanes,
-            tracer: Arc::new(Tracer::with_capacity(num_lanes, config.ring_capacity).lossy()),
+            live: Arc::new(LiveObserver {
+                tracer: Tracer::with_capacity(num_lanes, config.ring_capacity).lossy(),
+                running: (0..num_lanes).map(|_| Mutex::new(None)).collect(),
+            }),
             recorder: FlightRecorder::new(window_us, config.max_events),
             watchdog: Watchdog::new(),
             pass: Mutex::new(WatchdogPass::new(num_lanes)),
@@ -555,10 +598,7 @@ pub(crate) fn start(
         *slot = Some(Arc::clone(&state));
         state
     };
-    executor.observe(Arc::clone(&state.tracer) as Arc<dyn ExecutorObserver>);
-    // ORDERING: Release — the service state installed above is visible to
-    // any worker whose Relaxed `live` load observes the flag.
-    inner.introspect_live.store(true, Ordering::Release);
+    inner.install(Arc::clone(&state.live) as Arc<dyn ExecutorObserver>, false);
 
     let mut threads = Vec::with_capacity(2);
     {

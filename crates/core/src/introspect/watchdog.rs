@@ -36,10 +36,9 @@
 //! the pass mutex — passes are serialized, so detection needs no atomics
 //! beyond the public counters.
 
-use super::CurrentTask;
+use super::LiveObserver;
 use crate::executor::Inner;
 use crate::frontdoor::PHASE_E2E;
-use crate::observer::Tracer;
 use crate::stats::{metric_table, Metric};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -360,16 +359,12 @@ pub(crate) fn check(
     pass: &mut WatchdogPass,
     wd: &Watchdog,
     inner: &Inner,
-    tracer: &Tracer,
+    live: &LiveObserver,
     threshold_us: u64,
     now_us: u64,
 ) {
     // --- Signal 1: workers stuck in one task invocation. -----------------
-    let currents: Vec<Option<CurrentTask>> = inner
-        .shareds
-        .iter()
-        .map(|s| s.current.lock().clone())
-        .collect();
+    let currents = live.running();
     for (w, cur) in currents.iter().enumerate() {
         match cur {
             Some(ct) => {
@@ -436,7 +431,7 @@ pub(crate) fn check(
     pass.topologies.retain(|uid, _| seen.contains(uid));
 
     // --- Signal 3: event rings overflowing between passes. ---------------
-    let dropped_total: u64 = tracer.dropped_per_lane().iter().sum();
+    let dropped_total: u64 = live.tracer.dropped_per_lane().iter().sum();
     if dropped_total > pass.last_dropped {
         let delta = dropped_total - pass.last_dropped;
         pass.last_dropped = dropped_total;

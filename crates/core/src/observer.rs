@@ -49,7 +49,10 @@ pub const DISPATCH_LANE: usize = usize::MAX;
 ///   stint's lifecycle decomposition in the trace's time domain.
 /// * **v6** — [`SchedEventKind::Wake`] loses its `targeted` flag: every
 ///   wake-up is a push-side one since the post-chain coin went.
-pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 6;
+/// * **v7** — [`TaskSpanInfo`] carries the topology uid
+///   ([`TaskSpanInfo::topology`]), so a task begin names its topology
+///   without a dispatch event to join against.
+pub const SCHED_EVENT_SCHEMA_VERSION: u32 = 7;
 
 /// Identity of one task execution, attached to task begin/end events.
 ///
@@ -67,10 +70,13 @@ pub struct TaskSpanInfo {
     /// Run id of the iteration this execution belongs to (matches
     /// [`IterationInfo::run`]).
     pub run: u64,
+    /// Stable id of the topology this execution belongs to (matches
+    /// [`IterationInfo::topology`]). Schema v7.
+    pub topology: u64,
 }
 
 /// Identity of one topology iteration, attached to dispatch/finalize
-/// events and passed to the topology observer hooks.
+/// events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterationInfo {
     /// Globally unique id of this iteration (fresh per re-arm).
@@ -176,11 +182,19 @@ pub struct SchedEvent {
     pub kind: SchedEventKind,
 }
 
-/// Hooks invoked by the executor around every scheduling decision.
+/// What an executor tells an observer: the paper's set-up, entry and exit
+/// hooks, plus one hook for every scheduling event.
 ///
-/// All hooks have empty default bodies, so an implementation overrides
-/// only what it cares about. They run on the hot path behind a single
-/// `has_observers` check; implementations must be cheap and thread-safe.
+/// Every method has a default body, so an implementation overrides only
+/// what it cares about: a task timer implements [`on_entry`] and
+/// [`on_exit`], a recorder [`on_event`]. Hooks run on the hot path behind a
+/// single `has_observers` check and must be cheap and thread-safe. A hook
+/// that panics is caught where the executor calls it: the lane and the run
+/// go on, and the observer stays installed.
+///
+/// [`on_entry`]: ExecutorObserver::on_entry
+/// [`on_exit`]: ExecutorObserver::on_exit
+/// [`on_event`]: ExecutorObserver::on_event
 pub trait ExecutorObserver: Send + Sync {
     /// Called once when the observer is installed, with the executor's
     /// lane count ([`Executor::num_lanes`](crate::Executor::num_lanes)):
@@ -191,54 +205,20 @@ pub trait ExecutorObserver: Send + Sync {
     /// Called by worker `worker` immediately after a task returns (also
     /// fires when the task panicked).
     fn on_exit(&self, _worker: usize, _label: &TaskLabel) {}
-    /// Called by worker `worker` immediately before invoking a task, with
-    /// the execution's identity (node, spawning parent, run id). The
-    /// default forwards to [`ExecutorObserver::on_entry`], so observers
-    /// that do not care about identity keep implementing the plain hook.
-    fn on_task_begin(&self, worker: usize, label: &TaskLabel, _span: TaskSpanInfo) {
-        self.on_entry(worker, label);
+    /// Called for every scheduling event: by lane `worker` for the events
+    /// of a lane, with [`DISPATCH_LANE`] for topology dispatch and
+    /// finalize and for a wake-up sent by a dispatching thread. `label` is
+    /// the task's for task events and empty otherwise. The default
+    /// forwards [`SchedEventKind::TaskBegin`] and
+    /// [`SchedEventKind::TaskEnd`] to [`ExecutorObserver::on_entry`] and
+    /// [`ExecutorObserver::on_exit`] and ignores the rest.
+    fn on_event(&self, worker: usize, label: &TaskLabel, kind: &SchedEventKind) {
+        match kind {
+            SchedEventKind::TaskBegin { .. } => self.on_entry(worker, label),
+            SchedEventKind::TaskEnd { .. } => self.on_exit(worker, label),
+            _ => {}
+        }
     }
-    /// Called by worker `worker` immediately after a task returns (also
-    /// fires on panic), with the execution's identity. The default
-    /// forwards to [`ExecutorObserver::on_exit`].
-    fn on_task_end(&self, worker: usize, label: &TaskLabel, _span: TaskSpanInfo) {
-        self.on_exit(worker, label);
-    }
-    /// Called when `worker` skips a task because its topology was
-    /// cancelled before the task started: the work closure never ran
-    /// (so no begin/end pair fires), only completion bookkeeping.
-    fn on_task_skipped(&self, _worker: usize, _label: &TaskLabel) {}
-    /// Called when a panicked attempt of a task is about to be re-executed
-    /// under its [`crate::Task::retry`] budget; `attempt` is 1-based (1 =
-    /// second attempt overall). The task's begin/end pair brackets *all*
-    /// attempts.
-    fn on_task_retry(&self, _worker: usize, _label: &TaskLabel, _attempt: u32) {}
-    /// Called when `worker` pulls its next task from the exclusive cache
-    /// slot (speculative linear-chain execution; no queue traffic).
-    fn on_cache_hit(&self, _worker: usize, _label: &TaskLabel) {}
-    /// Called when `thief` successfully steals a task from `victim`.
-    fn on_steal(&self, _thief: usize, _victim: usize) {}
-    /// Called when a full steal round of `worker` (all victims plus the
-    /// injector) comes back empty.
-    fn on_steal_fail(&self, _worker: usize) {}
-    /// Called when `worker` pops a task from the external injector queue.
-    fn on_injector_pop(&self, _worker: usize) {}
-    /// Called when `worker` is about to park on the idler list.
-    fn on_park(&self, _worker: usize) {}
-    /// Called when `waker` wakes the parked worker `woken`; `waker` is
-    /// [`DISPATCH_LANE`] when the wake came from a dispatching
-    /// (non-worker) thread.
-    fn on_wake(&self, _waker: usize, _woken: usize) {}
-    /// Called when an iteration of a topology with `num_tasks` top-level
-    /// tasks is handed to the executor — on the submitting thread for the
-    /// first iteration of a batch, on the re-arming worker for later
-    /// iterations of a reused topology. `info.run` is a fresh id per
-    /// iteration; `info.topology` is stable across every iteration of the
-    /// same frozen graph, so roll-ups can survive re-arms.
-    fn on_topology_start(&self, _info: IterationInfo, _num_tasks: usize) {}
-    /// Called by the finalizing worker when an iteration's last task
-    /// completed; `info` matches the iteration's `on_topology_start`.
-    fn on_topology_stop(&self, _info: IterationInfo) {}
 }
 
 /// Counts workers that are currently executing a task; sampling it over
@@ -283,10 +263,11 @@ const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 ///
 /// The record path touches only the recording worker's own ring — no lock
 /// is shared between workers, so tracing perturbs the schedule far less
-/// than a global mutex would (and never blocks). Rings have fixed
-/// capacity; when one fills up, further events on that lane are counted
-/// in [`Tracer::dropped`] and discarded until [`Tracer::collect`] (or any
-/// exporter, which collects implicitly) drains them into the archive.
+/// than a global mutex would. Rings have fixed capacity; when one fills
+/// up, the recording worker drains every ring into the archive and
+/// retries (a short stall, no loss). Only the live-introspection tracer,
+/// whose collector drains on its own cadence, discards the event instead
+/// and counts it in [`Tracer::dropped`].
 pub struct Tracer {
     /// One ring per lane plus a final one for the dispatch lane (and for
     /// any lane id past `max_lanes`).
@@ -328,26 +309,14 @@ impl Tracer {
     /// drain cadence (the live-introspection collector) wants this, so
     /// a saturated ring costs the worker nothing but a counter bump —
     /// the loss is then surfaced by the ring-saturation watchdog signal.
-    pub fn lossy(mut self) -> Self {
+    pub(crate) fn lossy(mut self) -> Self {
         self.lossy = true;
         self
-    }
-
-    /// Timestamps are microseconds since the process-wide monotonic origin
-    /// ([`crate::clock`]), so every tracer — and every executor's flight
-    /// recorder and profile export — shares one time domain.
-    fn now_us(&self) -> u64 {
-        crate::clock::now_us()
     }
 
     /// Number of executing lanes (excluding the dispatch lane).
     pub fn num_lanes(&self) -> usize {
         self.lanes.len() - 1
-    }
-
-    /// Capacity of each lane's ring, in events.
-    pub fn lane_capacity(&self) -> usize {
-        self.lanes[0].capacity()
     }
 
     /// Events discarded because a lane's ring was full.
@@ -379,33 +348,48 @@ impl Tracer {
         std::mem::take(&mut *self.archive.lock())
     }
 
+    /// Records one event stamped `ts_us` (microseconds since the
+    /// process-wide origin, [`crate::clock`], the one time domain of every
+    /// tracer, flight recorder and profile export) into `worker`'s ring.
+    /// A topology finalize also flushes every ring into the archive: a
+    /// reader holding only the archive (e.g. an exporter racing
+    /// `Executor::drop`) must see every event of the iteration that just
+    /// ended, including its last task-end.
     #[inline]
-    fn record(&self, worker: usize, label: TaskLabel, kind: SchedEventKind) {
-        let lane = worker.min(self.lanes.len() - 1);
+    pub(crate) fn record_at(
+        &self,
+        ts_us: u64,
+        worker: usize,
+        label: &TaskLabel,
+        kind: &SchedEventKind,
+    ) {
+        let lane = &self.lanes[worker.min(self.lanes.len() - 1)];
         let event = SchedEvent {
             worker,
-            ts_us: self.now_us(),
-            label,
-            kind,
+            ts_us,
+            label: label.clone(),
+            kind: kind.clone(),
         };
-        if let Err(event) = self.lanes[lane].try_push(event) {
+        let pushed = lane.try_push(event).or_else(|event| {
             if self.lossy {
                 // Off-hot-path consumers (the introspection collector)
                 // drain on their own cadence; never stall the worker on
                 // the archive lock for them.
-                self.lanes[lane].note_drop();
-                return;
+                return Err(event);
             }
             // Full ring: drain everything into the archive and retry once,
             // so an overflowing lane degrades into a one-off collect (a
             // short stall for this worker) instead of silently losing the
             // event — final task-end events in particular must stay
-            // visible to readers (`Tracer::collect` on finalize relies on
-            // this too).
+            // visible to readers.
             self.collect();
-            if let Err(_lost) = self.lanes[lane].try_push(event) {
-                self.lanes[lane].note_drop();
-            }
+            lane.try_push(event)
+        });
+        if pushed.is_err() {
+            lane.note_drop();
+        }
+        if let SchedEventKind::TopologyFinalize { .. } = kind {
+            self.collect();
         }
     }
 
@@ -585,68 +569,8 @@ fn complete(w: &mut Writer, name: &str, cat: &str, begin_us: u64, end_us: u64, t
 }
 
 impl ExecutorObserver for Tracer {
-    fn on_entry(&self, worker: usize, label: &TaskLabel) {
-        // Identity-less compatibility path (direct calls, custom drivers);
-        // the executor always uses `on_task_begin`.
-        self.on_task_begin(worker, label, TaskSpanInfo::default());
-    }
-    fn on_exit(&self, worker: usize, label: &TaskLabel) {
-        self.on_task_end(worker, label, TaskSpanInfo::default());
-    }
-    fn on_task_begin(&self, worker: usize, label: &TaskLabel, span: TaskSpanInfo) {
-        self.record(worker, label.clone(), SchedEventKind::TaskBegin { span });
-    }
-    fn on_task_end(&self, worker: usize, label: &TaskLabel, span: TaskSpanInfo) {
-        self.record(worker, label.clone(), SchedEventKind::TaskEnd { span });
-    }
-    fn on_cache_hit(&self, worker: usize, label: &TaskLabel) {
-        self.record(worker, label.clone(), SchedEventKind::CacheHit);
-    }
-    fn on_task_skipped(&self, worker: usize, label: &TaskLabel) {
-        self.record(worker, label.clone(), SchedEventKind::TaskSkipped);
-    }
-    fn on_task_retry(&self, worker: usize, label: &TaskLabel, attempt: u32) {
-        self.record(
-            worker,
-            label.clone(),
-            SchedEventKind::TaskRetried { attempt },
-        );
-    }
-    fn on_steal(&self, thief: usize, victim: usize) {
-        self.record(thief, TaskLabel::empty(), SchedEventKind::Steal { victim });
-    }
-    fn on_steal_fail(&self, worker: usize) {
-        self.record(worker, TaskLabel::empty(), SchedEventKind::StealFail);
-    }
-    fn on_injector_pop(&self, worker: usize) {
-        self.record(worker, TaskLabel::empty(), SchedEventKind::InjectorPop);
-    }
-    fn on_park(&self, worker: usize) {
-        self.record(worker, TaskLabel::empty(), SchedEventKind::Park);
-    }
-    fn on_wake(&self, waker: usize, woken: usize) {
-        self.record(waker, TaskLabel::empty(), SchedEventKind::Wake { woken });
-    }
-    fn on_topology_start(&self, info: IterationInfo, num_tasks: usize) {
-        self.record(
-            DISPATCH_LANE,
-            TaskLabel::empty(),
-            SchedEventKind::TopologyDispatch {
-                info,
-                tasks: num_tasks,
-            },
-        );
-    }
-    fn on_topology_stop(&self, info: IterationInfo) {
-        self.record(
-            DISPATCH_LANE,
-            TaskLabel::empty(),
-            SchedEventKind::TopologyFinalize { info },
-        );
-        // Flush on finalize: a reader holding only the archive (e.g. an
-        // exporter racing `Executor::drop`) must see every event of the
-        // iteration that just ended, including its last task-end.
-        self.collect();
+    fn on_event(&self, worker: usize, label: &TaskLabel, kind: &SchedEventKind) {
+        self.record_at(crate::clock::now_us(), worker, label, kind);
     }
 }
 
@@ -657,6 +581,26 @@ mod tests {
 
     fn label(s: &str) -> TaskLabel {
         TaskLabel::new(s)
+    }
+
+    /// `kind` on `lane` through the observer interface, unlabelled.
+    fn event(t: &Tracer, lane: usize, kind: SchedEventKind) {
+        t.on_event(lane, &TaskLabel::empty(), &kind);
+    }
+
+    /// A task execution of `name` on `lane`, as the executor reports it.
+    fn task(t: &Tracer, lane: usize, name: &str) {
+        let span = TaskSpanInfo::default();
+        t.on_event(lane, &label(name), &SchedEventKind::TaskBegin { span });
+        t.on_event(lane, &label(name), &SchedEventKind::TaskEnd { span });
+    }
+
+    #[test]
+    fn a_sched_event_stays_eighty_eight_bytes() {
+        // A task begin's span (32 B) fits under a dispatch's payload
+        // (48 B), so the ring slot did not grow with schema v7.
+        assert_eq!(std::mem::size_of::<TaskSpanInfo>(), 32);
+        assert_eq!(std::mem::size_of::<SchedEvent>(), 88);
     }
 
     #[test]
@@ -676,10 +620,8 @@ mod tests {
     #[test]
     fn tracer_records_matched_events() {
         let t = Tracer::new(2);
-        t.on_entry(0, &label("x"));
-        t.on_exit(0, &label("x"));
-        t.on_entry(1, &label("y"));
-        t.on_exit(1, &label("y"));
+        task(&t, 0, "x");
+        task(&t, 1, "y");
         let spans = task_spans(&t.sched_events());
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].label.as_str(), spans[0].worker), ("x", 0));
@@ -689,12 +631,12 @@ mod tests {
     #[test]
     fn tracer_keeps_lifecycle_events() {
         let t = Tracer::new(2);
-        t.on_steal(1, 0);
-        t.on_steal_fail(1);
-        t.on_injector_pop(0);
-        t.on_park(1);
-        t.on_wake(0, 1);
-        t.on_cache_hit(0, &label("c"));
+        event(&t, 1, SchedEventKind::Steal { victim: 0 });
+        event(&t, 1, SchedEventKind::StealFail);
+        event(&t, 0, SchedEventKind::InjectorPop);
+        event(&t, 1, SchedEventKind::Park);
+        event(&t, 0, SchedEventKind::Wake { woken: 1 });
+        t.on_event(0, &label("c"), &SchedEventKind::CacheHit);
         let info = IterationInfo {
             run: 7,
             topology: 1,
@@ -702,8 +644,12 @@ mod tests {
             tenant: 0,
             submit_us: 0,
         };
-        t.on_topology_start(info, 3);
-        t.on_topology_stop(info);
+        event(
+            &t,
+            DISPATCH_LANE,
+            SchedEventKind::TopologyDispatch { info, tasks: 3 },
+        );
+        event(&t, DISPATCH_LANE, SchedEventKind::TopologyFinalize { info });
         let events = t.sched_events();
         assert_eq!(events.len(), 8);
         assert!(events
@@ -719,13 +665,11 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_shape() {
         let t = Tracer::new(2);
-        t.on_entry(0, &label("alpha"));
-        t.on_exit(0, &label("alpha"));
-        t.on_entry(1, &label("beta"));
-        t.on_exit(1, &label("beta"));
-        t.on_steal(1, 0);
-        t.on_park(1);
-        t.on_wake(0, 1);
+        task(&t, 0, "alpha");
+        task(&t, 1, "beta");
+        event(&t, 1, SchedEventKind::Steal { victim: 0 });
+        event(&t, 1, SchedEventKind::Park);
+        event(&t, 0, SchedEventKind::Wake { woken: 1 });
         let json = t.chrome_trace_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"alpha\""));
@@ -739,7 +683,8 @@ mod tests {
     #[test]
     fn tracer_tolerates_unmatched_exit() {
         let t = Tracer::new(1);
-        t.on_exit(0, &label("ghost"));
+        let span = TaskSpanInfo::default();
+        t.on_event(0, &label("ghost"), &SchedEventKind::TaskEnd { span });
         let spans = task_spans(&t.sched_events());
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].begin_us, spans[0].end_us);
@@ -753,7 +698,7 @@ mod tests {
         // retries, so a burst larger than the ring survives intact.
         let t = Tracer::with_capacity(1, 8);
         for _ in 0..20 {
-            t.on_park(0);
+            event(&t, 0, SchedEventKind::Park);
         }
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.sched_events().len(), 20);
@@ -763,11 +708,11 @@ mod tests {
     fn collect_between_bursts_prevents_loss() {
         let t = Tracer::with_capacity(1, 8);
         for _ in 0..8 {
-            t.on_park(0);
+            event(&t, 0, SchedEventKind::Park);
         }
         t.collect();
         for _ in 0..8 {
-            t.on_park(0);
+            event(&t, 0, SchedEventKind::Park);
         }
         assert_eq!(t.sched_events().len(), 16);
         assert_eq!(t.dropped(), 0);

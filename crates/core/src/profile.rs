@@ -829,7 +829,12 @@ mod tests {
             ts_us: ts,
             label: TaskLabel::new(label),
             kind: SchedEventKind::TaskBegin {
-                span: TaskSpanInfo { node, parent, run },
+                span: TaskSpanInfo {
+                    node,
+                    parent,
+                    run,
+                    ..Default::default()
+                },
             },
         }
     }
@@ -840,7 +845,12 @@ mod tests {
             ts_us: ts,
             label: TaskLabel::new(label),
             kind: SchedEventKind::TaskEnd {
-                span: TaskSpanInfo { node, parent, run },
+                span: TaskSpanInfo {
+                    node,
+                    parent,
+                    run,
+                    ..Default::default()
+                },
             },
         }
     }

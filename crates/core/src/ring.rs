@@ -71,11 +71,6 @@ impl EventRing {
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Events discarded because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -228,7 +223,6 @@ mod tests {
     #[test]
     fn fifo_order_and_capacity() {
         let r = EventRing::new(8);
-        assert_eq!(r.capacity(), 8);
         for i in 0..8 {
             assert!(r.push(ev(i)));
         }

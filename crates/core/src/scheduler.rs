@@ -26,15 +26,17 @@
 //! serving type and leaves through two calls on the executor core,
 //! [`advance_topology`] when an iteration's last node completes and
 //! [`Inner::may_retry`] before it re-runs a failed task
-//! (`tests/safety_audit.rs` holds it to that).
+//! (`tests/safety_audit.rs` holds it to that). Nor does it know who
+//! watches: every scheduling event goes to the observers through one call,
+//! [`emit`], and live introspection is one observer among them.
 
 use crate::error::{panic_message, FailurePolicy, RunError, TaskPanic};
-use crate::executor::{advance_topology, notify_observers, Inner};
+use crate::executor::{advance_topology, emit, Inner, NO_LABEL};
 use crate::graph::{RawNode, WorkKind};
-use crate::introspect::CurrentTask;
+use crate::observer::{SchedEventKind, TaskSpanInfo, DISPATCH_LANE};
 use crate::stats::{Counter, Metric, WorkerStats, LANE_METRICS};
 use crate::subflow::Subflow;
-use crate::sync::{fence, AtomicU64, Mutex};
+use crate::sync::{fence, AtomicU64};
 use crate::topology::Topology;
 use crate::wsq;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,11 +48,6 @@ pub(crate) struct WorkerShared {
     pub(crate) stealer: wsq::Stealer,
     /// `true` for a guest seat's lane.
     guest: bool,
-    /// The task this worker is executing right now, published only while
-    /// live introspection is on (`Inner::introspect_live`). Uncontended
-    /// in steady state: the worker writes twice per task, the collector
-    /// reads once per period.
-    pub(crate) current: Mutex<Option<CurrentTask>>,
     /// Diagnostic counters (relaxed; advisory), indexed by [`Counter`].
     /// Each lane writes only its own set, so there is no cross-lane
     /// contention.
@@ -62,7 +59,6 @@ impl WorkerShared {
         WorkerShared {
             stealer,
             guest,
-            current: Mutex::new(None),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -140,7 +136,7 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
             #[cfg(rustflow_weaken = "seed_plain_race")]
             let _ = unsafe { *inner.race_scratch.get() };
             inner.shareds[ctx.id].count(Counter::Parks);
-            notify_observers(inner, |ob| ob.on_park(ctx.id));
+            emit(inner, ctx.id, NO_LABEL, || SchedEventKind::Park);
             inner
                 .notifier
                 .wait(ctx.id, || all_queues_empty(inner), &inner.stop);
@@ -223,7 +219,7 @@ fn run_chain(inner: &Inner, ctx: &mut WorkerCtx, first: usize) {
         // SAFETY: the node is armed and its topology alive (same
         // contract as `execute` below, which runs it next).
         let label = unsafe { (*(t as RawNode)).label() };
-        notify_observers(inner, |ob| ob.on_cache_hit(ctx.id, label));
+        emit(inner, ctx.id, label, || SchedEventKind::CacheHit);
         inner.shareds[ctx.id].count(Counter::Executed);
         execute(inner, ctx, t as RawNode);
     }
@@ -243,7 +239,7 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
             match inner.shareds[v].stealer.steal() {
                 wsq::Steal::Success(x) => {
                     inner.shareds[me].count(Counter::Steals);
-                    notify_observers(inner, |ob| ob.on_steal(me, v));
+                    emit(inner, me, NO_LABEL, || SchedEventKind::Steal { victim: v });
                     return x;
                 }
                 wsq::Steal::Retry => continue, // same victim again
@@ -256,12 +252,12 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
     match popped {
         Some(x) => {
             inner.shareds[me].count(Counter::InjectorPops);
-            notify_observers(inner, |ob| ob.on_injector_pop(me));
+            emit(inner, me, NO_LABEL, || SchedEventKind::InjectorPop);
             x
         }
         None => {
             inner.shareds[me].count(Counter::StealFails);
-            notify_observers(inner, |ob| ob.on_steal_fail(me));
+            emit(inner, me, NO_LABEL, || SchedEventKind::StealFail);
             0
         }
     }
@@ -289,7 +285,7 @@ pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode)
     if inner.num_spinning.load(Ordering::SeqCst) == 0 {
         if let Some(woken) = inner.notifier.wake_one() {
             inner.shareds[ctx.id].count(Counter::WakesSent);
-            notify_observers(inner, |ob| ob.on_wake(ctx.id, woken));
+            emit(inner, ctx.id, NO_LABEL, || SchedEventKind::Wake { woken });
         }
     }
 }
@@ -317,41 +313,25 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
             // never let the batch resolve `Ok`. Skipped tasks emit no
             // begin/end span — they did not run.
             inner.shareds[ctx.id].count(Counter::Skipped);
-            let label = (*node).label();
-            notify_observers(inner, |ob| ob.on_task_skipped(ctx.id, label));
+            emit(inner, ctx.id, (*node).label(), || {
+                SchedEventKind::TaskSkipped
+            });
             complete(inner, ctx, node);
             return;
         }
-        // Publish the running task for live introspection (`/status`,
-        // stall watchdog). Off by default: one relaxed load per task;
-        // when live, two uncontended mutex writes bracketing the work.
-        let live = inner.introspect_live.load(Ordering::Relaxed);
-        if live {
-            *inner.shareds[ctx.id].current.lock() = Some(CurrentTask {
-                label: (*node).label().clone(),
-                node: node as u64,
-                topology: topo.uid(),
-                since_us: crate::clock::now_us(),
-            });
-        }
-        // ORDERING: Acquire pairs with `observe`'s Release, so span hooks
-        // run against a fully-installed observer list.
-        let observed = inner.has_observers.load(Ordering::Acquire);
-        // Span identity is built only when somebody is listening; the
-        // zero-observer hot path pays the single Acquire load and nothing
-        // else. Node and parent addresses are stable for the iteration,
-        // and the run id cannot change while this node is alive.
-        let span = observed.then(|| crate::observer::TaskSpanInfo {
+        // The execution's identity, built only when somebody listens. Node
+        // and parent addresses are stable for the iteration, and the run
+        // id cannot change while this node is alive, so the begin and the
+        // end event name the same span.
+        let span = || TaskSpanInfo {
             node: node as u64,
             parent: (*(*node).state.parent.get()) as u64,
             run: topo.run_id(),
+            topology: topo.uid(),
+        };
+        emit(inner, ctx.id, (*node).label(), || {
+            SchedEventKind::TaskBegin { span: span() }
         });
-        if let Some(span) = span {
-            let label = (*node).label();
-            for ob in inner.observers.read().iter() {
-                ob.on_task_begin(ctx.id, label, span);
-            }
-        }
         let retry = (*node).retry_policy();
         let mut attempt: u32 = 0;
         let mut deferred = false;
@@ -411,8 +391,9 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
             if will_retry {
                 attempt += 1;
                 inner.shareds[ctx.id].count(Counter::Retries);
-                let label = (*node).label();
-                notify_observers(inner, |ob| ob.on_task_retry(ctx.id, label, attempt));
+                emit(inner, ctx.id, (*node).label(), || {
+                    SchedEventKind::TaskRetried { attempt }
+                });
                 // Reset just this node's run state (half-built subflow,
                 // joined-child countdown); nothing propagated to
                 // successors or `alive` yet, so the retry is invisible to
@@ -443,15 +424,9 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
         {
             *inner.race_scratch.get_mut() += 1;
         }
-        if live {
-            *inner.shareds[ctx.id].current.lock() = None;
-        }
-        if let Some(span) = span {
-            let label = (*node).label();
-            for ob in inner.observers.read().iter() {
-                ob.on_task_end(ctx.id, label, span);
-            }
-        }
+        emit(inner, ctx.id, (*node).label(), || SchedEventKind::TaskEnd {
+            span: span(),
+        });
         if deferred {
             // Drop the spawn sentinel; the last finishing child (or we,
             // right now, if they all already finished) completes the node.
@@ -590,6 +565,10 @@ fn finalize(inner: &Inner, topo_ptr: *const Topology) {
     // transitions it to idle (inside `advance_topology` below), so the
     // pointer is live for this whole call.
     let topo = unsafe { &*topo_ptr };
-    notify_observers(inner, |ob| ob.on_topology_stop(topo.iteration_info()));
+    emit(inner, DISPATCH_LANE, NO_LABEL, || {
+        SchedEventKind::TopologyFinalize {
+            info: topo.iteration_info(),
+        }
+    });
     advance_topology(inner, topo, true, None);
 }

@@ -120,7 +120,7 @@ impl<'g> Task<'g> {
     /// task) is re-armed before each retry, and nothing propagates to
     /// successors until an attempt succeeds or the budget is exhausted.
     /// Retries are visible to observers
-    /// ([`ExecutorObserver::on_task_retry`](crate::ExecutorObserver::on_task_retry))
+    /// ([`SchedEventKind::TaskRetried`](crate::SchedEventKind::TaskRetried))
     /// and counted in [`ExecutorStats`](crate::ExecutorStats).
     ///
     /// ```

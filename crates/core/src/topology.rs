@@ -368,7 +368,7 @@ impl Topology {
     /// Identity of the in-flight (or most recent) iteration, as reported
     /// to observers. `iteration` is the count of *completed* iterations,
     /// which equals the 0-based index of the one in flight: the counter is
-    /// incremented only after the iteration's `on_topology_stop` fired.
+    /// incremented only after the iteration's finalize event fired.
     pub(crate) fn iteration_info(&self) -> crate::observer::IterationInfo {
         crate::observer::IterationInfo {
             run: self.run_id(),

@@ -6,8 +6,8 @@
 use rustflow::chaos::{ChaosSpec, Fault};
 use rustflow::wire::{json, prom};
 use rustflow::{
-    this_task, Executor, ExecutorBuilder, IntrospectConfig, SloSpec, Taskflow, TenantQos,
-    WatchdogDiagnostic,
+    this_task, BusyCounter, Executor, ExecutorBuilder, ExecutorObserver, IntrospectConfig, SloSpec,
+    Taskflow, TenantQos, WatchdogDiagnostic,
 };
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -159,6 +159,25 @@ fn endpoints_observe_a_running_workload() {
     ] {
         assert!(metrics.contains(family), "missing family {family}");
     }
+}
+
+/// `remove_observers` takes off what `observe` installed and nothing
+/// else: the introspection tracer keeps recording.
+#[test]
+fn remove_observers_leaves_introspection_attached() {
+    let ex = Executor::new(2);
+    let handle = ex.start_introspection(manual_config()).unwrap();
+    ex.observe(Arc::new(BusyCounter::new()) as Arc<dyn ExecutorObserver>);
+    ex.remove_observers();
+    let tf = Taskflow::with_executor(Arc::clone(&ex));
+    tf.emplace(|| {}).name("after-remove");
+    tf.run().get().unwrap();
+    handle.force_collect();
+    let trace = handle.trace_json(Duration::MAX);
+    assert!(
+        trace.contains("\"name\":\"after-remove\""),
+        "the introspection tracer was removed: {trace}"
+    );
 }
 
 #[test]

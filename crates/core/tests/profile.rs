@@ -17,7 +17,12 @@ fn begin(worker: usize, ts: u64, node: u64, parent: u64, run: u64, label: &str) 
         ts_us: ts,
         label: TaskLabel::new(label),
         kind: SchedEventKind::TaskBegin {
-            span: TaskSpanInfo { node, parent, run },
+            span: TaskSpanInfo {
+                node,
+                parent,
+                run,
+                ..Default::default()
+            },
         },
     }
 }
@@ -28,7 +33,12 @@ fn end(worker: usize, ts: u64, node: u64, parent: u64, run: u64, label: &str) ->
         ts_us: ts,
         label: TaskLabel::new(label),
         kind: SchedEventKind::TaskEnd {
-            span: TaskSpanInfo { node, parent, run },
+            span: TaskSpanInfo {
+                node,
+                parent,
+                run,
+                ..Default::default()
+            },
         },
     }
 }

@@ -15,6 +15,8 @@
 //!   nothing of the serving layers beside it: no `use` of and no path into
 //!   `frontdoor` or `resilience`, and none of their types. It reaches them
 //!   through two calls on the executor core only (see the module's docs).
+//!   Nor does it name live introspection: that is one observer among
+//!   others, reached through the one event path.
 //! * Observability reads the front door and never writes it: no file under
 //!   `src/introspect/` calls into `resilience` or takes a run off a tenant
 //!   queue (`unqueue`, `retire`).
@@ -224,6 +226,17 @@ fn the_scheduler_names_nothing_of_the_serving_layers() {
     assert!(
         violations.is_empty(),
         "the scheduler reaches into the serving layers:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn the_scheduler_names_nothing_of_introspection() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
+    let violations = named_in_code(&path, &["introspect", "CurrentTask"]);
+    assert!(
+        violations.is_empty(),
+        "the scheduler knows live introspection exists (it is one observer):\n{}",
         violations.join("\n")
     );
 }

@@ -4,8 +4,8 @@
 //! shutdown race — no submission may ever be silently lost.
 
 use rustflow::{
-    AdmissionError, ExecutorBuilder, ExecutorObserver, IterationInfo, RunError, Taskflow, Tenant,
-    TenantQos,
+    AdmissionError, ExecutorBuilder, ExecutorObserver, RunError, SchedEventKind, TaskLabel,
+    Taskflow, Tenant, TenantQos,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -132,8 +132,10 @@ struct DispatchOrder {
 }
 
 impl ExecutorObserver for DispatchOrder {
-    fn on_topology_start(&self, info: IterationInfo, _num_tasks: usize) {
-        self.order.lock().unwrap().push(info.tenant);
+    fn on_event(&self, _lane: usize, _label: &TaskLabel, kind: &SchedEventKind) {
+        if let SchedEventKind::TopologyDispatch { info, .. } = kind {
+            self.order.lock().unwrap().push(info.tenant);
+        }
     }
 }
 

@@ -195,6 +195,50 @@ fn on_exit_fires_even_when_task_panics() {
     assert!(exits.iter().any(|e| e == "bomb"));
 }
 
+/// An observer whose `on_entry` panics on its third call.
+#[derive(Default)]
+struct FaultyObserver {
+    entries: AtomicUsize,
+}
+
+impl ExecutorObserver for FaultyObserver {
+    fn on_entry(&self, _worker: usize, _label: &TaskLabel) {
+        if self.entries.fetch_add(1, Ordering::SeqCst) == 2 {
+            panic!("observer hook fault");
+        }
+    }
+}
+
+/// A panicking hook is the observer's fault, not the task's: the lane that
+/// called it goes on, the run resolves `Ok`, and the observer stays
+/// installed and sees every later task.
+#[test]
+fn a_panicking_hook_neither_kills_its_lane_nor_wedges_the_run() {
+    const CHAIN: usize = 50;
+    let ex = Executor::new(2);
+    let faulty = Arc::new(FaultyObserver::default());
+    ex.observe(Arc::clone(&faulty) as Arc<dyn ExecutorObserver>);
+    let tf = Taskflow::with_executor(Arc::clone(&ex));
+    let mut prev = tf.emplace(|| {});
+    for _ in 1..CHAIN {
+        let next = tf.emplace(|| {});
+        prev.precede(next);
+        prev = next;
+    }
+    let run = tf.run_n(5);
+    let outcome = run.future().get_timeout(std::time::Duration::from_secs(30));
+    if outcome.is_none() {
+        // A dead lane took its node with it: nothing finishes the run, and
+        // the executor's destructor would wait for it forever.
+        std::mem::forget(tf);
+        std::mem::forget(ex);
+        panic!("run_n(5) did not resolve within 30 s");
+    }
+    assert_eq!(outcome, Some(Ok(())));
+    assert_eq!(faulty.entries.load(Ordering::SeqCst), 5 * CHAIN);
+    assert_eq!(ex.stats().total().executed, 5 * CHAIN as u64);
+}
+
 #[test]
 fn concurrent_observe_and_remove_does_not_deadlock() {
     let ex = Executor::new(4);
@@ -420,7 +464,7 @@ fn prometheus_text_from_live_executor_parses() {
 
 #[test]
 fn retry_events_round_trip_with_one_span_per_task() {
-    assert_eq!(rustflow::SCHED_EVENT_SCHEMA_VERSION, 6);
+    assert_eq!(rustflow::SCHED_EVENT_SCHEMA_VERSION, 7);
     let ex = Executor::new(2);
     let tracer = Arc::new(Tracer::new(2));
     ex.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
