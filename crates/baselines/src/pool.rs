@@ -181,7 +181,15 @@ fn pool_worker(inner: &PoolInner) {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.wait_idle();
-        self.inner.stop.store(true, Ordering::Release);
+        // `stop` changes under the queue lock, where a worker reads it
+        // before it waits. Set outside the lock, the store and the wake can
+        // both land between a worker's read and its wait: the worker is
+        // not yet counted as a waiter, nobody is woken, and `join` below
+        // waits forever.
+        {
+            let _queue = self.inner.queue.lock();
+            self.inner.stop.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();

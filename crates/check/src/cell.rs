@@ -1,9 +1,9 @@
 //! Race-checked plain-memory cell (the model's `UnsafeCell`).
 //!
 //! Atomics alone cannot catch a publication bug whose *symptom* is a plain
-//! data race — e.g. downgrading the event ring's `seq.store(.., Release)`
-//! to `Relaxed` still produces the right sequence numbers, but the
-//! `SchedEvent` payload write is then unordered with the consumer's read.
+//! data race — e.g. downgrading the ring's `seq.store(.., Release)` to
+//! `Relaxed` still produces the right sequence numbers, but the payload
+//! write is then unordered with the consumer's read.
 //! [`CheckedCell`] closes that gap: every access is reported to the
 //! engine, which checks it (via vector clocks) against all prior accesses
 //! and fails the execution when a write is concurrent with any other

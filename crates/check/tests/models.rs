@@ -1,7 +1,7 @@
 //! Model-checked protocol tests for rustflow's lock-free core.
 //!
 //! Each test explores the schedule space of a small instance of one
-//! protocol (the Chase–Lev deque, the Vyukov event ring, the notifier's
+//! protocol (the Chase–Lev deque, the Vyukov ring, the notifier's
 //! Dekker handshake, the front door's backlog/in-flight pair) under the rustflow-check engine and asserts a
 //! protocol invariant in every interleaving.
 //!
@@ -13,9 +13,8 @@
 //! a replayable schedule. A model that cannot detect its own weakening
 //! would be vacuous.
 
-use rustflow::check_internals::{EventRing, FrontDoorBudget, Injector, Notifier, RearmHarness};
+use rustflow::check_internals::{FrontDoorBudget, Injector, Notifier, RearmHarness, Ring};
 use rustflow::wsq::{deque_with_capacity, Steal};
-use rustflow::{SchedEvent, SchedEventKind, TaskLabel};
 use rustflow_check::atomic::{fence, AtomicBool, AtomicUsize};
 use rustflow_check::sync::Mutex;
 use rustflow_check::{thread, Checker};
@@ -113,19 +112,9 @@ fn wsq_steal_during_grow() {
         });
 }
 
-fn ev(ts: u64) -> SchedEvent {
-    SchedEvent {
-        worker: 0,
-        ts_us: ts,
-        label: TaskLabel::new("e"),
-        kind: SchedEventKind::TaskBegin {
-            span: Default::default(),
-        },
-    }
-}
-
-/// The Vyukov ring hands a slot's payload from producer to consumer via
-/// the slot's sequence number: the producer's Release store of
+/// The Vyukov ring (`ring::Ring`, under every tracer lane and the
+/// injector) hands a slot's payload from producer to consumer via the
+/// slot's sequence number: the producer's Release store of
 /// `seq = pos + 1` is what makes the plain payload write visible.
 ///
 /// Weakened by `rustflow_weaken = "ring_publish"` (the publish drops to
@@ -142,36 +131,28 @@ fn ring_wraparound_under_contention() {
         .preemption_bound(Some(2))
         .max_schedules(60_000)
         .check("ring_wraparound_under_contention", || {
-            let ring = Arc::new(EventRing::new(2));
+            let ring = Arc::new(Ring::new(2));
             let r = Arc::clone(&ring);
             let producer = thread::spawn(move || {
-                let mut dropped = 0usize;
                 // Three pushes through a 2-slot ring: the third reuses a
                 // slot (wrap-around) iff the consumer freed it in time.
-                for ts in 1..=3u64 {
-                    if !r.push(ev(ts)) {
-                        dropped += 1;
-                    }
-                }
-                dropped
+                (1..=3u64).filter(|&v| r.push(v).is_err()).count()
             });
             let mut seen = Vec::new();
             for _ in 0..3 {
-                if let Some(e) = ring.pop() {
-                    seen.push(e.ts_us);
-                }
+                seen.extend(ring.pop());
             }
-            let dropped = producer.join().unwrap();
-            while let Some(e) = ring.pop() {
-                seen.push(e.ts_us);
+            let refused = producer.join().unwrap();
+            while let Some(v) = ring.pop() {
+                seen.push(v);
             }
             // Single producer: FIFO order, no duplication, and full
-            // accounting (every event delivered or counted as dropped).
+            // accounting (every item delivered or handed back).
             assert!(
                 seen.windows(2).all(|w| w[0] < w[1]),
                 "FIFO violated: {seen:?}"
             );
-            assert_eq!(seen.len() + dropped, 3, "event lost: {seen:?}");
+            assert_eq!(seen.len() + refused, 3, "item lost: {seen:?}");
         });
 }
 
@@ -215,21 +196,21 @@ fn notifier_no_lost_wakeup() {
 }
 
 /// The MPMC injector hands a task index from a submitting client to a
-/// consuming worker through a Vyukov slot: the producer wins the slot
-/// with a CAS on `head`, writes the payload, and publishes it by storing
-/// `seq = pos + 1` with Release ([`INJECTOR_PUBLISH`] in
-/// `crates/core/src/injector.rs`), which the consumer's Acquire `seq`
-/// load pairs with before its plain payload read.
+/// consuming worker through a slot of its ring: the producer wins the
+/// slot with a CAS on `head`, writes the payload, and publishes it by
+/// storing `seq = pos + 1` with Release (`SEQ_PUBLISH` in
+/// `crates/core/src/ring.rs`), which the consumer's Acquire `seq` load
+/// pairs with before its payload read.
 ///
-/// Weakened by `rustflow_weaken = "injector_publish"` (the publish drops
-/// to Relaxed): the consumer can observe the occupied sequence number
+/// Weakened by `rustflow_weaken = "ring_publish"` (the publish drops to
+/// Relaxed): the consumer can observe the occupied sequence number
 /// without the payload write ordered before its read — with two clients
 /// racing for slots, a worker can pop a stale index (a task that was
 /// never submitted) while the real one is lost. The engine reports the
 /// slot data race directly.
 #[test]
 #[cfg_attr(
-    rustflow_weaken = "injector_publish",
+    rustflow_weaken = "ring_publish",
     should_panic(expected = "failing interleaving")
 )]
 fn injector_two_producers_one_consumer() {
@@ -274,13 +255,13 @@ fn injector_two_producers_one_consumer() {
 /// consumer lags — a spill into the mutexed side queue, whose SeqCst
 /// counter keeps `is_empty` honest for the park-path Dekker handshake.
 ///
-/// Weakened by `rustflow_weaken = "injector_publish"`: same Relaxed
-/// publish as above; the single-consumer wrap-around alone is enough for
-/// the engine to observe the unsynchronized payload read and report the
+/// Weakened by `rustflow_weaken = "ring_publish"`: same Relaxed publish
+/// as above; the single-consumer wrap-around alone is enough for the
+/// engine to observe the unsynchronized payload read and report the
 /// race.
 #[test]
 #[cfg_attr(
-    rustflow_weaken = "injector_publish",
+    rustflow_weaken = "ring_publish",
     should_panic(expected = "failing interleaving")
 )]
 fn injector_wraparound_and_spill() {

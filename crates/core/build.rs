@@ -14,7 +14,6 @@ const KNOWN_MUTATIONS: &[&str] = &[
     "wsq_pop_fence",
     "wsq_grow_swap",
     "ring_publish",
-    "injector_publish",
     "notifier_dekker",
     "rearm_publish",
     "cancel_publish",

@@ -98,40 +98,38 @@ impl ExecutorObserver for LiveObserver {
     }
 }
 
+/// Flight-recorder retention window: `/trace` can look back at most this
+/// far.
+const WINDOW: Duration = Duration::from_secs(10);
+
+/// Flight-recorder memory budget, in events (≈9 MiB; see `DESIGN.md` for
+/// the budget math); the oldest events are evicted (and counted) beyond
+/// it.
+const MAX_EVENTS: usize = 1 << 17;
+
 /// Tuning knobs for the introspection service.
 ///
-/// The defaults keep a ten-second flight-recorder window under a fixed
-/// ~9 MiB budget and detect stalls within about a second; see
-/// `DESIGN.md` for the budget math.
+/// The defaults drain the event rings ten times a second and detect
+/// stalls within about a second. The flight recorder keeps the last ten
+/// seconds under a fixed ≈9 MiB budget, and each lane's ring is the
+/// default tracer's.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct IntrospectConfig {
     /// How often the collector drains the event rings and runs the
     /// watchdog sweep.
     pub collect_period: Duration,
-    /// Flight-recorder retention window: `/trace` can look back at most
-    /// this far.
-    pub window: Duration,
-    /// Flight-recorder memory budget, in events; the oldest events are
-    /// evicted (and counted) beyond it.
-    pub max_events: usize,
     /// A worker stuck in one task invocation — or a dispatched topology
     /// frozen while the executor is idle — for at least this long trips
     /// the watchdog.
     pub stall_threshold: Duration,
-    /// Capacity of each per-worker event ring, in events (rounded up to
-    /// a power of two).
-    pub ring_capacity: usize,
 }
 
 impl Default for IntrospectConfig {
     fn default() -> IntrospectConfig {
         IntrospectConfig {
             collect_period: Duration::from_millis(100),
-            window: Duration::from_secs(10),
-            max_events: 1 << 17,
             stall_threshold: Duration::from_secs(1),
-            ring_capacity: 1 << 15,
         }
     }
 }
@@ -338,7 +336,7 @@ impl IntrospectState {
         w.key("collector");
         w.begin_object();
         w.field("period_ms", self.config.collect_period.as_millis());
-        w.field("window_ms", self.config.window.as_millis());
+        w.field("window_ms", WINDOW.as_millis());
         w.field("recorder_events", self.recorder.len());
         w.field("recorder_dropped", self.recorder.evicted());
         w.field("ring_dropped_total", ring_dropped_total);
@@ -578,16 +576,15 @@ pub(crate) fn start(
                 "introspection service already running on this executor",
             ));
         }
-        let window_us = u64::try_from(config.window.as_micros()).unwrap_or(u64::MAX);
         let state = Arc::new(IntrospectState {
             inner: Arc::downgrade(inner),
             num_workers: inner.num_workers,
             num_lanes,
             live: Arc::new(LiveObserver {
-                tracer: Tracer::with_capacity(num_lanes, config.ring_capacity).lossy(),
+                tracer: Tracer::new(num_lanes).lossy(),
                 running: (0..num_lanes).map(|_| Mutex::new(None)).collect(),
             }),
-            recorder: FlightRecorder::new(window_us, config.max_events),
+            recorder: FlightRecorder::new(WINDOW.as_micros() as u64, MAX_EVENTS),
             watchdog: Watchdog::new(),
             pass: Mutex::new(WatchdogPass::new(num_lanes)),
             last_scrape: Mutex::new(Vec::new()),

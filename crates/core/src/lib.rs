@@ -96,7 +96,7 @@ pub mod check_internals {
     pub use crate::injector::Injector;
     pub use crate::notifier::Notifier;
     pub use crate::rearm_model::RearmHarness;
-    pub use crate::ring::EventRing;
+    pub use crate::ring::Ring;
 }
 
 pub use error::{AdmissionError, FailurePolicy, RunError, RunResult, TaskPanic};

@@ -7,12 +7,12 @@
 //! task entry/exit to every scheduling decision Algorithm 1 makes — cache
 //! hits, steals, parks, wake-ups, topology dispatch — and records them
 //! without any lock shared between workers: the [`Tracer`] gives each
-//! worker its own fixed-capacity [`EventRing`](crate::ring) and drains
-//! them off the hot path.
+//! worker its own fixed-capacity [`Ring`](crate::ring) and drains them
+//! off the hot path.
 
 use crate::label::TaskLabel;
-use crate::ring::EventRing;
-use crate::sync::{AtomicUsize, Mutex};
+use crate::ring::Ring;
+use crate::sync::{AtomicU64, AtomicUsize, Mutex};
 use crate::wire::json::Writer;
 use std::fmt::Display;
 use std::sync::atomic::Ordering;
@@ -259,6 +259,13 @@ impl ExecutorObserver for BusyCounter {
 /// Default ring capacity per lane (events).
 const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 
+/// One lane of a [`Tracer`]: its ring and the events it could not take.
+struct Lane {
+    ring: Ring<SchedEvent>,
+    /// Events discarded because the ring was full.
+    dropped: AtomicU64,
+}
+
 /// Records the full scheduler lifecycle into per-worker event rings.
 ///
 /// The record path touches only the recording worker's own ring — no lock
@@ -271,7 +278,7 @@ const DEFAULT_LANE_CAPACITY: usize = 1 << 15;
 pub struct Tracer {
     /// One ring per lane plus a final one for the dispatch lane (and for
     /// any lane id past `max_lanes`).
-    lanes: Box<[EventRing]>,
+    lanes: Box<[Lane]>,
     /// Drained events, ordered by timestamp after `collect`.
     archive: Mutex<Vec<SchedEvent>>,
     /// On ring overflow: drop-and-count (`true`) instead of the default
@@ -294,7 +301,10 @@ impl Tracer {
     pub fn with_capacity(max_lanes: usize, lane_capacity: usize) -> Self {
         Tracer {
             lanes: (0..=max_lanes)
-                .map(|_| EventRing::new(lane_capacity))
+                .map(|_| Lane {
+                    ring: Ring::new(lane_capacity),
+                    dropped: AtomicU64::new(0),
+                })
                 .collect(),
             archive: Mutex::new(Vec::new()),
             lossy: false,
@@ -321,21 +331,24 @@ impl Tracer {
 
     /// Events discarded because a lane's ring was full.
     pub fn dropped(&self) -> u64 {
-        self.lanes.iter().map(|l| l.dropped()).sum()
+        self.dropped_per_lane().iter().sum()
     }
 
     /// Events discarded per lane: one entry per worker, then the dispatch
     /// lane. Backs the per-worker `rustflow_ring_dropped_events_total`
     /// counter — overflow is no longer visible only as a crate-wide sum.
     pub fn dropped_per_lane(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.dropped()).collect()
+        self.lanes
+            .iter()
+            .map(|l| l.dropped.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Approximate fill level of each lane's ring, in events (same order
     /// as [`Tracer::dropped_per_lane`]). Advisory; used by the watchdog
     /// to flag rings saturating between collection passes.
     pub fn lane_fill(&self) -> Vec<usize> {
-        self.lanes.iter().map(|l| l.len()).collect()
+        self.lanes.iter().map(|l| l.ring.len()).collect()
     }
 
     /// Drains every lane **and** the archive, returning all events
@@ -370,7 +383,7 @@ impl Tracer {
             label: label.clone(),
             kind: kind.clone(),
         };
-        let pushed = lane.try_push(event).or_else(|event| {
+        let pushed = lane.ring.push(event).or_else(|event| {
             if self.lossy {
                 // Off-hot-path consumers (the introspection collector)
                 // drain on their own cadence; never stall the worker on
@@ -383,10 +396,10 @@ impl Tracer {
             // event — final task-end events in particular must stay
             // visible to readers.
             self.collect();
-            lane.try_push(event)
+            lane.ring.push(event)
         });
         if pushed.is_err() {
-            lane.note_drop();
+            lane.dropped.fetch_add(1, Ordering::Relaxed);
         }
         if let SchedEventKind::TopologyFinalize { .. } = kind {
             self.collect();
@@ -400,11 +413,10 @@ impl Tracer {
     pub fn collect(&self) {
         let mut archive = self.archive.lock();
         let before = archive.len();
-        for lane in self.lanes.iter() {
-            if lane.is_empty() {
-                continue;
+        for lane in self.lanes.iter().filter(|l| !l.ring.is_empty()) {
+            while let Some(event) = lane.ring.pop() {
+                archive.push(event);
             }
-            lane.drain_into(&mut archive);
         }
         if archive.len() > before {
             archive.sort_by_key(|e| e.ts_us);

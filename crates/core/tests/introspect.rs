@@ -587,19 +587,21 @@ fn trace_window_is_scoped_to_recent_activity() {
 #[test]
 fn ring_drops_surface_per_worker_and_in_endpoints() {
     let ex = Executor::new(2);
-    let mut cfg = manual_config();
-    cfg.ring_capacity = 2; // guarantee overflow between passes
-    let handle = ex.start_introspection(cfg).unwrap();
+    let handle = ex.start_introspection(manual_config()).unwrap();
 
+    // A 40 000-task chain runs on one lane (each release lands in that
+    // worker's cache slot) and records a begin and an end per task: 80 000
+    // events against a default ring of 32 768 before the next pass.
     let tf = Taskflow::with_executor(Arc::clone(&ex));
-    for _ in 0..64 {
-        tf.emplace(|| {});
+    let chain: Vec<_> = (0..40_000).map(|_| tf.emplace(|| {})).collect();
+    for pair in chain.windows(2) {
+        pair[0].precede(pair[1]);
     }
-    tf.run_n(8).get().unwrap();
+    tf.run().get().unwrap();
     handle.force_collect();
 
     let total = handle.ring_dropped();
-    assert!(total > 0, "tiny rings must have overflowed");
+    assert!(total > 0, "the chain's lane must have overflowed");
     let per_worker: u64 = ex.stats().workers.iter().map(|w| w.ring_dropped).sum();
     assert!(per_worker > 0, "drops must be attributed to workers");
     assert!(per_worker <= total, "worker drops cannot exceed the total");

@@ -25,6 +25,10 @@
 //! * Each wire format has one writer: under `crates/*/src`, only
 //!   `rustflow::wire` may spell the Prometheus exposition's header lines
 //!   or a JSON string escape.
+//! * There is one list of `rustflow_weaken` mutations, `build.rs`'s
+//!   `KNOWN_MUTATIONS`; every other place that spells it out (the
+//!   `check-cfg` sets, the `compile_error!`, `ACTIVE_WEAKEN`, CI's loops,
+//!   README) names the same set.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -298,4 +302,130 @@ fn each_wire_format_has_one_writer() {
         "a wire format written outside rustflow::wire:\n{}",
         violations.join("\n")
     );
+}
+
+/// Every `"quoted"` word of `text`, in order.
+fn quoted(text: &str) -> Vec<String> {
+    text.split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Every `` `ticked` `` word of `text`, in order.
+fn ticked(text: &str) -> Vec<String> {
+    text.split('`')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_owned)
+        .collect()
+}
+
+/// A file of the workspace, by its path from the root.
+fn workspace_file(path: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// The text of `text` after the first `start`, up to the first `end`.
+fn between<'a>(text: &'a str, start: &str, end: &str) -> &'a str {
+    let (_, rest) = text
+        .split_once(start)
+        .unwrap_or_else(|| panic!("no `{start}`"));
+    rest.split_once(end)
+        .unwrap_or_else(|| panic!("no `{end}` after `{start}`"))
+        .0
+}
+
+/// The words of CI's `for weaken in ...; do` loop whose body runs `suite`.
+fn ci_loop(ci: &str, suite: &str) -> Vec<String> {
+    ci.split("for weaken in ")
+        .skip(1)
+        .map(|rest| rest.split_once("; do").expect("a `; do` closes the list"))
+        .find(|(_, body)| between(body, "", "done").contains(suite))
+        .unwrap_or_else(|| panic!("no CI mutation loop runs `{suite}`"))
+        .0
+        .split_whitespace()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The one list of mutations is `build.rs`'s `KNOWN_MUTATIONS`: both
+/// `check-cfg` value sets, the value-less `compile_error!` text,
+/// `ACTIVE_WEAKEN` and CI's sanitizer loop name exactly it, and CI's model
+/// loop and README's list name it without the `seed_*` entries (bugs the
+/// sanitizer's scenarios plant, not orderings a model weakens).
+#[test]
+fn every_list_of_mutations_names_the_known_ones() {
+    use std::collections::BTreeSet;
+    let set = |list: &str, names: Vec<String>| -> BTreeSet<String> {
+        let unique: BTreeSet<String> = names.iter().cloned().collect();
+        assert_eq!(
+            unique.len(),
+            names.len(),
+            "{list} names one twice: {names:?}"
+        );
+        unique
+    };
+    let build = workspace_file("crates/core/build.rs");
+    let known = set(
+        "build.rs",
+        quoted(between(&build, "KNOWN_MUTATIONS: &[&str] = &[", "];")),
+    );
+    let orderings: BTreeSet<String> = known
+        .iter()
+        .filter(|name| !name.starts_with("seed_"))
+        .cloned()
+        .collect();
+    assert!(!orderings.is_empty() && orderings.len() < known.len());
+
+    let sanitize = workspace_file("crates/core/tests/sanitize.rs");
+    let arms = quoted(between(&sanitize, "const ACTIVE_WEAKEN", "\n};"));
+    // Each arm names its mutation twice: in `cfg!(..)` and in `Some(..)`.
+    assert!(
+        arms.chunks(2).all(|arm| arm.len() == 2 && arm[0] == arm[1]),
+        "an ACTIVE_WEAKEN arm reports another name than it tests: {arms:?}"
+    );
+    let sync = workspace_file("crates/core/src/sync.rs");
+    let compile_error = between(&sync, "known mutations:", "\"")
+        .split(|c: char| c == ',' || c == '\\' || c.is_whitespace())
+        .filter(|w| !w.is_empty())
+        .map(str::to_owned)
+        .collect();
+    let check_cfg = |path: &str| quoted(between(&workspace_file(path), "values(none(),", "))"));
+    let ci = workspace_file(".github/workflows/ci.yml");
+    let readme = workspace_file("README.md");
+    let lists = [
+        (
+            "crates/core/Cargo.toml",
+            &known,
+            check_cfg("crates/core/Cargo.toml"),
+        ),
+        (
+            "crates/check/Cargo.toml",
+            &known,
+            check_cfg("crates/check/Cargo.toml"),
+        ),
+        ("the sync.rs compile_error!", &known, compile_error),
+        (
+            "ACTIVE_WEAKEN",
+            &known,
+            arms.into_iter().step_by(2).collect(),
+        ),
+        (
+            "CI's sanitizer loop",
+            &known,
+            ci_loop(&ci, "--test sanitize"),
+        ),
+        ("CI's model loop", &orderings, ci_loop(&ci, "--test models")),
+        (
+            "README",
+            &orderings,
+            ticked(between(&readme, "ordering in the core (", ")")),
+        ),
+    ];
+    for (list, expected, names) in lists {
+        assert_eq!(&set(list, names), expected, "{list} drifted from build.rs");
+    }
 }

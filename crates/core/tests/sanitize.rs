@@ -19,8 +19,8 @@
 //! schedule byte-for-byte (pinned by the determinism tests below).
 #![cfg(feature = "rustflow_check")]
 
-use rustflow::check_internals::EventRing;
-use rustflow::{ExecutorBuilder, SchedEvent, SchedEventKind, TaskLabel, Taskflow};
+use rustflow::check_internals::Ring;
+use rustflow::{ExecutorBuilder, Taskflow};
 use rustflow_check::Sanitizer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,8 +34,6 @@ const ACTIVE_WEAKEN: Option<&str> = {
         Some("wsq_grow_swap")
     } else if cfg!(rustflow_weaken = "ring_publish") {
         Some("ring_publish")
-    } else if cfg!(rustflow_weaken = "injector_publish") {
-        Some("injector_publish")
     } else if cfg!(rustflow_weaken = "notifier_dekker") {
         Some("notifier_dekker")
     } else if cfg!(rustflow_weaken = "rearm_publish") {
@@ -354,32 +352,20 @@ fn deque_grow_direct() {
     );
 }
 
-fn ring_event(ts: u64) -> SchedEvent {
-    SchedEvent {
-        worker: 0,
-        ts_us: ts,
-        label: TaskLabel::new("e"),
-        kind: SchedEventKind::TaskBegin {
-            span: Default::default(),
-        },
-    }
-}
-
-/// Telemetry-ring publication (`ring_publish`): a producer and a consumer
-/// on a 2-slot ring; relaxing the Vyukov `seq` publish store lets the
-/// consumer's `assume_init_read` race the producer's payload write.
+/// Ring publication (`ring_publish`): a producer and a consumer on a
+/// 2-slot [`Ring`], the way a tracer lane is written and drained; relaxing
+/// the Vyukov `seq` publish store lets the consumer's `assume_init_read`
+/// race the producer's payload write.
 #[test]
 fn ring_producer_consumer() {
     sanitize(
         Some("ring_publish"),
         Sanitizer::new("ring_mpmc").iters(64),
         || {
-            let ring = Arc::new(EventRing::new(2));
+            let ring = Arc::new(Ring::new(2));
             let r = Arc::clone(&ring);
             let producer = rustflow_check::thread::spawn(move || {
-                for i in 0..3 {
-                    r.push(ring_event(i));
-                }
+                (0..3u64).filter(|&i| r.push(i).is_err()).count()
             });
             let mut got = 0usize;
             for _ in 0..64 {
@@ -390,27 +376,27 @@ fn ring_producer_consumer() {
                     break;
                 }
             }
-            producer.join().unwrap();
+            let refused = producer.join().unwrap();
             while ring.pop().is_some() {
                 got += 1;
             }
-            assert_eq!(got as u64 + ring.dropped(), 3, "events lost");
+            assert_eq!(got + refused, 3, "items lost");
         },
     );
 }
 
-/// MPMC injector slot publication (`injector_publish`): two client
-/// threads push task indices into a 2-slot [`Injector`] while the main
-/// thread consumes — the submission-path handoff, extracted from the
-/// executor the same way [`ring_producer_consumer`] extracts telemetry.
-/// Relaxing the Vyukov `seq` publish store lets the consumer's plain
-/// payload read race the producer's write; the happens-before detector
-/// reports the slot race with both access sites.
+/// The same publication (`ring_publish`) on the submission path: two
+/// client threads push task indices into a 2-slot [`Injector`] while the
+/// main thread consumes, extracted from the executor the way
+/// [`ring_producer_consumer`] extracts a tracer lane. Relaxing the ring's
+/// `seq` publish store lets the consumer's payload read race the
+/// producer's write; the happens-before detector reports the slot race
+/// with both access sites.
 #[test]
 fn injector_handoff() {
     use rustflow::check_internals::Injector;
     sanitize(
-        Some("injector_publish"),
+        Some("ring_publish"),
         Sanitizer::new("injector").iters(96),
         || {
             let inj = Arc::new(Injector::new(2));

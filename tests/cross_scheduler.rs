@@ -167,6 +167,23 @@ proptest! {
     }
 }
 
+/// The pool under `taskdep`, `levelized` and `flowgraph` shuts down however
+/// its workers fall against the destructor: 20 000 lifecycles of two
+/// workers, two no-op jobs and a drop. A `stop` flag set outside the queue
+/// lock let the destructor's wake land between a worker's last check and
+/// its wait, and `join` hung (this loop wedged within a few thousand
+/// lifecycles).
+#[test]
+fn pool_lifecycles_never_wedge_the_drop() {
+    bounded("the baseline pool", "20 000 lifecycles", || {
+        for _ in 0..20_000 {
+            let pool = Pool::new(2);
+            pool.submit(|| {});
+            pool.submit(|| {});
+        }
+    });
+}
+
 /// The micro-benchmark checksum agreement at a non-trivial size, across
 /// every scheduler (the deterministic core of Figure 7's setup).
 #[test]
