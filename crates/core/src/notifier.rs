@@ -122,18 +122,6 @@ impl Notifier {
         Some(w)
     }
 
-    /// Wakes up to `n` parked workers. (The executor now loops
-    /// `wake_one` itself so it can observe each woken id, but this stays
-    /// as the batch API and is exercised by tests.)
-    #[allow(dead_code)]
-    pub fn wake_n(&self, n: usize) -> usize {
-        let mut woken = 0;
-        while woken < n && self.wake_one().is_some() {
-            woken += 1;
-        }
-        woken
-    }
-
     /// Wakes every parked worker (used at shutdown).
     pub fn wake_all(&self) {
         let mut guard = self.idlers.lock();
@@ -201,31 +189,6 @@ mod tests {
             assert!(s.join().unwrap());
         }
         assert_eq!(n.num_idlers(), 0);
-    }
-
-    #[test]
-    fn wake_n_counts() {
-        let n = Arc::new(Notifier::new(4));
-        let stop = Arc::new(AtomicBool::new(false));
-        let sleepers: Vec<_> = (0..4)
-            .map(|w| {
-                let n = Arc::clone(&n);
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || n.wait(w, || true, &stop))
-            })
-            .collect();
-        while n.num_idlers() < 4 {
-            thread::yield_now();
-        }
-        assert_eq!(n.wake_n(2), 2);
-        while n.num_idlers() > 2 {
-            thread::yield_now();
-        }
-        stop.store(true, Ordering::SeqCst);
-        n.wake_all();
-        for s in sleepers {
-            s.join().unwrap();
-        }
     }
 
     #[test]

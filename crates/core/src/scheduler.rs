@@ -48,9 +48,9 @@ pub(crate) struct WorkerShared {
     pub(crate) stealer: wsq::Stealer,
     /// `true` for a guest seat's lane.
     guest: bool,
-    /// Diagnostic counters (relaxed; advisory), indexed by [`Counter`].
-    /// Each lane writes only its own set, so there is no cross-lane
-    /// contention.
+    /// Diagnostic counters (advisory), indexed by [`Counter`]. Single
+    /// writer: only the thread holding the lane bumps them (see
+    /// [`WorkerShared::count`]); any thread may [`snapshot`](Self::snapshot).
     counters: [AtomicU64; Counter::COUNT],
 }
 
@@ -63,10 +63,21 @@ impl WorkerShared {
         }
     }
 
-    /// One more of `counter` on this lane.
+    /// One more of `counter` on this lane: a load and a store, no locked
+    /// read-modify-write.
+    ///
+    /// ORDERING: Relaxed suffices because the lane has one writer at a
+    /// time: a worker for its whole life, a guest for one seat tenure. A
+    /// seat passes between guests through the `seats` mutex, whose
+    /// release/acquire makes the last tenure's stores visible to the next
+    /// holder's load, so no bump is lost. Readers (`snapshot`) see each
+    /// word whole and never decreasing (coherence), just not as a cut
+    /// across words or lanes. `tests/safety_audit.rs` holds every call
+    /// site to the calling lane.
     #[inline]
     fn count(&self, counter: Counter) {
-        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+        let word = &self.counters[counter as usize];
+        word.store(word.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     /// What the counters read right now; `ring_dropped` is left for the

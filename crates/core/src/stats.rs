@@ -109,9 +109,9 @@ pub(crate) use metric_table;
 /// guest seat's (the threads that executed tasks while waiting in
 /// [`Taskflow::wait_for_all`](crate::Taskflow::wait_for_all)).
 ///
-/// All counters are maintained with relaxed atomics on the lane's own
-/// cache line; they are advisory (monotonic, but a snapshot is not an
-/// atomic cut across lanes).
+/// Each counter is single-writer: only the thread holding the lane bumps
+/// it, with a relaxed load + store. They are advisory (monotonic, but a
+/// snapshot is not an atomic cut across lanes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// `true` for a guest seat's lane, `false` for a worker thread's. A

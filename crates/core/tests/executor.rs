@@ -626,6 +626,75 @@ fn wait_for_all_without_a_free_seat_blocks_and_completes() {
     });
 }
 
+/// A lane's counters have one writer at a time, and a guest seat passes
+/// from thread to thread: four clients contend for the two seats of a
+/// one-worker executor while a fifth thread snapshots. No counter ever
+/// reads lower than before, and no bump is lost across a hand-off.
+#[test]
+fn lane_counters_stay_exact_across_seat_hand_offs() {
+    within_30s("four clients contending for two guest seats", || {
+        const CLIENTS: usize = 4;
+        const RUNS: usize = 2_000;
+        const NODES: usize = 3;
+        let ex = Executor::new(1);
+        let done = Arc::new(AtomicBool::new(false));
+        let watcher = {
+            let (ex, done) = (Arc::clone(&ex), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut last = ex.worker_stats();
+                while !done.load(Ordering::SeqCst) {
+                    let now = ex.worker_stats();
+                    for (lane, (now, last)) in now.iter().zip(&last).enumerate() {
+                        // Saturating `last - now`: non-zero iff a counter fell.
+                        let fell = last.delta(now);
+                        let nothing = rustflow::WorkerStats {
+                            guest: fell.guest,
+                            ..Default::default()
+                        };
+                        assert_eq!(fell, nothing, "lane {lane} went back: {last:?} -> {now:?}");
+                    }
+                    last = now;
+                }
+            })
+        };
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let ex = Arc::clone(&ex);
+                std::thread::spawn(move || {
+                    let tf = Taskflow::with_executor(ex);
+                    for _ in 0..RUNS {
+                        let a = tf.emplace(|| {});
+                        let b = tf.emplace(|| {});
+                        let c = tf.emplace(|| {});
+                        a.precede([b, c]);
+                        tf.wait_for_all();
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        watcher.join().unwrap();
+        let stats = ex.stats();
+        assert_eq!(
+            stats.total().executed,
+            (CLIENTS * RUNS * NODES) as u64,
+            "{stats:?}"
+        );
+        let lanes = &stats.workers;
+        assert!(
+            lanes[ex.num_workers()..].iter().any(|g| g.executed > 0),
+            "{stats:?}"
+        );
+        assert!(
+            lanes.iter().all(|l| l.cache_hits <= l.executed),
+            "{stats:?}"
+        );
+    });
+}
+
 /// `close()` racing helped dispatches: every `wait_for_all` returns, with
 /// `Ok` or with `Rejected(ShuttingDown)`, and after the close only the
 /// latter.

@@ -17,6 +17,9 @@
 //!   through two calls on the executor core only (see the module's docs).
 //!   Nor does it name live introspection: that is one observer among
 //!   others, reached through the one event path.
+//! * A lane's counters have one writer: `WorkerShared::count` holds no
+//!   read-modify-write, and every bump in the scheduler names the calling
+//!   lane.
 //! * Observability reads the front door and never writes it: no file under
 //!   `src/introspect/` calls into `resilience` or takes a run off a tenant
 //!   queue (`unqueue`, `retire`).
@@ -266,6 +269,42 @@ fn resilience_names_neither_the_core_nor_the_front_door() {
     assert!(
         violations.is_empty(),
         "resilience reaches back into its callers:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// A lane's counters have one writer, so `WorkerShared::count` bumps them
+/// with a load and a store. That holds only while the body has no
+/// read-modify-write and every call site in the scheduler bumps the
+/// calling lane (`ctx.id`, or `me`, its alias in `try_steal`); a bump of
+/// another lane would race its owner's and lose updates.
+#[test]
+fn lane_counters_have_one_writer() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
+    let text = fs::read_to_string(&path).expect("scheduler.rs is readable");
+    let body = between(&text, "fn count(&self, counter: Counter) {", "\n    }");
+    let rmw: Vec<&str> = ["fetch_", "compare_exchange", "swap"]
+        .into_iter()
+        .filter(|op| body.contains(op))
+        .collect();
+    assert!(
+        rmw.is_empty(),
+        "WorkerShared::count uses an RMW ({rmw:?}) though a lane has one writer:\n{body}"
+    );
+    let mut violations = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("").trim();
+        let own_lane =
+            code.contains("shareds[ctx.id].count(") || code.contains("shareds[me].count(");
+        if (code.contains(".count(") && !code.contains(".count()") && !own_lane)
+            || (code.starts_with("let me =") && code != "let me = ctx.id;")
+        {
+            violations.push(format!("{}:{}: {code}", path.display(), i + 1));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a lane counter bumped from outside its lane:\n{}",
         violations.join("\n")
     );
 }
