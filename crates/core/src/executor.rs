@@ -19,7 +19,6 @@ use crate::frontdoor::{self, FrontDoorBudget, QosState, Tenant, TenantState};
 use crate::future::SharedFuture;
 use crate::graph::RawNode;
 use crate::injector::{self, Injector};
-use crate::introspect::{IntrospectConfig, IntrospectHandle, IntrospectState};
 use crate::label::TaskLabel;
 use crate::notifier::Notifier;
 use crate::observer::{ExecutorObserver, SchedEventKind, DISPATCH_LANE};
@@ -29,10 +28,10 @@ use crate::stats::{ExecutorStats, WorkerStats};
 use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, RwLock};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use crate::wsq;
+use crate::{IntrospectConfig, IntrospectHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Builds an [`Executor`] with custom settings.
@@ -124,10 +123,6 @@ pub(crate) struct Inner {
     /// [`Executor::remove_observers`] takes it off again: what `observe`
     /// installed is removable, introspection's own observer is not.
     observers: RwLock<Vec<(Arc<dyn ExecutorObserver>, bool)>>,
-    /// The live-introspection service, if started (collector + optional
-    /// HTTP server). Holds a `Weak` back-reference to this `Inner`, so no
-    /// cycle keeps the executor alive.
-    pub(crate) introspect: RwLock<Option<Arc<IntrospectState>>>,
     /// Seeded sanitizer bug: a cell written plainly by `execute` and read
     /// plainly by parking workers with no ordering between them — a true
     /// data race the happens-before detector must flag.
@@ -177,17 +172,9 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Snapshot of every lane's counters (workers, then guest seats), with
-    /// ring-drop counts folded in from the introspection tracer when one
-    /// is installed.
+    /// Snapshot of every lane's counters (workers, then guest seats).
     pub(crate) fn worker_stats(&self) -> Vec<WorkerStats> {
-        let mut stats: Vec<WorkerStats> = self.shareds.iter().map(|s| s.snapshot()).collect();
-        if let Some(state) = self.introspect.read().as_ref() {
-            for (w, dropped) in stats.iter_mut().zip(state.tracer().dropped_per_lane()) {
-                w.ring_dropped = dropped;
-            }
-        }
-        stats
+        self.shareds.iter().map(|s| s.snapshot()).collect()
     }
 
     /// The one way a run becomes a topology's batch: under the registry
@@ -293,10 +280,10 @@ pub struct Executor {
     /// Worker threads: model threads under the sanitizer, real named
     /// threads otherwise (see [`crate::sync::thread`]).
     threads: Mutex<Vec<crate::sync::thread::JoinHandle<()>>>,
-    /// Introspection service threads (collector, HTTP acceptor); joined
-    /// on drop after their stop flag is raised. Always real `std` threads
-    /// — introspection is outside the model's scope.
-    aux_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The live-introspection service, if started: its state and its
+    /// threads (real `std` threads; introspection is outside the model's
+    /// scope). Stopped and joined on drop, before the workers.
+    introspection: Mutex<Option<crate::introspect::Service>>,
 }
 
 impl Executor {
@@ -338,7 +325,6 @@ impl Executor {
             observers: RwLock::new(Vec::new()),
             has_observers: AtomicBool::new(false),
             epoch: crate::clock::origin(),
-            introspect: RwLock::new(None),
             #[cfg(rustflow_weaken = "seed_plain_race")]
             race_scratch: crate::sync_cell::SyncCell::new(0),
         });
@@ -353,7 +339,7 @@ impl Executor {
         Arc::new(Executor {
             inner,
             threads: Mutex::new(threads),
-            aux_threads: Mutex::new(Vec::new()),
+            introspection: Mutex::new(None),
         })
     }
 
@@ -438,9 +424,7 @@ impl Executor {
     }
 
     /// Per-lane diagnostic counters: one entry per worker, then one per
-    /// guest seat ([`WorkerStats::guest`]). When live introspection is on
-    /// ([`Executor::serve_introspection`]) each entry also carries its
-    /// lane's telemetry-ring drop count ([`WorkerStats::ring_dropped`]).
+    /// guest seat ([`WorkerStats::guest`]).
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.inner.worker_stats()
     }
@@ -477,7 +461,7 @@ impl Executor {
         &self,
         config: IntrospectConfig,
     ) -> std::io::Result<IntrospectHandle> {
-        crate::introspect::start(self, &self.inner, config, None)
+        crate::introspect::start(&self.inner, &self.introspection, config, None)
     }
 
     /// Starts live introspection with the default [`IntrospectConfig`]
@@ -504,13 +488,7 @@ impl Executor {
         config: IntrospectConfig,
     ) -> std::io::Result<IntrospectHandle> {
         let listener = std::net::TcpListener::bind(addr)?;
-        crate::introspect::start(self, &self.inner, config, Some(listener))
-    }
-
-    /// Hands the introspection service threads to the executor, which
-    /// joins them on drop (after raising the service's stop flag).
-    pub(crate) fn adopt_aux_threads(&self, threads: Vec<JoinHandle<()>>) {
-        self.aux_threads.lock().extend(threads);
+        crate::introspect::start(&self.inner, &self.introspection, config, Some(listener))
     }
 
     /// The process-wide default executor (used by [`crate::Taskflow::new`]),
@@ -714,12 +692,8 @@ impl Drop for Executor {
         // Stop the introspection service (collector + HTTP acceptor)
         // before the workers: its threads hold an `Arc<Inner>` and poll a
         // stop flag with bounded sleeps, so the join is prompt.
-        let introspect = self.inner.introspect.write().take();
-        if let Some(state) = introspect {
-            state.request_stop();
-        }
-        for t in self.aux_threads.lock().drain(..) {
-            let _ = t.join();
+        if let Some(service) = self.introspection.get_mut().take() {
+            service.stop();
         }
         // ORDERING: SeqCst puts the stop flag in the Dekker total order
         // ahead of wake_all, so a worker that re-checks queues on its way

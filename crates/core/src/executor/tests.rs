@@ -3,8 +3,8 @@
 
 use super::*;
 use crate::graph::{Graph, Work};
-use crate::introspect::IntrospectConfig;
 use crate::FailurePolicy;
+use crate::IntrospectConfig;
 use std::time::Duration;
 
 /// Polls `cond` for up to ten seconds.

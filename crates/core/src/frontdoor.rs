@@ -25,8 +25,7 @@ use crate::error::{AdmissionError, RunError, RunResult};
 use crate::executor::{advance_topology, Claim, Executor, Inner, LineBreak};
 use crate::future::SharedFuture;
 use crate::resilience::{
-    self, Breaker, BreakerSpec, BreakerState, BreakerTransition, RetryBudget, RetryMeter, SloSpec,
-    TenantQos,
+    self, Breaker, BreakerSpec, BreakerState, RetryBudget, RetryMeter, SloSpec, TenantQos,
 };
 use crate::stats::{AtomicHistogram, TenantStats};
 use crate::sync::{AtomicU64, AtomicUsize, Condvar, Mutex};
@@ -363,6 +362,7 @@ impl TenantState {
             retry_budget_exhausted: self.retries.exhausted(),
             consecutive_failures: self.breaker.consecutive_failures(),
             breaker_state: self.breaker.word(),
+            breaker_transitions: self.breaker.transitions(),
         }
     }
 
@@ -377,7 +377,6 @@ impl TenantState {
         q: &mut crate::sync::MutexGuard<'_, VecDeque<QueuedRun>>,
         block: Block,
         deadline: Option<Duration>,
-        transition: &mut Option<BreakerTransition>,
     ) -> Result<bool, AdmissionError> {
         check_open(inner)?;
         // Breaker before deadline: an open breaker is the cheaper (and
@@ -386,7 +385,7 @@ impl TenantState {
         // is never re-judged by its own claim.
         let probe = self
             .breaker
-            .admit(self.breaker_spec, transition)
+            .admit(self.breaker_spec)
             .map_err(|retry_after| AdmissionError::BreakerOpen {
                 tenant: self.name.clone(),
                 retry_after,
@@ -627,13 +626,12 @@ impl Executor {
         // The per-run override beats the tenant default.
         let deadline = deadline.or(state.deadline);
         let (promise, future) = crate::future::promise_pair();
-        let mut transition = None;
         let admitted = {
             let mut q = state.queue.lock();
             // Counted per admission *attempt*, and the attempt refused or
             // pushed, under one hold of the queue lock (see `snapshot`).
             state.submitted.fetch_add(1, Ordering::Relaxed);
-            let admitted = state.admit(inner, &mut q, block, deadline, &mut transition);
+            let admitted = state.admit(inner, &mut q, block, deadline);
             match &admitted {
                 Ok(probe) => {
                     let now = crate::clock::now_us().max(1);
@@ -657,11 +655,6 @@ impl Executor {
             }
             admitted
         };
-        // Emit outside the queue lock: diagnostic subscribers run
-        // arbitrary code.
-        if let Some((from, to)) = transition {
-            emit_breaker_transition(inner, state, from, to);
-        }
         admitted?;
         pump_tenants(inner);
         Ok(future)
@@ -821,11 +814,7 @@ pub(crate) fn stint_finished(
     record_latency(tenant, stamps, end_us);
     tenant.completed.fetch_add(1, Ordering::Relaxed);
     tenant.inflight.fetch_sub(1, Ordering::Relaxed);
-    // Feed the circuit breaker; no locks held, so the
-    // transition (if any) can be emitted inline.
-    if let Some((from, to)) = tenant.breaker.note_outcome(tenant.breaker_spec, failed) {
-        emit_breaker_transition(inner, tenant, from, to);
-    }
+    tenant.breaker.note_outcome(tenant.breaker_spec, failed);
     // Return the admission slot. With nothing queued that is
     // all: no `qos`, no tenant queue lock. A run that arrived
     // at a full budget is either seen here or its submitter
@@ -868,23 +857,6 @@ fn record_latency(tenant: &TenantState, s: StampSnapshot, end: u64) {
     tenant.latency[2].record(first.saturating_sub(s.dispatched));
     tenant.latency[3].record(end.saturating_sub(first));
     tenant.latency[4].record(end.saturating_sub(s.submit));
-}
-
-/// Forwards a breaker transition to the watchdog's diagnostic stream
-/// (counter + subscribers), if introspection is live. Callers must hold
-/// no tenant/qos locks — subscribers run arbitrary code.
-fn emit_breaker_transition(
-    inner: &Inner,
-    tenant: &TenantState,
-    from: BreakerState,
-    to: BreakerState,
-) {
-    let state = inner.introspect.read().clone();
-    if let Some(state) = state {
-        state
-            .watchdog()
-            .note_breaker_transition(&tenant.name, from, to);
-    }
 }
 
 /// The shutdown drain ([`Executor::close`], after the closing flags are

@@ -10,12 +10,15 @@
 //! - **Overflow spills, it does not drop.** A full ring diverts the
 //!   push into a mutex-protected side queue. What the ring carries is
 //!   the steady traffic: served single-source runs and the few sources
-//!   of a re-armed mesh. What spills is a wide one-shot graph: about a
-//!   third of `traversal_oneshot`'s 10 000 nodes are sources, pushed in
-//!   one burst against [`RING_SLOTS`] slots, so the spill is production
-//!   traffic on that workload, not an emergency path. Consumers drain
-//!   the ring first (ring items are older than any spill made while
-//!   they were queued), then the spill.
+//!   of a re-armed mesh. What spills is a wide graph dispatched in one
+//!   burst: the 10 000-node DAG of `traversal_oneshot` has 3 339
+//!   sources, and one `dispatch().get()` of it pushes them all against
+//!   [`RING_SLOTS`] slots and spills 2 315. The untraced workload runs it
+//!   through `wait_for_all` instead, whose caller takes a guest seat and
+//!   schedules the sources onto the seat's own deque, so that run spills
+//!   nothing; only the traced twin's `dispatch()` reaches the spill.
+//!   Consumers drain the ring first (ring items are older than any spill
+//!   made while they were queued), then the spill.
 //! - **Emptiness participates in the sleep protocol.** A parking worker
 //!   decides whether to sleep by checking [`Injector::is_empty`] after
 //!   announcing itself in the notifier; a submitter checks for sleepers

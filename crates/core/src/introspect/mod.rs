@@ -14,8 +14,11 @@
 //!   (Prometheus text), `GET /status` (JSON scheduler snapshot), and
 //!   `GET /trace?last_ms=N` (Chrome-trace JSON of the recent window).
 //!
-//! The scheduler does not know any of this exists: it reports events to
-//! observers, and introspection is one. Its hot-path costs while enabled
+//! The executor core does not know any of this exists: the scheduler
+//! reports events to observers, and introspection is one; the executor
+//! only keeps the running [`Service`] in one slot and stops it when it
+//! drops. What introspection adds to the counters (each lane's ring drops)
+//! it counts itself. Its hot-path costs while enabled
 //! are the ring pushes any tracer pays, plus one per-lane
 //! `Mutex<Option<CurrentTask>>` store at each task begin and end
 //! publishing what the lane is running (uncontended except when a scrape
@@ -31,7 +34,7 @@ mod watchdog;
 
 pub use watchdog::{WatchdogCounts, WatchdogDiagnostic};
 
-use crate::executor::{Executor, Inner};
+use crate::executor::Inner;
 use crate::label::TaskLabel;
 use crate::observer::{chrome_trace_json_from, ExecutorObserver, SchedEventKind, Tracer};
 use crate::stats::{lane_labels, ExecutorStats, LANE_METRICS, TENANT_METRICS};
@@ -41,6 +44,7 @@ use recorder::FlightRecorder;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 use watchdog::{Watchdog, WatchdogPass, WATCHDOG_METRICS};
 
@@ -137,8 +141,8 @@ impl Default for IntrospectConfig {
 /// Shared introspection state: the tracer feeding the flight recorder,
 /// the watchdog, and the renderers behind every endpoint.
 ///
-/// Holds the executor core only weakly — the executor owns *us* (via
-/// `Inner.introspect`), so a strong reference would leak the whole
+/// Holds the executor core only weakly: the executor owns *us* (through
+/// its [`Service`] slot), so a strong reference would leak the whole
 /// scheduler.
 pub(crate) struct IntrospectState {
     inner: Weak<Inner>,
@@ -163,21 +167,15 @@ impl IntrospectState {
         &self.live.tracer
     }
 
-    /// The watchdog, for diagnostic sources outside the collection pass
-    /// (the executor's breaker transitions).
-    pub(crate) fn watchdog(&self) -> &Watchdog {
-        &self.watchdog
-    }
-
-    /// Asks the collector and HTTP threads to exit (the executor joins
-    /// them in its `Drop`).
-    pub(crate) fn request_stop(&self) {
+    /// Asks the collector and HTTP threads to exit ([`Service::stop`]
+    /// joins them).
+    fn request_stop(&self) {
         // ORDERING: Release publishes all pre-stop state (final ring
         // drains, flight-recorder writes) to the exiting threads.
         self.stop.store(true, Ordering::Release);
     }
 
-    pub(crate) fn stopped(&self) -> bool {
+    fn stopped(&self) -> bool {
         // ORDERING: Acquire pairs with `request_stop`'s Release.
         self.stop.load(Ordering::Acquire)
     }
@@ -234,6 +232,13 @@ impl IntrospectState {
             .enumerate()
         {
             prom::sample(&mut out, ring_fill, &lane(w), fill);
+        }
+        let ring_dropped = "rustflow_ring_dropped_events_total";
+        let help = "Telemetry events lost to per-lane ring overflow.";
+        prom::header(&mut out, ring_dropped, help, "counter");
+        let dropped = self.tracer().dropped_per_lane();
+        for (w, dropped) in dropped.iter().take(self.num_lanes).enumerate() {
+            prom::sample(&mut out, ring_dropped, &lane(w), dropped);
         }
         let singles: &[(&str, &str, &str, u64)] = &[
             (
@@ -323,7 +328,7 @@ impl IntrospectState {
             *last = stats.clone();
             d
         };
-        let ring_dropped_total: u64 = self.tracer().dropped_per_lane().iter().sum();
+        let ring_dropped = self.tracer().dropped_per_lane();
         let mut w = json::Writer::compact();
         w.begin_object();
         w.field("schema", 1);
@@ -339,7 +344,7 @@ impl IntrospectState {
         w.field("window_ms", WINDOW.as_millis());
         w.field("recorder_events", self.recorder.len());
         w.field("recorder_dropped", self.recorder.evicted());
-        w.field("ring_dropped_total", ring_dropped_total);
+        w.field("ring_dropped_total", ring_dropped.iter().sum::<u64>());
         w.end();
         let wd = self.watchdog.counts();
         w.key("watchdog");
@@ -356,6 +361,7 @@ impl IntrospectState {
             w.field("id", id);
             w.field("guest", id >= self.num_workers);
             w.field("queue_depth", shared.stealer.len());
+            w.field("ring_dropped", ring_dropped[id]);
             w.key("running");
             match current {
                 Some(ct) => {
@@ -481,7 +487,7 @@ impl IntrospectState {
 /// Every accessor works whether or not an HTTP listener was bound — the
 /// endpoints are just these methods behind a socket. The handle is a
 /// passive view: dropping it does not stop the service (the executor
-/// owns the threads and stops them in its own `Drop`).
+/// owns the [`Service`] and stops it in its own `Drop`).
 #[derive(Clone)]
 pub struct IntrospectHandle {
     state: Arc<IntrospectState>,
@@ -557,51 +563,73 @@ impl std::fmt::Debug for IntrospectHandle {
     }
 }
 
-/// Installs the introspection service on `executor`: registers its
-/// observer (one [`Executor::remove_observers`] leaves in place) and
-/// spawns the collector (and, with a listener, the HTTP acceptor). Fails
-/// with `AlreadyExists` if the executor already has one.
+/// A running introspection service: its state and its threads (the
+/// collector, and the HTTP acceptor when a listener was bound). The
+/// executor keeps at most one in its slot and stops it in its `Drop`.
+pub(crate) struct Service {
+    state: Arc<IntrospectState>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Service {
+    /// Raises the stop flag and joins the threads. Prompt: both poll the
+    /// flag with bounded sleeps.
+    pub(crate) fn stop(self) {
+        self.state.request_stop();
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Installs the introspection service into the executor's `slot`:
+/// registers its observer (one [`Executor::remove_observers`] leaves in
+/// place) and spawns the collector (and, with a listener, the HTTP
+/// acceptor). Fails with `AlreadyExists` if the slot is full.
+///
+/// [`Executor::remove_observers`]: crate::Executor::remove_observers
 pub(crate) fn start(
-    executor: &Executor,
     inner: &Arc<Inner>,
+    slot: &crate::sync::Mutex<Option<Service>>,
     config: IntrospectConfig,
     listener: Option<TcpListener>,
 ) -> std::io::Result<IntrospectHandle> {
+    let mut slot = slot.lock();
+    if slot.is_some() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::AlreadyExists,
+            "introspection service already running on this executor",
+        ));
+    }
     let num_lanes = inner.shareds.len();
-    let state = {
-        let mut slot = inner.introspect.write();
-        if slot.is_some() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::AlreadyExists,
-                "introspection service already running on this executor",
-            ));
-        }
-        let state = Arc::new(IntrospectState {
-            inner: Arc::downgrade(inner),
-            num_workers: inner.num_workers,
-            num_lanes,
-            live: Arc::new(LiveObserver {
-                tracer: Tracer::new(num_lanes).lossy(),
-                running: (0..num_lanes).map(|_| Mutex::new(None)).collect(),
-            }),
-            recorder: FlightRecorder::new(WINDOW.as_micros() as u64, MAX_EVENTS),
-            watchdog: Watchdog::new(),
-            pass: Mutex::new(WatchdogPass::new(num_lanes)),
-            last_scrape: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            local_addr: listener.as_ref().and_then(|l| l.local_addr().ok()),
-            config,
-        });
-        *slot = Some(Arc::clone(&state));
-        state
-    };
+    let state = Arc::new(IntrospectState {
+        inner: Arc::downgrade(inner),
+        num_workers: inner.num_workers,
+        num_lanes,
+        live: Arc::new(LiveObserver {
+            tracer: Tracer::new(num_lanes).lossy(),
+            running: (0..num_lanes).map(|_| Mutex::new(None)).collect(),
+        }),
+        recorder: FlightRecorder::new(WINDOW.as_micros() as u64, MAX_EVENTS),
+        watchdog: Watchdog::new(),
+        pass: Mutex::new(WatchdogPass::new(num_lanes)),
+        last_scrape: Mutex::new(Vec::new()),
+        stop: AtomicBool::new(false),
+        local_addr: listener.as_ref().and_then(|l| l.local_addr().ok()),
+        config,
+    });
     inner.install(Arc::clone(&state.live) as Arc<dyn ExecutorObserver>, false);
 
-    let mut threads = Vec::with_capacity(2);
+    // In the slot before the first spawn, so a thread that did start is
+    // stopped by the executor's `Drop` even if a later spawn fails.
+    let service = slot.insert(Service {
+        state: Arc::clone(&state),
+        threads: Vec::with_capacity(2),
+    });
     {
         let inner = Arc::clone(inner);
         let state = Arc::clone(&state);
-        threads.push(
+        service.threads.push(
             std::thread::Builder::new()
                 .name("rustflow-introspect".into())
                 .spawn(move || collector_loop(&inner, &state))?,
@@ -609,13 +637,12 @@ pub(crate) fn start(
     }
     if let Some(listener) = listener {
         let state = Arc::clone(&state);
-        threads.push(
+        service.threads.push(
             std::thread::Builder::new()
                 .name("rustflow-introspect-http".into())
                 .spawn(move || server::serve(listener, state))?,
         );
     }
-    executor.adopt_aux_threads(threads);
     Ok(IntrospectHandle { state })
 }
 

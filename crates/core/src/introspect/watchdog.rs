@@ -1,7 +1,7 @@
 //! Stall detection over live scheduler state.
 //!
-//! The watchdog runs inside each collection pass and inspects three
-//! progress signals, emitting a structured [`WatchdogDiagnostic`] to
+//! The watchdog runs inside each collection pass and inspects four
+//! signals, emitting a structured [`WatchdogDiagnostic`] to
 //! subscribers (and bumping a `rustflow_watchdog_*` counter) when one
 //! trips:
 //!
@@ -34,7 +34,9 @@
 //!
 //! All state lives in [`WatchdogPass`], which the collector keeps inside
 //! the pass mutex — passes are serialized, so detection needs no atomics
-//! beyond the public counters.
+//! beyond the public counters. Every diagnostic is raised inside a pass,
+//! on the collector thread or the thread serving `/trace`; a subscriber
+//! that panics is caught there.
 
 use super::LiveObserver;
 use crate::executor::Inner;
@@ -42,6 +44,7 @@ use crate::frontdoor::PHASE_E2E;
 use crate::stats::{metric_table, Metric};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -119,18 +122,6 @@ pub enum WatchdogDiagnostic {
         /// (1.0 = exactly budget pace; the fire threshold is 2.0).
         burn: f64,
     },
-    /// A tenant's circuit breaker changed state
-    /// ([`crate::BreakerState`]): consecutive failures opened it, the
-    /// open window elapsed into a half-open probe, or a probe verdict
-    /// re-opened / closed it.
-    BreakerTransition {
-        /// The tenant whose breaker transitioned.
-        tenant: String,
-        /// State before the transition.
-        from: crate::BreakerState,
-        /// State after the transition.
-        to: crate::BreakerState,
-    },
 }
 
 impl std::fmt::Display for WatchdogDiagnostic {
@@ -176,10 +167,6 @@ impl std::fmt::Display for WatchdogDiagnostic {
                 "tenant \"{tenant}\" is burning its p99 SLO error budget at {burn:.1}x \
                  ({breached}/{total} runs over {target_p99_us}us in the last {window:?})"
             ),
-            WatchdogDiagnostic::BreakerTransition { tenant, from, to } => write!(
-                f,
-                "tenant \"{tenant}\" circuit breaker: {from} -> {to}"
-            ),
         }
     }
 }
@@ -195,8 +182,6 @@ pub struct WatchdogCounts {
     pub ring_saturation: u64,
     /// [`WatchdogDiagnostic::SloBurn`] emissions.
     pub slo_burn: u64,
-    /// [`WatchdogDiagnostic::BreakerTransition`] emissions.
-    pub breaker_transitions: u64,
 }
 
 metric_table!(
@@ -212,8 +197,6 @@ metric_table!(
         "Watchdog reports of event-ring overflow between collection passes.";
     SloBurn = slo_burn counter "rustflow_slo_breach_total"
         "Watchdog reports of a tenant burning its latency SLO error budget too fast.";
-    BreakerTransition = breaker_transitions counter "rustflow_breaker_transitions_total"
-        "Tenant circuit-breaker state changes (closed/open/half-open, any direction).";
 );
 
 type Subscriber = Box<dyn Fn(&WatchdogDiagnostic) + Send + Sync>;
@@ -245,33 +228,20 @@ impl Watchdog {
         Metric::load(WATCHDOG_METRICS, words, WatchdogCounts::default())
     }
 
-    /// Counts and broadcasts a breaker state change on behalf of the
-    /// executor's finalize/admission paths (the only diagnostic source
-    /// outside the collection pass). Callers hold no executor locks.
-    pub(crate) fn note_breaker_transition(
-        &self,
-        tenant: &str,
-        from: crate::BreakerState,
-        to: crate::BreakerState,
-    ) {
-        self.emit(&WatchdogDiagnostic::BreakerTransition {
-            tenant: tenant.to_string(),
-            from,
-            to,
-        });
-    }
-
+    /// Counts `d` and hands it to every subscriber. A subscriber that
+    /// panics is caught, as `executor::deliver` catches an observer hook:
+    /// it stays subscribed, and neither the pass's thread nor the
+    /// subscribers after it pay for the panic.
     fn emit(&self, d: &WatchdogDiagnostic) {
         let counted_as = match d {
             WatchdogDiagnostic::StalledWorker { .. } => Tripped::StalledWorker,
             WatchdogDiagnostic::StalledTopology { .. } => Tripped::StalledTopology,
             WatchdogDiagnostic::RingSaturation { .. } => Tripped::RingSaturation,
             WatchdogDiagnostic::SloBurn { .. } => Tripped::SloBurn,
-            WatchdogDiagnostic::BreakerTransition { .. } => Tripped::BreakerTransition,
         };
         self.counters[counted_as as usize].fetch_add(1, Ordering::Relaxed);
         for s in self.subscribers.lock().iter() {
-            s(d);
+            let _ = catch_unwind(AssertUnwindSafe(|| s(d)));
         }
     }
 }

@@ -121,7 +121,8 @@ impl Default for BreakerSpec {
 
 /// State of a tenant's circuit breaker (closed → open → half-open →
 /// closed). Exposed as the `rustflow_breaker_state` gauge (0, 1, 2 in
-/// declaration order) and in [`WatchdogDiagnostic::BreakerTransition`](crate::WatchdogDiagnostic).
+/// declaration order); every change is counted in
+/// `rustflow_breaker_transitions_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal admission; consecutive failures are being counted.
@@ -195,13 +196,9 @@ pub struct SloSpec {
     pub window: Duration,
 }
 
-/// A breaker transition `(from, to)`, handed back to the caller to emit
-/// once it holds no locks (diagnostic subscribers run arbitrary code).
-pub(crate) type BreakerTransition = (BreakerState, BreakerState);
-
 /// One tenant's circuit-breaker state machine. Lock-free: every transition
-/// is a CAS on `word`, so each has exactly one witness (which emits the
-/// diagnostic). Written by the finalizing worker ([`Breaker::note_outcome`])
+/// is a CAS on `word`, so each has exactly one witness, which counts it in
+/// `transitions`. Written by the finalizing worker ([`Breaker::note_outcome`])
 /// and, while open or half-open, by submitters ([`Breaker::admit`]); the
 /// parameters ([`BreakerSpec`]) stay with the tenant's read-only fields and
 /// come in per call, so a submitter on a breaker-less tenant never touches
@@ -218,6 +215,8 @@ pub(crate) struct Breaker {
     open_until_us: AtomicU64,
     /// A half-open probe has been admitted and not yet resolved.
     probe_inflight: AtomicBool,
+    /// State changes so far, bumped by each winning CAS.
+    transitions: AtomicU64,
 }
 
 impl Breaker {
@@ -231,16 +230,29 @@ impl Breaker {
         self.consecutive_failures.load(Ordering::Relaxed)
     }
 
+    /// State changes so far (`rustflow_breaker_transitions_total`).
+    pub(crate) fn transitions(&self) -> u64 {
+        self.transitions.load(Ordering::Relaxed)
+    }
+
+    /// Moves the state word from `from` to `to` if it still reads `from`,
+    /// and counts the change; `false` when another thread moved it first.
+    /// The CAS's orderings are the caller's, argued at each call.
+    fn transition(&self, from: u64, to: u64, success: Ordering, failure: Ordering) -> bool {
+        let won = self
+            .word
+            .compare_exchange(from, to, success, failure)
+            .is_ok();
+        if won {
+            self.transitions.fetch_add(1, Ordering::Relaxed);
+        }
+        won
+    }
+
     /// Circuit-breaker admission check. `Ok(probe)` admits (with `probe`
     /// set when this run is the half-open probe); `Err(retry_after)`
-    /// fast-rejects. Lock-free; callers may hold the queue lock. A state
-    /// transition taken here (open → half-open) is returned through
-    /// `transition` for the caller to emit *after* dropping its locks.
-    pub(crate) fn admit(
-        &self,
-        spec: Option<BreakerSpec>,
-        transition: &mut Option<BreakerTransition>,
-    ) -> Result<bool, Duration> {
+    /// fast-rejects. Lock-free; callers may hold the queue lock.
+    pub(crate) fn admit(&self, spec: Option<BreakerSpec>) -> Result<bool, Duration> {
         let Some(spec) = spec else {
             return Ok(false);
         };
@@ -261,18 +273,13 @@ impl Breaker {
                     // ORDERING: AcqRel — the winner owns the probe slot
                     // (store below) before any other submitter can see
                     // `half-open`.
-                    if self
-                        .word
-                        .compare_exchange(
-                            BREAKER_OPEN,
-                            BREAKER_HALF_OPEN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
+                    if self.transition(
+                        BREAKER_OPEN,
+                        BREAKER_HALF_OPEN,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
                         self.probe_inflight.store(true, Ordering::Relaxed);
-                        *transition = Some((BreakerState::Open, BreakerState::HalfOpen));
                         return Ok(true);
                     }
                 }
@@ -301,14 +308,10 @@ impl Breaker {
     }
 
     /// Folds a finished run's outcome into the breaker state machine.
-    /// Returns the transition this outcome caused, if any, for the
-    /// caller to emit (no locks are held here).
-    pub(crate) fn note_outcome(
-        &self,
-        spec: Option<BreakerSpec>,
-        failed: bool,
-    ) -> Option<BreakerTransition> {
-        let spec = spec?;
+    pub(crate) fn note_outcome(&self, spec: Option<BreakerSpec>, failed: bool) {
+        let Some(spec) = spec else {
+            return;
+        };
         if failed {
             let fails = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
             let now_us = crate::clock::now_us().max(1);
@@ -323,54 +326,35 @@ impl Breaker {
             // admitted before the breaker opened) re-opens immediately.
             // ORDERING: Release on success publishes the window store
             // above to `admit`'s Acquire load.
-            if self
-                .word
-                .compare_exchange(
-                    BREAKER_HALF_OPEN,
+            if self.transition(
+                BREAKER_HALF_OPEN,
+                BREAKER_OPEN,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                self.probe_inflight.store(false, Ordering::Relaxed);
+            } else if fails >= u64::from(spec.failures.max(1)) {
+                // ORDERING: Release — as above.
+                self.transition(
+                    BREAKER_CLOSED,
                     BREAKER_OPEN,
                     Ordering::Release,
                     Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                self.probe_inflight.store(false, Ordering::Relaxed);
-                return Some((BreakerState::HalfOpen, BreakerState::Open));
+                );
             }
-            if fails >= u64::from(spec.failures.max(1)) {
-                // ORDERING: Release — as above.
-                if self
-                    .word
-                    .compare_exchange(
-                        BREAKER_CLOSED,
-                        BREAKER_OPEN,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    return Some((BreakerState::Closed, BreakerState::Open));
-                }
-            }
-            None
         } else {
             self.consecutive_failures.store(0, Ordering::Relaxed);
             // Probe success (or a healthy straggler): close fully.
             // ORDERING: Release orders the failure-streak reset above
             // before the closed word becomes visible.
-            if self
-                .word
-                .compare_exchange(
-                    BREAKER_HALF_OPEN,
-                    BREAKER_CLOSED,
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
+            if self.transition(
+                BREAKER_HALF_OPEN,
+                BREAKER_CLOSED,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
                 self.probe_inflight.store(false, Ordering::Relaxed);
-                return Some((BreakerState::HalfOpen, BreakerState::Closed));
             }
-            None
         }
     }
 }

@@ -80,8 +80,7 @@ impl WorkerShared {
         word.store(word.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
-    /// What the counters read right now; `ring_dropped` is left for the
-    /// caller (the tracer counts it).
+    /// What the counters read right now.
     pub(crate) fn snapshot(&self) -> WorkerStats {
         let words = self
             .counters

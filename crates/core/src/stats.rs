@@ -73,9 +73,9 @@ impl<S: Clone> Metric<S> {
 }
 
 /// Declares `TABLE: &[Metric<Stats>]` from `field kind "family" "help";`
-/// rows. With `enum Index`, the rows that lead with `Variant =` also make
-/// up that enum, numbered by row (they come first, `_ =` rows after), so a
-/// slot array indexed by it cannot drift from the table.
+/// rows. With `enum Index`, every row leads with `Variant =` and the
+/// variants make up that enum, numbered by row, so a slot array indexed by
+/// it cannot drift from the table.
 macro_rules! metric_table {
     ($(#[$doc:meta])* $table:ident: $stats:ty;
      $($field:ident $kind:ident $name:literal $help:literal;)*) => {
@@ -90,11 +90,9 @@ macro_rules! metric_table {
         }),*];
     };
     ($(#[$doc:meta])* $table:ident: $stats:ty, enum $index:ident;
-     $($variant:ident = $field:ident $kind:ident $name:literal $help:literal;)*
-     $(_ = $rest:ident $rest_kind:ident $rest_name:literal $rest_help:literal;)*) => {
-        metric_table!($(#[$doc])* $table: $stats;
-            $($field $kind $name $help;)* $($rest $rest_kind $rest_name $rest_help;)*);
-        /// The slot of each live counter: its row in the table.
+     $($variant:ident = $field:ident $kind:ident $name:literal $help:literal;)*) => {
+        metric_table!($(#[$doc])* $table: $stats; $($field $kind $name $help;)*);
+        /// The slot of each counter: its row in the table.
         #[derive(Debug, Clone, Copy)]
         pub(crate) enum $index { $($variant),* }
         impl $index {
@@ -140,14 +138,6 @@ pub struct WorkerStats {
     /// Extra attempts executed under a [`Task::retry`](crate::Task::retry)
     /// budget (one per re-execution, not counting the first attempt).
     pub retries: u64,
-    /// Telemetry events lost because this worker's event ring wrapped
-    /// between collections (0 unless live introspection installed its
-    /// tracer — see [`Executor::serve_introspection`]). Overflow used to
-    /// be visible only as a crate-wide sum; per-worker accounting is what
-    /// lets a scrape localize a saturating lane.
-    ///
-    /// [`Executor::serve_introspection`]: crate::Executor::serve_introspection
-    pub ring_dropped: u64,
 }
 
 impl WorkerStats {
@@ -159,7 +149,7 @@ impl WorkerStats {
 
 metric_table!(
     /// Every lane counter. [`Counter`] indexes `WorkerShared`'s array of
-    /// atomics; `ring_dropped` has no slot there (the tracer counts it).
+    /// atomics.
     LANE_METRICS: WorkerStats, enum Counter;
     Executed = executed counter "rustflow_tasks_executed_total" "Tasks executed, per worker.";
     CacheHits = cache_hits counter "rustflow_cache_hits_total"
@@ -178,8 +168,6 @@ metric_table!(
         "Ready tasks skipped because their topology was cancelled.";
     Retries = retries counter "rustflow_task_retries_total"
         "Extra task attempts executed under a retry budget.";
-    _ = ring_dropped counter "rustflow_ring_dropped_events_total"
-        "Telemetry events lost to per-worker ring overflow.";
 );
 
 /// Snapshot of one tenant's submission-path counters
@@ -237,6 +225,9 @@ pub struct TenantStats {
     /// Circuit-breaker state (gauge): 0 = closed, 1 = open,
     /// 2 = half-open ([`crate::BreakerState`]).
     pub breaker_state: u64,
+    /// Circuit-breaker state changes, any direction: counted by the
+    /// compare-and-swap that made each one.
+    pub breaker_transitions: u64,
 }
 
 impl TenantStats {
@@ -273,6 +264,8 @@ metric_table!(
         "Queued runs dropped by the dispatcher because their deadline expired.";
     retry_budget_exhausted counter "rustflow_retry_budget_exhausted_total"
         "Retries refused by the tenant retry budget (task failed instead of retrying).";
+    breaker_transitions counter "rustflow_breaker_transitions_total"
+        "Tenant circuit-breaker state changes (closed/open/half-open, any direction).";
     breaker_state gauge "rustflow_breaker_state"
         "Circuit-breaker state: 0 closed, 1 open, 2 half-open.";
     queued gauge "rustflow_tenant_queued" "Submissions waiting in the tenant queue.";
@@ -728,8 +721,8 @@ mod tests {
                 samples += 1;
             }
         }
-        // 11 metrics × 3 lanes.
-        assert_eq!(samples, 33);
+        // 10 metrics × 3 lanes.
+        assert_eq!(samples, 30);
         assert!(text.contains("rustflow_tasks_executed_total{worker=\"0\",lane=\"worker\"} 3"));
         assert!(text.contains("rustflow_steals_total{worker=\"1\",lane=\"worker\"} 2"));
         assert!(text.contains("rustflow_tasks_executed_total{worker=\"2\",lane=\"guest\"} 5"));
@@ -756,6 +749,7 @@ mod tests {
                 retry_budget_exhausted: 5,
                 consecutive_failures: 0,
                 breaker_state: 1,
+                breaker_transitions: 1,
             }],
         };
         let text = s.prometheus_text();

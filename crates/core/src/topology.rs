@@ -505,29 +505,16 @@ impl Topology {
             // SAFETY: driver-exclusive cell per this function's contract.
             let cur = unsafe { self.current.get_mut() };
             let batch = cur.as_mut().expect("iteration finished without a batch");
-            let outcome: Option<RunResult> = if let Some(e) = err {
+            let outcome = match err {
                 // An error in iteration k resolves the whole batch with
                 // that iteration's error; remaining iterations are
                 // abandoned (reference `run_n` semantics).
-                Some(Err(e))
-            } else {
-                match &mut batch.cond {
-                    RunCondition::Count(n) => {
+                Some(e) => Some(Err(e)),
+                None => {
+                    if let RunCondition::Count(n) = &mut batch.cond {
                         *n -= 1;
-                        (*n == 0).then_some(Ok(()))
                     }
-                    RunCondition::Until(pred) => match catch_unwind(AssertUnwindSafe(pred)) {
-                        Ok(true) => Some(Ok(())),
-                        Ok(false) => None,
-                        Err(payload) => {
-                            if crate::sync::is_model_abort(payload.as_ref()) {
-                                // Engine-internal unwind: never a
-                                // predicate failure; rethrow.
-                                std::panic::resume_unwind(payload);
-                            }
-                            Some(Err(predicate_panic(&*payload, self.iterations())))
-                        }
-                    },
+                    batch.cond.finished(self.iterations())
                 }
             };
             match outcome {
@@ -584,22 +571,7 @@ impl Topology {
                     }
                 }
             };
-            let outcome: Option<RunResult> = match &mut next.cond {
-                RunCondition::Count(0) => Some(Ok(())),
-                RunCondition::Count(_) => None,
-                RunCondition::Until(pred) => match catch_unwind(AssertUnwindSafe(pred)) {
-                    Ok(true) => Some(Ok(())),
-                    Ok(false) => None,
-                    Err(payload) => {
-                        if crate::sync::is_model_abort(payload.as_ref()) {
-                            // See the matching arm in the finished branch.
-                            std::panic::resume_unwind(payload);
-                        }
-                        Some(Err(predicate_panic(&*payload, self.iterations())))
-                    }
-                },
-            };
-            match outcome {
+            match next.cond.finished(self.iterations()) {
                 Some(result) => resolved.push((next, result)),
                 None => {
                     // SAFETY: driver-exclusive cell.
@@ -666,10 +638,30 @@ impl Topology {
     }
 }
 
-fn predicate_panic(payload: &(dyn std::any::Any + Send), iteration: u64) -> RunError {
-    RunError::Panic(
-        TaskPanic::new("run_until predicate", panic_message(payload)).with_iteration(iteration),
-    )
+impl RunCondition {
+    /// Is the batch done before its next iteration? `Count` is
+    /// decremented by the caller as each iteration ends, so `Count(0)` is
+    /// done; `Until` asks its predicate, and a predicate that panics ends
+    /// the batch with that panic, charged to `iteration`.
+    fn finished(&mut self, iteration: u64) -> Option<RunResult> {
+        match self {
+            RunCondition::Count(n) => (*n == 0).then_some(Ok(())),
+            RunCondition::Until(pred) => match catch_unwind(AssertUnwindSafe(pred)) {
+                Ok(true) => Some(Ok(())),
+                Ok(false) => None,
+                Err(payload) => {
+                    if crate::sync::is_model_abort(payload.as_ref()) {
+                        // Engine-internal unwind: never a predicate
+                        // failure; rethrow.
+                        std::panic::resume_unwind(payload);
+                    }
+                    let message = panic_message(&*payload);
+                    let panic = TaskPanic::new("run_until predicate", message);
+                    Some(Err(RunError::Panic(panic.with_iteration(iteration))))
+                }
+            },
+        }
+    }
 }
 
 #[cfg(test)]

@@ -948,6 +948,7 @@ fn breaker_half_open_probe_recovers_the_tenant() {
     tf.run_on(&tenant).unwrap().get().unwrap();
     let s = settled(&tenant);
     assert_eq!(s.consecutive_failures, 0, "streak reset on success");
+    assert_eq!(s.breaker_transitions, 3, "closed, open, half-open, closed");
     assert_ledger_balances(&s);
 }
 
@@ -978,7 +979,9 @@ fn failed_probe_reopens_the_breaker() {
         Err(AdmissionError::BreakerOpen { .. }) => {}
         other => panic!("re-opened breaker must reject, got {other:?}"),
     }
-    assert_ledger_balances(&settled(&tenant));
+    let s = settled(&tenant);
+    assert_eq!(s.breaker_transitions, 3, "closed, open, half-open, open");
+    assert_ledger_balances(&s);
 }
 
 #[test]

@@ -602,12 +602,17 @@ fn ring_drops_surface_per_worker_and_in_endpoints() {
 
     let total = handle.ring_dropped();
     assert!(total > 0, "the chain's lane must have overflowed");
-    let per_worker: u64 = ex.stats().workers.iter().map(|w| w.ring_dropped).sum();
-    assert!(per_worker > 0, "drops must be attributed to workers");
-    assert!(per_worker <= total, "worker drops cannot exceed the total");
 
     let metrics = handle.metrics_text();
     check_prometheus(&metrics);
+    let exposition = prom::parse(&metrics).unwrap();
+    let family = exposition
+        .family("rustflow_ring_dropped_events_total")
+        .expect("the per-lane ring-drop family");
+    assert_eq!(family.samples.len(), ex.num_lanes(), "one sample per lane");
+    let per_worker: u64 = family.samples.iter().map(|s| s.value as u64).sum();
+    assert!(per_worker > 0, "drops must be attributed to workers");
+    assert!(per_worker <= total, "worker drops cannot exceed the total");
     assert!(metrics.contains("rustflow_ring_dropped_events_total{worker=\"0\",lane=\"worker\"}"));
     // Guest seats are lanes too: listed after the workers, told apart.
     assert!(metrics.contains("rustflow_ring_dropped_events_total{worker=\"2\",lane=\"guest\"}"));
@@ -621,6 +626,82 @@ fn ring_drops_surface_per_worker_and_in_endpoints() {
 
     // Overflow between passes is exactly what the saturation signal is.
     assert!(handle.watchdog_counts().ring_saturation >= 1);
+}
+
+/// A watchdog subscriber that panics costs nothing but its own call: it
+/// stays subscribed, the subscribers after it still hear the diagnostic,
+/// the collector keeps draining the rings into the flight recorder, and
+/// `/trace`, which runs a collection pass on the HTTP thread, still
+/// answers.
+#[test]
+fn a_panicking_watchdog_subscriber_takes_nothing_down() {
+    let ex = Executor::new(2);
+    let handle = ex
+        .serve_introspection_with("127.0.0.1:0", fast_config())
+        .expect("bind");
+    let addr = handle.local_addr().unwrap();
+    let panics = Arc::new(AtomicUsize::new(0));
+    let p = Arc::clone(&panics);
+    handle.subscribe_watchdog(move |_| {
+        p.fetch_add(1, Ordering::SeqCst);
+        panic!("faulty watchdog subscriber");
+    });
+    let stalls = Arc::new(AtomicUsize::new(0));
+    let s = Arc::clone(&stalls);
+    handle.subscribe_watchdog(move |d| {
+        if let WatchdogDiagnostic::StalledWorker { .. } = d {
+            s.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+
+    // Plant a stall on one worker; the other stays free for later work.
+    let (started, release) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let stuck = Taskflow::with_executor(Arc::clone(&ex));
+    let (st, r) = (Arc::clone(&started), Arc::clone(&release));
+    stuck.emplace(move || {
+        st.store(true, Ordering::SeqCst);
+        while !r.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let held = stuck.run();
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let eventually = |cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        cond()
+    };
+    let heard = eventually(&|| stalls.load(Ordering::SeqCst) >= 1);
+
+    // The collector is still alive: fresh work reaches the recorder
+    // without a pass on this thread.
+    let before = handle.flight_recorder_len();
+    let later = Taskflow::with_executor(Arc::clone(&ex));
+    later.emplace(|| {}).name("after-the-panic");
+    let ran = later.run().get();
+    let recorded = eventually(&|| handle.flight_recorder_len() > before);
+    let (code, trace) = http_get(addr, "/trace?last_ms=10000");
+
+    // Free the stuck worker before asserting, so a failure cannot wedge
+    // the executor's drop.
+    release.store(true, Ordering::SeqCst);
+    held.get().unwrap();
+    assert!(heard, "the counting subscriber never heard the stall");
+    assert!(
+        panics.load(Ordering::SeqCst) >= 1,
+        "the faulty one was called"
+    );
+    assert!(ran.is_ok(), "{ran:?}");
+    assert!(recorded, "the flight recorder stopped growing");
+    assert_eq!(code, 200);
+    assert!(trace.contains("after-the-panic"), "{trace}");
 }
 
 // --- Satellite 2: one clock domain across executors and endpoints. ------

@@ -23,6 +23,12 @@
 //! * Observability reads the front door and never writes it: no file under
 //!   `src/introspect/` calls into `resilience` or takes a run off a tenant
 //!   queue (`unqueue`, `retire`).
+//! * The executor core never calls into live introspection: outside
+//!   `src/introspect/`, only `lib.rs` (its re-exports) and `executor.rs`
+//!   (the `Executor`'s service slot, `start_introspection`,
+//!   `serve_introspection*` and `Drop`) name the module, `Inner` has no
+//!   introspection field, and the front door and the scheduler do not name
+//!   it at all.
 //! * `src/resilience.rs` holds stages the front door calls, so it names
 //!   neither the executor core (`Inner`) nor `frontdoor`.
 //! * Each wire format has one writer: under `crates/*/src`, only
@@ -258,6 +264,66 @@ fn introspection_never_writes_the_front_door() {
     assert!(
         violations.is_empty(),
         "introspection writes into the front door:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Where `executor.rs` may name the `introspect` module: the item each of
+/// these lines opens, up to the `}` at its indentation.
+const INTROSPECT_SITES: [&str; 5] = [
+    "pub struct Executor {",
+    "pub fn start_introspection(",
+    "pub fn serve_introspection(",
+    "pub fn serve_introspection_with(",
+    "impl Drop for Executor {",
+];
+
+/// Every code line of `executor.rs` that names the `introspect` module
+/// outside [`INTROSPECT_SITES`], and every line of `Inner`'s body that
+/// names introspection at all.
+fn introspection_in_the_core(path: &Path) -> Vec<String> {
+    let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let mut violations = Vec::new();
+    let mut site_end: Option<String> = None;
+    let mut in_inner = false;
+    for (i, line) in text.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        let indent = &line[..line.len() - line.trim_start().len()];
+        if site_end.is_none() && INTROSPECT_SITES.iter().any(|s| code.contains(s)) {
+            site_end = Some(format!("{indent}}}"));
+        }
+        in_inner |= code.starts_with("pub(crate) struct Inner {");
+        let named = code.contains("introspect::");
+        if (named && site_end.is_none()) || (in_inner && code.to_lowercase().contains("introspect"))
+        {
+            violations.push(format!("{}:{}: {}", path.display(), i + 1, code.trim()));
+        }
+        if site_end.as_deref() == Some(line) {
+            site_end = None;
+        }
+        in_inner &= line != "}";
+    }
+    violations
+}
+
+#[test]
+fn the_executor_core_never_calls_into_introspection() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let (lib, executor) = (src.join("lib.rs"), src.join("executor.rs"));
+    let mut violations = introspection_in_the_core(&executor);
+    for path in rust_files(&src) {
+        if path.starts_with(src.join("introspect")) || path == lib || path == executor {
+            continue;
+        }
+        violations.extend(named_in_code(&path, &["introspect::", "mod introspect"]));
+    }
+    for file in ["frontdoor.rs", "scheduler.rs"] {
+        let names = ["introspect", "Introspect", "Watchdog"];
+        violations.extend(named_in_code(&src.join(file), &names));
+    }
+    assert!(
+        violations.is_empty(),
+        "the executor core reaches into live introspection:\n{}",
         violations.join("\n")
     );
 }

@@ -175,7 +175,10 @@ fn chaos_panic_path_is_clean() {
 /// dispatch budget forces the WFQ pump to interleave admission, dispatch,
 /// and completion-driven re-pumping. The whole path — admission lock,
 /// qos lock, injector, registry — must be race- and cycle-free and no
-/// submission may be lost.
+/// submission may be lost. The ledger is read at quiescence: `get()`
+/// returns once the run's promise resolves, before the finalizing worker
+/// credits the completion, so the credits are read only after the last
+/// `Arc<Executor>` is gone and its drop has joined every worker.
 #[test]
 fn tenant_submission_is_clean() {
     use rustflow::TenantQos;
@@ -207,6 +210,9 @@ fn tenant_submission_is_clean() {
         tf.run_on(&hi).unwrap().get().unwrap();
         client.join().unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 2);
+        // The client's taskflow went with its thread; this one holds the
+        // last `Arc<Executor>`.
+        drop(tf);
         assert_eq!(hi.stats().completed + lo.stats().completed, 2);
     });
 }

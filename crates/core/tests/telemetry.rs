@@ -770,7 +770,7 @@ fn status_reports_interpolated_percentiles_and_slo() {
 /// and equals that lane's sample in the `/metrics` family.
 #[test]
 fn status_totals_equal_the_metrics_samples_for_every_lane_counter() {
-    const LANE_COUNTERS: [(&str, &str); 11] = [
+    const LANE_COUNTERS: [(&str, &str); 10] = [
         ("executed", "rustflow_tasks_executed_total"),
         ("cache_hits", "rustflow_cache_hits_total"),
         ("steals", "rustflow_steals_total"),
@@ -781,7 +781,6 @@ fn status_totals_equal_the_metrics_samples_for_every_lane_counter() {
         ("wakes_sent", "rustflow_wakes_sent_total"),
         ("skipped", "rustflow_tasks_skipped_total"),
         ("retries", "rustflow_task_retries_total"),
-        ("ring_dropped", "rustflow_ring_dropped_events_total"),
     ];
     let ex = Executor::new(2);
     let handle = ex
@@ -826,6 +825,16 @@ fn status_totals_equal_the_metrics_samples_for_every_lane_counter() {
             let total = total.and_then(json::Value::as_f64).unwrap();
             assert_eq!(total, family.samples[lane].value, "lane {lane} {key}");
         }
+    }
+    // Introspection's own per-lane number, listed beside `queue_depth`.
+    let ring_dropped = exposition
+        .family("rustflow_ring_dropped_events_total")
+        .expect("no rustflow_ring_dropped_events_total");
+    assert_eq!(ring_dropped.samples.len(), workers.len());
+    for (lane, worker) in workers.iter().enumerate() {
+        let status = worker.get("ring_dropped").and_then(json::Value::as_f64);
+        let metric = ring_dropped.samples[lane].value;
+        assert_eq!(status, Some(metric), "lane {lane} ring_dropped");
     }
     assert_eq!(
         exposition.total("rustflow_tasks_executed_total"),
