@@ -9,7 +9,10 @@
 //!
 //! * submission throughput (resolved submissions / second);
 //! * submit-to-resolve latency percentiles (p50 / p99 / p999, µs),
-//!   measured per submission under the pipelined load.
+//!   measured per submission under the pipelined load;
+//! * `worker_cpu_ms`: the CPU time (user + system) the executor's worker
+//!   threads burned over the kept run, which is what a thief's bounded
+//!   spinning before it parks costs ([`worker_cpu_ms`]).
 //!
 //! The checks: the executor's own `/metrics` latency histograms must
 //! agree with the client-measured percentiles (see below). Rows and checks
@@ -101,6 +104,39 @@ fn client_latencies(
     lat_us
 }
 
+/// CPU milliseconds (utime + stime) the live `rustflow-worker-*` threads
+/// of this process have used so far, read from
+/// `/proc/self/task/*/{comm,stat}`; 0 where there is no procfs. Only the
+/// executor under measurement is alive while it is read, so its workers
+/// are the only ones counted. The kernel truncates `comm` to 15 bytes,
+/// exactly `rustflow-worker`, and counts in USER_HZ ticks (100 per second
+/// on Linux), so the resolution is 10 ms per thread.
+fn worker_cpu_ms() -> f64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0.0;
+    };
+    let mut ticks = 0u64;
+    for task in tasks.flatten() {
+        let path = task.path();
+        let read = |file| std::fs::read_to_string(path.join(file)).unwrap_or_default();
+        if !read("comm").starts_with("rustflow-worker") {
+            continue;
+        }
+        // Fields 14 and 15 (utime, stime) follow the parenthesised comm,
+        // which may itself hold spaces; after it, field 3 is index 0.
+        let stat = read("stat");
+        let Some((_, fields)) = stat.rsplit_once(") ") else {
+            continue;
+        };
+        let fields: Vec<&str> = fields.split_whitespace().collect();
+        ticks += [11, 12]
+            .iter()
+            .filter_map(|&i| fields.get(i)?.parse::<u64>().ok())
+            .sum::<u64>();
+    }
+    ticks as f64 * 10.0
+}
+
 /// Measures one client count into a row of `gate`: each of `--repeats`
 /// runs fans `clients` pipelined client threads out against a fresh
 /// executor; the fastest run (by wall time) is kept.
@@ -108,11 +144,13 @@ fn measure(gate: &mut Gate, clients: usize, workers: usize, per_client: usize, r
     let submissions = clients * per_client;
     let run_once = |_| {
         let ex = ExecutorBuilder::new().workers(workers).build();
+        let cpu_ms = worker_cpu_ms();
         let start = Instant::now();
         let lat_us = client_latencies(&ex, clients, per_client, WINDOW, request_flow);
-        (start.elapsed().as_secs_f64() * 1e3, lat_us)
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        (wall_ms, lat_us, worker_cpu_ms() - cpu_ms)
     };
-    let (wall_ms, lat) = (0..repeats.max(1))
+    let (wall_ms, lat, cpu_ms) = (0..repeats.max(1))
         .map(run_once)
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one repeat ran");
@@ -128,6 +166,7 @@ fn measure(gate: &mut Gate, clients: usize, workers: usize, per_client: usize, r
             ("p50_us", &percentile(0.50)),
             ("p99_us", &percentile(0.99)),
             ("p999_us", &percentile(0.999)),
+            ("worker_cpu_ms", &format_args!("{cpu_ms:.0}")),
         ],
     );
 }

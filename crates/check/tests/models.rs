@@ -14,7 +14,7 @@
 //! would be vacuous.
 
 use rustflow::check_internals::{FrontDoorBudget, Injector, Notifier, RearmHarness, Ring};
-use rustflow::wsq::{deque_with_capacity, Steal};
+use rustflow::wsq::{deque_with_capacity, Steal, Stealer};
 use rustflow_check::atomic::{fence, AtomicBool, AtomicUsize};
 use rustflow_check::sync::Mutex;
 use rustflow_check::{thread, Checker};
@@ -484,6 +484,18 @@ fn frontdoor_backlog_no_stranded_run() {
     assert!(stats.dfs_complete, "schedule space must be fully explored");
 }
 
+/// One steal from `victim`, retried while it races (the inner loop of
+/// `scheduler::try_steal`, for a single victim).
+fn steal(victim: &Stealer) -> usize {
+    loop {
+        match victim.steal() {
+            Steal::Success(task) => return task,
+            Steal::Retry => {}
+            Steal::Empty => return 0,
+        }
+    }
+}
+
 /// The guest seat (`Inner::seats`, `scheduler::guest_loop`): a thread
 /// that waits on a run it dispatches takes a free seat, schedules the
 /// run's sources on it (first into the cache slot, the rest onto the
@@ -492,8 +504,9 @@ fn frontdoor_backlog_no_stranded_run() {
 /// finds every queue empty; then it hands the seat back and blocks on the
 /// promise. One guest with a two-source run, one worker, and a second
 /// waiter that helps only if it finds the seat free, over the production
-/// deque, notifier and promise; the loops mirror `scheduler.rs`. Checked
-/// in every interleaving:
+/// deque, notifier and promise; the loops mirror `scheduler.rs`, the
+/// worker's exploration cut to two steal rounds with a yield between
+/// them. Checked in every interleaving:
 ///
 /// * no task is lost when the guest leaves (it leaves only with cache and
 ///   deque empty, asserted: what it pushed it popped again or the worker
@@ -506,7 +519,7 @@ fn frontdoor_backlog_no_stranded_run() {
 ///   thread blocked forever, which the engine reports as a deadlock.
 #[test]
 fn guest_seat_no_lost_task() {
-    use rustflow::wsq::{Owner, Stealer};
+    use rustflow::wsq::Owner;
     use rustflow::{Promise, SharedFuture};
     use rustflow_check::cell::CheckedCell;
 
@@ -566,14 +579,25 @@ fn guest_seat_no_lost_task() {
         /// `steal_round`: one victim, counted as spinning while it lasts.
         fn steal_round(&self, victim: &Stealer) -> usize {
             self.num_spinning.fetch_add(1, Ordering::SeqCst);
-            let stolen = loop {
-                match victim.steal() {
-                    Steal::Success(task) => break task,
-                    Steal::Retry => {}
-                    Steal::Empty => break 0,
-                }
-            };
+            let stolen = steal(victim);
             self.num_spinning.fetch_sub(1, Ordering::SeqCst);
+            stolen
+        }
+
+        /// `explore`, cut to two rounds: one spinning bracket, a yield
+        /// between the rounds, and the ramp-up wake for a thief that
+        /// leaves it holding a task as the last spinner.
+        fn explore(&self, victim: &Stealer) -> usize {
+            self.num_spinning.fetch_add(1, Ordering::SeqCst);
+            let mut stolen = steal(victim);
+            if stolen == 0 && !self.stop.load(Ordering::Acquire) {
+                thread::yield_now();
+                stolen = steal(victim);
+            }
+            let last = self.num_spinning.fetch_sub(1, Ordering::SeqCst) == 1;
+            if stolen != 0 && last {
+                self.notifier.wake_one();
+            }
             stolen
         }
 
@@ -641,7 +665,7 @@ fn guest_seat_no_lost_task() {
         /// and the cache slot.
         fn worker_loop(&self) {
             while !self.stop.load(Ordering::Acquire) {
-                let task = self.steal_round(&self.seat_stealer);
+                let task = self.explore(&self.seat_stealer);
                 if task == 0 {
                     self.notifier
                         .wait(0, || self.all_queues_empty(), &self.stop);
@@ -708,6 +732,140 @@ fn guest_seat_no_lost_task() {
                 vec![1, 1, usize::from(second_helped)],
                 "every dispatched task runs exactly once"
             );
+        });
+    assert!(stats.dfs_complete, "schedule space must be fully explored");
+}
+
+/// The ramp-up wake (`scheduler::explore`): a push made while a thief
+/// spins skips its wake, so a thief that leaves its exploration holding a
+/// task as the last spinner wakes one parked peer. Without that wake the
+/// pushes of a burst can all land while one thief spins, and a parked
+/// worker then sleeps through work that needs it. Here that need is made
+/// absolute: a guest schedules a three-source run whose tasks meet at a
+/// three-way barrier, so each can finish only while the other two run.
+/// The guest keeps the first task in its cache slot and pushes the other
+/// two onto its seat's deque under the `num_spinning`/`wake_one` rule,
+/// then runs its own; two workers explore (two rounds, a yield between)
+/// and park, over the production deque and notifier. Each worker leaves
+/// after the one task it runs, since every task needs a thread of its
+/// own. In every interleaving each task runs exactly once; a worker left
+/// parked while a task waits on its deque blocks all three threads, which
+/// the engine reports as a deadlock.
+///
+/// Weakened by `rustflow_weaken = "notifier_dekker"`: a wake can read a
+/// stale zero idler count and reach nobody, which strands a parked
+/// worker the same way.
+#[test]
+#[cfg_attr(
+    rustflow_weaken = "notifier_dekker",
+    should_panic(expected = "failing interleaving")
+)]
+fn explore_ramp_wake_reaches_a_parked_peer() {
+    use rustflow::wsq::Owner;
+    use rustflow_check::sync::Condvar;
+
+    struct Sched {
+        seat_stealer: Stealer,
+        num_spinning: AtomicUsize,
+        notifier: Notifier,
+        /// Never set: every worker leaves after its task.
+        stop: AtomicBool,
+        /// Tasks that reached the barrier.
+        arrived: Mutex<usize>,
+        all_arrived: Condvar,
+        executed: [AtomicUsize; 3],
+    }
+
+    impl Sched {
+        /// A task: count it, then wait until all three run at once.
+        fn execute(&self, task: usize) {
+            self.executed[task - 1].fetch_add(1, Ordering::Relaxed);
+            let mut arrived = self.arrived.lock();
+            *arrived += 1;
+            if *arrived == 3 {
+                self.all_arrived.notify_all();
+            }
+            while *arrived < 3 {
+                self.all_arrived.wait(&mut arrived);
+            }
+        }
+
+        /// `schedule` on the seat, past its first (cached) source.
+        fn push(&self, owner: &Owner, task: usize) {
+            owner.push(task);
+            fence(Ordering::SeqCst);
+            if self.num_spinning.load(Ordering::SeqCst) == 0 {
+                self.notifier.wake_one();
+            }
+        }
+
+        /// `explore`, cut to two rounds.
+        fn explore(&self) -> usize {
+            self.num_spinning.fetch_add(1, Ordering::SeqCst);
+            let mut stolen = steal(&self.seat_stealer);
+            if stolen == 0 {
+                thread::yield_now();
+                stolen = steal(&self.seat_stealer);
+            }
+            let last = self.num_spinning.fetch_sub(1, Ordering::SeqCst) == 1;
+            if stolen != 0 && last {
+                self.notifier.wake_one();
+            }
+            stolen
+        }
+
+        /// `worker_loop` until its one task: nothing a worker runs has a
+        /// successor, so its own deque and cache slot stay empty.
+        fn worker_loop(&self, id: usize) {
+            loop {
+                let task = self.explore();
+                if task != 0 {
+                    return self.execute(task);
+                }
+                self.notifier
+                    .wait(id, || self.seat_stealer.is_empty(), &self.stop);
+            }
+        }
+    }
+
+    let stats = Checker::new()
+        .preemption_bound(Some(2))
+        .max_schedules(400_000)
+        .check("explore_ramp_wake_reaches_a_parked_peer", || {
+            let (owner, seat_stealer) = deque_with_capacity(2);
+            let sched = Arc::new(Sched {
+                seat_stealer,
+                num_spinning: AtomicUsize::new(0),
+                notifier: Notifier::new(2),
+                stop: AtomicBool::new(false),
+                arrived: Mutex::new(0),
+                all_arrived: Condvar::new(),
+                executed: [
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                ],
+            });
+            let s = Arc::clone(&sched);
+            let worker = thread::spawn(move || s.worker_loop(0));
+            let s = Arc::clone(&sched);
+            let guest = thread::spawn(move || {
+                // Task 1 goes to the guest's cache slot, 2 and 3 onto its
+                // deque; then the guest runs task 1.
+                s.push(&owner, 2);
+                s.push(&owner, 3);
+                s.execute(1);
+            });
+            // The checking thread is the second worker.
+            sched.worker_loop(1);
+            guest.join().unwrap();
+            worker.join().unwrap();
+            let executed: Vec<usize> = sched
+                .executed
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(executed, vec![1, 1, 1], "every task runs exactly once");
         });
     assert!(stats.dfs_complete, "schedule space must be fully explored");
 }

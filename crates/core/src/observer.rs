@@ -136,7 +136,8 @@ pub enum SchedEventKind {
         /// Worker whose deque was robbed.
         victim: usize,
     },
-    /// A full steal round (every victim plus the injector) found nothing.
+    /// An exploration (a worker's bounded steal rounds, a guest's one
+    /// round; every victim plus the injector) found nothing.
     StealFail,
     /// The worker took a task from the external injector queue.
     InjectorPop,

@@ -5,18 +5,27 @@
 //! task cache**: when a finishing task makes exactly one successor ready,
 //! that successor goes straight into the cache and is executed next by the
 //! same worker — linear chains run speculatively with no queue traffic and
-//! no wake-ups (Algorithm 1 lines 16–25). Workers that find every queue
-//! empty park themselves on the **idler list** ([`crate::notifier`]), from
-//! which wakers pop exactly one spare worker (lines 5–13). One rule wakes
-//! a worker: a push onto a deque while no thief is spinning ([`schedule`]).
-//! The paper's other one, a 1-in-64 coin after every drained chain (lines
-//! 26–28), is not kept: the spinning rule already reaches every pushed
-//! task, and Taskflow's later executor has no such coin either.
+//! no wake-ups (Algorithm 1 lines 16–25). A worker whose own queues are
+//! empty **explores** before it parks (lines 3–13 as Taskflow's later
+//! executor runs them, arXiv 2004.10908): one spinning bracket around a
+//! bounded number of steal rounds, the first few separated by a CPU spin
+//! hint and the rest by a yield, with the stop flag read every round.
+//! Only when the bound runs out does it park on the **idler list**
+//! ([`crate::notifier`]), re-scanning every queue under the notifier's
+//! Dekker protocol first; wakers pop exactly one spare worker. A thief
+//! that leaves the bracket holding a task as the last spinner wakes one
+//! parked peer (the ramp-up wake), because pushes made while it spun
+//! skipped theirs. Otherwise one rule wakes a worker: a push onto a deque
+//! while no thief is spinning ([`schedule`]). The paper's other one, a
+//! 1-in-64 coin after every drained chain (lines 26–28), is not kept: the
+//! spinning rule already reaches every pushed task, and Taskflow's later
+//! executor has no such coin either.
 //!
 //! Beside the workers' lanes sit a few **guest seats**: the same deque,
 //! cache slot and counters, owned for the length of one call by a thread
 //! that waits on a run it has just dispatched ([`guest_loop`]). A guest
-//! runs the inner loop above (cache, own deque, one steal round) and never
+//! runs the inner loop above with one steal round instead of an
+//! exploration, since it must not spin on its caller's thread, and never
 //! parks here: when the run has resolved, or a round finds every queue
 //! empty, it leaves and its caller blocks on the run's promise. Thieves
 //! and the park re-check scan a seat exactly like a peer's deque.
@@ -36,7 +45,7 @@ use crate::graph::{RawNode, WorkKind};
 use crate::observer::{SchedEventKind, TaskSpanInfo, DISPATCH_LANE};
 use crate::stats::{Counter, Metric, WorkerStats, LANE_METRICS};
 use crate::subflow::Subflow;
-use crate::sync::{fence, AtomicU64};
+use crate::sync::{fence, thread, AtomicU64};
 use crate::topology::Topology;
 use crate::wsq;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -134,11 +143,11 @@ pub(crate) fn worker_loop(inner: &Inner, mut ctx: WorkerCtx) {
         }
         // Line 2: own queue first (the cache was drained last round).
         let mut t = ctx.next_local();
-        // Line 3: steal.
+        // Line 3: steal, for a bounded while.
         if t == 0 {
-            t = steal_round(inner, &mut ctx);
+            t = explore(inner, &mut ctx);
         }
-        // Lines 5–13: park when everything is empty.
+        // Lines 5–13: park when the exploration found nothing.
         if t == 0 {
             // SAFETY: deliberately WRONG — this plain read races with the
             // plain write in `execute`; it is the bug this mutation seeds
@@ -196,18 +205,68 @@ fn all_queues_empty(inner: &Inner) -> bool {
     inner.shareds.iter().all(|s| s.stealer.is_empty()) && inner.injector.is_empty()
 }
 
-/// Line 3: one steal round, counted as spinning while it lasts. The
+/// The first steal rounds of an exploration, each followed by a CPU spin
+/// hint: for a task a busy peer is about to push.
+const SPIN_ROUNDS: u32 = 4;
+/// Steal rounds an exploration may take in all; the rest, past
+/// [`SPIN_ROUNDS`], are each followed by a yield. ≈40–70 µs of looking on
+/// a 2-vCPU box before a worker pays a park and its unpark.
+const EXPLORE_ROUNDS: u32 = SPIN_ROUNDS + 100;
+
+/// Line 3 for a worker: up to [`EXPLORE_ROUNDS`] steal rounds inside one
+/// spinning bracket; 0 when the bound ran out or the executor stops. The
 /// spinning counter gates redundant wake-ups from concurrent pushes (see
-/// `Inner::num_spinning`).
-fn steal_round(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
-    // ORDERING: SeqCst bracket around the steal attempt — the spinner
+/// `Inner::num_spinning`), so a thief that finds a task as the last
+/// spinner wakes one parked peer for the pushes that skipped theirs.
+fn explore(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
+    // ORDERING: SeqCst bracket around the steal rounds — the spinner
     // count shares the Dekker total order with `schedule`'s fence, so a
     // submitter either sees a spinner (and skips the wake) or the
-    // spinner's scan sees its push.
+    // spinner's rounds or its park re-scan see the push.
+    inner.num_spinning.fetch_add(1, Ordering::SeqCst);
+    let mut round = 1;
+    let t = loop {
+        let t = try_steal(inner, ctx);
+        // ORDERING: Acquire pairs with the SeqCst stop store in `drop`,
+        // as at the top of `worker_loop`.
+        if t != 0 || round == EXPLORE_ROUNDS || inner.stop.load(Ordering::Acquire) {
+            break t;
+        }
+        if round <= SPIN_ROUNDS {
+            std::hint::spin_loop();
+        } else {
+            thread::yield_now();
+        }
+        round += 1;
+    };
+    // ORDERING: SeqCst closes the bracket above; reading 1 means no other
+    // thief was looking when this one stopped.
+    let last = inner.num_spinning.fetch_sub(1, Ordering::SeqCst) == 1;
+    if t == 0 {
+        steal_failed(inner, ctx);
+    } else if last {
+        wake_one(inner, ctx);
+    }
+    t
+}
+
+/// Line 3 for a guest: one steal round in the same spinning bracket.
+fn steal_round(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
+    // ORDERING: SeqCst bracket, as in `explore`.
     inner.num_spinning.fetch_add(1, Ordering::SeqCst);
     let t = try_steal(inner, ctx);
     inner.num_spinning.fetch_sub(1, Ordering::SeqCst); // ORDERING: closes the bracket above.
+    if t == 0 {
+        steal_failed(inner, ctx);
+    }
     t
+}
+
+/// One failed exploration, counted and reported once however many rounds
+/// it took.
+fn steal_failed(inner: &Inner, ctx: &WorkerCtx) {
+    inner.shareds[ctx.id].count(Counter::StealFails);
+    emit(inner, ctx.id, NO_LABEL, || SchedEventKind::StealFail);
 }
 
 /// Lines 16–25: run the task, then speculatively drain the cache — a
@@ -237,6 +296,7 @@ fn run_chain(inner: &Inner, ctx: &mut WorkerCtx, first: usize) {
 
 /// One round of stealing: last victim first, then the other lanes, then
 /// the external injector. `Retry` results re-attempt the same victim.
+/// A miss is counted by the caller, once per exploration.
 fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
     let n = inner.shareds.len();
     let me = ctx.id;
@@ -258,19 +318,12 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
         }
         ctx.last_victim = (v + 1) % n;
     }
-    let popped = inner.injector.pop();
-    match popped {
-        Some(x) => {
-            inner.shareds[me].count(Counter::InjectorPops);
-            emit(inner, me, NO_LABEL, || SchedEventKind::InjectorPop);
-            x
-        }
-        None => {
-            inner.shareds[me].count(Counter::StealFails);
-            emit(inner, me, NO_LABEL, || SchedEventKind::StealFail);
-            0
-        }
-    }
+    let Some(x) = inner.injector.pop() else {
+        return 0;
+    };
+    inner.shareds[me].count(Counter::InjectorPops);
+    emit(inner, me, NO_LABEL, || SchedEventKind::InjectorPop);
+    x
 }
 
 /// Schedules a node that just became ready, on the lane that made it so:
@@ -293,10 +346,15 @@ pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode)
     // otherwise the new task could go unnoticed by every worker.
     fence(Ordering::SeqCst);
     if inner.num_spinning.load(Ordering::SeqCst) == 0 {
-        if let Some(woken) = inner.notifier.wake_one() {
-            inner.shareds[ctx.id].count(Counter::WakesSent);
-            emit(inner, ctx.id, NO_LABEL, || SchedEventKind::Wake { woken });
-        }
+        wake_one(inner, ctx);
+    }
+}
+
+/// Wakes one parked worker, if any, on behalf of lane `ctx`.
+fn wake_one(inner: &Inner, ctx: &WorkerCtx) {
+    if let Some(woken) = inner.notifier.wake_one() {
+        inner.shareds[ctx.id].count(Counter::WakesSent);
+        emit(inner, ctx.id, NO_LABEL, || SchedEventKind::Wake { woken });
     }
 }
 

@@ -124,7 +124,8 @@ pub struct WorkerStats {
     pub steals: u64,
     /// Individual steal attempts (one per victim probe).
     pub steal_attempts: u64,
-    /// Steal rounds that found nothing anywhere (victims + injector).
+    /// Explorations that found nothing anywhere (victims + injector),
+    /// one however many steal rounds it took.
     pub steal_fails: u64,
     /// Tasks taken from the external injector queue.
     pub injector_pops: u64,
@@ -158,7 +159,7 @@ metric_table!(
     StealAttempts = steal_attempts counter "rustflow_steal_attempts_total"
         "Individual steal probes, per thief.";
     StealFails = steal_fails counter "rustflow_steal_failures_total"
-        "Steal rounds that found no work anywhere.";
+        "Explorations (bounded steal rounds) that found no work anywhere.";
     InjectorPops = injector_pops counter "rustflow_injector_pops_total"
         "Tasks taken from the external injector queue.";
     Parks = parks counter "rustflow_parks_total" "Times a worker parked on the idler list.";

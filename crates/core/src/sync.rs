@@ -60,15 +60,16 @@ pub(crate) use std::sync::atomic::{
     fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize,
 };
 
-/// Model-aware thread spawn/join, used for the executor's worker pool so
-/// the sanitizer schedules workers deterministically. Plain builds
-/// delegate to `std::thread` with the requested thread name.
+/// Model-aware thread spawn/join/yield, used for the executor's worker
+/// pool so the sanitizer schedules workers deterministically (a yield is
+/// one of its interleaving points). Plain builds delegate to
+/// `std::thread`, spawning with the requested thread name.
 pub(crate) mod thread {
     #[cfg(feature = "rustflow_check")]
-    pub(crate) use rustflow_check::thread::JoinHandle;
+    pub(crate) use rustflow_check::thread::{yield_now, JoinHandle};
 
     #[cfg(not(feature = "rustflow_check"))]
-    pub(crate) use std::thread::JoinHandle;
+    pub(crate) use std::thread::{yield_now, JoinHandle};
 
     /// Spawns a named thread. Under the model checker the thread becomes
     /// a model thread (the name is advisory); otherwise a real named

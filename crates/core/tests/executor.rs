@@ -6,7 +6,7 @@ use rustflow::{BusyCounter, Executor, ExecutorBuilder, ExecutorObserver, Taskflo
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A shared logical clock for stamping execution order.
 fn clock() -> Arc<AtomicUsize> {
@@ -738,5 +738,63 @@ fn close_racing_a_helped_dispatch_rejects_and_returns() {
             waiter.join().unwrap() > 0,
             "no run was helped before close()"
         );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Exploration: a thief looks for a bounded while, then parks or stops
+// ---------------------------------------------------------------------------
+
+/// A fan of `n` independent tasks in `tf`, run by the workers (`run`, not
+/// `wait_for_all`), so that they all explore once it drains.
+fn run_a_fan_on_the_workers(tf: &Taskflow, n: usize) {
+    for _ in 0..n {
+        tf.emplace(|| {
+            std::hint::black_box(0u64);
+        });
+    }
+    tf.run().get().unwrap();
+}
+
+/// Bounded stealing (W6): an executor left alone after a run has every
+/// worker parked within a second, however the explorations interleave.
+#[test]
+fn an_idle_executor_parks_every_worker_within_a_second() {
+    within_30s("an idle executor parking its workers", || {
+        let ex = Executor::new(4);
+        let tf = Taskflow::with_executor(Arc::clone(&ex));
+        run_a_fan_on_the_workers(&tf, 64);
+        let last_run = Instant::now();
+        while ex.num_idlers() < ex.num_workers() {
+            assert!(
+                last_run.elapsed() < Duration::from_secs(1),
+                "{} of {} workers parked a second after the last run",
+                ex.num_idlers(),
+                ex.num_workers()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+}
+
+/// Shutdown reaches a worker mid-exploration: it reads the stop flag
+/// every round, so dropping the executor right after a run returns
+/// within a second instead of waiting out the bound (or a park).
+#[test]
+fn dropping_an_executor_while_its_workers_explore_returns_promptly() {
+    within_30s("dropping executors whose workers explore", || {
+        for _ in 0..20 {
+            let ex = Executor::new(4);
+            let tf = Taskflow::with_executor(Arc::clone(&ex));
+            run_a_fan_on_the_workers(&tf, 64);
+            let start = Instant::now();
+            drop(tf);
+            drop(ex);
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "the drop took {:?}",
+                start.elapsed()
+            );
+        }
     });
 }

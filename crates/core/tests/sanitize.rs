@@ -441,8 +441,12 @@ fn injector_handoff() {
 /// so nothing but the Dekker pair orders the two and `notifier_dekker` is
 /// visible here too: a stale zero idler count after the worker parked is a
 /// lost wake-up, reported as a deadlock (worker in `cv.wait`, client in
-/// `get`) within a handful of schedules. [`notifier_lost_wake`] below
-/// corners the same protocol with no executor around it.
+/// `get`) within a handful of schedules. A worker explores for about a
+/// hundred steal rounds before it parks, so each dispatch waits for the
+/// worker's park count first: dispatched at once, it lands while the
+/// worker still spins and the weakened pair is never raced (no finding
+/// in 8 192 schedules). [`notifier_lost_wake`] below corners the same
+/// protocol with no executor around it.
 #[test]
 fn park_submit_cycles() {
     sanitize(
@@ -450,13 +454,19 @@ fn park_submit_cycles() {
         Sanitizer::new("park_submit").iters(24),
         || {
             let ex = ExecutorBuilder::new().workers(1).build();
-            let tf = Taskflow::with_executor(ex);
+            let tf = Taskflow::with_executor(Arc::clone(&ex));
             let done = Arc::new(AtomicUsize::new(0));
             let d = Arc::clone(&done);
             tf.emplace(move || {
                 d.fetch_add(1, Ordering::Relaxed);
             });
             for round in 1..=3 {
+                // The worker parks once at start-up and once after each
+                // run; wait until its exploration has run out, so that the
+                // dispatch below races the park and not the steal rounds.
+                while ex.stats().total().parks < round as u64 {
+                    rustflow_check::thread::yield_now();
+                }
                 tf.run().get().unwrap();
                 assert_eq!(done.load(Ordering::Relaxed), round);
             }

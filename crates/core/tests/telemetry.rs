@@ -286,6 +286,11 @@ fn lifecycle_events_cover_algorithm_one() {
             prev = next;
         }
     }
+    // Every worker explores for a bounded while and then parks before the
+    // dispatch, so the run starts from idlers.
+    while ex.num_idlers() < ex.num_workers() {
+        std::thread::yield_now();
+    }
     tf.run().get().unwrap();
     let events = tracer.sched_events();
     let has = |f: &dyn Fn(&SchedEventKind) -> bool| events.iter().any(|e| f(&e.kind));
@@ -324,6 +329,45 @@ fn lifecycle_events_cover_algorithm_one() {
             &|k| matches!(k, SchedEventKind::TopologyFinalize { info } if *info == id)
         ));
     }
+}
+
+/// A failed exploration is counted and traced once, not once per steal
+/// round: an idle worker explores, reports one `StealFail`, parks, and
+/// reports nothing more until it is woken. So over an idle stretch the
+/// `StealFail` events number at most the parks plus one exploration in
+/// progress per lane, where counting every round would write about a
+/// hundred per park.
+#[test]
+fn an_idle_worker_reports_one_steal_fail_per_exploration() {
+    let ex = ExecutorBuilder::new().workers(2).build();
+    let tracer = Arc::new(Tracer::new(ex.num_lanes()));
+    ex.observe(Arc::clone(&tracer) as Arc<dyn ExecutorObserver>);
+    let before = ex.stats();
+    // Wake the workers under the tracer, then leave them idle.
+    let tf = Taskflow::with_executor(Arc::clone(&ex));
+    for _ in 0..8 {
+        tf.emplace(|| {
+            std::hint::black_box(0u64);
+        });
+    }
+    tf.run().get().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(60));
+    let events = tracer.sched_events();
+    let count = |f: &dyn Fn(&SchedEventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+    let fails = count(&|k| matches!(k, SchedEventKind::StealFail));
+    let parks = count(&|k| matches!(k, SchedEventKind::Park));
+    assert!(fails > 0, "the idle workers explored and found nothing");
+    assert!(
+        fails <= parks + ex.num_lanes(),
+        "{fails} StealFail events for {parks} parks"
+    );
+    let delta = ex.stats().delta(&before).total();
+    assert!(
+        delta.steal_fails <= delta.parks + ex.num_lanes() as u64,
+        "{} steal fails counted for {} parks",
+        delta.steal_fails,
+        delta.parks
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 //! What the root integration suites (`cross_scheduler.rs`,
-//! `paper_listings.rs`) share: the one bounded wait.
+//! `paper_listings.rs`, `timer_system.rs`, `dnn_system.rs`) share: the one
+//! bounded wait.
 
 use std::io::Write;
 use std::sync::mpsc::{channel, RecvTimeoutError};

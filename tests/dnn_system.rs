@@ -1,14 +1,26 @@
 //! System tests of the DNN substrate: the Figure-11 pipeline trained by
 //! every scheduler agrees bitwise with plain SGD at a realistic scale,
 //! learns the synthetic distribution, and matches the paper's task-count
-//! arithmetic.
+//! arithmetic. Every rustflow run is bounded ([`common::bounded`]): a
+//! wedged executor fails the suite after 30 s instead of hanging it.
 
+mod common;
+
+use common::bounded;
 use rustflow::Executor;
 use std::sync::Arc;
-use tf_baselines::Pool;
+use tf_baselines::{Dag, Pool};
 use tf_dnn::net::{arch_3layer, arch_5layer};
 use tf_dnn::pipeline::{build_training_dag, train_sequential, TrainSpec};
 use tf_dnn::{synthetic_mnist, Mlp};
+
+/// `run_rustflow(dag, ex)`, bounded.
+fn run_rustflow(what: &str, dag: Dag, ex: &Arc<Executor>) {
+    let ex = Arc::clone(ex);
+    bounded("rustflow", what, move || {
+        tf_workloads::run::run_rustflow(&dag, &ex)
+    });
+}
 
 #[test]
 fn paper_task_counts_per_epoch() {
@@ -42,7 +54,7 @@ fn five_layer_pipeline_matches_sgd_bitwise_under_parallel_run() {
     let net = Mlp::new(&arch, 23);
     let (dag, state) = build_training_dag(&net, Arc::new(data), spec);
     let ex = Executor::new(4);
-    tf_workloads::run::run_rustflow(&dag, &ex);
+    run_rustflow("three epochs of the five-layer pipeline", dag, &ex);
     let trained = state.to_mlp(&arch);
     assert_eq!(state.losses(), oracle_losses);
     for (w1, w2) in trained.weights.iter().zip(&oracle.weights) {
@@ -88,7 +100,7 @@ fn losses_decrease_over_training() {
     let net = Mlp::new(&arch, 41);
     let (dag, state) = build_training_dag(&net, Arc::new(data), spec);
     let ex = Executor::new(2);
-    tf_workloads::run::run_rustflow(&dag, &ex);
+    run_rustflow("eight epochs of the three-layer pipeline", dag, &ex);
     let losses = state.losses();
     assert_eq!(losses.len(), 8 * 10);
     let first: f64 = losses[..10].iter().sum::<f64>() / 10.0;
@@ -115,7 +127,7 @@ fn storages_bound_memory_but_not_correctness() {
         let spec = TrainSpec { storages, ..base };
         let net = Mlp::new(&arch, 51);
         let (dag, state) = build_training_dag(&net, Arc::new(data.clone()), spec);
-        tf_workloads::run::run_rustflow(&dag, &ex);
+        run_rustflow("four epochs with a storage bound", dag, &ex);
         results.push(state.to_mlp(&arch));
     }
     for pair in results.windows(2) {

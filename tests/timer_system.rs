@@ -1,11 +1,32 @@
 //! System tests of the VLSI timing analyzer: engine agreement on
 //! generated designs, incremental-vs-full equivalence over long modifier
-//! sequences, and the monotonicity physics of the delay model.
+//! sequences, and the monotonicity physics of the delay model. Every
+//! update the rustflow engine runs is bounded ([`common::bounded`]): a
+//! wedged executor fails the suite after 30 s instead of hanging it.
 
+mod common;
+
+use common::bounded;
 use proptest::prelude::*;
 use rustflow::Executor;
+use std::sync::Arc;
 use tf_baselines::Pool;
 use tf_timer::{CircuitSpec, DesignModifier, Engine, GateId, Timer};
+
+/// `update(timer, engine)` on the rustflow engine over `ex`, bounded;
+/// hands the timer back with what the update returned.
+fn on_rustflow<T: Send + 'static>(
+    what: &str,
+    timer: Timer,
+    ex: &Arc<Executor>,
+    update: impl FnOnce(&Timer, &Engine) -> T + Send + 'static,
+) -> (Timer, T) {
+    let ex = Arc::clone(ex);
+    bounded("rustflow", what, move || {
+        let out = update(&timer, &Engine::V2Rustflow(&ex));
+        (timer, out)
+    })
+}
 
 fn approx(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -21,8 +42,9 @@ fn engines_agree_on_tv80_scale_design() {
     let v1 = Timer::new(circuit.clone());
     v1.full_update(&Engine::V1Levelized(&pool));
     let ex = Executor::new(4);
-    let v2 = Timer::new(circuit);
-    v2.full_update(&Engine::V2Rustflow(&ex));
+    let (v2, _) = on_rustflow("a full update", Timer::new(circuit), &ex, |t, e| {
+        t.full_update(e)
+    });
     for g in 0..n as GateId {
         assert!(approx(seq.arrival(g), v1.arrival(g)), "v1 arrival at {g}");
         assert!(approx(seq.arrival(g), v2.arrival(g)), "v2 arrival at {g}");
@@ -38,8 +60,10 @@ fn long_incremental_sequence_stays_consistent() {
     // 60 modifier iterations: v2-incremental must equal full recompute.
     let circuit = CircuitSpec::small_test(800, 31).generate();
     let ex = Executor::new(3);
-    let mut incremental = Timer::new(circuit.clone());
-    incremental.full_update(&Engine::V2Rustflow(&ex));
+    let (mut incremental, _) =
+        on_rustflow("a full update", Timer::new(circuit.clone()), &ex, |t, e| {
+            t.full_update(e)
+        });
     let mut oracle = Timer::new(circuit);
     oracle.full_update(&Engine::Sequential);
 
@@ -49,7 +73,9 @@ fn long_incremental_sequence_stays_consistent() {
         let s1 = m1.apply(&mut incremental);
         let s2 = m2.apply(&mut oracle);
         assert_eq!(s1, s2);
-        incremental.incremental_update(&s1, &Engine::V2Rustflow(&ex));
+        (incremental, _) = on_rustflow("an incremental update", incremental, &ex, move |t, e| {
+            t.incremental_update(&s1, e)
+        });
         // Oracle recomputes everything from scratch.
         oracle.full_update(&Engine::Sequential);
         assert!(
@@ -164,20 +190,22 @@ proptest! {
     ) {
         let circuit = CircuitSpec::small_test(gates, seed).generate();
         let ex = Executor::new([1, 2, 4][workers]);
-        let engine = Engine::V2Rustflow(&ex);
-        let mut v2 = Timer::new(circuit.clone());
-        let mut twin = Timer::new(circuit);
-        prop_assert_eq!(v2.full_update(&engine), twin.full_update(&Engine::Sequential));
+        let mut twin = Timer::new(circuit.clone());
+        let (mut v2, touched) =
+            on_rustflow("a full update", Timer::new(circuit), &ex, |t, e| t.full_update(e));
+        prop_assert_eq!(touched, twin.full_update(&Engine::Sequential));
         prop_assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
         let mut m_v2 = DesignModifier::new(v2.circuit(), mod_seed);
         let mut m_twin = DesignModifier::new(twin.circuit(), mod_seed);
         for _ in 0..updates {
             let seeds = m_v2.apply(&mut v2);
             prop_assert_eq!(&seeds, &m_twin.apply(&mut twin));
-            prop_assert_eq!(
-                v2.incremental_update(&seeds, &engine),
-                twin.incremental_update(&seeds, &Engine::Sequential)
-            );
+            let twin_touched = twin.incremental_update(&seeds, &Engine::Sequential);
+            let touched;
+            (v2, touched) = on_rustflow("an incremental update", v2, &ex, move |t, e| {
+                t.incremental_update(&seeds, e)
+            });
+            prop_assert_eq!(touched, twin_touched);
             prop_assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
         }
     }
@@ -204,22 +232,30 @@ fn v2_equals_sequential_twin_on_every_small_region_size() {
 
     for workers in [1, 2, 4] {
         let ex = Executor::new(workers);
-        let engine = Engine::V2Rustflow(&ex);
-        let mut v2 = Timer::new(c.clone());
+        let (mut v2, _) = on_rustflow("a full update", Timer::new(c.clone()), &ex, |t, e| {
+            t.full_update(e)
+        });
         let mut twin = Timer::new(c.clone());
-        v2.full_update(&engine);
         twin.full_update(&Engine::Sequential);
         for g in (1..=BUFFERS).rev() {
             let drive = if g % 2 == 0 { 2.0 } else { 4.0 };
             let seeds = v2.resize_gate(g, drive);
             assert_eq!(seeds, twin.resize_gate(g, drive));
             let region = (out - g + 2) as usize; // fanin, g, ..., out
-            assert_eq!(v2.incremental_update(&seeds, &engine), region);
             assert_eq!(twin.incremental_update(&seeds, &Engine::Sequential), region);
+            let touched;
+            (v2, touched) = on_rustflow("an incremental update", v2, &ex, move |t, e| {
+                t.incremental_update(&seeds, e)
+            });
+            assert_eq!(touched, region);
             assert_eq!(same_timing_bits(&v2, &twin), Ok(()), "region of {region}");
         }
         // A region of one gate: the output port alone.
-        assert_eq!(v2.incremental_update(&[out], &engine), 1);
+        let touched;
+        (v2, touched) = on_rustflow("a one-gate update", v2, &ex, move |t, e| {
+            t.incremental_update(&[out], e)
+        });
+        assert_eq!(touched, 1);
         assert_eq!(same_timing_bits(&v2, &twin), Ok(()));
     }
 }
@@ -239,9 +275,15 @@ fn backward_pass_slacks_consistent_across_engines() {
     v1.update_required(&Engine::V1Levelized(&pool));
 
     let ex = Executor::new(3);
-    let v2 = Timer::new(circuit);
-    v2.full_update(&Engine::V2Rustflow(&ex));
-    v2.update_required(&Engine::V2Rustflow(&ex));
+    let (v2, _) = on_rustflow(
+        "a full and a backward update",
+        Timer::new(circuit),
+        &ex,
+        |t, e| {
+            t.full_update(e);
+            t.update_required(e)
+        },
+    );
 
     for g in 0..n as GateId {
         let a = seq.required(g);
