@@ -2,8 +2,9 @@
 //!
 //! Each test explores the schedule space of a small instance of one
 //! protocol (the Chase–Lev deque, the Vyukov ring, the notifier's
-//! Dekker handshake, the front door's backlog/in-flight pair) under the rustflow-check engine and asserts a
-//! protocol invariant in every interleaving.
+//! Dekker handshake, the front door's backlog/in-flight pair, a reusable
+//! topology's re-arm handoff) under the rustflow-check engine and asserts
+//! a protocol invariant in every interleaving.
 //!
 //! Every model doubles as a *mutation test*: building the workspace with
 //! `RUSTFLAGS='--cfg rustflow_weaken="<point>"'` downgrades exactly one
@@ -288,23 +289,29 @@ fn injector_wraparound_and_spill() {
     assert!(stats.dfs_complete, "schedule space must be fully explored");
 }
 
-/// The finalize → re-arm → re-dispatch handoff of a reusable topology:
-/// the worker whose final `alive` decrement ends iteration *k* takes the
-/// driver role, steps the production `Topology::advance` state machine,
-/// and `begin_iteration` re-arms every node (join counters from
-/// in-degrees, `alive` from the node count) strictly *before* publishing
-/// iteration *k+1*'s sources. The harness ([`RearmHarness`]) swaps the
-/// work-stealing queues for one blocking queue so any token lost by a
-/// mis-ordered re-arm surfaces as a deadlock the engine reports.
+/// The self re-arm → finalize → re-dispatch handoff of a reusable
+/// topology: every node, as it completes, reloads its own join counter
+/// from its in-degree strictly *before* its first release (the production
+/// `rearm_and_release`), and the sink whose count-down ends iteration *k*
+/// takes the driver role, steps the production `Topology::advance` state
+/// machine and publishes iteration *k+1*'s sources without touching any
+/// node. The harness ([`RearmHarness`]) swaps the work-stealing queues
+/// for one blocking queue so any token lost by a mis-ordered reload
+/// surfaces as a deadlock the engine reports, and every closure cell is
+/// race-checked from one iteration to the next.
 ///
-/// Weakened by `rustflow_weaken = "rearm_publish"` (sources published
-/// *before* the re-arm loop): a thief can pop a source of iteration 2 and
-/// count down a join counter and an `alive` count still holding
-/// iteration 1's drained values — the fan-in successor is never
-/// re-published, the batch never completes, and a worker blocks forever.
+/// Weakened by `rustflow_weaken = "rearm_publish"` (the reload moved
+/// *after* the releases): the sink `C` ends iteration 1 and the driver
+/// publishes iteration 2 before `C` reloads; a source of iteration 2
+/// counts `C` down first, the late reload undoes it, `C` is never
+/// readied and a worker blocks forever. Weakened by
+/// `rustflow_weaken = "join_release"` (Relaxed join-counter decrements):
+/// when `B` counts `C` down last, nothing carries `A`'s execution to the
+/// thread that ends the iteration, so the next run of `A`'s closure races
+/// with the last one.
 #[test]
 #[cfg_attr(
-    rustflow_weaken = "rearm_publish",
+    any(rustflow_weaken = "rearm_publish", rustflow_weaken = "join_release"),
     should_panic(expected = "failing interleaving")
 )]
 fn rearm_handoff_fan_in() {
@@ -346,7 +353,7 @@ fn rearm_handoff_fan_in() {
 /// `Cancelled` error **before** publishing the cancel flag (Release), and
 /// a worker that observes the flag (Acquire) skips its node but still runs
 /// the completion bookkeeping. The happens-before chain — record ≺ flag
-/// publish ≺ skip ≺ final `alive` decrement ≺ the driver's error take —
+/// publish ≺ skip ≺ final sink count-down ≺ the driver's error take —
 /// guarantees that any run in which at least one node was skipped resolves
 /// `Err(Cancelled)`, never `Ok(())`.
 ///
@@ -367,7 +374,7 @@ fn cancel_handshake_fan_in() {
         .max_schedules(60_000)
         .check("cancel_handshake_fan_in", || {
             // One iteration of A → C ← B (3 tokens: the skip path still
-            // counts down join counters and `alive`, so C is published
+            // counts down join counters and sinks, so C is published
             // and all 3 pops return in every interleaving) with a
             // concurrent canceller.
             let harness = RearmHarness::fan_in(1);

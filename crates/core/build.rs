@@ -18,6 +18,7 @@ const KNOWN_MUTATIONS: &[&str] = &[
     "rearm_publish",
     "cancel_publish",
     "frontdoor_backlog",
+    "join_release",
     "seed_plain_race",
     "seed_lock_cycle",
 ];

@@ -565,9 +565,9 @@ impl Executor {
 }
 
 /// Drives a topology on behalf of the current driver (the thread that
-/// claimed it at submission, or the worker whose final `alive` decrement
-/// ended an iteration): steps the batch state machine, then re-arms and
-/// publishes the next iteration — or, when every batch is done, drops the
+/// claimed it at submission, or the worker whose sink completion ended an
+/// iteration): steps the batch state machine, then publishes the next
+/// iteration — or, when every batch is done, drops the
 /// keep-alive registration, which the driver finds in O(1) through the slot
 /// index the claim left in the topology.
 ///
@@ -590,21 +590,23 @@ pub(crate) fn advance_topology(
     // bracketed by any client timing its own submit→resolve round trip
     // (promise resolution and finalize bookkeeping can be descheduled for
     // a long time on a loaded box, and that wait belongs to neither view).
-    // Four relaxed loads and a clock read.
+    // Only a tenant's stint records them, so an untenanted iteration pays
+    // neither the four relaxed loads nor the clock read.
     let slot = topo.registration();
-    let stamps = (topo.stamps.snapshot(), crate::clock::now_us().max(1));
-    // The breaker's failure signal must be read before `advance` too: the
-    // idle transition consumes the recorded error while resolving the
-    // run's promises. Panics (and invalid graphs) count; a plain
-    // cancellation is the client's choice, not the tenant's health.
-    let failed = topo.tenant_id() != 0 && topo.has_panic();
+    let stint = (topo.tenant_id() != 0).then(|| {
+        let stamps = (topo.stamps.snapshot(), crate::clock::now_us().max(1));
+        // The breaker's failure signal must be read before `advance` too:
+        // the idle transition consumes the recorded error while resolving
+        // the run's promises. Panics (and invalid graphs) count; a plain
+        // cancellation is the client's choice, not the tenant's health.
+        (stamps, topo.has_panic())
+    });
     // SAFETY: the caller holds the driver role per the functions's
     // contract; at most one driver exists per topology at a time.
     match unsafe { topo.advance(iteration_finished) } {
         Advance::RunIteration => {
             // SAFETY: driver role; the topology is quiescent between
-            // iterations, so re-arming owns every node until `publish`
-            // makes the sources visible below.
+            // iterations, and every node re-armed itself as it completed.
             unsafe {
                 topo.begin_iteration(|sources| {
                     emit(inner, DISPATCH_LANE, NO_LABEL, || {
@@ -616,7 +618,7 @@ pub(crate) fn advance_topology(
                     if let Some(guest) = guest {
                         for &source in sources {
                             // SAFETY: a source is armed (join counter =
-                            // in-degree = 0) by the re-arm above and its
+                            // in-degree = 0) since the freeze and its
                             // topology is held by the keep-alive registry.
                             schedule(inner, guest, source as RawNode);
                         }
@@ -656,7 +658,9 @@ pub(crate) fn advance_topology(
                 removed
             };
             drop(keep_alive);
-            if let Some(tenant) = tenant {
+            // A registration names a tenant exactly when the claim tagged
+            // the topology with one.
+            if let (Some(tenant), Some((stamps, failed))) = (tenant, stint) {
                 frontdoor::stint_finished(inner, &tenant, stamps, failed);
             }
         }

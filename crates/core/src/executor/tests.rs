@@ -33,8 +33,8 @@ fn a_topology_registered_twice_is_listed_once() {
             ..IntrospectConfig::default()
         })
         .expect("introspection starts once");
-    // A topology frozen mid-iteration: claimed, re-armed, its source never
-    // published, so `alive` stays at 1 on an idle executor.
+    // A topology frozen mid-iteration: claimed and begun, its source never
+    // published, so its one sink stays pending on an idle executor.
     let mut graph = Graph::new();
     graph.emplace(Work::empty());
     let topo = Topology::new(graph, FailurePolicy::ContinueAll);

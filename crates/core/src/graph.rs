@@ -24,9 +24,13 @@
 //!   shared unchanged by every run of that topology.
 //! * [`NodeState`] — what one execution needs: the runtime join counter,
 //!   the joined-subflow countdown, parent/topology back-pointers, and the
-//!   subgraph a dynamic task spawned. Re-armed from the structure before
-//!   every run ([`Node::rearm`]), which is what makes topologies reusable
-//!   by `run`/`run_n`/`run_until` without rebuilding the graph.
+//!   subgraph a dynamic task spawned. Armed once, when the graph is frozen
+//!   or the subflow spawned ([`Node::rearm`]); after that the node keeps
+//!   itself armed: the worker that completes it reloads its join counter
+//!   from the in-degree before releasing any successor, and a dynamic task
+//!   drops its previous subgraph when it next executes. That is what makes
+//!   topologies reusable by `run`/`run_n`/`run_until` without rebuilding
+//!   the graph, and without any thread walking it between iterations.
 
 use crate::label::TaskLabel;
 use crate::subflow::Subflow;
@@ -327,7 +331,8 @@ pub(crate) struct NodeStructure {
     /// [`RetryPolicy::none`] by default.
     pub(crate) retry: SyncCell<RetryPolicy>,
     /// Static in-degree, accumulated during construction; the runtime
-    /// `join_counter` is armed from this value before every run.
+    /// `join_counter` is armed from this value at freeze and reloaded from
+    /// it every time the node completes.
     pub(crate) in_degree: SyncCell<u32>,
     /// Emplacement index within the owning [`Graph`]; written once when
     /// the node is created, never changed.
@@ -388,18 +393,21 @@ impl RetryPolicy {
     }
 }
 
-/// The per-run half of a node: reset by [`Node::rearm`] before each
-/// iteration, mutated by workers while the iteration executes.
+/// The per-run half of a node: armed by [`Node::rearm`] at freeze or
+/// spawn, mutated by workers while an iteration executes, and left armed
+/// for the next one by the worker that completes the node.
 ///
 /// `repr(C)`, fields in access order: see the layout note on [`Node`].
 #[repr(C)]
 pub(crate) struct NodeState {
     /// Children spawned by a dynamic task at runtime (owned here so nested
-    /// subflows form a tree of graphs, mirroring Cpp-Taskflow). Cleared on
-    /// re-arm so each iteration spawns a fresh subflow.
+    /// subflows form a tree of graphs, mirroring Cpp-Taskflow). Cleared when
+    /// the task next executes ([`Node::clear_subflow`]), so each iteration
+    /// spawns a fresh subflow.
     pub(crate) subgraph: SyncCell<Graph>,
     /// Runtime countdown of unfinished predecessors; the node becomes ready
-    /// when this reaches zero.
+    /// when this reaches zero. Reloaded from the in-degree by the worker
+    /// that completes the node, before it releases any successor.
     pub(crate) join_counter: AtomicUsize,
     /// Countdown of unfinished *joined* subflow children, plus a sentinel
     /// held by the parent while it spawns. Zero-crossing completes the node.
@@ -416,18 +424,18 @@ pub(crate) struct NodeState {
 ///
 /// Field access follows the phase discipline documented in
 /// [`crate::sync_cell`]: plain fields are mutated only during graph
-/// construction, between iterations by the single re-arming driver, or by
-/// the single worker executing the node; cross-thread state lives in
-/// atomics.
+/// construction, at freeze or spawn by the single arming thread, or by the
+/// single worker executing the node; cross-thread state lives in atomics.
 ///
-/// Layout: the re-armed path touches every node once to re-arm it and once
-/// to run it, so what those two passes read is kept together. With the
-/// production cells, bytes 32..128 hold the join counter, the back
-/// pointers, the retry policy, the in-degree, the callable and the first
-/// two successor slots; 32-byte alignment and a 160-byte size put that
-/// span on exactly two cache lines for every node of a chunk. The subgraph
-/// (only its length is read on re-arm) sits in front, the other successor
-/// slots and the name behind.
+/// Layout: running a node reads its back pointers and callable, reloads
+/// its join counter from the in-degree and walks its successors, and each
+/// release writes a successor's join counter, so what one execution
+/// touches is kept together. With the production cells, bytes 32..128 hold
+/// the join counter, the back pointers, the retry policy, the in-degree,
+/// the callable and the first two successor slots; 32-byte alignment and a
+/// 160-byte size put that span on exactly two cache lines for every node
+/// of a chunk. The subgraph (read only by dynamic tasks) sits in front,
+/// the other successor slots and the name behind.
 #[repr(C, align(32))]
 pub(crate) struct Node {
     /// Reset before each run; owned by the running iteration.
@@ -484,14 +492,16 @@ impl Node {
         unsafe { self.structure.name.get() }
     }
 
-    /// Re-arms the per-run state from the immutable structure: the join
-    /// counter is reloaded from the static in-degree, the joined-subflow
-    /// countdown cleared, back-pointers set, and any subgraph spawned by a
-    /// previous iteration dropped so the next execution spawns afresh.
+    /// Arms the per-run state from the immutable structure: back-pointers
+    /// set, the join counter loaded from the static in-degree, and the
+    /// subflow state cleared ([`Node::clear_subflow`]). Called once per
+    /// node, by the freeze sweep ([`crate::validate::sweep`]) when a graph
+    /// becomes a topology or a subflow is spawned; from then on the node
+    /// re-arms itself as it completes.
     ///
     /// # Safety
-    /// Caller must have exclusive access to the node: either the dispatch /
-    /// re-arm driver of a quiescent topology, or the worker arming a fresh
+    /// Caller must have exclusive access to the node: the thread freezing
+    /// a graph no worker can reach yet, or the worker arming a fresh
     /// subflow child before publishing it.
     pub(crate) unsafe fn rearm(&mut self, topology: *const Topology, parent: RawNode) {
         // SAFETY: exclusive access per the caller's contract.
@@ -501,29 +511,26 @@ impl Node {
             self.state
                 .join_counter
                 .store(*self.structure.in_degree.get() as usize, Ordering::Relaxed);
-            self.state.nested.store(0, Ordering::Relaxed);
-            let sub = self.state.subgraph.get_mut();
-            if !sub.is_empty() {
-                *sub = Graph::new();
-            }
+            self.clear_subflow();
         }
     }
 
-    /// Re-arms *just this node* between retry attempts of a failed
-    /// execution: drops whatever subgraph the failed attempt partially
-    /// built and resets the joined-subflow countdown, so the next attempt
-    /// starts from the same state a fresh iteration would. Topology
-    /// back-pointers, parent, and the (already consumed) join counter are
-    /// untouched — the node is still mid-execution from the scheduler's
-    /// point of view, which is exactly why retrying here is safe: nothing
-    /// has propagated to successors or the `alive` count yet.
+    /// Drops whatever subgraph an earlier execution of this node spawned
+    /// (the previous iteration's, or a failed attempt's half-built one)
+    /// and resets the joined-subflow countdown, so the execution about to
+    /// start spawns afresh. Topology back-pointers, parent and the join
+    /// counter are untouched: the node is mid-execution from the
+    /// scheduler's point of view, and nothing of it has propagated to its
+    /// successors or its topology yet.
     ///
     /// # Safety
-    /// Caller must be the worker currently executing this node, before
-    /// any subflow spawn was published.
-    pub(crate) unsafe fn rearm_retry(&mut self) {
-        // SAFETY: executing-worker exclusivity per the caller's contract;
-        // a failed attempt never published its subgraph.
+    /// Caller must have exclusive access to the node: the worker about to
+    /// run its closure (every earlier subflow has finished, since the
+    /// iteration that spawned it ended or the attempt never published it),
+    /// or [`Node::rearm`]'s caller.
+    pub(crate) unsafe fn clear_subflow(&mut self) {
+        // SAFETY: exclusive access per the caller's contract; no child of
+        // the subgraph is running or queued.
         unsafe {
             self.state.nested.store(0, Ordering::Relaxed);
             let sub = self.state.subgraph.get_mut();
@@ -679,14 +686,6 @@ impl Graph {
             // SAFETY: the first `used` slots of a chunk hold initialized
             // nodes that live as long as `self`.
             .flat_map(|(chunk, used)| unsafe { std::slice::from_raw_parts(chunk, used) })
-    }
-
-    /// Nodes in emplacement order, exclusively borrowed.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Node> {
-        self.chunk_parts()
-            // SAFETY: as in `iter`; chunks do not overlap and `&mut self`
-            // makes this the only reference into them.
-            .flat_map(|(chunk, used)| unsafe { std::slice::from_raw_parts_mut(chunk, used) })
     }
 
     /// Total node count including every (recursively) spawned subgraph.
@@ -972,7 +971,7 @@ mod tests {
             assert_eq!(drops.load(Ordering::Relaxed), children);
             spawn(&drops);
             // SAFETY: as above.
-            unsafe { (*parent).rearm_retry() };
+            unsafe { (*parent).clear_subflow() };
             assert_eq!(drops.load(Ordering::Relaxed), 2 * children);
             spawn(&drops);
             drop(g);
@@ -999,7 +998,7 @@ mod tests {
                 });
             }
             // A dynamic task whose children are re-spawned (and the
-            // previous iteration's dropped) on every re-arm.
+            // previous iteration's dropped) on every execution.
             let child_drops = Arc::clone(&drops);
             tf.emplace_subflow(move |sf| {
                 for _ in 0..3 {

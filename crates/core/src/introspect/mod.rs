@@ -456,7 +456,9 @@ impl IntrospectState {
             w.field("topology", topo.uid());
             w.field("run", topo.run_id());
             w.field("iteration", topo.iterations());
-            w.field("alive", topo.alive_count());
+            // The key keeps its name for existing readers; it counts the
+            // pending sinks.
+            w.field("alive", topo.sinks_left());
             w.field("pending_batches", topo.pending_batches());
             w.field("has_error", topo.has_error());
             w.field_str("state", state);
@@ -513,7 +515,12 @@ impl IntrospectHandle {
         self.state.metrics_text()
     }
 
-    /// The JSON scheduler snapshot served at `GET /status`.
+    /// The JSON scheduler snapshot served at `GET /status`. Each entry of
+    /// its `topologies` array names a running topology (`topology`, `run`,
+    /// `iteration`), its `pending_batches`, `has_error` and `state`, and
+    /// under `alive` the sink tasks of the current iteration still pending
+    /// (detached subflows' sinks included): the countdown that ends the
+    /// iteration, not a count of live tasks.
     pub fn status_json(&self) -> String {
         self.state.status_json()
     }

@@ -83,7 +83,8 @@ pub enum WatchdogDiagnostic {
         threshold: Duration,
     },
     /// A dispatched topology stopped making progress while all workers
-    /// and queues were idle — live tasks exist but nothing can run them.
+    /// and queues were idle — sink tasks are pending but nothing can run
+    /// them.
     StalledTopology {
         /// Uid of the non-progressing topology.
         topology: u64,
@@ -91,7 +92,8 @@ pub enum WatchdogDiagnostic {
         run: u64,
         /// Iterations completed when progress stopped.
         iteration: u64,
-        /// Tasks still live (dispatched or pending) in the stuck run.
+        /// Sink tasks of the stuck iteration still pending (detached
+        /// subflows' sinks included): the countdown that ends it.
         alive: usize,
         /// How long the progress tuple had been frozen when detected.
         stalled_for: Duration,
@@ -146,7 +148,7 @@ impl std::fmt::Display for WatchdogDiagnostic {
             } => write!(
                 f,
                 "topology {topology} made no progress for {stalled_for:?} \
-                 (iteration {iteration}, {alive} tasks alive, all workers idle)"
+                 (iteration {iteration}, {alive} sink tasks pending, all workers idle)"
             ),
             WatchdogDiagnostic::RingSaturation {
                 dropped_delta,
@@ -367,7 +369,7 @@ pub(crate) fn check(
     for topo in &running {
         let uid = topo.uid();
         seen.push(uid);
-        let progress = (topo.run_id(), topo.iterations(), topo.alive_count());
+        let progress = (topo.run_id(), topo.iterations(), topo.sinks_left());
         let obs = pass.topologies.entry(uid).or_insert(TopoObservation {
             run: progress.0,
             iterations: progress.1,

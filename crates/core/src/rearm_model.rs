@@ -1,33 +1,41 @@
-//! Model-checking harness for the finalize → re-arm → re-dispatch
+//! Model-checking harness for the self re-arm → finalize → re-dispatch
 //! handoff of reusable topologies.
 //!
 //! Only compiled under the `rustflow_check` cargo feature, where the
 //! [`crate::sync`] facade resolves to the deterministic interleaving
 //! checker's shims — so the **production** [`Topology`] state machine
-//! (`enqueue` / `advance` / `begin_iteration`) is what the checker
-//! explores, not a hand-written re-implementation.
+//! (`enqueue` / `advance` / `begin_iteration`) and the production
+//! completion bookkeeping ([`rearm_and_release`], the one copy the
+//! scheduler's `complete` runs) are what the checker explores, not a
+//! hand-written re-implementation.
 //!
 //! The harness replaces the work-stealing executor with the smallest
 //! faithful stand-in: a single blocking ready-queue (facade mutex +
 //! condvar) plays the role of the deques/injector, and
-//! [`RearmHarness::execute`] mirrors the executor's `complete()`
-//! bookkeeping — successor join-counter count-down with AcqRel, `alive`
-//! count-down, and the final decrement taking the driver role. Replacing
-//! the queues is sound for this model because what's under test is the
+//! [`RearmHarness::execute`] runs a node and hands it to
+//! [`rearm_and_release`]: the node reloads its own join counter, counts
+//! its successors down with AcqRel, and a sink counts the topology's
+//! pending sinks down, the last one taking the driver role. Replacing the
+//! queues is sound for this model because what's under test is the
 //! *re-arm ordering*, not the queue protocol (the queues have their own
 //! models): any lost or premature token becomes a blocked `pop`, which
-//! the checker reports as a deadlock.
+//! the checker reports as a deadlock, and every node's closure cell is
+//! race-checked across iterations.
 //!
-//! The interesting race surface: a straggler thief popping a
-//! just-published source of iteration *k+1* while the driver is still
-//! re-arming — with the `rearm_publish` weakening (publish before
-//! re-arm), the thief counts down join counters and `alive` values that
-//! still hold iteration *k*'s state, losing the fan-in successor and
-//! underflowing `alive`; the batch never completes.
+//! The interesting race surface: a node's reload against the next
+//! iteration. With the `rearm_publish` weakening (reload after the
+//! releases), the sink that ends iteration *k* reloads its join counter
+//! only after the driver published iteration *k+1*, so a source of *k+1*
+//! can count it down first and the late reload undoes that: the fan-in
+//! successor is never readied and the batch never completes. With
+//! `join_release` (Relaxed join-counter decrements), the first finisher
+//! of the fan-in publishes nothing to the node that ends the iteration,
+//! and its closure's next run races with its last one.
 
 use crate::error::{FailurePolicy, RunResult};
 use crate::future::{promise_pair, SharedFuture};
 use crate::graph::{Graph, Node, RawNode, Work, WorkKind};
+use crate::scheduler::rearm_and_release;
 use crate::sync::{AtomicUsize, Condvar, Mutex};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use std::collections::VecDeque;
@@ -105,8 +113,8 @@ impl RearmHarness {
     /// the harness twin of the executor's `advance_topology`.
     fn drive(&self, iteration_finished: bool) {
         // SAFETY: the caller holds the driver role — it claimed the idle
-        // topology at submission, or performed the final `alive`
-        // decrement of an iteration (see `execute`).
+        // topology at submission, or performed the final sink count-down
+        // of an iteration (see `execute`).
         match unsafe { self.topo.advance(iteration_finished) } {
             Advance::RunIteration => {
                 // SAFETY: driver role; quiescent between iterations.
@@ -136,10 +144,11 @@ impl RearmHarness {
     }
 
     /// Runs a popped task and performs the executor's completion
-    /// bookkeeping (the `complete()` mirror): count down each successor's
-    /// join counter (AcqRel; zero-crossing publishes it) and the
-    /// topology's `alive` count, whose final decrement takes the driver
-    /// role and re-arms or finishes the batch.
+    /// bookkeeping through the production [`rearm_and_release`]: the node
+    /// reloads its join counter, counts each successor's down (AcqRel;
+    /// the zero-crossing publishes it) and, as a sink, the topology's
+    /// pending sinks, whose final decrement takes the driver role and
+    /// starts the next iteration or finishes the batch.
     pub fn execute(&self, token: usize) {
         let node = token as RawNode;
         // SAFETY: the scheduling protocol hands each published token to
@@ -158,22 +167,16 @@ impl RearmHarness {
                     _ => unreachable!("harness graphs hold static work only"),
                 }
             }
-            let succs = (*node).structure.successors.get();
-            for &s in succs.iter() {
-                // ORDERING: AcqRel, mirroring the executor's dependency
-                // edge — predecessors Release, the zero-crossing Acquires.
-                if (*s).state.join_counter.fetch_sub(1, Ordering::AcqRel) == 1 {
+            rearm_and_release(
+                node,
+                |s| {
                     let mut q = self.ready.lock();
                     q.push_back(s as usize);
                     self.cv.notify_all();
-                }
-            }
-            // ORDERING: AcqRel — the finalizing decrement Acquires every
-            // node's writes before the driver re-arms the graph.
-            if self.topo.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Final decrement of the iteration: we are the driver.
-                self.drive(true);
-            }
+                },
+                // The iteration's last sink: we are the driver.
+                |_| self.drive(true),
+            );
         }
     }
 

@@ -33,7 +33,7 @@
 //! Serving policy (tenants, admission, fair queueing, breakers, retry
 //! budgets) lives beside this module, not in it: the scheduler names no
 //! serving type and leaves through two calls on the executor core,
-//! [`advance_topology`] when an iteration's last node completes and
+//! [`advance_topology`] when an iteration's last sink completes and
 //! [`Inner::may_retry`] before it re-runs a failed task
 //! (`tests/safety_audit.rs` holds it to that). Nor does it know who
 //! watches: every scheduling event goes to the observers through one call,
@@ -430,6 +430,9 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
                         }
                     }
                     WorkKind::Dynamic(f) => {
+                        // The subgraph spawned last time (the previous
+                        // iteration's, or a failed attempt's) is done with.
+                        (*node).clear_subflow();
                         let mut sf = Subflow::new(node);
                         match catch_unwind(AssertUnwindSafe(|| f.call(&mut sf))) {
                             Ok(()) => deferred = spawn_subflow(inner, ctx, node, sf.is_detached()),
@@ -462,11 +465,10 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
                 emit(inner, ctx.id, (*node).label(), || {
                     SchedEventKind::TaskRetried { attempt }
                 });
-                // Reset just this node's run state (half-built subflow,
-                // joined-child countdown); nothing propagated to
-                // successors or `alive` yet, so the retry is invisible to
-                // the rest of the graph.
-                (*node).rearm_retry();
+                // Nothing propagated to successors or the topology yet, so
+                // the retry is invisible to the rest of the graph; a
+                // dynamic task's half-built subflow is dropped when the
+                // next attempt starts.
                 let pause = retry.backoff(attempt);
                 if !pause.is_zero() {
                     std::thread::sleep(pause);
@@ -519,50 +521,53 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
 /// Caller is the worker that just executed `node`.
 unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detached: bool) -> bool {
     // SAFETY: the caller is the sole worker executing `node`, so its
-    // subgraph is exclusively ours (cleared at re-arm, so it holds only
-    // what this iteration's closure spawned).
+    // subgraph is exclusively ours (cleared when this execution started,
+    // so it holds only what this closure spawned).
     let sub = unsafe { (*node).state.subgraph.get_mut() };
     if sub.is_empty() {
         return false;
     }
+    // SAFETY: the topology pointer was armed at freeze and its storage is
+    // kept alive by the executor's `running` registry while `node` runs.
+    let topo_ptr = unsafe { *(*node).state.topology.get() };
+    let parent: RawNode = if detached { std::ptr::null_mut() } else { node };
     // Runtime-built graphs get the same sanitation as dispatched ones: a
-    // cyclic subflow would keep the topology's `alive` counter from ever
+    // cyclic subflow would keep the topology's sink countdown from ever
     // reaching zero, wedging `wait_for_all`. Record the typed error and
-    // spawn nothing (the parent completes as an empty subflow).
+    // spawn nothing (the parent completes as an empty subflow). The sweep
+    // also arms every child for this topology, under `parent`.
     //
-    // SAFETY: no child has been spawned, so the subgraph is quiescent.
-    let swept = unsafe { crate::validate::sweep(sub) };
+    // SAFETY: no child has been spawned, so the subgraph is quiescent and
+    // ours.
+    let swept = unsafe { crate::validate::sweep(sub, topo_ptr, parent) };
     if swept.is_fatal() {
         // SAFETY: as above.
         let diagnostics = unsafe { crate::validate::validate_graph(sub) };
-        // SAFETY: the topology pointer was armed at dispatch and its
-        // storage is kept alive by the executor's `running` registry.
-        let topo_ptr = unsafe { *(*node).state.topology.get() };
         // SAFETY: `topo_ptr` is live (see above); `record_error` is
         // internally synchronized.
         unsafe { (*topo_ptr).record_error(RunError::InvalidGraph(diagnostics)) };
         return false;
     }
-    // SAFETY: armed at dispatch, kept alive by `running` (see above).
-    let topo_ptr = unsafe { *(*node).state.topology.get() };
-    // The topology must know about the children before any of them can
-    // finish, otherwise `alive` could hit zero early.
-    //
-    // SAFETY: `topo_ptr` is live; `alive` is an atomic.
-    unsafe { (*topo_ptr).alive.fetch_add(sub.len(), Ordering::Relaxed) };
-    if !detached {
-        // +1 sentinel held by the parent until spawning finishes; prevents
-        // the children from completing the parent while we still arm their
-        // siblings.
+    if detached {
+        // A detached subflow's sinks end the iteration with the static
+        // ones, so the topology must count them before any child can
+        // complete. `node` is still running, so it, or a sink it has yet
+        // to release, holds the countdown above zero meanwhile.
+        //
+        // SAFETY: `topo_ptr` is live; `sinks_left` is an atomic.
+        unsafe {
+            (*topo_ptr)
+                .sinks_left
+                .fetch_add(swept.sinks, Ordering::Relaxed)
+        };
+    } else {
+        // A joined subflow's children count down the parent instead: one
+        // each, plus a sentinel held by the parent until spawning
+        // finishes, so they cannot complete it while we still publish
+        // their siblings.
         //
         // SAFETY: `node` is ours (executing worker); `nested` is atomic.
         unsafe { (*node).state.nested.store(sub.len() + 1, Ordering::Relaxed) };
-    }
-    let parent: RawNode = if detached { std::ptr::null_mut() } else { node };
-    for child in sub.iter_mut() {
-        // SAFETY: `child` is a node owned by the subgraph; it has not
-        // been scheduled yet, so we have exclusive access.
-        unsafe { child.rearm(topo_ptr, parent) };
     }
     for &source in &swept.sources {
         // SAFETY: a source is armed (join counter = in-degree = 0) and
@@ -572,60 +577,133 @@ unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detac
     !detached
 }
 
-/// Completion bookkeeping: release successors, count down the topology,
-/// and propagate joined-subflow completion to the parent.
+/// Completion bookkeeping: re-arm the node and release its successors (or,
+/// for a sink, count the topology down), then propagate joined-subflow
+/// completion to the parent.
 ///
 /// # Safety
-/// Called exactly once per node, by the worker that finished it (or, for a
-/// parent with a joined subflow, by the worker that finished its last
-/// child).
+/// Called exactly once per execution of a node, by the worker that
+/// finished it (or, for a parent with a joined subflow, by the worker that
+/// finished its last child).
 unsafe fn complete(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
-    // SAFETY: per this function's contract the node is finished and owned
-    // by us; its topology/parent pointers were armed before it could run,
-    // and their storage outlives the topology, which `inner.running`
-    // keeps alive until the last node (at least until this call returns).
-    let topo_ptr = unsafe { *(*node).state.topology.get() };
-    // SAFETY: same contract; `parent` was armed at spawn time.
-    let parent = unsafe { *(*node).state.parent.get() };
-    {
-        // SAFETY: successors are frozen after the build/spawn phase.
-        let succs = unsafe { (*node).structure.successors.get() };
-        for &s in succs.iter() {
-            // ORDERING: AcqRel — each predecessor Releases its task's
-            // effects; the zero-crossing Acquires them all, so `s` runs
-            // after every dependency in the happens-before order.
-            // SAFETY: `s` targets a live node of the same topology;
-            // `join_counter` is atomic.
-            if unsafe { (*s).state.join_counter.fetch_sub(1, Ordering::AcqRel) } == 1 {
-                // SAFETY: the zero-crossing arms `s`; it happened exactly
-                // once, so we are its unique scheduler.
-                unsafe { schedule(inner, ctx, s) };
-            }
-        }
-    }
-    // ORDERING: AcqRel — the finalizing zero-crossing must Acquire every
-    // node's completion writes before tearing the iteration down.
-    // SAFETY: `topo_ptr` is live until the last `alive` decrement — which
-    // is at earliest this one.
-    if unsafe { (*topo_ptr).alive.fetch_sub(1, Ordering::AcqRel) } == 1 {
-        // Only a node with no parent can be the last alive: a parent's own
-        // completion is always pending while any child lives.
-        debug_assert!(parent.is_null());
-        finalize(inner, topo_ptr);
-        return;
-    }
+    let ready = |s| {
+        // SAFETY: the zero-crossing readied `s` exactly once, so this lane
+        // is its unique scheduler; its topology is alive, since `s` is
+        // still to run.
+        unsafe { schedule(inner, ctx, s) }
+    };
+    // SAFETY: per this function's contract the node is finished and ours.
+    let parent = unsafe { rearm_and_release(node, ready, |topo| finalize(inner, topo)) };
     // ORDERING: AcqRel — the last joined child's effects are Acquired
-    // before the parent completes (mirror of the sentinel drop above).
+    // before the parent completes (mirror of the sentinel drop in
+    // `execute`).
     // SAFETY: a non-null parent is a live node awaiting its joined
-    // children; `nested` is atomic.
+    // children (this one among them); `nested` is atomic.
     if !parent.is_null() && unsafe { (*parent).state.nested.fetch_sub(1, Ordering::AcqRel) } == 1 {
         // SAFETY: the last joined child completes the parent exactly once.
         unsafe { complete(inner, ctx, parent) };
     }
 }
 
-/// Ends the iteration whose last node just completed, then hands the
-/// driver role back to the batch state machine — which either re-arms and
+// ORDERING: AcqRel on every join-counter decrement — each predecessor
+// Releases its task's effects, and everything it had acquired, to the
+// zero-crossing, which Acquires them all: a node runs after every
+// dependency in the happens-before order, and a sink carries the writes of
+// every node upstream of it to the finalizer. The `join_release` weakening
+// drops it to Relaxed, for the sanitizer to catch.
+const JOIN: Ordering = if cfg!(rustflow_weaken = "join_release") {
+    Ordering::Relaxed
+} else {
+    Ordering::AcqRel
+};
+
+/// A finished node's completion bookkeeping, the one copy the scheduler's
+/// [`complete`] and the re-arm model (`rearm_model.rs`) both run. It
+/// reloads the node's join counter from its in-degree, so the node is
+/// armed for its next execution, and then releases it: each successor's
+/// join counter counts down and `ready` gets the ones that reach zero; a
+/// sink outside any joined subflow counts down its topology's pending
+/// sinks instead, and `ended` gets the topology if that was the last.
+/// Returns the joined-subflow parent still to be counted down (null for
+/// none).
+///
+/// Two obligations keep the next iteration sound without any thread
+/// walking the graph:
+///
+/// * The reload comes before the first release. A release may end the
+///   iteration, and the next one may reach the node's predecessors before
+///   this call returns; a late reload would undo their count-downs and
+///   wedge the run. The `rearm_publish` weakening moves the reload after
+///   the releases, for the model and the sanitizer to catch.
+/// * After the last release nothing of the node or its topology is
+///   touched: everything needed is read up front. Once a top-level or
+///   detached node has released, the iteration can end and the topology be
+///   dropped. (A joined child's parent, and the child itself, live on
+///   until the parent completes, which waits on the caller's count-down.)
+///
+/// # Safety
+/// Same contract as [`complete`]: `node` is finished and the caller is the
+/// only thread completing it. Its back-pointers were armed before it ran.
+pub(crate) unsafe fn rearm_and_release(
+    node: RawNode,
+    mut ready: impl FnMut(RawNode),
+    ended: impl FnOnce(*const Topology),
+) -> RawNode {
+    // SAFETY: per the contract the node is ours; its back-pointers were
+    // armed at freeze or spawn and its structure is frozen.
+    let (topo, parent, succs, in_degree) = unsafe {
+        (
+            *(*node).state.topology.get(),
+            *(*node).state.parent.get(),
+            (*node).structure.successors.get(),
+            *(*node).structure.in_degree.get() as usize,
+        )
+    };
+    let sink = succs.is_empty();
+    // Relaxed: the next count-down of this counter comes from a
+    // predecessor in a later iteration, which starts only after this
+    // node's releases below reached the finalizer.
+    let reload = || {
+        // SAFETY: the node is live until its last release (and, in the
+        // weakened build, possibly not — that is the seeded bug).
+        unsafe {
+            (*node)
+                .state
+                .join_counter
+                .store(in_degree, Ordering::Relaxed)
+        }
+    };
+    #[cfg(not(rustflow_weaken = "rearm_publish"))]
+    reload();
+    for &s in succs.iter() {
+        // ORDERING: JOIN (AcqRel) — see its definition.
+        // SAFETY: `s` is a pending node of the same topology, and the
+        // node (whose successor list this is) is live until its last
+        // release, this loop's last turn.
+        if unsafe { (*s).state.join_counter.fetch_sub(1, JOIN) } == 1 {
+            ready(s);
+        }
+    }
+    let last_sink = sink && parent.is_null() && {
+        // ORDERING: AcqRel — every sink Releases what its join-counter
+        // chain Acquired; the zero-crossing Acquires all of it before the
+        // finalizer tears the iteration down.
+        // SAFETY: a sink's topology is live until its countdown reaches
+        // zero, at earliest with this decrement.
+        unsafe { (*topo).sinks_left.fetch_sub(1, Ordering::AcqRel) == 1 }
+    };
+    if last_sink {
+        ended(topo);
+    }
+    // Deliberately WRONG: by now the node may be counted down by the next
+    // iteration, or freed with its topology.
+    #[cfg(rustflow_weaken = "rearm_publish")]
+    reload();
+    parent
+}
+
+/// Ends the iteration whose last sink just completed, then hands the
+/// driver role back to the batch state machine — which either
 /// re-dispatches the same topology for its next iteration or retires the
 /// keep-alive once every queued batch has resolved.
 fn finalize(inner: &Inner, topo_ptr: *const Topology) {

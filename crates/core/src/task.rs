@@ -117,7 +117,7 @@ impl<'g> Task<'g> {
     /// Allows this task to be re-executed up to `n` more times if its
     /// closure panics, before the panic is recorded against the run. The
     /// failed attempt's partial state (a half-built subflow, for a dynamic
-    /// task) is re-armed before each retry, and nothing propagates to
+    /// task) is dropped before each retry, and nothing propagates to
     /// successors until an attempt succeeds or the budget is exhausted.
     /// Retries are visible to observers
     /// ([`SchedEventKind::TaskRetried`](crate::SchedEventKind::TaskRetried))

@@ -8,19 +8,30 @@
 //!
 //! * The graph **structure** (nodes, edges, callables, static in-degrees)
 //!   is frozen when the topology is created and swept exactly once
-//!   ([`validate::sweep`]): the sweep yields the source set and the
-//!   sanitizer's verdict, cached in [`Topology::fatal`]. The findings
-//!   behind a fatal verdict are built only then.
-//! * The per-run **state** (join counters, subflow subgraphs, the `alive`
-//!   countdown) is reset by [`Topology::begin_iteration`] before every
-//!   iteration.
+//!   ([`validate::sweep`]): the sweep arms every node for this topology
+//!   and yields the source set, the sink count and the sanitizer's
+//!   verdict, cached in [`Topology::fatal`]. The findings behind a fatal
+//!   verdict are built only then.
+//! * The per-run **state** of a node (join counter, subflow subgraph) is
+//!   kept by the node itself: the worker that completes a node reloads its
+//!   join counter from the in-degree before it releases any successor, and
+//!   a dynamic task drops its previous subgraph when it next executes. So
+//!   no thread walks the graph between iterations:
+//!   [`Topology::begin_iteration`] draws a run id, resets the countdown of
+//!   sinks still to complete, and publishes the sources.
+//!
+//! Only a sink can end an iteration, so only a sink outside any joined
+//! subflow counts the topology down (a detached subflow adds its own sinks
+//! when it spawns; a joined one is covered by its parent, which is pending
+//! until its children are done). Every other node's writes reach the
+//! finalizer through the AcqRel join-counter chain that ends at a sink.
 //!
 //! Execution requests arrive as [`PendingRun`] *batches* (run once, run
 //! `n` times, run until a predicate holds), queued FIFO. At most one batch
 //! is active at a time; the state machine in [`Topology::advance`] is
 //! driven by whoever holds the *driver* role — the thread that claimed the
-//! idle topology on submission, or the worker whose final `alive`
-//! decrement finished an iteration. The owning
+//! idle topology on submission, or the worker whose sink completion
+//! finished an iteration. The owning
 //! [`Taskflow`](crate::Taskflow) keeps every topology it created in a list
 //! (so task handles and the executor's raw node pointers stay valid), and
 //! the executor additionally holds a keep-alive `Arc` while batches run.
@@ -90,7 +101,7 @@ impl Resolved {
 /// What the driver must do after [`Topology::advance`] returns.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Advance {
-    /// Re-arm and publish the sources ([`Topology::begin_iteration`]).
+    /// Publish the sources ([`Topology::begin_iteration`]).
     RunIteration,
     /// No work left; the topology went idle — drop the keep-alive.
     Idle,
@@ -102,7 +113,7 @@ pub(crate) enum Advance {
 /// before the first iteration publishes (driver-exclusive at that point),
 /// read by the driver at finalization and by observer hooks, so relaxed
 /// atomics suffice — cross-thread visibility rides the injector's Release
-/// publish and the iteration's `alive` AcqRel chain.
+/// publish and the iteration's AcqRel join-counter and sink chain.
 pub(crate) struct RunStamps {
     /// When the submission entered the tenant queue.
     pub(crate) submit_us: AtomicU64,
@@ -193,10 +204,14 @@ pub(crate) struct Topology {
     /// Source nodes (static in-degree zero), cached once at construction —
     /// the structure never changes, so neither do the sources.
     sources: Vec<usize>,
-    /// Number of nodes that have not yet completed in the current
-    /// iteration, including nodes spawned dynamically into subflows. The
+    /// Static sinks (nodes without successors), counted once at
+    /// construction: what `sinks_left` starts every iteration at.
+    sinks: usize,
+    /// Sinks of the current iteration that have not completed yet: the
+    /// static ones plus those of every detached subflow spawned so far
+    /// (a joined subflow's are covered by its pending parent). The
     /// zero-crossing ends the iteration.
-    pub(crate) alive: AtomicUsize,
+    pub(crate) sinks_left: AtomicUsize,
     /// [`IDLE`] or [`RUNNING`]; transitions are serialized by the
     /// `pending` mutex.
     state: AtomicUsize,
@@ -243,40 +258,49 @@ unsafe impl Send for Topology {}
 unsafe impl Sync for Topology {}
 
 impl Topology {
-    /// Freezes `graph` into a reusable topology: one sweep yields the
-    /// source set and the sanitizer's verdict, both cached. The findings
-    /// are built only behind a fatal verdict; that verdict also covers a
-    /// graph whose nodes wait on a predecessor outside it (no finding
-    /// names those, but publishing sources that can never drain `alive`
-    /// would wedge every waiter). The failure policy is frozen alongside
-    /// the structure.
+    /// Freezes `graph` into a reusable topology: one sweep arms every node
+    /// for it, once for the topology's life, and yields the source set,
+    /// the sink count and the sanitizer's verdict, all cached. The
+    /// findings are built only behind a fatal verdict; that verdict also
+    /// covers a graph whose nodes wait on a predecessor outside it (no
+    /// finding names those, but publishing sources whose sinks can never
+    /// complete would wedge every waiter). The failure policy is frozen
+    /// alongside the structure.
     pub(crate) fn new(graph: Graph, policy: FailurePolicy) -> std::sync::Arc<Topology> {
-        // SAFETY: the graph was just moved here; no other thread sees it.
-        let swept = unsafe { validate::sweep(&graph) };
-        let fatal = swept.is_fatal().then(|| {
-            // SAFETY: as above.
-            RunError::InvalidGraph(unsafe { validate::validate_graph(&graph) })
-        });
-        // Kept for the topology's whole life: give back the queue's slack.
-        let mut sources = swept.sources;
-        sources.shrink_to_fit();
-        std::sync::Arc::new(Topology {
-            uid: NEXT_TOPOLOGY_UID.fetch_add(1, Ordering::Relaxed),
-            run_id: AtomicU64::new(0),
-            iterations: AtomicU64::new(0),
-            graph: SyncCell::new(graph),
-            sources,
-            alive: AtomicUsize::new(0),
-            state: AtomicUsize::new(IDLE),
-            current: SyncCell::new(None),
-            pending: Mutex::new(VecDeque::new()),
-            error: Mutex::new(None),
-            cancelled: AtomicBool::new(false),
-            policy,
-            fatal,
-            tenant: AtomicU64::new(0),
-            stamps: RunStamps::new(),
-            registration: AtomicUsize::new(0),
+        std::sync::Arc::new_cyclic(|me| {
+            // The nodes' back-pointer: where this topology is about to be
+            // placed. Nothing dereferences it before the `Arc` exists.
+            let topology = me.as_ptr();
+            // SAFETY: the graph was just moved here; no other thread sees
+            // it.
+            let swept = unsafe { validate::sweep(&graph, topology, std::ptr::null_mut()) };
+            let fatal = swept.is_fatal().then(|| {
+                // SAFETY: as above.
+                RunError::InvalidGraph(unsafe { validate::validate_graph(&graph) })
+            });
+            // Kept for the topology's whole life: give back the queue's
+            // slack.
+            let mut sources = swept.sources;
+            sources.shrink_to_fit();
+            Topology {
+                uid: NEXT_TOPOLOGY_UID.fetch_add(1, Ordering::Relaxed),
+                run_id: AtomicU64::new(0),
+                iterations: AtomicU64::new(0),
+                graph: SyncCell::new(graph),
+                sources,
+                sinks: swept.sinks,
+                sinks_left: AtomicUsize::new(0),
+                state: AtomicUsize::new(IDLE),
+                current: SyncCell::new(None),
+                pending: Mutex::new(VecDeque::new()),
+                error: Mutex::new(None),
+                cancelled: AtomicBool::new(false),
+                policy,
+                fatal,
+                tenant: AtomicU64::new(0),
+                stamps: RunStamps::new(),
+                registration: AtomicUsize::new(0),
+            }
         })
     }
 
@@ -414,10 +438,12 @@ impl Topology {
         self.uid
     }
 
-    /// Nodes of the current iteration that have not completed yet
-    /// (advisory; racy against workers counting down).
-    pub(crate) fn alive_count(&self) -> usize {
-        self.alive.load(Ordering::Relaxed)
+    /// Sink tasks of the current iteration that have not completed yet,
+    /// detached subflows' sinks included (advisory; racy against workers
+    /// counting down). Not a count of live tasks: a run whose sinks wait
+    /// on a long chain reads the same number until the chain ends.
+    pub(crate) fn sinks_left(&self) -> usize {
+        self.sinks_left.load(Ordering::Relaxed)
     }
 
     /// Batches queued behind the currently executing one (advisory).
@@ -468,7 +494,7 @@ impl Topology {
     /// Drives the batch state machine. Called with
     /// `iteration_finished == false` right after claiming the topology in
     /// [`Topology::enqueue`], and with `true` from the executor's finalize
-    /// path when an iteration's `alive` count hit zero.
+    /// path when an iteration's last sink completed.
     ///
     /// Resolves the promises of batches that end here (last iteration
     /// done, iteration error, zero-count, predicate already true), pops
@@ -477,7 +503,7 @@ impl Topology {
     ///
     /// # Safety
     /// Caller must hold the driver role: it claimed the topology via
-    /// `enqueue`, or it performed the final `alive` decrement of an
+    /// `enqueue`, or it performed the final `sinks_left` decrement of an
     /// iteration. At most one driver exists at a time.
     pub(crate) unsafe fn advance(&self, iteration_finished: bool) -> Advance {
         // Promises resolve only *after* the next state is decided: a
@@ -582,38 +608,25 @@ impl Topology {
         }
     }
 
-    /// Re-arms every node for the next iteration, then hands the cached
-    /// source set to `publish` (which makes the sources visible to workers
-    /// and wakes them).
-    ///
-    /// The re-arm **must complete before any source is published**: a
-    /// woken thief may execute a source immediately and count down a
-    /// successor's join counter and the `alive` total — observing
-    /// last-iteration values would lose the successor or underflow
-    /// `alive`, wedging the run. The `rearm_publish` weaken point inverts
-    /// the order so the interleaving model can demonstrate exactly that
-    /// failure.
+    /// Starts the next iteration: a fresh run id, the sink countdown
+    /// reset to the static sink count, then the cached source set handed
+    /// to `publish` (which makes the sources visible to workers and wakes
+    /// them). No node is touched: each re-armed itself when it completed
+    /// in the previous iteration, before releasing anything, so every
+    /// join counter is already back at its in-degree.
     ///
     /// # Safety
     /// Caller must hold the driver role and the topology must be
     /// quiescent (no iteration in flight).
     pub(crate) unsafe fn begin_iteration(&self, publish: impl FnOnce(&[usize])) {
-        #[cfg(rustflow_weaken = "rearm_publish")]
-        publish(&self.sources);
         self.run_id.store(
             NEXT_TOPOLOGY_ID.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
         );
-        let tp: *const Topology = self;
-        // SAFETY: quiescent per the caller's contract — the driver has
-        // exclusive access to every node until the sources are published.
-        unsafe {
-            let g = self.graph.get_mut();
-            self.alive.store(g.len(), Ordering::Relaxed);
-            g.iter_mut()
-                .for_each(|node| node.rearm(tp, std::ptr::null_mut()));
-        }
-        #[cfg(not(rustflow_weaken = "rearm_publish"))]
+        // Relaxed: `publish` hands the sources over with Release (the
+        // injector, or the helping caller's own lane), and every decrement
+        // comes after a source ran.
+        self.sinks_left.store(self.sinks, Ordering::Relaxed);
         publish(&self.sources);
     }
 

@@ -13,21 +13,23 @@
 //! The work is split by who pays for it:
 //!
 //! * [`sweep`] runs at every freeze (first dispatch of a graph, every
-//!   subflow spawn). It is one Kahn-style pass over the edges that releases
-//!   nodes exactly as the executor's join counters will, and yields the
-//!   source list and a fatal/not-fatal verdict. It hashes nothing, formats
+//!   subflow spawn). It arms every node for the run, and then makes one
+//!   Kahn-style pass over the edges that releases nodes exactly as the
+//!   executor's join counters will; it yields the source list, the sink
+//!   count and a fatal/not-fatal verdict. It hashes nothing, formats
 //!   nothing and allocates two scratch vectors per graph.
 //! * [`validate_graph`] builds the findings themselves (labels, duplicate
 //!   `precede` edges, orphans, the label path of a cycle). It runs only when
 //!   the sweep's verdict is fatal, or when [`crate::Taskflow::validate`] /
-//!   [`crate::Taskflow::dump_with_diagnostics`] ask for it. The three-colour
-//!   DFS that names a cycle runs only if the sweep left nodes unreleased.
+//!   [`crate::Taskflow::dump_with_diagnostics`] ask for it, and it writes
+//!   nothing: a three-colour DFS names the cycle, if there is one.
 //!
 //! Both lean on every node recording its emplacement index
 //! ([`Graph::index_of`]): "is this successor in this graph, and which one"
 //! is an index read and a pointer compare.
 
 use crate::graph::{Graph, Node, RawNode};
+use crate::topology::Topology;
 use std::fmt;
 
 /// One finding of the pre-dispatch graph sanitizer.
@@ -148,6 +150,9 @@ pub(crate) struct Sweep {
     /// order: what the executor publishes to start a run. (The vector
     /// keeps the sweep's queue capacity, one slot per node.)
     pub(crate) sources: Vec<usize>,
+    /// Released nodes without successors: the nodes whose completions
+    /// end a run (every node of a fully released graph).
+    pub(crate) sinks: usize,
     /// Nodes the sweep never released: members of a cycle and everything
     /// downstream of one, or nodes waiting on a predecessor that is not in
     /// this graph. A run would never reach them.
@@ -163,15 +168,19 @@ impl Sweep {
     }
 }
 
-/// The freeze sweep: Kahn's algorithm driven by the same static in-degrees
-/// the executor arms its join counters from, so "every node was released"
-/// here means "every node becomes ready" there.
+/// The freeze sweep. Its first loop arms every node ([`Node::rearm`]) for
+/// `topology`, under `parent` (null for a top-level graph and a detached
+/// subflow): the only time anything walks the graph to arm it, since a
+/// node re-arms itself as it completes. Then Kahn's algorithm, driven by
+/// the same static in-degrees the join counters were just loaded from, so
+/// "every node was released" here means "every node becomes ready" there.
 ///
 /// # Safety
-/// Must be called in a quiescent phase: the build thread before dispatch,
-/// or on a graph no worker is mutating. Every successor pointer must
+/// Must be called in a quiescent phase, by the only thread that can reach
+/// the graph's nodes: the thread freezing a graph, or the worker spawning
+/// a subflow before it publishes a child. Every successor pointer must
 /// target a live node.
-pub(crate) unsafe fn sweep(graph: &Graph) -> Sweep {
+pub(crate) unsafe fn sweep(graph: &Graph, topology: *const Topology, parent: RawNode) -> Sweep {
     let n = graph.len();
     // Unreleased in-edges per node, by emplacement index.
     let mut pending: Vec<u32> = Vec::with_capacity(n);
@@ -179,21 +188,28 @@ pub(crate) unsafe fn sweep(graph: &Graph) -> Sweep {
     // node in release order; `next` is the read position.
     let mut released: Vec<usize> = Vec::with_capacity(n);
     for node in graph.iter_raw() {
-        // SAFETY: quiescent phase per the caller's contract.
-        let in_degree = unsafe { *(*node).structure.in_degree.get() };
+        // SAFETY: quiescent phase and exclusive access per the caller's
+        // contract; `iter_raw`'s pointers may be written through.
+        let in_degree = unsafe {
+            (*node).rearm(topology, parent);
+            *(*node).structure.in_degree.get()
+        };
         pending.push(in_degree);
         if in_degree == 0 {
             released.push(node as usize);
         }
     }
     let num_sources = released.len();
+    let mut sinks = 0;
     let mut stray_edge = false;
     let mut next = 0;
     while let Some(&at) = released.get(next) {
         next += 1;
         let at = at as RawNode;
         // SAFETY: quiescent phase; `at` is a node of `graph`.
-        for &succ in unsafe { (*at).structure.successors.get() }.iter() {
+        let succs = unsafe { (*at).structure.successors.get() };
+        sinks += usize::from(succs.is_empty());
+        for &succ in succs.iter() {
             // SAFETY: successors target live nodes per the caller's contract.
             match unsafe { graph.index_of(succ) } {
                 Some(j) if succ != at => {
@@ -212,6 +228,7 @@ pub(crate) unsafe fn sweep(graph: &Graph) -> Sweep {
     released.truncate(num_sources);
     Sweep {
         sources: released,
+        sinks,
         unreleased,
         stray_edge,
     }
@@ -221,7 +238,9 @@ pub(crate) unsafe fn sweep(graph: &Graph) -> Sweep {
 /// [`GraphDiagnostic`]. Callers filter with [`GraphDiagnostic::is_fatal`].
 ///
 /// # Safety
-/// Same contract as [`sweep`].
+/// Must be called in a quiescent phase: the build thread before dispatch,
+/// or on a graph no worker is mutating. Every successor pointer must
+/// target a live node.
 pub(crate) unsafe fn validate_graph(graph: &Graph) -> Vec<GraphDiagnostic> {
     let mut out = Vec::new();
     let n = graph.len();
@@ -281,12 +300,8 @@ pub(crate) unsafe fn validate_graph(graph: &Graph) -> Vec<GraphDiagnostic> {
             });
         }
     }
-    // A cycle exists only if the sweep could not release every node.
     // SAFETY: forwarding the caller's contract.
-    if unsafe { sweep(graph) }.unreleased > 0 {
-        // SAFETY: forwarding the caller's contract.
-        out.extend(unsafe { find_cycle(graph) });
-    }
+    out.extend(unsafe { find_cycle(graph) });
     out
 }
 
@@ -297,7 +312,7 @@ pub(crate) unsafe fn validate_graph(graph: &Graph) -> Vec<GraphDiagnostic> {
 /// reject the dispatch.
 ///
 /// # Safety
-/// Same contract as [`sweep`].
+/// Same contract as [`validate_graph`].
 unsafe fn find_cycle(graph: &Graph) -> Option<GraphDiagnostic> {
     let n = graph.len();
     let node = |i: usize| graph.get(i).expect("DFS indices are in range");
@@ -469,6 +484,13 @@ mod tests {
         unsafe { Node::connect(a, b) };
     }
 
+    /// [`sweep`] for a graph no topology will run: armed with null
+    /// back-pointers.
+    unsafe fn unarmed_sweep(g: &Graph) -> Sweep {
+        // SAFETY: forwarding the caller's contract.
+        unsafe { sweep(g, std::ptr::null(), std::ptr::null_mut()) }
+    }
+
     fn name(n: RawNode, s: &str) {
         // SAFETY: single-threaded build phase.
         unsafe {
@@ -496,7 +518,7 @@ mod tests {
         let b = g.emplace(Work::empty());
         connect(a, b);
         assert!(unsafe { validate_graph(&g) }.is_empty());
-        let swept = unsafe { sweep(&g) };
+        let swept = unsafe { unarmed_sweep(&g) };
         assert!(!swept.is_fatal());
         assert_eq!(swept.sources, vec![a as usize]);
     }
@@ -524,7 +546,7 @@ mod tests {
         }
         assert!(diags[0].is_fatal());
         assert_eq!(diags[0].to_string(), "dependency cycle: A -> B -> C -> A");
-        assert!(unsafe { sweep(&g) }.is_fatal());
+        assert!(unsafe { unarmed_sweep(&g) }.is_fatal());
     }
 
     #[test]
@@ -559,7 +581,7 @@ mod tests {
             }
         );
         assert!(diags[0].is_fatal());
-        assert!(unsafe { sweep(&g) }.is_fatal());
+        assert!(unsafe { unarmed_sweep(&g) }.is_fatal());
     }
 
     #[test]
@@ -570,7 +592,7 @@ mod tests {
         // SAFETY: single-threaded build phase. Only the edge list grows, so
         // the in-degree does not hold `b` back and the sweep reaches it.
         unsafe { (*b).structure.successors.get_mut().push(b) };
-        assert!(unsafe { sweep(&g) }.is_fatal());
+        assert!(unsafe { unarmed_sweep(&g) }.is_fatal());
     }
 
     #[test]
@@ -594,7 +616,7 @@ mod tests {
             other => panic!("expected DuplicateEdge, got {other:?}"),
         }
         assert!(!diags[0].is_fatal());
-        assert!(!unsafe { sweep(&g) }.is_fatal());
+        assert!(!unsafe { unarmed_sweep(&g) }.is_fatal());
     }
 
     #[test]
@@ -624,7 +646,7 @@ mod tests {
     fn empty_graph_is_clean() {
         let g = Graph::new();
         assert!(unsafe { validate_graph(&g) }.is_empty());
-        let swept = unsafe { sweep(&g) };
+        let swept = unsafe { unarmed_sweep(&g) };
         assert!(!swept.is_fatal());
         assert!(swept.sources.is_empty());
     }
@@ -700,9 +722,9 @@ mod tests {
             diags[0].to_string(),
             "task 'A' precedes a task of another graph"
         );
-        assert!(unsafe { sweep(&g) }.is_fatal());
+        assert!(unsafe { unarmed_sweep(&g) }.is_fatal());
         // The receiving graph can never release its target: rejected too.
-        assert!(unsafe { sweep(&other) }.is_fatal());
+        assert!(unsafe { unarmed_sweep(&other) }.is_fatal());
     }
 
     /// Sorted `Debug` renderings of every non-cycle finding.
@@ -760,7 +782,7 @@ mod tests {
             let g = graph_of(n, &wired);
             // SAFETY: single-threaded test; nothing mutates `g`.
             let (new, old, swept) =
-                unsafe { (validate_graph(&g), oracle::validate_graph(&g), sweep(&g)) };
+                unsafe { (validate_graph(&g), oracle::validate_graph(&g), unarmed_sweep(&g)) };
             let fatal = old.iter().any(GraphDiagnostic::is_fatal);
             prop_assert_eq!(new.iter().any(GraphDiagnostic::is_fatal), fatal);
             prop_assert_eq!(swept.is_fatal(), fatal);
@@ -773,6 +795,11 @@ mod tests {
                 .map(|p| p as usize)
                 .collect();
             prop_assert_eq!(swept.sources, sources);
+            if !fatal {
+                // SAFETY: as above.
+                let sinks = g.iter().filter(|n| unsafe { n.structure.successors.get() }.is_empty());
+                prop_assert_eq!(swept.sinks, sinks.count());
+            }
         }
     }
 }

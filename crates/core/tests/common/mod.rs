@@ -1,8 +1,42 @@
-//! What the serving-path suites (`serving.rs`, `failures.rs`) share: the
-//! wait for a tenant to go quiet and the one statement of its ledger.
+//! What the integration suites share: the wait for a tenant to go quiet
+//! and the one statement of its ledger (`serving.rs`, `failures.rs`), and
+//! the 30 s bound on a scenario that could wedge (`executor.rs`,
+//! `run_api.rs`). Each suite compiles this module and uses part of it.
+#![allow(dead_code)]
 
 use rustflow::{Tenant, TenantStats};
 use std::time::{Duration, Instant};
+
+/// Runs `scenario` on a helper thread and fails loudly if it has not
+/// returned within 30 s. It ends the process rather than panic: a wedged
+/// scenario holds taskflows whose destructors wait for the very runs that
+/// wedged.
+pub fn within_30s<T: Send + 'static>(
+    what: &str,
+    scenario: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = done.send(scenario());
+    });
+    match finished.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => {
+            helper.join().unwrap();
+            value
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            // Straight to the process's stderr: the test harness captures
+            // `eprintln!`, and the exit below would discard the capture.
+            let line = format!("FAILED: {what} did not finish within 30 s\n");
+            let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
+            std::process::exit(101)
+        }
+        // The scenario panicked before reporting: surface that panic.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().unwrap_err())
+        }
+    }
+}
 
 /// Waits until nothing of the tenant's is queued or in flight and returns
 /// that snapshot. A resolved handle proves the run's promise was set, but

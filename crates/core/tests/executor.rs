@@ -8,6 +8,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::within_30s;
+
 /// A shared logical clock for stamping execution order.
 fn clock() -> Arc<AtomicUsize> {
     Arc::new(AtomicUsize::new(0))
@@ -416,31 +419,6 @@ fn many_concurrent_topologies() {
 // ---------------------------------------------------------------------------
 // The caller helps: `wait_for_all` runs the graph it dispatches
 // ---------------------------------------------------------------------------
-
-/// Runs `scenario` on a helper thread and fails loudly if it has not
-/// returned within 30 s. It ends the process rather than panic: a wedged
-/// scenario holds taskflows whose destructors wait for the very runs that
-/// wedged.
-fn within_30s<T: Send + 'static>(what: &str, scenario: impl FnOnce() -> T + Send + 'static) -> T {
-    let (done, finished) = std::sync::mpsc::channel();
-    let helper = std::thread::spawn(move || {
-        let _ = done.send(scenario());
-    });
-    match finished.recv_timeout(Duration::from_secs(30)) {
-        Ok(value) => {
-            helper.join().unwrap();
-            value
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            eprintln!("FAILED: {what} did not finish within 30 s");
-            std::process::exit(101)
-        }
-        // The scenario panicked before reporting: surface that panic.
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(helper.join().unwrap_err())
-        }
-    }
-}
 
 /// Spins until every worker of `ex` is parked, so counter deltas taken
 /// afterwards see no start-up parks.

@@ -21,6 +21,7 @@
 
 use rustflow::check_internals::Ring;
 use rustflow::{ExecutorBuilder, Taskflow};
+use rustflow_check::cell::CheckedCell;
 use rustflow_check::Sanitizer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,6 +43,8 @@ const ACTIVE_WEAKEN: Option<&str> = {
         Some("cancel_publish")
     } else if cfg!(rustflow_weaken = "frontdoor_backlog") {
         Some("frontdoor_backlog")
+    } else if cfg!(rustflow_weaken = "join_release") {
+        Some("join_release")
     } else if cfg!(rustflow_weaken = "seed_plain_race") {
         Some("seed_plain_race")
     } else if cfg!(rustflow_weaken = "seed_lock_cycle") {
@@ -557,11 +560,12 @@ fn frontdoor_full_budget_handoff() {
     );
 }
 
-/// Re-arm vs. publish on iteration boundaries (`rearm_publish`): `run_n`
-/// re-arms the frozen diamond between iterations; publishing the sources
-/// before the re-arm lets a woken worker execute a node whose per-run
-/// state is still being rewritten — a `SyncCell` race on node state, or a
-/// wedged iteration.
+/// Self re-arm on iteration boundaries (`rearm_publish`): `run_n` runs the
+/// frozen diamond twice, and every node reloads its own join counter as it
+/// completes. A reload that comes after the node's releases can land after
+/// the next iteration counted the node down already — the sink `d` once
+/// its count-down published iteration 2, or `b` once `c` readied `d` —
+/// and undo that count-down: a wedged iteration.
 #[test]
 fn run_n_rearm_boundary() {
     sanitize(
@@ -583,6 +587,39 @@ fn run_n_rearm_boundary() {
             c.precede(d);
             tf.run_n(2).get().unwrap();
             assert_eq!(done.load(Ordering::Relaxed), 8);
+        },
+    );
+}
+
+/// A fan-in's writes reach the caller (`join_release`): `a` and `b` both
+/// precede the sink `c`, `a` writes a plain cell, and the caller reads it
+/// once `run().get()` returned. Only the sink is counted down by the
+/// topology, so when `b` is the one that readies `c`, the join counter is
+/// all that carries `a`'s write to the finalizer and on to the caller;
+/// with Relaxed decrements the read races the write.
+#[test]
+fn fan_in_writes_reach_the_caller() {
+    sanitize(
+        Some("join_release"),
+        Sanitizer::new("join").iters(96),
+        || {
+            let ex = ExecutorBuilder::new().workers(2).build();
+            let tf = Taskflow::with_executor(ex);
+            let cell = Arc::new(CheckedCell::new(0u64));
+            let written = Arc::clone(&cell);
+            let a = tf.emplace(move || {
+                // SAFETY: `a` is the cell's only writer and runs once; the
+                // caller reads it only after the run resolved, which is
+                // the ordering under test.
+                unsafe { written.with_mut(|p| *p += 1) };
+            });
+            let b = tf.emplace(|| {});
+            let c = tf.emplace(|| {});
+            a.precede(c);
+            b.precede(c);
+            tf.run().get().unwrap();
+            // SAFETY: the run resolved, so `a` finished (see above).
+            assert_eq!(unsafe { cell.with(|p| *p) }, 1);
         },
     );
 }
@@ -684,7 +721,7 @@ fn cancel_lock_order() {
 /// A deliberately racy pair of model threads on a raw `CheckedCell` — the
 /// detector must fire, and fire *identically* on every run.
 fn racy_pair() {
-    let cell = Arc::new(rustflow_check::cell::CheckedCell::new(0u64));
+    let cell = Arc::new(CheckedCell::new(0u64));
     let c = Arc::clone(&cell);
     let t = rustflow_check::thread::spawn(move || {
         // SAFETY: deliberately WRONG — unordered with the read below; the
