@@ -308,10 +308,17 @@ fn injector_wraparound_and_spill() {
 /// `rustflow_weaken = "join_release"` (Relaxed join-counter decrements):
 /// when `B` counts `C` down last, nothing carries `A`'s execution to the
 /// thread that ends the iteration, so the next run of `A`'s closure races
-/// with the last one.
+/// with the last one. Weakened by `rustflow_weaken = "join_last_acquire"`
+/// (the last arrival's load Relaxed): `B` reads 1 and readies `C` without
+/// Acquiring `A`'s decrement, the same race by the other half of the
+/// count-down.
 #[test]
 #[cfg_attr(
-    any(rustflow_weaken = "rearm_publish", rustflow_weaken = "join_release"),
+    any(
+        rustflow_weaken = "rearm_publish",
+        rustflow_weaken = "join_release",
+        rustflow_weaken = "join_last_acquire"
+    ),
     should_panic(expected = "failing interleaving")
 )]
 fn rearm_handoff_fan_in() {

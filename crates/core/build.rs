@@ -19,6 +19,7 @@ const KNOWN_MUTATIONS: &[&str] = &[
     "cancel_publish",
     "frontdoor_backlog",
     "join_release",
+    "join_last_acquire",
     "seed_plain_race",
     "seed_lock_cycle",
 ];

@@ -405,12 +405,18 @@ pub(crate) struct NodeState {
     /// the task next executes ([`Node::clear_subflow`]), so each iteration
     /// spawns a fresh subflow.
     pub(crate) subgraph: SyncCell<Graph>,
-    /// Runtime countdown of unfinished predecessors; the node becomes ready
-    /// when this reaches zero. Reloaded from the in-degree by the worker
-    /// that completes the node, before it releases any successor.
+    /// Runtime countdown of unfinished predecessors, counted down only
+    /// through `scheduler::count_down`: the last predecessor to arrive
+    /// readies the node, either by loading 1 (and leaving it at 1) or by
+    /// the decrement that takes it to 0. Reloaded from the in-degree by
+    /// the worker that completes the node, before it releases any
+    /// successor, so the value the last arrival left is never read.
     pub(crate) join_counter: AtomicUsize,
     /// Countdown of unfinished *joined* subflow children, plus a sentinel
-    /// held by the parent while it spawns. Zero-crossing completes the node.
+    /// held by the parent while it spawns, counted down through the same
+    /// helper: the last arrival (a child, or the sentinel drop) completes
+    /// the node and may leave it at 1. Stored afresh when the node next
+    /// spawns ([`Node::clear_subflow`] resets it before).
     pub(crate) nested: AtomicUsize,
     /// Parent node when this node belongs to a joined subflow; null for
     /// top-level and detached nodes.

@@ -14,8 +14,10 @@
 //! condvar) plays the role of the deques/injector, and
 //! [`RearmHarness::execute`] runs a node and hands it to
 //! [`rearm_and_release`]: the node reloads its own join counter, counts
-//! its successors down with AcqRel, and a sink counts the topology's
-//! pending sinks down, the last one taking the driver role. Replacing the
+//! its successors down (an Acquire load that reads 1 marks the last
+//! arrival, which skips its decrement; any other arrival decrements with
+//! AcqRel), and a sink counts the topology's pending sinks down, the last
+//! one taking the driver role. Replacing the
 //! queues is sound for this model because what's under test is the
 //! *re-arm ordering*, not the queue protocol (the queues have their own
 //! models): any lost or premature token becomes a blocked `pop`, which
@@ -30,7 +32,10 @@
 //! successor is never readied and the batch never completes. With
 //! `join_release` (Relaxed join-counter decrements), the first finisher
 //! of the fan-in publishes nothing to the node that ends the iteration,
-//! and its closure's next run races with its last one.
+//! and its closure's next run races with its last one. With
+//! `join_last_acquire` (the last arrival's load Relaxed), the first
+//! finisher publishes but the last arrival, reading 1, Acquires nothing:
+//! the same race from the other end.
 
 use crate::error::{FailurePolicy, RunResult};
 use crate::future::{promise_pair, SharedFuture};
@@ -145,10 +150,10 @@ impl RearmHarness {
 
     /// Runs a popped task and performs the executor's completion
     /// bookkeeping through the production [`rearm_and_release`]: the node
-    /// reloads its join counter, counts each successor's down (AcqRel;
-    /// the zero-crossing publishes it) and, as a sink, the topology's
-    /// pending sinks, whose final decrement takes the driver role and
-    /// starts the next iteration or finishes the batch.
+    /// reloads its join counter, counts each successor's down (the last
+    /// arrival publishes it) and, as a sink, the topology's pending sinks,
+    /// whose final decrement takes the driver role and starts the next
+    /// iteration or finishes the batch.
     pub fn execute(&self, token: usize) {
         let node = token as RawNode;
         // SAFETY: the scheduling protocol hands each published token to

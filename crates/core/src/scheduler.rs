@@ -45,7 +45,7 @@ use crate::graph::{RawNode, WorkKind};
 use crate::observer::{SchedEventKind, TaskSpanInfo, DISPATCH_LANE};
 use crate::stats::{Counter, Metric, WorkerStats, LANE_METRICS};
 use crate::subflow::Subflow;
-use crate::sync::{fence, thread, AtomicU64};
+use crate::sync::{fence, thread, AtomicU64, AtomicUsize};
 use crate::topology::Topology;
 use crate::wsq;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -331,8 +331,8 @@ fn try_steal(inner: &Inner, ctx: &mut WorkerCtx) -> usize {
 /// sources at dispatch.
 ///
 /// # Safety
-/// `node` must be armed (join counter reached zero exactly once) and its
-/// topology alive.
+/// `node` must be armed (readied exactly once, by its last arrival) and
+/// its topology alive.
 pub(crate) unsafe fn schedule(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
     let item = node as usize;
     if ctx.cache == 0 {
@@ -500,10 +500,9 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
         if deferred {
             // Drop the spawn sentinel; the last finishing child (or we,
             // right now, if they all already finished) completes the node.
-            // ORDERING: AcqRel — Release publishes this side's writes to
-            // whoever hits zero; Acquire on the zero-crossing gathers
-            // every child's effects before `complete` runs.
-            if (*node).state.nested.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // The last arrival gathers every child's effects before
+            // `complete` runs (see `count_down`).
+            if count_down(&(*node).state.nested) {
                 complete(inner, ctx, node);
             }
         } else {
@@ -587,43 +586,81 @@ unsafe fn spawn_subflow(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode, detac
 /// finished its last child).
 unsafe fn complete(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
     let ready = |s| {
-        // SAFETY: the zero-crossing readied `s` exactly once, so this lane
+        // SAFETY: the last arrival readied `s` exactly once, so this lane
         // is its unique scheduler; its topology is alive, since `s` is
         // still to run.
         unsafe { schedule(inner, ctx, s) }
     };
     // SAFETY: per this function's contract the node is finished and ours.
     let parent = unsafe { rearm_and_release(node, ready, |topo| finalize(inner, topo)) };
-    // ORDERING: AcqRel — the last joined child's effects are Acquired
-    // before the parent completes (mirror of the sentinel drop in
-    // `execute`).
+    // The last arrival gathers every joined child's effects, and the
+    // parent's own, before the parent completes (mirror of the sentinel
+    // drop in `execute`; see `count_down`).
     // SAFETY: a non-null parent is a live node awaiting its joined
     // children (this one among them); `nested` is atomic.
-    if !parent.is_null() && unsafe { (*parent).state.nested.fetch_sub(1, Ordering::AcqRel) } == 1 {
+    if !parent.is_null() && count_down(unsafe { &(*parent).state.nested }) {
         // SAFETY: the last joined child completes the parent exactly once.
         unsafe { complete(inner, ctx, parent) };
     }
 }
 
-// ORDERING: AcqRel on every join-counter decrement — each predecessor
-// Releases its task's effects, and everything it had acquired, to the
-// zero-crossing, which Acquires them all: a node runs after every
-// dependency in the happens-before order, and a sink carries the writes of
-// every node upstream of it to the finalizer. The `join_release` weakening
-// drops it to Relaxed, for the sanitizer to catch.
+// ORDERING: AcqRel on every join-counter decrement — each predecessor that
+// is not last Releases its task's effects, and everything it had acquired,
+// to the last arrival, which Acquires them all (by its own decrement, or by
+// the `LAST_ARRIVAL` load below): a node runs after every dependency in the
+// happens-before order, and a sink carries the writes of every node
+// upstream of it to the finalizer. The `join_release` weakening drops it to
+// Relaxed, for the model and the sanitizer to catch.
 const JOIN: Ordering = if cfg!(rustflow_weaken = "join_release") {
     Ordering::Relaxed
 } else {
     Ordering::AcqRel
 };
 
+// ORDERING: Acquire on the last-arrival load — reading 1 reads from the
+// release sequence of every earlier JOIN decrement of the counter, so the
+// last arrival Acquires all the other predecessors' effects just as a
+// zero-crossing decrement would, and hands them on with the task it
+// readies. The `join_last_acquire` weakening drops it to Relaxed, for the
+// model and the sanitizer to catch.
+const LAST_ARRIVAL: Ordering = if cfg!(rustflow_weaken = "join_last_acquire") {
+    Ordering::Relaxed
+} else {
+    Ordering::Acquire
+};
+
+/// One arrival at a join counter: a node's `join_counter` (one arrival
+/// per predecessor) or a parent's `nested` (one per joined child, plus
+/// the parent's sentinel). Returns `true` for the last of them, the one
+/// that readies (or completes) the node. Every count-down of either
+/// counter goes through here (`tests/safety_audit.rs` holds it to that).
+///
+/// An arrival that loads 1 is the last: the counter started at the number
+/// of arrivals, only arrivals that are not last decrement it, and the
+/// value a node left behind in an earlier iteration was overwritten
+/// (reloaded in [`rearm_and_release`], `nested` stored at spawn) before
+/// any of this round's arrivals could run. Such an arrival skips its
+/// locked decrement and leaves the counter at 1; nothing reads that value
+/// before the next reload. A chain pays no RMW at all, and a fan-in pays
+/// one per arrival but the last.
+#[inline]
+fn count_down(counter: &AtomicUsize) -> bool {
+    // ORDERING: LAST_ARRIVAL (Acquire) and JOIN (AcqRel) — see their
+    // definitions.
+    // SAFETY: reading 1 proves every other arrival has decremented, so no
+    // thread touches the counter again this round and the skipped RMW
+    // loses nothing.
+    counter.load(LAST_ARRIVAL) == 1 || counter.fetch_sub(1, JOIN) == 1
+}
+
 /// A finished node's completion bookkeeping, the one copy the scheduler's
 /// [`complete`] and the re-arm model (`rearm_model.rs`) both run. It
 /// reloads the node's join counter from its in-degree, so the node is
 /// armed for its next execution, and then releases it: each successor's
-/// join counter counts down and `ready` gets the ones that reach zero; a
-/// sink outside any joined subflow counts down its topology's pending
-/// sinks instead, and `ended` gets the topology if that was the last.
+/// join counter counts down ([`count_down`]) and `ready` gets the ones
+/// this node was the last arrival at; a sink outside any joined subflow
+/// counts down its topology's pending sinks instead, and `ended` gets the
+/// topology if that was the last.
 /// Returns the joined-subflow parent still to be counted down (null for
 /// none).
 ///
@@ -676,11 +713,10 @@ pub(crate) unsafe fn rearm_and_release(
     #[cfg(not(rustflow_weaken = "rearm_publish"))]
     reload();
     for &s in succs.iter() {
-        // ORDERING: JOIN (AcqRel) — see its definition.
         // SAFETY: `s` is a pending node of the same topology, and the
         // node (whose successor list this is) is live until its last
         // release, this loop's last turn.
-        if unsafe { (*s).state.join_counter.fetch_sub(1, JOIN) } == 1 {
+        if count_down(unsafe { &(*s).state.join_counter }) {
             ready(s);
         }
     }
@@ -717,4 +753,46 @@ fn finalize(inner: &Inner, topo_ptr: *const Topology) {
         }
     });
     advance_topology(inner, topo, true, None);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{Graph, Node, Work};
+
+    /// `A, B → C`, completed by hand on one thread: the first arrival pays
+    /// the decrement, the last one only loads and leaves the counter at 1,
+    /// and `C`'s own completion reloads its in-degree.
+    #[test]
+    fn the_last_arrival_readies_by_a_load_and_the_node_reloads() {
+        let mut g = Graph::new();
+        let [a, b, c] = [(); 3].map(|_| g.emplace(Work::empty()));
+        // SAFETY: single-threaded build phase.
+        unsafe {
+            Node::connect(a, c);
+            Node::connect(b, c);
+        }
+        let topo = Topology::new(g, FailurePolicy::ContinueAll);
+        assert!(topo.fatal().is_none());
+        topo.sinks_left.store(1, Ordering::Relaxed);
+        // SAFETY: the topology owns the nodes and nothing else runs them.
+        let join = |n: RawNode| unsafe { (*n).state.join_counter.load(Ordering::Relaxed) };
+        assert_eq!(join(c), 2, "armed from the in-degree");
+        let mut readied = Vec::new();
+        let mut ended = 0;
+        // SAFETY: each call completes a node that is armed and ours.
+        unsafe { rearm_and_release(a, |s| readied.push(s), |_| ended += 1) };
+        assert_eq!((join(c), readied.len()), (1, 0), "first arrival: 2 → 1");
+        // SAFETY: as above.
+        unsafe { rearm_and_release(b, |s| readied.push(s), |_| ended += 1) };
+        assert_eq!(join(c), 1, "the last arrival skips its decrement");
+        assert_eq!(readied, vec![c], "the last arrival readies C once");
+        assert_eq!(ended, 0);
+        // SAFETY: as above.
+        let parent = unsafe { rearm_and_release(c, |s| readied.push(s), |_| ended += 1) };
+        assert!(parent.is_null());
+        assert_eq!(join(c), 2, "C's completion reloads its in-degree");
+        assert_eq!((readied.len(), ended), (1, 1), "C is the only sink");
+        assert_eq!((join(a), join(b)), (0, 0));
+    }
 }

@@ -43,7 +43,7 @@
 compile_error!(
     "rustflow_weaken needs a value; known mutations: wsq_pop_fence, wsq_grow_swap, \
      ring_publish, notifier_dekker, rearm_publish, cancel_publish, frontdoor_backlog, \
-     join_release, seed_plain_race, seed_lock_cycle"
+     join_release, join_last_acquire, seed_plain_race, seed_lock_cycle"
 );
 
 #[cfg(feature = "rustflow_check")]

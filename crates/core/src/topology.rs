@@ -24,7 +24,8 @@
 //! subflow counts the topology down (a detached subflow adds its own sinks
 //! when it spawns; a joined one is covered by its parent, which is pending
 //! until its children are done). Every other node's writes reach the
-//! finalizer through the AcqRel join-counter chain that ends at a sink.
+//! finalizer through the join-counter chain that ends at a sink (AcqRel
+//! decrements, Acquired by each node's last arrival).
 //!
 //! Execution requests arrive as [`PendingRun`] *batches* (run once, run
 //! `n` times, run until a predicate holds), queued FIFO. At most one batch
@@ -113,7 +114,7 @@ pub(crate) enum Advance {
 /// before the first iteration publishes (driver-exclusive at that point),
 /// read by the driver at finalization and by observer hooks, so relaxed
 /// atomics suffice — cross-thread visibility rides the injector's Release
-/// publish and the iteration's AcqRel join-counter and sink chain.
+/// publish and the iteration's join-counter and sink chain.
 pub(crate) struct RunStamps {
     /// When the submission entered the tenant queue.
     pub(crate) submit_us: AtomicU64,

@@ -437,6 +437,74 @@ fn run_n_runs_every_node_exactly_n_times_after_its_predecessors() {
     });
 }
 
+/// `n` sources all preceding one sink.
+fn fan_in(n: usize) -> (usize, Vec<(usize, usize)>) {
+    (n + 1, (0..n).map(|u| (u, n)).collect())
+}
+
+/// The last predecessor to arrive readies a node by a load, without
+/// decrementing: with 64 predecessors racing for the sink, and with the
+/// mesh's two-predecessor cells, every node still runs exactly once per
+/// iteration and witnesses all of its predecessors.
+#[test]
+fn the_last_arrival_readies_each_node_once_per_iteration() {
+    common::within_30s("run_n(500) of a 64-way fan-in and a 32x32 mesh", || {
+        for (name, graph) in [("fan-in", fan_in(64)), ("mesh", mesh(32))] {
+            let c = Counted::new(3, &graph, |_, _| {});
+            c.tf.run_n(500).get().unwrap();
+            c.assert_runs(500, &format!("{name} on 3 workers"));
+        }
+    });
+}
+
+/// A dynamic task spawns 64 joined children on every iteration; they race
+/// its sentinel drop to be the last arrival at its `nested` count. Each
+/// child runs once per iteration, in that iteration, and the parent's
+/// successor runs after all of them.
+#[test]
+fn joined_children_race_the_sentinel_drop() {
+    const CHILDREN: usize = 64;
+    common::within_30s("run_n(200) of 64 joined children", || {
+        let tf = Taskflow::with_executor(Executor::new(3));
+        let runs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..CHILDREN).map(|_| AtomicUsize::new(0)).collect());
+        let [after, violations] = std::array::from_fn(|_| Arc::new(AtomicUsize::new(0)));
+        let (children, bad) = (Arc::clone(&runs), Arc::clone(&violations));
+        let p = tf.emplace_subflow(move |sf| {
+            let k = rustflow::this_task::iteration().expect("inside a run") as usize;
+            for i in 0..CHILDREN {
+                let (children, bad) = (Arc::clone(&children), Arc::clone(&bad));
+                sf.emplace(move || {
+                    let seen = children[i].fetch_add(1, Ordering::SeqCst);
+                    bad.fetch_add(usize::from(seen != k), Ordering::SeqCst);
+                });
+            }
+        });
+        let (children, af, bad) = (
+            Arc::clone(&runs),
+            Arc::clone(&after),
+            Arc::clone(&violations),
+        );
+        let s = tf.emplace(move || {
+            let k = af.fetch_add(1, Ordering::SeqCst);
+            let early = children
+                .iter()
+                .filter(|r| r.load(Ordering::SeqCst) != k + 1)
+                .count();
+            bad.fetch_add(early, Ordering::SeqCst);
+        });
+        p.precede(s);
+        tf.run_n(200).get().unwrap();
+        let counts: Vec<usize> = runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert!(
+            counts.iter().all(|&r| r == 200),
+            "children ran {counts:?} times, not 200 each"
+        );
+        assert_eq!(after.load(Ordering::SeqCst), 200, "the successor");
+        assert_eq!(violations.load(Ordering::SeqCst), 0, "witness violations");
+    });
+}
+
 /// A batch cancelled mid-iteration skips the rest of its nodes, and the
 /// skip path re-arms them like a run: the next batch runs every node.
 #[test]

@@ -34,6 +34,8 @@
 //! * Each wire format has one writer: under `crates/*/src`, only
 //!   `rustflow::wire` may spell the Prometheus exposition's header lines
 //!   or a JSON string escape.
+//! * Every count-down of a join counter (`join_counter`, `nested`) goes
+//!   through the scheduler's one helper, `count_down`.
 //! * There is one list of `rustflow_weaken` mutations, `build.rs`'s
 //!   `KNOWN_MUTATIONS`; every other place that spells it out (the
 //!   `check-cfg` sets, the `compile_error!`, `ACTIVE_WEAKEN`, CI's loops,
@@ -372,6 +374,52 @@ fn lane_counters_have_one_writer() {
         violations.is_empty(),
         "a lane counter bumped from outside its lane:\n{}",
         violations.join("\n")
+    );
+}
+
+/// Every count-down of a join counter goes through the scheduler's one
+/// helper, `count_down` (the last arrival loads, the others decrement):
+/// under `src/`, no code applies a `fetch_sub` or `fetch_update` straight
+/// to a `join_counter` or a `nested` field, and the decrement's `JOIN`
+/// ordering is spelt in one call, the helper's.
+#[test]
+fn every_join_count_down_goes_through_the_helper() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut violations = Vec::new();
+    let mut join_spellings = 0;
+    for path in rust_files(&src) {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        // Comments stripped and whitespace dropped, so a chain rustfmt
+        // wrapped over several lines reads as one.
+        let code: String = text
+            .lines()
+            .map(|line| line.split("//").next().unwrap_or(""))
+            .collect::<String>()
+            .split_whitespace()
+            .collect();
+        for field in [".join_counter", ".nested"] {
+            for (at, _) in code.match_indices(field) {
+                let rest = code[at + field.len()..].trim_start_matches(['}', ')']);
+                if let Some(op) = [".fetch_sub", ".fetch_update"]
+                    .into_iter()
+                    .find(|op| rest.starts_with(op))
+                {
+                    violations.push(format!("{}: `{field}{op}`", path.display()));
+                }
+            }
+        }
+        join_spellings += code.matches(",JOIN)").count();
+    }
+    assert!(
+        violations.is_empty(),
+        "a join count-down bypasses `count_down`:\n{}",
+        violations.join("\n")
+    );
+    let scheduler = fs::read_to_string(src.join("scheduler.rs")).expect("scheduler.rs");
+    let helper = between(&scheduler, "fn count_down(", "\n}");
+    assert!(
+        helper.contains("fetch_sub(1, JOIN)") && join_spellings == 1,
+        "`JOIN` must be spelt once, in `count_down`, not {join_spellings} times"
     );
 }
 

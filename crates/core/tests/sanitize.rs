@@ -45,6 +45,8 @@ const ACTIVE_WEAKEN: Option<&str> = {
         Some("frontdoor_backlog")
     } else if cfg!(rustflow_weaken = "join_release") {
         Some("join_release")
+    } else if cfg!(rustflow_weaken = "join_last_acquire") {
+        Some("join_last_acquire")
     } else if cfg!(rustflow_weaken = "seed_plain_race") {
         Some("seed_plain_race")
     } else if cfg!(rustflow_weaken = "seed_lock_cycle") {
@@ -64,13 +66,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SEQ.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `scenario` under the sanitizer unless a *different* mutation is
-/// compiled in (each mutant is exercised only by the scenario built to
+/// Runs `scenario` under the sanitizer unless a mutation outside `targets`
+/// is compiled in (each mutant is exercised only by the scenarios built to
 /// corner it, keeping the mutation loop's budget bounded).
-fn sanitize(target: Option<&str>, san: Sanitizer, scenario: impl Fn() + Send + Sync + 'static) {
+fn sanitize(targets: &[&str], san: Sanitizer, scenario: impl Fn() + Send + Sync + 'static) {
     if let Some(active) = ACTIVE_WEAKEN {
-        if target != Some(active) {
-            eprintln!("skipped: scenario targets {target:?}, build mutates {active:?}");
+        if !targets.contains(&active) {
+            eprintln!("skipped: scenario targets {targets:?}, build mutates {active:?}");
             return;
         }
     }
@@ -87,7 +89,7 @@ fn sanitize(target: Option<&str>, san: Sanitizer, scenario: impl Fn() + Send + S
 /// cycle-free under every explored schedule.
 #[test]
 fn wavefront_is_clean() {
-    sanitize(None, Sanitizer::new("wavefront").iters(12), || {
+    sanitize(&[], Sanitizer::new("wavefront").iters(12), || {
         let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let done = Arc::new(AtomicUsize::new(0));
@@ -120,7 +122,7 @@ fn wavefront_is_clean() {
 /// a sound executor with queued work can never reach.
 #[test]
 fn deadline_on_healthy_graph_is_clean() {
-    sanitize(None, Sanitizer::new("deadline").iters(8), || {
+    sanitize(&[], Sanitizer::new("deadline").iters(8), || {
         let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let a = tf.emplace(|| {});
@@ -136,7 +138,7 @@ fn deadline_on_healthy_graph_is_clean() {
 /// reset, panic payload routing) is schedule-robust.
 #[test]
 fn retry_rescue_is_clean() {
-    sanitize(None, Sanitizer::new("retry").iters(8), || {
+    sanitize(&[], Sanitizer::new("retry").iters(8), || {
         let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let attempts = Arc::new(AtomicUsize::new(0));
@@ -157,7 +159,7 @@ fn retry_rescue_is_clean() {
 /// (record_panic, skip bookkeeping, promise resolution) is in scope too.
 #[test]
 fn chaos_panic_path_is_clean() {
-    sanitize(None, Sanitizer::new("chaos").iters(8), || {
+    sanitize(&[], Sanitizer::new("chaos").iters(8), || {
         let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let a = tf.emplace(|| {});
@@ -185,7 +187,7 @@ fn chaos_panic_path_is_clean() {
 #[test]
 fn tenant_submission_is_clean() {
     use rustflow::TenantQos;
-    sanitize(None, Sanitizer::new("tenants").iters(8), || {
+    sanitize(&[], Sanitizer::new("tenants").iters(8), || {
         let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
         let hi = ex.tenant_with(
             "hi",
@@ -229,7 +231,7 @@ fn tenant_submission_is_clean() {
 /// deadlock-free, and no task may be lost or run twice.
 #[test]
 fn guests_come_and_go_under_run_n() {
-    sanitize(None, Sanitizer::new("guests").iters(48), || {
+    sanitize(&[], Sanitizer::new("guests").iters(48), || {
         let ex = ExecutorBuilder::new().workers(1).build();
         let done = Arc::new(AtomicUsize::new(0));
         let diamond = Taskflow::with_executor(ex.clone());
@@ -289,7 +291,7 @@ fn fan_out_flow(tf: &Taskflow, k: usize, done: &Arc<AtomicUsize>) {
 #[test]
 fn deque_pop_steal_storm() {
     sanitize(
-        Some("wsq_pop_fence"),
+        &["wsq_pop_fence"],
         Sanitizer::new("pop_steal").iters(96),
         || {
             let ex = ExecutorBuilder::new().workers(2).build();
@@ -312,7 +314,7 @@ fn deque_pop_steal_storm() {
 /// integers.
 #[test]
 fn deque_grow_under_steal() {
-    sanitize(None, Sanitizer::new("grow_steal").iters(24), || {
+    sanitize(&[], Sanitizer::new("grow_steal").iters(24), || {
         let ex = ExecutorBuilder::new().workers(2).build();
         let tf = Taskflow::with_executor(ex);
         let done = Arc::new(AtomicUsize::new(0));
@@ -333,7 +335,7 @@ fn deque_grow_under_steal() {
 fn deque_grow_direct() {
     use rustflow::wsq::{deque_with_capacity, Steal};
     sanitize(
-        Some("wsq_grow_swap"),
+        &["wsq_grow_swap"],
         Sanitizer::new("grow_direct").iters(96),
         || {
             let (owner, stealer) = deque_with_capacity(2);
@@ -368,7 +370,7 @@ fn deque_grow_direct() {
 #[test]
 fn ring_producer_consumer() {
     sanitize(
-        Some("ring_publish"),
+        &["ring_publish"],
         Sanitizer::new("ring_mpmc").iters(64),
         || {
             let ring = Arc::new(Ring::new(2));
@@ -405,7 +407,7 @@ fn ring_producer_consumer() {
 fn injector_handoff() {
     use rustflow::check_internals::Injector;
     sanitize(
-        Some("ring_publish"),
+        &["ring_publish"],
         Sanitizer::new("injector").iters(96),
         || {
             let inj = Arc::new(Injector::new(2));
@@ -453,7 +455,7 @@ fn injector_handoff() {
 #[test]
 fn park_submit_cycles() {
     sanitize(
-        Some("notifier_dekker"),
+        &["notifier_dekker"],
         Sanitizer::new("park_submit").iters(24),
         || {
             let ex = ExecutorBuilder::new().workers(1).build();
@@ -490,7 +492,7 @@ fn park_submit_cycles() {
 fn notifier_lost_wake() {
     use rustflow::check_internals::Notifier;
     sanitize(
-        Some("notifier_dekker"),
+        &["notifier_dekker"],
         Sanitizer::new("lost_wake").iters(96),
         || {
             let n = Arc::new(Notifier::new(1));
@@ -530,7 +532,7 @@ fn notifier_lost_wake() {
 #[test]
 fn frontdoor_full_budget_handoff() {
     sanitize(
-        Some("frontdoor_backlog"),
+        &["frontdoor_backlog"],
         Sanitizer::new("frontdoor").iters(96),
         || {
             let ex = ExecutorBuilder::new().workers(1).max_inflight(1).build();
@@ -563,13 +565,15 @@ fn frontdoor_full_budget_handoff() {
 /// Self re-arm on iteration boundaries (`rearm_publish`): `run_n` runs the
 /// frozen diamond twice, and every node reloads its own join counter as it
 /// completes. A reload that comes after the node's releases can land after
-/// the next iteration counted the node down already — the sink `d` once
-/// its count-down published iteration 2, or `b` once `c` readied `d` —
-/// and undo that count-down: a wedged iteration.
+/// the next iteration reached the node already — the sink `d` once its
+/// count-down published iteration 2, or `b` once `c` readied `d` — and
+/// undo a count-down (a wedged iteration), or leave the 1 its last
+/// arrival left for the next iteration's first arrival to read (a node
+/// readied early, and a batch resolved before all its runs).
 #[test]
 fn run_n_rearm_boundary() {
     sanitize(
-        Some("rearm_publish"),
+        &["rearm_publish"],
         Sanitizer::new("rearm").iters(96),
         || {
             let ex = ExecutorBuilder::new().workers(2).build();
@@ -591,16 +595,18 @@ fn run_n_rearm_boundary() {
     );
 }
 
-/// A fan-in's writes reach the caller (`join_release`): `a` and `b` both
-/// precede the sink `c`, `a` writes a plain cell, and the caller reads it
-/// once `run().get()` returned. Only the sink is counted down by the
-/// topology, so when `b` is the one that readies `c`, the join counter is
-/// all that carries `a`'s write to the finalizer and on to the caller;
-/// with Relaxed decrements the read races the write.
+/// A fan-in's writes reach the caller (`join_release`,
+/// `join_last_acquire`): `a` and `b` both precede the sink `c`, `a` writes
+/// a plain cell, and the caller reads it once `run().get()` returned. Only
+/// the sink is counted down by the topology, so when `b` is the one that
+/// readies `c`, the join counter is all that carries `a`'s write to the
+/// finalizer and on to the caller: with Relaxed decrements `a` Releases
+/// nothing, and with a Relaxed last-arrival load `b`, reading 1, Acquires
+/// nothing; either way the read races the write.
 #[test]
 fn fan_in_writes_reach_the_caller() {
     sanitize(
-        Some("join_release"),
+        &["join_release", "join_last_acquire"],
         Sanitizer::new("join").iters(96),
         || {
             let ex = ExecutorBuilder::new().workers(2).build();
@@ -637,7 +643,7 @@ fn fan_in_writes_reach_the_caller() {
 #[test]
 fn concurrent_cancel_handshake() {
     sanitize(
-        Some("cancel_publish"),
+        &["cancel_publish"],
         Sanitizer::new("cancel").iters(96).avg_steps(200),
         || {
             let ex = ExecutorBuilder::new().workers(2).build();
@@ -679,7 +685,7 @@ fn concurrent_cancel_handshake() {
 #[test]
 fn park_vs_execute_scratch() {
     sanitize(
-        Some("seed_plain_race"),
+        &["seed_plain_race"],
         Sanitizer::new("seed_race").iters(96),
         || {
             let ex = ExecutorBuilder::new().workers(2).build();
@@ -699,7 +705,7 @@ fn park_vs_execute_scratch() {
 #[test]
 fn cancel_lock_order() {
     sanitize(
-        Some("seed_lock_cycle"),
+        &["seed_lock_cycle"],
         Sanitizer::new("lock_cycle").iters(16),
         || {
             let ex = ExecutorBuilder::new().workers(1).build();
