@@ -29,8 +29,8 @@ use std::time::Duration;
 use tf_bench::harness::{http_get, median, scrape, time_ms, Cli, Gate};
 use tf_bench::impls::{Backend, Runtime, CONTENDERS};
 
-/// ROADMAP 5(a)'s budget for the enabled / disabled wall-clock ratio,
-/// printed beside the verdict.
+/// The observability budget for the enabled / disabled wall-clock ratio
+/// (ROADMAP aim 4 and item 3), printed beside the verdict.
 const RATIO_BUDGET: f64 = 1.05;
 
 /// The enabled / disabled ratio the gate allows. Twenty runs of unchanged
@@ -129,7 +129,7 @@ fn measure_overhead(gate: &mut Gate, cli: &Cli, threads: usize) {
         ratio <= RATIO_MARGIN,
         format_args!(
             "median of {reps} pair ratios {ratio:.3}, margin {RATIO_MARGIN} \
-             (ROADMAP 5(a)'s budget: {RATIO_BUDGET})"
+             (ROADMAP aim 4 / item 3 budget: {RATIO_BUDGET})"
         ),
     );
 }

@@ -12,7 +12,7 @@
 
 use crate::graph::{Graph, Node, RawNode};
 use crate::validate::GraphDiagnostic;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Renders `graph` (recursively including spawned subflows) to DOT.
 ///
@@ -61,10 +61,25 @@ pub(crate) unsafe fn graph_to_dot_annotated(
             GraphDiagnostic::DuplicateEdge { .. } => {}
         }
     }
+    let node = |key: RawNode, label: &str| {
+        let fill = hl.get(&key).map_or(String::new(), |color| {
+            format!(", style=filled, fillcolor={color}")
+        });
+        format!("label=\"{label}\"{fill}")
+    };
+    // A self-edge is drawn bold red.
+    let mut edge = |from: RawNode, to: RawNode| if from == to { BOLD_RED } else { "" };
     let mut out = String::with_capacity(256 + graph.len() * 32);
     out.push_str(&format!("digraph {} {{\n", sanitize(name)));
+    let mut walk = Walk {
+        out: &mut out,
+        cluster: 0,
+        anchor_subflows: true,
+        node: &node,
+        edge: &mut edge,
+    };
     // SAFETY: forwarding the caller's quiescence guarantee.
-    unsafe { emit_graph(graph, &mut out, 1, &mut 0, &hl) };
+    unsafe { walk.graph(graph, 1) };
     out.push_str("}\n");
     out
 }
@@ -91,28 +106,43 @@ pub(crate) unsafe fn graph_to_dot_profiled(
             max_total = max_total.max(n.total_us);
         }
     }
-    let critical: std::collections::HashSet<(u64, u64)> =
-        report.critical_edges.iter().copied().collect();
+    let node = |key: RawNode, label: &str| {
+        let (heat, timing) = match totals.get(&(key as u64)) {
+            Some(&(total, count)) => (
+                total as f64 / max_total as f64,
+                format!("\\n{total}us / {count}x"),
+            ),
+            None => (0.0, String::new()),
+        };
+        // White → red on the GraphViz HSV wheel: hue 0, saturation = heat.
+        format!("label=\"{label}{timing}\", fillcolor=\"0.0 {heat:.3} 1.0\"")
+    };
+    let mut structural: HashSet<(u64, u64)> = HashSet::new();
+    let mut edge = |from: RawNode, to: RawNode| {
+        let edge = (from as u64, to as u64);
+        structural.insert(edge);
+        if report.critical_edges.contains(&edge) {
+            BOLD_RED
+        } else {
+            ""
+        }
+    };
     let mut out = String::with_capacity(256 + graph.len() * 64);
     out.push_str(&format!("digraph {} {{\n", sanitize(name)));
     out.push_str("  node [style=filled];\n");
-    let mut emitted: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    // SAFETY: forwarding the caller's quiescence guarantee.
-    unsafe {
-        emit_graph_profiled(
-            graph,
-            &mut out,
-            1,
-            &mut 0,
-            &totals,
-            max_total,
-            &critical,
-            &mut emitted,
-        )
+    let mut walk = Walk {
+        out: &mut out,
+        cluster: 0,
+        anchor_subflows: false,
+        node: &node,
+        edge: &mut edge,
     };
-    // Critical hops with no structural edge (spawn/join through a subflow).
-    for &(from, to) in &critical {
-        if !emitted.contains(&(from, to)) {
+    // SAFETY: forwarding the caller's quiescence guarantee.
+    unsafe { walk.graph(graph, 1) };
+    // Critical hops with no structural edge (spawn/join through a
+    // subflow), in path order.
+    for &(from, to) in &report.critical_edges {
+        if !structural.contains(&(from, to)) {
             out.push_str(&format!(
                 "  n{from:x} -> n{to:x} [color=red, penwidth=2, style=dashed, constraint=false];\n"
             ));
@@ -122,126 +152,66 @@ pub(crate) unsafe fn graph_to_dot_profiled(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-unsafe fn emit_graph_profiled(
-    graph: &Graph,
-    out: &mut String,
-    depth: usize,
-    cluster: &mut usize,
-    totals: &HashMap<u64, (u64, u64)>,
-    max_total: u64,
-    critical: &std::collections::HashSet<(u64, u64)>,
-    emitted: &mut std::collections::HashSet<(u64, u64)>,
-) {
-    let pad = "  ".repeat(depth);
-    for n in graph.iter() {
-        let key = n as *const Node as RawNode;
-        let id = key as u64;
-        // SAFETY: quiescent phase per the caller's contract.
-        let label = unsafe { node_label(n) };
-        let (heat, timing) = match totals.get(&id) {
-            Some(&(total, count)) => (
-                total as f64 / max_total as f64,
-                format!("\\n{total}us / {count}x"),
-            ),
-            None => (0.0, String::new()),
-        };
-        // White → red on the GraphViz HSV wheel: hue 0, saturation = heat.
-        out.push_str(&format!(
-            "{pad}{} [label=\"{label}{timing}\", fillcolor=\"0.0 {heat:.3} 1.0\"];\n",
-            node_id(n)
-        ));
-        // SAFETY: quiescent phase; successor pointers target live nodes.
-        for &succ in unsafe { n.structure.successors.get() }.iter() {
-            let edge = (id, succ as u64);
-            emitted.insert(edge);
-            let attrs = if critical.contains(&edge) {
-                " [color=red, penwidth=2]"
-            } else {
-                ""
-            };
-            // SAFETY: `succ` is a stable node address (see Graph).
-            let succ_id = node_id(unsafe { &*succ });
-            out.push_str(&format!("{pad}{} -> {succ_id}{attrs};\n", node_id(n)));
-        }
-        // SAFETY: quiescent phase per the caller's contract.
-        let sub = unsafe { n.state.subgraph.get() };
-        if !sub.is_empty() {
-            *cluster += 1;
-            out.push_str(&format!("{pad}subgraph cluster_{} {{\n", *cluster));
-            out.push_str(&format!(
-                "{pad}  label=\"Subflow_{label}\";\n{pad}  style=dashed;\n"
-            ));
-            // SAFETY: forwarding the caller's quiescence guarantee.
-            unsafe {
-                emit_graph_profiled(
-                    sub,
-                    out,
-                    depth + 1,
-                    cluster,
-                    totals,
-                    max_total,
-                    critical,
-                    emitted,
-                )
-            };
-            out.push_str(&format!("{pad}}}\n"));
-        }
-    }
+/// The attributes of a highlighted edge.
+const BOLD_RED: &str = " [color=red, penwidth=2]";
+
+/// The one walk behind every dump: each node in emplacement order with
+/// its out-edges, then a `subgraph cluster_*` for the subflow it spawned.
+/// The caller's closures say what each node and edge looks like.
+struct Walk<'a> {
+    out: &'a mut String,
+    /// Clusters opened so far: the next one's number minus one.
+    cluster: usize,
+    /// Whether a cluster opens with a dotted edge from the subflow's
+    /// parent to its first child.
+    anchor_subflows: bool,
+    /// A node's attributes, given its key and escaped label.
+    node: &'a dyn Fn(RawNode, &str) -> String,
+    /// An edge's attributes (with a leading space, or empty).
+    edge: &'a mut dyn FnMut(RawNode, RawNode) -> &'static str,
 }
 
-unsafe fn emit_graph(
-    graph: &Graph,
-    out: &mut String,
-    depth: usize,
-    cluster: &mut usize,
-    hl: &HashMap<RawNode, &'static str>,
-) {
-    let pad = "  ".repeat(depth);
-    for n in graph.iter() {
-        let key = n as *const Node as RawNode;
-        // SAFETY: quiescent phase per the caller's contract.
-        let label = unsafe { node_label(n) };
-        match hl.get(&key) {
-            Some(color) => out.push_str(&format!(
-                "{pad}{} [label=\"{label}\", style=filled, fillcolor={color}];\n",
-                node_id(n)
-            )),
-            None => out.push_str(&format!("{pad}{} [label=\"{label}\"];\n", node_id(n))),
-        }
-        // SAFETY: quiescent phase; successor pointers target live nodes.
-        for &succ in unsafe { n.structure.successors.get() }.iter() {
-            if succ == key {
-                out.push_str(&format!(
-                    "{pad}{} -> {} [color=red, penwidth=2];\n",
-                    node_id(n),
-                    node_id(n)
-                ));
-            } else {
+impl Walk<'_> {
+    /// Emits `graph`'s nodes, edges and subflow clusters at `depth`.
+    ///
+    /// # Safety
+    /// Same contract as [`graph_to_dot`].
+    unsafe fn graph(&mut self, graph: &Graph, depth: usize) {
+        let pad = "  ".repeat(depth);
+        for n in graph.iter() {
+            let key = n as *const Node as RawNode;
+            let id = node_id(n);
+            // SAFETY: quiescent phase per the caller's contract.
+            let label = unsafe { node_label(n) };
+            let attrs = (self.node)(key, &label);
+            self.out.push_str(&format!("{pad}{id} [{attrs}];\n"));
+            // SAFETY: quiescent phase; successor pointers target live nodes.
+            for &succ in unsafe { n.structure.successors.get() }.iter() {
+                let attrs = (self.edge)(key, succ);
                 // SAFETY: `succ` is a stable node address (see Graph).
                 let succ_id = node_id(unsafe { &*succ });
-                out.push_str(&format!("{pad}{} -> {succ_id};\n", node_id(n)));
+                self.out
+                    .push_str(&format!("{pad}{id} -> {succ_id}{attrs};\n"));
             }
-        }
-        // SAFETY: quiescent phase per the caller's contract.
-        let sub = unsafe { n.state.subgraph.get() };
-        if !sub.is_empty() {
-            *cluster += 1;
-            out.push_str(&format!("{pad}subgraph cluster_{} {{\n", *cluster));
-            out.push_str(&format!(
-                "{pad}  label=\"Subflow_{label}\";\n{pad}  style=dashed;\n"
-            ));
-            // Anchor edge from the parent into its subflow for readability.
-            if let Some(first) = sub.get(0) {
-                out.push_str(&format!(
-                    "{pad}  {} -> {} [style=dotted];\n",
-                    node_id(n),
-                    node_id(first)
+            // SAFETY: quiescent phase per the caller's contract.
+            let sub = unsafe { n.state.subgraph.get() };
+            if !sub.is_empty() {
+                self.cluster += 1;
+                let cluster = self.cluster;
+                self.out.push_str(&format!(
+                    "{pad}subgraph cluster_{cluster} {{\n\
+                     {pad}  label=\"Subflow_{label}\";\n{pad}  style=dashed;\n"
                 ));
+                if let Some(first) = sub.get(0).filter(|_| self.anchor_subflows) {
+                    self.out.push_str(&format!(
+                        "{pad}  {id} -> {} [style=dotted];\n",
+                        node_id(first)
+                    ));
+                }
+                // SAFETY: forwarding the caller's quiescence guarantee.
+                unsafe { self.graph(sub, depth + 1) };
+                self.out.push_str(&format!("{pad}}}\n"));
             }
-            // SAFETY: forwarding the caller's quiescence guarantee.
-            unsafe { emit_graph(sub, out, depth + 1, cluster, hl) };
-            out.push_str(&format!("{pad}}}\n"));
         }
     }
 }

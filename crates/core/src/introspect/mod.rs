@@ -5,7 +5,7 @@
 //! [`Executor::serve_introspection`](crate::Executor::serve_introspection)
 //! (or [`start_introspection`](crate::Executor::start_introspection) for
 //! the in-process API without a socket) installs one observer — a
-//! dedicated lossy [`Tracer`] plus each lane's running task — and spawns:
+//! dedicated lossy [`Tracer`] — and spawns:
 //!
 //! * a **collector thread** that every [`IntrospectConfig::collect_period`]
 //!   drains the per-worker event rings into a bounded, time-windowed
@@ -18,11 +18,12 @@
 //! reports events to observers, and introspection is one; the executor
 //! only keeps the running [`Service`] in one slot and stops it when it
 //! drops. What introspection adds to the counters (each lane's ring drops)
-//! it counts itself. Its hot-path costs while enabled
-//! are the ring pushes any tracer pays, plus one per-lane
-//! `Mutex<Option<CurrentTask>>` store at each task begin and end
-//! publishing what the lane is running (uncontended except when a scrape
-//! reads it). With introspection off, nothing of it remains.
+//! it counts itself. Its hot-path cost while enabled is the ring push any
+//! tracer pays, into the recording lane's own ring: a full ring evicts
+//! that lane's oldest event, so no worker takes a lock or drains for a
+//! reader. What each lane is running is not recorded a second time; every
+//! collection pass folds the drained task events into a per-lane table
+//! (see [watchdog]). With introspection off, nothing of it remains.
 //!
 //! All timestamps across `/status`, `/trace`, ring events, and profiler
 //! spans share one process-wide monotonic origin ([`crate::clock`]), so
@@ -35,8 +36,7 @@ mod watchdog;
 pub use watchdog::{WatchdogCounts, WatchdogDiagnostic};
 
 use crate::executor::Inner;
-use crate::label::TaskLabel;
-use crate::observer::{chrome_trace_json_from, ExecutorObserver, SchedEventKind, Tracer};
+use crate::observer::{chrome_trace_json_from, ExecutorObserver, Tracer};
 use crate::stats::{lane_labels, ExecutorStats, LANE_METRICS, TENANT_METRICS};
 use crate::wire::{json, prom};
 use parking_lot::Mutex;
@@ -47,60 +47,6 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use watchdog::{Watchdog, WatchdogPass, WATCHDOG_METRICS};
-
-/// What a lane is running *right now*; set in its [`LiveObserver`] slot at
-/// task begin and cleared at task end, read by `/status` and the
-/// worker-stall watchdog.
-#[derive(Debug, Clone)]
-pub(crate) struct CurrentTask {
-    /// The task's label (cloning is a refcount bump).
-    pub(crate) label: TaskLabel,
-    /// Opaque node id (stable for the topology's lifetime).
-    pub(crate) node: u64,
-    /// Uid of the topology the task belongs to.
-    pub(crate) topology: u64,
-    /// Task entry time, µs since the process clock origin.
-    pub(crate) since_us: u64,
-}
-
-/// Introspection's one observer: the lossy tracer feeding the flight
-/// recorder, and one running-task slot per lane.
-pub(crate) struct LiveObserver {
-    tracer: Tracer,
-    /// Per lane (workers, then guest seats): the task it is running.
-    running: Box<[Mutex<Option<CurrentTask>>]>,
-}
-
-impl LiveObserver {
-    /// What every lane is running right now, by lane.
-    pub(crate) fn running(&self) -> Vec<Option<CurrentTask>> {
-        self.running
-            .iter()
-            .map(|slot| slot.lock().clone())
-            .collect()
-    }
-}
-
-impl ExecutorObserver for LiveObserver {
-    fn on_event(&self, lane: usize, label: &TaskLabel, kind: &SchedEventKind) {
-        // One clock read stamps both the ring event and the slot.
-        let now = crate::clock::now_us();
-        // Task events come from real lanes only, each below `running.len()`.
-        match kind {
-            SchedEventKind::TaskBegin { span } => {
-                *self.running[lane].lock() = Some(CurrentTask {
-                    label: label.clone(),
-                    node: span.node,
-                    topology: span.topology,
-                    since_us: now,
-                });
-            }
-            SchedEventKind::TaskEnd { .. } => *self.running[lane].lock() = None,
-            _ => {}
-        }
-        self.tracer.record_at(now, lane, label, kind);
-    }
-}
 
 /// Flight-recorder retention window: `/trace` can look back at most this
 /// far.
@@ -149,10 +95,12 @@ pub(crate) struct IntrospectState {
     num_workers: usize,
     /// Workers plus guest seats: what sizes every per-lane array here.
     num_lanes: usize,
-    live: Arc<LiveObserver>,
+    /// Introspection's one observer, recording with evict-oldest overflow.
+    tracer: Arc<Tracer>,
     recorder: FlightRecorder,
     watchdog: Watchdog,
-    /// Serializes collection passes and owns watchdog bookkeeping.
+    /// Serializes collection passes and owns watchdog bookkeeping,
+    /// including what each lane is running.
     pass: Mutex<WatchdogPass>,
     /// Previous `/status` scrape's counters, for since-last-scrape deltas.
     last_scrape: Mutex<Vec<crate::stats::WorkerStats>>,
@@ -162,11 +110,6 @@ pub(crate) struct IntrospectState {
 }
 
 impl IntrospectState {
-    /// The tracer inside this executor's introspection observer.
-    pub(crate) fn tracer(&self) -> &Tracer {
-        &self.live.tracer
-    }
-
     /// Asks the collector and HTTP threads to exit ([`Service::stop`]
     /// joins them).
     fn request_stop(&self) {
@@ -187,16 +130,24 @@ impl IntrospectState {
         }
     }
 
-    /// Drain rings → flight recorder, then run the watchdog sweep.
+    /// Drain rings → running-task table and flight recorder, then run the
+    /// watchdog sweep.
     fn collect_pass_with(&self, inner: &Inner) {
         let mut pass = self.pass.lock();
+        // Read before the drain: a task popped before this reading
+        // records its begin right after the pop, so the drain holds it.
+        let queues_idle =
+            inner.shareds.iter().all(|s| s.stealer.is_empty()) && inner.injector.is_empty();
+        let events = self.tracer.drain_events();
+        pass.fold(&events);
         let now = crate::clock::now_us();
-        self.recorder.absorb(self.tracer().drain_events(), now);
+        self.recorder.absorb(events, now);
         watchdog::check(
             &mut pass,
             &self.watchdog,
             inner,
-            &self.live,
+            &self.tracer,
+            queues_idle,
             self.config.stall_threshold.as_micros() as u64,
             now,
         );
@@ -225,7 +176,7 @@ impl IntrospectState {
         let help = "Telemetry events waiting in each lane's ring.";
         prom::header(&mut out, ring_fill, help, "gauge");
         for (w, fill) in self
-            .tracer()
+            .tracer
             .lane_fill()
             .iter()
             .take(self.num_lanes)
@@ -236,7 +187,7 @@ impl IntrospectState {
         let ring_dropped = "rustflow_ring_dropped_events_total";
         let help = "Telemetry events lost to per-lane ring overflow.";
         prom::header(&mut out, ring_dropped, help, "counter");
-        let dropped = self.tracer().dropped_per_lane();
+        let dropped = self.tracer.dropped_per_lane();
         for (w, dropped) in dropped.iter().take(self.num_lanes).enumerate() {
             prom::sample(&mut out, ring_dropped, &lane(w), dropped);
         }
@@ -308,11 +259,15 @@ impl IntrospectState {
     }
 
     /// The `/status` body: a JSON snapshot of workers (including what
-    /// each is running right now) and in-flight topologies.
+    /// each is running right now) and in-flight topologies. Runs a
+    /// collection pass first, so each lane's running task is read from
+    /// the events in its ring at the scrape.
     pub(crate) fn status_json(&self) -> String {
         let Some(inner) = self.inner.upgrade() else {
             return "{}".to_string();
         };
+        self.collect_pass_with(&inner);
+        let running = self.pass.lock().running.clone();
         let now = crate::clock::now_us();
         let stats = inner.worker_stats();
         let deltas: Vec<crate::stats::WorkerStats> = {
@@ -328,7 +283,7 @@ impl IntrospectState {
             *last = stats.clone();
             d
         };
-        let ring_dropped = self.tracer().dropped_per_lane();
+        let ring_dropped = self.tracer.dropped_per_lane();
         let mut w = json::Writer::compact();
         w.begin_object();
         w.field("schema", 1);
@@ -355,7 +310,6 @@ impl IntrospectState {
         w.end();
         w.key("workers");
         w.begin_array();
-        let running = self.live.running();
         for (id, (shared, current)) in inner.shareds.iter().zip(running).enumerate() {
             w.begin_object();
             w.field("id", id);
@@ -556,7 +510,7 @@ impl IntrospectHandle {
 
     /// Telemetry events lost to ring overflow, summed across workers.
     pub fn ring_dropped(&self) -> u64 {
-        self.state.tracer().dropped_per_lane().iter().sum()
+        self.state.tracer.dropped()
     }
 }
 
@@ -613,10 +567,7 @@ pub(crate) fn start(
         inner: Arc::downgrade(inner),
         num_workers: inner.num_workers,
         num_lanes,
-        live: Arc::new(LiveObserver {
-            tracer: Tracer::new(num_lanes).lossy(),
-            running: (0..num_lanes).map(|_| Mutex::new(None)).collect(),
-        }),
+        tracer: Arc::new(Tracer::new(num_lanes).lossy()),
         recorder: FlightRecorder::new(WINDOW.as_micros() as u64, MAX_EVENTS),
         watchdog: Watchdog::new(),
         pass: Mutex::new(WatchdogPass::new(num_lanes)),
@@ -625,7 +576,10 @@ pub(crate) fn start(
         local_addr: listener.as_ref().and_then(|l| l.local_addr().ok()),
         config,
     });
-    inner.install(Arc::clone(&state.live) as Arc<dyn ExecutorObserver>, false);
+    inner.install(
+        Arc::clone(&state.tracer) as Arc<dyn ExecutorObserver>,
+        false,
+    );
 
     // In the slot before the first spawn, so a thread that did start is
     // stopped by the executor's `Drop` even if a later spawn fails.

@@ -9,20 +9,24 @@
 //! * `GET /trace?last_ms=N` — Chrome-trace JSON from the flight recorder
 //!
 //! This is deliberately not a web framework: HTTP/1.1, `GET` only,
-//! `Connection: close`, bounded request size, one-second socket
-//! timeouts. Scrapers (Prometheus, `curl`) need nothing more, and the
-//! whole server stays inside the standard library.
+//! `Connection: close`, bounded request size, one second from accept to
+//! read the request head (`408` past it, so a client trickling its head
+//! holds the one acceptor for no longer) and a one-second write timeout.
+//! Scrapers (Prometheus, `curl`) need nothing more, and the whole server
+//! stays inside the standard library.
 
 use super::IntrospectState;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request head we accept; scrape requests are a few hundred
 /// bytes, so anything bigger is a client error.
 const MAX_REQUEST: usize = 8 * 1024;
 
+/// How long a connection may take to deliver its request head, counted
+/// from accept, and how long one response write may block.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Acceptor loop; runs on its own thread until the executor shuts the
@@ -37,7 +41,7 @@ pub(crate) fn serve(listener: TcpListener, state: Arc<IntrospectState>) {
                 // Serve inline: responses are cheap snapshots and scrape
                 // concurrency is low, so a thread-per-connection pool
                 // would buy nothing but shutdown complexity.
-                let _ = handle(stream, &state);
+                let _ = handle(stream, Instant::now() + SOCKET_TIMEOUT, &state);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -47,16 +51,28 @@ pub(crate) fn serve(listener: TcpListener, state: Arc<IntrospectState>) {
     }
 }
 
-fn handle(mut stream: TcpStream, state: &Arc<IntrospectState>) -> std::io::Result<()> {
+/// Answers one connection whose request head must be in by `deadline`.
+fn handle(
+    mut stream: TcpStream,
+    deadline: Instant,
+    state: &Arc<IntrospectState>,
+) -> std::io::Result<()> {
     // The accepted socket inherits the listener's non-blocking flag on
     // some platforms; force blocking with timeouts for simple I/O.
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
 
-    let head = match read_head(&mut stream) {
+    let head = match read_head(&mut stream, deadline) {
         Ok(h) => h,
-        Err(_) => return respond(&mut stream, 400, "text/plain", "bad request\n"),
+        Err(_) => {
+            // A read that timed out returns at the deadline, not before it.
+            let (code, body) = if Instant::now() >= deadline {
+                (408, "request head too slow\n")
+            } else {
+                (400, "bad request\n")
+            };
+            return respond(&mut stream, code, "text/plain", body);
+        }
     };
     let mut parts = head.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
@@ -115,12 +131,15 @@ fn handle(mut stream: TcpStream, state: &Arc<IntrospectState>) -> std::io::Resul
     }
 }
 
-/// Reads the request head (through the blank line); the routes take no
-/// bodies, so anything after it is ignored.
-fn read_head(stream: &mut TcpStream) -> std::io::Result<String> {
+/// Reads the request head (through the blank line) by `deadline`: each
+/// read may block only for what is left of it, and none is left past it
+/// (a zero timeout is an error). The routes take no bodies, so anything
+/// after the head is ignored.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        stream.set_read_timeout(Some(deadline.saturating_duration_since(Instant::now())))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -160,6 +179,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         _ => "Error",
     };
     let head = format!(

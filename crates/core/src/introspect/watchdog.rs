@@ -32,15 +32,23 @@
 //!    is all it does: the watchdog reads the front door and never writes
 //!    it (a tenant that wants queued runs dropped sets a deadline).
 //!
+//! What a lane is running is read from the event stream, not from a slot
+//! the worker writes: each pass folds the events it drained into a
+//! per-lane table ([`WatchdogPass::fold`]). A `TaskBegin` sets the lane's
+//! entry, and an event a lane records only outside a task body clears
+//! it. The lossy tracer evicts a full lane's *oldest* event, so the
+//! lane's latest begin or end is in every drain that follows it.
+//!
 //! All state lives in [`WatchdogPass`], which the collector keeps inside
 //! the pass mutex — passes are serialized, so detection needs no atomics
 //! beyond the public counters. Every diagnostic is raised inside a pass,
-//! on the collector thread or the thread serving `/trace`; a subscriber
-//! that panics is caught there.
+//! on the collector thread or the thread serving `/trace` or `/status`; a
+//! subscriber that panics is caught there.
 
-use super::LiveObserver;
 use crate::executor::Inner;
 use crate::frontdoor::PHASE_E2E;
+use crate::label::TaskLabel;
+use crate::observer::{SchedEvent, SchedEventKind, Tracer};
 use crate::stats::{metric_table, Metric};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -303,10 +311,25 @@ fn burn_over(history: &VecDeque<(u64, u64, u64)>, now_us: u64, win_us: u64) -> O
     })
 }
 
+/// What a lane is running, as its latest task event says.
+#[derive(Debug, Clone)]
+pub(crate) struct RunningTask {
+    /// The task's label (cloning is a refcount bump).
+    pub(crate) label: TaskLabel,
+    /// Opaque node id (stable for the topology's lifetime).
+    pub(crate) node: u64,
+    /// Uid of the topology the task belongs to.
+    pub(crate) topology: u64,
+    /// Task entry time, µs since the process clock origin.
+    pub(crate) since_us: u64,
+}
+
 /// Detection bookkeeping owned by the collection-pass mutex.
 pub(crate) struct WatchdogPass {
-    /// Per lane (workers, then guest seats): `since_us` of the last
-    /// invocation reported as stalled.
+    /// Per lane (workers, then guest seats): the task it is running, as
+    /// of the events drained so far.
+    pub(super) running: Vec<Option<RunningTask>>,
+    /// Per lane: `since_us` of the last invocation reported as stalled.
     reported_stall: Vec<Option<u64>>,
     topologies: HashMap<u64, TopoObservation>,
     last_dropped: u64,
@@ -317,27 +340,63 @@ pub(crate) struct WatchdogPass {
 impl WatchdogPass {
     pub(crate) fn new(num_lanes: usize) -> WatchdogPass {
         WatchdogPass {
+            running: vec![None; num_lanes],
             reported_stall: vec![None; num_lanes],
             topologies: HashMap::new(),
             last_dropped: 0,
             slo: HashMap::new(),
         }
     }
+
+    /// Folds drained events, in each lane's recorded order, into the
+    /// running-task table. A `TaskBegin` sets the lane's entry; the
+    /// events a lane records outside a task body clear it. A retry and a
+    /// wake-up can come from inside a body, and the dispatch lane runs no
+    /// task, so they leave the table alone.
+    pub(crate) fn fold(&mut self, events: &[SchedEvent]) {
+        for e in events {
+            let Some(entry) = self.running.get_mut(e.worker) else {
+                continue;
+            };
+            match &e.kind {
+                SchedEventKind::TaskBegin { span } => {
+                    *entry = Some(RunningTask {
+                        label: e.label.clone(),
+                        node: span.node,
+                        topology: span.topology,
+                        since_us: e.ts_us,
+                    });
+                }
+                SchedEventKind::TaskEnd { .. }
+                | SchedEventKind::TaskSkipped
+                | SchedEventKind::CacheHit
+                | SchedEventKind::Steal { .. }
+                | SchedEventKind::InjectorPop
+                | SchedEventKind::StealFail
+                | SchedEventKind::Park => *entry = None,
+                SchedEventKind::TaskRetried { .. }
+                | SchedEventKind::Wake { .. }
+                | SchedEventKind::TopologyDispatch { .. }
+                | SchedEventKind::TopologyFinalize { .. } => {}
+            }
+        }
+    }
 }
 
 /// One watchdog sweep; called from every collection pass with the pass
-/// lock held.
+/// lock held, after the pass folded its drained events. `queues_idle`
+/// says every deque and the injector read empty before the drain.
 pub(crate) fn check(
     pass: &mut WatchdogPass,
     wd: &Watchdog,
     inner: &Inner,
-    live: &LiveObserver,
+    tracer: &Tracer,
+    queues_idle: bool,
     threshold_us: u64,
     now_us: u64,
 ) {
     // --- Signal 1: workers stuck in one task invocation. -----------------
-    let currents = live.running();
-    for (w, cur) in currents.iter().enumerate() {
+    for (w, cur) in pass.running.iter().enumerate() {
         match cur {
             Some(ct) => {
                 let running_for = now_us.saturating_sub(ct.since_us);
@@ -361,9 +420,7 @@ pub(crate) fn check(
     // Quiescent = no worker mid-task, every deque empty, injector empty.
     // Snapshot the running list and drop its lock before touching any
     // per-topology mutex (lock-order: never hold `running` across them).
-    let quiescent = currents.iter().all(Option::is_none)
-        && inner.shareds.iter().all(|s| s.stealer.is_empty())
-        && inner.injector.is_empty();
+    let quiescent = queues_idle && pass.running.iter().all(Option::is_none);
     let running: Vec<_> = inner.running.lock().topologies();
     let mut seen = Vec::with_capacity(running.len());
     for topo in &running {
@@ -403,7 +460,7 @@ pub(crate) fn check(
     pass.topologies.retain(|uid, _| seen.contains(uid));
 
     // --- Signal 3: event rings overflowing between passes. ---------------
-    let dropped_total: u64 = live.tracer.dropped_per_lane().iter().sum();
+    let dropped_total = tracer.dropped();
     if dropped_total > pass.last_dropped {
         let delta = dropped_total - pass.last_dropped;
         pass.last_dropped = dropped_total;

@@ -272,18 +272,19 @@ struct Lane {
 /// The record path touches only the recording worker's own ring — no lock
 /// is shared between workers, so tracing perturbs the schedule far less
 /// than a global mutex would. Rings have fixed capacity; when one fills
-/// up, the recording worker drains every ring into the archive and
-/// retries (a short stall, no loss). Only the live-introspection tracer,
-/// whose collector drains on its own cadence, discards the event instead
-/// and counts it in [`Tracer::dropped`].
+/// up, the recording worker drains its ring into the archive and retries
+/// (a short stall, no loss). Only the live-introspection tracer, whose
+/// collector drains on its own cadence, evicts the lane's oldest event
+/// instead and counts it in [`Tracer::dropped`].
 pub struct Tracer {
     /// One ring per lane plus a final one for the dispatch lane (and for
     /// any lane id past `max_lanes`).
     lanes: Box<[Lane]>,
-    /// Drained events, ordered by timestamp after `collect`.
+    /// Drained events, ordered by timestamp only once a reader collects:
+    /// the recording worker appends without sorting.
     archive: Mutex<Vec<SchedEvent>>,
-    /// On ring overflow: drop-and-count (`true`) instead of the default
-    /// collect-and-retry. See [`Tracer::lossy`].
+    /// On ring overflow: evict-oldest-and-count (`true`) instead of the
+    /// default drain-and-retry. See [`Tracer::lossy`].
     lossy: bool,
 }
 
@@ -312,14 +313,15 @@ impl Tracer {
         }
     }
 
-    /// Switches overflow handling from collect-and-retry to
-    /// drop-and-count: when a lane's ring is full the event is discarded
-    /// and charged to [`Tracer::dropped`] instead of draining every lane
-    /// into the archive from the recording worker. Completeness-oriented
-    /// exporters want the default; an always-on consumer with its own
-    /// drain cadence (the live-introspection collector) wants this, so
-    /// a saturated ring costs the worker nothing but a counter bump —
-    /// the loss is then surfaced by the ring-saturation watchdog signal.
+    /// Switches overflow handling from drain-and-retry to
+    /// evict-oldest-and-count: when a lane's ring is full the recording
+    /// lane discards its own oldest event, charges it to
+    /// [`Tracer::dropped`] and pushes the new one, instead of draining
+    /// into the archive lock. Completeness-oriented exporters want the
+    /// default; an always-on consumer with its own drain cadence (the
+    /// live-introspection collector) wants this. A saturated lane then
+    /// holds its newest events, its latest task begin or end among them,
+    /// and the loss is surfaced by the ring-saturation watchdog signal.
     pub(crate) fn lossy(mut self) -> Self {
         self.lossy = true;
         self
@@ -362,81 +364,22 @@ impl Tracer {
         std::mem::take(&mut *self.archive.lock())
     }
 
-    /// Records one event stamped `ts_us` (microseconds since the
-    /// process-wide origin, [`crate::clock`], the one time domain of every
-    /// tracer, flight recorder and profile export) into `worker`'s ring.
-    /// A topology finalize also flushes every ring into the archive: a
-    /// reader holding only the archive (e.g. an exporter racing
-    /// `Executor::drop`) must see every event of the iteration that just
-    /// ended, including its last task-end.
-    #[inline]
-    pub(crate) fn record_at(
-        &self,
-        ts_us: u64,
-        worker: usize,
-        label: &TaskLabel,
-        kind: &SchedEventKind,
-    ) {
-        let lane = &self.lanes[worker.min(self.lanes.len() - 1)];
-        let event = SchedEvent {
-            worker,
-            ts_us,
-            label: label.clone(),
-            kind: kind.clone(),
-        };
-        let pushed = lane.ring.push(event).or_else(|event| {
-            if self.lossy {
-                // Off-hot-path consumers (the introspection collector)
-                // drain on their own cadence; never stall the worker on
-                // the archive lock for them.
-                return Err(event);
-            }
-            // Full ring: drain everything into the archive and retry once,
-            // so an overflowing lane degrades into a one-off collect (a
-            // short stall for this worker) instead of silently losing the
-            // event — final task-end events in particular must stay
-            // visible to readers.
-            self.collect();
-            lane.ring.push(event)
-        });
-        if pushed.is_err() {
-            lane.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        if let SchedEventKind::TopologyFinalize { .. } = kind {
-            self.collect();
-        }
-    }
-
-    /// Drains every lane into the internal archive and re-sorts it by
+    /// Drains every lane into the internal archive and sorts it by
     /// timestamp. Call periodically during long runs to keep the
     /// fixed-capacity rings from overflowing; every exporter calls it
-    /// implicitly.
+    /// implicitly. The sort is stable, so a lane's events keep their
+    /// recorded order.
     pub fn collect(&self) {
         let mut archive = self.archive.lock();
-        let before = archive.len();
-        for lane in self.lanes.iter().filter(|l| !l.ring.is_empty()) {
-            while let Some(event) = lane.ring.pop() {
-                archive.push(event);
-            }
-        }
-        if archive.len() > before {
-            archive.sort_by_key(|e| e.ts_us);
-        }
+        let queued = self.lanes.iter().filter(|l| !l.ring.is_empty());
+        archive.extend(queued.flat_map(|l| std::iter::from_fn(|| l.ring.pop())));
+        archive.sort_by_key(|e| e.ts_us);
     }
 
     /// All recorded scheduler events, ordered by timestamp (collects
     /// first; does not drain the archive).
     pub fn sched_events(&self) -> Vec<SchedEvent> {
         self.collect();
-        self.archive.lock().clone()
-    }
-
-    /// Events already flushed to the archive, **without** draining the
-    /// lane rings first. Topology finalize flushes implicitly, so after a
-    /// run resolves this view already holds the iteration's final
-    /// task-end — a reader never observes a truncated schedule even if
-    /// the executor is dropped right after.
-    pub fn archived_events(&self) -> Vec<SchedEvent> {
         self.archive.lock().clone()
     }
 
@@ -582,8 +525,31 @@ fn complete(w: &mut Writer, name: &str, cat: &str, begin_us: u64, end_us: u64, t
 }
 
 impl ExecutorObserver for Tracer {
+    /// Records one event, stamped with the process-wide clock
+    /// ([`crate::clock`], the one time domain of every tracer, flight
+    /// recorder and profile export), into `worker`'s ring. A full ring
+    /// costs a lossless tracer one drain of that ring into the archive,
+    /// unsorted, and a lossy one the eviction of the lane's oldest event.
     fn on_event(&self, worker: usize, label: &TaskLabel, kind: &SchedEventKind) {
-        self.record_at(crate::clock::now_us(), worker, label, kind);
+        let lane = &self.lanes[worker.min(self.lanes.len() - 1)];
+        let mut event = SchedEvent {
+            worker,
+            ts_us: crate::clock::now_us(),
+            label: label.clone(),
+            kind: kind.clone(),
+        };
+        // Each round frees at least one slot; only another producer on
+        // the same ring (the shared dispatch lane) can take it first, and
+        // then that producer's push went through.
+        while let Err(refused) = lane.ring.push(event) {
+            event = refused;
+            if !self.lossy {
+                let mut archive = self.archive.lock();
+                archive.extend(std::iter::from_fn(|| lane.ring.pop()));
+            } else if lane.ring.pop().is_some() {
+                lane.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -729,5 +695,49 @@ mod tests {
         }
         assert_eq!(t.sched_events().len(), 16);
         assert_eq!(t.dropped(), 0);
+    }
+
+    /// A lossy lane that overflows while a reader drains it: every event
+    /// is drained or counted as dropped, each lane's drained events keep
+    /// their recorded order, and the newest event survives.
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of events; too slow under miri")]
+    fn a_lossy_tracer_evicts_its_oldest_events_under_a_concurrent_drain() {
+        const PUSHED: usize = 20_000;
+        let t = Tracer::with_capacity(2, 8).lossy();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut drained = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..PUSHED {
+                    // The sequence number rides in the victim field.
+                    event(&t, i % 2, SchedEventKind::Steal { victim: i });
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                drained.extend(t.drain_events());
+            }
+        });
+        drained.extend(t.drain_events());
+
+        assert_eq!(drained.len() as u64 + t.dropped(), PUSHED as u64);
+        assert!(t.dropped() > 0, "an 8-slot ring must overflow");
+        for lane in 0..2 {
+            let seq: Vec<usize> = drained
+                .iter()
+                .filter(|e| e.worker == lane)
+                .map(|e| match e.kind {
+                    SchedEventKind::Steal { victim } => victim,
+                    ref other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert!(seq.windows(2).all(|w| w[0] < w[1]), "lane {lane} reordered");
+            assert_eq!(
+                seq.last(),
+                Some(&(PUSHED - 2 + lane)),
+                "lane {lane}'s newest"
+            );
+        }
     }
 }

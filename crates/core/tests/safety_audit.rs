@@ -23,6 +23,8 @@
 //! * Observability reads the front door and never writes it: no file under
 //!   `src/introspect/` calls into `resilience` or takes a run off a tenant
 //!   queue (`unqueue`, `retire`).
+//! * Introspection's one observer is its lossy tracer: nothing under
+//!   `src/introspect/` implements `ExecutorObserver`.
 //! * The executor core never calls into live introspection: outside
 //!   `src/introspect/`, only `lib.rs` (its re-exports) and `executor.rs`
 //!   (the `Executor`'s service slot, `start_introspection`,
@@ -266,6 +268,23 @@ fn introspection_never_writes_the_front_door() {
     assert!(
         violations.is_empty(),
         "introspection writes into the front door:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Introspection records each fact once: its one observer is the lossy
+/// tracer, so no file under `src/introspect/` implements an observer of
+/// its own that a worker would call beside the ring push.
+#[test]
+fn introspection_implements_no_observer() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/introspect");
+    let violations: Vec<String> = rust_files(&dir)
+        .iter()
+        .flat_map(|path| named_in_code(path, &["ExecutorObserver for"]))
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "introspection adds a hook to the workers' event path:\n{}",
         violations.join("\n")
     );
 }
