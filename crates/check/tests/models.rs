@@ -369,10 +369,18 @@ fn rearm_handoff_fan_in() {
 /// the fan-in successor, and complete the iteration while the error is
 /// still unrecorded — the driver finds no error and resolves the batch
 /// `Ok(())` even though a node never ran. The invariant below fails and
-/// the checker prints the interleaving.
+/// the checker prints the interleaving. Weakened by `rustflow_weaken =
+/// "join_release"` or `"join_last_acquire"` (a Relaxed link in the
+/// count-down chain): the skip's count-down no longer carries the
+/// recorded error to the driver, whose lock-free read of the error flag
+/// finds it clear — the same lost verdict from the chain's end.
 #[test]
 #[cfg_attr(
-    rustflow_weaken = "cancel_publish",
+    any(
+        rustflow_weaken = "cancel_publish",
+        rustflow_weaken = "join_release",
+        rustflow_weaken = "join_last_acquire"
+    ),
     should_panic(expected = "failing interleaving")
 )]
 fn cancel_handshake_fan_in() {
@@ -419,18 +427,23 @@ fn cancel_handshake_fan_in() {
 }
 
 /// The front door's Dekker pair ([`FrontDoorBudget`], the production
-/// words): a submitter arrives at a full in-flight budget just as the one
-/// stint in flight finalizes. The submitter queues its run, bumps
-/// `backlog` (SeqCst), *then* loads `inflight`; the finalizer drops
-/// `inflight` (SeqCst), *then* loads `backlog`, and pumps only if it reads
-/// non-zero — which is what keeps a finalizing worker off the `qos` and
-/// tenant queue locks when nothing is queued. The SC total order
-/// guarantees one side sees the other; the queue lock arbitrates when both
-/// do. Queue, `qos` lock and pump mirror `run_topology_on` /
-/// `next_dispatch` / the finalize path of `advance_topology`.
+/// words): two submitters arrive at a budget of two, one slot held by the
+/// stint about to finalize. Each submits as `run_topology_on` does: under
+/// the queue lock it dispatches straight through when the queue is empty,
+/// nothing is queued anywhere and a CAS finds a slot; otherwise it queues
+/// its run, bumps `backlog` (SeqCst), and pumps, whose charge reads
+/// `inflight` in the same total order. The finalizer drops `inflight`
+/// (SeqCst), *then* loads `backlog`, and pumps only if it reads non-zero
+/// — which is what keeps a finalizing worker off the `qos` and tenant
+/// queue locks when nothing is queued. The SC total order guarantees one
+/// side sees the other; the queue lock arbitrates when both do. Queue,
+/// `qos` lock and pump mirror `run_topology_on` / `next_dispatch` / the
+/// finalize path of `advance_topology`. Two runs meet two slots, so in
+/// every schedule each run is dispatched exactly once and none is left
+/// queued while a slot is free.
 ///
 /// Weakened by `rustflow_weaken = "frontdoor_backlog"` (the pair drops to
-/// Relaxed): the submitter can read the budget still full *and* the
+/// Relaxed): a submitter can read the budget still full *and* the
 /// finalizer can read the backlog still empty — the run stays queued with
 /// a free slot and nobody left to pump: stranded.
 #[test]
@@ -440,7 +453,8 @@ fn cancel_handshake_fan_in() {
 )]
 fn frontdoor_backlog_no_stranded_run() {
     /// `pump_tenants` for one tenant: under `qos`, if the budget has
-    /// room, pop one queued run under the queue lock and charge it.
+    /// room and the queue a run, charge a slot under the queue lock and
+    /// pop the run.
     fn pump(
         budget: &FrontDoorBudget,
         qos: &Mutex<()>,
@@ -452,47 +466,78 @@ fn frontdoor_backlog_no_stranded_run() {
             return;
         }
         let mut queued = queue.lock();
-        if *queued == 0 {
+        if *queued == 0 || !budget.try_charge() {
             return;
         }
         *queued -= 1;
         budget.unqueued(1);
-        budget.charge();
         dispatched.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `run_topology_on` after admission: straight through, or queue and
+    /// pump.
+    fn submit(
+        budget: &FrontDoorBudget,
+        qos: &Mutex<()>,
+        queue: &Mutex<usize>,
+        dispatched: &AtomicUsize,
+    ) {
+        {
+            let mut queued = queue.lock();
+            if *queued == 0 && budget.try_straight_through() {
+                dispatched.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            *queued += 1;
+            budget.queued();
+        }
+        pump(budget, qos, queue, dispatched);
     }
 
     let stats =
         Checker::new()
             .max_schedules(60_000)
             .check("frontdoor_backlog_no_stranded_run", || {
-                // A budget of one, held by the stint about to finalize.
-                let budget = Arc::new(FrontDoorBudget::new(1));
-                budget.charge();
+                // A budget of two, one slot held by the stint about to
+                // finalize.
+                let budget = Arc::new(FrontDoorBudget::new(2));
+                assert!(budget.try_charge());
                 let qos = Arc::new(Mutex::new(()));
                 let queue = Arc::new(Mutex::new(0usize));
                 let dispatched = Arc::new(AtomicUsize::new(0));
-                let (b, q, t, d) = (
-                    Arc::clone(&budget),
-                    Arc::clone(&qos),
-                    Arc::clone(&queue),
-                    Arc::clone(&dispatched),
-                );
-                let finalizer = thread::spawn(move || {
-                    if b.release() {
-                        pump(&b, &q, &t, &d);
-                    }
-                });
-                {
-                    let mut queued = queue.lock();
-                    *queued += 1;
-                    budget.queued();
-                }
-                pump(&budget, &qos, &queue, &dispatched);
+                let finalizer = {
+                    let (b, q, t, d) = (
+                        Arc::clone(&budget),
+                        Arc::clone(&qos),
+                        Arc::clone(&queue),
+                        Arc::clone(&dispatched),
+                    );
+                    thread::spawn(move || {
+                        if b.release() {
+                            pump(&b, &q, &t, &d);
+                        }
+                    })
+                };
+                let straight = {
+                    let (b, q, t, d) = (
+                        Arc::clone(&budget),
+                        Arc::clone(&qos),
+                        Arc::clone(&queue),
+                        Arc::clone(&dispatched),
+                    );
+                    thread::spawn(move || submit(&b, &q, &t, &d))
+                };
+                submit(&budget, &qos, &queue, &dispatched);
                 finalizer.join().unwrap();
+                straight.join().unwrap();
                 assert_eq!(
-                    (dispatched.load(Ordering::Relaxed), *queue.lock()),
-                    (1, 0),
-                    "the queued run is dispatched exactly once, never stranded"
+                    (
+                        dispatched.load(Ordering::Relaxed),
+                        *queue.lock(),
+                        budget.has_room()
+                    ),
+                    (2, 0, false),
+                    "each run is dispatched exactly once, none stranded beside a free slot"
                 );
             });
     assert!(stats.dfs_complete, "schedule space must be fully explored");

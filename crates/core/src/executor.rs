@@ -25,7 +25,7 @@ use crate::observer::{ExecutorObserver, SchedEventKind, DISPATCH_LANE};
 use crate::resilience::TenantQos;
 use crate::scheduler::{guest_loop, schedule, worker_loop, WorkerCtx, WorkerShared};
 use crate::stats::{ExecutorStats, WorkerStats};
-use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, RwLock};
+use crate::sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, RwLock};
 use crate::topology::{Advance, PendingRun, RunCondition, Topology};
 use crate::wsq;
 use crate::{IntrospectConfig, IntrospectHandle};
@@ -158,12 +158,16 @@ pub(crate) struct Inner {
     /// happens-before edge between two successive guests of one seat's
     /// deque owner half and cache slot.
     seats: Mutex<Vec<WorkerCtx>>,
-    // ---- taken by whoever pumps: the submitting client, in steady state ----
+    // ---- written on the way in: whoever pumps, straight-through clients ----
     _door: LineBreak,
-    /// Tenant control plane: the tenant list and the weighted-fair-queue
-    /// clock. Taken by whoever pumps — in steady state the submitting
-    /// client only (see [`FrontDoorBudget`]).
+    /// Tenant control plane: the tenant list. Taken by whoever pumps, and
+    /// by nobody while nothing is queued (see [`FrontDoorBudget`]).
     pub(crate) qos: Mutex<QosState>,
+    /// The fair queue's notion of "now": the virtual time of the latest
+    /// dispatch, an atomic max. A tenant idle for a while resumes from
+    /// here rather than from its stale clock, so sleeping never banks
+    /// credit.
+    pub(crate) vnow: AtomicU64,
     // ---- the two words submitter and finalizer share ----
     _budget: LineBreak,
     /// The in-flight budget and the count of queued runs: the two words a
@@ -179,7 +183,8 @@ impl Inner {
 
     /// The one way a run becomes a topology's batch: under the registry
     /// lock, refuse it if shutdown has begun, else enqueue it, and if that
-    /// claimed the idle topology's driver role, tag the stint with its
+    /// claimed the idle topology's driver role (the run is then the
+    /// current batch, with no queue in between), tag the stint with its
     /// tenant (`None` = untenanted) and register its keep-alive. The
     /// closing check and the enqueue-plus-register step share one lock
     /// hold, so `Executor::drop` (which sets the flag under the same lock
@@ -321,6 +326,7 @@ impl Executor {
             all_done: Condvar::new(),
             closing: AtomicBool::new(false),
             qos: Mutex::new(QosState::default()),
+            vnow: AtomicU64::new(0),
             budget: FrontDoorBudget::new(max_inflight),
             observers: RwLock::new(Vec::new()),
             has_observers: AtomicBool::new(false),
@@ -590,20 +596,26 @@ pub(crate) fn advance_topology(
     // bracketed by any client timing its own submit→resolve round trip
     // (promise resolution and finalize bookkeeping can be descheduled for
     // a long time on a loaded box, and that wait belongs to neither view).
-    // Only a tenant's stint records them, so an untenanted iteration pays
-    // neither the four relaxed loads nor the clock read.
+    // `advance` asks for them only where the stint may end, and only a
+    // tenant's stint records them, so neither a claim whose batch runs
+    // nor an untenanted iteration pays the four relaxed loads, the clock
+    // read or the error flag.
     let slot = topo.registration();
-    let stint = (topo.tenant_id() != 0).then(|| {
-        let stamps = (topo.stamps.snapshot(), crate::clock::now_us().max(1));
-        // The breaker's failure signal must be read before `advance` too:
-        // the idle transition consumes the recorded error while resolving
-        // the run's promises. Panics (and invalid graphs) count; a plain
-        // cancellation is the client's choice, not the tenant's health.
-        (stamps, topo.has_panic())
-    });
+    let mut stint = None;
+    let snapshot = || {
+        if topo.tenant_id() != 0 {
+            let stamps = (topo.stamps.snapshot(), crate::clock::now_us().max(1));
+            // The breaker's failure signal must be read before the idle
+            // transition too: it consumes the recorded error while
+            // resolving the run's promises. Panics (and invalid graphs)
+            // count; a plain cancellation is the client's choice, not
+            // the tenant's health.
+            stint = Some((stamps, topo.has_panic()));
+        }
+    };
     // SAFETY: the caller holds the driver role per the functions's
     // contract; at most one driver exists per topology at a time.
-    match unsafe { topo.advance(iteration_finished) } {
+    match unsafe { topo.advance(iteration_finished, snapshot) } {
         Advance::RunIteration => {
             // SAFETY: driver role; the topology is quiescent between
             // iterations, and every node re-armed itself as it completed.

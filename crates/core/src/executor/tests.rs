@@ -44,7 +44,7 @@ fn a_topology_registered_twice_is_listed_once() {
     // SAFETY: `enqueue` returned `true`, so this thread is the driver; the
     // topology is quiescent (it never ran).
     unsafe {
-        assert_eq!(topo.advance(false), Advance::RunIteration);
+        assert_eq!(topo.advance(false, || {}), Advance::RunIteration);
         topo.begin_iteration(|_| {});
     }
     let slots = {

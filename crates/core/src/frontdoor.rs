@@ -2,12 +2,15 @@
 //!
 //! A submission passes an ordered admission chain under its tenant's queue
 //! lock ([`TenantState::admit`]: shutdown → breaker → deadline feasibility
-//! → queue space), waits in the tenant's bounded queue, and is popped by
-//! the weighted-fair-queue pump ([`pump_tenants`]) when the executor's
-//! in-flight budget ([`FrontDoorBudget`]) has room; the pump then claims
-//! the run's topology ([`Inner::claim`]) and drives its first iteration.
-//! When the stint finalizes, the executor core calls back once
-//! ([`stint_finished`]) to credit the tenant and free the slot.
+//! → queue space). With nothing queued anywhere and a slot of the
+//! executor's in-flight budget ([`FrontDoorBudget`]) free, the submitter
+//! then dispatches the run itself, straight through; otherwise the run
+//! waits in the tenant's bounded queue and is popped by the
+//! weighted-fair-queue pump ([`pump_tenants`]) when the budget has room.
+//! Either way the dispatcher claims the run's topology ([`Inner::claim`])
+//! and drives its first iteration. When the stint finalizes, the executor
+//! core calls back once ([`stint_finished`]) to credit the tenant and free
+//! the slot.
 //!
 //! Every submission ends in exactly one [`Outcome`], and
 //! [`TenantState::record`] is the only writer of the counters behind
@@ -16,10 +19,13 @@
 //! (shed, or drained by shutdown) ends in [`TenantState::retire`], the one
 //! place that fails a queued run's promise.
 //!
-//! Locks: `Inner::qos` (tenant list, fair-queue clock), then a tenant's
+//! Locks: `Inner::qos` (tenant list, the right to pump), then a tenant's
 //! `queue`, the only nesting there is. The registry lock
-//! (`Inner::running`) is taken with neither held, and a finalizing worker
-//! takes none of them unless something is queued.
+//! (`Inner::running`) is taken with neither held. While nothing is
+//! queued, a served run takes the tenant's `queue` once, then `running`
+//! with the topology's `pending` nested in it, then the promise at
+//! `get()`: four mutexes and one clock read on the client, and none of
+//! the front door's on the finalizing worker.
 
 use crate::error::{AdmissionError, RunError, RunResult};
 use crate::executor::{advance_topology, Claim, Executor, Inner, LineBreak};
@@ -106,12 +112,15 @@ const FRONTDOOR_DEKKER: Ordering = if cfg!(rustflow_weaken = "frontdoor_backlog"
 /// What a submitter and a finalizing worker share in place of the `qos`
 /// lock: the in-flight budget and the number of runs queued across all
 /// tenants. A finalizer frees its slot and pumps only if something is
-/// queued; a submitter queues its run and dispatches only if a slot is
-/// free. (Public only for the model-checker tests via `check_internals`.)
+/// queued; a submitter dispatches straight through when nothing is queued
+/// and a slot is free, and otherwise queues its run and pumps. (Public
+/// only for the model-checker tests via `check_internals`.)
 pub struct FrontDoorBudget {
     max: usize,
     /// Tenant stints dispatched but not yet finalized, at most `max`.
-    /// Charged under the `qos` lock, released without it.
+    /// Charged by a CAS — the pump's under the `qos` lock, a
+    /// straight-through submitter's under its tenant's queue lock — and
+    /// released under neither.
     inflight: AtomicUsize,
     /// Runs sitting in tenant queues; moved only under a queue lock.
     backlog: AtomicUsize,
@@ -143,11 +152,38 @@ impl FrontDoorBudget {
         self.inflight.load(FRONTDOOR_DEKKER) < self.max
     }
 
-    /// Pumper, under the `qos` lock and after [`has_room`](Self::has_room):
-    /// takes the slot. Only pumpers add and they are serialized, so the
-    /// check cannot be overtaken.
-    pub fn charge(&self) {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
+    /// Takes a slot if one is free. The pump and straight-through
+    /// submitters both charge, so the check and the add are one CAS. A
+    /// charge that fails read, in the pair's total order, a slot held by
+    /// a stint whose [`release`](Self::release) is still to come and will
+    /// see this caller's queued run.
+    pub fn try_charge(&self) -> bool {
+        // Every read here is the pair's, the failing one included: a
+        // weaker one could still see a slot that is already released.
+        let mut held = self.inflight.load(FRONTDOOR_DEKKER);
+        while held < self.max {
+            match self.inflight.compare_exchange_weak(
+                held,
+                held + 1,
+                FRONTDOOR_DEKKER,
+                FRONTDOOR_DEKKER,
+            ) {
+                Ok(_) => return true,
+                Err(now) => held = now,
+            }
+        }
+        false
+    }
+
+    /// Submitter, under its tenant's queue lock with that queue empty:
+    /// takes a slot for a run that skips the queues, which the pump would
+    /// have picked next — nothing is queued anywhere and a slot is free.
+    /// `false` leaves the budget untouched; the run is then queued.
+    pub fn try_straight_through(&self) -> bool {
+        // Relaxed: a run queued by another tenant that this misses is
+        // concurrent with this submission, and its own pump or the
+        // release of the slot taken here dispatches it.
+        self.backlog.load(Ordering::Relaxed) == 0 && self.try_charge()
     }
 
     /// Finalizer: frees a slot; `true` when runs are queued, i.e. the
@@ -178,7 +214,8 @@ struct QueuedRun {
     /// from it.
     submit_us: u64,
     /// Stamped by [`next_dispatch`] when the fair-queue pump pops the
-    /// run; `0` until then.
+    /// run, or equal to `submit_us` for a run dispatched straight through
+    /// ([`Executor::run_topology_on`]); `0` until then.
     admitted_us: u64,
     /// Absolute expiry ([`crate::clock::now_us`] domain) past which the
     /// dispatcher sheds this run instead of dispatching it; `0` = none.
@@ -187,6 +224,14 @@ struct QueuedRun {
     /// shutdown-draining it must release the probe claim so the breaker
     /// can admit another.
     probe: bool,
+}
+
+impl QueuedRun {
+    /// Is the run's deadline already past at `now`? Such a run is shed,
+    /// not dispatched: its client has given up on it.
+    fn expired(&self, now: u64) -> bool {
+        self.deadline_us != 0 && now >= self.deadline_us
+    }
 }
 
 /// Shared per-tenant state: the bounded submission queue plus the fair
@@ -222,8 +267,9 @@ pub(crate) struct TenantState {
     /// `queue.len()`, moved under the queue lock with every push and pop,
     /// so the fair-queue scan can skip an empty tenant without locking it.
     queued: AtomicUsize,
-    /// Weighted-fair-queueing virtual finish time. Only mutated under the
-    /// executor's `qos` lock; atomic so snapshots read it lock-free.
+    /// Weighted-fair-queueing virtual finish time. Only written under this
+    /// tenant's queue lock ([`TenantState::advance_vtime`]); atomic so the
+    /// pump's scan and snapshots read it lock-free.
     vtime: AtomicU64,
     /// Admission attempts, counted under the queue lock.
     submitted: AtomicU64,
@@ -233,10 +279,11 @@ pub(crate) struct TenantState {
 
     // ---- written by both: up at the pop, down at the outcome ----
     _both: LineBreak,
-    /// Runs popped from the queue whose fate is not final yet: until the
-    /// stint finalizes for a dispatched run, until the outcome is
-    /// recorded for every other. `queued + inflight == 0` therefore means
-    /// every submission so far is in the ledger.
+    /// Runs out of the queue — popped, or admitted straight through —
+    /// whose fate is not final yet: until the stint finalizes for a
+    /// dispatched run, until the outcome is recorded for every other.
+    /// `queued + inflight == 0` therefore means every submission so far
+    /// is in the ledger.
     inflight: AtomicU64,
 
     // ---- written on the way out: finalize, breaker, retries ----
@@ -311,6 +358,29 @@ impl TenantState {
         Some(run)
     }
 
+    /// The fair-queue clocks move as one of this tenant's runs is
+    /// dispatched: an idle tenant's stale clock first fast-forwards to
+    /// `vnow` (idling banks no credit), `vnow` moves up to it, and the
+    /// tenant's clock moves one weighted step past. Call under this
+    /// tenant's queue lock, which serializes every write of `vtime`.
+    fn advance_vtime(&self, inner: &Inner) {
+        let mut vnow = inner.vnow.load(Ordering::Relaxed);
+        let vt = self.vtime.load(Ordering::Relaxed).max(vnow);
+        // An atomic max: the pump and straight-through submitters of
+        // other tenants move it concurrently.
+        while vnow < vt {
+            match inner
+                .vnow
+                .compare_exchange_weak(vnow, vt, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(seen) => vnow = seen,
+            }
+        }
+        self.vtime
+            .store(vt + VT_SCALE / u64::from(self.weight), Ordering::Relaxed);
+    }
+
     /// Ends an unqueued run that will never execute: hands back a probe
     /// claim it may hold, records `outcome` and fails its promise. Call
     /// with no lock held — promise resolution can run arbitrary waker
@@ -338,11 +408,11 @@ impl TenantState {
     /// Point-in-time snapshot of this tenant's counters and gauges.
     ///
     /// Holds the queue lock across every read: a submission is counted,
-    /// and then either refused or pushed, under the same lock, so a
-    /// scraper never sees one that is in neither `queued` nor a
-    /// `rejected_*` bucket. A popped run is carried by `in_flight` until
-    /// its outcome is recorded; the ledger is exact once `queued` and
-    /// `in_flight` are both zero.
+    /// and then refused, pushed or put in flight, under the same lock, so
+    /// a scraper never sees one that is in none of `queued`, `in_flight`
+    /// and the `rejected_*` buckets. A run out of the queue is carried by
+    /// `in_flight` until its outcome is recorded; the ledger is exact once
+    /// `queued` and `in_flight` are both zero.
     fn snapshot(&self) -> TenantStats {
         let q = self.queue.lock();
         TenantStats {
@@ -449,15 +519,11 @@ fn check_open(inner: &Inner) -> Result<(), AdmissionError> {
     Ok(())
 }
 
-/// The tenant control plane, guarded by `Inner::qos`: the tenant list and
-/// the weighted-fair-queueing dispatch state.
+/// The tenant control plane, guarded by `Inner::qos`: the tenant list,
+/// and the right to pump.
 #[derive(Default)]
 pub(crate) struct QosState {
     pub(crate) tenants: Vec<Arc<TenantState>>,
-    /// The fair queue's notion of "now": the virtual time of the last
-    /// dispatch. A tenant idle for a while resumes from here rather than
-    /// from its stale clock, so sleeping never banks credit.
-    vnow: u64,
 }
 
 /// A client handle for one tenant of an [`Executor`] — the unit of
@@ -594,14 +660,21 @@ impl Inner {
 }
 
 impl Executor {
-    /// Tenant-scoped submission: queues the batch in `tenant`'s bounded
-    /// queue and lets the weighted-fair-queue pump dispatch it within the
-    /// executor's in-flight budget. `block` decides what a full queue
-    /// does: reject with [`AdmissionError::Saturated`] immediately, wait
-    /// bounded, or wait indefinitely. `deadline`, when set (or defaulted
-    /// from [`TenantQos::deadline`]), is checked for feasibility against
-    /// the age of the tenant's oldest queued run and stamped onto the
-    /// queued run for the dispatcher's shed check.
+    /// Tenant-scoped submission: runs the admission chain under `tenant`'s
+    /// queue lock, then either dispatches the run straight through or
+    /// queues it for the weighted-fair-queue pump. `block` decides what a
+    /// full queue does: reject with [`AdmissionError::Saturated`]
+    /// immediately, wait bounded, or wait indefinitely. `deadline`, when
+    /// set (or defaulted from [`TenantQos::deadline`]), is checked for
+    /// feasibility against the age of the tenant's oldest queued run and
+    /// stamped onto the run for the dispatcher's shed check.
+    ///
+    /// Straight through is the pump's own dispatch, done in place when
+    /// the pump would pick this very run: the tenant's queue is empty,
+    /// nothing is queued anywhere, and a slot is free. It takes no `qos`
+    /// lock and no second queue lock, and the one clock read stamps
+    /// submit, admission and dispatch alike. A full budget or a run
+    /// queued anywhere sends the run through the queue and the pump.
     pub(crate) fn run_topology_on(
         &self,
         tenant: &Tenant,
@@ -626,37 +699,61 @@ impl Executor {
         // The per-run override beats the tenant default.
         let deadline = deadline.or(state.deadline);
         let (promise, future) = crate::future::promise_pair();
-        let admitted = {
-            let mut q = state.queue.lock();
-            // Counted per admission *attempt*, and the attempt refused or
-            // pushed, under one hold of the queue lock (see `snapshot`).
-            state.submitted.fetch_add(1, Ordering::Relaxed);
-            let admitted = state.admit(inner, &mut q, block, deadline);
-            match &admitted {
-                Ok(probe) => {
-                    let now = crate::clock::now_us().max(1);
-                    q.push_back(QueuedRun {
-                        topo: Arc::clone(topo),
-                        pending: PendingRun { cond, promise },
-                        submit_us: now,
-                        admitted_us: 0,
-                        deadline_us: deadline
-                            .map(|d| now.saturating_add(d.as_micros() as u64))
-                            .unwrap_or(0),
-                        probe: *probe,
-                    });
-                    // `queued` first: a finalizer that sees the backlog
-                    // through the budget's SeqCst pair then also sees
-                    // which tenant holds it.
-                    state.queued.fetch_add(1, Ordering::Relaxed);
-                    inner.budget.queued();
-                }
-                Err(refusal) => state.record(Outcome::refused(refusal)),
+        let mut q = state.queue.lock();
+        // Counted per admission *attempt*, and the attempt refused, pushed
+        // or put in flight under one hold of the queue lock (see
+        // `snapshot`).
+        state.submitted.fetch_add(1, Ordering::Relaxed);
+        let probe = match state.admit(inner, &mut q, block, deadline) {
+            Ok(probe) => probe,
+            Err(refusal) => {
+                state.record(Outcome::refused(&refusal));
+                return Err(refusal);
             }
-            admitted
         };
-        admitted?;
-        pump_tenants(inner);
+        let now = crate::clock::now_us().max(1);
+        let mut run = QueuedRun {
+            topo: Arc::clone(topo),
+            pending: PendingRun { cond, promise },
+            submit_us: now,
+            admitted_us: 0,
+            deadline_us: deadline
+                .map(|d| now.saturating_add(d.as_micros() as u64))
+                .unwrap_or(0),
+            probe,
+        };
+        if !(q.is_empty() && inner.budget.try_straight_through()) {
+            q.push_back(run);
+            // `queued` first: a finalizer that sees the backlog through
+            // the budget's SeqCst pair then also sees which tenant holds
+            // it.
+            state.queued.fetch_add(1, Ordering::Relaxed);
+            inner.budget.queued();
+            drop(q);
+            pump_tenants(inner);
+            return Ok(future);
+        }
+        // Straight through: what `next_dispatch` does for a popped run,
+        // with the slot already charged.
+        state.inflight.fetch_add(1, Ordering::Relaxed);
+        let expired = run.expired(now);
+        if !expired {
+            state.advance_vtime(inner);
+        }
+        drop(q);
+        run.admitted_us = now;
+        // A slot handed back while runs are queued obliges its releaser
+        // to pump (see `FrontDoorBudget`).
+        let must_pump = if expired {
+            let queued = inner.budget.release();
+            state.retire(run, Outcome::Shed);
+            queued
+        } else {
+            dispatch_tenant_run(inner, &tenant.state, run, Some(now))
+        };
+        if must_pump {
+            pump_tenants(inner);
+        }
         Ok(future)
     }
 }
@@ -665,9 +762,9 @@ impl Executor {
 /// repeatedly picks the nonempty tenant with the smallest virtual time
 /// (weighted fair queueing) and starts its oldest queued run.
 ///
-/// Called after every tenant submission, and after a tenant topology
-/// finalizes *if anything is queued* ([`FrontDoorBudget::release`]), so
-/// the budget is always refilled promptly. Runs on client and worker
+/// Called after every queued tenant submission, and whenever a slot is
+/// handed back *while anything is queued* ([`FrontDoorBudget::release`]),
+/// so the budget is always refilled promptly. Runs on client and worker
 /// threads alike; all steps are non-blocking.
 fn pump_tenants(inner: &Inner) {
     let mut expired: Vec<(Arc<TenantState>, QueuedRun)> = Vec::new();
@@ -680,7 +777,8 @@ fn pump_tenants(inner: &Inner) {
         let Some((tenant, run)) = next else {
             return;
         };
-        dispatch_tenant_run(inner, tenant, run);
+        // The loop looks at the queues again itself.
+        let _ = dispatch_tenant_run(inner, &tenant, run, None);
     }
 }
 
@@ -695,7 +793,7 @@ fn next_dispatch(
     inner: &Inner,
     expired: &mut Vec<(Arc<TenantState>, QueuedRun)>,
 ) -> Option<(Arc<TenantState>, QueuedRun)> {
-    let mut qos = inner.qos.lock();
+    let qos = inner.qos.lock();
     'scan: loop {
         if !inner.budget.has_room() {
             return None;
@@ -703,7 +801,7 @@ fn next_dispatch(
         // Min-virtual-time scan. Tenant counts are small (a handful of
         // clients); the scan under the qos lock is cheaper than a heap
         // that would need rebalancing on every idle/busy transition.
-        let vnow = qos.vnow;
+        let vnow = inner.vnow.load(Ordering::Relaxed);
         let mut best: Option<(usize, u64)> = None;
         for (i, t) in qos.tenants.iter().enumerate() {
             // The queue's length word, not its lock. A pumping submitter
@@ -720,53 +818,62 @@ fn next_dispatch(
                 best = Some((i, vt));
             }
         }
-        let (idx, vt) = best?;
+        let (idx, _) = best?;
         let tenant = Arc::clone(&qos.tenants[idx]);
-        let run = {
-            // Lock order: qos → tenant.queue (here only; never the
-            // inverse).
-            let mut q = tenant.queue.lock();
-            let now = crate::clock::now_us().max(1);
-            loop {
-                let Some(mut run) = tenant.unqueue(&mut q, &inner.budget) else {
-                    // The whole queue was doomed work (or a shutdown drain
-                    // emptied it since the scan); rescan — another tenant
-                    // may still have dispatchable runs.
-                    continue 'scan;
-                };
-                if run.deadline_us != 0 && now >= run.deadline_us {
-                    // Shed: the run could not be dispatched before its
-                    // deadline; dispatching it now would burn worker
-                    // time on work whose client has given up.
-                    expired.push((Arc::clone(&tenant), run));
-                    continue;
-                }
-                // Admission stamp: the fair-queue pump just released this
-                // run from the tenant queue (end of the admission-wait
-                // phase).
-                run.admitted_us = now;
-                break run;
+        // Lock order: qos → tenant.queue (here only; never the inverse).
+        let mut q = tenant.queue.lock();
+        // The slot is charged before the pop: a straight-through submitter
+        // may have taken the last one since the check above, and then the
+        // run stays queued for that stint's release to pump.
+        if !inner.budget.try_charge() {
+            return None;
+        }
+        let now = crate::clock::now_us().max(1);
+        let run = loop {
+            let Some(mut run) = tenant.unqueue(&mut q, &inner.budget) else {
+                // The whole queue was doomed work (or a shutdown drain
+                // emptied it since the scan); hand the slot back and
+                // rescan — another tenant may still have dispatchable
+                // runs, and this loop is the pump that would be asked.
+                let _ = inner.budget.release();
+                continue 'scan;
+            };
+            if run.expired(now) {
+                // Shed: the run could not be dispatched before its
+                // deadline; dispatching it now would burn worker time on
+                // work whose client has given up.
+                expired.push((Arc::clone(&tenant), run));
+                continue;
             }
+            // Admission stamp: the fair-queue pump just released this run
+            // from the tenant queue (end of the admission-wait phase).
+            run.admitted_us = now;
+            break run;
         };
-        qos.vnow = vt;
-        tenant
-            .vtime
-            .store(vt + VT_SCALE / u64::from(tenant.weight), Ordering::Relaxed);
-        inner.budget.charge();
+        tenant.advance_vtime(inner);
+        drop(q);
         return Some((tenant, run));
     }
 }
 
-/// Starts a run handed out by [`next_dispatch`]: claims its topology
-/// (or retires it, if shutdown began since the pop) and drives the first
-/// iteration when this run got the driver role.
-fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) {
-    match inner.claim(&run.topo, run.pending, Some(&tenant)) {
+/// Starts a run taken out of the queues with its slot charged — popped by
+/// [`next_dispatch`], or admitted straight through: claims its topology
+/// (or retires it, if shutdown began since admission) and drives the
+/// first iteration when this run got the driver role. `dispatched_us` is
+/// the stamp a straight-through run shares with its submission; `None`
+/// reads the clock at the claim. Returns whether the slot went back while
+/// runs were queued, i.e. the caller must pump.
+fn dispatch_tenant_run(
+    inner: &Inner,
+    tenant: &Arc<TenantState>,
+    run: QueuedRun,
+    dispatched_us: Option<u64>,
+) -> bool {
+    match inner.claim(&run.topo, run.pending, Some(tenant)) {
         Claim::Closed(pending) => {
-            // Hands the slot back; the pump loop that called us looks at
-            // the queues again itself, so the answer is not needed.
-            let _ = inner.budget.release();
+            let must_pump = inner.budget.release();
             tenant.retire(QueuedRun { pending, ..run }, Outcome::RejectedShutdown);
+            must_pump
         }
         Claim::Driver => {
             tenant.record(Outcome::Dispatched);
@@ -776,12 +883,12 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
             // the sources visible (the injector's Release publish carries
             // them to workers). Coalesced dispatches below ride the incumbent
             // driver's stint and are never recorded.
-            run.topo.stamps.arm(
-                run.submit_us,
-                run.admitted_us,
-                crate::clock::now_us().max(1),
-            );
+            let dispatched_us = dispatched_us.unwrap_or_else(|| crate::clock::now_us().max(1));
+            run.topo
+                .stamps
+                .arm(run.submit_us, run.admitted_us, dispatched_us);
             advance_topology(inner, &run.topo, false, None);
+            false
         }
         Claim::Rider => {
             // The topology is already running under another registration; the
@@ -794,7 +901,7 @@ fn dispatch_tenant_run(inner: &Inner, tenant: Arc<TenantState>, run: QueuedRun) 
             tenant.breaker.release_probe(run.probe);
             tenant.record(Outcome::Coalesced);
             tenant.inflight.fetch_sub(1, Ordering::Relaxed);
-            let _ = inner.budget.release();
+            inner.budget.release()
         }
     }
 }

@@ -120,7 +120,7 @@ impl RearmHarness {
         // SAFETY: the caller holds the driver role — it claimed the idle
         // topology at submission, or performed the final sink count-down
         // of an iteration (see `execute`).
-        match unsafe { self.topo.advance(iteration_finished) } {
+        match unsafe { self.topo.advance(iteration_finished, || {}) } {
             Advance::RunIteration => {
                 // SAFETY: driver role; quiescent between iterations.
                 unsafe {

@@ -77,7 +77,9 @@ pub struct Taskflow {
     /// The reusable topology targeted by `run*` when the present graph is
     /// empty: the most recently frozen one.
     reusable: SyncCell<Option<Arc<Topology>>>,
-    waits: Mutex<WaitSet>,
+    /// Every future handed out, for `wait_for_all`. A `SyncCell`, not a
+    /// lock: the taskflow is `!Sync`, and no task can reach it.
+    waits: SyncCell<WaitSet>,
     name: SyncCell<String>,
     /// Failure policy stamped onto graphs frozen *after* it was set.
     policy: std::cell::Cell<FailurePolicy>,
@@ -110,7 +112,7 @@ impl Taskflow {
             executor,
             topologies: Mutex::new(Vec::new()),
             reusable: SyncCell::new(None),
-            waits: Mutex::new(WaitSet {
+            waits: SyncCell::new(WaitSet {
                 futures: Vec::new(),
                 watermark: 0,
                 first_error: None,
@@ -337,7 +339,7 @@ impl Taskflow {
             return RunHandle::ready(Ok(()));
         };
         let future = self.executor.run_topology(&topo, cond, false);
-        self.waits.lock().futures.push(future.clone());
+        self.with_waits(|w| w.futures.push(future.clone()));
         RunHandle::new(future, Arc::downgrade(&topo))
     }
 
@@ -354,7 +356,7 @@ impl Taskflow {
         let future = self
             .executor
             .run_topology_on(tenant, &topo, cond, block, deadline)?;
-        self.waits.lock().futures.push(future.clone());
+        self.with_waits(|w| w.futures.push(future.clone()));
         Ok(RunHandle::new(future, Arc::downgrade(&topo)))
     }
 
@@ -557,7 +559,7 @@ impl Taskflow {
         let future = self
             .executor
             .run_topology(&topo, RunCondition::Count(1), caller_waits);
-        self.waits.lock().futures.push(future.clone());
+        self.with_waits(|w| w.futures.push(future.clone()));
         RunHandle::new(future, Arc::downgrade(&topo))
     }
 
@@ -603,24 +605,31 @@ impl Taskflow {
         // resolved.
         let _ = self.dispatch_present(true);
         loop {
-            // Clone the future out so the lock is not held while blocking;
-            // `&self` is !Sync, so no one else advances the watermark.
-            let next = {
-                let w = self.waits.lock();
-                w.futures.get(w.watermark).cloned()
-            };
+            // Clone the future out so the wait set is not borrowed while
+            // blocking; `&self` is !Sync, so no one else advances the
+            // watermark.
+            let next = self.with_waits(|w| w.futures.get(w.watermark).cloned());
             let Some(future) = next else { break };
             let result = future.get();
-            let mut w = self.waits.lock();
-            w.watermark += 1;
-            if let Err(e) = result {
-                w.first_error.get_or_insert(e);
-            }
+            self.with_waits(|w| {
+                w.watermark += 1;
+                if let Err(e) = result {
+                    w.first_error.get_or_insert(e);
+                }
+            });
         }
-        match &self.waits.lock().first_error {
+        self.with_waits(|w| match &w.first_error {
             Some(e) => Err(e.clone()),
             None => Ok(()),
-        }
+        })
+    }
+
+    /// Runs `f` on the wait set, the one way to reach it through `&self`.
+    fn with_waits<R>(&self, f: impl FnOnce(&mut WaitSet) -> R) -> R {
+        // SAFETY: !Sync — single-threaded access, and `f` never reaches
+        // back into this taskflow (tasks cannot: it is !Sync and they
+        // are 'static), so the borrow is unique while it lasts.
+        f(unsafe { self.waits.get_mut() })
     }
 
     /// Drops settled topologies (releasing their graphs) and compacts the
@@ -633,7 +642,8 @@ impl Taskflow {
     /// graph the next `run` re-arms.
     pub fn gc(&mut self) -> usize {
         {
-            let w = self.waits.get_mut();
+            // SAFETY: `&mut self` — the unique accessor.
+            let w = unsafe { self.waits.get_mut() };
             while w.watermark < w.futures.len() && w.futures[w.watermark].is_ready() {
                 if let Some(Err(e)) = w.futures[w.watermark].try_get() {
                     w.first_error.get_or_insert(e);
@@ -663,7 +673,8 @@ impl Drop for Taskflow {
             // the shimmed wait returns at once, so the loop would spin.
             return;
         }
-        let w = self.waits.get_mut();
+        // SAFETY: `&mut self` — the unique accessor.
+        let w = unsafe { self.waits.get_mut() };
         for f in &w.futures[w.watermark..] {
             f.wait();
         }

@@ -223,6 +223,10 @@ pub(crate) struct Topology {
     /// First error observed while running an iteration (kept, later ones
     /// dropped); taken by the driver when the iteration ends.
     pub(crate) error: Mutex<Option<RunError>>,
+    /// `error.is_some()`, written under the `error` lock by
+    /// [`Topology::record_error`] and by the take, so that an error-free
+    /// finalize reads one word instead of taking the lock.
+    errored: AtomicBool,
     /// Cooperative cancellation flag. Once set, workers *skip* every node
     /// they would otherwise start (completion bookkeeping still runs, so
     /// the iteration drains promptly) and in-flight tasks can poll it via
@@ -295,6 +299,7 @@ impl Topology {
                 current: SyncCell::new(None),
                 pending: Mutex::new(VecDeque::new()),
                 error: Mutex::new(None),
+                errored: AtomicBool::new(false),
                 cancelled: AtomicBool::new(false),
                 policy,
                 fatal,
@@ -456,14 +461,30 @@ impl Topology {
     /// recorded for the in-flight iteration and not yet taken by the
     /// driver (advisory).
     pub(crate) fn has_error(&self) -> bool {
-        self.error.lock().is_some()
+        self.errored.load(Ordering::Relaxed)
     }
 
     /// `true` while the recorded error is a genuine task failure (panic)
     /// rather than a cancellation — the circuit breaker's signal. Read by
-    /// the driver before `advance` consumes the error.
+    /// the driver before `advance` consumes the error; with no error
+    /// recorded it takes no lock.
     pub(crate) fn has_panic(&self) -> bool {
-        matches!(&*self.error.lock(), Some(RunError::Panic(_)))
+        self.has_error() && matches!(&*self.error.lock(), Some(RunError::Panic(_)))
+    }
+
+    /// Takes the recorded error, if any; with none recorded it takes no
+    /// lock. Relaxed suffices for the flag: every writer reaches the
+    /// driver through a happens-before edge of its own — a task's
+    /// recording through the sink chain that ended the iteration, a
+    /// `cancel` through the `cancelled` flag the drain Acquires — and one
+    /// that has none raced the take and is cleared by the next.
+    fn take_error(&self) -> Option<RunError> {
+        if !self.has_error() {
+            return None;
+        }
+        let mut guard = self.error.lock();
+        self.errored.store(false, Ordering::Relaxed);
+        guard.take()
     }
 
     /// `true` when no batch is executing or queued: the graph is quiescent
@@ -475,21 +496,31 @@ impl Topology {
     }
 
     /// Queues `batch` FIFO. Returns `true` when the caller claimed the
-    /// idle topology and is now its driver: it must call
-    /// [`Topology::advance`]`(false)` and act on the outcome.
+    /// idle topology and is now its driver: the batch is then already the
+    /// current one (an idle topology has an empty queue, so nothing is
+    /// overtaken), and the caller must call [`Topology::advance`]`(false)`
+    /// and act on the outcome.
     ///
     /// The queue mutex serializes this claim against the driver's
     /// own idle transition in `advance`, so a batch is never lost between
     /// "driver saw an empty queue" and "driver went idle".
     pub(crate) fn enqueue(&self, batch: PendingRun) -> bool {
         let mut q = self.pending.lock();
-        q.push_back(batch);
         // ORDERING: AcqRel — the Acquire half sees the outgoing driver's
-        // final writes behind its Release IDLE store; the Release half
-        // publishes this batch to whoever later claims the topology.
-        self.state
+        // final writes (its `current` included) behind its Release IDLE
+        // store.
+        let claimed = self
+            .state
             .compare_exchange(IDLE, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+            .is_ok();
+        if claimed {
+            // SAFETY: the CAS just made the caller the driver, the only
+            // thread that touches `current` until it goes idle again.
+            unsafe { *self.current.get_mut() = Some(batch) };
+        } else {
+            q.push_back(batch);
+        }
+        claimed
     }
 
     /// Drives the batch state machine. Called with
@@ -502,18 +533,23 @@ impl Topology {
     /// the next pending batch FIFO, and either asks the driver to run an
     /// iteration or transitions the topology to idle.
     ///
+    /// `ended` runs at most once, before anything here can make the
+    /// topology idle, and only when this call may end the driver's stint:
+    /// at once when an iteration finished, or when the claimed batch needs
+    /// no iteration. A claim whose batch runs takes no lock here.
+    ///
     /// # Safety
     /// Caller must hold the driver role: it claimed the topology via
     /// `enqueue`, or it performed the final `sinks_left` decrement of an
     /// iteration. At most one driver exists at a time.
-    pub(crate) unsafe fn advance(&self, iteration_finished: bool) -> Advance {
+    pub(crate) unsafe fn advance(&self, iteration_finished: bool, ended: impl FnOnce()) -> Advance {
         // Promises resolve only *after* the next state is decided: a
         // waiter that observes a resolved future may immediately check
         // `is_settled` (gc, dumps) or resubmit, so the idle transition
         // must never lag behind the resolution it caused.
         let mut resolved = Resolved::default();
         // SAFETY: forwarded driver-role contract.
-        let action = unsafe { self.advance_inner(iteration_finished, &mut resolved) };
+        let action = unsafe { self.advance_inner(iteration_finished, ended, &mut resolved) };
         for (batch, result) in resolved.first.into_iter().chain(resolved.rest) {
             batch.promise.set(result);
         }
@@ -525,14 +561,19 @@ impl Topology {
     ///
     /// # Safety
     /// Same contract as [`Topology::advance`].
-    unsafe fn advance_inner(&self, iteration_finished: bool, resolved: &mut Resolved) -> Advance {
-        if iteration_finished {
+    unsafe fn advance_inner(
+        &self,
+        iteration_finished: bool,
+        ended: impl FnOnce(),
+        resolved: &mut Resolved,
+    ) -> Advance {
+        // SAFETY: driver-exclusive cell per this function's contract.
+        let cur = unsafe { self.current.get_mut() };
+        let batch = cur.as_mut().expect("a driver always has a batch");
+        let outcome = if iteration_finished {
+            ended();
             self.iterations.fetch_add(1, Ordering::Relaxed);
-            let err = self.error.lock().take();
-            // SAFETY: driver-exclusive cell per this function's contract.
-            let cur = unsafe { self.current.get_mut() };
-            let batch = cur.as_mut().expect("iteration finished without a batch");
-            let outcome = match err {
+            match self.take_error() {
                 // An error in iteration k resolves the whole batch with
                 // that iteration's error; remaining iterations are
                 // abandoned (reference `run_n` semantics).
@@ -543,13 +584,20 @@ impl Topology {
                     }
                     batch.cond.finished(self.iterations())
                 }
-            };
-            match outcome {
-                None => return Advance::RunIteration,
-                Some(result) => {
-                    let batch = cur.take().expect("checked above");
-                    resolved.push((batch, result));
-                }
+            }
+        } else {
+            // A claim: `enqueue` made the batch current.
+            let outcome = batch.cond.finished(self.iterations());
+            if outcome.is_some() {
+                ended();
+            }
+            outcome
+        };
+        match outcome {
+            None => return Advance::RunIteration,
+            Some(result) => {
+                let batch = cur.take().expect("checked above");
+                resolved.push((batch, result));
             }
         }
         // The current batch (if any) just ended: pop the next one FIFO.
@@ -575,7 +623,7 @@ impl Topology {
                     // (its batch already resolved) left `Cancelled` behind;
                     // clear it so the next submission starts clean. Lock
                     // order pending → error matches `cancel`.
-                    let _ = self.error.lock().take();
+                    let _ = self.take_error();
                     // ORDERING: Release pair — the drained queue and the
                     // cleared error are published before the flag reset
                     // and the IDLE store that lets a new run claim us.
@@ -641,6 +689,7 @@ impl Topology {
         let mut guard = self.error.lock();
         if guard.is_none() {
             *guard = Some(error);
+            self.errored.store(true, Ordering::Relaxed);
         }
     }
 
@@ -733,16 +782,16 @@ mod tests {
         assert!(topo.enqueue(b));
         assert!(!topo.is_settled());
         unsafe {
-            assert_eq!(topo.advance(false), Advance::RunIteration);
+            assert_eq!(topo.advance(false, || {}), Advance::RunIteration);
             let mut published = 0;
             topo.begin_iteration(|s| published = s.len());
             assert_eq!(published, 1);
             // First iteration "completes".
-            assert_eq!(topo.advance(true), Advance::RunIteration);
+            assert_eq!(topo.advance(true, || {}), Advance::RunIteration);
             assert!(!future.is_ready());
             topo.begin_iteration(|_| {});
             // Second (last) iteration completes: batch resolves, idle.
-            assert_eq!(topo.advance(true), Advance::Idle);
+            assert_eq!(topo.advance(true, || {}), Advance::Idle);
         }
         assert!(future.get().is_ok());
         assert_eq!(topo.iterations(), 2);
@@ -757,7 +806,7 @@ mod tests {
         let (b, future) = batch(RunCondition::Count(0));
         assert!(topo.enqueue(b));
         unsafe {
-            assert_eq!(topo.advance(false), Advance::Idle);
+            assert_eq!(topo.advance(false, || {}), Advance::Idle);
         }
         assert!(future.get().is_ok());
         assert_eq!(topo.iterations(), 0);
@@ -771,7 +820,7 @@ mod tests {
         let (b, future) = batch(RunCondition::Until(Box::new(|| true)));
         assert!(topo.enqueue(b));
         unsafe {
-            assert_eq!(topo.advance(false), Advance::Idle);
+            assert_eq!(topo.advance(false, || {}), Advance::Idle);
         }
         assert!(future.get().is_ok());
         assert_eq!(topo.iterations(), 0);
@@ -785,10 +834,10 @@ mod tests {
         let (b, future) = batch(RunCondition::Count(10));
         assert!(topo.enqueue(b));
         unsafe {
-            assert_eq!(topo.advance(false), Advance::RunIteration);
+            assert_eq!(topo.advance(false, || {}), Advance::RunIteration);
             topo.begin_iteration(|_| {});
             topo.record_panic(TaskPanic::new("t", "boom"));
-            assert_eq!(topo.advance(true), Advance::Idle);
+            assert_eq!(topo.advance(true, || {}), Advance::Idle);
         }
         let err = future.get().expect_err("batch must fail");
         assert_eq!(err.as_panic().unwrap().message, "boom");
@@ -805,16 +854,42 @@ mod tests {
         assert!(topo.enqueue(b1));
         assert!(!topo.enqueue(b2)); // already running: queued, not claimed
         unsafe {
-            assert_eq!(topo.advance(false), Advance::RunIteration);
+            assert_eq!(topo.advance(false, || {}), Advance::RunIteration);
             topo.begin_iteration(|_| {});
             // Batch 1 ends; batch 2 starts without going idle.
-            assert_eq!(topo.advance(true), Advance::RunIteration);
+            assert_eq!(topo.advance(true, || {}), Advance::RunIteration);
             assert!(f1.is_ready());
             assert!(!f2.is_ready());
             topo.begin_iteration(|_| {});
-            assert_eq!(topo.advance(true), Advance::Idle);
+            assert_eq!(topo.advance(true, || {}), Advance::Idle);
         }
         assert!(f2.get().is_ok());
+    }
+
+    /// The stint hook runs only where a stint may end: after an iteration,
+    /// or at a claim whose batch needs none; a claim that runs skips it.
+    #[test]
+    fn ended_runs_only_where_the_stint_may_end() {
+        let mut g = Graph::new();
+        g.emplace(Work::empty());
+        let topo = topo_of(g);
+        let calls = std::cell::Cell::new(0);
+        let ended = || calls.set(calls.get() + 1);
+        let (b, _f) = batch(RunCondition::Count(1));
+        assert!(topo.enqueue(b));
+        unsafe {
+            assert_eq!(topo.advance(false, ended), Advance::RunIteration);
+            assert_eq!(calls.get(), 0, "a claim that runs reads no stint");
+            topo.begin_iteration(|_| {});
+            assert_eq!(topo.advance(true, ended), Advance::Idle);
+            assert_eq!(calls.get(), 1);
+        }
+        let (b, _f) = batch(RunCondition::Count(0));
+        assert!(topo.enqueue(b));
+        unsafe {
+            assert_eq!(topo.advance(false, ended), Advance::Idle);
+        }
+        assert_eq!(calls.get(), 2, "a claim that needs no iteration ends");
     }
 
     #[test]
@@ -825,13 +900,13 @@ mod tests {
         let (b, _f) = batch(RunCondition::Count(2));
         topo.enqueue(b);
         unsafe {
-            topo.advance(false);
+            topo.advance(false, || {});
             topo.begin_iteration(|_| {});
             let first = topo.run_id();
-            topo.advance(true);
+            topo.advance(true, || {});
             topo.begin_iteration(|_| {});
             assert_ne!(topo.run_id(), first);
-            topo.advance(true);
+            topo.advance(true, || {});
         }
     }
 }

@@ -245,9 +245,10 @@ fn concurrent_scrapes_under_chaos_keep_parsing() {
 
     let before = ex.stats();
     let done = Arc::new(AtomicBool::new(false));
+    let progress: Arc<[AtomicUsize; 4]> = Arc::new(Default::default());
     let scrapers: Vec<_> = (0..4)
         .map(|k| {
-            let done = Arc::clone(&done);
+            let (done, progress) = (Arc::clone(&done), Arc::clone(&progress));
             std::thread::spawn(move || {
                 let mut scrapes = 0usize;
                 while !done.load(Ordering::Relaxed) {
@@ -270,14 +271,26 @@ fn concurrent_scrapes_under_chaos_keep_parsing() {
                         }
                     }
                     scrapes += 1;
+                    progress[k].store(scrapes, Ordering::Relaxed);
                 }
                 scrapes
             })
         })
         .collect();
 
-    let fut = tf.run_n(iters);
-    fut.get().expect("transient chaos must be rescued by retry");
+    // Chaos batches until every scraper has made its three scrapes (or
+    // one stopped early, which its join reports).
+    let mut batches = 0;
+    loop {
+        tf.run_n(iters)
+            .get()
+            .expect("transient chaos must be rescued by retry");
+        batches += 1;
+        let scraped = progress.iter().all(|p| p.load(Ordering::Relaxed) >= 3);
+        if scraped || scrapers.iter().any(|s| s.is_finished()) {
+            break;
+        }
+    }
     done.store(true, Ordering::Relaxed);
     for s in scrapers {
         let scrapes = s.join().expect("scraper panicked (torn response)");
@@ -287,7 +300,7 @@ fn concurrent_scrapes_under_chaos_keep_parsing() {
     // The workload itself was unharmed: every task of every iteration
     // completed, and the counter deltas agree with the plan.
     let delta = ex.stats().delta(&before);
-    let total_tasks = dim * dim * iters as usize;
+    let total_tasks = dim * dim * iters as usize * batches;
     assert_eq!(completed.load(Ordering::Relaxed), total_tasks);
     assert_eq!(delta.total().retries as usize, fired.lock().unwrap().len());
     assert!(delta.total().executed as usize >= total_tasks);

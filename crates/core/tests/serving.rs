@@ -648,25 +648,36 @@ struct Expected {
     rejected_infeasible: u64,
 }
 
+/// A run of the ledger property: its tenant, whether its flow panics, and
+/// its handle.
+type Submitted = (usize, bool, rustflow::RunHandle);
+
 /// The quiescent point of the ledger property: with the gate open, every
 /// handle resolves (bounded), is folded into its tenant's expectation
 /// exactly once, and each tenant's settled ledger balances and agrees with
-/// what the client saw.
+/// what the client saw. A run of the panicking flow that ran resolves
+/// `Err(Panic)`, any other never does, and each failed run is a completed
+/// stint of its own or rode one.
 fn check_quiescent(
     tenants: &[Tenant; 2],
     expected: &mut [Expected; 2],
-    handles: &mut Vec<(usize, rustflow::RunHandle)>,
+    handles: &mut Vec<Submitted>,
     ops: &[(u8, usize, usize)],
 ) {
-    for (t, handle) in handles.drain(..) {
+    let mut panicked = [0u64; 2];
+    for (t, panics, handle) in handles.drain(..) {
         match get_within(&handle, "a run of the ledger property") {
-            Ok(()) => expected[t].ran += 1,
+            Ok(()) if !panics => expected[t].ran += 1,
+            Err(e) if panics && e.as_panic().is_some() => {
+                expected[t].ran += 1;
+                panicked[t] += 1;
+            }
             Err(e) if e.is_cancelled() => expected[t].ran += 1,
             Err(e) if e.is_shed() => expected[t].shed += 1,
             Err(e) if e.as_rejected() == Some(&AdmissionError::ShuttingDown) => {
                 expected[t].rejected_shutdown += 1
             }
-            Err(e) => panic!("unexpected outcome {e} in {ops:?}"),
+            other => panic!("unexpected outcome {other:?} (panics: {panics}) in {ops:?}"),
         }
     }
     for (tenant, want) in tenants.iter().zip(expected.iter()) {
@@ -682,13 +693,21 @@ fn check_quiescent(
         };
         assert_eq!(&got, want, "tenant {} after {ops:?}: {s:?}", s.name);
     }
+    for (tenant, panicked) in tenants.iter().zip(panicked) {
+        let s = tenant.stats();
+        assert!(
+            panicked <= s.completed + s.coalesced,
+            "{panicked} runs failed, not all counted, after {ops:?}: {s:?}"
+        );
+    }
 }
 
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
     /// Random sequences of submissions (blocking, non-blocking against
-    /// two-deep queues, with a zero and with a generous deadline), cancels,
+    /// two-deep queues, with a zero and with a generous deadline, of a flow
+    /// whose task panics, which the breaker's signal reads), cancels,
     /// resubmissions of a flow that is still running, gate flips and a
     /// `close`, over two tenants and an in-flight budget of 1–3: at every
     /// quiescent point each tenant's ledger balances and matches what the
@@ -696,7 +715,7 @@ proptest::proptest! {
     #[test]
     fn the_ledger_balances_at_every_quiescent_point(
         max_inflight in 1usize..4,
-        ops in proptest::collection::vec((0u8..12, 0usize..2, 0usize..3), 1..40),
+        ops in proptest::collection::vec((0u8..13, 0usize..2, 0usize..3), 1..40),
     ) {
         let ex = ExecutorBuilder::new().workers(2).max_inflight(max_inflight).build();
         let qos = TenantQos { max_queued: 2, ..TenantQos::default() };
@@ -706,20 +725,23 @@ proptest::proptest! {
         // flow still running (and coalesces) whenever the budget lets it
         // be popped.
         let flows: Vec<Taskflow> = (0..3).map(|_| gate_flow(ex.clone(), &gate)).collect();
+        let panicking = Taskflow::with_executor(ex.clone());
+        panicking.emplace(|| panic!("a failing run of the ledger property"));
         let _open = OpenOnDrop(Arc::clone(&gate));
         let mut expected = [Expected::default(), Expected::default()];
-        let mut handles: Vec<(usize, rustflow::RunHandle)> = Vec::new();
+        let mut handles: Vec<Submitted> = Vec::new();
         for (i, &(op, t, f)) in ops.iter().enumerate() {
             let (tenant, flow) = (&tenants[t], &flows[f]);
             let submission = match op {
                 // Blocking: only with the gate open, or a full queue
                 // behind a held budget would block this thread for good.
-                0 if gate.load(Ordering::Acquire) => Some(flow.run_on(tenant)),
-                0..=3 => Some(flow.try_run_on(tenant)),
-                4 | 5 => Some(flow.try_run_on_deadline(tenant, Duration::ZERO)),
-                6 => Some(flow.try_run_on_deadline(tenant, Duration::from_secs(60))),
+                0 if gate.load(Ordering::Acquire) => Some((false, flow.run_on(tenant))),
+                0..=3 => Some((false, flow.try_run_on(tenant))),
+                4 | 5 => Some((false, flow.try_run_on_deadline(tenant, Duration::ZERO))),
+                6 => Some((false, flow.try_run_on_deadline(tenant, Duration::from_secs(60)))),
+                12 => Some((true, panicking.try_run_on(tenant))),
                 7 | 8 => {
-                    if let Some((_, handle)) = handles.get(i % handles.len().max(1)) {
+                    if let Some((_, _, handle)) = handles.get(i % handles.len().max(1)) {
                         handle.cancel();
                     }
                     None
@@ -734,16 +756,16 @@ proptest::proptest! {
                     }
                 }
                 _ => {
-                    // One op in twelve shuts the door for the rest of
+                    // One op in thirteen shuts the door for the rest of
                     // the sequence (idempotent).
                     ex.close();
                     None
                 }
             };
-            if let Some(result) = submission {
+            if let Some((panics, result)) = submission {
                 expected[t].submitted += 1;
                 match result {
-                    Ok(handle) => handles.push((t, handle)),
+                    Ok(handle) => handles.push((t, panics, handle)),
                     Err(AdmissionError::Saturated { .. }) => expected[t].rejected_saturated += 1,
                     Err(AdmissionError::ShuttingDown) => expected[t].rejected_shutdown += 1,
                     Err(AdmissionError::DeadlineInfeasible { .. }) => {
