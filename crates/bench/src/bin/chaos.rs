@@ -125,7 +125,7 @@ struct Scenario {
     faults: fn(ChaosSpec) -> ChaosSpec,
     policy: FailurePolicy,
     /// Planned panics fire once per (node, epoch) and every task may retry
-    /// this often: the transient-fault model a retry budget absorbs.
+    /// this often: the transient-fault model a retry limit absorbs.
     retries: u32,
     drive: Drive,
     verdict: fn(&Outcome) -> bool,
@@ -365,7 +365,7 @@ fn main() {
 }
 
 /// A chaos wrapper whose planned panics fire **once per (node,
-/// iteration)** point — the transient-fault model that a retry budget is
+/// iteration)** point — the transient-fault model that a retry limit is
 /// meant to absorb. Delays stay pure.
 fn transient_wrap(
     spec: ChaosSpec,

@@ -5,10 +5,11 @@
 //! tasks panic on every dispatch (seeded chaos scoped via
 //! `ChaosSpec::for_tenant`). Every overload configuration is measured
 //! twice — once with the resilience layer engaged (per-run deadlines,
-//! queue-side shedding, a circuit breaker and a retry budget on the
-//! poisoned tenant) and once as the *ablation* (plain bounded queues,
-//! the seed's only backpressure) — interleaved so container load drift
-//! hits both sides equally, keeping the best run per side.
+//! judged at dispatch, where an expired run is shed, and a circuit
+//! breaker on the poisoned tenant) and once as the *ablation* (plain
+//! bounded queues, the seed's only backpressure) — interleaved so
+//! container load drift hits both sides equally, keeping the best run per
+//! side.
 //!
 //! The gate verifies, under sustained overload:
 //!
@@ -19,10 +20,9 @@
 //!   ablation's is reported beside it; absolute speed is the pinned
 //!   benchmark's business, `benchmark/`);
 //! * the circuit breaker isolates the poisoned tenant within a bounded
-//!   number of dispatched failures, fast-rejects while open, and the
-//!   retry budget demonstrably degrades retries to failures;
-//! * the new observability surfaces round-trip: `/metrics` parses under
-//!   the strict `rustflow::wire::prom` parser with the shed/budget/breaker
+//!   number of dispatched failures and fast-rejects while open;
+//! * the observability surfaces round-trip: `/metrics` parses under the
+//!   strict `rustflow::wire::prom` parser with the shed and breaker
 //!   families agreeing with the in-process stats, and `/status` is
 //!   well-formed JSON carrying the breaker and shed sections.
 //!
@@ -33,8 +33,8 @@
 use rustflow::chaos::ChaosSpec;
 use rustflow::wire::{json, prom};
 use rustflow::{
-    AdmissionError, BreakerSpec, Executor, ExecutorBuilder, RetryBudget, RunError, Taskflow,
-    TenantQos, TenantStats,
+    AdmissionError, BreakerSpec, Executor, ExecutorBuilder, RunError, Taskflow, TenantQos,
+    TenantStats,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -207,9 +207,7 @@ impl SideRun {
                 ("p99_us", &format_args!("{p99_us:.1}")),
                 ("shed", &self.shed()),
                 ("saturated", &self.healthy_sum(|t| t.rejected_saturated)),
-                ("infeasible", &self.healthy_sum(|t| t.rejected_infeasible)),
                 ("breaker_rejected", &poisoned.rejected_breaker),
-                ("retry_budget_exhausted", &poisoned.retry_budget_exhausted),
                 ("poisoned_dispatched", &poisoned.dispatched),
                 ("poisoned_submitted", &poisoned.submitted),
             ],
@@ -257,7 +255,7 @@ fn run_side(
         }));
     }
     // The poisoned tenant: every dispatched task panics (seeded chaos,
-    // scoped to this tenant alone), retried once per attempt budgeted.
+    // scoped to this tenant alone), on each of its three attempts.
     let poison_thread = {
         let ex = Arc::clone(ex);
         let tenant = ex.tenant_with(
@@ -267,10 +265,6 @@ fn run_side(
                 breaker: resilient.then(|| BreakerSpec {
                     failures: BREAKER_FAILURES,
                     open_for: Duration::from_millis(BREAKER_OPEN_MS),
-                }),
-                retry_budget: resilient.then_some(RetryBudget {
-                    floor: 2,
-                    per_mille: 100,
                 }),
                 ..TenantQos::default()
             },
@@ -327,7 +321,6 @@ fn check_ledger(gate: &mut Gate, run: &str, tenants: &[TenantStats]) {
                 + s.shed
                 + s.rejected_saturated
                 + s.rejected_shutdown
-                + s.rejected_infeasible
                 + s.rejected_breaker;
             (s.submitted != accounted).then(|| {
                 format!(
@@ -353,8 +346,8 @@ fn family_sum(exposition: &prom::Exposition, name: &str, tenant: Option<&str>) -
 }
 
 /// The observability round-trip: a short resilient overload run with the
-/// introspection server attached and a live scraper, then the shed /
-/// budget / breaker families must agree with the in-process stats and
+/// introspection server attached and a live scraper, then the shed and
+/// breaker families must agree with the in-process stats and
 /// `/status` must carry the breaker and shed sections as valid JSON.
 fn observability(gate: &mut Gate, workers: usize, seed: u64, capacity: f64) {
     let ex = build_executor(workers);
@@ -397,11 +390,6 @@ fn observability(gate: &mut Gate, workers: usize, seed: u64, capacity: f64) {
     // What the storm must have moved at least once, and where it shows.
     for (family, tenant, what) in [
         (
-            "rustflow_retry_budget_exhausted_total",
-            Some("poison"),
-            "the poisoned tenant's retry budget ran dry",
-        ),
-        (
             "rustflow_tenant_rejected_breaker_total",
             Some("poison"),
             "the open breaker fast-rejected",
@@ -427,12 +415,7 @@ fn observability(gate: &mut Gate, workers: usize, seed: u64, capacity: f64) {
         error.is_none(),
         error.unwrap_or_default(),
     );
-    for key in [
-        "breaker",
-        "shed",
-        "retry_budget_exhausted",
-        "breaker_transitions",
-    ] {
+    for key in ["breaker", "shed", "breaker_transitions"] {
         let present = status.contains(&format!("\"{key}\""));
         gate.check(&format!("/status has the {key} section"), present, "");
     }
@@ -503,10 +486,6 @@ fn check_resilience(gate: &mut Gate, run: &SideRun, capacity: f64, duration_ms: 
         (
             "submissions fast-rejected by the open breaker",
             poisoned.rejected_breaker,
-        ),
-        (
-            "retries degraded to failures by the retry budget",
-            poisoned.retry_budget_exhausted,
         ),
     ] {
         gate.check(what, count > 0, format_args!("{count}"));

@@ -128,20 +128,6 @@ pub enum AdmissionError {
     /// was called, or the executor is being dropped); no further work is
     /// admitted.
     ShuttingDown,
-    /// Deadline-aware admission turned the run away at submit time: the
-    /// tenant's oldest queued run has already waited longer than this
-    /// run's deadline, so queueing it behind that run would only burn
-    /// capacity on work that is doomed to be shed. Cheap-reject beats
-    /// queue-then-cancel.
-    DeadlineInfeasible {
-        /// Name of the tenant that rejected the run.
-        tenant: String,
-        /// The run's deadline, relative to submission.
-        deadline: Duration,
-        /// How long the tenant's oldest queued run had waited at the
-        /// submission (the queue's head-of-line sojourn).
-        estimated_wait: Duration,
-    },
     /// The tenant's circuit breaker is open after too many consecutive
     /// run failures ([`TenantQos::breaker`](crate::TenantQos)): the
     /// submission is fast-rejected without touching the queue. Retry
@@ -164,15 +150,6 @@ impl fmt::Display for AdmissionError {
                 "tenant '{tenant}' saturated: {capacity} submissions already queued"
             ),
             AdmissionError::ShuttingDown => write!(f, "executor is shutting down"),
-            AdmissionError::DeadlineInfeasible {
-                tenant,
-                deadline,
-                estimated_wait,
-            } => write!(
-                f,
-                "tenant '{tenant}' cannot meet a {deadline:?} deadline: \
-                 expected queue wait is {estimated_wait:?}"
-            ),
             AdmissionError::BreakerOpen {
                 tenant,
                 retry_after,
@@ -359,15 +336,6 @@ mod tests {
 
     #[test]
     fn overload_errors_display_and_project() {
-        let e = AdmissionError::DeadlineInfeasible {
-            tenant: "api".into(),
-            deadline: Duration::from_millis(5),
-            estimated_wait: Duration::from_millis(40),
-        };
-        assert_eq!(
-            e.to_string(),
-            "tenant 'api' cannot meet a 5ms deadline: expected queue wait is 40ms"
-        );
         let e = AdmissionError::BreakerOpen {
             tenant: "api".into(),
             retry_after: Duration::from_millis(250),

@@ -5,10 +5,9 @@
 //! [`crate::scheduler`] is Algorithm 1 (§III-E), [`crate::frontdoor`] the
 //! tenant submission path, [`crate::resilience`] the tenant QoS specs and
 //! what honours them (DESIGN.md §7 has the map). The scheduler knows
-//! neither of the other two; it comes back here at exactly two points,
-//! [`advance_topology`] (an iteration ended) and [`Inner::may_retry`] (a
-//! failed task has retries left), and this module forwards what concerns
-//! a tenant to the front door.
+//! neither of the other two; it comes back here at one point,
+//! [`advance_topology`] (an iteration ended), and this module forwards
+//! what concerns a tenant to the front door.
 //!
 //! An executor is shareable between any number of taskflows
 //! (`Arc<Executor>`), mirroring the paper's `std::shared_ptr`-managed
@@ -217,14 +216,6 @@ impl Inner {
         // ORDERING: Release publishes the list write above to `emit`'s
         // Acquire fast-path load.
         self.has_observers.store(true, Ordering::Release);
-    }
-
-    /// May the failed task of `topo` be run again? The scheduler's question
-    /// before every retry; untenanted runs always may, a tenant's retry
-    /// budget answers for the rest.
-    pub(crate) fn may_retry(&self, topo: &Topology) -> bool {
-        let tenant = topo.tenant_id();
-        tenant == 0 || frontdoor::charge_retry(self, tenant)
     }
 }
 

@@ -1,16 +1,16 @@
 //! The front door: how a tenant's submission becomes a running topology.
 //!
 //! A submission passes an ordered admission chain under its tenant's queue
-//! lock ([`TenantState::admit`]: shutdown → breaker → deadline feasibility
-//! → queue space). With nothing queued anywhere and a slot of the
-//! executor's in-flight budget ([`FrontDoorBudget`]) free, the submitter
-//! then dispatches the run itself, straight through; otherwise the run
-//! waits in the tenant's bounded queue and is popped by the
-//! weighted-fair-queue pump ([`pump_tenants`]) when the budget has room.
-//! Either way the dispatcher claims the run's topology ([`Inner::claim`])
-//! and drives its first iteration. When the stint finalizes, the executor
-//! core calls back once ([`stint_finished`]) to credit the tenant and free
-//! the slot.
+//! lock ([`TenantState::admit`]: shutdown → breaker → queue space). With
+//! nothing queued anywhere and a slot of the executor's in-flight budget
+//! ([`FrontDoorBudget`]) free, the submitter then dispatches the run
+//! itself, straight through; otherwise the run waits in the tenant's
+//! bounded queue and is popped by the weighted-fair-queue pump
+//! ([`pump_tenants`]) when the budget has room. Either way the dispatcher
+//! judges the run's deadline once, shedding it if it expired in the queue,
+//! then claims the run's topology ([`Inner::claim`]) and drives its first
+//! iteration. When the stint finalizes, the executor core calls back once
+//! ([`stint_finished`]) to credit the tenant and free the slot.
 //!
 //! Every submission ends in exactly one [`Outcome`], and
 //! [`TenantState::record`] is the only writer of the counters behind
@@ -30,9 +30,7 @@
 use crate::error::{AdmissionError, RunError, RunResult};
 use crate::executor::{advance_topology, Claim, Executor, Inner, LineBreak};
 use crate::future::SharedFuture;
-use crate::resilience::{
-    self, Breaker, BreakerSpec, BreakerState, RetryBudget, RetryMeter, SloSpec, TenantQos,
-};
+use crate::resilience::{Breaker, BreakerSpec, BreakerState, SloSpec, TenantQos};
 use crate::stats::{AtomicHistogram, TenantStats};
 use crate::sync::{AtomicU64, AtomicUsize, Condvar, Mutex};
 use crate::topology::{PendingRun, RunCondition, StampSnapshot, Topology};
@@ -71,8 +69,6 @@ enum Outcome {
     RejectedSaturated,
     /// Refused, or drained from the queue, by shutdown.
     RejectedShutdown,
-    /// Refused with [`AdmissionError::DeadlineInfeasible`].
-    RejectedInfeasible,
     /// Refused with [`AdmissionError::BreakerOpen`].
     RejectedBreaker,
 }
@@ -86,7 +82,6 @@ impl Outcome {
         match e {
             AdmissionError::Saturated { .. } => Outcome::RejectedSaturated,
             AdmissionError::ShuttingDown => Outcome::RejectedShutdown,
-            AdmissionError::DeadlineInfeasible { .. } => Outcome::RejectedInfeasible,
             AdmissionError::BreakerOpen { .. } => Outcome::RejectedBreaker,
         }
     }
@@ -253,8 +248,6 @@ pub(crate) struct TenantState {
     slo: Option<SloSpec>,
     /// Default per-run deadline, if any ([`TenantQos::deadline`]).
     deadline: Option<Duration>,
-    /// Retry budget, if any ([`TenantQos::retry_budget`]).
-    retry_budget: Option<RetryBudget>,
     /// Circuit-breaker parameters, if any ([`TenantQos::breaker`]).
     breaker_spec: Option<BreakerSpec>,
 
@@ -286,10 +279,9 @@ pub(crate) struct TenantState {
     /// is in the ledger.
     inflight: AtomicU64,
 
-    // ---- written on the way out: finalize, breaker, retries ----
+    // ---- written on the way out: finalize, breaker ----
     _done: LineBreak,
     completed: AtomicU64,
-    retries: RetryMeter,
     breaker: Breaker,
     /// Lock-free latency shards, one per [`LATENCY_PHASES`] entry.
     /// Recorded by the finalizing driver (a few relaxed `fetch_add`s per
@@ -316,7 +308,6 @@ impl TenantState {
             max_queue: qos.max_queued.max(1),
             slo: qos.slo,
             deadline: qos.deadline,
-            retry_budget: qos.retry_budget,
             breaker_spec: qos.breaker,
             _door: LineBreak,
             queue: Mutex::new(VecDeque::new()),
@@ -329,7 +320,6 @@ impl TenantState {
             inflight: AtomicU64::new(0),
             _done: LineBreak,
             completed: AtomicU64::new(0),
-            retries: RetryMeter::default(),
             breaker: Breaker::default(),
             latency: std::array::from_fn(|_| AtomicHistogram::new()),
         }
@@ -426,10 +416,9 @@ impl TenantState {
             completed: self.completed.load(Ordering::Relaxed),
             rejected_saturated: self.recorded(Outcome::RejectedSaturated),
             rejected_shutdown: self.recorded(Outcome::RejectedShutdown),
-            rejected_infeasible: self.recorded(Outcome::RejectedInfeasible),
+            rejected_infeasible: 0,
             rejected_breaker: self.recorded(Outcome::RejectedBreaker),
             shed: self.recorded(Outcome::Shed),
-            retry_budget_exhausted: self.retries.exhausted(),
             consecutive_failures: self.breaker.consecutive_failures(),
             breaker_state: self.breaker.word(),
             breaker_transitions: self.breaker.transitions(),
@@ -437,22 +426,22 @@ impl TenantState {
     }
 
     /// The admission chain for one tenant submission, run under the
-    /// tenant's queue lock, in order: shutdown, circuit breaker, deadline
-    /// feasibility, then the bounded-queue wait according to `block`.
-    /// `Ok(probe)` clears the run for enqueue; a refusal by a stage after
-    /// the breaker hands a probe claim back.
+    /// tenant's queue lock, in order: shutdown, circuit breaker, then the
+    /// bounded-queue wait according to `block`. A deadline is no stage
+    /// here: the run is admitted and its deadline judged at dispatch.
+    /// `Ok(probe)` clears the run for enqueue; a refusal by the space wait
+    /// hands a probe claim back.
     fn admit(
         &self,
         inner: &Inner,
         q: &mut crate::sync::MutexGuard<'_, VecDeque<QueuedRun>>,
         block: Block,
-        deadline: Option<Duration>,
     ) -> Result<bool, AdmissionError> {
         check_open(inner)?;
-        // Breaker before deadline: an open breaker is the cheaper (and
-        // more actionable) rejection. Checked once per submission — the
-        // space wait below does not re-run it, so a probe admitted here
-        // is never re-judged by its own claim.
+        // Breaker before space: an open breaker is the cheaper (and more
+        // actionable) rejection. Checked once per submission — the space
+        // wait below does not re-run it, so a probe admitted here is
+        // never re-judged by its own claim.
         let probe = self
             .breaker
             .admit(self.breaker_spec)
@@ -460,9 +449,7 @@ impl TenantState {
                 tenant: self.name.clone(),
                 retry_after,
             })?;
-        let head_submit_us = q.front().map(|head| head.submit_us);
-        let cleared = resilience::check_deadline(&self.name, deadline, head_submit_us)
-            .and_then(|()| self.wait_for_space(inner, q, block));
+        let cleared = self.wait_for_space(inner, q, block);
         if cleared.is_err() {
             self.breaker.release_probe(probe);
         }
@@ -665,9 +652,9 @@ impl Executor {
     /// queues it for the weighted-fair-queue pump. `block` decides what a
     /// full queue does: reject with [`AdmissionError::Saturated`]
     /// immediately, wait bounded, or wait indefinitely. `deadline`, when
-    /// set (or defaulted from [`TenantQos::deadline`]), is checked for
-    /// feasibility against the age of the tenant's oldest queued run and
-    /// stamped onto the run for the dispatcher's shed check.
+    /// set (or defaulted from [`TenantQos::deadline`]), is stamped onto
+    /// the run for the dispatcher's shed check, the one place it is
+    /// judged.
     ///
     /// Straight through is the pump's own dispatch, done in place when
     /// the pump would pick this very run: the tenant's queue is empty,
@@ -704,7 +691,7 @@ impl Executor {
         // or put in flight under one hold of the queue lock (see
         // `snapshot`).
         state.submitted.fetch_add(1, Ordering::Relaxed);
-        let probe = match state.admit(inner, &mut q, block, deadline) {
+        let probe = match state.admit(inner, &mut q, block) {
             Ok(probe) => probe,
             Err(refusal) => {
                 state.record(Outcome::refused(&refusal));
@@ -929,18 +916,6 @@ pub(crate) fn stint_finished(
     if inner.budget.release() {
         pump_tenants(inner);
     }
-}
-
-/// Consults tenant `id`'s retry budget on behalf of the scheduler's retry
-/// path. Tenants without a budget always retry; only reached when a task
-/// failed and would otherwise retry, so the qos-lock lookup is off the
-/// hot path.
-pub(crate) fn charge_retry(inner: &Inner, id: u64) -> bool {
-    let state = inner.qos.lock().tenants.get(id as usize - 1).cloned();
-    state.is_none_or(|t| {
-        t.retries
-            .charge(t.retry_budget, t.completed.load(Ordering::Relaxed))
-    })
 }
 
 /// Decomposes a finished tenant stint's lifecycle into the five latency

@@ -111,7 +111,7 @@ pub use observer::{
     SchedEventKind, TaskSpanInfo, Tracer, DISPATCH_LANE, SCHED_EVENT_SCHEMA_VERSION,
 };
 pub use profile::{GraphSnapshot, ProfileReport, PROFILE_SCHEMA_VERSION};
-pub use resilience::{BreakerSpec, BreakerState, RetryBudget, SloSpec, TenantQos};
+pub use resilience::{BreakerSpec, BreakerState, SloSpec, TenantQos};
 pub use shared_vec::SharedVec;
 pub use stats::{percentile, AtomicHistogram, ExecutorStats, Histogram, TenantStats, WorkerStats};
 pub use subflow::Subflow;

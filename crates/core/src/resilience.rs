@@ -1,15 +1,14 @@
 //! Resilience: what a client asks of a tenant ([`TenantQos`] and the specs
-//! it is made of) next to the machinery that honours each spec — the
-//! circuit-breaker word machine ([`Breaker`]), the retry budget
-//! ([`RetryMeter`]) and the deadline-feasibility estimate
-//! ([`check_deadline`]). Each is a small stage the front door
-//! ([`crate::frontdoor`]) calls at one point of a run's life; none of them
-//! knows about queues, fair queueing or the scheduler. SLO burn rates are
-//! judged in `introspect/watchdog.rs`, which reports them and acts on no
-//! queue: the one rule that drops a queued run is the pump's deadline
-//! check, so a tenant that wants its queue shed sets a deadline.
+//! it is made of) next to the one stage that needs machinery of its own,
+//! the circuit-breaker word machine ([`Breaker`]). The front door
+//! ([`crate::frontdoor`]) calls it at admission and at finalize; it knows
+//! nothing of queues, fair queueing or the scheduler. A deadline needs no
+//! machinery: it is judged once, when the pump or a straight-through
+//! submitter is about to dispatch the run, and an expired run is shed. SLO
+//! burn rates are judged in `introspect/watchdog.rs`, which reports them
+//! and acts on no queue, so a tenant that wants its queue shed sets a
+//! deadline.
 
-use crate::error::AdmissionError;
 use crate::sync::{AtomicBool, AtomicU64};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -37,21 +36,13 @@ pub struct TenantQos {
     /// Default deadline applied to every run submitted on this tenant
     /// (overridable per run via
     /// [`Taskflow::run_on_deadline`](crate::Taskflow::run_on_deadline)).
-    /// A deadlined run is cheap-rejected at submit time when the
-    /// tenant's oldest queued run has already waited longer than it
-    /// ([`AdmissionError::DeadlineInfeasible`](crate::AdmissionError)) and shed from the queue
-    /// ([`RunError::Shed`](crate::RunError)) if it expires before the
-    /// fair-queue pump dispatches it. The deadline does **not** cancel a
-    /// run once dispatched — pair it with
+    /// A deadlined run is admitted like any other and judged once, at
+    /// dispatch: if it expired in the queue it is shed
+    /// ([`RunError::Shed`](crate::RunError)) instead of run. The deadline
+    /// does **not** cancel a run once dispatched — pair it with
     /// [`RunHandle::wait_timeout`](crate::RunHandle::wait_timeout) for
     /// execution-side expiry.
     pub deadline: Option<Duration>,
-    /// Retry budget consulted by [`Task::retry`](crate::Task::retry):
-    /// when set, retries beyond `floor + per_mille/1000 ×
-    /// completions` degrade to ordinary failures instead of amplifying
-    /// load exactly when capacity is scarcest. `None` (the default)
-    /// leaves retries unbudgeted.
-    pub retry_budget: Option<RetryBudget>,
     /// Per-tenant circuit breaker: after `failures` consecutive failed
     /// runs the tenant's submissions are fast-rejected with
     /// [`AdmissionError::BreakerOpen`](crate::AdmissionError) for `open_for`, then a single
@@ -67,34 +58,7 @@ impl Default for TenantQos {
             max_queued: 1024,
             slo: None,
             deadline: None,
-            retry_budget: None,
             breaker: None,
-        }
-    }
-}
-
-/// Retry-budget parameters ([`TenantQos::retry_budget`]): the tenant may
-/// spend `floor` retries unconditionally plus `per_mille` additional
-/// retries per 1000 successful completions. The budget is cumulative —
-/// healthy periods bank allowance that overload then draws down, so a
-/// retry storm under sustained failure degrades to plain failures once
-/// the bank is empty ([`rustflow_retry_budget_exhausted_total`]).
-///
-/// [`rustflow_retry_budget_exhausted_total`]: crate::TenantStats::retry_budget_exhausted
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryBudget {
-    /// Retries always available, regardless of completion history.
-    pub floor: u64,
-    /// Extra retries granted per 1000 successful completions (100 =
-    /// the canonical "10% of completions").
-    pub per_mille: u32,
-}
-
-impl Default for RetryBudget {
-    fn default() -> Self {
-        RetryBudget {
-            floor: 8,
-            per_mille: 100,
         }
     }
 }
@@ -357,69 +321,4 @@ impl Breaker {
             }
         }
     }
-}
-
-/// What one tenant has spent of its [`RetryBudget`].
-#[derive(Default)]
-pub(crate) struct RetryMeter {
-    /// Retries that the retry budget refused (the task failed instead).
-    exhausted: AtomicU64,
-    /// Retries charged against the budget so far (monotone; allowance is
-    /// recomputed from the tenant's completions, so no refill bookkeeping
-    /// is needed).
-    spent: AtomicU64,
-}
-
-impl RetryMeter {
-    /// Retries refused so far (`rustflow_retry_budget_exhausted_total`).
-    pub(crate) fn exhausted(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Charges one retry against the tenant's budget: allowance is
-    /// `floor + per_mille/1000 × completed`, spending is monotone.
-    /// Returns whether the retry may proceed.
-    pub(crate) fn charge(&self, budget: Option<RetryBudget>, completed: u64) -> bool {
-        let Some(budget) = budget else {
-            return true;
-        };
-        let allowance = budget
-            .floor
-            .saturating_add(completed * u64::from(budget.per_mille) / 1000);
-        let spent = self.spent.fetch_add(1, Ordering::Relaxed);
-        if spent < allowance {
-            true
-        } else {
-            // Over-claimed: hand the token back. Racing claimants may
-            // transiently see a pessimistic allowance — retries degrade
-            // to failures, never the reverse.
-            self.spent.fetch_sub(1, Ordering::Relaxed);
-            self.exhausted.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-/// Deadline feasibility: cheap-reject beats queue-then-shed. The wait a
-/// new run faces is estimated as the age of the oldest run queued ahead
-/// of it, `head_submit_us` (CoDel's head-of-line sojourn): the queue as
-/// it is now, so the estimate falls as soon as the pump drains or sheds
-/// the head, and an empty queue admits. Call under the tenant's queue
-/// lock.
-pub(crate) fn check_deadline(
-    tenant: &str,
-    deadline: Option<Duration>,
-    head_submit_us: Option<u64>,
-) -> Result<(), AdmissionError> {
-    if let (Some(deadline), Some(head)) = (deadline, head_submit_us) {
-        let waited_us = crate::clock::now_us().saturating_sub(head);
-        if waited_us > deadline.as_micros() as u64 {
-            return Err(AdmissionError::DeadlineInfeasible {
-                tenant: tenant.to_string(),
-                deadline,
-                estimated_wait: Duration::from_micros(waited_us),
-            });
-        }
-    }
-    Ok(())
 }

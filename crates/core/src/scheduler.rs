@@ -30,14 +30,14 @@
 //! empty, it leaves and its caller blocks on the run's promise. Thieves
 //! and the park re-check scan a seat exactly like a peer's deque.
 //!
-//! Serving policy (tenants, admission, fair queueing, breakers, retry
-//! budgets) lives beside this module, not in it: the scheduler names no
-//! serving type and leaves through two calls on the executor core,
-//! [`advance_topology`] when an iteration's last sink completes and
-//! [`Inner::may_retry`] before it re-runs a failed task
-//! (`tests/safety_audit.rs` holds it to that). Nor does it know who
-//! watches: every scheduling event goes to the observers through one call,
-//! [`emit`], and live introspection is one observer among them.
+//! Serving policy (tenants, admission, fair queueing, breakers) lives
+//! beside this module, not in it: the scheduler names no serving type and
+//! leaves for the executor core through one call, [`advance_topology`],
+//! when an iteration's last sink completes; a failed task's retry is its
+//! own policy and its topology's cancel flag, nothing more. Nor does it
+//! know who watches: every scheduling event goes to the observers through
+//! one call, [`emit`], and live introspection is one observer among them
+//! (`tests/safety_audit.rs` holds it to all of that).
 
 use crate::error::{panic_message, FailurePolicy, RunError, TaskPanic};
 use crate::executor::{advance_topology, emit, Inner, NO_LABEL};
@@ -50,6 +50,7 @@ use crate::topology::Topology;
 use crate::wsq;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 /// Per-lane state visible to other threads: one per worker, then one per
 /// guest seat.
@@ -404,86 +405,48 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
         let mut attempt: u32 = 0;
         let mut deferred = false;
         loop {
-            let mut failed: Option<Box<dyn std::any::Any + Send>> = None;
-            let mut will_retry = false;
-            {
+            // `Some(detached)` once a dynamic task's closure has built
+            // its subflow.
+            let mut spawned = None;
+            let outcome = {
                 // Publish the executing topology so the closure can poll
                 // `this_task::is_cancelled()` / read its iteration.
                 let _task_scope = crate::this_task::ContextGuard::enter(topo as *const Topology);
                 match (*node).structure.work.get_mut().kind() {
-                    WorkKind::Empty => {}
-                    WorkKind::Static(f) => {
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.call())) {
-                            if crate::sync::is_model_abort(payload.as_ref()) {
-                                // Engine-internal unwind tearing the model
-                                // execution down: the topology may already
-                                // be freed, so no bookkeeping — rethrow.
-                                std::panic::resume_unwind(payload);
-                            }
-                            // Budget last: the `&&` chain charges a
-                            // retry token only when the retry would
-                            // otherwise happen.
-                            will_retry = attempt < retry.limit
-                                && !topo.is_cancelled()
-                                && inner.may_retry(topo);
-                            failed = Some(payload);
-                        }
-                    }
+                    WorkKind::Empty => Ok(()),
+                    WorkKind::Static(f) => catch_unwind(AssertUnwindSafe(|| f.call())),
                     WorkKind::Dynamic(f) => {
                         // The subgraph spawned last time (the previous
                         // iteration's, or a failed attempt's) is done with.
                         (*node).clear_subflow();
                         let mut sf = Subflow::new(node);
-                        match catch_unwind(AssertUnwindSafe(|| f.call(&mut sf))) {
-                            Ok(()) => deferred = spawn_subflow(inner, ctx, node, sf.is_detached()),
-                            Err(payload) => {
-                                if crate::sync::is_model_abort(payload.as_ref()) {
-                                    // See the static arm above.
-                                    std::panic::resume_unwind(payload);
-                                }
-                                will_retry = attempt < retry.limit
-                                    && !topo.is_cancelled()
-                                    && inner.may_retry(topo);
-                                if !will_retry {
-                                    // Final failure: publish whatever the
-                                    // closure managed to spawn, preserving
-                                    // the historical partially-built-subflow
-                                    // semantics (children built before the
-                                    // panic still run under ContinueAll).
-                                    deferred = spawn_subflow(inner, ctx, node, sf.is_detached());
-                                }
-                                failed = Some(payload);
-                            }
-                        }
+                        let outcome = catch_unwind(AssertUnwindSafe(|| f.call(&mut sf)));
+                        spawned = Some(sf.is_detached());
+                        outcome
                     }
                 }
-            }
-            let Some(payload) = failed else { break };
-            if will_retry {
-                attempt += 1;
-                inner.shareds[ctx.id].count(Counter::Retries);
-                emit(inner, ctx.id, (*node).label(), || {
-                    SchedEventKind::TaskRetried { attempt }
-                });
-                // Nothing propagated to successors or the topology yet, so
-                // the retry is invisible to the rest of the graph; a
-                // dynamic task's half-built subflow is dropped when the
-                // next attempt starts.
-                let pause = retry.backoff(attempt);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
+            };
+            if let Err(payload) = &outcome {
+                if crate::sync::is_model_abort(payload.as_ref()) {
+                    // Engine-internal unwind tearing the model execution
+                    // down: the topology may already be freed, so no
+                    // bookkeeping — rethrow.
+                    std::panic::resume_unwind(outcome.unwrap_err());
                 }
-                continue;
+                if attempt < retry.limit && !topo.is_cancelled() {
+                    attempt += 1;
+                    retry_after(inner, ctx, node, attempt, retry.backoff(attempt));
+                    continue;
+                }
             }
-            topo.record_panic(
-                TaskPanic::new((*node).label().to_string(), panic_message(&*payload))
-                    .with_iteration(topo.iterations()),
-            );
-            if topo.policy() == FailurePolicy::FailFast {
-                // The panic is recorded (and wins over `Cancelled`), so
-                // publishing the flag now satisfies the same
-                // record-before-publish order `Topology::cancel` keeps.
-                topo.cancel_internal();
+            // The final attempt. A dynamic task publishes what its closure
+            // spawned, even after a panic: children built before it still
+            // run under ContinueAll.
+            if let Some(detached) = spawned {
+                deferred = spawn_subflow(inner, ctx, node, detached);
+            }
+            if let Err(payload) = outcome {
+                record_failure(topo, node, payload);
             }
             break;
         }
@@ -508,6 +471,53 @@ fn execute(inner: &Inner, ctx: &mut WorkerCtx, node: RawNode) {
         } else {
             complete(inner, ctx, node);
         }
+    }
+}
+
+/// A failed attempt will be run again: counts and reports retry
+/// `attempt`, then waits out its backoff. Nothing has propagated to the
+/// successors or the topology yet, so the retry is invisible to the rest
+/// of the graph; a dynamic task's half-built subflow is dropped when the
+/// next attempt starts.
+///
+/// # Safety
+/// Caller is the worker executing `node`.
+#[cold]
+unsafe fn retry_after(
+    inner: &Inner,
+    ctx: &WorkerCtx,
+    node: RawNode,
+    attempt: u32,
+    pause: Duration,
+) {
+    inner.shareds[ctx.id].count(Counter::Retries);
+    // SAFETY: per this function's contract `node` is live and ours.
+    let label = unsafe { (*node).label() };
+    emit(inner, ctx.id, label, || SchedEventKind::TaskRetried {
+        attempt,
+    });
+    if !pause.is_zero() {
+        std::thread::sleep(pause);
+    }
+}
+
+/// The final attempt failed: records the panic against the iteration and,
+/// under [`FailurePolicy::FailFast`], cancels the rest of the topology.
+///
+/// # Safety
+/// Caller is the worker executing `node`, a node of `topo`.
+#[cold]
+unsafe fn record_failure(topo: &Topology, node: RawNode, payload: Box<dyn std::any::Any + Send>) {
+    // SAFETY: per this function's contract `node` is live and ours.
+    let label = unsafe { (*node).label() }.to_string();
+    topo.record_panic(
+        TaskPanic::new(label, panic_message(&*payload)).with_iteration(topo.iterations()),
+    );
+    if topo.policy() == FailurePolicy::FailFast {
+        // The panic is recorded (and wins over `Cancelled`), so publishing
+        // the flag now satisfies the same record-before-publish order
+        // `Topology::cancel` keeps.
+        topo.cancel_internal();
     }
 }
 

@@ -168,7 +168,7 @@ metric_table!(
     Skipped = skipped counter "rustflow_tasks_skipped_total"
         "Ready tasks skipped because their topology was cancelled.";
     Retries = retries counter "rustflow_task_retries_total"
-        "Extra task attempts executed under a retry budget.";
+        "Extra task attempts executed under a task's retry limit.";
 );
 
 /// Snapshot of one tenant's submission-path counters
@@ -207,9 +207,10 @@ pub struct TenantStats {
     pub rejected_saturated: u64,
     /// Submissions rejected (or drained unrun) by executor shutdown.
     pub rejected_shutdown: u64,
-    /// Submissions cheap-rejected because the expected queue wait
-    /// already exceeded their deadline
-    /// ([`AdmissionError::DeadlineInfeasible`](crate::AdmissionError)).
+    /// Always 0: a deadline is judged at dispatch, where an expired run
+    /// counts as `shed`, so no admission stage refuses a run for it. Kept
+    /// only because the pinned benchmark's ledger names it; it is in no
+    /// Prometheus family or `/status` key.
     pub rejected_infeasible: u64,
     /// Submissions fast-rejected by an open circuit breaker
     /// ([`AdmissionError::BreakerOpen`](crate::AdmissionError)).
@@ -217,9 +218,6 @@ pub struct TenantStats {
     /// Queued runs the dispatcher dropped because their deadline expired
     /// in the queue ([`RunError::Shed`](crate::RunError)).
     pub shed: u64,
-    /// Retries refused by the tenant's retry budget (the task failed
-    /// instead of retrying).
-    pub retry_budget_exhausted: u64,
     /// Consecutive failed runs right now (gauge; resets on any
     /// non-failed completion).
     pub consecutive_failures: u64,
@@ -257,14 +255,10 @@ metric_table!(
         "try_submit rejections due to a full tenant queue.";
     rejected_shutdown counter "rustflow_tenant_rejected_shutdown_total"
         "Submissions rejected or drained by executor shutdown.";
-    rejected_infeasible counter "rustflow_tenant_rejected_infeasible_total"
-        "Submissions cheap-rejected because the expected queue wait exceeded their deadline.";
     rejected_breaker counter "rustflow_tenant_rejected_breaker_total"
         "Submissions fast-rejected by an open circuit breaker.";
     shed counter "rustflow_runs_shed_total"
         "Queued runs dropped by the dispatcher because their deadline expired.";
-    retry_budget_exhausted counter "rustflow_retry_budget_exhausted_total"
-        "Retries refused by the tenant retry budget (task failed instead of retrying).";
     breaker_transitions counter "rustflow_breaker_transitions_total"
         "Tenant circuit-breaker state changes (closed/open/half-open, any direction).";
     breaker_state gauge "rustflow_breaker_state"
@@ -744,10 +738,9 @@ mod tests {
                 completed: 7,
                 rejected_saturated: 3,
                 rejected_shutdown: 0,
-                rejected_infeasible: 2,
+                rejected_infeasible: 0,
                 rejected_breaker: 1,
                 shed: 4,
-                retry_budget_exhausted: 5,
                 consecutive_failures: 0,
                 breaker_state: 1,
                 breaker_transitions: 1,

@@ -32,7 +32,6 @@ use crate::future::SharedFuture;
 use crate::graph::{Graph, Work};
 use crate::handle::RunHandle;
 use crate::subflow::Subflow;
-use crate::sync::Mutex;
 use crate::sync_cell::SyncCell;
 use crate::task::Task;
 use crate::topology::{RunCondition, Topology};
@@ -73,7 +72,9 @@ struct WaitSet {
 pub struct Taskflow {
     graph: SyncCell<Graph>,
     executor: Arc<Executor>,
-    topologies: Mutex<Vec<Arc<Topology>>>,
+    /// Every topology this taskflow froze, kept until [`Taskflow::gc`].
+    /// A `SyncCell`, not a lock, for the reason `waits` is one.
+    topologies: SyncCell<Vec<Arc<Topology>>>,
     /// The reusable topology targeted by `run*` when the present graph is
     /// empty: the most recently frozen one.
     reusable: SyncCell<Option<Arc<Topology>>>,
@@ -110,7 +111,7 @@ impl Taskflow {
         Taskflow {
             graph: SyncCell::new(Graph::new()),
             executor,
-            topologies: Mutex::new(Vec::new()),
+            topologies: SyncCell::new(Vec::new()),
             reusable: SyncCell::new(None),
             waits: SyncCell::new(WaitSet {
                 futures: Vec::new(),
@@ -198,7 +199,7 @@ impl Taskflow {
 
     /// Number of dispatched topologies retained by this taskflow.
     pub fn num_topologies(&self) -> usize {
-        self.topologies.lock().len()
+        self.with_topologies(|t| t.len())
     }
 
     /// Total completed iterations of the current `run*` target topology
@@ -213,13 +214,14 @@ impl Taskflow {
     /// including the subflow tasks their most recent iteration spawned at
     /// runtime — a diagnostic for the memory `gc()` would reclaim.
     pub fn num_retained_nodes(&self) -> usize {
-        self.topologies
-            .lock()
-            .iter()
-            .filter(|t| t.is_settled())
-            // SAFETY: settled topology — quiescent graph.
-            .map(|t| unsafe { t.graph.get().total_nodes() })
-            .sum()
+        self.with_topologies(|topologies| {
+            topologies
+                .iter()
+                .filter(|t| t.is_settled())
+                // SAFETY: settled topology — quiescent graph.
+                .map(|t| unsafe { t.graph.get().total_nodes() })
+                .sum()
+        })
     }
 
     /// Dumps the present graph to GraphViz DOT (§III-G).
@@ -234,17 +236,19 @@ impl Taskflow {
     /// are skipped (their graphs are in motion).
     pub fn dump_topologies(&self) -> String {
         let mut out = String::new();
-        for (i, topo) in self.topologies.lock().iter().enumerate() {
-            if topo.is_settled() {
-                // SAFETY: settled topology — quiescent graph.
-                unsafe {
-                    out.push_str(&dot::graph_to_dot(
-                        topo.graph.get(),
-                        &format!("{}_{}", self.name(), i),
-                    ));
+        self.with_topologies(|topologies| {
+            for (i, topo) in topologies.iter().enumerate() {
+                if topo.is_settled() {
+                    // SAFETY: settled topology — quiescent graph.
+                    unsafe {
+                        out.push_str(&dot::graph_to_dot(
+                            topo.graph.get(),
+                            &format!("{}_{}", self.name(), i),
+                        ));
+                    }
                 }
             }
-        }
+        });
         out
     }
 
@@ -325,7 +329,7 @@ impl Taskflow {
             // SAFETY: !Sync — single-threaded graph handoff.
             let graph = unsafe { self.graph.replace(Graph::new()) };
             let topo = Topology::new(graph, self.policy.get());
-            self.topologies.lock().push(Arc::clone(&topo));
+            self.with_topologies(|t| t.push(Arc::clone(&topo)));
             // SAFETY: !Sync — single-threaded access.
             unsafe { *self.reusable.get_mut() = Some(topo) };
         }
@@ -423,12 +427,10 @@ impl Taskflow {
     }
 
     /// [`Taskflow::run_on`] with a per-run deadline overriding the
-    /// tenant's [`TenantQos::deadline`](crate::TenantQos). Admission
-    /// rejects the run outright
-    /// ([`AdmissionError::DeadlineInfeasible`]) when the tenant's oldest
-    /// queued run has already waited longer than `deadline`, and the
-    /// dispatcher sheds it ([`RunError::Shed`](crate::RunError)) if it
-    /// is still queued when the deadline expires.
+    /// tenant's [`TenantQos::deadline`](crate::TenantQos). The run is
+    /// admitted like any other, and the dispatcher sheds it
+    /// ([`RunError::Shed`](crate::RunError)) if it is still queued when
+    /// the deadline expires.
     pub fn run_on_deadline(
         &self,
         tenant: &Tenant,
@@ -555,7 +557,7 @@ impl Taskflow {
         // the topology's node storage. One-shot topologies do not become
         // the `run*` target.
         let topo = Topology::new(graph, self.policy.get());
-        self.topologies.lock().push(Arc::clone(&topo));
+        self.with_topologies(|t| t.push(Arc::clone(&topo)));
         let future = self
             .executor
             .run_topology(&topo, RunCondition::Count(1), caller_waits);
@@ -624,6 +626,14 @@ impl Taskflow {
         })
     }
 
+    /// Runs `f` on the retained topologies, the one way to reach them
+    /// through `&self`.
+    fn with_topologies<R>(&self, f: impl FnOnce(&mut Vec<Arc<Topology>>) -> R) -> R {
+        // SAFETY: as for `with_waits`: !Sync, and `f` never reaches back
+        // into this taskflow, so the borrow is unique while it lasts.
+        f(unsafe { self.topologies.get_mut() })
+    }
+
     /// Runs `f` on the wait set, the one way to reach it through `&self`.
     fn with_waits<R>(&self, f: impl FnOnce(&mut WaitSet) -> R) -> R {
         // SAFETY: !Sync — single-threaded access, and `f` never reaches
@@ -655,7 +665,8 @@ impl Taskflow {
         }
         // SAFETY: !Sync — single-threaded access.
         let target = unsafe { self.reusable.get().as_ref().map(Arc::as_ptr) };
-        let mut topologies = self.topologies.lock();
+        // SAFETY: `&mut self` — the unique accessor.
+        let topologies = unsafe { self.topologies.get_mut() };
         let before = topologies.len();
         topologies.retain(|t| !t.is_settled() || Some(Arc::as_ptr(t)) == target);
         before - topologies.len()

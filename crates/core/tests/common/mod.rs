@@ -1,7 +1,9 @@
 //! What the integration suites share: the wait for a tenant to go quiet
 //! and the one statement of its ledger (`serving.rs`, `failures.rs`), and
 //! the 30 s bound on a scenario that could wedge (`executor.rs`,
-//! `run_api.rs`). Each suite compiles this module and uses part of it.
+//! `run_api.rs`, and the root package's suites, which include this file
+//! by path and name the scheduler and its input in `what`). Each suite
+//! compiles this module and uses part of it.
 #![allow(dead_code)]
 
 use rustflow::{Tenant, TenantStats};
@@ -65,7 +67,6 @@ pub fn assert_ledger_balances(s: &TenantStats) {
             + s.shed
             + s.rejected_saturated
             + s.rejected_shutdown
-            + s.rejected_infeasible
             + s.rejected_breaker,
         "submitted != sum over outcomes: {s:?}"
     );

@@ -5,6 +5,10 @@
 //! or a `wants_part("Y")` literal under `crates/bench/src` (a dotted
 //! panel such as `fig10.util` is one). A renamed binary or panel otherwise
 //! leaves the docs with commands that fail or silently run nothing.
+//!
+//! The same holds for metric names: every `rustflow_*` family the docs
+//! name is declared as a string literal under `crates/core/src`, so a
+//! deleted counter cannot live on in an operator's runbook.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -114,6 +118,72 @@ fn every_bin_and_part_the_docs_name_exists() {
     assert!(
         stale.is_empty(),
         "the docs name a gate binary or part that does not exist:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// Names the docs may spell with the `rustflow_` prefix that are no metric
+/// family: the model checker's and the mutation sweep's cfg names.
+const NOT_METRICS: [&str; 2] = ["rustflow_check", "rustflow_weaken"];
+
+/// Suffixes the Prometheus exposition adds to a histogram family's name.
+const HISTOGRAM_SUFFIXES: [&str; 3] = ["_bucket", "_sum", "_count"];
+
+/// Every `rustflow_*` word in `text`, with its 1-based line. A word
+/// followed by `*` (`rustflow_tenant_*`) keeps the `*`: it names the
+/// families that start with it.
+fn metric_names(text: &str) -> Vec<(usize, &str)> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("rustflow_") {
+        if text[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            continue;
+        }
+        let rest = &text[at..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        let end = end + usize::from(rest[end..].starts_with('*'));
+        found.push((text[..at].matches('\n').count() + 1, &rest[..end]));
+    }
+    found
+}
+
+#[test]
+fn every_metric_the_docs_name_is_declared() {
+    let root = root();
+    let sources: String = rust_files(&root.join("crates/core/src"))
+        .iter()
+        .map(|path| read(path))
+        .collect();
+    let declared = |name: &str| match name.strip_suffix('*') {
+        Some(prefix) => sources.contains(&format!("\"{prefix}")),
+        None => sources.contains(&format!("\"{name}\"")),
+    };
+    let (mut stale, mut seen) = (Vec::new(), 0);
+    for doc in DOCS {
+        let text = read(&root.join(doc));
+        for (line, name) in metric_names(&text) {
+            if NOT_METRICS.contains(&name) {
+                continue;
+            }
+            seen += 1;
+            let family = HISTOGRAM_SUFFIXES
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .filter(|family| declared(family));
+            if !declared(name) && family.is_none() {
+                stale.push(format!("{doc}:{line}: {name}"));
+            }
+        }
+    }
+    assert!(seen > 0, "the lint found no metric name to check");
+    assert!(
+        stale.is_empty(),
+        "the docs name a metric family no source declares:\n{}",
         stale.join("\n")
     );
 }

@@ -6,7 +6,7 @@
 use rustflow::chaos::{ChaosSpec, Fault};
 use rustflow::{
     this_task, AdmissionError, BreakerSpec, BreakerState, Executor, ExecutorBuilder, FailurePolicy,
-    RetryBudget, RunError, Taskflow, Tenant, TenantQos,
+    RunError, Taskflow, Tenant, TenantQos,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -487,12 +487,12 @@ fn chaos_chain_tail<'t>(tf: &'t Taskflow, spec: ChaosSpec, n: u64) -> Option<rus
     prev
 }
 
-// ---- Overload resilience: shedding, deadlines, budgets, breakers ---------
+// ---- Overload resilience: shedding, deadlines, breakers ------------------
 //
 // These exercise the graceful-degradation paths of the tenant front door:
 // queue-side load shedding of expired deadlines (and its races against
-// cancel and against finalize), deadline-infeasible admission, retry
-// budgets, and the per-tenant circuit breaker lifecycle.
+// cancel and against finalize), a doomed deadline admitted and shed, and
+// the per-tenant circuit breaker lifecycle.
 
 /// A closure that spins until `gate` is released — parks one dispatch
 /// slot so later submissions queue behind it.
@@ -609,9 +609,8 @@ fn shed_vs_cancel_race_resolves_every_handle() {
     const ROUNDS: usize = 20;
     let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
     let blocker = ex.tenant("blocker");
-    // A victim per round, so that every deadline is judged at admission
-    // against an empty queue: this test is about the dispatch-side race,
-    // not feasibility.
+    // A victim per round, so that every round starts from an empty
+    // queue: this test is about the dispatch-side race alone.
     let victims: Vec<_> = (0..ROUNDS)
         .map(|i| ex.tenant(&format!("victim-{i}")))
         .collect();
@@ -704,8 +703,12 @@ fn shed_vs_finalize_straddle_never_hangs() {
     stats.iter().for_each(assert_ledger_balances);
 }
 
+/// A deadline is judged once, at dispatch: behind a parked slot, a run
+/// whose deadline is already shorter than the queue's wait is admitted
+/// like any other and shed when the pump reaches it, while a generous one
+/// runs.
 #[test]
-fn infeasible_deadline_is_rejected_at_admission() {
+fn infeasible_deadline_is_admitted_and_shed() {
     let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
     let tenant = ex.tenant_with(
         "est",
@@ -718,34 +721,29 @@ fn infeasible_deadline_is_rejected_at_admission() {
     // dispatch slot.
     let (gate, runs) = queue_behind_a_parked_slot(&ex, &tenant, 8);
     std::thread::sleep(Duration::from_millis(15));
-    // The oldest of them has waited >= 15ms: a 1ms deadline is doomed,
-    // while a generous one still admits and queues behind them.
-    let tf = Taskflow::with_executor(ex.clone());
-    tf.emplace(|| {});
-    let doomed = tf.run_on_deadline(&tenant, Duration::from_millis(1));
-    let generous = tf.run_on_deadline(&tenant, Duration::from_secs(60));
+    let doomed_tf = Taskflow::with_executor(ex.clone());
+    doomed_tf.emplace(|| {});
+    let doomed = doomed_tf
+        .run_on_deadline(&tenant, Duration::from_millis(1))
+        .expect("a doomed deadline is admitted");
+    let generous_tf = Taskflow::with_executor(ex.clone());
+    generous_tf.emplace(|| {});
+    let generous = generous_tf
+        .run_on_deadline(&tenant, Duration::from_secs(60))
+        .expect("a 60s deadline is admitted");
+    // The parked slot holds for longer than the doomed deadline.
+    std::thread::sleep(Duration::from_millis(5));
     gate.store(true, Ordering::Release);
     for (_, h) in &runs {
         h.get().unwrap();
     }
-    match doomed {
-        Err(AdmissionError::DeadlineInfeasible {
-            tenant: t,
-            deadline,
-            estimated_wait,
-        }) => {
-            assert_eq!(t, "est");
-            assert_eq!(deadline, Duration::from_millis(1));
-            assert!(
-                estimated_wait > deadline,
-                "estimate must exceed the rejected deadline, got {estimated_wait:?}"
-            );
-        }
-        other => panic!("expected DeadlineInfeasible, got {other:?}"),
+    match doomed.get() {
+        Err(RunError::Shed { tenant: t, .. }) => assert_eq!(t, "est"),
+        other => panic!("expected the doomed run shed, got {other:?}"),
     }
-    assert_eq!(tenant.stats().rejected_infeasible, 1);
-    generous.expect("a 60s deadline is feasible").get().unwrap();
+    generous.get().unwrap();
     let s = settled(&tenant);
+    assert_eq!((s.shed, s.rejected_infeasible), (1, 0));
     assert_ledger_balances(&s);
 }
 
@@ -774,41 +772,6 @@ fn queue_behind_a_parked_slot(
         runs.push((tf, h));
     }
     (gate, runs)
-}
-
-/// The feasibility estimate is the queue as it is now, not its history:
-/// once runs that waited past a deadline have drained, a run with that
-/// deadline is admitted again. (An estimate taken as the p50 of the
-/// tenant's cumulative admission-phase histogram refused it for good:
-/// once half the recorded runs had waited past the deadline, nothing new
-/// was admitted, so nothing new was recorded.)
-#[test]
-fn feasibility_recovers_once_the_queue_drains() {
-    let ex = ExecutorBuilder::new().workers(2).max_inflight(1).build();
-    let tenant = ex.tenant_with(
-        "recovers",
-        TenantQos {
-            max_queued: 16,
-            ..TenantQos::default()
-        },
-    );
-    let (gate, runs) = queue_behind_a_parked_slot(&ex, &tenant, 8);
-    std::thread::sleep(Duration::from_millis(30));
-    gate.store(true, Ordering::Release);
-    for (_, h) in &runs {
-        h.get().unwrap();
-    }
-    settled(&tenant);
-    // Eight of the nine runs recorded waited >= 30ms; none is queued now.
-    let tf = Taskflow::with_executor(ex.clone());
-    tf.emplace(|| {});
-    tf.run_on_deadline(&tenant, Duration::from_millis(10))
-        .expect("an empty queue admits a 10ms deadline")
-        .get()
-        .unwrap();
-    let s = settled(&tenant);
-    assert_eq!(s.rejected_infeasible, 0);
-    assert_ledger_balances(&s);
 }
 
 #[test]
@@ -981,58 +944,6 @@ fn failed_probe_reopens_the_breaker() {
     }
     let s = settled(&tenant);
     assert_eq!(s.breaker_transitions, 3, "closed, open, half-open, open");
-    assert_ledger_balances(&s);
-}
-
-#[test]
-fn retry_budget_degrades_retries_to_failures() {
-    let ex = ExecutorBuilder::new().workers(2).build();
-    let tenant = ex.tenant_with(
-        "thrifty",
-        TenantQos {
-            retry_budget: Some(RetryBudget {
-                floor: 1,
-                per_mille: 0,
-            }),
-            ..TenantQos::default()
-        },
-    );
-    // Budget of one: the first doomed run gets exactly one retry ...
-    let attempts = Arc::new(AtomicUsize::new(0));
-    let tf = Taskflow::with_executor(ex.clone());
-    let a = Arc::clone(&attempts);
-    tf.emplace(move || {
-        a.fetch_add(1, Ordering::SeqCst);
-        panic!("doomed");
-    })
-    .retry(3);
-    tf.run_on(&tenant)
-        .unwrap()
-        .get()
-        .expect_err("doomed run fails");
-    assert_eq!(
-        attempts.load(Ordering::SeqCst),
-        2,
-        "one attempt plus the single budgeted retry"
-    );
-    assert!(eventually(|| tenant.stats().retry_budget_exhausted >= 1));
-    // ... and the second gets none at all: retries degrade to failures.
-    let attempts2 = Arc::new(AtomicUsize::new(0));
-    let tf2 = Taskflow::with_executor(ex.clone());
-    let a = Arc::clone(&attempts2);
-    tf2.emplace(move || {
-        a.fetch_add(1, Ordering::SeqCst);
-        panic!("doomed again");
-    })
-    .retry(3);
-    tf2.run_on(&tenant).unwrap().get().expect_err("still fails");
-    assert_eq!(
-        attempts2.load(Ordering::SeqCst),
-        1,
-        "budget spent: no retries"
-    );
-    let s = settled(&tenant);
-    assert_eq!(s.retry_budget_exhausted, 2);
     assert_ledger_balances(&s);
 }
 

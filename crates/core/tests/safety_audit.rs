@@ -13,10 +13,11 @@
 //!   delete an argument that was never recorded.
 //! * The scheduler module (`src/scheduler.rs`, Algorithm 1) must name
 //!   nothing of the serving layers beside it: no `use` of and no path into
-//!   `frontdoor` or `resilience`, and none of their types. It reaches them
-//!   through two calls on the executor core only (see the module's docs).
-//!   Nor does it name live introspection: that is one observer among
-//!   others, reached through the one event path.
+//!   `frontdoor` or `resilience`, and none of their types. Of the executor
+//!   core it imports `Inner`, `NO_LABEL` and two calls, `advance_topology`
+//!   and `emit`, and calls no method an `impl Inner` block defines (see
+//!   the module's docs). Nor does it name live introspection: that is one
+//!   observer among others, reached through the one event path.
 //! * A lane's counters have one writer: `WorkerShared::count` holds no
 //!   read-modify-write, and every bump in the scheduler names the calling
 //!   lane.
@@ -210,15 +211,60 @@ fn every_nonrelaxed_atomic_op_documents_its_ordering() {
 
 /// Names the scheduler's code may not contain (comments may): the serving
 /// modules and the types a path into them would need.
-const SERVING_NAMES: [&str; 7] = [
+const SERVING_NAMES: [&str; 6] = [
     "frontdoor",
     "resilience",
     "Tenant",
     "TenantState",
     "QosState",
     "Breaker",
-    "RetryBudget",
 ];
+
+/// All the scheduler may take from the executor core by name: the shared
+/// state, the empty label, the end of an iteration and the event path.
+const CORE_IMPORTS: [&str; 4] = ["Inner", "NO_LABEL", "advance_topology", "emit"];
+
+/// The names `code` takes from `crate::executor`: the item after each
+/// `executor::`, or every item of a `{..}` list there.
+fn executor_items(code: &str) -> Vec<String> {
+    let mut items = Vec::new();
+    for rest in code.split("executor::").skip(1) {
+        let list = match rest.strip_prefix('{') {
+            Some(braced) => &braced[..braced.find('}').unwrap_or(braced.len())],
+            None => rest,
+        };
+        let ident = |item: &str| -> String {
+            let item = item.trim();
+            let end = item
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(item.len());
+            item[..end].to_string()
+        };
+        if rest.starts_with('{') {
+            items.extend(list.split(',').map(ident).filter(|i| !i.is_empty()));
+        } else {
+            items.push(ident(list));
+        }
+    }
+    items
+}
+
+/// The methods the `impl Inner` blocks under `src` define, wherever they
+/// sit.
+fn inner_methods(src: &Path) -> Vec<String> {
+    let mut methods = Vec::new();
+    for path in rust_files(src) {
+        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        for block in text.split("\nimpl Inner {").skip(1) {
+            let body = &block[..block.find("\n}").unwrap_or(block.len())];
+            for rest in body.split("fn ").skip(1) {
+                let end = rest.find(['(', '<']).unwrap_or(rest.len());
+                methods.push(rest[..end].trim().to_string());
+            }
+        }
+    }
+    methods
+}
 
 /// Every code line of `path` (comments stripped) that names one of
 /// `names`, as `file:line: `name``.
@@ -238,8 +284,33 @@ fn named_in_code(path: &Path, names: &[&str]) -> Vec<String> {
 
 #[test]
 fn the_scheduler_names_nothing_of_the_serving_layers() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/scheduler.rs");
-    let violations = named_in_code(&path, &SERVING_NAMES);
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let path = src.join("scheduler.rs");
+    let mut violations = named_in_code(&path, &SERVING_NAMES);
+    // Into the executor core, only through what `CORE_IMPORTS` names.
+    let methods = inner_methods(&src);
+    assert!(
+        methods.iter().any(|m| m == "claim"),
+        "found no `impl Inner` method to audit: {methods:?}"
+    );
+    let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let code: Vec<&str> = text
+        .lines()
+        .map(|line| line.split("//").next().unwrap_or(""))
+        .collect();
+    // Over the whole file, so a `use` list that rustfmt wraps is read whole.
+    for item in executor_items(&code.join("\n")) {
+        if !CORE_IMPORTS.contains(&item.as_str()) {
+            violations.push(format!("{}: `executor::{item}`", path.display()));
+        }
+    }
+    for (i, code) in code.iter().enumerate() {
+        for method in &methods {
+            if code.contains(&format!(".{method}(")) {
+                violations.push(format!("{}:{}: `Inner::{method}`", path.display(), i + 1));
+            }
+        }
+    }
     assert!(
         violations.is_empty(),
         "the scheduler reaches into the serving layers:\n{}",

@@ -645,7 +645,6 @@ struct Expected {
     shed: u64,
     rejected_saturated: u64,
     rejected_shutdown: u64,
-    rejected_infeasible: u64,
 }
 
 /// A run of the ledger property: its tenant, whether its flow panics, and
@@ -689,7 +688,6 @@ fn check_quiescent(
             shed: s.shed,
             rejected_saturated: s.rejected_saturated,
             rejected_shutdown: s.rejected_shutdown,
-            rejected_infeasible: s.rejected_infeasible,
         };
         assert_eq!(&got, want, "tenant {} after {ops:?}: {s:?}", s.name);
     }
@@ -768,9 +766,6 @@ proptest::proptest! {
                     Ok(handle) => handles.push((t, panics, handle)),
                     Err(AdmissionError::Saturated { .. }) => expected[t].rejected_saturated += 1,
                     Err(AdmissionError::ShuttingDown) => expected[t].rejected_shutdown += 1,
-                    Err(AdmissionError::DeadlineInfeasible { .. }) => {
-                        expected[t].rejected_infeasible += 1
-                    }
                     Err(e) => panic!("unexpected refusal {e} in {:?}", &ops[..=i]),
                 }
             }

@@ -5,13 +5,14 @@
 //! once.
 //!
 //! No wait here is unbounded: each scheduler's case runs on a helper
-//! thread ([`common::bounded`]), and a case that has not finished after
+//! thread ([`common::within_30s`]), and a case that has not finished after
 //! 30 s fails the suite with the scheduler's name and the seed the DAG is
 //! rebuilt from ([`dag_from_seed`]).
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::bounded;
+use common::within_30s;
 use proptest::prelude::*;
 use rustflow::Executor;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,9 +81,8 @@ fn check_scheduler(
 ) -> Result<(), TestCaseError> {
     let (n, edges) = dag_from_seed(seed);
     let case_edges = edges.clone();
-    let probe = bounded(
-        scheduler,
-        &format!("the DAG of seed {seed:#x}"),
+    let probe = within_30s(
+        &format!("{scheduler} on the DAG of seed {seed:#x}"),
         move || {
             let probe = Probe::new(n);
             run(&probe.dag(&case_edges), &case_edges);
@@ -175,7 +175,7 @@ proptest! {
 /// lifecycles).
 #[test]
 fn pool_lifecycles_never_wedge_the_drop() {
-    bounded("the baseline pool", "20 000 lifecycles", || {
+    within_30s("the baseline pool on 20 000 lifecycles", || {
         for _ in 0..20_000 {
             let pool = Pool::new(2);
             pool.submit(|| {});
@@ -196,11 +196,14 @@ fn micro_benchmarks_checksum_agreement() {
     let pool = Arc::new(Pool::new(3));
     let run = |scheduler: &'static str, input: &str, dag: Dag| {
         let (ex, pool) = (Arc::clone(&ex), Arc::clone(&pool));
-        bounded(scheduler, input, move || match scheduler {
-            "rustflow" => tf_workloads::run::run_rustflow(&dag, &ex),
-            "flowgraph" => tf_workloads::run::run_flowgraph(&dag, &pool),
-            _ => tf_workloads::run::run_levelized(&dag, &pool),
-        });
+        within_30s(
+            &format!("{scheduler} on {input}"),
+            move || match scheduler {
+                "rustflow" => tf_workloads::run::run_rustflow(&dag, &ex),
+                "flowgraph" => tf_workloads::run::run_flowgraph(&dag, &pool),
+                _ => tf_workloads::run::run_levelized(&dag, &pool),
+            },
+        );
     };
 
     let spec = WavefrontSpec::new(24);

@@ -1,12 +1,13 @@
 //! System tests of the DNN substrate: the Figure-11 pipeline trained by
 //! every scheduler agrees bitwise with plain SGD at a realistic scale,
 //! learns the synthetic distribution, and matches the paper's task-count
-//! arithmetic. Every rustflow run is bounded ([`common::bounded`]): a
+//! arithmetic. Every rustflow run is bounded ([`common::within_30s`]): a
 //! wedged executor fails the suite after 30 s instead of hanging it.
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::bounded;
+use common::within_30s;
 use rustflow::Executor;
 use std::sync::Arc;
 use tf_baselines::{Dag, Pool};
@@ -17,7 +18,7 @@ use tf_dnn::{synthetic_mnist, Mlp};
 /// `run_rustflow(dag, ex)`, bounded.
 fn run_rustflow(what: &str, dag: Dag, ex: &Arc<Executor>) {
     let ex = Arc::clone(ex);
-    bounded("rustflow", what, move || {
+    within_30s(&format!("rustflow on {what}"), move || {
         tf_workloads::run::run_rustflow(&dag, &ex)
     });
 }

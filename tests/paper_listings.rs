@@ -1,11 +1,12 @@
 //! End-to-end reproductions of the paper's code listings, asserting the
 //! dependency semantics each listing demonstrates. Every blocking wait is
-//! bounded ([`common::bounded`]): a wedged listing fails the suite after
+//! bounded ([`common::within_30s`]): a wedged listing fails the suite after
 //! 30 s and names itself.
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::bounded;
+use common::within_30s;
 use rustflow::{Executor, Taskflow};
 use std::sync::Arc;
 
@@ -25,7 +26,7 @@ fn ordered_log() -> (Log, impl Fn(&'static str) -> Box<dyn FnMut() + Send>) {
 
 /// `tf.wait_for_all()`, bounded; hands the taskflow back.
 fn wait_for_all(listing: &str, tf: Taskflow) -> Taskflow {
-    bounded("rustflow", listing, move || {
+    within_30s(&format!("rustflow on {listing}"), move || {
         tf.wait_for_all();
         tf
     })
@@ -96,7 +97,7 @@ fn listing6_blocking_and_nonblocking_dispatch() {
     b2.precede(a2); // task B runs before task A this time
     let shared_future = tf.dispatch();
     // ... do something to overlap the graph execution ...
-    let result = bounded("rustflow", "Listing 6's dispatch", move || {
+    let result = within_30s("rustflow on Listing 6's dispatch", move || {
         shared_future.wait(); // block until finish
         shared_future.get()
     });
@@ -176,7 +177,7 @@ fn executor_shared_like_the_animation_use_case() {
     loader.emplace(task("texture"));
     let f1 = render.dispatch();
     let f2 = loader.dispatch();
-    bounded("rustflow", "the two taskflows of §III-E", move || {
+    within_30s("rustflow on the two taskflows of §III-E", move || {
         f1.wait();
         f2.wait();
     });

@@ -1,12 +1,13 @@
 //! System tests of the VLSI timing analyzer: engine agreement on
 //! generated designs, incremental-vs-full equivalence over long modifier
 //! sequences, and the monotonicity physics of the delay model. Every
-//! update the rustflow engine runs is bounded ([`common::bounded`]): a
+//! update the rustflow engine runs is bounded ([`common::within_30s`]): a
 //! wedged executor fails the suite after 30 s instead of hanging it.
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::bounded;
+use common::within_30s;
 use proptest::prelude::*;
 use rustflow::Executor;
 use std::sync::Arc;
@@ -22,7 +23,7 @@ fn on_rustflow<T: Send + 'static>(
     update: impl FnOnce(&Timer, &Engine) -> T + Send + 'static,
 ) -> (Timer, T) {
     let ex = Arc::clone(ex);
-    bounded("rustflow", what, move || {
+    within_30s(&format!("rustflow on {what}"), move || {
         let out = update(&timer, &Engine::V2Rustflow(&ex));
         (timer, out)
     })
